@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-full bench-smoke bench-baseline bench-shard bench-shard-smoke bench-wire bench-wire-smoke bench-fanout bench-fanout-smoke bench-xring bench-xring-smoke chaos chaos-xring obs-smoke soak-smoke
+.PHONY: ci vet build test race race-full loc bench-e2e bench-e2e-quick bench-smoke bench-baseline bench-shard bench-shard-smoke bench-wire bench-wire-smoke bench-fanout bench-fanout-smoke bench-xring bench-xring-smoke chaos chaos-xring obs-smoke soak-smoke
 
 ci: vet build test race
 
@@ -13,16 +13,32 @@ build:
 test:
 	$(GO) test ./...
 
-# The transports, the fault injector, and the sharding layer (N protocol
-# goroutines per node) are the concurrency hot spots; keep them under the
-# race detector even when the full -race run is too slow for the inner
-# loop.
+# The transports, the fault injector, the sharding layer (N protocol
+# goroutines per node) and the ordered-group core they all feed are the
+# concurrency hot spots; keep them under the race detector even when the
+# full -race run is too slow for the inner loop.
 race:
-	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/shard/...
+	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/shard/... ./internal/groupcore/...
 
 # The full suite under the race detector (CI runs this as its own job).
 race-full:
 	$(GO) test -race ./...
+
+# Non-test Go lines per package (the benchmark excluded), then the total:
+# the size figure simplification PRs report before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' \
+	  | xargs wc -l | awk '$$2 == "total" { total = $$1; next } \
+	    { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } \
+	    END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
+
+# The end-to-end benchmark of the real stack declared in BENCHMARK.json
+# (see benchmark/README.md): the full run, and the short one CI uses.
+bench-e2e:
+	$(GO) run ./benchmark
+
+bench-e2e-quick:
+	$(GO) run ./benchmark -quick
 
 # One-iteration benchmark pass over two figures and the core engine, as a
 # cheap regression tripwire (CI runs this as its own job).

@@ -3,18 +3,17 @@ package accelring
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"accelring/internal/evs"
 	"accelring/internal/group"
+	"accelring/internal/groupcore"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
 	"accelring/internal/shard"
-	"accelring/internal/shard/merge"
 )
 
 // Event is a delivery to the application: a *Message, a *GroupView, or a
@@ -66,23 +65,20 @@ func (*ViewChange) isEvent() {}
 // node is its own (only) client. With WithShards(n) it runs n independent
 // ring instances and partitions groups across them (see Config.Shards).
 type Node struct {
-	cfg     Config
-	rn      *ringnode.Node // single-ring mode (nil when sharded)
-	rings   *shard.Group   // sharded mode (nil when Shards <= 1)
-	shards  int
-	self    ClientID
-	tracer  *obs.RingTracer
-	tracers []*obs.RingTracer
-	events  chan Event
+	cfg    Config
+	rings  *shard.Group
+	self   ClientID
+	events chan Event
 
-	// merger reunifies the per-ring ordered streams into one global
-	// delivery order when Shards > 1 (nil otherwise); pacerStop ends its
-	// lambda-pacing goroutine.
-	merger    *merge.Merger
+	// core turns the rings' ordered streams into one globally ordered
+	// event stream (internal/groupcore; one ring is its N = 1 case) and
+	// delivers it to nodeSink. pacerStop ends its pacing goroutine, and
+	// pacerDone reports that it has.
+	core      *groupcore.Core
 	pacerStop chan struct{}
+	pacerDone chan struct{}
 
 	mu        sync.Mutex
-	table     *group.ShardedTable
 	lastViews []ViewID
 	readyMask []bool
 	ready     bool
@@ -118,82 +114,61 @@ func OpenConfig(ctx context.Context, cfg Config) (*Node, error) {
 
 	n := &Node{
 		cfg:       cfg,
-		shards:    cfg.Shards,
 		self:      ClientID{Daemon: cfg.Self, Local: 1},
 		events:    make(chan Event, cfg.EventBuffer),
-		table:     group.NewShardedTable(cfg.Shards),
+		pacerStop: make(chan struct{}),
+		pacerDone: make(chan struct{}),
 		lastViews: make([]ViewID, cfg.Shards),
 		readyMask: make([]bool, cfg.Shards),
 	}
-
-	if cfg.Shards > 1 {
-		n.merger = merge.New(merge.Config{
-			Shards:    cfg.Shards,
-			Self:      cfg.Self,
-			Table:     n.table,
-			Out:       nodeMergeOut{n},
-			SkipAhead: cfg.SkipAhead,
-			Obs:       cfg.Observer,
-		})
-		base := cfg.ringConfig()
-		if cfg.Observer != nil || cfg.TraceSampling > 0 {
-			// ForRing derives one observer per ring from this base: shared
-			// registry, per-ring "shard<r>" metric labels, tracers and
-			// message tracers (the base Msg only carries the sampling rate).
-			base.Observer = &obs.RingObserver{
-				Reg: cfg.Observer,
-				Msg: obs.NewMsgTracer(cfg.TraceSampling, 0),
-			}
-		}
-		g, err := shard.Start(shard.Config{
-			Shards:       cfg.Shards,
-			Base:         base,
-			NewTransport: cfg.openTransport,
-			OnEvent:      n.onRingEvent,
-			TraceDepth:   cfg.TraceDepth,
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.rings = g
-		if cfg.Observer != nil {
-			n.tracers = make([]*obs.RingTracer, cfg.Shards)
-			for r := range n.tracers {
-				n.tracers[r] = g.Tracer(r)
-			}
-			n.tracer = n.tracers[0]
-		}
-		n.pacerStop = make(chan struct{})
-		go n.skipPacer(cfg.SkipInterval)
-		return n, nil
-	}
-
-	tr, err := cfg.openTransport(0)
-	if err != nil {
-		return nil, err
-	}
-	rc := cfg.ringConfig()
-	rc.Transport = tr
-	rc.OnEvent = func(ev evs.Event) { n.onRingEvent(0, ev) }
+	n.core = groupcore.New(groupcore.Config{
+		Shards:    cfg.Shards,
+		Self:      cfg.Self,
+		Submit:    ringSubmitter{n},
+		Sink:      nodeSink{n},
+		SkipAhead: cfg.SkipAhead,
+		Obs:       cfg.Observer,
+	})
+	base := cfg.ringConfig()
 	if cfg.Observer != nil || cfg.TraceSampling > 0 {
-		if cfg.Observer != nil {
-			n.tracer = obs.NewRingTracer(cfg.TraceDepth)
-			n.tracers = []*obs.RingTracer{n.tracer}
+		// With several rings shard.Start derives one observer per ring
+		// from this base: shared registry, per-ring "shard<r>" metric
+		// labels, round tracers and message tracers (the base Msg only
+		// carries the sampling rate). A single ring uses the base itself,
+		// so it brings its own round tracer.
+		base.Observer = &obs.RingObserver{
+			Reg: cfg.Observer,
+			Msg: obs.NewMsgTracer(cfg.TraceSampling, 0),
 		}
-		rc.Observer = &obs.RingObserver{
-			Reg:    cfg.Observer,
-			Tracer: n.tracer,
-			Msg:    obs.NewMsgTracer(cfg.TraceSampling, 0),
+		if cfg.Observer != nil && cfg.Shards == 1 {
+			base.Observer.Tracer = obs.NewRingTracer(cfg.TraceDepth)
 		}
 	}
-
-	rn, err := ringnode.Start(rc)
+	rings, err := shard.Start(shard.Config{
+		Shards:       cfg.Shards,
+		Base:         base,
+		NewTransport: cfg.openTransport,
+		OnEvent:      n.core.OnRingEvent,
+		TraceDepth:   cfg.TraceDepth,
+	})
 	if err != nil {
-		tr.Close()
 		return nil, err
 	}
-	n.rn = rn
+	n.rings = rings
+	go func() {
+		defer close(n.pacerDone)
+		n.core.Run(cfg.SkipInterval, n.pacerStop)
+	}()
 	return n, nil
+}
+
+// ringSubmitter is the core's submit seam. It reads n.rings at call time:
+// the core exists before the rings start (they need its OnRingEvent), and
+// submits nothing until OpenConfig has stored them.
+type ringSubmitter struct{ n *Node }
+
+func (s ringSubmitter) Submit(ring int, payload []byte, svc evs.Service) error {
+	return s.n.rings.Submit(ring, payload, svc)
 }
 
 // ID returns this node's group-messaging endpoint identity, as it appears
@@ -251,50 +226,46 @@ func (n *Node) ViewOf(ring int) ViewID {
 }
 
 // Shards returns the node's ring-instance count (1 without WithShards).
-func (n *Node) Shards() int { return n.shards }
+func (n *Node) Shards() int { return n.cfg.Shards }
 
 // RingFor returns the ring instance that owns a group name on this node.
-func (n *Node) RingFor(groupName string) int { return RingOf(groupName, n.shards) }
+func (n *Node) RingFor(groupName string) int { return RingOf(groupName, n.cfg.Shards) }
 
 // Members returns the agreed membership of a group as of the events
 // processed so far (nil if empty or unknown).
-func (n *Node) Members(groupName string) []ClientID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.table.For(groupName).Members(groupName)
-}
+func (n *Node) Members(groupName string) []ClientID { return n.core.Members(groupName) }
 
 // Groups returns the groups this node has joined.
-func (n *Node) Groups() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.table.GroupsOf(n.self)
-}
+func (n *Node) Groups() []string { return n.core.GroupsOf(n.self) }
 
 // Tracer returns the node's token-round tracer for DebugServer.AddTracer
 // (nil unless the node was opened with WithObserver). On a sharded node
 // it is ring 0's tracer; see Tracers.
-func (n *Node) Tracer() *RingTracer { return n.tracer }
+func (n *Node) Tracer() *RingTracer {
+	if n.cfg.Observer == nil {
+		return nil
+	}
+	return n.rings.Tracer(0)
+}
 
 // Tracers returns one token-round tracer per ring instance (nil unless
 // the node was opened with WithObserver).
 func (n *Node) Tracers() []*RingTracer {
-	if n.tracers == nil {
+	if n.Tracer() == nil {
 		return nil
 	}
-	return append([]*RingTracer(nil), n.tracers...)
+	out := make([]*RingTracer, n.cfg.Shards)
+	for r := range out {
+		out[r] = n.rings.Tracer(r)
+	}
+	return out
 }
 
 // MsgTracer returns the node's message-lifecycle tracer for
 // DebugServer.AddMsgTracer (nil unless the node was opened with
 // WithTraceSampling). On a sharded node it is ring 0's tracer; see
 // MsgTracers.
-func (n *Node) MsgTracer() *MsgTracer {
-	if n.rings != nil {
-		return n.rings.MsgTracer(0)
-	}
-	return n.rn.Observer().MsgTracer()
-}
+func (n *Node) MsgTracer() *MsgTracer { return n.rings.MsgTracer(0) }
 
 // MsgTracers returns one message-lifecycle tracer per ring instance (nil
 // unless the node was opened with WithTraceSampling).
@@ -302,13 +273,9 @@ func (n *Node) MsgTracers() []*MsgTracer {
 	if n.MsgTracer() == nil {
 		return nil
 	}
-	out := make([]*MsgTracer, n.shards)
+	out := make([]*MsgTracer, n.cfg.Shards)
 	for r := range out {
-		if n.rings != nil {
-			out[r] = n.rings.MsgTracer(r)
-		} else {
-			out[r] = n.rn.Observer().MsgTracer()
-		}
+		out[r] = n.rings.MsgTracer(r)
 	}
 	return out
 }
@@ -320,11 +287,7 @@ func (n *Node) MsgTracers() []*MsgTracer {
 // WithObserver and WithTraceSampling.
 func (n *Node) AttachLatency(agg *LatencyAgg) {
 	for r, mt := range n.MsgTracers() {
-		scope := ""
-		if n.rings != nil {
-			scope = fmt.Sprintf("shard%d", r)
-		}
-		agg.AddTracer(scope, mt)
+		agg.AddTracer(n.rings.Node(r).Observer().Label, mt)
 	}
 }
 
@@ -345,10 +308,7 @@ func (n *Node) Leave(groupName string) error {
 	if !group.ValidGroupName(groupName) {
 		return ErrBadGroup
 	}
-	n.mu.Lock()
-	member := memberOf(n.table.For(groupName).Members(groupName), n.self)
-	n.mu.Unlock()
-	if !member {
+	if !memberOf(n.core.Members(groupName), n.self) {
 		return ErrNotMember
 	}
 	return n.submit(n.RingFor(groupName), &group.Envelope{
@@ -380,7 +340,7 @@ func (n *Node) Send(service Service, payload []byte, groups ...string) error {
 	// Ascending ring order keeps spanning sends deterministic across
 	// identical runs; the merge layer gives the per-ring copies one
 	// global delivery order.
-	for _, rg := range n.table.SplitByRing(groups, nil) {
+	for _, rg := range n.core.SplitByRing(groups, nil) {
 		err := n.submit(rg.Ring, &group.Envelope{
 			Kind: group.OpMessage, Sender: n.self, Groups: rg.Groups, Payload: payload,
 		}, service)
@@ -391,27 +351,22 @@ func (n *Node) Send(service Service, payload []byte, groups ...string) error {
 	return nil
 }
 
-// submit encodes the envelope and hands it to the owning ring,
-// translating the driver's errors into the public sentinels.
+// submit hands the envelope to the owning ring through the core.
 func (n *Node) submit(ring int, env *group.Envelope, svc Service) error {
+	return n.ringCall(ring, func() error { return n.core.Submit(ring, env, svc) })
+}
+
+// ringCall runs an operation that orders something on ring, translating
+// the driver's errors into the public sentinels.
+func (n *Node) ringCall(ring int, op func() error) error {
 	n.mu.Lock()
 	closed := n.closed
 	n.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
-	enc, err := env.Encode()
-	if err != nil {
-		return err
-	}
-	if n.rings != nil {
-		err = n.rings.Submit(ring, enc, svc)
-	} else {
-		err = n.rn.Submit(enc, svc)
-	}
+	err := op()
 	switch {
-	case err == nil:
-		return nil
 	case errors.Is(err, ringnode.ErrStopped):
 		return ErrClosed
 	case errors.Is(err, membership.ErrNotOperational):
@@ -447,16 +402,11 @@ func (n *Node) Close() error {
 		n.mu.Lock()
 		n.closed = true
 		n.mu.Unlock()
-		if n.pacerStop != nil {
-			close(n.pacerStop)
-		}
+		close(n.pacerStop)
+		<-n.pacerDone
 		// Stop waits for every protocol goroutine to exit, so no event
 		// callback can race the channel close below.
-		if n.rings != nil {
-			n.rings.Stop()
-		} else {
-			n.rn.Stop()
-		}
+		n.rings.Stop()
 		close(n.events)
 	})
 	return nil
@@ -488,234 +438,36 @@ func (n *Node) emit(ev Event) {
 	}
 }
 
-// onRingEvent runs on ring's protocol goroutine. Without a merger
-// (Shards <= 1) it applies that ring's totally ordered stream to the
-// ring's partition of the group table and forwards application-visible
-// events. With one, every ring's ordered stream — envelopes AND
-// configuration changes — feeds the cross-ring merger, which re-invokes
-// the same application logic (via nodeMergeOut) at each item's globally
-// ordered emission point, so Receive observes one identical global order
-// on every node. Different rings invoke it concurrently; n.mu serializes
-// the table work and the events channel serializes emission.
-func (n *Node) onRingEvent(ring int, ev evs.Event) {
-	switch e := ev.(type) {
-	case evs.Message:
-		env, err := group.DecodeEnvelope(e.Payload)
-		if err != nil {
-			return // not ours: a foreign application on the same ring
-		}
-		if n.merger != nil {
-			n.merger.PushEnvelopeSeq(ring, env, e.Service, e.Seq)
-			return
-		}
-		n.applyEnvelope(ring, env, e.Service)
-	case evs.ConfigChange:
-		if n.merger != nil {
-			n.merger.PushConfig(ring, e)
-			return
-		}
-		n.applyConfigChange(ring, e)
+// nodeSink is the Node seen as the core's ordered-event sink. Its methods
+// run at globally ordered emission points with the merger's lock held, on
+// whichever ring goroutine completed the emission; none of them blocks
+// (emit drops on a full buffer rather than wait), so Receive observes one
+// identical global order on every node.
+type nodeSink struct{ n *Node }
+
+func (k nodeSink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []ClientID) {
+	k.n.rings.Node(ring).Observer().Stamp(seq, obs.StageMergeOut)
+	if memberOf(to, k.n.self) {
+		k.n.emit(&Message{
+			Sender: env.Sender, Service: svc,
+			Groups: env.Groups, Payload: env.Payload,
+		})
 	}
 }
 
-// recordMergeOut stamps the merge-emission stage onto a sampled span at
-// its globally ordered emission point (the merger's lock is held; the
-// record is a lock-free slot store, so nothing blocks). Seq 0 means the
-// pusher had no carrier sequence and is never stamped.
-func (n *Node) recordMergeOut(ring int, seq uint64) {
-	if n.rings == nil || seq == 0 {
-		return
-	}
-	mt := n.rings.MsgTracer(ring)
-	if !mt.Sampled(seq) {
-		return
-	}
-	mt.Record(obs.MsgEvent{Seq: seq, Stage: obs.StageMergeOut, At: n.rings.Node(ring).Observer().Now()})
-}
-
-// nodeMergeOut adapts the Node to the merger's output interface. Its
-// methods run with the merger's lock held at globally ordered emission
-// points; none of them blocks or reenters the merger (submissions spawn,
-// emit drops on a full buffer rather than wait).
-type nodeMergeOut struct{ n *Node }
-
-func (o nodeMergeOut) Deliver(ring int, env *group.Envelope, svc evs.Service, seq uint64) {
-	o.n.recordMergeOut(ring, seq)
-	o.n.applyEnvelope(ring, env, svc)
-}
-
-func (o nodeMergeOut) Config(ring int, cc evs.ConfigChange) {
-	o.n.applyConfigChange(ring, cc)
-}
-
-func (o nodeMergeOut) SubmitAsync(ring int, env group.Envelope) {
-	enc, err := env.Encode()
-	if err != nil {
-		return
-	}
-	rings := o.n.rings
-	// Off the emission goroutine: Submit is a blocking round trip to the
-	// ring's protocol goroutine, which may be the very one emitting.
-	go func() { _ = rings.Submit(ring, enc, evs.Agreed) }()
-}
-
-func (o nodeMergeOut) Migrated(g string, from, to int) {
-	// The re-home itself happened in the shared table at this ordered
-	// point; the application sees the group's traffic continue seamlessly.
-}
-
-// skipPacer is the merge's lambda-pacing loop: every interval it asks the
-// merger which idle rings block the global order and, for each ring this
-// node represents, orders a skip claim on it. Skips are ordinary ordered
-// envelopes, so every node applies the same claims at the same per-ring
-// positions.
-func (n *Node) skipPacer(interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var wants []merge.Want
-	for {
-		select {
-		case <-n.pacerStop:
-			return
-		case <-tick.C:
-		}
-		wants = n.merger.Wants(wants)
-		for _, w := range wants {
-			env := n.merger.SkipEnvelope(w)
-			if enc, err := env.Encode(); err == nil {
-				_ = n.rings.Submit(w.Ring, enc, evs.Agreed)
-			}
-		}
+// View emits the group's agreed view if this node is a member — or if the
+// change was its own (so a leaver sees its final, self-less view, Spread's
+// self-leave notification).
+func (k nodeSink) View(g string, members []ClientID, cause ClientID) {
+	if cause == k.n.self || memberOf(members, k.n.self) {
+		k.n.emit(&GroupView{Group: g, Members: members})
 	}
 }
 
-// migrateTimeout bounds how long Migrate waits for the ordered close.
-const migrateTimeout = 30 * time.Second
-
-// Migrate re-homes a group onto another ring instance with no loss,
-// duplication, or reordering: it orders a migration marker on the group's
-// current ring and blocks until the migration's globally ordered close
-// point has been emitted locally (source ring drained, membership state
-// re-homed, buffered target-ring traffic replayed). Requires WithShards.
-// The move survives this call returning early (timeout): the protocol
-// completes or voids deterministically on every node regardless.
-func (n *Node) Migrate(groupName string, ring int) error {
-	if n.merger == nil {
-		return errors.New("accelring: Migrate requires a sharded node (WithShards)")
-	}
-	env, err := n.merger.BeginEnvelope(groupName, ring)
-	if err != nil {
-		return err
-	}
-	from := n.table.Ring(groupName)
-	if from == ring {
-		return nil // already home
-	}
-	done := n.merger.NotifyMigrated(groupName)
-	if err := n.submit(from, &env, Agreed); err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return nil
-	case <-time.After(migrateTimeout):
-		return fmt.Errorf("accelring: migration of %q to ring %d timed out", groupName, ring)
-	}
-}
-
-// RingOfGroup reports which ring instance currently owns a group: its
-// hash home (RingFor) or, after a Migrate, its override.
-func (n *Node) RingOfGroup(groupName string) int { return n.table.Ring(groupName) }
-
-// envTable locates the table holding a group's membership state at the
-// current point of the (global, when merged) order. A message can
-// straggle in on a ring the group has since migrated away from; the
-// probe resolves identically on every node because table contents at an
-// emission point are identical everywhere. Callers hold n.mu.
-func (n *Node) envTable(ring int, g string) *group.Table {
-	t := n.table.Table(ring)
-	if n.merger == nil || t.Has(g) {
-		return t
-	}
-	return n.table.For(g)
-}
-
-func (n *Node) applyEnvelope(ring int, env *group.Envelope, svc Service) {
-	switch env.Kind {
-	case group.OpJoin:
-		n.mu.Lock()
-		err := n.envTable(ring, env.Groups[0]).Join(env.Sender, env.Groups[0])
-		n.mu.Unlock()
-		if err == nil {
-			n.announceView(env.Groups[0], env.Sender)
-		}
-	case group.OpLeave:
-		n.mu.Lock()
-		err := n.envTable(ring, env.Groups[0]).Leave(env.Sender, env.Groups[0])
-		n.mu.Unlock()
-		if err == nil {
-			n.announceView(env.Groups[0], env.Sender)
-		}
-	case group.OpDisconnect:
-		var left []string
-		n.mu.Lock()
-		if n.merger != nil {
-			// Merged mode orders one disconnect and applies it to every
-			// partition at its single global emission point.
-			for r := 0; r < n.shards; r++ {
-				left = append(left, n.table.Table(r).Disconnect(env.Sender)...)
-			}
-		} else {
-			left = n.table.Table(ring).Disconnect(env.Sender)
-		}
-		n.mu.Unlock()
-		for _, g := range left {
-			n.announceView(g, env.Sender)
-		}
-	case group.OpMessage:
-		n.mu.Lock()
-		deliver := false
-		for _, g := range env.Groups {
-			if memberOf(n.envTable(ring, g).Members(g), n.self) {
-				deliver = true
-				break
-			}
-		}
-		n.mu.Unlock()
-		if deliver {
-			n.emit(&Message{
-				Sender: env.Sender, Service: svc,
-				Groups: env.Groups, Payload: env.Payload,
-			})
-		}
-	case group.OpPrivate:
-		if env.Target == n.self {
-			n.emit(&Message{Sender: env.Sender, Service: svc, Payload: env.Payload})
-		}
-	}
-}
-
-// announceView emits the group's agreed view if this node is a member —
-// or if the change was its own (so a leaver sees its final, self-less
-// view, Spread's self-leave notification).
-func (n *Node) announceView(groupName string, cause ClientID) {
-	n.mu.Lock()
-	members := n.table.For(groupName).Members(groupName)
-	n.mu.Unlock()
-	if cause == n.self || memberOf(members, n.self) {
-		n.emit(&GroupView{Group: groupName, Members: members})
-	}
-}
-
-// applyConfigChange installs one ring's view: on a regular view,
-// endpoints of departed nodes are dropped from every group that ring owns
-// (the same deterministic change every surviving node applies), then the
-// affected group views are announced. The node reports ready once every
-// ring has installed its first configuration.
-func (n *Node) applyConfigChange(ring int, e evs.ConfigChange) {
+// Config announces one ring's view. The node reports ready once every
+// ring has installed its first regular configuration.
+func (k nodeSink) Config(ring int, e evs.ConfigChange) {
+	n := k.n
 	n.emit(&ViewChange{
 		Ring:         ring,
 		View:         e.Config.ID,
@@ -725,39 +477,38 @@ func (n *Node) applyConfigChange(ring int, e evs.ConfigChange) {
 	if e.Transitional {
 		return
 	}
-
-	present := make(map[ProcID]bool, len(e.Config.Members))
-	for _, m := range e.Config.Members {
-		present[m] = true
-	}
 	n.mu.Lock()
-	table := n.table.Table(ring)
-	var affected []string
-	seen := make(map[ProcID]bool)
-	for _, g := range table.Groups() {
-		for _, c := range table.Members(g) {
-			seen[c.Daemon] = true
-		}
-	}
-	for d := range seen {
-		if !present[d] {
-			affected = append(affected, table.DropDaemon(d)...)
-		}
-	}
 	n.lastViews[ring] = e.Config.ID
 	n.readyMask[ring] = true
-	allReady := true
+	n.ready = true
 	for _, r := range n.readyMask {
-		allReady = allReady && r
+		n.ready = n.ready && r
 	}
-	n.ready = allReady
 	n.mu.Unlock()
-
-	for _, g := range dedupe(affected) {
-		// Zero cause: announce only to groups this node belongs to.
-		n.announceView(g, ClientID{})
-	}
 }
+
+// Rejected needs no event: Leave checks membership before submitting, and
+// a join the table refuses had an invalid name Join already rejects.
+func (nodeSink) Rejected(ClientID, group.OpKind, error) {}
+
+// Migrated needs no event: the re-home happened in the shared table at
+// this ordered point and the group's traffic continues seamlessly.
+func (nodeSink) Migrated(string, int, int) {}
+
+// Migrate re-homes a group onto another ring instance with no loss,
+// duplication, or reordering: it orders a migration marker on the group's
+// current ring and blocks until the migration's globally ordered close
+// point has been emitted locally (source ring drained, membership state
+// re-homed, buffered target-ring traffic replayed). The move survives this
+// call returning early (timeout): the protocol completes or voids
+// deterministically on every node regardless.
+func (n *Node) Migrate(groupName string, ring int) error {
+	return n.ringCall(n.core.RingOfGroup(groupName), func() error { return n.core.Migrate(groupName, ring) })
+}
+
+// RingOfGroup reports which ring instance currently owns a group: its
+// hash home (RingFor) or, after a Migrate, its override.
+func (n *Node) RingOfGroup(groupName string) int { return n.core.RingOfGroup(groupName) }
 
 func memberOf(members []ClientID, c ClientID) bool {
 	for _, m := range members {
@@ -766,16 +517,4 @@ func memberOf(members []ClientID, c ClientID) bool {
 		}
 	}
 	return false
-}
-
-func dedupe(ss []string) []string {
-	seen := make(map[string]struct{}, len(ss))
-	out := ss[:0]
-	for _, s := range ss {
-		if _, ok := seen[s]; !ok {
-			seen[s] = struct{}{}
-			out = append(out, s)
-		}
-	}
-	return out
 }

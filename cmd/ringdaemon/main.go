@@ -184,41 +184,24 @@ func run(args []string) error {
 		return tr, nil
 	}
 
-	dcfg := daemon.Config{Obs: reg, Flight: flight, Key: []byte(*ringKey), WriterBatch: *clientBatch}
-	if *shards > 1 {
-		dcfg.Shards = *shards
-		dcfg.NewTransport = newTransport
-		dcfg.SkipInterval = *skipInterval
-		dcfg.SkipAhead = *skipAhead
-		if *original {
-			dcfg.Ring = ringnode.Original(self, nil, *personal, *global)
-		} else {
-			dcfg.Ring = ringnode.Accelerated(self, nil, *personal, *global, *accel)
-		}
-		if reg != nil {
-			// ForRing derives per-ring labeled observers, tracers and
-			// message tracers from this base; the per-ring tracers are
-			// registered below. The flight recorder is shared — its events
-			// carry the shard label.
-			dcfg.Ring.Observer = &obs.RingObserver{
-				Reg: reg, Tracer: tracer, Flight: flight,
-				Msg: obs.NewMsgTracer(*traceSample, 0),
-			}
-		}
+	dcfg := daemon.Config{
+		Obs: reg, Flight: flight, Key: []byte(*ringKey), WriterBatch: *clientBatch,
+		Shards: *shards, NewTransport: newTransport,
+		SkipInterval: *skipInterval, SkipAhead: *skipAhead,
+	}
+	if *original {
+		dcfg.Ring = ringnode.Original(self, nil, *personal, *global)
 	} else {
-		tr, err := newTransport(0)
-		if err != nil {
-			return err
-		}
-		if *original {
-			dcfg.Ring = ringnode.Original(self, tr, *personal, *global)
-		} else {
-			dcfg.Ring = ringnode.Accelerated(self, tr, *personal, *global, *accel)
-		}
-		if reg != nil {
-			mt := obs.NewMsgTracer(*traceSample, 0)
-			dcfg.Ring.Observer = &obs.RingObserver{Reg: reg, Tracer: tracer, Flight: flight, Msg: mt}
-			srv.AddMsgTracer(fmt.Sprintf("daemon%d", *id), mt)
+		dcfg.Ring = ringnode.Accelerated(self, nil, *personal, *global, *accel)
+	}
+	if reg != nil {
+		// A single ring uses this observer as it is. Several rings each
+		// derive their own from it — "shard<r>"-labeled, with per-ring
+		// round and message tracers, registered below; the flight
+		// recorder is shared and its events carry the shard label.
+		dcfg.Ring.Observer = &obs.RingObserver{
+			Reg: reg, Tracer: tracer, Flight: flight,
+			Msg: obs.NewMsgTracer(*traceSample, 0),
 		}
 	}
 
@@ -241,36 +224,34 @@ func run(args []string) error {
 		ln.Close()
 		return err
 	}
-	if srv != nil && *shards > 1 {
+	if srv != nil {
 		for r := 0; r < d.Shards(); r++ {
-			if o := d.RingNode(r).Observer(); o != nil && o.Tracer != nil {
-				srv.AddTracer(fmt.Sprintf("daemon%d.shard%d", *id, r), o.Tracer)
+			o := d.RingNode(r).Observer()
+			name := fmt.Sprintf("daemon%d", *id)
+			if o.Label != "" {
+				name += "." + o.Label
+				srv.AddTracer(name, o.Tracer)
 			}
-			if mt := d.RingNode(r).Observer().MsgTracer(); mt != nil {
-				srv.AddMsgTracer(fmt.Sprintf("daemon%d.shard%d", *id, r), mt)
+			if mt := o.MsgTracer(); mt != nil {
+				srv.AddMsgTracer(name, mt)
 			}
 		}
 	}
 
 	var health *obs.Health
 	if reg != nil {
-		scopes := []string{""}
-		if *shards > 1 {
-			scopes = scopes[:0]
-			for r := 0; r < d.Shards(); r++ {
-				scopes = append(scopes, fmt.Sprintf("shard%d", r))
-			}
+		// A ring's metric scope is its observer's label: "" for a single
+		// ring, "shard<r>" otherwise.
+		var scopes []string
+		for r := 0; r < d.Shards(); r++ {
+			scopes = append(scopes, d.RingNode(r).Observer().Label)
 		}
 		// Latency attribution: fold each ring's sampled spans into
 		// per-stage histograms under the ring's metric scope. With
 		// -trace-sample 0 the tracers are nil and AddTracer no-ops, so
 		// /debug/latency serves empty scopes at zero cost.
 		lat := obs.NewLatencyAgg(reg)
-		for r := 0; r < d.Shards(); r++ {
-			scope := ""
-			if *shards > 1 {
-				scope = fmt.Sprintf("shard%d", r)
-			}
+		for r, scope := range scopes {
 			lat.AddTracer(scope, d.RingNode(r).Observer().MsgTracer())
 		}
 		srv.SetLatency(lat)
@@ -324,11 +305,7 @@ func run(args []string) error {
 					r, st.State, st.Ring, st.Engine.Rounds, st.Engine.Sent,
 					st.Engine.Delivered, st.Engine.Retransmitted)
 				if health != nil {
-					scope := ""
-					if *shards > 1 {
-						scope = fmt.Sprintf("shard%d", r)
-					}
-					line += fmt.Sprintf(" healthy=%v", healthy[scope])
+					line += fmt.Sprintf(" healthy=%v", healthy[d.RingNode(r).Observer().Label])
 				}
 				log.Print(line)
 			}

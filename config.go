@@ -9,6 +9,8 @@ import (
 
 	"accelring/internal/core"
 	"accelring/internal/flowcontrol"
+	"accelring/internal/group"
+	"accelring/internal/groupcore"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
@@ -51,8 +53,9 @@ const (
 	DefaultEventBuffer = 1024
 )
 
-// Config configures a Node. The zero value plus a Self ID and a Transport
-// (or UDP addresses) is usable: Validate fills in documented defaults.
+// Config configures a Node. The zero value plus a Self ID and a Wire with
+// a Transport (or UDP listen addresses) is usable: Validate fills in
+// documented defaults.
 type Config struct {
 	// Self is this participant's unique nonzero identifier.
 	Self ProcID
@@ -104,27 +107,6 @@ type Config struct {
 	// and adaptive message packing. See WireConfig and WithWire.
 	Wire WireConfig
 
-	// Transport carries frames when non-nil (e.g. a Hub endpoint for
-	// tests). The node takes ownership and closes it on Close.
-	//
-	// Deprecated: set Wire.Transport (or use WithWire). Kept as a shim;
-	// combining it with Wire or the other legacy fields fails Validate
-	// with ErrWireConflict.
-	Transport Transport
-	// Transports carries frames per ring in a sharded node: Transports[r]
-	// is ring r's binding. When set, its length must equal Shards.
-	//
-	// Deprecated: set Wire.Transports (or use WithWire).
-	Transports []Transport
-	// Listen and Peers configure a unicast UDP transport: Listen holds
-	// this node's data/token listen addresses, Peers the other
-	// participants'.
-	//
-	// Deprecated: set Wire.Listen/Wire.Peers (or use WithWire), which
-	// also unlock the multicast mode and the batching/packing knobs.
-	Listen UDPAddrs
-	Peers  map[ProcID]UDPAddrs
-
 	// EventBuffer is the Events channel capacity (default
 	// DefaultEventBuffer). A consumer that falls this far behind is
 	// disconnected with ErrSlowConsumer rather than allowed to stall the
@@ -158,7 +140,7 @@ type Config struct {
 // branch with errors.Is).
 var (
 	ErrNoSelf        = errors.New("accelring: config needs a nonzero Self ID")
-	ErrNoTransport   = errors.New("accelring: config needs a Transport or UDP Listen addresses")
+	ErrNoTransport   = errors.New("accelring: config needs a Wire Transport or UDP Listen addresses")
 	ErrBadWindow     = errors.New("accelring: invalid flow-control window")
 	ErrBadTimeout    = errors.New("accelring: timeouts must be non-negative")
 	ErrBadAddress    = errors.New("accelring: bad UDP address")
@@ -174,7 +156,7 @@ const MaxShards = shard.MaxShards
 // WithShards(shards). The hash is stable across processes and releases:
 // every node routes a group to the same ring, which is what preserves the
 // group's total order in a sharded deployment.
-func RingOf(groupName string, shards int) int { return shard.RingOf(groupName, shards) }
+func RingOf(groupName string, shards int) int { return group.RingOf(groupName, shards) }
 
 // Validate fills in documented defaults for zero fields, then checks the
 // configuration, returning the first problem found. Open calls it for
@@ -219,7 +201,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: got %v", ErrBadTimeout, c.SkipInterval)
 	}
 	if c.SkipInterval == 0 {
-		c.SkipInterval = 2 * time.Millisecond
+		c.SkipInterval = groupcore.DefaultSkipInterval
 	}
 
 	// Windows.
@@ -260,8 +242,7 @@ func (c *Config) Validate() error {
 		return ErrBadBufferSize
 	}
 
-	// Transport: fold the legacy fields into Wire and validate the
-	// result — the single resolve path for every mode and knob.
+	// Transport: the single resolve path for every mode and knob.
 	return c.resolveWire()
 }
 

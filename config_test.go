@@ -8,106 +8,71 @@ import (
 
 func validUDPConfig() Config {
 	return Config{
-		Self:   1,
-		Listen: UDPAddrs{Data: "127.0.0.1:7400", Token: "127.0.0.1:7401"},
-		Peers: map[ProcID]UDPAddrs{
-			2: {Data: "127.0.0.1:7410", Token: "127.0.0.1:7411"},
-		},
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	tests := []struct {
-		name    string
-		mutate  func(*Config)
-		wantErr error
-	}{
-		{"valid defaults", func(c *Config) {}, nil},
-		{"explicit windows", func(c *Config) {
-			c.PersonalWindow, c.GlobalWindow, c.AcceleratedWindow = 10, 100, 7
-		}, nil},
-		{"original protocol", func(c *Config) { c.Protocol = ProtocolOriginal }, nil},
-		{"hub transport", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
-			ep, _ := NewHub().Endpoint(1, 16, 16)
-			c.Transport = ep // any non-nil Transport satisfies Validate
-		}, nil},
-
-		{"zero self", func(c *Config) { c.Self = 0 }, ErrNoSelf},
-		{"unknown protocol", func(c *Config) { c.Protocol = Protocol(9) }, ErrBadProtocol},
-		{"no transport at all", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
-		}, ErrNoTransport},
-		{"missing token address", func(c *Config) {
-			c.Listen.Token = ""
-		}, ErrNoTransport},
-		{"accelerated exceeds personal", func(c *Config) {
-			c.PersonalWindow, c.GlobalWindow, c.AcceleratedWindow = 10, 100, 11
-		}, ErrBadWindow},
-		{"global below personal", func(c *Config) {
-			c.PersonalWindow, c.GlobalWindow = 40, 30
-		}, ErrBadWindow},
-		{"negative window", func(c *Config) {
-			c.PersonalWindow = -1
-		}, ErrBadWindow},
-		{"negative timeout", func(c *Config) {
-			c.Timeouts.TokenLoss = -time.Second
-		}, ErrBadTimeout},
-		{"negative event buffer", func(c *Config) {
-			c.EventBuffer = -1
-		}, ErrBadBufferSize},
-		{"bad listen address", func(c *Config) {
-			c.Listen.Data = "not a udp address:::"
-		}, ErrBadAddress},
-		{"bad peer address", func(c *Config) {
-			c.Peers[2] = UDPAddrs{Data: "127.0.0.1:7410", Token: "host:notaport"}
-		}, ErrBadAddress},
-		{"peer with zero id", func(c *Config) {
-			c.Peers[0] = UDPAddrs{Data: "127.0.0.1:1", Token: "127.0.0.1:2"}
-		}, ErrBadAddress},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg := validUDPConfig()
-			tt.mutate(&cfg)
-			err := cfg.Validate()
-			if tt.wantErr == nil {
-				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
-				}
-				return
-			}
-			if !errors.Is(err, tt.wantErr) {
-				t.Fatalf("Validate() = %v, want %v", err, tt.wantErr)
-			}
-		})
-	}
-}
-
-// TestWireConfigValidate covers the unified wire-path resolve: every
-// mode, every legacy/new combination, and every knob bound.
-func TestWireConfigValidate(t *testing.T) {
-	hubEp := func() Transport {
-		ep, _ := NewHub().Endpoint(1, 16, 16)
-		return ep
-	}
-	udpWire := func() WireConfig {
-		return WireConfig{
+		Self: 1,
+		Wire: WireConfig{
 			Listen: UDPAddrs{Data: "127.0.0.1:7400", Token: "127.0.0.1:7401"},
 			Peers: map[ProcID]UDPAddrs{
 				2: {Data: "127.0.0.1:7410", Token: "127.0.0.1:7411"},
 			},
-		}
+		},
 	}
+}
+
+// TestConfigValidate covers Validate end to end: protocol parameters, and
+// the wire-path resolve with every mode, conflict and knob bound.
+func TestConfigValidate(t *testing.T) {
+	hubEp := func() Transport {
+		ep, _ := NewHub().Endpoint(1, 16, 16)
+		return ep
+	}
+	udpWire := func() WireConfig { return validUDPConfig().Wire }
 	tests := []struct {
 		name    string
 		mutate  func(*Config)
 		wantErr error
 		check   func(*testing.T, *Config)
 	}{
+		{"valid defaults", func(c *Config) {}, nil, nil},
+		{"explicit windows", func(c *Config) {
+			c.PersonalWindow, c.GlobalWindow, c.AcceleratedWindow = 10, 100, 7
+		}, nil, nil},
+		{"original protocol", func(c *Config) { c.Protocol = ProtocolOriginal }, nil, nil},
+
+		{"zero self", func(c *Config) { c.Self = 0 }, ErrNoSelf, nil},
+		{"unknown protocol", func(c *Config) { c.Protocol = Protocol(9) }, ErrBadProtocol, nil},
+		{"no transport at all", func(c *Config) {
+			c.Wire = WireConfig{}
+		}, ErrNoTransport, nil},
+		{"missing token address", func(c *Config) {
+			c.Wire.Listen.Token = ""
+		}, ErrNoTransport, nil},
+		{"accelerated exceeds personal", func(c *Config) {
+			c.PersonalWindow, c.GlobalWindow, c.AcceleratedWindow = 10, 100, 11
+		}, ErrBadWindow, nil},
+		{"global below personal", func(c *Config) {
+			c.PersonalWindow, c.GlobalWindow = 40, 30
+		}, ErrBadWindow, nil},
+		{"negative window", func(c *Config) {
+			c.PersonalWindow = -1
+		}, ErrBadWindow, nil},
+		{"negative timeout", func(c *Config) {
+			c.Timeouts.TokenLoss = -time.Second
+		}, ErrBadTimeout, nil},
+		{"negative event buffer", func(c *Config) {
+			c.EventBuffer = -1
+		}, ErrBadBufferSize, nil},
+		{"bad listen address", func(c *Config) {
+			c.Wire.Listen.Data = "not a udp address:::"
+		}, ErrBadAddress, nil},
+		{"bad peer address", func(c *Config) {
+			c.Wire.Peers[2] = UDPAddrs{Data: "127.0.0.1:7410", Token: "host:notaport"}
+		}, ErrBadAddress, nil},
+		{"peer with zero id", func(c *Config) {
+			c.Wire.Peers[0] = UDPAddrs{Data: "127.0.0.1:1", Token: "127.0.0.1:2"}
+		}, ErrBadAddress, nil},
+
 		// Mode inference.
 		{"wire unicast auto", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			c.Wire = udpWire()
 		}, nil, func(t *testing.T, c *Config) {
 			if c.Wire.Mode != WireUnicast {
@@ -115,7 +80,6 @@ func TestWireConfigValidate(t *testing.T) {
 			}
 		}},
 		{"wire hub auto", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			c.Wire = WireConfig{Transport: hubEp()}
 		}, nil, func(t *testing.T, c *Config) {
 			if c.Wire.Mode != WireHub {
@@ -123,7 +87,6 @@ func TestWireConfigValidate(t *testing.T) {
 			}
 		}},
 		{"wire multicast auto", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.MulticastGroup = "239.192.7.1:7600"
 			c.Wire = w
@@ -132,17 +95,7 @@ func TestWireConfigValidate(t *testing.T) {
 				t.Fatalf("Mode = %v, want multicast", c.Wire.Mode)
 			}
 		}},
-		{"legacy UDP resolves to unicast", func(c *Config) {}, nil,
-			func(t *testing.T, c *Config) {
-				if c.Wire.Mode != WireUnicast {
-					t.Fatalf("Mode = %v, want unicast", c.Wire.Mode)
-				}
-				if c.Wire.Listen != c.Listen {
-					t.Fatalf("legacy Listen not folded into Wire")
-				}
-			}},
 		{"stride default applied", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			c.Wire = udpWire()
 		}, nil, func(t *testing.T, c *Config) {
 			if c.Wire.ShardStride != DefaultShardStride {
@@ -150,45 +103,22 @@ func TestWireConfigValidate(t *testing.T) {
 			}
 		}},
 		{"batching and packing knobs accepted", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Batch = BatchConfig{Send: 64, Recv: 32}
 			w.Packing = &PackingConfig{Limit: 1024, MaxDelay: time.Millisecond}
 			c.Wire = w
 		}, nil, nil},
 
-		// Conflicts: legacy × legacy and legacy × WithWire.
-		{"transport plus udp", func(c *Config) {
-			c.Transport = hubEp()
-		}, ErrWireConflict, nil},
-		{"transport plus shard transports", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
-			c.Transport = hubEp()
-			c.Transports = []Transport{hubEp()}
-		}, ErrWireConflict, nil},
-		{"shard transports plus udp", func(c *Config) {
-			c.Transports = []Transport{hubEp()}
-		}, ErrWireConflict, nil},
-		{"legacy udp plus wire", func(c *Config) {
-			c.Wire = udpWire()
-		}, ErrWireConflict, nil},
-		{"legacy transport plus wire", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
-			c.Transport = hubEp()
-			c.Wire = WireConfig{Batch: BatchConfig{Send: 8}}
-		}, ErrWireConflict, nil},
+		// Conflicts inside WireConfig.
 		{"hub transport plus listen inside wire", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Transport = hubEp()
 			c.Wire = w
 		}, ErrWireConflict, nil},
 		{"both transport and transports", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			c.Wire = WireConfig{Transport: hubEp(), Transports: []Transport{hubEp()}}
 		}, ErrWireConflict, nil},
 		{"multicast group in unicast mode", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Mode = WireUnicast
 			w.MulticastGroup = "239.192.7.1:7600"
@@ -197,64 +127,53 @@ func TestWireConfigValidate(t *testing.T) {
 
 		// Mode/knob errors.
 		{"unknown wire mode", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Mode = WireMode(99)
 			c.Wire = w
 		}, ErrBadWire, nil},
 		{"hub mode without transport", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			c.Wire = WireConfig{Mode: WireHub}
 		}, ErrBadWire, nil},
 		{"multicast mode without group", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Mode = WireMulticast
 			c.Wire = w
 		}, ErrBadWire, nil},
 		{"non-multicast group address", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.MulticastGroup = "127.0.0.1:7600"
 			c.Wire = w
 		}, ErrBadWire, nil},
 		{"multicast ttl out of range", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.MulticastGroup = "239.192.7.1:7600"
 			w.MulticastTTL = 300
 			c.Wire = w
 		}, ErrBadWire, nil},
 		{"batching on hub transport", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			c.Wire = WireConfig{Transport: hubEp(), Batch: BatchConfig{Send: 8}}
 		}, ErrBadWire, nil},
 		{"negative batch", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Batch.Send = -1
 			c.Wire = w
 		}, ErrBadWire, nil},
 		{"oversized batch", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Batch.Recv = 100000
 			c.Wire = w
 		}, ErrBadWire, nil},
 		{"bad packing limit", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Packing = &PackingConfig{Limit: 3}
 			c.Wire = w
 		}, ErrBadWire, nil},
 		{"packing limit beyond frame cap", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Packing = &PackingConfig{Limit: 1 << 20}
 			c.Wire = w
 		}, ErrBadWire, nil},
 		{"negative stride", func(c *Config) {
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.ShardStride = -2
 			c.Wire = w
@@ -263,7 +182,6 @@ func TestWireConfigValidate(t *testing.T) {
 		// Sharded port derivation.
 		{"stride collision", func(c *Config) {
 			c.Shards = 2
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			// Token base is data base + stride: ring 1's data port lands
 			// exactly on ring 0's token port.
@@ -273,7 +191,6 @@ func TestWireConfigValidate(t *testing.T) {
 		}, ErrShardPorts, nil},
 		{"stride overflow", func(c *Config) {
 			c.Shards = 2
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.Listen = UDPAddrs{Data: "127.0.0.1:65535", Token: "127.0.0.1:7401"}
 			w.Peers = map[ProcID]UDPAddrs{2: {Data: "127.0.0.1:7410", Token: "127.0.0.1:7411"}}
@@ -281,7 +198,6 @@ func TestWireConfigValidate(t *testing.T) {
 		}, ErrShardPorts, nil},
 		{"wide stride ok", func(c *Config) {
 			c.Shards = 4
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.ShardStride = 10
 			w.Listen = UDPAddrs{Data: "127.0.0.1:7400", Token: "127.0.0.1:7401"}
@@ -290,7 +206,6 @@ func TestWireConfigValidate(t *testing.T) {
 		}, nil, nil},
 		{"sharded multicast group overflow", func(c *Config) {
 			c.Shards = 3
-			c.Listen, c.Peers = UDPAddrs{}, nil
 			w := udpWire()
 			w.MulticastGroup = "239.192.7.1:65534"
 			c.Wire = w

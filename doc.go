@@ -12,7 +12,7 @@
 //
 //	node, err := accelring.Open(ctx,
 //		accelring.WithSelf(1),
-//		accelring.WithTransport(hub.Endpoint(...)),
+//		accelring.WithWire(accelring.WireConfig{Transport: hub.Endpoint(...)}),
 //		accelring.WithWindows(20, 160, 15),
 //	)
 //	...

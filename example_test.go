@@ -16,7 +16,7 @@ func ExampleOpen() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	hub := accelring.NewHub() // in-process transport; use WithUDP on a real network
+	hub := accelring.NewHub() // in-process transport; give WithWire UDP addresses on a real network
 	ep, err := hub.Endpoint(1, 1024, 16)
 	if err != nil {
 		log.Fatal(err)
@@ -24,7 +24,7 @@ func ExampleOpen() {
 
 	node, err := accelring.Open(ctx,
 		accelring.WithSelf(1),
-		accelring.WithTransport(ep),
+		accelring.WithWire(accelring.WireConfig{Transport: ep}),
 		accelring.WithWindows(10, 100, 7),
 		accelring.WithTimeouts(accelring.Timeouts{
 			JoinInterval: 5 * time.Millisecond,

@@ -65,7 +65,7 @@ func main() {
 		}
 		node, err := accelring.Open(ctx,
 			accelring.WithSelf(id),
-			accelring.WithTransport(ep),
+			accelring.WithWire(accelring.WireConfig{Transport: ep}),
 			accelring.WithWindows(10, 100, 7),
 			accelring.WithTimeouts(timeouts),
 			accelring.WithObserver(reg), // nil is fine: observation disabled

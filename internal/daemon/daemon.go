@@ -9,10 +9,11 @@
 //
 // With Config.Shards > 1 the daemon runs N independent ring instances
 // (the Multi-Ring scaling pattern) and routes every group to its owning
-// ring by the stable shard.RingOf hash: per-group total order is
-// unchanged, aggregate ordering throughput multiplies, and cross-group
-// delivery order is guaranteed only for groups that hash to the same
-// ring.
+// ring by the stable group.RingOf hash; aggregate ordering throughput
+// multiplies and the cross-ring merge gives clients back one global
+// delivery order. Everything between a ring's ordered stream and the
+// client sessions — tables, merge, apply logic, pacing, migration — is
+// internal/groupcore; the daemon is its sink (one ring is just N = 1).
 //
 // The client path is hardened for the edge of overload:
 //
@@ -54,12 +55,12 @@ import (
 	"accelring/internal/bufpool"
 	"accelring/internal/evs"
 	"accelring/internal/group"
+	"accelring/internal/groupcore"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
 	"accelring/internal/session"
 	"accelring/internal/shard"
-	"accelring/internal/shard/merge"
 	"accelring/internal/transport"
 )
 
@@ -72,10 +73,11 @@ type Config struct {
 	Ring ringnode.Config
 	// Shards is the ring-instance count (default 1). Each instance is a
 	// full protocol stack — engine, membership, transport — and groups
-	// are partitioned across them by shard.RingOf.
+	// are partitioned across them by group.RingOf.
 	Shards int
 	// NewTransport opens ring r's transport binding; required when
-	// Shards > 1 (each ring needs its own ports), ignored otherwise.
+	// Shards > 1 (each ring needs its own ports). A single ring uses
+	// Ring.Transport when that is set.
 	NewTransport func(ring int) (transport.Transport, error)
 	// SkipInterval is the lambda-pacing tick of the cross-ring merge
 	// (Shards > 1 only): how often the daemon checks for idle rings that
@@ -132,24 +134,16 @@ type Config struct {
 
 // Daemon is one host's ordering daemon.
 type Daemon struct {
-	cfg    Config
-	self   evs.ProcID
-	node   *ringnode.Node // single-ring mode (nil when sharded)
-	rings  *shard.Group   // sharded mode (nil when Shards <= 1)
-	shards int
-	ln     net.Listener
-	codec  session.Codec
+	cfg   Config
+	self  evs.ProcID
+	rings *shard.Group
+	ln    net.Listener
+	codec session.Codec
 
-	// table holds one per-ring partition. Without a merger each
-	// partition is only touched on its own ring's protocol goroutine
-	// (onRingEvent); with one, all partitions are mutated at the
-	// merger's globally ordered emission points, under its lock.
-	table *group.ShardedTable
-
-	// merger reunifies the per-ring ordered streams into one global
-	// delivery order when Shards > 1 (nil otherwise); pacerStop ends
-	// its lambda-pacing goroutine.
-	merger    *merge.Merger
+	// core turns the rings' ordered streams into one globally ordered
+	// stream of ready-to-apply events, delivered to sink; pacerStop ends
+	// its pacing goroutine.
+	core      *groupcore.Core
 	pacerStop chan struct{}
 
 	mu        sync.Mutex
@@ -271,94 +265,65 @@ func Start(cfg Config) (*Daemon, error) {
 	if cfg.WriterBatch <= 0 {
 		cfg.WriterBatch = 8
 	}
-	if cfg.SkipInterval <= 0 {
-		cfg.SkipInterval = 2 * time.Millisecond
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
+	if tr := cfg.Ring.Transport; cfg.Shards == 1 && tr != nil {
+		cfg.NewTransport = func(int) (transport.Transport, error) { return tr, nil }
 	}
 	d := &Daemon{
-		cfg:     cfg,
-		self:    cfg.Ring.Self,
-		shards:  shards,
-		ln:      cfg.Listener,
-		codec:   session.NewCodec(cfg.Key),
-		table:   group.NewShardedTable(shards),
-		clients: make(map[uint32]*clientConn),
-		dm:      newDaemonMetrics(cfg.Obs),
+		cfg:       cfg,
+		self:      cfg.Ring.Self,
+		ln:        cfg.Listener,
+		codec:     session.NewCodec(cfg.Key),
+		clients:   make(map[uint32]*clientConn),
+		dm:        newDaemonMetrics(cfg.Obs),
+		pacerStop: make(chan struct{}),
 	}
-	if shards > 1 {
-		d.merger = merge.New(merge.Config{
-			Shards:    shards,
-			Self:      cfg.Ring.Self,
-			Table:     d.table,
-			Out:       mergeOut{d},
-			SkipAhead: cfg.SkipAhead,
-			Obs:       cfg.Obs,
-		})
-		g, err := shard.Start(shard.Config{
-			Shards:       shards,
-			Base:         cfg.Ring,
-			NewTransport: cfg.NewTransport,
-			OnEvent:      d.onRingEvent,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.rings = g
-		d.pacerStop = make(chan struct{})
-		d.wg.Add(1)
-		go d.skipPacer()
-	} else {
-		ringCfg := cfg.Ring
-		ringCfg.OnEvent = func(ev evs.Event) { d.onRingEvent(0, ev) }
-		node, err := ringnode.Start(ringCfg)
-		if err != nil {
-			return nil, err
-		}
-		d.node = node
+	d.core = groupcore.New(groupcore.Config{
+		Shards:    cfg.Shards,
+		Self:      d.self,
+		Submit:    ringSubmitter{d},
+		Sink:      sink{d},
+		SkipAhead: cfg.SkipAhead,
+		Obs:       cfg.Obs,
+	})
+	rings, err := shard.Start(shard.Config{
+		Shards:       cfg.Shards,
+		Base:         cfg.Ring,
+		NewTransport: cfg.NewTransport,
+		OnEvent:      d.core.OnRingEvent,
+	})
+	if err != nil {
+		return nil, err
 	}
-	d.wg.Add(1)
+	d.rings = rings
+	d.wg.Add(2)
+	go func() {
+		defer d.wg.Done()
+		d.core.Run(cfg.SkipInterval, d.pacerStop)
+	}()
 	go d.acceptLoop()
 	return d, nil
 }
 
+// ringSubmitter is the core's submit seam. It reads d.rings at call time:
+// the core exists before the rings start (they need its OnRingEvent), and
+// submits nothing until Start has stored them.
+type ringSubmitter struct{ d *Daemon }
+
+func (s ringSubmitter) Submit(ring int, payload []byte, svc evs.Service) error {
+	return s.d.rings.Submit(ring, payload, svc)
+}
+
 // Node exposes the underlying protocol node (ring 0's when sharded).
-func (d *Daemon) Node() *ringnode.Node { return d.ringNode(0) }
+func (d *Daemon) Node() *ringnode.Node { return d.rings.Node(0) }
 
 // Shards returns the daemon's ring-instance count.
-func (d *Daemon) Shards() int { return d.shards }
+func (d *Daemon) Shards() int { return d.rings.Shards() }
 
 // RingNode exposes ring r's protocol node (status inspection).
-func (d *Daemon) RingNode(r int) *ringnode.Node { return d.ringNode(r) }
-
-func (d *Daemon) ringNode(r int) *ringnode.Node {
-	if d.rings != nil {
-		return d.rings.Node(r)
-	}
-	return d.node
-}
-
-// msgTracer returns ring's message-lifecycle tracer (nil when tracing
-// is off — the single branch the uninstrumented hot path pays).
-func (d *Daemon) msgTracer(ring int) *obs.MsgTracer {
-	return d.ringNode(ring).Observer().MsgTracer()
-}
-
-// obsNow reads ring's observer clock (zero time without an observer, in
-// which case no tracer exists to record the event anyway).
-func (d *Daemon) obsNow(ring int) time.Time {
-	return d.ringNode(ring).Observer().Now()
-}
-
-// submit hands an encoded envelope to the owning ring.
-func (d *Daemon) submit(ring int, enc []byte, svc evs.Service) error {
-	if d.rings != nil {
-		return d.rings.Submit(ring, enc, svc)
-	}
-	return d.node.Submit(enc, svc)
-}
+func (d *Daemon) RingNode(r int) *ringnode.Node { return d.rings.Node(r) }
 
 // Addr returns the client listener's address.
 func (d *Daemon) Addr() net.Addr { return d.ln.Addr() }
@@ -366,10 +331,7 @@ func (d *Daemon) Addr() net.Addr { return d.ln.Addr() }
 // WaitOperational blocks until every one of the daemon's rings is
 // operational.
 func (d *Daemon) WaitOperational(timeout time.Duration) bool {
-	if d.rings != nil {
-		return d.rings.WaitOperational(timeout)
-	}
-	return d.node.WaitState(membership.StateOperational, timeout)
+	return d.rings.WaitOperational(timeout)
 }
 
 // Stop disconnects clients, stops the listener and the protocol node.
@@ -387,18 +349,12 @@ func (d *Daemon) Stop() {
 	d.mu.Unlock()
 
 	d.ln.Close()
-	if d.pacerStop != nil {
-		close(d.pacerStop)
-	}
+	close(d.pacerStop)
 	for _, c := range clients {
 		d.shutdownClient(c)
 	}
 	d.wg.Wait()
-	if d.rings != nil {
-		d.rings.Stop()
-	} else {
-		d.node.Stop()
-	}
+	d.rings.Stop()
 }
 
 // shutdown tears the session down without the ordered-disconnect
@@ -646,11 +602,11 @@ func (d *Daemon) handleRequest(c *clientConn, f session.Frame) bool {
 	case session.Ack:
 		c.out.ack(req.Seq)
 	case session.Join:
-		d.submitEnvelope(c, d.table.Ring(req.Group), group.Envelope{
+		d.submitEnvelope(c, d.core.RingOfGroup(req.Group), group.Envelope{
 			Kind: group.OpJoin, Sender: c.id, Groups: []string{req.Group},
 		}, evs.Agreed)
 	case session.Leave:
-		d.submitEnvelope(c, d.table.Ring(req.Group), group.Envelope{
+		d.submitEnvelope(c, d.core.RingOfGroup(req.Group), group.Envelope{
 			Kind: group.OpLeave, Sender: c.id, Groups: []string{req.Group},
 		}, evs.Agreed)
 	case session.Send:
@@ -666,7 +622,7 @@ func (d *Daemon) handleRequest(c *clientConn, f session.Frame) bool {
 		// the cross-ring merger reunifies the per-ring streams into
 		// one global delivery order. The single-ring common case
 		// reuses the connection's split scratch and does not allocate.
-		c.split = d.table.SplitByRing(req.Groups, c.split)
+		c.split = d.core.SplitByRing(req.Groups, c.split)
 		for _, rg := range c.split {
 			d.submitEnvelope(c, rg.Ring, group.Envelope{
 				Kind: group.OpMessage, Sender: c.id, Groups: rg.Groups,
@@ -680,7 +636,7 @@ func (d *Daemon) handleRequest(c *clientConn, f session.Frame) bool {
 			return false
 		}
 		d.backpressure()
-		d.submitEnvelope(c, shard.RingOfClient(req.To.String(), d.shards), group.Envelope{
+		d.submitEnvelope(c, shard.RingOfClient(req.To.String(), d.Shards()), group.Envelope{
 			Kind: group.OpPrivate, Sender: c.id, Target: req.To,
 			Payload: req.Payload,
 		}, svc)
@@ -702,7 +658,7 @@ func (d *Daemon) submitEnvelope(c *clientConn, ring int, env group.Envelope, svc
 		d.pushError(c, session.Error{Code: session.CodeBadRequest, Msg: err.Error()})
 		return
 	}
-	if err := d.submit(ring, enc, svc); err != nil {
+	if err := d.rings.Submit(ring, enc, svc); err != nil {
 		code := session.CodeGeneric
 		if errors.Is(err, membership.ErrNotOperational) {
 			code = session.CodeNotReady
@@ -736,18 +692,11 @@ func (d *Daemon) sessionWriter(c *clientConn) {
 		d.dm.writerFlushes.Inc()
 		d.dm.writerFrames.Add(uint64(len(frames)))
 		for i := range frames {
-			if frames[i].traceSeq != 0 {
-				// Writer-flush stage for a sampled delivery: the frame's
-				// bytes have reached the client socket. Replays after a
-				// reconnect re-record; the latency fold keeps the
-				// earliest stamp.
-				ring := frames[i].traceRing
-				d.msgTracer(ring).Record(obs.MsgEvent{
-					Seq:   frames[i].traceSeq,
-					Stage: obs.StageWriterFlush,
-					At:    d.obsNow(ring),
-				})
-			}
+			// Writer-flush stage for a sampled delivery (traceSeq is zero
+			// otherwise): the frame's bytes have reached the client
+			// socket. Replays after a reconnect re-record; the latency
+			// fold keeps the earliest stamp.
+			d.rings.Node(frames[i].traceRing).Observer().Stamp(frames[i].traceSeq, obs.StageWriterFlush)
 		}
 		d.afterWrite(c, c.out.wroteBatch(conn, frames))
 	}
@@ -757,15 +706,6 @@ func (d *Daemon) sessionWriter(c *clientConn) {
 // on the resulting tier transition.
 func (d *Daemon) deliver(c *clientConn, f session.Frame) {
 	d.afterPush(c, c.out.push(f))
-}
-
-// deliverShared pushes one encode-once shared delivery (the outbox takes
-// its own reference) and acts on the resulting tier transition. traceSeq
-// is nonzero only for latency-sampled deliveries; it rides the queued
-// frame so the writer can attribute flush time to the span.
-func (d *Daemon) deliverShared(c *clientConn, sh *session.Shared, traceSeq uint64, ring int) {
-	d.dm.fanoutShared.Inc()
-	d.afterPush(c, c.out.pushSharedTraced(sh, traceSeq, ring))
 }
 
 // afterPush acts on the backpressure tier transition one enqueue caused.
@@ -851,30 +791,11 @@ func (d *Daemon) dropClient(c *clientConn) {
 		}
 		d.dm.clients.Add(-1)
 		d.flight("disconnect", c.id.Local, 0)
-		env := group.Envelope{Kind: group.OpDisconnect, Sender: c.id}
-		if enc, err := env.Encode(); err == nil {
-			// Submitted off this goroutine — drops can originate on a
-			// ring's own event goroutine (overflow during delivery), where
-			// a synchronous Submit would deadlock. Best effort: if a ring
-			// is down its table is rebuilt from configuration changes
-			// anyway.
-			if d.merger != nil {
-				// One copy, ordered on ring 0 and applied to every
-				// partition at its single global emission point — per-ring
-				// copies would race migration closes between them.
-				go func() { _ = d.submit(0, enc, evs.Agreed) }()
-			} else {
-				// The disconnect must reach EVERY ring: the client's
-				// groups may be partitioned across all of them, and each
-				// ring drops its own in its own total order.
-				shards := d.shards
-				go func() {
-					for r := 0; r < shards; r++ {
-						_ = d.submit(r, enc, evs.Agreed)
-					}
-				}()
-			}
-		}
+		// One copy, ordered on ring 0 and applied to every partition at
+		// its single global emission point. Queued, not submitted here:
+		// drops can originate on a ring's own event goroutine (overflow
+		// during delivery), where a synchronous Submit would deadlock.
+		d.core.SubmitAsync(0, group.Envelope{Kind: group.OpDisconnect, Sender: c.id})
 	})
 }
 
@@ -889,291 +810,106 @@ func (d *Daemon) localClient(id group.ClientID) *clientConn {
 	return d.clients[id.Local]
 }
 
-// onRingEvent runs on ring's protocol goroutine. Without a merger
-// (Shards <= 1) it applies ordered envelopes to that ring's partition of
-// the group table directly. With one, every ring's ordered stream —
-// envelopes AND configuration changes — feeds the cross-ring merger,
-// which re-invokes the same application logic (via mergeOut) at each
-// item's globally ordered emission point; every daemon then applies the
-// identical interleaving of all rings' events.
-func (d *Daemon) onRingEvent(ring int, ev evs.Event) {
-	switch e := ev.(type) {
-	case evs.Message:
-		env, err := group.DecodeEnvelope(e.Payload)
-		if err != nil {
-			return // not ours; a foreign application on the same ring
-		}
-		if d.merger != nil {
-			d.merger.PushEnvelopeSeq(ring, env, e.Service, e.Seq)
-			return
-		}
-		d.applyEnvelope(ring, env, e.Service, e.Seq)
-	case evs.ConfigChange:
-		if d.merger != nil {
-			// Transitional changes are slotted too: every daemon must
-			// assign the same virtual slots to a ring's stream.
-			d.merger.PushConfig(ring, e)
-			return
-		}
-		if e.Transitional {
-			return
-		}
-		d.applyConfigChange(ring, e.Config)
-	}
-}
+// sink is the Daemon seen as the core's ordered-event sink. Its methods run
+// at globally ordered emission points with the merger's lock held; none of
+// them blocks (outboxes overflow rather than wait) or reenters the core
+// beyond SubmitAsync.
+type sink struct{ d *Daemon }
 
-// mergeOut adapts the Daemon to the merger's output interface. Its
-// methods run with the merger's lock held, at globally ordered emission
-// points; none of them blocks or reenters the merger (submissions spawn).
-type mergeOut struct{ d *Daemon }
-
-func (o mergeOut) Deliver(ring int, env *group.Envelope, svc evs.Service, seq uint64) {
-	if seq != 0 {
-		if mt := o.d.msgTracer(ring); mt.Sampled(seq) {
-			// The span's merge stage: the envelope's globally ordered
-			// emission point (a lock-free slot store; nothing blocks).
-			mt.Record(obs.MsgEvent{Seq: seq, Stage: obs.StageMergeOut, At: o.d.obsNow(ring)})
+// Message fans one ordered delivery out to the local sessions in its
+// delivery set. Encode-once: the delivered frame is identical for every
+// local recipient, so its body is encoded exactly once into a refcounted
+// shared buffer on the first one; every outbox queues a reference and the
+// per-session writers prepend only the tiny Seqd header (and MAC, when
+// keyed) at write time.
+func (k sink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []group.ClientID) {
+	d := k.d
+	o := d.rings.Node(ring).Observer()
+	// The span's merge stage: the envelope's globally ordered emission
+	// point (a lock-free slot store; nothing blocks).
+	o.Stamp(seq, obs.StageMergeOut)
+	var sh *session.Shared
+	var traceSeq uint64
+	for _, rcpt := range to {
+		c := d.localClient(rcpt)
+		if c == nil {
+			continue
 		}
-	}
-	o.d.applyEnvelope(ring, env, svc, seq)
-}
-
-func (o mergeOut) Config(ring int, cc evs.ConfigChange) {
-	if cc.Transitional {
-		return
-	}
-	o.d.applyConfigChange(ring, cc.Config)
-}
-
-func (o mergeOut) SubmitAsync(ring int, env group.Envelope) {
-	enc, err := env.Encode()
-	if err != nil {
-		return
-	}
-	// Off the emission goroutine: Submit is a blocking round trip to the
-	// ring's protocol goroutine, which may be the very one emitting.
-	go func() { _ = o.d.submit(ring, enc, evs.Agreed) }()
-}
-
-func (o mergeOut) Migrated(g string, from, to int) {
-	o.d.flight("migrated "+g, 0, to)
-}
-
-// skipPacer is the merge's lambda-pacing loop: every SkipInterval it asks
-// the merger which idle rings block the global order and, for each ring
-// this daemon represents, orders a skip claim on it. Skips are ordinary
-// ordered envelopes, so every daemon applies the same claims at the same
-// per-ring positions.
-func (d *Daemon) skipPacer() {
-	defer d.wg.Done()
-	tick := time.NewTicker(d.cfg.SkipInterval)
-	defer tick.Stop()
-	var wants []merge.Want
-	for {
-		select {
-		case <-d.pacerStop:
-			return
-		case <-tick.C:
-		}
-		wants = d.merger.Wants(wants)
-		for _, w := range wants {
-			env := d.merger.SkipEnvelope(w)
-			enc, err := env.Encode()
-			if err != nil {
-				continue
-			}
-			_ = d.submit(w.Ring, enc, evs.Agreed)
-		}
-	}
-}
-
-// migrateTimeout bounds how long Migrate waits for the ordered close.
-const migrateTimeout = 30 * time.Second
-
-// Migrate re-homes a group onto another ring with no loss, duplication,
-// or reordering: it orders an OpMigrateBegin on the group's current ring
-// and blocks until the migration's globally ordered close point has been
-// emitted locally (source ring drained, membership state re-homed, and
-// buffered target-ring traffic replayed). Requires Shards > 1. The move
-// survives this call returning early (timeout): the protocol completes or
-// voids deterministically on every daemon regardless.
-func (d *Daemon) Migrate(g string, ring int) error {
-	if d.merger == nil {
-		return errors.New("daemon: Migrate requires a sharded daemon (Shards > 1)")
-	}
-	env, err := d.merger.BeginEnvelope(g, ring)
-	if err != nil {
-		return err
-	}
-	from := d.table.Ring(g)
-	if from == ring {
-		return nil // already home
-	}
-	done := d.merger.NotifyMigrated(g)
-	enc, err := env.Encode()
-	if err != nil {
-		return err
-	}
-	if err := d.submit(from, enc, evs.Agreed); err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return nil
-	case <-time.After(migrateTimeout):
-		return fmt.Errorf("daemon: migration of %q to ring %d timed out", g, ring)
-	}
-}
-
-// RingOfGroup reports which ring currently owns a group (hash home or
-// migration override).
-func (d *Daemon) RingOfGroup(g string) int { return d.table.Ring(g) }
-
-// envTable locates the table holding a group's membership state at the
-// current point of the (global, when merged) order. Without a merger it
-// is always the emission ring's partition. With one, a message can
-// straggle in on a ring the group has since migrated away from: the
-// group's state moved at the ordered close point, so the emission ring's
-// partition no longer has it and the routed partition does. Table
-// contents at an emission point are identical on every daemon, so the
-// probe resolves identically everywhere.
-func (d *Daemon) envTable(ring int, g string) *group.Table {
-	t := d.table.Table(ring)
-	if d.merger == nil || t.Has(g) {
-		return t
-	}
-	return d.table.For(g)
-}
-
-// recipientsFor computes a multicast's delivery set honoring migrated
-// groups. The common case — every group's state on the emission ring's
-// table — is one Recipients call; mixed tables (a straggler multicast
-// naming both a migrated and a resident group) take the slow union.
-func (d *Daemon) recipientsFor(ring int, groups []string) []group.ClientID {
-	tbl := d.envTable(ring, groups[0])
-	mixed := false
-	for _, g := range groups[1:] {
-		if d.envTable(ring, g) != tbl {
-			mixed = true
-			break
-		}
-	}
-	if !mixed {
-		return tbl.Recipients(groups)
-	}
-	seen := make(map[group.ClientID]bool)
-	var out []group.ClientID
-	for _, g := range groups {
-		for _, c := range d.envTable(ring, g).Members(g) {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	return out
-}
-
-func (d *Daemon) applyEnvelope(ring int, env *group.Envelope, svc evs.Service, seq uint64) {
-	switch env.Kind {
-	case group.OpJoin:
-		table := d.envTable(ring, env.Groups[0])
-		if err := table.Join(env.Sender, env.Groups[0]); err == nil {
-			d.announceView(table, env.Groups[0])
-		} else if c := d.localClient(env.Sender); c != nil {
-			d.pushError(c, session.Error{Code: session.CodeBadRequest, Msg: err.Error()})
-		}
-	case group.OpLeave:
-		table := d.envTable(ring, env.Groups[0])
-		if err := table.Leave(env.Sender, env.Groups[0]); err == nil {
-			d.announceView(table, env.Groups[0])
-		} else if c := d.localClient(env.Sender); c != nil {
-			// Ordered rejection: the client left a group it is not in.
-			d.pushError(c, session.Error{Code: session.CodeNotMember, Msg: err.Error()})
-		}
-	case group.OpDisconnect:
-		if d.merger != nil {
-			// Merged mode submits ONE disconnect (ring 0) and applies it
-			// to every partition at its single globally ordered emission:
-			// per-ring copies could race a migration close and resurrect
-			// the client on the ring its groups just left.
-			for r := 0; r < d.shards; r++ {
-				t := d.table.Table(r)
-				for _, g := range t.Disconnect(env.Sender) {
-					d.announceView(t, g)
-				}
-			}
-			return
-		}
-		// Dropped once per ring: each ring's disconnect copy removes the
-		// client from the groups that ring owns.
-		table := d.table.Table(ring)
-		for _, g := range table.Disconnect(env.Sender) {
-			d.announceView(table, g)
-		}
-	case group.OpMessage:
-		// Encode-once fan-out: the delivered Message is identical for every
-		// local member, so its frame body is encoded exactly once into a
-		// refcounted shared buffer on the first local recipient; every
-		// outbox queues a reference and the per-session writers prepend
-		// only the tiny Seqd header (and MAC, when keyed) at write time.
-		var sh *session.Shared
-		var traceSeq uint64
-		for _, rcpt := range d.recipientsFor(ring, env.Groups) {
-			c := d.localClient(rcpt)
-			if c == nil {
-				continue
-			}
-			if sh == nil {
-				var err error
-				sh, err = session.NewShared(session.Message{
-					Sender:  env.Sender,
-					Service: svc,
-					Seq:     seq,
-					Groups:  env.Groups,
-					Payload: env.Payload,
-				})
-				if err != nil {
-					return // oversized or malformed; nothing deliverable
-				}
-				d.dm.fanoutEnc.Inc()
-				if seq != 0 {
-					if mt := d.msgTracer(ring); mt.Sampled(seq) {
-						// Fan-out start: the first local recipient forced
-						// the encode; everything after is queue + write.
-						mt.Record(obs.MsgEvent{Seq: seq, Stage: obs.StageFanout, At: d.obsNow(ring)})
-						traceSeq = seq
-					}
-				}
-			}
-			d.deliverShared(c, sh, traceSeq, ring)
-			d.dm.framesRouted.Inc()
-		}
-		if sh != nil {
-			sh.Unref() // creator's reference; outboxes hold their own
-		}
-	case group.OpPrivate:
-		if c := d.localClient(env.Target); c != nil {
-			d.deliver(c, session.Message{
+		if sh == nil {
+			var err error
+			sh, err = session.NewShared(session.Message{
 				Sender:  env.Sender,
 				Service: svc,
 				Seq:     seq,
+				Groups:  env.Groups,
 				Payload: env.Payload,
 			})
-			d.dm.framesRouted.Inc()
-		} else if env.Target.Daemon == d.self {
-			d.rejectPrivate(env)
+			if err != nil {
+				return // oversized or malformed; nothing deliverable
+			}
+			d.dm.fanoutEnc.Inc()
+			// Fan-out start: the first local recipient forced the encode;
+			// everything after is queue + write. traceSeq rides the queued
+			// frames so the writer can attribute flush time to the span.
+			if o.Stamp(seq, obs.StageFanout) {
+				traceSeq = seq
+			}
 		}
-	case group.OpPrivateReject:
-		// The target's host daemon reported the target gone; tell the
-		// original sender (carried in Target) if it is ours.
-		if c := d.localClient(env.Target); c != nil {
-			d.pushError(c, session.Error{
-				Code: session.CodeNoRecipient, Msg: "private target disconnected",
-			})
+		d.dm.fanoutShared.Inc()
+		d.afterPush(c, c.out.pushSharedTraced(sh, traceSeq, ring))
+		d.dm.framesRouted.Inc()
+	}
+	if sh != nil {
+		sh.Unref() // creator's reference; outboxes hold their own
+	} else if env.Kind == group.OpPrivate && env.Target.Daemon == d.self {
+		d.rejectPrivate(env)
+	}
+}
+
+// View pushes a group's new membership to its local members.
+func (k sink) View(g string, members []group.ClientID, _ group.ClientID) {
+	view := session.View{Group: g, Members: members}
+	k.d.dm.viewsAnnounce.Inc()
+	for _, m := range members {
+		if c := k.d.localClient(m); c != nil {
+			k.d.deliver(c, view)
 		}
 	}
 }
+
+// Config is a no-op: clients see ring membership only through the group
+// views it changes.
+func (sink) Config(int, evs.ConfigChange) {}
+
+// Rejected tells a local client, in order, that its operation did not
+// apply.
+func (k sink) Rejected(id group.ClientID, op group.OpKind, err error) {
+	c := k.d.localClient(id)
+	if c == nil {
+		return
+	}
+	code := session.CodeBadRequest
+	switch op {
+	case group.OpLeave:
+		code = session.CodeNotMember // the client left a group it is not in
+	case group.OpPrivateReject:
+		code = session.CodeNoRecipient
+	}
+	k.d.pushError(c, session.Error{Code: code, Msg: err.Error()})
+}
+
+func (k sink) Migrated(g string, from, to int) {
+	k.d.flight("migrated "+g, 0, to)
+}
+
+// Migrate re-homes a group onto another ring with no loss, duplication,
+// or reordering, blocking until the migration's globally ordered close
+// point has been emitted locally (see groupcore.Core.Migrate).
+func (d *Daemon) Migrate(g string, ring int) error { return d.core.Migrate(g, ring) }
+
+// RingOfGroup reports which ring currently owns a group (hash home or
+// migration override).
+func (d *Daemon) RingOfGroup(g string) int { return d.core.RingOfGroup(g) }
 
 // rejectPrivate handles a Private whose target — one of ours — is gone:
 // count it, flight-record it, and send the sender a non-fatal rejection.
@@ -1184,22 +920,15 @@ func (d *Daemon) rejectPrivate(env *group.Envelope) {
 	d.flight("private_drop", env.Target.Local, 0)
 	if c := d.localClient(env.Sender); c != nil {
 		d.pushError(c, session.Error{
-			Code: session.CodeNoRecipient, Msg: "private target disconnected",
+			Code: session.CodeNoRecipient, Msg: groupcore.ErrNoRecipient.Error(),
 		})
 		return
 	}
 	if env.Sender.Daemon == d.self {
 		return // sender is also gone; nobody to tell
 	}
-	back := group.Envelope{Kind: group.OpPrivateReject, Sender: env.Target, Target: env.Sender}
-	enc, err := back.Encode()
-	if err != nil {
-		return
-	}
-	ring := shard.RingOfClient(env.Sender.String(), d.shards)
-	// Off this goroutine: rejectPrivate runs on a ring's own event
-	// goroutine, where a synchronous Submit would deadlock.
-	go func() { _ = d.submit(ring, enc, evs.Agreed) }()
+	d.core.SubmitAsync(shard.RingOfClient(env.Sender.String(), d.Shards()),
+		group.Envelope{Kind: group.OpPrivateReject, Sender: env.Target, Target: env.Sender})
 }
 
 // Pacing bounds for backpressure: past backpressureQueueMax queued
@@ -1241,50 +970,10 @@ func (d *Daemon) backpressure() {
 
 func (d *Daemon) deepestQueue() int {
 	deepest := 0
-	for r := 0; r < d.shards; r++ {
-		if q := d.ringNode(r).Status().QueueLen; q > deepest {
+	for r := 0; r < d.Shards(); r++ {
+		if q := d.rings.Node(r).Status().QueueLen; q > deepest {
 			deepest = q
 		}
 	}
 	return deepest
-}
-
-// applyConfigChange drops clients of daemons that left ring's
-// configuration — from that ring's table partition only: each ring's
-// membership incidents are independent, and every daemon applies the same
-// change against the same per-ring state, so views remain identical
-// everywhere.
-func (d *Daemon) applyConfigChange(ring int, cfg evs.Configuration) {
-	table := d.table.Table(ring)
-	present := make(map[evs.ProcID]bool, len(cfg.Members))
-	for _, m := range cfg.Members {
-		present[m] = true
-	}
-	// Collect daemons referenced by the ring's table.
-	seen := make(map[evs.ProcID]bool)
-	for _, g := range table.Groups() {
-		for _, c := range table.Members(g) {
-			seen[c.Daemon] = true
-		}
-	}
-	for daemonID := range seen {
-		if present[daemonID] {
-			continue
-		}
-		for _, g := range table.DropDaemon(daemonID) {
-			d.announceView(table, g)
-		}
-	}
-}
-
-// announceView pushes the group's current membership to local members.
-func (d *Daemon) announceView(table *group.Table, g string) {
-	members := table.Members(g)
-	view := session.View{Group: g, Members: members}
-	d.dm.viewsAnnounce.Inc()
-	for _, m := range members {
-		if c := d.localClient(m); c != nil {
-			d.deliver(c, view)
-		}
-	}
 }

@@ -7,8 +7,8 @@ import (
 
 	"accelring/internal/client"
 	"accelring/internal/evs"
+	"accelring/internal/group"
 	"accelring/internal/obs"
-	"accelring/internal/shard"
 )
 
 // TestLatencyAttributionAcrossShards is the PR's acceptance test: drive a
@@ -28,7 +28,7 @@ func TestLatencyAttributionAcrossShards(t *testing.T) {
 
 	// One group per ring so both rings carry traffic through the merger.
 	gA, gB := "g-0", "g-1"
-	if shard.RingOf(gA, 2) == shard.RingOf(gB, 2) {
+	if group.RingOf(gA, 2) == group.RingOf(gB, 2) {
 		t.Fatal("test groups collapsed onto one ring")
 	}
 

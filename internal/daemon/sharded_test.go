@@ -8,8 +8,8 @@ import (
 
 	"accelring/internal/client"
 	"accelring/internal/evs"
+	"accelring/internal/group"
 	"accelring/internal/ringnode"
-	"accelring/internal/shard"
 	"accelring/internal/transport"
 )
 
@@ -103,7 +103,7 @@ func TestShardedDaemonRouting(t *testing.T) {
 
 	// "g-0" is owned by ring 1, "g-1" by ring 0 (pinned by group.RingOf).
 	gA, gB := "g-0", "g-1"
-	if shard.RingOf(gA, 2) == shard.RingOf(gB, 2) {
+	if group.RingOf(gA, 2) == group.RingOf(gB, 2) {
 		t.Fatal("test groups collapsed onto one ring")
 	}
 

@@ -25,7 +25,7 @@ import (
 
 	"accelring/internal/client"
 	"accelring/internal/evs"
-	"accelring/internal/shard"
+	"accelring/internal/group"
 )
 
 // xringTune is the pacing configuration the merged benchmarks run with.
@@ -59,7 +59,7 @@ func benchDelivery(b *testing.B, shards int) {
 	groups := []string{"g-0"}
 	if shards > 1 {
 		groups = []string{"g-0", "g-1"} // rings 1 and 0 by the pinned hash
-		if shard.RingOf(groups[0], shards) == shard.RingOf(groups[1], shards) {
+		if group.RingOf(groups[0], shards) == group.RingOf(groups[1], shards) {
 			b.Fatal("bench groups collapsed onto one ring")
 		}
 	}

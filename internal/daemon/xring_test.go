@@ -9,6 +9,7 @@ import (
 	"accelring/internal/client"
 	"accelring/internal/evs"
 	"accelring/internal/group"
+	"accelring/internal/groupcore"
 	"accelring/internal/shard"
 )
 
@@ -31,7 +32,7 @@ func collectPayloads(t *testing.T, c *client.Client, n int) []string {
 func TestShardedGlobalOrderAcrossGroups(t *testing.T) {
 	daemons := startShardedDaemons(t, 2, 2)
 	gA, gB := "g-0", "g-1" // ring 1 and ring 0 by the pinned hash
-	if shard.RingOf(gA, 2) == shard.RingOf(gB, 2) {
+	if group.RingOf(gA, 2) == group.RingOf(gB, 2) {
 		t.Fatal("test groups collapsed onto one ring")
 	}
 
@@ -85,7 +86,7 @@ func TestShardedGlobalOrderAcrossGroups(t *testing.T) {
 func TestShardedMigrateUnderLoad(t *testing.T) {
 	daemons := startShardedDaemons(t, 2, 2)
 	g := "g-0" // ring 1 home by the pinned hash
-	home := shard.RingOf(g, 2)
+	home := group.RingOf(g, 2)
 	target := (home + 1) % 2
 
 	alice := dial(t, daemons[0], "alice")
@@ -187,7 +188,7 @@ func TestPrivateSameRingFIFOWithMerge(t *testing.T) {
 	pr := shard.RingOfClient(bob.ID().String(), 2)
 	g := ""
 	for i := 0; i < 64 && g == ""; i++ {
-		if cand := fmt.Sprintf("g-%d", i); shard.RingOf(cand, 2) == pr {
+		if cand := fmt.Sprintf("g-%d", i); group.RingOf(cand, 2) == pr {
 			g = cand
 		}
 	}
@@ -222,15 +223,15 @@ func TestPrivateSameRingFIFOWithMerge(t *testing.T) {
 // the single-ring common case — which includes every send on an
 // unsharded daemon.
 func TestSendSplitPathAllocFree(t *testing.T) {
-	d := &Daemon{table: group.NewShardedTable(4), shards: 4}
+	d := &Daemon{core: groupcore.New(groupcore.Config{Shards: 4})}
 	c := &clientConn{}
 	single := []string{"g-1"} // one ring, the fast path
-	c.split = d.table.SplitByRing(single, c.split)
+	c.split = d.core.SplitByRing(single, c.split)
 	if len(c.split) != 1 {
 		t.Fatalf("single-ring split = %v", c.split)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		c.split = d.table.SplitByRing(single, c.split)
+		c.split = d.core.SplitByRing(single, c.split)
 	}); n != 0 {
 		t.Fatalf("single-ring Send split allocates %.2f/op, want 0", n)
 	}
@@ -239,9 +240,9 @@ func TestSendSplitPathAllocFree(t *testing.T) {
 	// scratch itself must be reused: the returned header slice may not
 	// reallocate once warm.
 	span := []string{"g-0", "g-1", "g-2", "g-3"}
-	c.split = d.table.SplitByRing(span, c.split)
+	c.split = d.core.SplitByRing(span, c.split)
 	warm := &c.split[0]
-	c.split = d.table.SplitByRing(span, c.split)
+	c.split = d.core.SplitByRing(span, c.split)
 	if &c.split[0] != warm {
 		t.Fatal("spanning Send split reallocated its session scratch")
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,13 +10,14 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/faults"
 	"accelring/internal/group"
-	"accelring/internal/shard/merge"
+	"accelring/internal/groupcore"
 )
 
 // XRingOptions parameterizes a cross-ring merge chaos run: one harness
-// cluster per ring as in RunSharded, but every node additionally runs a
-// merge.Merger over all of its per-ring delivery streams, exactly like a
-// sharded daemon — including lambda-pacing skips, a live group migration
+// cluster per ring as in RunSharded, but every node additionally runs the
+// production ordered-group core (groupcore.Core — the very code a sharded
+// daemon runs, driven here under virtual time) over all of its per-ring
+// delivery streams — including lambda-pacing skips, a live group migration
 // triggered mid-stream, and a split/heal of the migration's source ring
 // while the migration is in flight. Zero fields derive from the seed.
 type XRingOptions struct {
@@ -68,18 +70,20 @@ type XRingResult struct {
 	Violations []Violation
 }
 
-// xnode is one daemon-equivalent: a routing table and a merger over the
-// node's own per-ring delivery logs, plus the globally ordered output.
+// xnode is one daemon-equivalent: a groupcore.Core over the node's own
+// per-ring delivery logs, with the node as both of the core's seams — its
+// Submitter (onto the harness machines) and its Sink (the globally ordered
+// output).
 type xnode struct {
-	id     evs.ProcID
-	dead   bool
-	table  *group.ShardedTable
-	merger *merge.Merger
+	x    *xrun
+	id   evs.ProcID
+	dead bool
+	core *groupcore.Core
 	// logs[r] is this node's incarnation log on ring r; consumed[r] is
-	// how much of it has been fed to the merger. Nodes are never
-	// restarted (a fresh merger's slot numbering would only re-level at
-	// the next announcement round — the guarantee is per incarnation), so
-	// the log pointers are stable for the whole run.
+	// how much of it has been fed to the core. Nodes are never restarted
+	// (a fresh merger's slot numbering would only re-level at the next
+	// announcement round — the guarantee is per incarnation), so the log
+	// pointers are stable for the whole run.
 	logs     []*memberLog
 	consumed []int
 	// global is the node's globally ordered delivery stream (message
@@ -87,43 +91,34 @@ type xnode struct {
 	// comparison since partitioned components legitimately see different
 	// view sequences).
 	global []string
-	// pending holds merger-originated control envelopes (acks, frontier
-	// announcements) awaiting a successful machine submit; kept FIFO so
-	// an ack never overtakes the traffic it drains.
-	pending []xctl
-	// wants is the reusable Wants scratch; migClosed counts Migrated
-	// callbacks.
-	wants     []merge.Want
+	// migClosed counts Migrated callbacks.
 	migClosed int
 }
 
-type xctl struct {
-	ring int
-	enc  []byte
+var errNoMachine = errors.New("chaos: node has no machine on that ring")
+
+// Submit implements groupcore.Submitter on the node's harness machines.
+func (n *xnode) Submit(ring int, payload []byte, svc evs.Service) error {
+	m := n.x.hs[ring].machines[n.id]
+	if m == nil {
+		return errNoMachine
+	}
+	return m.Submit(payload, svc)
 }
 
-// xout adapts a node's merger output back onto the harness: deliveries
-// append to the node's global log, control submissions queue for the next
-// pacing round.
-type xout struct{ n *xnode }
-
-func (o *xout) Deliver(ring int, env *group.Envelope, svc evs.Service, seq uint64) {
+// Message implements groupcore.Sink: deliveries append to the node's
+// global log. Nobody joins groups here, so the delivery set is empty and
+// ignored — the order itself is what the run checks.
+func (n *xnode) Message(_ int, env *group.Envelope, _ evs.Service, _ uint64, _ []group.ClientID) {
 	if env.Kind == group.OpMessage {
-		o.n.global = append(o.n.global, string(env.Payload))
+		n.global = append(n.global, string(env.Payload))
 	}
 }
 
-func (o *xout) Config(ring int, cc evs.ConfigChange) {}
-
-func (o *xout) SubmitAsync(ring int, env group.Envelope) {
-	enc, err := env.Encode()
-	if err != nil {
-		panic("chaos: control envelope: " + err.Error())
-	}
-	o.n.pending = append(o.n.pending, xctl{ring: ring, enc: enc})
-}
-
-func (o *xout) Migrated(g string, from, to int) { o.n.migClosed++ }
+func (n *xnode) View(string, []group.ClientID, group.ClientID) {}
+func (n *xnode) Config(int, evs.ConfigChange)                  {}
+func (n *xnode) Rejected(group.ClientID, group.OpKind, error)  {}
+func (n *xnode) Migrated(string, int, int)                     { n.migClosed++ }
 
 // xrun is the running state of one cross-ring chaos run.
 type xrun struct {
@@ -141,8 +136,8 @@ func (x *xrun) violate(inv, detail string) {
 }
 
 // feed pushes every not-yet-consumed per-ring delivery of every live node
-// into that node's merger, in node then ring order. Emission happens
-// inline, so captured control submissions are ready for the next pace.
+// into that node's core, in node then ring order. Emission happens
+// inline, so queued control submissions are ready for the next pace.
 func (x *xrun) feed() {
 	for _, n := range x.nodes {
 		if n.dead {
@@ -153,58 +148,35 @@ func (x *xrun) feed() {
 			for n.consumed[r] < len(log.events) {
 				ev := log.events[n.consumed[r]]
 				n.consumed[r]++
-				switch e := ev.(type) {
-				case evs.Message:
-					env, err := group.DecodeEnvelope(e.Payload)
-					if err != nil {
+				// The core ignores foreign payloads; here every payload is
+				// ours, so one that does not decode is a violation.
+				if m, ok := ev.(evs.Message); ok {
+					if _, err := group.DecodeEnvelope(m.Payload); err != nil {
 						x.violate("decode", fmt.Sprintf(
 							"node %d ring %d: %v", n.id, r, err))
 						continue
 					}
-					n.merger.PushEnvelope(r, env, e.Service)
-				case evs.ConfigChange:
-					n.merger.PushConfig(r, e)
 				}
+				n.core.OnRingEvent(r, ev)
 			}
 		}
 	}
 }
 
-// pace is one lambda-pacing round: flush each live node's queued control
-// envelopes (retrying refused submits, in order), then submit the skip
-// claims the node's merger wants where this node is the representative.
+// pace is one lambda-pacing round of every live node's core: flush its
+// queued control envelopes (retrying refused submits, in order), then
+// submit the skip claims its merge wants.
 func (x *xrun) pace() {
 	for _, n := range x.nodes {
-		if n.dead {
-			continue
-		}
-		keep := n.pending[:0]
-		for _, p := range n.pending {
-			m := x.hs[p.ring].machines[n.id]
-			if m == nil || m.Submit(p.enc, evs.Agreed) != nil {
-				keep = append(keep, p)
-			}
-		}
-		n.pending = keep
-		n.wants = n.merger.Wants(n.wants)
-		for _, w := range n.wants {
-			env := n.merger.SkipEnvelope(w)
-			enc, err := env.Encode()
-			if err != nil {
-				panic("chaos: skip envelope: " + err.Error())
-			}
-			// A refused skip is simply dropped: Wants re-requests it
-			// after its suppression window.
-			if m := x.hs[w.Ring].machines[n.id]; m != nil {
-				_ = m.Submit(enc, evs.Agreed)
-			}
+		if !n.dead {
+			n.core.Pace()
 		}
 	}
 }
 
 // run advances all rings d of virtual time in small chunks, feeding and
-// pacing the mergers between chunks — the deterministic stand-in for the
-// daemon's event loop and skip-pacer timer.
+// pacing the cores between chunks — the deterministic stand-in for the
+// ring goroutines' event callbacks and groupcore.Core.Run's ticker.
 func (x *xrun) run(d time.Duration) {
 	const chunk = 10 * time.Millisecond
 	for d > 0 {
@@ -244,7 +216,7 @@ func (x *xrun) quiescent() bool {
 		if n.dead {
 			continue
 		}
-		if len(n.pending) > 0 || n.merger.Pending() > 0 {
+		if n.core.Queued() > 0 || n.core.Merger().Pending() > 0 {
 			return false
 		}
 	}
@@ -262,7 +234,7 @@ func (x *xrun) liveNodes() []*xnode {
 }
 
 // killNode stops one node everywhere: its machines vanish from every
-// ring and its merger is no longer driven.
+// ring and its core is no longer driven.
 func (x *xrun) killNode(n *xnode) {
 	n.dead = true
 	for _, h := range x.hs {
@@ -276,9 +248,8 @@ func (x *xrun) killNode(n *xnode) {
 // one for its own traffic (that is the semantics the daemon gives its
 // clients). Returns whether the submission was accepted.
 func (x *xrun) submitMsg(n *xnode, g, phase string, svc evs.Service) bool {
-	ring := n.table.Ring(g)
-	m := x.hs[ring].machines[n.id]
-	if m == nil {
+	ring := n.core.RingOfGroup(g)
+	if x.hs[ring].machines[n.id] == nil {
 		return false
 	}
 	x.msgSeq++
@@ -288,11 +259,7 @@ func (x *xrun) submitMsg(n *xnode, g, phase string, svc evs.Service) bool {
 		Groups:  []string{g},
 		Payload: []byte(fmt.Sprintf("%s/%s-%d-%d", g, phase, n.id, x.msgSeq)),
 	}
-	enc, err := env.Encode()
-	if err != nil {
-		panic("chaos: message envelope: " + err.Error())
-	}
-	if m.Submit(enc, svc) != nil {
+	if n.core.Submit(ring, &env, svc) != nil {
 		return false
 	}
 	x.hs[ring].submitted++
@@ -381,16 +348,9 @@ func RunXRing(opts XRingOptions) *XRingResult {
 		res.PerRing = append(res.PerRing, &Result{Seed: ringSeed(opts.Seed, r), Nodes: n, Steps: steps})
 	}
 	for i := 0; i < n; i++ {
-		node := &xnode{
-			id:       evs.ProcID(i + 1),
-			table:    group.NewShardedTable(shards),
-			consumed: make([]int, shards),
-		}
-		node.merger = merge.New(merge.Config{
-			Shards: shards,
-			Self:   node.id,
-			Table:  node.table,
-			Out:    &xout{n: node},
+		node := &xnode{x: x, id: evs.ProcID(i + 1), consumed: make([]int, shards)}
+		node.core = groupcore.New(groupcore.Config{
+			Shards: shards, Self: node.id, Submit: node, Sink: node,
 		})
 		for r := 0; r < shards; r++ {
 			node.logs = append(node.logs, x.hs[r].cur[node.id])
@@ -452,15 +412,7 @@ func RunXRing(opts XRingOptions) *XRingResult {
 		if len(live) == 0 || x.split[migFrom] {
 			return
 		}
-		env, err := live[0].merger.BeginEnvelope(gM, migTo)
-		if err != nil {
-			panic("chaos: begin envelope: " + err.Error())
-		}
-		enc, err := env.Encode()
-		if err != nil {
-			panic("chaos: begin envelope: " + err.Error())
-		}
-		if m := x.hs[migFrom].machines[live[0].id]; m != nil && m.Submit(enc, evs.Agreed) == nil {
+		if _, err := live[0].core.BeginMigrate(gM, migFrom, migTo); err == nil {
 			migSubmitted = true
 		}
 	}
@@ -578,23 +530,18 @@ func RunXRing(opts XRingOptions) *XRingResult {
 	if live := x.liveNodes(); len(live) > 1 {
 		damaged := false
 		for _, node := range live {
-			if node.table.Ring(gM) != live[0].table.Ring(gM) || node.merger.Migrating(gM) {
+			if node.core.RingOfGroup(gM) != live[0].core.RingOfGroup(gM) || node.core.Merger().Migrating(gM) {
 				damaged = true
 				break
 			}
 		}
 		if damaged {
-			env, err := live[0].merger.BeginEnvelope(gM, migTo)
-			if err != nil {
-				panic("chaos: repair begin envelope: " + err.Error())
-			}
-			enc, err := env.Encode()
-			if err != nil {
-				panic("chaos: repair begin envelope: " + err.Error())
-			}
+			// Always on the OLD ring, whatever the issuing node's own route
+			// says by now — which is why this is BeginMigrate with an
+			// explicit source rather than the route-following Migrate.
 			submitted := false
 			for _, node := range live {
-				if m := x.hs[migFrom].machines[node.id]; m != nil && m.Submit(enc, evs.Agreed) == nil {
+				if _, err := node.core.BeginMigrate(gM, migFrom, migTo); err == nil {
 					submitted = true
 					break
 				}
@@ -623,16 +570,16 @@ func RunXRing(opts XRingOptions) *XRingResult {
 				res.MigrationsClosed = node.migClosed
 			}
 		}
-		ref := live[0].table.Ring(gM)
+		ref := live[0].core.RingOfGroup(gM)
 		for _, node := range live[1:] {
-			if got := node.table.Ring(gM); got != ref {
+			if got := node.core.RingOfGroup(gM); got != ref {
 				x.violate("migration", fmt.Sprintf(
 					"nodes %d and %d route %q to rings %d vs %d after heal",
 					live[0].id, node.id, gM, ref, got))
 			}
 		}
 		for _, node := range live {
-			if node.merger.Migrating(gM) {
+			if node.core.Merger().Migrating(gM) {
 				x.violate("migration", fmt.Sprintf(
 					"migration of %q still open at node %d after heal", gM, node.id))
 			}
@@ -709,9 +656,9 @@ func (x *xrun) stallDetail(what string) string {
 		if n.dead {
 			continue
 		}
-		detail += fmt.Sprintf(" node%d{pending=%d ctl=%d", n.id, n.merger.Pending(), len(n.pending))
+		detail += fmt.Sprintf(" node%d{pending=%d ctl=%d", n.id, n.core.Merger().Pending(), n.core.Queued())
 		for r := range x.hs {
-			detail += fmt.Sprintf(" f%d=%d", r, n.merger.Frontier(r))
+			detail += fmt.Sprintf(" f%d=%d", r, n.core.Merger().Frontier(r))
 		}
 		detail += "}"
 	}

@@ -1,0 +1,406 @@
+// Package groupcore is the one ordered-group core: everything between "ring
+// r ordered this" and "the application sees it". It owns the sharded group
+// table, the cross-ring merger, the route-aware table lookup, the
+// envelope and configuration-change apply logic, view announcement,
+// control-envelope submission, lambda pacing and live migration. The
+// library facade (accelring.Node), the client daemon (daemon.Daemon) and
+// the cross-ring chaos harness all drive this same code; one ring is
+// simply the N = 1 merge.
+//
+// The core is passive. It starts no goroutine and reads no clock: its host
+// feeds it ring events (OnRingEvent), calls Pace when time has passed, and
+// receives the globally ordered result through a Sink. That is what lets
+// the chaos harness run the production path under virtual time. The two
+// helpers that do block on real time, Run and Migrate, live in host.go and
+// only call the passive methods.
+//
+// # Locking
+//
+// Every Sink method runs at a globally ordered emission point with the
+// merger's lock held, on whichever ring goroutine's event completed the
+// emission. A sink therefore must not block, and must not call
+// OnRingEvent, Pace, BeginMigrate, Members or GroupsOf (they take that
+// lock). It may call the routing accessors (RingOfGroup, SplitByRing) and
+// SubmitAsync, which only queues.
+package groupcore
+
+import (
+	"errors"
+	"sort"
+	"sync"
+
+	"accelring/internal/evs"
+	"accelring/internal/group"
+	"accelring/internal/obs"
+	"accelring/internal/shard/merge"
+)
+
+// Submitter orders a payload on one ring. shard.Group is the production
+// implementation; the chaos harness submits to its virtual-time machines.
+type Submitter interface {
+	Submit(ring int, payload []byte, svc evs.Service) error
+}
+
+// Sink receives the globally ordered, ready-to-apply event stream. See
+// the package comment for what its methods may not do.
+type Sink interface {
+	// Message delivers an ordered multicast (OpMessage) or private
+	// (OpPrivate) envelope with its delivery set resolved against the
+	// group tables as of this point in the order: sorted, deduplicated,
+	// possibly empty, and valid only for the duration of the call. ring
+	// and seq identify the carrier message for latency attribution.
+	Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []group.ClientID)
+	// View announces a group's agreed membership after a change. cause is
+	// the client whose join, leave or disconnect changed it, or the zero
+	// ClientID when a ring configuration change dropped members.
+	View(g string, members []group.ClientID, cause group.ClientID)
+	// Config reports a ring's configuration change, before the group
+	// views it causes.
+	Config(ring int, cc evs.ConfigChange)
+	// Rejected reports, at its ordered position, an operation of client c
+	// that could not apply: a join or leave the table refused, or a
+	// private whose target was already gone (op OpPrivateReject).
+	Rejected(c group.ClientID, op group.OpKind, err error)
+	// Migrated reports a live migration that closed at this point, after
+	// the group's state moved rings.
+	Migrated(g string, from, to int)
+}
+
+// ErrNoRecipient is the Rejected cause of an OpPrivateReject.
+var ErrNoRecipient = errors.New("private target disconnected")
+
+// Config parameterizes a Core.
+type Config struct {
+	// Shards is the ring count (>= 1).
+	Shards int
+	// Self is the local daemon's identity.
+	Self evs.ProcID
+	// Submit orders payloads on the rings. It is only used by Submit, Pace
+	// and BeginMigrate, never at an emission point.
+	Submit Submitter
+	// Sink receives the ordered output.
+	Sink Sink
+	// SkipAhead overrides merge.DefaultSkipAhead when > 0.
+	SkipAhead uint64
+	// Obs registers merge.* metrics when non-nil.
+	Obs *obs.Registry
+}
+
+// ctlEnv is one encoded control envelope awaiting submission.
+type ctlEnv struct {
+	ring int
+	enc  []byte
+}
+
+// Core is one node's ordered-group state machine.
+type Core struct {
+	shards int
+	sub    Submitter
+	sink   Sink
+	table  *group.ShardedTable
+	merger *merge.Merger
+
+	// one is Message's delivery-set scratch for privates (emission points
+	// are serialized by the merger's lock).
+	one [1]group.ClientID
+
+	// ctl holds control envelopes queued at emission points (migration
+	// acks, frontier announcements) or by the host (disconnects, private
+	// rejections) until the next Pace submits them, FIFO — so an ack never
+	// overtakes the traffic it drains. wake nudges Run.
+	qmu  sync.Mutex
+	ctl  []ctlEnv
+	wake chan struct{}
+
+	wants []merge.Want // Pace scratch; Pace is never called concurrently
+}
+
+// New builds a core for cfg.Shards rings.
+func New(cfg Config) *Core {
+	c := &Core{
+		shards: cfg.Shards,
+		sub:    cfg.Submit,
+		sink:   cfg.Sink,
+		table:  group.NewShardedTable(cfg.Shards),
+		wake:   make(chan struct{}, 1),
+	}
+	c.merger = merge.New(merge.Config{
+		Shards:    cfg.Shards,
+		Self:      cfg.Self,
+		Table:     c.table,
+		Out:       (*mergeOut)(c),
+		SkipAhead: cfg.SkipAhead,
+		Obs:       cfg.Obs,
+	})
+	return c
+}
+
+// Merger exposes the merger for introspection (pending counts, frontiers,
+// open migrations).
+func (c *Core) Merger() *merge.Merger { return c.merger }
+
+// OnRingEvent feeds one event of ring's totally ordered stream. It runs on
+// ring's protocol goroutine (different rings concurrently) and emits, via
+// the Sink, whatever the event makes globally ordered. Payloads that are
+// not group envelopes belong to a foreign application on the same ring and
+// are ignored.
+func (c *Core) OnRingEvent(ring int, ev evs.Event) {
+	switch e := ev.(type) {
+	case evs.Message:
+		env, err := group.DecodeEnvelope(e.Payload)
+		if err != nil {
+			return
+		}
+		c.merger.PushEnvelopeSeq(ring, env, e.Service, e.Seq)
+	case evs.ConfigChange:
+		// Transitional changes are slotted too: every daemon must assign
+		// the same virtual slots to a ring's stream.
+		c.merger.PushConfig(ring, e)
+	}
+}
+
+// Submit encodes an envelope and orders it on ring.
+func (c *Core) Submit(ring int, env *group.Envelope, svc evs.Service) error {
+	enc, err := env.Encode()
+	if err != nil {
+		return err
+	}
+	return c.sub.Submit(ring, enc, svc)
+}
+
+// SubmitAsync queues a control envelope for the next Pace. It never blocks
+// and takes no merger lock, so it is safe at emission points — where a
+// synchronous Submit would wait on the very ring goroutine that is
+// emitting.
+func (c *Core) SubmitAsync(ring int, env group.Envelope) {
+	enc, err := env.Encode()
+	if err != nil {
+		return // only a malformed control envelope, i.e. a bug; nothing to order
+	}
+	c.qmu.Lock()
+	c.ctl = append(c.ctl, ctlEnv{ring, enc})
+	c.qmu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Queued returns how many control envelopes await submission.
+func (c *Core) Queued() int {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	return len(c.ctl)
+}
+
+// Pace is one lambda-pacing round: submit the queued control envelopes in
+// order (a refused one stays queued for the next round), then, for every
+// idle ring that blocks this node's global order, order a skip claim on
+// it. Skips are ordinary ordered envelopes, so every node applies the same
+// claims at the same per-ring positions; a refused skip is dropped, since
+// the merger re-requests it after its suppression window. With one ring
+// nothing ever blocks and no skip is ever wanted.
+func (c *Core) Pace() {
+	c.qmu.Lock()
+	batch := c.ctl
+	c.ctl = nil
+	c.qmu.Unlock()
+	kept := batch[:0]
+	for _, e := range batch {
+		if c.sub.Submit(e.ring, e.enc, evs.Agreed) != nil {
+			kept = append(kept, e)
+		}
+	}
+	if len(kept) > 0 {
+		c.qmu.Lock()
+		c.ctl = append(kept, c.ctl...)
+		c.qmu.Unlock()
+	}
+	c.wants = c.merger.Wants(c.wants)
+	for _, w := range c.wants {
+		env := c.merger.SkipEnvelope(w)
+		_ = c.Submit(w.Ring, &env, evs.Agreed)
+	}
+}
+
+// BeginMigrate orders a MigrateBegin moving group g from ring from (the
+// ring it is currently homed on) to ring to, and returns a channel closed
+// when the migration's globally ordered close point has been emitted
+// locally. When g is already home the channel is closed on return. A
+// refused submission leaves nothing registered.
+func (c *Core) BeginMigrate(g string, from, to int) (<-chan struct{}, error) {
+	env, err := c.merger.BeginEnvelope(g, to)
+	if err != nil {
+		return nil, err
+	}
+	if from == to {
+		home := make(chan struct{})
+		close(home)
+		return home, nil
+	}
+	done := c.merger.NotifyMigrated(g)
+	if err := c.Submit(from, &env, evs.Agreed); err != nil {
+		c.merger.Forget(g, done)
+		return nil, err
+	}
+	return done, nil
+}
+
+// RingOfGroup reports which ring currently owns a group: its hash home or,
+// after a migration, its override.
+func (c *Core) RingOfGroup(g string) int { return c.table.Ring(g) }
+
+// SplitByRing partitions a destination list by owning ring (see
+// group.ShardedTable.SplitByRing).
+func (c *Core) SplitByRing(groups []string, dst []group.RingGroups) []group.RingGroups {
+	return c.table.SplitByRing(groups, dst)
+}
+
+// Members returns a group's agreed membership as of the events emitted so
+// far (nil if empty or unknown).
+func (c *Core) Members(g string) (out []group.ClientID) {
+	c.merger.Locked(func() { out = c.table.For(g).Members(g) })
+	return out
+}
+
+// GroupsOf returns the groups a client has joined, across all rings.
+func (c *Core) GroupsOf(id group.ClientID) (out []string) {
+	c.merger.Locked(func() { out = c.table.GroupsOf(id) })
+	return out
+}
+
+// tableFor locates the table holding a group's membership state at the
+// current point of the global order: normally the emission ring's
+// partition, but a message can straggle in on a ring the group has since
+// migrated away from, and then the routed partition has it. Table contents
+// at an emission point are identical on every node, so the probe resolves
+// identically everywhere.
+func (c *Core) tableFor(ring int, g string) *group.Table {
+	if t := c.table.Table(ring); t.Has(g) {
+		return t
+	}
+	return c.table.For(g)
+}
+
+// recipients computes a multicast's delivery set honoring migrated groups.
+// The common case — every group's state in one table — is one Recipients
+// call; a straggler naming both a migrated and a resident group takes the
+// slow union.
+func (c *Core) recipients(ring int, groups []string) []group.ClientID {
+	tbl := c.tableFor(ring, groups[0])
+	mixed := false
+	for _, g := range groups[1:] {
+		if c.tableFor(ring, g) != tbl {
+			mixed = true
+			break
+		}
+	}
+	if !mixed {
+		return tbl.Recipients(groups)
+	}
+	seen := make(map[group.ClientID]bool)
+	var out []group.ClientID
+	for _, g := range groups {
+		for _, m := range c.tableFor(ring, g).Members(g) {
+			if !seen[m] {
+				seen[m] = true
+				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
+// mergeOut is the Core seen as the merger's output: its methods run at
+// globally ordered emission points with the merger's lock held.
+type mergeOut Core
+
+func (o *mergeOut) Deliver(ring int, env *group.Envelope, svc evs.Service, seq uint64) {
+	c := (*Core)(o)
+	switch env.Kind {
+	case group.OpJoin, group.OpLeave:
+		g := env.Groups[0]
+		t := c.tableFor(ring, g)
+		apply := t.Join
+		if env.Kind == group.OpLeave {
+			apply = t.Leave
+		}
+		if err := apply(env.Sender, g); err != nil {
+			c.sink.Rejected(env.Sender, env.Kind, err)
+			return
+		}
+		c.sink.View(g, t.Members(g), env.Sender)
+	case group.OpDisconnect:
+		// One disconnect is ordered (on ring 0) and applied to every
+		// partition at its single emission point: per-ring copies could
+		// race a migration close and resurrect the client on the ring its
+		// groups just left.
+		for r := 0; r < c.shards; r++ {
+			t := c.table.Table(r)
+			for _, g := range t.Disconnect(env.Sender) {
+				c.sink.View(g, t.Members(g), env.Sender)
+			}
+		}
+	case group.OpMessage:
+		c.sink.Message(ring, env, svc, seq, c.recipients(ring, env.Groups))
+	case group.OpPrivate:
+		c.one[0] = env.Target
+		c.sink.Message(ring, env, svc, seq, c.one[:])
+	case group.OpPrivateReject:
+		// The target's host daemon reported the target gone; Target
+		// carries the original sender to notify.
+		c.sink.Rejected(env.Target, env.Kind, ErrNoRecipient)
+	}
+}
+
+// Config installs one ring's view: on a regular view, clients of daemons
+// that left the ring's configuration are dropped from that ring's
+// partition — departed daemons in ascending order, all of them before any
+// announcement — and then each affected group's view is announced exactly
+// once, in group-name order. Every surviving node applies the same change
+// against the same state, so they all announce identical views at the same
+// point of the total order.
+func (o *mergeOut) Config(ring int, cc evs.ConfigChange) {
+	c := (*Core)(o)
+	c.sink.Config(ring, cc)
+	if cc.Transitional {
+		return
+	}
+	t := c.table.Table(ring)
+	gone := make(map[evs.ProcID]bool)
+	for _, g := range t.Groups() {
+		for _, m := range t.Members(g) {
+			gone[m.Daemon] = true
+		}
+	}
+	for _, p := range cc.Config.Members {
+		delete(gone, p)
+	}
+	departed := make([]evs.ProcID, 0, len(gone))
+	for p := range gone {
+		departed = append(departed, p)
+	}
+	sort.Slice(departed, func(i, j int) bool { return departed[i] < departed[j] })
+	affected := make(map[string]bool)
+	for _, p := range departed {
+		for _, g := range t.DropDaemon(p) {
+			affected[g] = true
+		}
+	}
+	names := make([]string, 0, len(affected))
+	for g := range affected {
+		names = append(names, g)
+	}
+	sort.Strings(names)
+	for _, g := range names {
+		c.sink.View(g, t.Members(g), group.ClientID{})
+	}
+}
+
+func (o *mergeOut) SubmitAsync(ring int, env group.Envelope) {
+	(*Core)(o).SubmitAsync(ring, env)
+}
+
+func (o *mergeOut) Migrated(g string, from, to int) {
+	(*Core)(o).sink.Migrated(g, from, to)
+}

@@ -179,6 +179,21 @@ func (o *RingObserver) MsgTracer() *MsgTracer {
 	return o.Msg
 }
 
+// Stamp records a lifecycle stage for seq at the observer's clock if its
+// message tracer samples seq, and reports whether it did. False on a nil
+// observer or tracer, and for seq 0 (no carrier sequence number).
+func (o *RingObserver) Stamp(seq uint64, stage MsgStage) bool {
+	if seq == 0 {
+		return false
+	}
+	mt := o.MsgTracer()
+	if !mt.Sampled(seq) {
+		return false
+	}
+	mt.Record(MsgEvent{Seq: seq, Stage: stage, At: o.Now()})
+	return true
+}
+
 // Recorder returns the observer's flight recorder; nil (recording off)
 // on a nil observer.
 func (o *RingObserver) Recorder() *FlightRecorder {

@@ -85,18 +85,16 @@ func Original(self evs.ProcID, tr transport.Transport, personal, global int) Con
 	}
 }
 
-// ForRing derives the configuration of one ring instance of a sharded
+// ForRing derives the configuration of one ring instance of a multi-ring
 // node from a base template: protocol parameters (Self, windows, priority,
-// timeouts) are inherited, while the transport and event sink — the parts
-// that must be per-ring — are replaced. When the base carries an observer,
-// the instance gets its own: same registry and clock, but a fresh tracer
-// and a "shard<ring>" label so every metric series and round trace stays
-// separable per ring. This is the bundle internal/shard instantiates N
-// times; single-ring callers never need it.
-func (c Config) ForRing(ring int, tr transport.Transport, onEvent func(evs.Event), traceDepth int) Config {
+// timeouts) are inherited. When the base carries an observer, the
+// instance gets its own: same registry and clock, but a fresh tracer and
+// a "shard<ring>" label so every metric series and round trace stays
+// separable per ring. internal/shard instantiates this N times and fills
+// in each ring's transport and event sink; a single ring uses the base
+// as it is.
+func (c Config) ForRing(ring int, traceDepth int) Config {
 	rc := c
-	rc.Transport = tr
-	rc.OnEvent = onEvent
 	if base := c.Observer; base != nil {
 		rc.Observer = &obs.RingObserver{
 			Reg:    base.Reg,

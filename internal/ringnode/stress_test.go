@@ -2,12 +2,12 @@ package ringnode
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"accelring/internal/evs"
+	"accelring/internal/faults"
 	"accelring/internal/transport"
 )
 
@@ -19,28 +19,16 @@ func TestStressJitterLossAndReorder(t *testing.T) {
 		t.Skip("stress test")
 	}
 	hub := transport.NewHub()
-	var rmu sync.Mutex
-	rng := rand.New(rand.NewSource(17))
-	hub.SetDelay(func(from, to evs.ProcID, token bool) time.Duration {
-		rmu.Lock()
-		defer rmu.Unlock()
-		if token {
-			// Jitter the token mildly; heavy token delay just slows
-			// rounds.
-			return time.Duration(rng.Intn(300)) * time.Microsecond
-		}
-		// Data frames get up to 2 ms of jitter — enough to overtake the
-		// token and each other.
-		return time.Duration(rng.Intn(2000)) * time.Microsecond
-	})
-	hub.SetDrop(func(from, to evs.ProcID, token bool, frame []byte) bool {
-		if token {
-			return false
-		}
-		rmu.Lock()
-		defer rmu.Unlock()
-		return rng.Intn(100) < 10
-	})
+	var plan faults.Plan
+	plan.Add(faults.Rule{Name: "data-loss", Classes: faults.ClassData, Model: faults.Loss{P: 0.10}})
+	// Jitter the token mildly; heavy token delay just slows rounds.
+	plan.Add(faults.Rule{Name: "token-jitter", Classes: faults.ClassToken,
+		Model: faults.Delay{Max: 300 * time.Microsecond}})
+	// Data frames get up to 2 ms of jitter — enough to overtake the token
+	// and each other.
+	plan.Add(faults.Rule{Name: "data-jitter", Classes: faults.ClassData,
+		Model: faults.Delay{Max: 2 * time.Millisecond}})
+	hub.SetInjector(faults.New(17, plan))
 
 	const n = 4
 	nodes := make([]*Node, n)

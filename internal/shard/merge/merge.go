@@ -147,9 +147,11 @@ type ringState struct {
 	// after slotting that change, so the receiver's equivalent value at
 	// the announcement's ordered position is Arg + sinceReg.
 	sinceReg uint64
-	// queue holds slotted items not yet emitted, in stream order with
-	// strictly increasing slots.
+	// queue[head:] holds slotted items not yet emitted, in stream order
+	// with strictly increasing slots. The backing array is kept across
+	// drains, so a push that emits immediately allocates nothing.
 	queue []item
+	head  int
 	// cfg is the ring's last regular configuration, applied at its
 	// emission point so membership-derived merge state stays on the
 	// deterministic timeline.
@@ -159,6 +161,30 @@ type ringState struct {
 	// while one is in flight.
 	pendingSkipTarget uint64
 	pendingSkipAge    int
+}
+
+// pending returns the number of queued, unemitted items.
+func (r *ringState) pending() int { return len(r.queue) - r.head }
+
+// push appends a slotted item, sliding the live tail to the front of the
+// backing array first when that avoids growing it.
+func (r *ringState) push(it item) {
+	if r.head > 0 && len(r.queue) == cap(r.queue) {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
+	}
+	r.queue = append(r.queue, it)
+}
+
+// pop removes and returns the queue's head.
+func (r *ringState) pop() item {
+	it := r.queue[r.head]
+	r.queue[r.head] = item{} // drop the envelope reference
+	if r.head++; r.head == len(r.queue) {
+		r.queue, r.head = r.queue[:0], 0
+	}
+	return it
 }
 
 // buffered is one diverted envelope of an in-flight migration.
@@ -216,18 +242,21 @@ type Merger struct {
 	frontG []*obs.Gauge
 }
 
-// New builds a Merger for cfg.Shards >= 2 rings.
+// New builds a Merger for cfg.Shards >= 1 rings. One ring is the
+// degenerate merge: every item emits at its own push, nothing ever blocks,
+// and no skip or frontier traffic exists.
 func New(cfg Config) *Merger {
-	if cfg.Shards < 2 {
-		panic("merge: need at least 2 rings")
-	}
 	ahead := cfg.SkipAhead
 	if ahead == 0 {
 		ahead = DefaultSkipAhead
 	}
 	frontG := make([]*obs.Gauge, cfg.Shards)
 	for ri := range frontG {
-		frontG[ri] = cfg.Obs.Gauge(fmt.Sprintf("shard%d.merge.frontier", ri))
+		name := "merge.frontier" // one ring: unlabelled, like its other series
+		if cfg.Shards > 1 {
+			name = fmt.Sprintf("shard%d.merge.frontier", ri)
+		}
+		frontG[ri] = cfg.Obs.Gauge(name)
 	}
 	return &Merger{
 		cfg:        cfg,
@@ -294,7 +323,7 @@ func (m *Merger) PushEnvelopeSeq(ring int, env *group.Envelope, svc evs.Service,
 	r.front++
 	r.sinceReg++
 	m.frontG[ring].Set(int64(r.front))
-	r.queue = append(r.queue, item{slot: r.front, env: env, svc: svc, seq: seq})
+	r.push(item{slot: r.front, env: env, svc: svc, seq: seq})
 	m.drain()
 }
 
@@ -307,7 +336,7 @@ func (m *Merger) PushConfig(ring int, cc evs.ConfigChange) {
 	r := &m.rings[ring]
 	r.front++
 	m.frontG[ring].Set(int64(r.front))
-	r.queue = append(r.queue, item{slot: r.front, cc: cc})
+	r.push(item{slot: r.front, cc: cc})
 	// Announce our frontier at every regular change, immediately at push:
 	// members whose virtual slot counters diverged while partitioned
 	// re-level back to one value. Announcing at the change's EMISSION
@@ -319,14 +348,8 @@ func (m *Merger) PushConfig(ring int, cc evs.ConfigChange) {
 		r.sinceReg++
 	} else {
 		r.sinceReg = 0
-		present := false
-		for _, p := range cc.Config.Members {
-			if p == m.cfg.Self {
-				present = true
-				break
-			}
-		}
-		if present {
+		// With one ring there is no other frontier to re-level against.
+		if len(m.rings) > 1 && contains(cc.Config.Members, m.cfg.Self) {
 			m.cfg.Out.SubmitAsync(ring, group.Envelope{
 				Kind:   group.OpFrontier,
 				Sender: m.ctlSender(),
@@ -337,21 +360,20 @@ func (m *Merger) PushConfig(ring int, cc evs.ConfigChange) {
 	m.drain()
 }
 
+func contains(members []evs.ProcID, p evs.ProcID) bool {
+	for _, m := range members {
+		if m == p {
+			return true
+		}
+	}
+	return false
+}
+
 // drain emits every queued item that has become safe, in ascending
 // (slot, ring) order. Called with m.mu held.
 func (m *Merger) drain() {
 	for {
-		best := -1
-		var bs uint64
-		for ri := range m.rings {
-			q := m.rings[ri].queue
-			if len(q) == 0 {
-				continue
-			}
-			if best < 0 || q[0].slot < bs {
-				best, bs = ri, q[0].slot
-			}
-		}
+		best, bs := m.head()
 		if best < 0 {
 			m.updatePending()
 			return
@@ -359,21 +381,12 @@ func (m *Merger) drain() {
 		// The head is emittable only if every idle ring's next possible
 		// slot lies beyond it in (slot, ring) order.
 		for qi := range m.rings {
-			if qi == best || len(m.rings[qi].queue) > 0 {
-				continue
-			}
-			lb := m.rings[qi].front + 1
-			if lb < bs || (lb == bs && qi < best) {
+			if m.blocks(qi, best, bs) {
 				m.updatePending()
 				return
 			}
 		}
-		r := &m.rings[best]
-		it := r.queue[0]
-		r.queue = r.queue[1:]
-		if len(r.queue) == 0 {
-			r.queue = nil
-		}
+		it := m.rings[best].pop()
 		m.emitted.Inc()
 		if it.env != nil {
 			m.emitEnvelope(best, it.env, it.svc, it.seq)
@@ -383,13 +396,42 @@ func (m *Merger) drain() {
 	}
 }
 
-func (m *Merger) updatePending() {
+// head returns the ring whose queued head has the least (slot, ring), and
+// that slot; ring -1 when nothing is queued. Called with m.mu held.
+func (m *Merger) head() (best int, slot uint64) {
+	best = -1
+	for ri := range m.rings {
+		r := &m.rings[ri]
+		if r.pending() == 0 {
+			continue
+		}
+		if s := r.queue[r.head].slot; best < 0 || s < slot {
+			best, slot = ri, s
+		}
+	}
+	return best, slot
+}
+
+// blocks reports whether idle ring qi could still order something before
+// the head (best, slot). Called with m.mu held.
+func (m *Merger) blocks(qi, best int, slot uint64) bool {
+	if qi == best || m.rings[qi].pending() > 0 {
+		return false
+	}
+	lb := m.rings[qi].front + 1
+	return lb < slot || (lb == slot && qi < best)
+}
+
+// queued is the total unemitted item count. Called with m.mu held.
+func (m *Merger) queued() int {
 	n := 0
 	for ri := range m.rings {
-		n += len(m.rings[ri].queue)
+		n += m.rings[ri].pending()
 	}
-	m.pending.Set(int64(n))
+	return n
 }
+
+func (m *Merger) updatePending() { m.pending.Set(int64(m.queued())) }
 
 // emitEnvelope processes one envelope at its global emission point: the
 // migration state machine runs here, everything else goes to Out.Deliver.
@@ -622,41 +664,21 @@ type Want struct {
 // with duplicates.
 func (m *Merger) Wants(dst []Want) []Want {
 	dst = dst[:0]
+	if len(m.rings) == 1 {
+		return dst // a lone ring never blocks
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	best := -1
-	var bs uint64
-	for ri := range m.rings {
-		q := m.rings[ri].queue
-		if len(q) == 0 {
-			continue
-		}
-		if best < 0 || q[0].slot < bs {
-			best, bs = ri, q[0].slot
-		}
-	}
+	best, bs := m.head()
 	if best < 0 {
 		return dst
 	}
 	for qi := range m.rings {
-		if qi == best || len(m.rings[qi].queue) > 0 {
+		if !m.blocks(qi, best, bs) {
 			continue
 		}
 		r := &m.rings[qi]
-		lb := r.front + 1
-		if !(lb < bs || (lb == bs && qi < best)) {
-			continue // not blocking
-		}
-		member := false
-		if r.haveCfg {
-			for _, p := range r.cfg.Members {
-				if p == m.cfg.Self {
-					member = true
-					break
-				}
-			}
-		}
-		if !member {
+		if !r.haveCfg || !contains(r.cfg.Members, m.cfg.Self) {
 			continue // cannot order a claim on a ring we are not part of
 		}
 		target := bs + m.ahead
@@ -723,6 +745,41 @@ func (m *Merger) NotifyMigrated(g string) <-chan struct{} {
 	return ch
 }
 
+// Forget deregisters a NotifyMigrated channel nobody will wait on (the
+// Begin it was registered for was never ordered), so it cannot linger
+// until some later migration of g closes.
+func (m *Merger) Forget(g string, ch <-chan struct{}) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	chans := m.notify[g]
+	for i, c := range chans {
+		if c == ch {
+			m.notify[g] = append(chans[:i], chans[i+1:]...)
+			break
+		}
+	}
+	if len(m.notify[g]) == 0 {
+		delete(m.notify, g)
+	}
+}
+
+// Waiters returns how many NotifyMigrated channels are registered for g
+// (test introspection).
+func (m *Merger) Waiters(g string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.notify[g])
+}
+
+// Locked runs fn between emissions, with the merger's lock held: group
+// table state read inside is one consistent cut of the global order. fn
+// must not call back into the merger.
+func (m *Merger) Locked(fn func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fn()
+}
+
 // Migrating reports whether g has a migration in flight.
 func (m *Merger) Migrating(g string) bool {
 	m.mu.Lock()
@@ -735,11 +792,7 @@ func (m *Merger) Migrating(g string) bool {
 func (m *Merger) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for ri := range m.rings {
-		n += len(m.rings[ri].queue)
-	}
-	return n
+	return m.queued()
 }
 
 // Frontier returns ring's virtual frontier (test introspection).

@@ -507,3 +507,84 @@ func TestMigrationRepairJoin(t *testing.T) {
 		t.Fatalf("members disturbed by no-op re-home: %v", got)
 	}
 }
+
+// nopOut discards the merger's output without allocating.
+type nopOut struct{ delivered int }
+
+func (o *nopOut) Deliver(int, *group.Envelope, evs.Service, uint64) { o.delivered++ }
+func (o *nopOut) Config(int, evs.ConfigChange)                      {}
+func (o *nopOut) SubmitAsync(int, group.Envelope)                   {}
+func (o *nopOut) Migrated(string, int, int)                         {}
+
+// TestPushEmitAllocFree gates the merge's steady state: a push that
+// completes an emission allocates nothing, with one ring (where every push
+// emits) and with two (pushes alternating rings, so each one releases the
+// other ring's head). The per-ring queue keeps its backing array across
+// drains; dropping it on every drain cost one allocation per message.
+func TestPushEmitAllocFree(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		out := &nopOut{}
+		m := New(Config{Shards: shards, Self: 1, Table: group.NewShardedTable(shards), Out: out})
+		env := msg(1, []string{"g"}, "x")
+		ring := 0
+		push := func() {
+			m.PushEnvelopeSeq(ring, env, evs.Agreed, 1)
+			ring = (ring + 1) % shards
+		}
+		push() // warm the queues' backing arrays
+		push()
+		before := out.delivered
+		if n := testing.AllocsPerRun(1000, push); n != 0 {
+			t.Errorf("%d rings: PushEnvelopeSeq that emits allocates %.2f/op, want 0", shards, n)
+		}
+		if out.delivered-before < 1000 {
+			t.Errorf("%d rings: only %d of 1001 pushes emitted", shards, out.delivered-before)
+		}
+	}
+}
+
+// TestSingleRingIsDegenerateMerge: with one ring every item emits at its
+// own push in stream order, no frontier announcement is submitted at a
+// configuration change, and nothing is ever wanted from the pacer.
+func TestSingleRingIsDegenerateMerge(t *testing.T) {
+	m, _, out := newTestMerger(t, 1, 1)
+	m.PushConfig(0, cfgChange(1, 2))
+	m.PushEnvelope(0, msg(2, []string{"g"}, "a"), evs.Agreed)
+	m.PushEnvelope(0, msg(1, []string{"g"}, "b"), evs.Safe)
+	want := []string{"c0:[1 2]", "d0:message:a", "d0:message:b"}
+	if !reflect.DeepEqual(out.events, want) {
+		t.Fatalf("events = %v, want %v", out.events, want)
+	}
+	if len(out.submits) != 0 {
+		t.Fatalf("single ring submitted control envelopes: %v", out.submits)
+	}
+	if w := m.Wants(nil); len(w) != 0 || m.Pending() != 0 {
+		t.Fatalf("single ring wants %v, pending %d", w, m.Pending())
+	}
+}
+
+// TestQueueKeepsOrderAcrossCompaction drives one ring's queue through its
+// slide-to-front path: items queue behind a blocked head, drain partially,
+// and more arrive — emission order must stay the stream order.
+func TestQueueKeepsOrderAcrossCompaction(t *testing.T) {
+	m, _, out := newTestMerger(t, 2, 1)
+	n := 0
+	pushN := func(k int) {
+		for i := 0; i < k; i++ {
+			m.PushEnvelope(0, msg(1, []string{"g"}, fmt.Sprint(n)), evs.Agreed)
+			n++
+		}
+	}
+	pushN(5)       // all blocked behind idle ring 1
+	pace(m, 1, 3)  // releases slots 1..3, leaving a live tail mid-array
+	pushN(20)      // forces the slide and growth
+	pace(m, 1, 99) // releases everything
+	if len(out.events) != n {
+		t.Fatalf("emitted %d of %d", len(out.events), n)
+	}
+	for i, ev := range out.events {
+		if want := fmt.Sprintf("d0:message:%d", i); ev != want {
+			t.Fatalf("event %d = %q, want %q", i, ev, want)
+		}
+	}
+}

@@ -38,18 +38,9 @@ import (
 // few times over, not by spraying hundreds of tokens through one host.
 const MaxShards = 64
 
-// RingOf maps a group name to its owning ring with a stable FNV-1a hash:
-// every node computes the same ring for the same name, forever — the hash
-// must never change, or a rolling upgrade would split a group across two
-// rings and break its total order. The canonical definition lives with the
-// group tables (group.RingOf); this is the same function.
-func RingOf(groupName string, shards int) int {
-	return group.RingOf(groupName, shards)
-}
-
 // RingOfClient routes client-addressed (private) traffic by the stable
 // string form of an identity, spreading point-to-point load across rings
-// with the same everywhere-identical guarantee as RingOf.
+// with the same everywhere-identical guarantee as group.RingOf.
 func RingOfClient(id string, shards int) int {
 	return group.RingOf(id, shards)
 }
@@ -60,8 +51,9 @@ type Config struct {
 	Shards int
 	// Base is the per-ring configuration template: Self, windows,
 	// priority, timeouts, tick interval, and (optionally) an Observer
-	// whose registry and clock are shared by all rings. Its Transport and
-	// OnEvent fields are ignored — those are per-ring.
+	// whose registry and clock are shared by all rings — with one ring it
+	// is used as given, tracers and unlabelled series included. Its
+	// Transport and OnEvent fields are ignored — those are per-ring.
 	Base ringnode.Config
 	// NewTransport opens ring r's transport binding (hub endpoint, or UDP
 	// sockets on the ring's own port pair). Each ring must get its own:
@@ -103,7 +95,12 @@ func Start(cfg Config) (*Group, error) {
 		if cfg.OnEvent != nil {
 			onEvent = func(ev evs.Event) { cfg.OnEvent(ring, ev) }
 		}
-		n, err := ringnode.Start(cfg.Base.ForRing(r, tr, onEvent, cfg.TraceDepth))
+		rc := cfg.Base
+		if cfg.Shards > 1 {
+			rc = cfg.Base.ForRing(r, cfg.TraceDepth)
+		}
+		rc.Transport, rc.OnEvent = tr, onEvent
+		n, err := ringnode.Start(rc)
 		if err != nil {
 			tr.Close()
 			g.Stop()
@@ -116,9 +113,6 @@ func Start(cfg Config) (*Group, error) {
 
 // Shards returns the ring count.
 func (g *Group) Shards() int { return g.shards }
-
-// RingFor returns the ring owning a group name.
-func (g *Group) RingFor(group string) int { return RingOf(group, g.shards) }
 
 // Node returns ring r's driver (status inspection, direct submission).
 func (g *Group) Node(r int) *ringnode.Node { return g.nodes[r] }
@@ -138,26 +132,14 @@ func (g *Group) MsgTracer(r int) *obs.MsgTracer {
 }
 
 // Submit multicasts a payload on one ring, in that ring's total order.
-// Safe for any goroutine. Callers route with RingFor so one group's
-// traffic always lands on one ring.
+// Safe for any goroutine. Callers route with group.RingOf (or the group
+// table's migration-aware Ring) so one group's traffic always lands on
+// one ring.
 func (g *Group) Submit(ring int, payload []byte, service evs.Service) error {
 	if ring < 0 || ring >= g.shards {
 		return fmt.Errorf("shard: ring %d out of range [0, %d)", ring, g.shards)
 	}
 	return g.nodes[ring].Submit(payload, service)
-}
-
-// SubmitAll multicasts a payload on every ring (daemon-wide control
-// traffic, e.g. client disconnects that must reach every partition). The
-// first error is returned, but every ring is attempted.
-func (g *Group) SubmitAll(payload []byte, service evs.Service) error {
-	var first error
-	for _, n := range g.nodes {
-		if err := n.Submit(payload, service); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // WaitOperational blocks until EVERY ring is operational (or the timeout

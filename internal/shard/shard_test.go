@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"accelring/internal/evs"
+	"accelring/internal/faults"
+	"accelring/internal/group"
 	"accelring/internal/membership"
 	"accelring/internal/ringnode"
 	"accelring/internal/transport"
@@ -95,7 +97,7 @@ func TestShardedPerGroupTotalOrder(t *testing.T) {
 
 	// Two groups that land on different rings (pinned by group.RingOf).
 	gA, gB := "g-0", "g-1"
-	if RingOf(gA, 2) == RingOf(gB, 2) {
+	if group.RingOf(gA, 2) == group.RingOf(gB, 2) {
 		t.Fatalf("test groups map to the same ring; pick different names")
 	}
 
@@ -108,7 +110,7 @@ func TestShardedPerGroupTotalOrder(t *testing.T) {
 			for k := 0; k < perSender; k++ {
 				for _, name := range []string{gA, gB} {
 					payload := fmt.Sprintf("%s/n%d/m%d", name, sender, k)
-					ring := g.RingFor(name)
+					ring := group.RingOf(name, g.Shards())
 					for {
 						if err := g.Submit(ring, []byte(payload), evs.Agreed); err == nil {
 							break
@@ -123,7 +125,7 @@ func TestShardedPerGroupTotalOrder(t *testing.T) {
 
 	want := 3 * perSender
 	deadline := time.Now().Add(10 * time.Second)
-	ringA, ringB := g0.RingFor(gA), g0.RingFor(gB)
+	ringA, ringB := group.RingOf(gA, g0.Shards()), group.RingOf(gB, g0.Shards())
 	for time.Now().Before(deadline) {
 		done := true
 		for _, l := range logs {
@@ -180,7 +182,9 @@ func TestShardIsolation(t *testing.T) {
 	groups, logs, hubs := startCluster(t, 2, 2)
 
 	// Cut ring 1's hub completely; ring 0 must keep working.
-	hubs[1].SetDrop(func(from, to evs.ProcID, token bool, frame []byte) bool { return true })
+	var cut faults.Plan
+	cut.Add(faults.Rule{Name: "cut", Model: faults.Loss{P: 1}})
+	hubs[1].SetInjector(faults.New(1, cut))
 
 	deadline := time.Now().Add(5 * time.Second)
 	sent := 0

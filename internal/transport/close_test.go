@@ -48,12 +48,10 @@ func TestHubCloseRecyclesQueuedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Park some deliveries in the delay queue and queue others directly.
-	hub.SetDelay(func(from, to evs.ProcID, token bool) time.Duration {
-		if token {
-			return time.Minute // will still be pending at Close
-		}
-		return 0
-	})
+	var park faults.Plan
+	park.Add(faults.Rule{Name: "park-tokens", Classes: faults.ClassToken,
+		Model: faults.Delay{Min: time.Minute}}) // will still be pending at Close
+	hub.SetInjector(faults.New(1, park))
 	for i := 0; i < 5; i++ {
 		if err := a.Multicast([]byte(fmt.Sprintf("data-%d", i))); err != nil {
 			t.Fatal(err)
@@ -149,9 +147,12 @@ func TestHubCloseUnderLoad(t *testing.T) {
 		}
 		eps[i] = ep
 	}
-	hub.SetDelay(func(from, to evs.ProcID, token bool) time.Duration {
-		return time.Duration(from) * 100 * time.Microsecond
-	})
+	var skew faults.Plan
+	for i := range eps {
+		skew.Add(faults.Rule{From: evs.ProcID(i + 1),
+			Model: faults.Delay{Min: time.Duration(i+1) * 100 * time.Microsecond}})
+	}
+	hub.SetInjector(faults.New(1, skew))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -14,18 +14,16 @@ import (
 
 // Hub is an in-process switch connecting Endpoints. It is safe for
 // concurrent use. Loss, delay, duplication, and partitions are injected
-// through a faults.Injector (or the legacy SetDrop/SetDelay hooks). Each
-// delivered copy is rented from bufpool, so senders and receivers never
-// share buffers and receivers own (and may recycle) what they read.
+// through a faults.Injector. Each delivered copy is rented from bufpool,
+// so senders and receivers never share buffers and receivers own (and may
+// recycle) what they read.
 type Hub struct {
-	mu      sync.RWMutex
-	eps     map[evs.ProcID]*Endpoint
-	inj     *faults.Injector
-	dropFn  func(from, to evs.ProcID, token bool, frame []byte) bool
-	delayFn func(from, to evs.ProcID, token bool) time.Duration
-	nm      *netMetrics
-	fl      atomic.Pointer[obs.FlightRecorder]
-	delayQ  delayQueue
+	mu     sync.RWMutex
+	eps    map[evs.ProcID]*Endpoint
+	inj    *faults.Injector
+	nm     *netMetrics
+	fl     atomic.Pointer[obs.FlightRecorder]
+	delayQ delayQueue
 }
 
 // NewHub returns an empty hub.
@@ -33,28 +31,10 @@ func NewHub() *Hub {
 	return &Hub{eps: make(map[evs.ProcID]*Endpoint)}
 }
 
-// SetDrop installs a loss-injection hook (nil clears). The hook runs on
-// sender goroutines and must be safe for concurrent use.
-func (h *Hub) SetDrop(fn func(from, to evs.ProcID, token bool, frame []byte) bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.dropFn = fn
-}
-
-// SetDelay installs a per-frame delivery delay hook (nil clears). A
-// positive delay delivers the frame asynchronously after it elapses, which
-// lets frames overtake each other — UDP reordering for stress tests. The
-// hook runs on sender goroutines and must be safe for concurrent use.
-func (h *Hub) SetDelay(fn func(from, to evs.ProcID, token bool) time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.delayFn = fn
-}
-
 // SetInjector installs a fault injector on every frame path through the
-// hub (nil clears). The injector runs after the legacy SetDrop hook and
-// can drop, delay (reordering), and duplicate frames. Decisions use the
-// injector's wall clock.
+// hub (nil clears). It can drop, delay and duplicate frames; a delayed
+// frame is delivered asynchronously, so frames overtake each other — UDP
+// reordering. Decisions use the injector's wall clock.
 func (h *Hub) SetInjector(in *faults.Injector) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -200,42 +180,27 @@ func (e *Endpoint) Multicast(frame []byte) error {
 		return ErrClosed
 	}
 	e.hub.mu.RLock()
-	drop := e.hub.dropFn
-	delay := e.hub.delayFn
 	inj := e.hub.inj
 	nm := e.hub.nm
 	for id, peer := range e.hub.eps {
 		if id == e.id || peer.closed.Load() {
 			continue
 		}
-		if drop != nil && drop(e.id, id, false, frame) {
-			continue
-		}
 		nm.tx(false, len(frame))
-		e.hub.push(peer, false, frame, e.decide(inj, delay, id, false, frame), nm)
+		e.hub.push(peer, false, frame, e.decide(inj, id, false, frame), nm)
 	}
 	e.hub.mu.RUnlock()
 	return nil
 }
 
-// decide combines the fault injector's verdict with the legacy delay hook
-// (injector delay wins when both are set).
-func (e *Endpoint) decide(inj *faults.Injector,
-	delayFn func(from, to evs.ProcID, token bool) time.Duration,
-	to evs.ProcID, token bool, frame []byte) faults.Decision {
-	var d faults.Decision
-	if inj != nil {
-		d = inj.DecideWall(faults.Packet{
-			From: e.id, To: to, Token: token, Size: len(frame), Frame: frame,
-		})
-		if d.Drop {
-			return d
-		}
+// decide asks the fault injector (if any) what happens to one frame.
+func (e *Endpoint) decide(inj *faults.Injector, to evs.ProcID, token bool, frame []byte) faults.Decision {
+	if inj == nil {
+		return faults.Decision{}
 	}
-	if d.Delay == 0 && delayFn != nil {
-		d.Delay = delayFn(e.id, to, token)
-	}
-	return d
+	return inj.DecideWall(faults.Packet{
+		From: e.id, To: to, Token: token, Size: len(frame), Frame: frame,
+	})
 }
 
 // Unicast implements Transport: the frame is copied into a rented buffer
@@ -248,19 +213,14 @@ func (e *Endpoint) Unicast(to evs.ProcID, frame []byte) error {
 	}
 	e.hub.mu.RLock()
 	peer := e.hub.eps[to]
-	drop := e.hub.dropFn
-	delay := e.hub.delayFn
 	inj := e.hub.inj
 	nm := e.hub.nm
 	e.hub.mu.RUnlock()
 	if peer == nil || peer.closed.Load() {
 		return nil
 	}
-	if drop != nil && drop(e.id, to, true, frame) {
-		return nil
-	}
 	nm.tx(true, len(frame))
-	e.hub.push(peer, true, frame, e.decide(inj, delay, to, true, frame), nm)
+	e.hub.push(peer, true, frame, e.decide(inj, to, true, frame), nm)
 	return nil
 }
 

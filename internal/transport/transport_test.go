@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"accelring/internal/evs"
+	"accelring/internal/faults"
 )
 
 func recvFrame(t *testing.T, ch <-chan []byte) []byte {
@@ -86,9 +87,9 @@ func TestHubDropInjection(t *testing.T) {
 	a, _ := hub.Endpoint(1, 0, 0)
 	b, _ := hub.Endpoint(2, 0, 0)
 	c, _ := hub.Endpoint(3, 0, 0)
-	hub.SetDrop(func(from, to evs.ProcID, token bool, frame []byte) bool {
-		return to == 2
-	})
+	var plan faults.Plan
+	plan.Add(faults.Rule{Name: "to-2", To: 2, Model: faults.Loss{P: 1}})
+	hub.SetInjector(faults.New(1, plan))
 	a.Multicast([]byte("m"))
 	expectNone(t, b.Data())
 	if got := recvFrame(t, c.Data()); string(got) != "m" {

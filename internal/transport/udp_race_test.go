@@ -149,9 +149,9 @@ func TestHubDelayedDeliveryCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub.SetDelay(func(from, to evs.ProcID, token bool) time.Duration {
-		return 10 * time.Millisecond
-	})
+	var slow faults.Plan
+	slow.Add(faults.Rule{Name: "slow", Model: faults.Delay{Min: 10 * time.Millisecond}})
+	hub.SetInjector(faults.New(1, slow))
 
 	scratch := []byte("original-frame-bytes")
 	want := string(scratch)

@@ -33,7 +33,7 @@ func openCluster(t *testing.T, nn int, opts ...Option) []*Node {
 		}
 		all := append([]Option{
 			WithSelf(ProcID(i + 1)),
-			WithTransport(ep),
+			WithWire(WireConfig{Transport: ep}),
 			WithWindows(10, 100, 7),
 			WithTimeouts(fastTimeouts()),
 		}, opts...)
@@ -170,7 +170,7 @@ func TestNotReadyBeforeRing(t *testing.T) {
 	to := fastTimeouts()
 	to.JoinInterval = 2 * time.Second
 	to.Gather = 10 * time.Second
-	n, err := Open(context.Background(), WithSelf(1), WithTransport(ep), WithTimeouts(to))
+	n, err := Open(context.Background(), WithSelf(1), WithWire(WireConfig{Transport: ep}), WithTimeouts(to))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,43 +41,9 @@ func WithShards(n int) Option {
 
 // WithWire sets the unified transport configuration: wire mode (hub,
 // unicast, IP multicast), addressing, per-shard port stride, syscall
-// batching, and adaptive message packing. It subsumes WithTransport,
-// WithUDP, and WithShardTransports; combining it with any of them fails
-// Validate with ErrWireConflict.
+// batching, and adaptive message packing.
 func WithWire(w WireConfig) Option {
 	return func(c *Config) { c.Wire = w }
-}
-
-// WithShardTransports supplies one established transport per ring of a
-// sharded node (len must equal the WithShards count). The node takes
-// ownership and closes them on Close.
-//
-// Deprecated: use WithWire(WireConfig{Transports: ts}). This shim keeps
-// working but cannot be combined with WithWire.
-func WithShardTransports(ts ...Transport) Option {
-	return func(c *Config) { c.Transports = ts }
-}
-
-// WithTransport supplies an established transport (e.g. a Hub endpoint).
-// The node takes ownership and closes it on Close.
-//
-// Deprecated: use WithWire(WireConfig{Transport: t}). This shim keeps
-// working but cannot be combined with WithWire.
-func WithTransport(t Transport) Option {
-	return func(c *Config) { c.Transport = t }
-}
-
-// WithUDP configures a real-network UDP transport: listen holds this
-// node's data/token addresses, peers the other participants'.
-//
-// Deprecated: use WithWire(WireConfig{Listen: listen, Peers: peers}),
-// which also unlocks the multicast mode and the batching and packing
-// knobs. This shim keeps working but cannot be combined with WithWire.
-func WithUDP(listen UDPAddrs, peers map[ProcID]UDPAddrs) Option {
-	return func(c *Config) {
-		c.Listen = listen
-		c.Peers = peers
-	}
 }
 
 // WithTimeouts sets the membership timing parameters; zero fields take

@@ -50,7 +50,7 @@ func TestRingKeyMismatchIsolated(t *testing.T) {
 		}
 		n, err := Open(ctx,
 			WithSelf(id),
-			WithTransport(ep),
+			WithWire(WireConfig{Transport: ep}),
 			WithWindows(10, 100, 7),
 			WithTimeouts(fastTimeouts()),
 			WithRingKey(key),

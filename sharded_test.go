@@ -31,7 +31,7 @@ func openShardedCluster(t *testing.T, nn, shards int, opts ...Option) []*Node {
 		all := append([]Option{
 			WithSelf(ProcID(i + 1)),
 			WithShards(shards),
-			WithShardTransports(ts...),
+			WithWire(WireConfig{Transports: ts}),
 			WithWindows(10, 100, 7),
 			WithTimeouts(fastTimeouts()),
 		}, opts...)
@@ -62,29 +62,26 @@ func TestShardsValidation(t *testing.T) {
 		{"single transport with shards", func(c *Config) {
 			c.Shards = 2
 			ep, _ := NewHub().Endpoint(1, 0, 0)
-			c.Transport = ep
-			c.Listen, c.Peers = UDPAddrs{}, nil
+			c.Wire = WireConfig{Transport: ep}
 		}, ErrBadShards},
 		{"transports length mismatch", func(c *Config) {
 			c.Shards = 2
 			ep, _ := NewHub().Endpoint(1, 0, 0)
-			c.Transports = []Transport{ep}
-			c.Listen, c.Peers = UDPAddrs{}, nil
+			c.Wire = WireConfig{Transports: []Transport{ep}}
 		}, ErrBadShards},
 		{"nil per-ring transport", func(c *Config) {
 			c.Shards = 2
 			ep, _ := NewHub().Endpoint(1, 0, 0)
-			c.Transports = []Transport{ep, nil}
-			c.Listen, c.Peers = UDPAddrs{}, nil
+			c.Wire = WireConfig{Transports: []Transport{ep, nil}}
 		}, ErrBadShards},
 		{"sharded UDP with numeric ports", func(c *Config) { c.Shards = 2 }, nil},
 		{"sharded UDP with ephemeral port", func(c *Config) {
 			c.Shards = 2
-			c.Listen.Data = "127.0.0.1:0"
+			c.Wire.Listen.Data = "127.0.0.1:0"
 		}, ErrShardPorts},
 		{"sharded UDP with service-name port", func(c *Config) {
 			c.Shards = 2
-			c.Peers[2] = UDPAddrs{Data: "127.0.0.1:domain", Token: "127.0.0.1:7411"}
+			c.Wire.Peers[2] = UDPAddrs{Data: "127.0.0.1:domain", Token: "127.0.0.1:7411"}
 		}, ErrShardPorts},
 	}
 	for _, tc := range cases {

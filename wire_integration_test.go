@@ -109,8 +109,7 @@ func TestOpenWithWireUDP(t *testing.T) {
 }
 
 // TestOpenWithWireSharded proves WithWire carries per-ring transports
-// for a sharded node (the WireConfig.Transports path), replacing
-// WithShardTransports.
+// for a sharded node (the WireConfig.Transports path).
 func TestOpenWithWireSharded(t *testing.T) {
 	const nn, shards = 2, 2
 	hubs := make([]*Hub, shards)

@@ -68,9 +68,7 @@ const DefaultShardStride = 2
 // WireConfig is the unified transport configuration: one place for the
 // mode (hub, unicast, multicast), the addressing, the per-shard port
 // stride, and the throughput knobs (syscall batching, adaptive message
-// packing). Set it with WithWire or the Config.Wire field; the legacy
-// WithTransport/WithUDP/WithShardTransports options are thin shims over
-// it and cannot be combined with it.
+// packing). Set it with WithWire or the Config.Wire field.
 type WireConfig struct {
 	// Mode selects the wire mode; WireAuto infers it (see WireMode).
 	Mode WireMode
@@ -124,9 +122,8 @@ type WireConfig struct {
 // Wire-path validation errors (wrapped with context; branch with
 // errors.Is).
 var (
-	// ErrWireConflict reports mutually exclusive transport options, e.g.
-	// WithTransport combined with WithUDP, or a legacy option combined
-	// with WithWire.
+	// ErrWireConflict reports mutually exclusive WireConfig fields, e.g.
+	// an established Transport together with UDP listen addresses.
 	ErrWireConflict = errors.New("accelring: conflicting wire configuration")
 	// ErrShardPorts reports a sharded UDP port derivation problem:
 	// derived ports collide or exceed 65535.
@@ -135,43 +132,10 @@ var (
 	ErrBadWire = errors.New("accelring: invalid wire configuration")
 )
 
-// resolveWire folds the legacy transport fields into c.Wire, infers the
-// mode, applies defaults, and validates the result. After it returns nil
-// the rest of the code reads only c.Wire.
+// resolveWire infers c.Wire's mode, applies defaults, and validates the
+// result.
 func (c *Config) resolveWire() error {
 	w := &c.Wire
-	legacyHub := c.Transport != nil
-	legacyShard := len(c.Transports) > 0
-	legacyUDP := c.Listen.Data != "" || c.Listen.Token != "" || len(c.Peers) > 0
-	wireSet := w.Mode != WireAuto || w.Transport != nil || len(w.Transports) > 0 ||
-		w.Listen.Data != "" || w.Listen.Token != "" || len(w.Peers) > 0 ||
-		w.MulticastGroup != "" || w.Batch != (BatchConfig{}) ||
-		w.Packing != nil || w.ShardStride != 0
-
-	// Legacy options are shims; mixing them with each other or with the
-	// config they shim onto is ambiguous, not layered.
-	if (legacyHub || legacyShard || legacyUDP) && wireSet {
-		return fmt.Errorf("%w: WithWire cannot be combined with the legacy WithTransport/WithUDP/WithShardTransports options", ErrWireConflict)
-	}
-	if legacyHub && legacyUDP {
-		return fmt.Errorf("%w: both WithTransport and WithUDP configured", ErrWireConflict)
-	}
-	if legacyShard && legacyUDP {
-		return fmt.Errorf("%w: both WithShardTransports and WithUDP configured", ErrWireConflict)
-	}
-	if legacyHub && legacyShard {
-		return fmt.Errorf("%w: both WithTransport and WithShardTransports configured", ErrWireConflict)
-	}
-	if legacyHub {
-		w.Transport = c.Transport
-	}
-	if legacyShard {
-		w.Transports = c.Transports
-	}
-	if legacyUDP {
-		w.Listen, w.Peers = c.Listen, c.Peers
-	}
-
 	if w.Mode < WireAuto || w.Mode > WireMulticast {
 		return fmt.Errorf("%w: unknown mode %d", ErrBadWire, int(w.Mode))
 	}
