@@ -14,11 +14,13 @@ test:
 	$(GO) test ./...
 
 # The transports, the fault injector, the sharding layer (N protocol
-# goroutines per node) and the ordered-group core they all feed are the
-# concurrency hot spots; keep them under the race detector even when the
-# full -race run is too slow for the inner loop.
+# goroutines per node), the ordered-group core they all feed and the
+# daemon's client layer (a reader and a writer goroutine per session
+# around one send window) are the concurrency hot spots; keep them under
+# the race detector even when the full -race run is too slow for the
+# inner loop.
 race:
-	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/shard/... ./internal/groupcore/...
+	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/...
 
 # The full suite under the race detector (CI runs this as its own job).
 race-full:
@@ -73,11 +75,10 @@ bench-wire-smoke:
 	$(GO) test -run '^$$' -bench 'WireRing' -benchtime 2000x ./internal/ringnode
 
 # Client fan-out figure: 1 publisher frame delivered to 16/64 subscriber
-# sessions over TCP loopback, legacy per-session-encode path vs the
-# encode-once shared-buffer path with batched vectored writes. Records
-# frames/s, write syscalls/frame, and allocs/op in
-# results/BENCH_fanout.json (+ raw text). Commit the JSON when the daemon
-# client layer changes.
+# sessions over TCP loopback through the production outbox and writer
+# (encode-once shared bodies, batched vectored writes). Records frames/s,
+# write syscalls/frame, and allocs/op in results/BENCH_fanout.json (+ raw
+# text). Commit the JSON when the daemon client layer changes.
 bench-fanout:
 	mkdir -p results
 	$(GO) test -run '^$$' -bench 'Fanout' -benchtime 20000x -benchmem ./internal/daemon \

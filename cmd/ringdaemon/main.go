@@ -62,7 +62,6 @@ func run(args []string) error {
 	dataAddr := fs.String("data", "127.0.0.1:5001", "UDP listen address for data messages")
 	tokenAddr := fs.String("token", "127.0.0.1:6001", "UDP listen address for the token")
 	clientAddr := fs.String("client", "127.0.0.1:4801", "TCP listen address for clients (or unix:PATH)")
-	clientBatch := fs.Int("client-batch", 0, "pending frames one session writer drains into a single vectored write (0 = default 8, 1 = one write per frame)")
 	peerSpec := fs.String("peers", "", "comma-separated peers: id=dataAddr/tokenAddr")
 	original := fs.Bool("original", false, "run the original Ring protocol instead of the Accelerated Ring")
 	personal := fs.Int("personal", 20, "personal window (messages per participant per round)")
@@ -108,11 +107,27 @@ func run(args []string) error {
 	if *traceSample < 0 {
 		return fmt.Errorf("-trace-sample must be non-negative")
 	}
-	if *clientBatch < 0 {
-		return fmt.Errorf("-client-batch must be non-negative")
-	}
 	if *skipInterval < 0 {
 		return fmt.Errorf("-skip-interval must be non-negative")
+	}
+	// A flag that only tunes a feature does nothing while the feature is
+	// off; accepting it silently hides a typo'd or forgotten switch.
+	explicit := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	for _, dep := range []struct {
+		tuning []string
+		needs  string
+		on     bool
+	}{
+		{[]string{"trace-sample", "slo-p99", "slo-p999", "slo-burn"}, "obs", *obsAddr != ""},
+		{[]string{"pack-limit", "pack-delay"}, "pack", *packOn},
+		{[]string{"mcast-ttl", "mcast-if"}, "mcast", *mcast != ""},
+	} {
+		for _, name := range dep.tuning {
+			if explicit[name] && !dep.on {
+				return fmt.Errorf("-%s has no effect without -%s", name, dep.needs)
+			}
+		}
 	}
 
 	var reg *obs.Registry
@@ -141,13 +156,13 @@ func run(args []string) error {
 	}
 	self := evs.ProcID(*id)
 	newTransport := func(ring int) (transport.Transport, error) {
-		listenAddrs, err := shiftPeer(transport.UDPPeer{Data: *dataAddr, Token: *tokenAddr}, *stride*ring)
+		listenAddrs, err := transport.UDPPeer{Data: *dataAddr, Token: *tokenAddr}.Shift(*stride * ring)
 		if err != nil {
 			return nil, err
 		}
 		ringPeers := make(map[evs.ProcID]transport.UDPPeer, len(peers))
 		for pid, p := range peers {
-			if ringPeers[pid], err = shiftPeer(p, *stride*ring); err != nil {
+			if ringPeers[pid], err = p.Shift(*stride * ring); err != nil {
 				return nil, err
 			}
 		}
@@ -157,7 +172,7 @@ func run(args []string) error {
 			if *shards > 1 {
 				// Each ring joins its own group address, same stride rule as
 				// the unicast ports, so shards never see each other's data.
-				if group, err = shiftPort(group, *stride*ring); err != nil {
+				if group, err = transport.ShiftPort(group, *stride*ring); err != nil {
 					return nil, err
 				}
 			}
@@ -185,7 +200,7 @@ func run(args []string) error {
 	}
 
 	dcfg := daemon.Config{
-		Obs: reg, Flight: flight, Key: []byte(*ringKey), WriterBatch: *clientBatch,
+		Obs: reg, Flight: flight, Key: []byte(*ringKey),
 		Shards: *shards, NewTransport: newTransport,
 		SkipInterval: *skipInterval, SkipAhead: *skipAhead,
 	}
@@ -346,32 +361,6 @@ func listen(addr string) (net.Listener, error) {
 		return net.Listen("unix", path)
 	}
 	return net.Listen("tcp", addr)
-}
-
-// shiftPeer derives one ring's addresses by adding `by` to both numeric
-// ports, mirroring the facade's per-ring port rule.
-func shiftPeer(p transport.UDPPeer, by int) (transport.UDPPeer, error) {
-	var err error
-	if p.Data, err = shiftPort(p.Data, by); err != nil {
-		return p, err
-	}
-	p.Token, err = shiftPort(p.Token, by)
-	return p, err
-}
-
-func shiftPort(addr string, by int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "", fmt.Errorf("sharded address %q: %w", addr, err)
-	}
-	n, err := strconv.Atoi(port)
-	if err != nil || n <= 0 {
-		return "", fmt.Errorf("sharded address %q needs a nonzero numeric port", addr)
-	}
-	if n+by > 65535 {
-		return "", fmt.Errorf("sharded address %q: port %d out of range", addr, n+by)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(n+by)), nil
 }
 
 func parsePeers(spec string) (map[evs.ProcID]transport.UDPPeer, error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -58,11 +59,35 @@ func TestListen(t *testing.T) {
 	}
 }
 
+// TestRunFlagValidation: every rejected command line fails before anything
+// is bound, with an error naming the flag at fault — including tuning
+// flags given without the switch that makes them act.
 func TestRunFlagValidation(t *testing.T) {
-	if err := run([]string{}); err == nil {
-		t.Fatal("missing -id accepted")
-	}
-	if err := run([]string{"-id", "1", "-peers", "garbage"}); err == nil {
-		t.Fatal("bad peers accepted")
+	for _, tc := range []struct {
+		args    string
+		wantErr string
+	}{
+		{"", "-id"},
+		{"-id 1 -peers garbage", "bad peer"},
+		{"-id 1 -shards 0", "-shards"},
+		{"-id 1 -shard-stride 0", "-shard-stride"},
+		{"-id 1 -mcast 239.1.1.7:5100 -mcast-ttl 256", "-mcast-ttl"},
+		{"-id 1 -batch-send -1", "-batch-send"},
+		{"-id 1 -obs 127.0.0.1:0 -trace-sample -1", "-trace-sample"},
+		{"-id 1 -skip-interval -1ms", "-skip-interval"},
+		{"-id 1 -trace-sample 64", "without -obs"},
+		{"-id 1 -slo-p99 5ms", "without -obs"},
+		{"-id 1 -slo-p999 9ms", "without -obs"},
+		{"-id 1 -slo-burn 2", "without -obs"},
+		{"-id 1 -pack-limit 1200", "without -pack"},
+		{"-id 1 -pack-delay 1ms", "without -pack"},
+		{"-id 1 -pack=false -pack-delay 1ms", "without -pack"},
+		{"-id 1 -mcast-ttl 4", "without -mcast"},
+		{"-id 1 -mcast-if lo", "without -mcast"},
+	} {
+		err := run(strings.Fields(tc.args))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.wantErr)
+		}
 	}
 }

@@ -55,15 +55,14 @@ func run(args []string) error {
 	batch := fs.Int("batch", 0, "self-contained mode: sendmmsg/recvmmsg batch size for the daemons' UDP transports (0 disables)")
 	packOn := fs.Bool("pack", false, "self-contained mode: bundle small messages into shared frames under load")
 	fanout := fs.Int("fanout", 0, "fan-out mode: one daemon, one publisher, N subscriber sessions; reports frames/s and write syscalls/frame (ignores -nodes/-daemons)")
-	clientBatch := fs.Int("client-batch", 0, "pending frames one session writer drains into a single vectored write (0 = default 8, 1 = one write per frame)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *fanout < 0 || *clientBatch < 0 {
-		return fmt.Errorf("-fanout and -client-batch must be non-negative")
+	if *fanout < 0 {
+		return fmt.Errorf("-fanout must be non-negative")
 	}
 	if *fanout > 0 {
-		return measureFanout(*fanout, *clientBatch, *rate, *payload, *warmup, *duration)
+		return measureFanout(*fanout, *rate, *payload, *warmup, *duration)
 	}
 	if *payload < 8 {
 		return fmt.Errorf("-payload must be at least 8 (latency stamp)")
@@ -233,7 +232,7 @@ func selfContained(n, shards int, original bool, batch int, packOn bool) ([]stri
 // multicasts at rate for duration; the daemon's own counters report how
 // many write syscalls the encode-once batched writers spent per delivered
 // frame.
-func measureFanout(subs, clientBatch int, rate float64, payloadBytes int,
+func measureFanout(subs int, rate float64, payloadBytes int,
 	warmup, duration time.Duration) error {
 	if payloadBytes < 8 {
 		return fmt.Errorf("-payload must be at least 8 (latency stamp)")
@@ -251,10 +250,9 @@ func measureFanout(subs, clientBatch int, rate float64, payloadBytes int,
 	}
 	reg := obs.NewRegistry()
 	d, err := daemon.Start(daemon.Config{
-		Ring:        ringnode.Accelerated(1, u, 20, 160, 15),
-		Listener:    ln,
-		Obs:         reg,
-		WriterBatch: clientBatch,
+		Ring:     ringnode.Accelerated(1, u, 20, 160, 15),
+		Listener: ln,
+		Obs:      reg,
 	})
 	if err != nil {
 		return err
@@ -295,7 +293,7 @@ func measureFanout(subs, clientBatch int, rate float64, payloadBytes int,
 	}
 	defer pub.Close()
 
-	fmt.Fprintf(os.Stderr, "fan-out: 1 publisher -> %d subscribers, batch=%d\n", subs, clientBatch)
+	fmt.Fprintf(os.Stderr, "fan-out: 1 publisher -> %d subscribers\n", subs)
 	// Warm up, then snapshot the counters around the measured window.
 	interval := time.Duration(float64(time.Second) / rate)
 	ticker := time.NewTicker(interval)

@@ -246,35 +246,6 @@ func (c *Config) Validate() error {
 	return c.resolveWire()
 }
 
-// shiftPort returns addr with its numeric, nonzero port offset by `by` —
-// how a sharded node derives ring r's addresses from the base ones
-// (by = ShardStride * r; see WireConfig.ShardStride).
-func shiftPort(addr string, by int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "", err
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil {
-		return "", fmt.Errorf("port %q is not numeric", port)
-	}
-	if p <= 0 || p+by > 65535 {
-		return "", fmt.Errorf("port %d+%d out of range", p, by)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+by)), nil
-}
-
-// shiftUDPAddrs offsets both ports of an address pair.
-func shiftUDPAddrs(p UDPAddrs, by int) (UDPAddrs, error) {
-	var out UDPAddrs
-	var err error
-	if out.Data, err = shiftPort(p.Data, by); err != nil {
-		return out, err
-	}
-	out.Token, err = shiftPort(p.Token, by)
-	return out, err
-}
-
 func checkUDPAddrs(who string, p UDPAddrs) error {
 	for _, a := range []string{p.Data, p.Token} {
 		if _, err := net.ResolveUDPAddr("udp", a); err != nil {
@@ -323,12 +294,12 @@ func (c *Config) openTransport(ring int) (Transport, error) {
 	listen, peers := w.Listen, w.Peers
 	if c.Shards > 1 {
 		var err error
-		if listen, err = shiftUDPAddrs(w.Listen, w.ShardStride*ring); err != nil {
+		if listen, err = w.Listen.Shift(w.ShardStride * ring); err != nil {
 			return nil, err
 		}
 		peers = make(map[ProcID]UDPAddrs, len(w.Peers))
 		for id, p := range w.Peers {
-			if peers[id], err = shiftUDPAddrs(p, w.ShardStride*ring); err != nil {
+			if peers[id], err = p.Shift(w.ShardStride * ring); err != nil {
 				return nil, err
 			}
 		}
@@ -344,7 +315,7 @@ func (c *Config) openTransport(ring int) (Transport, error) {
 		group := w.MulticastGroup
 		if c.Shards > 1 {
 			var err error
-			if group, err = shiftPort(group, w.ShardStride*ring); err != nil {
+			if group, err = transport.ShiftPort(group, w.ShardStride*ring); err != nil {
 				return nil, err
 			}
 		}

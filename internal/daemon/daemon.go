@@ -17,20 +17,21 @@
 //
 // The client path is hardened for the edge of overload:
 //
-//   - Tiered backpressure: each session's outbound frames flow through a
-//     fixed in-memory ring (tier 0) that overflows into a bounded spill
-//     queue (tier 1); past a throttle watermark the client is told to
-//     pace itself (tier 2, session.Throttle); only a full spill queue
-//     disconnects (the last resort). Transitions are exported as
-//     daemon.tier_* metrics and flight-recorder events.
+//   - Tiered backpressure: each session's sequenced frames sit in one
+//     send window whose unsent backlog is metered against three
+//     watermarks: past ClientBuffer the session counts as lagging
+//     (tier 1, daemon.tier_spill); past ThrottleAt the client is told to
+//     pace itself (tier 2, session.Throttle); only a backlog of
+//     SpillLimit disconnects (the last resort). Transitions are exported
+//     as daemon.tier_* metrics and flight-recorder events.
 //   - Reconnect with resume: every delivery carries a per-session
 //     sequence number (session.Seqd); a client that loses its TCP
 //     connection presents its resume token and last processed sequence
-//     (session.Resume) and the daemon replays the retained window, so
-//     delivery is exactly-once across reconnects. Clients acknowledge
-//     (session.Ack) to prune the window. A detached session that neither
-//     resumes nor said Bye within ResumeTimeout is disconnected in
-//     order.
+//     (session.Resume) and the daemon re-sends the written-but-unacked
+//     part of the window, so delivery is exactly-once across reconnects.
+//     Clients acknowledge (session.Ack) to release the window. A
+//     detached session that neither resumes nor said Bye within
+//     ResumeTimeout is disconnected in order.
 //   - Graceful drain: Drain flushes every session's queue, hands clients
 //     a Detach notice with resume blessing, and emits the final ordered
 //     leave per session.
@@ -92,31 +93,25 @@ type Config struct {
 	// Listener accepts client connections (TCP or Unix socket). The
 	// daemon takes ownership and closes it on Stop.
 	Listener net.Listener
-	// ClientBuffer is the per-session in-memory outbound ring, the
-	// zero-overhead tier of the backpressure ladder (default 1024).
+	// ClientBuffer is the per-session delivery backlog a session may run
+	// up at no cost: its send window starts out this large, and a backlog
+	// past it counts on daemon.tier_spill (default 1024).
 	ClientBuffer int
-	// SpillLimit caps the per-session delivery backlog (ring + spill
-	// queue); a session this far behind is disconnected as the last
-	// resort (default 16*ClientBuffer).
+	// SpillLimit caps the per-session delivery backlog; a session this
+	// far behind is disconnected as the last resort (default
+	// 16*ClientBuffer).
 	SpillLimit int
 	// ThrottleAt is the backlog watermark at which the client is sent a
 	// Throttle notification (default SpillLimit/2). The notification is
 	// withdrawn once the backlog halves again.
 	ThrottleAt int
-	// RetainLimit caps the written-but-unacked window kept for resume
-	// replay (default 4096). A client whose reconnect needs more than
-	// this is refused resume and must start a fresh session.
+	// RetainLimit caps the written-but-unacked frames kept for re-sending
+	// after a resume (default 4096). A client whose reconnect needs more
+	// than this is refused resume and must start a fresh session.
 	RetainLimit int
 	// ResumeTimeout is how long a detached session is held for resume
 	// before its ordered disconnect is emitted (default 30s).
 	ResumeTimeout time.Duration
-	// WriterBatch is how many pending outbox frames one session writer
-	// drains per wakeup and flushes with a single vectored write
-	// (net.Buffers/writev) instead of one syscall per frame (default 8;
-	// 1 disables batching). Larger values amortize syscalls under
-	// fan-out load at no latency cost when the queue is shallow — a
-	// batch never waits for more frames.
-	WriterBatch int
 	// Key, when non-empty, authenticates every session frame with a
 	// truncated HMAC-SHA256 tag; clients must present the same key.
 	// Forged frames are counted on daemon.auth_drops and dropped, and
@@ -262,9 +257,6 @@ func Start(cfg Config) (*Daemon, error) {
 	if cfg.ResumeTimeout <= 0 {
 		cfg.ResumeTimeout = 30 * time.Second
 	}
-	if cfg.WriterBatch <= 0 {
-		cfg.WriterBatch = 8
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -357,9 +349,12 @@ func (d *Daemon) Stop() {
 	d.rings.Stop()
 }
 
-// shutdown tears the session down without the ordered-disconnect
-// bookkeeping, reporting the backpressure tiers it still occupied.
-func (c *clientConn) shutdown() (spilling, throttled bool) {
+// shutdownClient tears the session down without the ordered-disconnect
+// bookkeeping: it closes the session's outbox and connection and settles
+// the tier gauges it still held — an overflow disconnect by definition
+// happens while the session is spilling, so without this clients_spilling
+// and clients_throttled would leak upward on every drop.
+func (d *Daemon) shutdownClient(c *clientConn) {
 	c.mu.Lock()
 	if c.expiry != nil {
 		c.expiry.Stop()
@@ -369,15 +364,6 @@ func (c *clientConn) shutdown() (spilling, throttled bool) {
 	if conn != nil {
 		conn.Close()
 	}
-	return spilling, throttled
-}
-
-// shutdownClient closes the session's outbox and settles the tier gauges
-// it still held — an overflow disconnect by definition happens while the
-// session is spilling, so without this clients_spilling and
-// clients_throttled would leak upward on every drop.
-func (d *Daemon) shutdownClient(c *clientConn) {
-	spilling, throttled := c.shutdown()
 	if spilling {
 		d.dm.spilling.Add(-1)
 	}
@@ -452,7 +438,7 @@ func (d *Daemon) handleConnect(conn net.Conn, hello session.Connect) {
 		id:    group.ClientID{Daemon: d.self, Local: d.nextLocal},
 		name:  hello.Name,
 		token: newToken(),
-		out: newOutbox(d.codec, d.cfg.ClientBuffer,
+		out: newOutbox(d.cfg.ClientBuffer,
 			d.cfg.ThrottleAt, d.cfg.SpillLimit, d.cfg.RetainLimit),
 	}
 	d.clients[c.id.Local] = c
@@ -477,7 +463,7 @@ func (d *Daemon) handleConnect(conn net.Conn, hello session.Connect) {
 }
 
 // handleResume reattaches a detached session after validating identity,
-// token, and replay window.
+// token, and send window.
 func (d *Daemon) handleResume(conn net.Conn, req session.Resume) {
 	reject := func(code session.ErrorCode, msg string) {
 		d.dm.resumeRejects.Inc()
@@ -544,7 +530,7 @@ const resumeChallengeTimeout = 5 * time.Second
 
 // challengeResume demands fresh proof of key possession before a keyed
 // Resume is honored. The Resume frame's HMAC covers only static bytes,
-// so an on-path observer could replay a recorded Resume verbatim from
+// so an on-path observer could re-send a recorded Resume verbatim from
 // its own connection and hijack the session. The daemon therefore sends
 // a random nonce and requires a ChallengeAck echoing it: the ack's frame
 // MAC covers the nonce, a value no recorded stream contains, so only a
@@ -618,7 +604,7 @@ func (d *Daemon) handleRequest(c *clientConn, f session.Frame) bool {
 		d.backpressure()
 		// A multi-group send spanning several rings becomes one
 		// independent ordered message per owning ring, submitted in
-		// ascending ring order so identical runs replay identically;
+		// ascending ring order so identical runs reproduce identically;
 		// the cross-ring merger reunifies the per-ring streams into
 		// one global delivery order. The single-ring common case
 		// reuses the connection's split scratch and does not allocate.
@@ -646,10 +632,16 @@ func (d *Daemon) handleRequest(c *clientConn, f session.Frame) bool {
 	return false
 }
 
-// pushError sends a sequenced Error frame and counts it.
+// pushError sends a sequenced Error frame and counts it. An Error goes to
+// one session, but takes the same encoded-body path as a fan-out.
 func (d *Daemon) pushError(c *clientConn, e session.Error) {
 	d.dm.errorsSent.Inc()
-	d.deliver(c, e)
+	sh, err := session.NewShared(e)
+	if err != nil {
+		return // oversized; nothing deliverable
+	}
+	d.afterTier(c, c.out.enqueue(delivery{sh: sh}))
+	sh.Unref() // creator's reference; the outbox holds its own
 }
 
 func (d *Daemon) submitEnvelope(c *clientConn, ring int, env group.Envelope, svc evs.Service) {
@@ -672,20 +664,21 @@ func (d *Daemon) submitEnvelope(c *clientConn, ring int, env group.Envelope, svc
 // sessionWriter drains the session's outbox for as long as the session
 // lives, across reconnects: a write error detaches the connection and
 // the loop parks in nextBatch until the client resumes. Each wakeup
-// drains up to Config.WriterBatch pending frames and flushes them with
-// one vectored write (writev on TCP/unix sockets) instead of a syscall
-// per frame, so a backlogged fan-out costs ~1/WriterBatch syscalls per
+// drains up to writerBatch pending frames and flushes them with one
+// vectored write (writev on TCP/unix sockets) instead of a syscall per
+// frame, so a backlogged fan-out costs ~1/writerBatch syscalls per
 // delivered frame; a shallow queue still flushes immediately.
 func (d *Daemon) sessionWriter(c *clientConn) {
 	defer d.wg.Done()
-	w := newFrameWriter(d.cfg.WriterBatch)
+	w := newFrameWriter()
 	for {
-		conn, codec, frames, ok := c.out.nextBatch(w.frames[:0], d.cfg.WriterBatch)
+		conn, frames, ok := c.out.nextBatch(w.frames[:0], writerBatch)
 		if !ok {
 			return
 		}
-		w.frames = frames
-		if err := w.flush(conn, codec, frames); err != nil {
+		err := w.flush(conn, d.codec, frames)
+		releaseBatch(frames)
+		if err != nil {
 			d.detachClient(c, conn)
 			continue
 		}
@@ -698,48 +691,39 @@ func (d *Daemon) sessionWriter(c *clientConn) {
 			// fold keeps the earliest stamp.
 			d.rings.Node(frames[i].traceRing).Observer().Stamp(frames[i].traceSeq, obs.StageWriterFlush)
 		}
-		d.afterWrite(c, c.out.wroteBatch(conn, frames))
+		d.afterTier(c, c.out.wroteBatch(conn, frames))
 	}
 }
 
-// deliver pushes one sequenced frame into the session's outbox and acts
-// on the resulting tier transition.
-func (d *Daemon) deliver(c *clientConn, f session.Frame) {
-	d.afterPush(c, c.out.push(f))
-}
-
-// afterPush acts on the backpressure tier transition one enqueue caused.
-func (d *Daemon) afterPush(c *clientConn, res pushResult) {
-	if res.overflow {
-		// Last resort: even the spill queue is full.
+// afterTier acts on the backpressure tier transitions one enqueue or
+// write completion caused.
+func (d *Daemon) afterTier(c *clientConn, ch tierChange) {
+	if ch.overflow {
+		// Last resort: the backlog reached SpillLimit.
 		d.dm.slowDisconns.Inc()
-		d.flight("slow_disconnect", c.id.Local, res.queued)
+		d.flight("slow_disconnect", c.id.Local, ch.queued)
 		d.dropClient(c)
 		return
 	}
-	if res.spillStart {
+	if ch.spillStart {
 		d.dm.tierSpill.Inc()
 		d.dm.spilling.Add(1)
-		d.flight("tier_spill", c.id.Local, res.queued)
+		d.flight("tier_spill", c.id.Local, ch.queued)
 	}
-	if res.throttleOn {
-		// The Throttle notice itself was enqueued by push under the
-		// outbox lock, so it cannot be reordered against the writer's
-		// Off; only the bookkeeping happens here.
-		d.dm.tierThrottle.Inc()
-		d.dm.throttledCli.Add(1)
-		d.flight("tier_throttle", c.id.Local, res.queued)
-	}
-}
-
-// afterWrite acts on tier recoveries reported by the outbox.
-func (d *Daemon) afterWrite(c *clientConn, res writeResult) {
-	if res.spillEnd {
+	if ch.spillEnd {
 		d.dm.spilling.Add(-1)
 	}
-	if res.throttleOff {
+	if ch.throttleOn {
+		// The Throttle notice itself was queued under the outbox lock, so
+		// it cannot be reordered against a later Off; only the
+		// bookkeeping happens here.
+		d.dm.tierThrottle.Inc()
+		d.dm.throttledCli.Add(1)
+		d.flight("tier_throttle", c.id.Local, ch.queued)
+	}
+	if ch.throttleOff {
 		d.dm.throttledCli.Add(-1)
-		d.flight("tier_recover", c.id.Local, res.queued)
+		d.flight("tier_recover", c.id.Local, ch.queued)
 	}
 }
 
@@ -856,7 +840,7 @@ func (k sink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64
 			}
 		}
 		d.dm.fanoutShared.Inc()
-		d.afterPush(c, c.out.pushSharedTraced(sh, traceSeq, ring))
+		d.afterTier(c, c.out.enqueue(delivery{sh: sh, traceSeq: traceSeq, traceRing: ring}))
 		d.dm.framesRouted.Inc()
 	}
 	if sh != nil {
@@ -866,13 +850,19 @@ func (k sink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64
 	}
 }
 
-// View pushes a group's new membership to its local members.
+// View pushes a group's new membership to its local members, encoded once
+// for all of them. Views are rare next to messages, so unlike Message it
+// does not wait for the first local member to encode.
 func (k sink) View(g string, members []group.ClientID, _ group.ClientID) {
-	view := session.View{Group: g, Members: members}
 	k.d.dm.viewsAnnounce.Inc()
+	sh, err := session.NewShared(session.View{Group: g, Members: members})
+	if err != nil {
+		return // oversized; nothing deliverable
+	}
+	defer sh.Unref() // creator's reference; outboxes hold their own
 	for _, m := range members {
 		if c := k.d.localClient(m); c != nil {
-			k.d.deliver(c, view)
+			k.d.afterTier(c, c.out.enqueue(delivery{sh: sh}))
 		}
 	}
 }

@@ -21,8 +21,8 @@ const drainDetachGrace = time.Second
 //
 //  1. Stop accepting connects (new Connect and Resume handshakes are
 //     refused with CodeDraining; the listener closes).
-//  2. Flush every session's outbound queue — spill tiers included — so
-//     no ordered delivery already routed to a client is lost.
+//  2. Flush every session's outbound queue — however deep its backlog —
+//     so no ordered delivery already routed to a client is lost.
 //  3. Hand every client a Detach notice with CanResume set: the client
 //     keeps its resume token and can present it to a restarted daemon.
 //  4. Emit the final ordered leave (OpDisconnect) per session, so the
@@ -65,8 +65,8 @@ func (d *Daemon) Drain(ctx context.Context) error {
 
 // awaitFlush waits until every session's outbox is fully written,
 // polling until ctx expires. Closed and detached sessions count as
-// flushed — a detached outbox cannot move and its frames are retained
-// for resume, so waiting on one would starve the attached clients.
+// flushed — a detached outbox cannot move and its frames stay in the
+// window for resume, so waiting on one would starve the attached clients.
 func (d *Daemon) awaitFlush(ctx context.Context, clients []*clientConn) error {
 	for {
 		flushed := true

@@ -20,7 +20,7 @@ import (
 	"accelring/internal/session"
 )
 
-func newShared(t *testing.T, i int) *session.Shared {
+func newShared(t testing.TB, i int) *session.Shared {
 	t.Helper()
 	sh, err := session.NewShared(session.Message{
 		Service: evs.Agreed, Groups: []string{"g"}, Payload: []byte{byte(i), byte(i >> 8)},
@@ -31,22 +31,33 @@ func newShared(t *testing.T, i int) *session.Shared {
 	return sh
 }
 
+// pushMsg queues delivery i the way the daemon does: encode once, enqueue
+// (the window takes its own reference), drop the creator's reference.
+func pushMsg(t testing.TB, o *outbox, i int) tierChange {
+	t.Helper()
+	sh := newShared(t, i)
+	defer sh.Unref()
+	return o.enqueue(delivery{sh: sh})
+}
+
 // TestOutboxBatchDrain: nextBatch peeks control first, then deliveries,
-// bounded by max; wroteBatch completes the whole batch and refills the
-// ring from the spill queue.
+// bounded by max; wroteBatch completes the whole batch, and the backlog
+// crossing ClientBuffer (4 here) is reported once in each direction.
 func TestOutboxBatchDrain(t *testing.T) {
-	o := newOutbox(session.Codec{}, 4, 100, 100, 16)
+	o := newOutbox(4, 100, 100, 16)
 	conn := testConn(t)
 	if !o.attach(conn, 0, nil) {
 		t.Fatal("attach refused")
 	}
 	o.pushControl(session.Throttle{On: true})
-	for i := 0; i < 6; i++ { // ring 4 + spill 2
-		o.push(testMsg(i))
+	for i := 1; i <= 6; i++ {
+		if res := pushMsg(t, o, i); res.spillStart != (i == 5) || res.queued != i {
+			t.Fatalf("push %d = %+v, want spillStart only when the backlog first exceeds 4", i, res)
+		}
 	}
 
 	var scratch []seqFrame
-	gotConn, _, frames, ok := o.nextBatch(scratch[:0], 4)
+	gotConn, frames, ok := peekBatch(o, scratch[:0], 4)
 	if !ok || gotConn != conn {
 		t.Fatalf("nextBatch = (%v, %v)", gotConn, ok)
 	}
@@ -56,18 +67,20 @@ func TestOutboxBatchDrain(t *testing.T) {
 	if frames[0].seq != 0 {
 		t.Fatalf("first batched frame seq %d, want control (0)", frames[0].seq)
 	}
-	if _, isTh := frames[0].f.(session.Throttle); !isTh {
-		t.Fatalf("first batched frame %#v, want the control Throttle", frames[0].f)
+	if _, isTh := frames[0].ctl.(session.Throttle); !isTh {
+		t.Fatalf("first batched frame %#v, want the control Throttle", frames[0].ctl)
 	}
 	for i, sf := range frames[1:] {
 		if sf.seq != uint64(i+1) {
 			t.Fatalf("batched delivery %d has seq %d, want %d", i, sf.seq, i+1)
 		}
 	}
-	o.wroteBatch(conn, frames)
+	if res := o.wroteBatch(conn, frames); !res.spillEnd || res.queued != 3 {
+		t.Fatalf("first completion = %+v, want spillEnd at backlog 3", res)
+	}
 
-	// The spill refilled the ring; the rest drains in order.
-	_, _, frames, ok = o.nextBatch(frames[:0], 8)
+	// The rest drains in order.
+	_, frames, ok = peekBatch(o, frames[:0], 8)
 	if !ok || len(frames) != 3 {
 		t.Fatalf("second batch = %d frames, want 3", len(frames))
 	}
@@ -76,36 +89,11 @@ func TestOutboxBatchDrain(t *testing.T) {
 			t.Fatalf("second batch frame %d has seq %d, want %d", i, sf.seq, i+4)
 		}
 	}
-	o.wroteBatch(conn, frames)
+	if res := o.wroteBatch(conn, frames); res.spillEnd || res.queued != 0 {
+		t.Fatalf("second completion = %+v, want no repeated spillEnd at backlog 0", res)
+	}
 	if !o.flushed() {
 		t.Fatal("outbox not flushed after draining both batches")
-	}
-}
-
-// TestOutboxBatchSupersededConn: a batch completion racing a resume's
-// attach must be a complete no-op, exactly like single-frame wrote.
-func TestOutboxBatchSupersededConn(t *testing.T) {
-	o := newOutbox(session.Codec{}, 4, 100, 100, 16)
-	connA, connB := testConn(t), testConn(t)
-	if !o.attach(connA, 0, nil) {
-		t.Fatal("attach refused")
-	}
-	for i := 0; i < 3; i++ {
-		o.push(testMsg(i))
-	}
-	_, _, frames, ok := o.nextBatch(nil, 8)
-	if !ok || len(frames) != 3 {
-		t.Fatalf("batch = %d frames, want 3", len(frames))
-	}
-	if !o.attach(connB, 0, nil) {
-		t.Fatal("attach B refused")
-	}
-	o.wroteBatch(connA, frames) // superseded: nothing completes
-	o.mu.Lock()
-	count := o.count
-	o.mu.Unlock()
-	if count != 3 {
-		t.Fatalf("superseded wroteBatch completed frames: count=%d, want 3", count)
 	}
 }
 
@@ -113,22 +101,22 @@ func TestOutboxBatchSupersededConn(t *testing.T) {
 // FIRST control frame, ahead of any queued notices, so a resumed client
 // can never read a Throttle or Detach before its Welcome.
 func TestOutboxWelcomeFirst(t *testing.T) {
-	o := newOutbox(session.Codec{}, 4, 100, 100, 16)
+	o := newOutbox(4, 100, 100, 16)
 	o.pushControl(session.Detach{Reason: "draining"})
-	o.push(testMsg(1))
+	pushMsg(t, o, 1)
 	welcome := session.Welcome{Token: 42, Resumed: true}
 	if !o.attach(testConn(t), 0, welcome) {
 		t.Fatal("attach refused")
 	}
-	_, _, frames, ok := o.nextBatch(nil, 8)
+	_, frames, ok := peekBatch(o, nil, 8)
 	if !ok || len(frames) != 3 {
 		t.Fatalf("batch = %d frames, want welcome+detach+delivery", len(frames))
 	}
-	if w, isW := frames[0].f.(session.Welcome); !isW || w.Token != 42 {
-		t.Fatalf("first frame %#v, want the spliced Welcome", frames[0].f)
+	if w, isW := frames[0].ctl.(session.Welcome); !isW || w.Token != 42 {
+		t.Fatalf("first frame %#v, want the spliced Welcome", frames[0].ctl)
 	}
-	if _, isD := frames[1].f.(session.Detach); !isD {
-		t.Fatalf("second frame %#v, want the earlier-queued Detach", frames[1].f)
+	if _, isD := frames[1].ctl.(session.Detach); !isD {
+		t.Fatalf("second frame %#v, want the earlier-queued Detach", frames[1].ctl)
 	}
 	if frames[2].seq != 1 {
 		t.Fatalf("third frame seq %d, want the delivery", frames[2].seq)
@@ -137,10 +125,10 @@ func TestOutboxWelcomeFirst(t *testing.T) {
 
 // TestOutboxSharedReplay: shared frames written before a disconnect are
 // replayed from the SAME shared buffer after a resume — the bytes
-// survive in the retained window, refcounted, without any re-encode.
+// survive in the send window, refcounted, without any re-encode.
 func TestOutboxSharedReplay(t *testing.T) {
 	before := session.SharedLive()
-	o := newOutbox(session.Codec{}, 8, 100, 100, 16)
+	o := newOutbox(8, 100, 100, 16)
 	connA := testConn(t)
 	if !o.attach(connA, 0, nil) {
 		t.Fatal("attach refused")
@@ -148,21 +136,21 @@ func TestOutboxSharedReplay(t *testing.T) {
 	shares := make([]*session.Shared, 4)
 	for i := range shares {
 		shares[i] = newShared(t, i)
-		o.pushShared(shares[i])
+		o.enqueue(delivery{sh: shares[i]})
 	}
-	_, _, frames, ok := o.nextBatch(nil, 8)
+	_, frames, ok := peekBatch(o, nil, 8)
 	if !ok || len(frames) != 4 {
 		t.Fatalf("batch = %d frames, want 4", len(frames))
 	}
-	o.wroteBatch(connA, frames) // all 4 now retained, unacked
+	o.wroteBatch(connA, frames) // all 4 now written, unacked
 
 	// Client processed 2, then the connection died. Resume replays 3..4
-	// from the retained shared buffers.
+	// from the window's shared buffers.
 	if !o.attach(testConn(t), 2, session.Welcome{Resumed: true}) {
 		t.Fatal("resume attach refused")
 	}
 	connB := o.conn
-	_, _, frames, ok = o.nextBatch(nil, 8)
+	_, frames, ok = peekBatch(o, nil, 8)
 	if !ok || len(frames) != 3 {
 		t.Fatalf("replay batch = %d frames, want welcome + 2 replays", len(frames))
 	}
@@ -201,7 +189,7 @@ func TestOutboxSharedLeakChurn(t *testing.T) {
 	outs := make([]*outbox, sessions)
 	conns := make([]net.Conn, sessions)
 	for i := range outs {
-		outs[i] = newOutbox(session.Codec{}, 4, 1000, 1000, 8)
+		outs[i] = newOutbox(4, 1000, 1000, 8)
 		conns[i] = testConn(t)
 		if !outs[i].attach(conns[i], 0, nil) {
 			t.Fatal("attach refused")
@@ -211,10 +199,10 @@ func TestOutboxSharedLeakChurn(t *testing.T) {
 	for m := 0; m < messages; m++ {
 		sh := newShared(t, m)
 		for i, o := range outs {
-			o.pushShared(sh)
+			o.enqueue(delivery{sh: sh})
 			switch rng.Intn(4) {
 			case 0: // write everything pending
-				if _, _, frames, ok := o.nextBatch(nil, 64); ok {
+				if _, frames, ok := peekBatch(o, nil, 64); ok {
 					o.wroteBatch(conns[i], frames)
 					for _, sf := range frames {
 						if sf.seq > lastAcked[i] {
@@ -245,7 +233,7 @@ func TestOutboxSharedLeakChurn(t *testing.T) {
 // TestOutboxSharedConcurrent exercises the refcount protocol under the
 // race detector: a fan-out goroutine pushing shared deliveries into
 // several outboxes, per-session writer goroutines draining batches, an
-// acker trimming retained windows, and a churner detaching/reattaching
+// acker trimming the send windows, and a churner detaching/reattaching
 // connections (forcing replays from the shared buffers) all at once.
 // Every reference must still balance at shutdown.
 func TestOutboxSharedConcurrent(t *testing.T) {
@@ -255,7 +243,7 @@ func TestOutboxSharedConcurrent(t *testing.T) {
 	var connMu sync.Mutex
 	conns := make([]net.Conn, sessions)
 	for i := range outs {
-		outs[i] = newOutbox(session.Codec{}, 8, 1<<20, 1<<20, 16)
+		outs[i] = newOutbox(8, 1<<20, 1<<20, 16)
 		conns[i] = testConn(t)
 		if !outs[i].attach(conns[i], 0, nil) {
 			t.Fatal("attach refused")
@@ -272,7 +260,7 @@ func TestOutboxSharedConcurrent(t *testing.T) {
 			defer wg.Done()
 			var scratch [8]seqFrame
 			for {
-				conn, _, frames, ok := outs[i].nextBatch(scratch[:0], 8)
+				conn, frames, ok := peekBatch(outs[i], scratch[:0], 8)
 				if !ok {
 					return
 				}
@@ -302,7 +290,7 @@ func TestOutboxSharedConcurrent(t *testing.T) {
 		}
 	}()
 	// Churner: detach and resume sessions while traffic flows. Resumes
-	// from seq 0 relative to the retained floor are not guaranteed, so
+	// from seq 0 relative to the eviction floor are not guaranteed, so
 	// resume from the last written seq (an implicit full ack).
 	wg.Add(1)
 	go func() {
@@ -328,7 +316,7 @@ func TestOutboxSharedConcurrent(t *testing.T) {
 	for m := 0; m < messages; m++ {
 		sh := newShared(t, m)
 		for _, o := range outs {
-			o.pushShared(sh)
+			o.enqueue(delivery{sh: sh})
 		}
 		sh.Unref()
 		if m%16 == 0 {
@@ -360,15 +348,15 @@ func TestOutboxSharedConcurrent(t *testing.T) {
 }
 
 // TestAllocFreeSharedFanout pins the enqueue cost of the encode-once
-// path: pushing an already-encoded shared delivery into a ring-resident
-// outbox and completing it must not allocate, per session, in steady
-// state.
+// path: queueing an already-encoded shared delivery into a window that
+// has reached its working size and completing it must not allocate, per
+// session, in steady state.
 func TestAllocFreeSharedFanout(t *testing.T) {
 	const sessions = 8
 	outs := make([]*outbox, sessions)
 	conns := make([]net.Conn, sessions)
 	for i := range outs {
-		outs[i] = newOutbox(session.Codec{}, 16, 1<<20, 1<<20, 4)
+		outs[i] = newOutbox(16, 1<<20, 1<<20, 4)
 		conns[i] = testConn(t)
 		if !outs[i].attach(conns[i], 0, nil) {
 			t.Fatal("attach refused")
@@ -384,8 +372,8 @@ func TestAllocFreeSharedFanout(t *testing.T) {
 	scratch := make([]seqFrame, 0, 16)
 	step := func() {
 		for i, o := range outs {
-			o.pushShared(sh)
-			_, _, frames, ok := o.nextBatch(scratch[:0], 16)
+			o.enqueue(delivery{sh: sh})
+			_, frames, ok := peekBatch(o, scratch[:0], 16)
 			if !ok {
 				t.Fatal("outbox closed")
 			}
@@ -394,7 +382,7 @@ func TestAllocFreeSharedFanout(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		step() // warm up retained/replay backings
+		step() // warm up the control-queue and scratch backings
 	}
 	if n := testing.AllocsPerRun(200, func() { step() }); n != 0 {
 		t.Fatalf("shared fan-out allocates %.2f times per %d-session round, want 0", n, sessions)

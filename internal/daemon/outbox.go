@@ -3,71 +3,66 @@ package daemon
 import (
 	"errors"
 	"net"
+	"slices"
 	"sync"
 
 	"accelring/internal/session"
 )
 
-// seqFrame pairs a queued frame with its delivery sequence number. Seq 0
-// marks a control frame (Welcome, Throttle, Detach) that rides outside
-// the resumable delivery stream.
-//
-// Exactly one of f and sh is set: f boxes an ordinary frame that the
-// writer encodes per session (control frames, views, errors), sh
-// references an encode-once shared body produced by a group fan-out
-// (session.Shared). The outbox holds one shared reference per queued
-// seqFrame, taken in pushShared and dropped when the frame leaves the
-// retained resume-replay window (ack, eviction, resume fast-forward) or
-// the outbox shuts down — never merely on write, because a reconnecting
-// client may need the bytes replayed.
-type seqFrame struct {
-	seq uint64
-	f   session.Frame
-	sh  *session.Shared
+// writerBatch is how many pending frames one session writer drains per
+// wakeup and flushes with a single vectored write. A batch never waits
+// for more frames — a shallow queue flushes immediately — so the value
+// only bounds the writer's scratch; it is not a latency/throughput
+// trade-off worth a knob.
+const writerBatch = 8
+
+// delivery is one sequenced frame as the send window holds it: an
+// encode-once shared body (session.Shared — a Message, a View or an
+// Error, encoded when it was routed). The window holds one shared
+// reference per entry, taken in enqueue and dropped when the entry leaves
+// the window (ack, eviction, resume fast-forward, shutdown) — never merely
+// on write, because a reconnecting client may need the bytes replayed.
+type delivery struct {
+	sh *session.Shared
 
 	// traceSeq/traceRing carry the ring sequence of a latency-sampled
 	// delivery (zero otherwise) so the session writer can stamp the
 	// writer-flush stage after the vectored write. Set only when the
 	// ring's tracer sampled the message: the untraced hot path pays a
-	// single uint64 compare per flushed frame.
+	// single uint64 compare per flushed frame. A replayed frame after
+	// resume re-stamps harmlessly — the latency fold keeps the earliest
+	// time.
 	traceSeq  uint64
 	traceRing int
 }
 
-// release drops the frame's shared reference, if it holds one.
-func (sf *seqFrame) release() {
-	if sf.sh != nil {
-		sf.sh.Unref()
-		sf.sh = nil
-	}
+// seqFrame is one frame of a writer batch. Seq 0 marks a control frame
+// (Welcome, Throttle, Detach) that rides outside the resumable delivery
+// stream and is carried boxed in ctl; any other seq is the window entry
+// with that delivery sequence number.
+type seqFrame struct {
+	seq uint64
+	ctl session.Frame
+	delivery
 }
 
-// pushResult reports what one enqueue did to the session's backpressure
-// tier, so the daemon can export metrics without holding the outbox
-// lock. The client-facing Throttle notices themselves are enqueued
-// inside push/wrote while the lock is held, so On/Off can never be
-// reordered by the reporting goroutines.
-type pushResult struct {
-	// overflow: the spill queue is full; disconnecting is the last
+// tierChange reports what one enqueue or completion did to the session's
+// backpressure tier, so the daemon can export metrics without holding the
+// outbox lock. The client-facing Throttle notices themselves are queued
+// while the lock is held, so On/Off can never be reordered by the
+// reporting goroutines.
+type tierChange struct {
+	// overflow: the backlog reached SpillLimit; disconnecting is the last
 	// resort left. The frame was NOT queued.
 	overflow bool
-	// spillStart: the enqueue crossed from the in-memory ring (tier 0)
-	// into the spill queue (tier 1).
-	spillStart bool
-	// throttleOn: the enqueue crossed the throttle watermark (tier 2).
-	throttleOn bool
-	// queued is the delivery backlog after the enqueue.
+	// spillStart/spillEnd: the backlog rose past ClientBuffer (tier 1) or
+	// fell back to it.
+	spillStart, spillEnd bool
+	// throttleOn/throttleOff: the backlog reached the throttle watermark
+	// (tier 2) or fell below half of it (hysteresis).
+	throttleOn, throttleOff bool
+	// queued is the delivery backlog after the operation.
 	queued int
-}
-
-// writeResult is pushResult's mirror for dequeues (tier recoveries).
-type writeResult struct {
-	// spillEnd: the spill queue drained back into the ring (tier 1->0).
-	spillEnd bool
-	// throttleOff: the backlog fell below half the throttle watermark
-	// (hysteresis), ending tier 2.
-	throttleOff bool
-	queued      int
 }
 
 // Resume rejections.
@@ -76,46 +71,60 @@ var (
 	errReplayWindow  = errors.New("replay window overrun")
 )
 
-// outbox is one session's outbound path: a fixed in-memory ring (tier 0)
-// that overflows into a bounded spill queue (tier 1), a throttle
-// watermark (tier 2), and a retained window of written-but-unacked
-// deliveries that a resumed connection replays. It owns the session's
-// current connection: the writer goroutine blocks in next/nextBatch
-// while the session is detached and wakes when attach installs a new
-// conn.
+// outbox is one session's outbound path: a small queue of unsequenced
+// control frames and one send window — every sequenced delivery the
+// session may still have to put on a wire, contiguous by sequence number:
+//
+//	  released     sent on this conn   to re-send       backlog
+//	────────────┬──────────────────┬──────────────┬───────────────┐
+//	          head               sent          written         nextSeq
+//
+// sent is how far the CURRENT connection has been written; a resume moves
+// it back to head, so a re-send is the same walk as a first send. written
+// is the furthest any connection got (sent catches up with it and then
+// carries it along): only frames past it are backlog — the tiers
+// (ClientBuffer, ThrottleAt, SpillLimit) meter what the client has never
+// been sent, so a resume's re-sends can neither throttle nor overflow the
+// session. head trails written by at most retainLimit.
+//
+// The outbox owns the session's current connection: the writer goroutine
+// blocks in nextBatch while the session is detached and wakes when attach
+// installs a new conn.
 //
 // Lock ordering: outbox.mu is a leaf — nothing is called with it held.
 type outbox struct {
 	mu   sync.Mutex
 	cond sync.Cond
 
-	conn  net.Conn // current connection; nil while detached
-	codec session.Codec
+	conn net.Conn // current connection; nil while detached
 
 	control []session.Frame // unsequenced control frames, written first
-	replay  []seqFrame      // retained frames being resent after a resume
 
-	ring        []seqFrame // tier 0: fixed ring buffer
-	head, count int
-	spill       []seqFrame // tier 1: bounded overflow queue
+	// win is the window's ring buffer: delivery seq lives at
+	// win[seq%len(win)] for seq in (head, nextSeq]. It grows by doubling
+	// (up to spillLimit+retainLimit, which bounds nextSeq-head) and never
+	// shrinks, so a steady session stops allocating.
+	win     []delivery
+	head    uint64 // highest seq no longer held: acked, evicted or resumed past
+	sent    uint64 // highest seq written to the current connection
+	written uint64 // highest seq written to any connection
+	nextSeq uint64 // last assigned delivery sequence
 
-	retained []seqFrame // written but unacked (the resume replay window)
-	floor    uint64     // highest seq evicted unacked from retained
-	nextSeq  uint64     // last assigned delivery sequence
-
+	spilling   bool
 	throttled  bool
 	overflowed bool
 	closed     bool
 
+	spillAt     int // tier-1 watermark on the delivery backlog (ClientBuffer)
 	throttleAt  int // tier-2 watermark on the delivery backlog
 	spillLimit  int // hard cap on the delivery backlog
-	retainLimit int // cap on the retained window
+	retainLimit int // cap on written-but-unacked frames kept for a resume
 }
 
-func newOutbox(codec session.Codec, ringCap, throttleAt, spillLimit, retainLimit int) *outbox {
+func newOutbox(spillAt, throttleAt, spillLimit, retainLimit int) *outbox {
 	o := &outbox{
-		codec:       codec,
-		ring:        make([]seqFrame, ringCap),
+		win:         make([]delivery, min(spillAt, spillLimit+retainLimit)),
+		spillAt:     spillAt,
 		throttleAt:  throttleAt,
 		spillLimit:  spillLimit,
 		retainLimit: retainLimit,
@@ -124,64 +133,60 @@ func newOutbox(codec session.Codec, ringCap, throttleAt, spillLimit, retainLimit
 	return o
 }
 
-// queuedLocked is the delivery backlog (control frames excluded).
-func (o *outbox) queuedLocked() int { return o.count + len(o.spill) }
+// backlogLocked is the delivery backlog: frames no connection has been
+// sent yet (control frames and replays excluded).
+func (o *outbox) backlogLocked() int { return int(o.nextSeq - o.written) }
 
-// push enqueues one sequenced delivery, reporting tier transitions.
-func (o *outbox) push(f session.Frame) pushResult {
-	return o.enqueue(seqFrame{f: f})
+// tiersLocked moves the session between backpressure tiers to match its
+// backlog and reports the moves. Each Throttle notice is queued here,
+// under the same lock as the transition it announces — transition order
+// is wire order: an Off can never overtake the On before it.
+func (o *outbox) tiersLocked() tierChange {
+	ch := tierChange{queued: o.backlogLocked()}
+	if over := ch.queued > o.spillAt; over != o.spilling {
+		o.spilling = over
+		ch.spillStart, ch.spillEnd = over, !over
+	}
+	if !o.throttled && ch.queued >= o.throttleAt {
+		o.throttled, ch.throttleOn = true, true
+	} else if o.throttled && ch.queued <= o.throttleAt/2 {
+		o.throttled, ch.throttleOff = false, true
+	}
+	if ch.throttleOn || ch.throttleOff {
+		o.control = append(o.control, session.Throttle{On: o.throttled, Queued: uint32(ch.queued)})
+	}
+	return ch
 }
 
-// pushShared enqueues one sequenced encode-once delivery. The outbox
-// takes its own reference on sh (under the lock, so a concurrent
-// shutdown cannot race the take); a rejected enqueue (closed or
-// overflowed) takes none.
-func (o *outbox) pushShared(sh *session.Shared) pushResult {
-	return o.enqueue(seqFrame{sh: sh})
-}
+// at returns the window slot of delivery seq.
+func (o *outbox) at(seq uint64) *delivery { return &o.win[seq%uint64(len(o.win))] }
 
-// pushSharedTraced is pushShared for a latency-sampled delivery: the
-// queued frame remembers the ring sequence (and ring) that ordered it so
-// the writer can attribute its flush time. A replayed frame after resume
-// re-stamps harmlessly — the latency fold keeps the earliest time.
-func (o *outbox) pushSharedTraced(sh *session.Shared, traceSeq uint64, traceRing int) pushResult {
-	return o.enqueue(seqFrame{sh: sh, traceSeq: traceSeq, traceRing: traceRing})
-}
-
-func (o *outbox) enqueue(sf seqFrame) pushResult {
+// enqueue appends one sequenced delivery to the window, reporting tier
+// transitions. The window takes its own reference on d.sh (under the
+// lock, so a concurrent shutdown cannot race the take); a rejected
+// enqueue (closed or overflowed) takes none.
+func (o *outbox) enqueue(d delivery) tierChange {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed || o.overflowed {
-		return pushResult{}
+		return tierChange{}
 	}
-	if o.queuedLocked() >= o.spillLimit {
+	if o.backlogLocked() >= o.spillLimit {
 		o.overflowed = true
-		return pushResult{overflow: true, queued: o.queuedLocked()}
+		return tierChange{overflow: true, queued: o.backlogLocked()}
+	}
+	if held := int(o.nextSeq - o.head); held == len(o.win) {
+		grown := make([]delivery, min(2*held, o.spillLimit+o.retainLimit))
+		for s := o.head + 1; s <= o.nextSeq; s++ {
+			grown[s%uint64(len(grown))] = *o.at(s)
+		}
+		o.win = grown
 	}
 	o.nextSeq++
-	sf.seq = o.nextSeq
-	if sf.sh != nil {
-		sf.sh.Ref()
-	}
-	var res pushResult
-	if o.count < len(o.ring) && len(o.spill) == 0 {
-		o.ring[(o.head+o.count)%len(o.ring)] = sf
-		o.count++
-	} else {
-		res.spillStart = len(o.spill) == 0
-		o.spill = append(o.spill, sf)
-	}
-	res.queued = o.queuedLocked()
-	if !o.throttled && res.queued >= o.throttleAt {
-		o.throttled = true
-		res.throttleOn = true
-		// The Throttle notice is enqueued under the same lock as the
-		// transition: an Off written by the writer goroutine can never
-		// overtake this On on the wire.
-		o.control = append(o.control, session.Throttle{On: true, Queued: uint32(res.queued)})
-	}
+	d.sh.Ref()
+	*o.at(o.nextSeq) = d
 	o.cond.Broadcast()
-	return res
+	return o.tiersLocked()
 }
 
 // pushControl enqueues an unsequenced control frame ahead of deliveries.
@@ -194,251 +199,157 @@ func (o *outbox) pushControl(f session.Frame) {
 	o.mu.Unlock()
 }
 
-// next blocks until the session has a connection and a frame to write
-// (or is closed) and peeks the head frame without removing it: the
-// writer calls wrote on success, so a failed write leaves the frame
-// queued for the resumed connection.
-func (o *outbox) next() (net.Conn, session.Codec, seqFrame, bool) {
+// nextBatch blocks until the session has a connection and a frame to
+// write (or is closed) and peeks up to max frames in write order —
+// control notices first, then the window from sent onwards (replays and
+// first sends alike) — so the writer can flush them with one vectored
+// write. The frames are appended to dst (reset and reused by the caller)
+// and stay queued until wroteBatch completes them, so a failed write
+// leaves them for the resumed connection. Each peeked delivery carries a
+// shared reference of its own, which the writer drops with releaseBatch
+// once the write returns: a shutdown or a resume's fast-forward may
+// release the window's reference while the bytes are still being written.
+func (o *outbox) nextBatch(dst []seqFrame, max int) (net.Conn, []seqFrame, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for {
 		if o.closed {
-			return nil, o.codec, seqFrame{}, false
+			return nil, dst, false
 		}
 		if o.conn != nil {
-			switch {
-			case len(o.control) > 0:
-				return o.conn, o.codec, seqFrame{f: o.control[0]}, true
-			case len(o.replay) > 0:
-				return o.conn, o.codec, o.replay[0], true
-			case o.count > 0:
-				return o.conn, o.codec, o.ring[o.head], true
+			for _, f := range o.control[:min(max, len(o.control))] {
+				dst = append(dst, seqFrame{ctl: f})
 			}
-		}
-		o.cond.Wait()
-	}
-}
-
-// nextBatch blocks like next but peeks up to max pending frames in write
-// order — control notices first, then resume replay, then the ring — so
-// the writer can flush them with one vectored write instead of one
-// syscall pair per frame. The frames are appended to dst (reset and
-// reused by the caller) and stay queued until wroteBatch completes them.
-// Only ring-resident deliveries are batched beyond the control/replay
-// heads; the spill queue refills the ring as frames complete.
-func (o *outbox) nextBatch(dst []seqFrame, max int) (net.Conn, session.Codec, []seqFrame, bool) {
-	if max < 1 {
-		max = 1
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for {
-		if o.closed {
-			return nil, o.codec, dst, false
-		}
-		if o.conn != nil {
-			for _, f := range o.control {
-				if len(dst) >= max {
-					break
-				}
-				dst = append(dst, seqFrame{f: f})
-			}
-			for _, sf := range o.replay {
-				if len(dst) >= max {
-					break
-				}
-				dst = append(dst, sf)
-			}
-			for i := 0; i < o.count && len(dst) < max; i++ {
-				dst = append(dst, o.ring[(o.head+i)%len(o.ring)])
+			for s := o.sent + 1; s <= o.nextSeq && len(dst) < max; s++ {
+				d := *o.at(s)
+				d.sh.Ref()
+				dst = append(dst, seqFrame{seq: s, delivery: d})
 			}
 			if len(dst) > 0 {
-				return o.conn, o.codec, dst, true
+				return o.conn, dst, true
 			}
 		}
 		o.cond.Wait()
 	}
 }
 
-// wrote removes the frame next returned after a successful write to
-// conn, moves sequenced frames into the retained window, and refills the
-// ring from the spill queue, reporting tier recoveries.
-//
-// conn must be the connection next() paired with the frame. If it is no
-// longer the session's connection — a detach or a resume's attach landed
-// between the write and this call — the write reached a superseded
-// (possibly half-dead) socket, so the frame is left queued: the writer
-// re-peeks it for the live connection, and the client's duplicate
-// suppression (Seq <= lastSeq) absorbs the potential double send. Without
-// this check a kernel-buffered write racing an attach would complete a
-// frame the resume snapshot never saw, leaving a silent sequence gap.
-func (o *outbox) wrote(conn net.Conn, sf seqFrame) writeResult {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var res writeResult
-	res.queued = o.queuedLocked()
-	if o.conn != conn {
-		return res
+// releaseBatch drops the references nextBatch took for the writer.
+func releaseBatch(frames []seqFrame) {
+	for i := range frames {
+		if sh := frames[i].sh; sh != nil {
+			sh.Unref()
+		}
 	}
-	o.wroteLocked(sf, &res)
-	o.finishWriteLocked(&res)
-	return res
 }
 
 // wroteBatch completes a nextBatch worth of frames after one successful
-// vectored write to conn. Like wrote, a superseded conn makes the whole
-// completion a no-op: the live connection re-peeks everything and the
-// client's duplicate suppression absorbs the double send.
-func (o *outbox) wroteBatch(conn net.Conn, frames []seqFrame) writeResult {
+// vectored write: control frames leave their queue, sent advances over
+// the deliveries, and tier recoveries are reported.
+//
+// conn must be the connection nextBatch paired with the frames. If it is
+// no longer the session's connection — a detach or a resume's attach
+// landed between the write and this call — the write reached a superseded
+// (possibly half-dead) socket, so the whole completion is void: sent was
+// already reset for the live connection, which re-peeks everything, and
+// the client's duplicate suppression (Seq <= lastSeq) absorbs the
+// potential double send. Without this check a kernel-buffered write racing
+// an attach would complete frames the resume never saw, leaving a silent
+// sequence gap.
+func (o *outbox) wroteBatch(conn net.Conn, frames []seqFrame) tierChange {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var res writeResult
-	res.queued = o.queuedLocked()
 	if o.conn != conn {
-		return res
+		return tierChange{queued: o.backlogLocked()}
 	}
+	controls := 0
 	for i := range frames {
-		o.wroteLocked(frames[i], &res)
-	}
-	o.finishWriteLocked(&res)
-	return res
-}
-
-// wroteLocked applies one frame completion. Caller holds o.mu and has
-// verified the connection.
-func (o *outbox) wroteLocked(sf seqFrame, res *writeResult) {
-	switch {
-	case sf.seq == 0:
-		if len(o.control) > 0 {
-			o.control[0] = nil
-			o.control = o.control[1:]
-			if len(o.control) == 0 {
-				o.control = nil
-			}
-		}
-		return
-	case len(o.replay) > 0:
-		// Replayed frames are already retained. Scan for the sequence
-		// instead of assuming the head: a racing attach may have
-		// re-snapshotted (and re-pruned) the replay queue.
-		for i := range o.replay {
-			if o.replay[i].seq != sf.seq {
-				continue
-			}
-			// No release: the retained window still holds the entry (and,
-			// for shared frames, its reference).
-			copy(o.replay[i:], o.replay[i+1:])
-			o.replay[len(o.replay)-1] = seqFrame{}
-			o.replay = o.replay[:len(o.replay)-1]
-			if len(o.replay) == 0 {
-				o.replay = nil
-			}
-			return
+		if frames[i].seq == 0 {
+			controls++
+		} else if frames[i].seq > o.sent {
+			// Not already passed by an ack or a repeated completion.
+			o.sent = frames[i].seq
 		}
 	}
-	if o.count == 0 || o.ring[o.head].seq != sf.seq {
-		// Neither a pending replay nor the ring head (the frame was
-		// implicitly acked by a resume): nothing left to complete, and
-		// popping the ring here would discard an unwritten frame.
-		return
+	// Shifted down in place (not re-sliced) so the queue keeps its backing
+	// array across a drain-to-empty.
+	o.control = slices.Delete(o.control, 0, min(controls, len(o.control)))
+
+	if o.sent > o.written {
+		o.written = o.sent
+		if o.written-o.head > uint64(o.retainLimit) {
+			o.releaseLocked(o.written - uint64(o.retainLimit))
+		}
 	}
-	hadSpill := len(o.spill) > 0
-	o.ring[o.head] = seqFrame{}
-	o.head = (o.head + 1) % len(o.ring)
-	o.count--
-	for o.count < len(o.ring) && len(o.spill) > 0 {
-		o.ring[(o.head+o.count)%len(o.ring)] = o.spill[0]
-		o.spill[0] = seqFrame{}
-		o.spill = o.spill[1:]
-		o.count++
-	}
-	if len(o.spill) == 0 {
-		o.spill = nil
-		res.spillEnd = res.spillEnd || hadSpill
-	}
-	o.retained = append(o.retained, sf)
-	if len(o.retained) > o.retainLimit {
-		o.floor = o.retained[0].seq
-		o.retained[0].release()
-		n := copy(o.retained, o.retained[1:])
-		o.retained[n] = seqFrame{}
-		o.retained = o.retained[:n]
+	return o.tiersLocked()
+}
+
+// releaseLocked advances head to upTo, dropping the shared reference of
+// every entry it passes. Caller holds o.mu and keeps upTo <= nextSeq.
+func (o *outbox) releaseLocked(upTo uint64) {
+	for o.head < upTo {
+		o.head++
+		e := o.at(o.head)
+		e.sh.Unref()
+		*e = delivery{}
 	}
 }
 
-// finishWriteLocked settles the post-completion backlog accounting:
-// final queue depth and the throttle-off transition (with its ordered
-// notice, enqueued under the same lock for the same reason push enqueues
-// the On notice there — transition order is wire order).
-func (o *outbox) finishWriteLocked(res *writeResult) {
-	res.queued = o.queuedLocked()
-	if o.throttled && res.queued <= o.throttleAt/2 {
-		o.throttled = false
-		res.throttleOff = true
-		o.control = append(o.control, session.Throttle{On: false, Queued: uint32(res.queued)})
-	}
-}
-
-// ack prunes the retained window up to and including seq. The window is
-// compacted in place (not re-sliced) so its backing array survives a
-// drain-to-empty: the steady acked fan-out path appends and prunes one
-// retained entry per delivery without ever reallocating.
+// ack releases the window up to and including seq. Only frames the
+// current connection has been sent can be acknowledged on it; anything
+// past sent in a (forged or confused) Ack is ignored, so an Ack can
+// never make the daemon drop an unsent delivery.
 func (o *outbox) ack(seq uint64) {
 	o.mu.Lock()
-	o.pruneRetainedLocked(seq)
+	o.releaseLocked(min(seq, o.sent))
 	o.mu.Unlock()
 }
 
-// pruneRetainedLocked releases and compacts away every retained frame
-// with seq <= upTo. Caller holds o.mu.
-func (o *outbox) pruneRetainedLocked(upTo uint64) {
-	i := 0
-	for i < len(o.retained) && o.retained[i].seq <= upTo {
-		o.retained[i].release()
-		i++
-	}
-	if i == 0 {
-		return
-	}
-	n := copy(o.retained, o.retained[i:])
-	clear(o.retained[n:])
-	o.retained = o.retained[:n]
-}
-
 // canResume reports whether a client that processed deliveries up to
-// lastSeq can be resumed without a gap.
+// lastSeq can be resumed without a gap: nothing past lastSeq has left the
+// window. An honest client is never behind its own acks, so only an
+// eviction (more than RetainLimit written and unacked) can put head past
+// it.
 func (o *outbox) canResume(lastSeq uint64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.canResumeLocked(lastSeq)
+}
+
+func (o *outbox) canResumeLocked(lastSeq uint64) error {
 	if o.closed || o.overflowed {
 		return errSessionClosed
 	}
-	if lastSeq < o.floor || lastSeq > o.nextSeq {
+	if lastSeq < o.head || lastSeq > o.nextSeq {
 		return errReplayWindow
 	}
 	return nil
 }
 
-// attach installs a new connection, treating lastSeq as an implicit ack
-// and scheduling the remaining retained frames for replay. An existing
-// connection (a half-dead predecessor) is superseded and closed. hello,
-// when non-nil, is the handshake reply (Welcome): it is spliced in as
-// the FIRST control frame under the same lock that installs conn, so the
-// writer can neither race a Seqd delivery ahead of it nor let an older
-// queued notice (Throttle, Detach) precede it on the new connection —
-// the whole handshake rides the ordinary outbox write path. Returns
-// false if the session closed or the replay window moved in the
+// attach installs a new connection, treating lastSeq as an implicit ack —
+// everything up to it leaves the window, written or not: the client has
+// it — and moving sent back to head so the rest is (re)sent in order. An
+// existing connection (a half-dead predecessor) is superseded and closed.
+// hello, when non-nil, is the handshake reply (Welcome): it is spliced in
+// as the FIRST control frame under the same lock that installs conn, so
+// the writer can neither race a Seqd delivery ahead of it nor let an
+// older queued notice (Throttle, Detach) precede it on the new connection
+// — the whole handshake rides the ordinary outbox write path. Returns
+// false if the session closed or the window moved past lastSeq in the
 // meantime; the caller should close conn.
 func (o *outbox) attach(conn net.Conn, lastSeq uint64, hello session.Frame) bool {
 	o.mu.Lock()
-	if o.closed || o.overflowed || lastSeq < o.floor || lastSeq > o.nextSeq {
+	if o.canResumeLocked(lastSeq) != nil {
 		o.mu.Unlock()
 		return false
 	}
-	o.pruneRetainedLocked(lastSeq)
-	o.replay = append(o.replay[:0], o.retained...)
+	o.releaseLocked(lastSeq)
+	o.sent = o.head
+	// A client can be ahead of written when the completion of its last
+	// batch was voided; that shrinks the backlog, and the next enqueue or
+	// wroteBatch (the Welcome's, at the latest) reports any tier recovery.
+	o.written = max(o.written, o.head)
 	if hello != nil {
-		o.control = append([]session.Frame{hello}, o.control...)
+		o.control = slices.Insert(o.control, 0, hello)
 	}
 	old := o.conn
 	o.conn = conn
@@ -466,48 +377,28 @@ func (o *outbox) detach(conn net.Conn) bool {
 // flushed reports whether everything queued has been written (drain's
 // completion condition; acks are not required). A detached session
 // counts as flushed: with no connection its queue cannot move, and its
-// frames are retained for resume anyway — waiting on it would burn the
-// whole drain deadline.
+// frames stay in the window for resume anyway — waiting on it would burn
+// the whole drain deadline.
 func (o *outbox) flushed() bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed || o.overflowed || o.conn == nil {
 		return true
 	}
-	return len(o.control) == 0 && len(o.replay) == 0 && o.queuedLocked() == 0
+	return len(o.control) == 0 && o.sent == o.nextSeq
 }
 
-// shutdown closes the outbox for good: the writer exits and pushes
-// become no-ops. Every queued and retained shared reference is released
-// (the replay queue aliases retained entries, so it is not released
-// separately). Returns the connection to close, if any, plus the
-// backpressure tiers the session occupied at close so the caller can
-// settle the matching gauges (reported only on the first shutdown).
+// shutdown closes the outbox for good: the writer exits, enqueues become
+// no-ops and every shared reference the window holds is released. Returns
+// the connection to close, if any, plus the backpressure tiers the
+// session occupied at close so the caller can settle the matching gauges
+// (reported only on the first shutdown).
 func (o *outbox) shutdown() (conn net.Conn, spilling, throttled bool) {
 	o.mu.Lock()
-	conn = o.conn
-	o.conn = nil
-	if !o.closed {
-		spilling = len(o.spill) > 0
-		throttled = o.throttled
-		for i := 0; i < o.count; i++ {
-			o.ring[(o.head+i)%len(o.ring)].release()
-			o.ring[(o.head+i)%len(o.ring)] = seqFrame{}
-		}
-		o.count = 0
-		for i := range o.spill {
-			o.spill[i].release()
-			o.spill[i] = seqFrame{}
-		}
-		o.spill = nil
-		for i := range o.retained {
-			o.retained[i].release()
-			o.retained[i] = seqFrame{}
-		}
-		o.retained = nil
-		o.replay = nil
-		o.control = nil
-	}
+	conn, spilling, throttled = o.conn, o.spilling, o.throttled
+	o.conn, o.spilling, o.throttled = nil, false, false
+	o.releaseLocked(o.nextSeq)
+	o.control = nil
 	o.closed = true
 	o.cond.Broadcast()
 	o.mu.Unlock()

@@ -27,7 +27,6 @@ func TestXRingChaosGlobalOrder(t *testing.T) {
 	if testing.Short() && len(seeds) > 4 {
 		seeds = seeds[:4]
 	}
-	closed := 0
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -43,14 +42,12 @@ func TestXRingChaosGlobalOrder(t *testing.T) {
 				t.Fatalf("seed %d violated cross-ring invariants; replay with %s=%d",
 					seed, faults.SeedEnv, seed)
 			}
-			closed += res.MigrationsClosed
 		})
 	}
-	// Serial follow-up would be needed to aggregate across parallel
-	// subtests; instead assert on one deterministic seed that the forced
-	// migration actually closed, so the sweep cannot silently degrade
-	// into a no-migration test.
-	_ = closed
+	// TestXRingChaosMigrationCloses asserts on one deterministic seed that
+	// the forced migration actually closed, so the sweep cannot silently
+	// degrade into a no-migration test (the subtests run in parallel, so
+	// nothing is aggregated across them here).
 }
 
 // TestXRingChaosMigrationCloses pins that the forced mid-stream

@@ -18,11 +18,12 @@ import (
 //
 // Lifecycle: NewShared returns the body with one reference owned by the
 // creator. Each outbox that queues the body takes its own reference
-// (Ref) and releases it (Unref) when the frame finally leaves its
-// retained resume-replay window — on ack-trim, window eviction, resume
-// fast-forward, or session shutdown — never merely on write, because a
-// reconnecting client may need the bytes replayed. The creator drops its
-// reference after the fan-out loop. The last Unref returns the buffer to
+// (Ref) and releases it (Unref) when the frame finally leaves its send
+// window — on ack, window eviction, resume fast-forward, or session
+// shutdown — never merely on write, because a reconnecting client may
+// need the bytes re-sent; a writer holds one more per frame for the
+// duration of a write. The creator drops its reference after the
+// fan-out loop. The last Unref returns the buffer to
 // bufpool and the Shared itself to an internal pool.
 //
 // The encoded bytes are immutable for the Shared's whole life; Bytes

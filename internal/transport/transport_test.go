@@ -238,3 +238,47 @@ func TestUDPManyFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftPort covers the one port-offset rule the facade and ringdaemon
+// share for deriving ring r's addresses: numeric nonzero ports only, and
+// the shifted port must still fit in 16 bits — for a single address and
+// for either half of a UDPPeer.
+func TestShiftPort(t *testing.T) {
+	const good, goodPlus2 = "127.0.0.1:7000", "127.0.0.1:7002"
+	for _, tc := range []struct {
+		addr string
+		by   int
+		want string // "" = error
+	}{
+		{"127.0.0.1:7400", 2, "127.0.0.1:7402"},
+		{"127.0.0.1:7400", 0, "127.0.0.1:7400"},
+		{"[::1]:9000", 4, "[::1]:9004"},
+		{"127.0.0.1:65533", 2, "127.0.0.1:65535"},
+		{"127.0.0.1:0", 2, ""},      // ephemeral: peers cannot derive it
+		{"127.0.0.1:domain", 2, ""}, // service name
+		{"127.0.0.1:65535", 2, ""},  // overflow past 65535
+		{"no-port", 2, ""},
+	} {
+		got, err := ShiftPort(tc.addr, tc.by)
+		if (tc.want == "") != (err != nil) || got != tc.want {
+			t.Errorf("ShiftPort(%q, %d) = %q, %v; want %q", tc.addr, tc.by, got, err, tc.want)
+		}
+		if tc.by != 2 {
+			continue
+		}
+		// The same address as either half of a pair decides the pair.
+		for _, pair := range [][2]UDPPeer{
+			{{Data: tc.addr, Token: good}, {Data: tc.want, Token: goodPlus2}},
+			{{Data: good, Token: tc.addr}, {Data: goodPlus2, Token: tc.want}},
+		} {
+			want := pair[1]
+			if tc.want == "" {
+				want = UDPPeer{}
+			}
+			got, err := pair[0].Shift(2)
+			if (tc.want == "") != (err != nil) || got != want {
+				t.Errorf("%+v.Shift(2) = %+v, %v; want %+v", pair[0], got, err, want)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +22,37 @@ type UDPPeer struct {
 	Data string
 	// Token is the host:port receiving token-class frames.
 	Token string
+}
+
+// ShiftPort returns addr with its numeric, nonzero port offset by `by` —
+// how a sharded node derives ring r's addresses from the base ones
+// (by = stride * r). Ephemeral (0) and service-name ports have no ring-r
+// counterpart a peer could compute, so they are errors.
+func ShiftPort(addr string, by int) (string, error) {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "", err
+	}
+	p, err := strconv.Atoi(port)
+	if err != nil {
+		return "", fmt.Errorf("address %q: port %q is not numeric", addr, port)
+	}
+	if p <= 0 || p+by > 65535 {
+		return "", fmt.Errorf("address %q: port %d+%d out of range", addr, p, by)
+	}
+	return net.JoinHostPort(host, strconv.Itoa(p+by)), nil
+}
+
+// Shift offsets both of p's ports by `by` (see ShiftPort).
+func (p UDPPeer) Shift(by int) (UDPPeer, error) {
+	var err error
+	if p.Data, err = ShiftPort(p.Data, by); err != nil {
+		return UDPPeer{}, err
+	}
+	if p.Token, err = ShiftPort(p.Token, by); err != nil {
+		return UDPPeer{}, err
+	}
+	return p, nil
 }
 
 // UDPMulticast selects the true IP-multicast data path: data frames are

@@ -283,29 +283,3 @@ func TestShardedObserver(t *testing.T) {
 		reg.Counter("shard0.ring.rounds").Value(),
 		reg.Counter("shard1.ring.rounds").Value())
 }
-
-func TestShiftPort(t *testing.T) {
-	cases := []struct {
-		addr string
-		by   int
-		want string
-		ok   bool
-	}{
-		{"127.0.0.1:7400", 2, "127.0.0.1:7402", true},
-		{"127.0.0.1:7400", 0, "127.0.0.1:7400", true},
-		{"[::1]:9000", 4, "[::1]:9004", true},
-		{"127.0.0.1:0", 2, "", false},
-		{"127.0.0.1:domain", 2, "", false},
-		{"127.0.0.1:65535", 2, "", false},
-		{"no-port", 2, "", false},
-	}
-	for _, tc := range cases {
-		got, err := shiftPort(tc.addr, tc.by)
-		if tc.ok != (err == nil) {
-			t.Fatalf("shiftPort(%q, %d) error = %v, want ok=%v", tc.addr, tc.by, err, tc.ok)
-		}
-		if tc.ok && got != tc.want {
-			t.Fatalf("shiftPort(%q, %d) = %q, want %q", tc.addr, tc.by, got, tc.want)
-		}
-	}
-}
