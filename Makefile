@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-full loc bench-e2e bench-e2e-quick bench-smoke bench-baseline bench-shard bench-shard-smoke bench-wire bench-wire-smoke bench-fanout bench-fanout-smoke bench-xring bench-xring-smoke chaos chaos-xring obs-smoke soak-smoke
+.PHONY: ci vet build test race race-full loc bench-e2e bench-e2e-quick bench-smoke bench-baseline bench-wire bench-wire-smoke bench-fanout bench-fanout-smoke bench-xring bench-xring-smoke chaos chaos-xring obs-smoke soak-smoke
 
 ci: vet build test race
 
@@ -14,13 +14,13 @@ test:
 	$(GO) test ./...
 
 # The transports, the fault injector, the sharding layer (N protocol
-# goroutines per node), the ordered-group core they all feed and the
+# goroutines per node), the ordered-group core they all feed, the
 # daemon's client layer (a reader and a writer goroutine per session
-# around one send window) are the concurrency hot spots; keep them under
-# the race detector even when the full -race run is too slow for the
-# inner loop.
+# around one send window) and the recorder every one of them writes into
+# are the concurrency hot spots; keep them under the race detector even
+# when the full -race run is too slow for the inner loop.
 race:
-	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/...
+	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/... ./internal/obs/...
 
 # The full suite under the race detector (CI runs this as its own job).
 race-full:
@@ -104,17 +104,6 @@ bench-xring:
 bench-xring-smoke:
 	$(GO) test -run '^$$' -bench 'XRing(Split|Merged)Delivery' -benchtime 1000x ./internal/daemon
 	$(GO) test -run '^$$' -bench 'XRingMigrationBlackout' -benchtime 20x ./internal/daemon
-
-# Multi-ring scaling experiment: single-ring baseline vs 2- and 4-shard
-# aggregates at equal windows on the virtual-time testbed, recorded in
-# results/BENCH_shard.json (+ results/shard.txt). Commit the JSON when
-# the sharding layer or the protocol hot path changes.
-bench-shard:
-	$(GO) run ./cmd/ringbench -figure shard
-
-# Quick variant for CI: thinned measurement windows, throwaway output dir.
-bench-shard-smoke:
-	$(GO) run ./cmd/ringbench -figure shard -quick -out /tmp/accelring-bench-shard
 
 # Replay one chaos seed: make chaos FAULTS_SEED=17
 chaos:

@@ -132,16 +132,15 @@ func OpenConfig(ctx context.Context, cfg Config) (*Node, error) {
 	base := cfg.ringConfig()
 	if cfg.Observer != nil || cfg.TraceSampling > 0 {
 		// With several rings shard.Start derives one observer per ring
-		// from this base: shared registry, per-ring "shard<r>" metric
-		// labels, round tracers and message tracers (the base Msg only
-		// carries the sampling rate). A single ring uses the base itself,
-		// so it brings its own round tracer.
+		// from this base: shared registry and flight recorder, per-ring
+		// "shard<r>" labels and message tracers (the base Msg only
+		// carries the sampling rate). A single ring uses the base itself.
 		base.Observer = &obs.RingObserver{
 			Reg: cfg.Observer,
 			Msg: obs.NewMsgTracer(cfg.TraceSampling, 0),
 		}
-		if cfg.Observer != nil && cfg.Shards == 1 {
-			base.Observer.Tracer = obs.NewRingTracer(cfg.TraceDepth)
+		if cfg.Observer != nil {
+			base.Observer.Flight = obs.NewRecorder(0)
 		}
 	}
 	rings, err := shard.Start(shard.Config{
@@ -149,7 +148,6 @@ func OpenConfig(ctx context.Context, cfg Config) (*Node, error) {
 		Base:         base,
 		NewTransport: cfg.openTransport,
 		OnEvent:      n.core.OnRingEvent,
-		TraceDepth:   cfg.TraceDepth,
 	})
 	if err != nil {
 		return nil, err
@@ -238,33 +236,22 @@ func (n *Node) Members(groupName string) []ClientID { return n.core.Members(grou
 // Groups returns the groups this node has joined.
 func (n *Node) Groups() []string { return n.core.GroupsOf(n.self) }
 
-// Tracer returns the node's token-round tracer for DebugServer.AddTracer
-// (nil unless the node was opened with WithObserver). On a sharded node
-// it is ring 0's tracer; see Tracers.
-func (n *Node) Tracer() *RingTracer {
-	if n.cfg.Observer == nil {
-		return nil
+// Recorder returns the node's black-box recorder — token visits, state
+// transitions, retransmission traffic and deliveries of every ring, each
+// event labelled with its ring — for DebugServer.Add, which serves it at
+// /debug/ring and /debug/flight (nil unless the node was opened with
+// WithObserver).
+func (n *Node) Recorder() *Recorder {
+	if o := n.rings.Node(0).Observer(); o != nil {
+		return o.Flight
 	}
-	return n.rings.Tracer(0)
-}
-
-// Tracers returns one token-round tracer per ring instance (nil unless
-// the node was opened with WithObserver).
-func (n *Node) Tracers() []*RingTracer {
-	if n.Tracer() == nil {
-		return nil
-	}
-	out := make([]*RingTracer, n.cfg.Shards)
-	for r := range out {
-		out[r] = n.rings.Tracer(r)
-	}
-	return out
+	return nil
 }
 
 // MsgTracer returns the node's message-lifecycle tracer for
-// DebugServer.AddMsgTracer (nil unless the node was opened with
-// WithTraceSampling). On a sharded node it is ring 0's tracer; see
-// MsgTracers.
+// DebugServer.Add, which serves it at /debug/msgtrace (nil unless the node
+// was opened with WithTraceSampling). On a sharded node it is ring 0's
+// tracer; see MsgTracers.
 func (n *Node) MsgTracer() *MsgTracer { return n.rings.MsgTracer(0) }
 
 // MsgTracers returns one message-lifecycle tracer per ring instance (nil
@@ -446,7 +433,7 @@ func (n *Node) emit(ev Event) {
 type nodeSink struct{ n *Node }
 
 func (k nodeSink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []ClientID) {
-	k.n.rings.Node(ring).Observer().Stamp(seq, obs.StageMergeOut)
+	k.n.rings.Node(ring).Observer().Stamp(obs.StageMergeOut, seq, 0)
 	if memberOf(to, k.n.self) {
 		k.n.emit(&Message{
 			Sender: env.Sender, Service: svc,

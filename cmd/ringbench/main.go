@@ -87,30 +87,9 @@ func run(args []string) error {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		var tbl *bench.Table
-		if id == "shard" {
-			// The sharding experiment also emits a machine-readable report
-			// (the CI artifact results/BENCH_shard.json) next to its table.
-			rep, err := suite.ShardThroughput(2, 4)
-			if err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			data, err := rep.JSON()
-			if err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			jsonPath := filepath.Join(*out, "BENCH_shard.json")
-			if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-			tbl = rep.Table()
-		} else {
-			var err error
-			tbl, err = suite.Figure(id)
-			if err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
+		tbl, err := suite.Figure(id)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		text := tbl.Format()
 		ext := ".txt"

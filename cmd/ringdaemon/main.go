@@ -131,22 +131,20 @@ func run(args []string) error {
 	}
 
 	var reg *obs.Registry
-	var tracer *obs.RingTracer
 	var srv *obs.Server
-	var flight *obs.FlightRecorder
+	var flight *obs.Recorder
 	if *obsAddr != "" {
 		reg = obs.NewRegistry()
-		tracer = obs.NewRingTracer(obs.DefaultTraceDepth)
 		// The flight recorder is always on with -obs: it is a fixed-size
-		// black box, cheap enough to leave running, dumped on SIGQUIT.
-		flight = obs.NewFlightRecorder(0)
+		// black box, cheap enough to leave running, dumped on SIGQUIT,
+		// and the source of /debug/ring's round traces.
+		flight = obs.NewRecorder(0)
 		var err error
 		if srv, err = obs.StartServer(*obsAddr, reg); err != nil {
 			return err
 		}
 		defer srv.Close()
-		srv.AddTracer(fmt.Sprintf("daemon%d", *id), tracer)
-		srv.AddFlight(fmt.Sprintf("daemon%d", *id), flight)
+		srv.Add(fmt.Sprintf("daemon%d", *id), flight)
 		log.Printf("observability: http://%s/debug/vars", srv.Addr())
 	}
 
@@ -212,10 +210,10 @@ func run(args []string) error {
 	if reg != nil {
 		// A single ring uses this observer as it is. Several rings each
 		// derive their own from it — "shard<r>"-labeled, with per-ring
-		// round and message tracers, registered below; the flight
-		// recorder is shared and its events carry the shard label.
+		// message tracers, registered below; the flight recorder is
+		// shared and its events carry the shard label.
 		dcfg.Ring.Observer = &obs.RingObserver{
-			Reg: reg, Tracer: tracer, Flight: flight,
+			Reg: reg, Flight: flight,
 			Msg: obs.NewMsgTracer(*traceSample, 0),
 		}
 	}
@@ -245,11 +243,8 @@ func run(args []string) error {
 			name := fmt.Sprintf("daemon%d", *id)
 			if o.Label != "" {
 				name += "." + o.Label
-				srv.AddTracer(name, o.Tracer)
 			}
-			if mt := o.MsgTracer(); mt != nil {
-				srv.AddMsgTracer(name, mt)
-			}
+			srv.Add(name, o.MsgTracer())
 		}
 	}
 

@@ -112,18 +112,18 @@ func runFaults(seed int64, nodes, msgs int, obsAddr string) error {
 	// With -obs, observe node 0 (metrics + round traces). The observer's
 	// Clock stays nil so the simulation remains deterministic.
 	var reg *obs.Registry
-	var tracer *obs.RingTracer
+	var flight *obs.Recorder
 	opts := simproc.AcceleratedOptions(
 		simnet.GigabitFabric(nodes), simproc.Daemon(), 20, 200, 10)
 	if obsAddr != "" {
 		reg = obs.NewRegistry()
-		tracer = obs.NewRingTracer(obs.DefaultTraceDepth)
+		flight = obs.NewRecorder(0)
 		inj.PublishTo(reg)
 		opts.Observer = func(node int) *obs.RingObserver {
 			if node != 0 {
 				return nil
 			}
-			return &obs.RingObserver{Reg: reg, Tracer: tracer}
+			return &obs.RingObserver{Reg: reg, Flight: flight}
 		}
 	}
 
@@ -173,7 +173,7 @@ func runFaults(seed int64, nodes, msgs int, obsAddr string) error {
 			return err
 		}
 		defer srv.Close()
-		srv.AddTracer("node1", tracer)
+		srv.Add("node1", flight)
 		fmt.Printf("\nrun metrics at http://%s/debug/vars and /debug/ring (Ctrl-C to exit)\n", srv.Addr())
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt)
@@ -228,19 +228,19 @@ func runFollow(nodes, msgs, sample int) error {
 	// bare ring and grows the daemon/client stages when they exist.
 	milestones := []struct {
 		name   string
-		stages []obs.MsgStage
+		stages []obs.Kind
 	}{
-		{"pack", []obs.MsgStage{obs.StagePack}},
-		{"submit", []obs.MsgStage{obs.StageSubmit}},
-		{"sent", []obs.MsgStage{obs.StageSentPre, obs.StageSentPost}},
-		{"batch-flush", []obs.MsgStage{obs.StageBatchFlush}},
-		{"first-recv", []obs.MsgStage{obs.StageRecv}},
-		{"merge", []obs.MsgStage{obs.StageMergeOut}},
-		{"fanout", []obs.MsgStage{obs.StageFanout}},
-		{"writer", []obs.MsgStage{obs.StageWriterFlush}},
-		{"client", []obs.MsgStage{obs.StageClientRecv}},
+		{"pack", []obs.Kind{obs.StagePack}},
+		{"submit", []obs.Kind{obs.StageSubmit}},
+		{"sent", []obs.Kind{obs.StageSentPre, obs.StageSentPost}},
+		{"batch-flush", []obs.Kind{obs.StageBatchFlush}},
+		{"first-recv", []obs.Kind{obs.StageRecv}},
+		{"merge", []obs.Kind{obs.StageMergeOut}},
+		{"fanout", []obs.Kind{obs.StageFanout}},
+		{"writer", []obs.Kind{obs.StageWriterFlush}},
+		{"client", []obs.Kind{obs.StageClientRecv}},
 	}
-	slot := make(map[obs.MsgStage]int)
+	slot := make(map[obs.Kind]int)
 	for i, m := range milestones {
 		for _, s := range m.stages {
 			slot[s] = i
@@ -261,12 +261,12 @@ func runFollow(nodes, msgs, sample int) error {
 				spans[ev.Seq] = sp
 				seqs = append(seqs, ev.Seq)
 			}
-			if i, ok := slot[ev.Stage]; ok {
+			if i, ok := slot[ev.Kind]; ok {
 				if sp.at[i].IsZero() || ev.At.Before(sp.at[i]) {
 					sp.at[i] = ev.At
 				}
 			}
-			switch ev.Stage {
+			switch ev.Kind {
 			case obs.StageRecv:
 				sp.recvs++
 			case obs.StageRetransmit:

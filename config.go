@@ -12,7 +12,6 @@ import (
 	"accelring/internal/group"
 	"accelring/internal/groupcore"
 	"accelring/internal/membership"
-	"accelring/internal/obs"
 	"accelring/internal/ringnode"
 	"accelring/internal/shard"
 	"accelring/internal/transport"
@@ -115,12 +114,9 @@ type Config struct {
 
 	// Observer, when non-nil, receives protocol metrics (counters,
 	// gauges, latency histograms) under ring.*, membership.* and
-	// transport.* names. Serve it with StartDebugServer.
+	// transport.* names, and the node keeps a black-box Recorder of its
+	// protocol events (Node.Recorder). Serve both with StartDebugServer.
 	Observer *Registry
-	// TraceDepth is how many token-round traces the node retains for
-	// /debug/ring (default obs.DefaultTraceDepth; only used when
-	// Observer is set).
-	TraceDepth int
 	// TraceSampling samples every TraceSampling-th sequence number for
 	// message-lifecycle tracing (see WithTraceSampling). Zero disables
 	// tracing; negative is invalid.
@@ -194,9 +190,6 @@ func (c *Config) Validate() error {
 	if c.EventBuffer == 0 {
 		c.EventBuffer = DefaultEventBuffer
 	}
-	if c.TraceDepth == 0 {
-		c.TraceDepth = obs.DefaultTraceDepth
-	}
 	if c.SkipInterval < 0 {
 		return fmt.Errorf("%w: got %v", ErrBadTimeout, c.SkipInterval)
 	}
@@ -238,7 +231,7 @@ func (c *Config) Validate() error {
 		}
 	}
 
-	if c.EventBuffer < 0 || c.TraceDepth < 0 || c.TraceSampling < 0 {
+	if c.EventBuffer < 0 || c.TraceSampling < 0 {
 		return ErrBadBufferSize
 	}
 

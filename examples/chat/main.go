@@ -88,9 +88,9 @@ func main() {
 			TokenRetransmit: 75 * time.Millisecond,
 		}
 		if reg != nil {
-			tracer := obs.NewRingTracer(obs.DefaultTraceDepth)
-			ringCfg.Observer = &obs.RingObserver{Reg: reg, Tracer: tracer}
-			dbg.AddTracer(fmt.Sprintf("daemon%d", i+1), tracer)
+			flight := obs.NewRecorder(0)
+			ringCfg.Observer = &obs.RingObserver{Reg: reg, Flight: flight}
+			dbg.Add(fmt.Sprintf("daemon%d", i+1), flight)
 		}
 		d, err := daemon.Start(daemon.Config{Ring: ringCfg, Listener: ln, Obs: reg})
 		if err != nil {

@@ -75,7 +75,7 @@ func main() {
 		}
 		defer node.Close()
 		if dbg != nil {
-			dbg.AddTracer(fmt.Sprintf("node%d", id), node.Tracer())
+			dbg.Add(fmt.Sprintf("node%d", id), node.Recorder())
 		}
 		nodes = append(nodes, node)
 	}

@@ -355,8 +355,6 @@ func (s *Suite) Figure(id string) (*Table, error) {
 		return s.fig13()
 	case "maxthroughput":
 		return s.maxThroughput()
-	case "shard":
-		return s.shardFigure()
 	case "ablation-aw":
 		return s.ablationWindow()
 	case "ablation-priority":
@@ -377,7 +375,6 @@ func (s *Suite) Figure(id string) (*Table, error) {
 func FigureIDs() []string {
 	return []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "maxthroughput",
-		"shard",
 		"ablation-aw", "ablation-priority", "ablation-rtr", "ablation-buffer",
 		"ablation-packing"}
 }

@@ -7,8 +7,8 @@ import (
 
 func TestFigureIDsKnown(t *testing.T) {
 	ids := FigureIDs()
-	if len(ids) != 20 {
-		t.Fatalf("expected 20 experiments (13 figures + max-throughput + shard scaling + 5 ablations), got %d", len(ids))
+	if len(ids) != 19 {
+		t.Fatalf("expected 19 experiments (13 figures + max-throughput + 5 ablations), got %d", len(ids))
 	}
 	s := &Suite{Quick: true}
 	if _, err := s.Figure("nope"); err == nil {

@@ -424,9 +424,7 @@ func retainsBuf(f session.Frame) bool {
 func (c *Client) handleDelivery(f session.Frame) bool {
 	switch v := f.(type) {
 	case session.Message:
-		if v.Seq != 0 && c.cfg.Tracer.Sampled(v.Seq) {
-			c.cfg.Tracer.Record(obs.MsgEvent{Seq: v.Seq, Stage: obs.StageClientRecv, At: time.Now()})
-		}
+		c.cfg.Tracer.Stamp(obs.Event{Kind: obs.StageClientRecv, Seq: v.Seq})
 		c.events <- &Message{Sender: v.Sender, Service: v.Service, Groups: v.Groups, Payload: v.Payload, Seq: v.Seq}
 	case session.View:
 		c.events <- &View{Group: v.Group, Members: v.Members}

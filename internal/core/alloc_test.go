@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"accelring/internal/evs"
+	"accelring/internal/obs"
 	"accelring/internal/wire"
 )
 
@@ -63,9 +65,30 @@ func TestAllocFreeDecode(t *testing.T) {
 	}
 }
 
+// observers are the two ends of the observability switch the hot-path
+// gates run under: nothing attached, and everything attached — metrics,
+// a clock, every sequence number sampled and the flight recorder on.
+var observers = map[string]func() *obs.RingObserver{
+	"unobserved": func() *obs.RingObserver { return nil },
+	"traced": func() *obs.RingObserver {
+		return &obs.RingObserver{
+			Reg: obs.NewRegistry(), Clock: time.Now,
+			Msg: obs.NewMsgTracer(1, 256), Flight: obs.NewRecorder(256),
+		}
+	},
+}
+
 func TestAllocFreeHandleData(t *testing.T) {
+	for name, observer := range observers {
+		t.Run(name, func(t *testing.T) { testAllocFreeHandleData(t, observer()) })
+	}
+}
+
+func testAllocFreeHandleData(t *testing.T, o *obs.RingObserver) {
 	ring := ringOf(1, 2)
-	eng, err := New(Accelerated(2, ring, 64, 10000, 32), &nullOut{})
+	cfg := Accelerated(2, ring, 64, 10000, 32)
+	cfg.Observer = o
+	eng, err := New(cfg, &nullOut{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +122,23 @@ func TestAllocFreeHandleData(t *testing.T) {
 }
 
 func TestAllocFreeTokenRound(t *testing.T) {
+	for name, observer := range observers {
+		t.Run(name, func(t *testing.T) { testAllocFreeTokenRound(t, observer()) })
+	}
+}
+
+func testAllocFreeTokenRound(t *testing.T, o *obs.RingObserver) {
 	ring := ringOf(1)
 	out := &nullOut{}
 	const window = 32
-	eng, err := New(Accelerated(1, ring, window, 10000, 16), out)
+	cfg := Accelerated(1, ring, window, 10000, 16)
+	cfg.Observer = o
+	eng, err := New(cfg, out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stamped := 0
+	flushed := func(uint64) { stamped++ }
 	payload := make([]byte, 1350)
 	step := func() {
 		for k := 0; k < window; k++ {
@@ -114,6 +147,7 @@ func TestAllocFreeTokenRound(t *testing.T) {
 			}
 		}
 		eng.HandleToken(&out.tok)
+		eng.DrainSampledSent(flushed) // as the driver does after its wire flush
 	}
 	eng.HandleToken(NewInitialToken(ring.ID, 0))
 	for i := 0; i < 8; i++ {
@@ -121,5 +155,11 @@ func TestAllocFreeTokenRound(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, step); n != 0 {
 		t.Fatalf("steady-state token round allocates %.2f times per op, want 0", n)
+	}
+	if traced := o != nil; traced != (stamped > 0) {
+		t.Fatalf("traced=%v but %d sampled sends drained", traced, stamped)
+	}
+	if o != nil && (o.Msg.Total() == 0 || o.Flight.Total() == 0) {
+		t.Fatalf("observer recorded nothing: %d stages, %d flight events", o.Msg.Total(), o.Flight.Total())
 	}
 }

@@ -83,9 +83,9 @@ type Config struct {
 	// MaxRtrPerRound caps how many retransmission requests this
 	// participant adds to one token. Defaults to 512.
 	MaxRtrPerRound int
-	// Observer receives one RoundTrace per token visit plus delivery
-	// metrics. Nil disables observation at the cost of one nil check per
-	// hook site.
+	// Observer receives per-visit and per-delivery metrics, sampled
+	// message stages and flight events. Nil disables observation at the
+	// cost of one nil check per hook site.
 	Observer *obs.RingObserver
 }
 
@@ -240,14 +240,9 @@ type Engine struct {
 	counters Counters
 	lastSent *wire.Token
 
+	// obs receives metrics, sampled message stages (Stamp) and flight
+	// events (Record); nil turns all three into a nil check.
 	obs *obs.RingObserver
-	// mt and fr are the observer's message tracer and flight recorder,
-	// cached at construction; both are nil when the feature is off, which
-	// is the zero-allocation fast path the AllocsPerRun gates enforce.
-	// ringLabel is the observer's shard label, stamped into flight events.
-	mt        *obs.MsgTracer
-	fr        *obs.FlightRecorder
-	ringLabel string
 	// submitAt maps assigned seq -> submit time for self-initiated
 	// messages still awaiting delivery (only populated when the observer
 	// has a clock).
@@ -304,11 +299,6 @@ func New(cfg Config, out Output) (*Engine, error) {
 		delivered:   cfg.InitialSeq,
 		safeLine:    cfg.InitialSeq,
 		obs:         cfg.Observer,
-		mt:          cfg.Observer.MsgTracer(),
-		fr:          cfg.Observer.Recorder(),
-	}
-	if cfg.Observer != nil {
-		e.ringLabel = cfg.Observer.Label
 	}
 	e.releaseFn = e.putData
 	return e, nil
@@ -486,21 +476,17 @@ func (e *Engine) HandleData(d *wire.Data) bool {
 	if !e.buf.Insert(m) {
 		e.putData(m)
 		e.counters.DataDropped++
-		if e.mt.Sampled(d.Seq) {
-			// Already buffered (or stable): a duplicate copy arrived.
-			e.mt.Record(obs.MsgEvent{Seq: d.Seq, Stage: obs.StageRecvDup, At: e.obs.Now(), Round: d.Round})
-		}
+		// Already buffered (or stable): a duplicate copy arrived.
+		e.obs.Stamp(obs.StageRecvDup, d.Seq, d.Round)
 		return false
 	}
-	if e.mt.Sampled(m.Seq) {
-		stage := obs.StageRecv
-		if m.Flags&wire.FlagRetrans != 0 {
-			// First copy arrived via a retransmission, not the original
-			// multicast.
-			stage = obs.StageRecvDup
-		}
-		e.mt.Record(obs.MsgEvent{Seq: m.Seq, Stage: stage, At: e.obs.Now(), Round: m.Round})
+	stage := obs.StageRecv
+	if m.Flags&wire.FlagRetrans != 0 {
+		// First copy arrived via a retransmission, not the original
+		// multicast.
+		stage = obs.StageRecvDup
 	}
+	e.obs.Stamp(stage, m.Seq, m.Round)
 	e.deliverReady()
 	e.maybeRaiseTokenPriority(m)
 	return true
@@ -560,12 +546,10 @@ func (e *Engine) HandleToken(t *wire.Token) {
 	recvTokenSeq := t.TokenSeq
 	tokStart := e.obs.Now()
 	requestedBefore := e.counters.Requested
-	if e.fr != nil {
-		e.fr.Record(obs.FlightEvent{
-			Kind: obs.FlightTokenRx, Ring: e.ringLabel, At: tokStart,
-			Seq: t.Seq, Aru: t.Aru, Fcc: t.Fcc, Count: len(t.Rtr),
-		})
-	}
+	e.obs.Record(obs.Event{
+		Kind: obs.FlightTokenRx, At: tokStart, Round: e.myRound, TokenSeq: t.TokenSeq,
+		Seq: t.Seq, Aru: t.Aru, Fcc: t.Fcc, Count: len(t.Rtr),
+	})
 
 	// Phase 1 (§III-B1): answer retransmission requests, capped at the
 	// Global window so a corrupt or adversarial Rtr list cannot trigger an
@@ -587,8 +571,7 @@ func (e *Engine) HandleToken(t *wire.Token) {
 	// Pre-token multicasting.
 	for _, m := range newMsgs[:pre] {
 		e.out.Multicast(m)
-		if e.mt.Sampled(m.Seq) {
-			e.mt.Record(obs.MsgEvent{Seq: m.Seq, Stage: obs.StageSentPre, At: e.obs.Now(), Round: e.myRound})
+		if e.obs.Stamp(obs.StageSentPre, m.Seq, e.myRound) {
 			e.sentSampled = append(e.sentSampled, m.Seq)
 		}
 	}
@@ -614,23 +597,17 @@ func (e *Engine) HandleToken(t *wire.Token) {
 	e.aruSentThis = out.Aru
 	e.lastSent = out
 	e.out.SendToken(out)
-	if e.fr != nil {
-		e.fr.Record(obs.FlightEvent{
-			Kind: obs.FlightTokenTx, Ring: e.ringLabel,
-			Seq: out.Seq, Aru: out.Aru, Fcc: out.Fcc, Count: len(out.Rtr),
-		})
-	}
-	var hold time.Duration
-	if !tokStart.IsZero() {
-		hold = e.obs.Now().Sub(tokStart)
-	}
+	tokSent := e.obs.Now()
+	e.obs.Record(obs.Event{
+		Kind: obs.FlightTokenTx, At: tokSent, Round: e.myRound, Pre: pre,
+		Seq: out.Seq, Aru: out.Aru, Fcc: out.Fcc, Count: len(out.Rtr),
+	})
 
 	// Phase 3 (§III-B3): post-token multicasting.
 	for _, m := range newMsgs[pre:] {
 		m.Flags |= wire.FlagPostToken
 		e.out.Multicast(m)
-		if e.mt.Sampled(m.Seq) {
-			e.mt.Record(obs.MsgEvent{Seq: m.Seq, Stage: obs.StageSentPost, At: e.obs.Now(), Round: e.myRound})
+		if e.obs.Stamp(obs.StageSentPost, m.Seq, e.myRound) {
 			e.sentSampled = append(e.sentSampled, m.Seq)
 		}
 	}
@@ -660,7 +637,7 @@ func (e *Engine) HandleToken(t *wire.Token) {
 			Post:          numToSend - pre,
 			Retransmitted: numRetrans,
 			Requested:     int(e.counters.Requested - requestedBefore),
-			Hold:          hold,
+			Hold:          tokSent.Sub(tokStart),
 		})
 	}
 }
@@ -694,16 +671,14 @@ func (e *Engine) answerRetransmissions(rtr []uint64, budget int) (int, []uint64)
 				firstAns = seq
 			}
 			n++
-			if e.mt.Sampled(seq) {
-				e.mt.Record(obs.MsgEvent{Seq: seq, Stage: obs.StageRetransmit, At: e.obs.Now(), Round: e.myRound})
-			}
+			e.obs.Stamp(obs.StageRetransmit, seq, e.myRound)
 			continue
 		}
 		remaining = append(remaining, seq)
 	}
 	e.remScratch = remaining
-	if n > 0 && e.fr != nil {
-		e.fr.Record(obs.FlightEvent{Kind: obs.FlightRetransAns, Ring: e.ringLabel, Seq: firstAns, Count: n})
+	if n > 0 {
+		e.obs.Record(obs.Event{Kind: obs.FlightRetransAns, Seq: firstAns, Count: n})
 	}
 	return n, remaining
 }
@@ -724,21 +699,15 @@ func (e *Engine) takeMessages(n int, afterSeq uint64) []*wire.Data {
 			}
 			e.submitAt[seq] = p.at
 		}
-		if e.mt.Sampled(seq) {
-			if !p.held.IsZero() {
-				// The payload waited in a packing bundle before it could
-				// be submitted; backdate a pack stage to the hold start so
-				// the span attributes that wait separately.
-				e.mt.Record(obs.MsgEvent{Seq: seq, Stage: obs.StagePack, At: p.held, Round: e.myRound})
-			}
-			// Submit stage carries the original submit time when the
-			// observer has a clock, so spans show queueing delay too.
-			at := p.at
-			if at.IsZero() {
-				at = e.obs.Now()
-			}
-			e.mt.Record(obs.MsgEvent{Seq: seq, Stage: obs.StageSubmit, At: at, Round: e.myRound})
+		if !p.held.IsZero() {
+			// The payload waited in a packing bundle before it could be
+			// submitted; backdate a pack stage to the hold start so the
+			// span attributes that wait separately.
+			e.obs.StampAt(obs.StagePack, seq, e.myRound, p.held, "")
 		}
+		// Submit stage carries the original submit time when the observer
+		// has a clock, so spans show queueing delay too.
+		e.obs.StampAt(obs.StageSubmit, seq, e.myRound, p.at, "")
 		m := e.getData()
 		*m = wire.Data{
 			RingID:  e.cfg.Ring.ID,
@@ -820,16 +789,14 @@ func (e *Engine) appendRequests(remaining []uint64, recvSeq uint64) []uint64 {
 		}
 		out = append(out, seq)
 		budget--
-		if e.mt.Sampled(seq) {
-			e.mt.Record(obs.MsgEvent{Seq: seq, Stage: obs.StageRtrRequest, At: e.obs.Now(), Round: e.myRound})
-		}
+		e.obs.Stamp(obs.StageRtrRequest, seq, e.myRound)
 		if len(out) >= wire.MaxRtr {
 			break
 		}
 	}
 	e.counters.Requested += uint64(len(out) - before)
-	if added := len(out) - before; added > 0 && e.fr != nil {
-		e.fr.Record(obs.FlightEvent{Kind: obs.FlightRetransReq, Ring: e.ringLabel, Seq: out[before], Count: added})
+	if added := len(out) - before; added > 0 {
+		e.obs.Record(obs.Event{Kind: obs.FlightRetransReq, Seq: out[before], Count: added})
 	}
 	e.reqScratch = out
 	return out
@@ -869,13 +836,11 @@ func (e *Engine) deliverReady() {
 				lat = e.obs.Now().Sub(at)
 			}
 			e.obs.OnDeliver(d.Service.String(), lat)
-			if e.mt.Sampled(next) {
-				e.mt.Record(obs.MsgEvent{Seq: next, Stage: obs.StageDeliver, At: e.obs.Now(), Round: d.Round, Service: d.Service.String()})
-			}
+			e.obs.StampAt(obs.StageDeliver, next, d.Round, time.Time{}, d.Service.String())
 		}
 	}
-	if e.fr != nil && e.delivered > before {
-		e.fr.Record(obs.FlightEvent{Kind: obs.FlightDeliver, Ring: e.ringLabel, Seq: e.delivered, Count: int(e.delivered - before)})
+	if e.obs != nil && e.delivered > before {
+		e.obs.Record(obs.Event{Kind: obs.FlightDeliver, Seq: e.delivered, Count: int(e.delivered - before)})
 	}
 }
 

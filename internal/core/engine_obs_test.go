@@ -12,29 +12,31 @@ import (
 // recorder to every engine of a harness.
 type obsRig struct {
 	tracers map[evs.ProcID]*obs.MsgTracer
-	flights map[evs.ProcID]*obs.FlightRecorder
+	flights map[evs.ProcID]*obs.Recorder
 }
 
 func newObsHarness(t *testing.T, ring evs.Configuration) (*harness, *obsRig) {
 	t.Helper()
 	rig := &obsRig{
 		tracers: make(map[evs.ProcID]*obs.MsgTracer),
-		flights: make(map[evs.ProcID]*obs.FlightRecorder),
+		flights: make(map[evs.ProcID]*obs.Recorder),
 	}
 	h := newHarness(t, ring, func(self evs.ProcID) Config {
 		cfg := Accelerated(self, ring, 5, 100, 3)
 		rig.tracers[self] = obs.NewMsgTracer(1, 256)
-		rig.flights[self] = obs.NewFlightRecorder(256)
+		rig.flights[self] = obs.NewRecorder(256)
 		cfg.Observer = &obs.RingObserver{Msg: rig.tracers[self], Flight: rig.flights[self]}
 		return cfg
 	})
 	return h, rig
 }
 
-func stagesFor(tr *obs.MsgTracer, seq uint64) map[obs.MsgStage]int {
-	out := make(map[obs.MsgStage]int)
-	for _, ev := range tr.ForSeq(seq) {
-		out[ev.Stage]++
+func stagesFor(tr *obs.MsgTracer, seq uint64) map[obs.Kind]int {
+	out := make(map[obs.Kind]int)
+	for _, ev := range tr.Snapshot(0) {
+		if ev.Seq == seq {
+			out[ev.Kind]++
+		}
 	}
 	return out
 }
@@ -75,7 +77,7 @@ func TestEngineMsgLifecycle(t *testing.T) {
 	// Every engine's black box saw the token and the delivery batch.
 	for _, id := range ring.Members {
 		var rx, tx, deliver bool
-		for _, ev := range rig.flights[id].Snapshot() {
+		for _, ev := range rig.flights[id].Snapshot(0) {
 			switch ev.Kind {
 			case obs.FlightTokenRx:
 				rx = true
@@ -132,7 +134,7 @@ func TestEngineRetransmissionTracing(t *testing.T) {
 
 	var sawReq, sawAns bool
 	for _, id := range ring.Members {
-		for _, ev := range rig.flights[id].Snapshot() {
+		for _, ev := range rig.flights[id].Snapshot(0) {
 			switch ev.Kind {
 			case obs.FlightRetransReq:
 				sawReq = true
@@ -157,7 +159,7 @@ func TestEngineRetransmissionTracing(t *testing.T) {
 // what was recorded.
 func TestFlightEventImmuneToScratchReuse(t *testing.T) {
 	ring := ringOf(1, 2)
-	fr := obs.NewFlightRecorder(16)
+	fr := obs.NewRecorder(16)
 	cfg := Accelerated(1, ring, 5, 100, 3)
 	cfg.Observer = &obs.RingObserver{Flight: fr}
 	eng, err := New(cfg, &testOut{})
@@ -178,8 +180,8 @@ func TestFlightEventImmuneToScratchReuse(t *testing.T) {
 	}
 	eng.HandleToken(&scratch)
 
-	var rx *obs.FlightEvent
-	for _, ev := range fr.Snapshot() {
+	var rx *obs.Event
+	for _, ev := range fr.Snapshot(0) {
 		if ev.Kind == obs.FlightTokenRx {
 			cp := ev
 			rx = &cp
@@ -201,7 +203,7 @@ func TestFlightEventImmuneToScratchReuse(t *testing.T) {
 		scratch.Rtr[i] = 0xDEAD // and scribble over the shared backing
 	}
 
-	for _, ev := range fr.Snapshot() {
+	for _, ev := range fr.Snapshot(0) {
 		if ev.Kind == obs.FlightTokenRx {
 			if ev.Seq != rx.Seq || ev.Aru != rx.Aru || ev.Fcc != rx.Fcc || ev.Count != rx.Count {
 				t.Fatalf("recorded event mutated by scratch reuse: %+v, want %+v", ev, *rx)

@@ -124,7 +124,7 @@ type Config struct {
 	// Flight, when non-nil, receives black-box client lifecycle events
 	// (connect, disconnect, tier transitions, resume, drain). The ring
 	// protocol's own flight events are wired through Ring.Observer.
-	Flight *obs.FlightRecorder
+	Flight *obs.Recorder
 }
 
 // Daemon is one host's ordering daemon.
@@ -386,11 +386,7 @@ func (d *Daemon) acceptLoop() {
 
 // flight records a black-box client event (nil-safe).
 func (d *Daemon) flight(note string, local uint32, count int) {
-	if d.cfg.Flight != nil {
-		d.cfg.Flight.Record(obs.FlightEvent{
-			Kind: obs.FlightClient, Note: note, Seq: uint64(local), Count: count,
-		})
-	}
+	d.cfg.Flight.Record(obs.Event{Kind: obs.FlightClient, Note: note, Seq: uint64(local), Count: count})
 }
 
 // serveClient handles one inbound connection: a Connect handshake opens
@@ -689,7 +685,7 @@ func (d *Daemon) sessionWriter(c *clientConn) {
 			// otherwise): the frame's bytes have reached the client
 			// socket. Replays after a reconnect re-record; the latency
 			// fold keeps the earliest stamp.
-			d.rings.Node(frames[i].traceRing).Observer().Stamp(frames[i].traceSeq, obs.StageWriterFlush)
+			d.rings.Node(frames[i].traceRing).Observer().Stamp(obs.StageWriterFlush, frames[i].traceSeq, 0)
 		}
 		d.afterTier(c, c.out.wroteBatch(conn, frames))
 	}
@@ -810,8 +806,8 @@ func (k sink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64
 	d := k.d
 	o := d.rings.Node(ring).Observer()
 	// The span's merge stage: the envelope's globally ordered emission
-	// point (a lock-free slot store; nothing blocks).
-	o.Stamp(seq, obs.StageMergeOut)
+	// point (a slot copy under the recorder's own lock; nothing blocks).
+	o.Stamp(obs.StageMergeOut, seq, 0)
 	var sh *session.Shared
 	var traceSeq uint64
 	for _, rcpt := range to {
@@ -835,7 +831,7 @@ func (k sink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64
 			// Fan-out start: the first local recipient forced the encode;
 			// everything after is queue + write. traceSeq rides the queued
 			// frames so the writer can attribute flush time to the span.
-			if o.Stamp(seq, obs.StageFanout) {
+			if o.Stamp(obs.StageFanout, seq, 0) {
 				traceSeq = seq
 			}
 		}

@@ -46,7 +46,7 @@ func startDaemonsObs(t *testing.T, n int, mut func(*Config)) ([]*Daemon, []*obs.
 			Ring:     ringCfg,
 			Listener: ln,
 			Obs:      regs[i],
-			Flight:   obs.NewFlightRecorder(256),
+			Flight:   obs.NewRecorder(256),
 		}
 		if mut != nil {
 			mut(&cfg)

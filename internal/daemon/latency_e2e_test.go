@@ -78,10 +78,10 @@ func TestLatencyAttributionAcrossShards(t *testing.T) {
 	// stage set on daemon 0's per-ring tracers, and the client tracer must
 	// have closed the span. Writer-flush stamps land after the write
 	// syscall returns, so poll briefly.
-	wantStages := []obs.MsgStage{obs.StageDeliver, obs.StageMergeOut, obs.StageFanout, obs.StageWriterFlush}
-	hasStage := func(evs []obs.MsgEvent, stage obs.MsgStage) bool {
-		for _, e := range evs {
-			if e.Stage == stage {
+	wantStages := []obs.Kind{obs.StageDeliver, obs.StageMergeOut, obs.StageFanout, obs.StageWriterFlush}
+	hasStage := func(mt *obs.MsgTracer, seq uint64, stage obs.Kind) bool {
+		for _, e := range mt.Snapshot(0) {
+			if e.Seq == seq && e.Kind == stage {
 				return true
 			}
 		}
@@ -90,12 +90,11 @@ func TestLatencyAttributionAcrossShards(t *testing.T) {
 	fullSpan := func() bool {
 		for _, seq := range seqs {
 			for r := 0; r < 2; r++ {
-				evs := daemons[0].RingNode(r).Observer().MsgTracer().ForSeq(seq)
-				ok := len(evs) > 0
+				ok := true
 				for _, st := range wantStages {
-					ok = ok && hasStage(evs, st)
+					ok = ok && hasStage(daemons[0].RingNode(r).Observer().MsgTracer(), seq, st)
 				}
-				if ok && hasStage(ct.ForSeq(seq), obs.StageClientRecv) {
+				if ok && hasStage(ct, seq, obs.StageClientRecv) {
 					return true
 				}
 			}

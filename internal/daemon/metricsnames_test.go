@@ -31,9 +31,8 @@ func startObservedDaemon(t *testing.T, id evs.ProcID, hub *transport.Hub) (*Daem
 	ringCfg.Timeouts = fastTimeouts()
 	ringCfg.Observer = &obs.RingObserver{
 		Reg:    reg,
-		Tracer: obs.NewRingTracer(64),
 		Msg:    obs.NewMsgTracer(1, 64),
-		Flight: obs.NewFlightRecorder(0),
+		Flight: obs.NewRecorder(0),
 	}
 	d, err := Start(Config{Ring: ringCfg, Listener: ln, Obs: reg, Flight: ringCfg.Observer.Flight})
 	if err != nil {
@@ -156,7 +155,7 @@ func TestMetricsNamesLintSharded(t *testing.T) {
 	// Attach the aggregation layers the way ringdaemon -obs does and run
 	// one evaluation so their gauges and histograms register.
 	lat := obs.NewLatencyAgg(regs[0])
-	slo := obs.NewSLO(regs[0], obs.SLOConfig{TargetP99: time.Second, MinSamples: 1})
+	slo := obs.NewSLO(regs[0], obs.SLOConfig{TargetP99: time.Second})
 	scopes := []string{"shard0", "shard1"}
 	for r, scope := range scopes {
 		lat.AddTracer(scope, daemons[0].RingNode(r).Observer().MsgTracer())

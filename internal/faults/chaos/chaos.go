@@ -125,7 +125,7 @@ type memberLog struct {
 	events  []evs.Event
 	// flight is the incarnation's black-box recorder (virtual-clock
 	// timestamps), dumped as JSONL when the run ends with violations.
-	flight *obs.FlightRecorder
+	flight *obs.Recorder
 }
 
 func (l *memberLog) name() string { return fmt.Sprintf("%d.%d", l.id, l.gen) }
@@ -203,7 +203,7 @@ type harness struct {
 
 	// netFlight records the fault injector's actions; flightDir and
 	// forceViolation carry the Options' flight-dump settings.
-	netFlight      *obs.FlightRecorder
+	netFlight      *obs.Recorder
 	flightDir      string
 	forceViolation bool
 
@@ -233,8 +233,7 @@ func newHarness(rng *rand.Rand, n int) *harness {
 		tickAt:   make(map[evs.ProcID]time.Time),
 		part:     faults.NewPartition(),
 	}
-	h.netFlight = obs.NewFlightRecorder(0)
-	h.netFlight.SetClock(func() time.Time { return h.now })
+	h.netFlight = obs.NewRecorder(0)
 	for i := 0; i < n; i++ {
 		id := evs.ProcID(i + 1)
 		h.ids = append(h.ids, id)
@@ -245,8 +244,7 @@ func newHarness(rng *rand.Rand, n int) *harness {
 
 func (h *harness) addMachine(id evs.ProcID) {
 	log := &memberLog{id: id, gen: h.gens[id]}
-	log.flight = obs.NewFlightRecorder(0)
-	log.flight.SetClock(func() time.Time { return h.now })
+	log.flight = obs.NewRecorder(0)
 	h.cur[id] = log
 	h.logs = append(h.logs, log)
 	m, err := membership.New(membership.Config{
@@ -255,10 +253,11 @@ func (h *harness) addMachine(id evs.ProcID) {
 		Priority:        core.PriorityAggressive,
 		DelayedRequests: true,
 		Timeouts:        chaosTimeouts(),
-		// Flight recording only: no registry, no tracer, no clock, so
-		// the machines behave identically to unobserved ones and the
-		// Result stays a pure function of the seed.
-		Observer: &obs.RingObserver{Flight: log.flight},
+		// Flight recording only, on the harness's virtual clock: no
+		// registry and no tracer, so the machines behave identically to
+		// unobserved ones and the Result stays a pure function of the
+		// seed.
+		Observer: &obs.RingObserver{Flight: log.flight, Clock: func() time.Time { return h.now }},
 	}, &procOut{h: h, log: log}, h.now)
 	if err != nil {
 		panic("chaos: " + err.Error())
@@ -533,8 +532,8 @@ func runForDebug(opts Options) (*Result, *harness) {
 		total += durs[i]
 	}
 	h.inj = faults.New(opts.Seed, randomPlan(rng, n, total, h.part))
-	h.inj.SetFlight(h.netFlight)
 	h.faultStart = h.now
+	h.inj.SetFlight(h.netFlight, h.faultStart)
 	h.faultsOn = true
 
 	for s := 0; s < steps; s++ {
@@ -632,7 +631,7 @@ func dumpFlights(seed int64, h *harness) {
 	if h.flightDir == "" {
 		return
 	}
-	write := func(name string, f *obs.FlightRecorder) {
+	write := func(name string, f *obs.Recorder) {
 		if f.Total() == 0 {
 			return
 		}

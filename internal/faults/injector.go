@@ -26,7 +26,8 @@ type Injector struct {
 	rules  []Rule
 	rngs   []*rand.Rand
 	counts []stats.FaultCounter
-	fl     *obs.FlightRecorder
+	fl     *obs.Recorder
+	epoch  time.Time // Decide's elapsed time counts from here; stamps fl's events
 
 	wallStart time.Time
 }
@@ -59,14 +60,15 @@ func New(seed int64, plan Plan) *Injector {
 func (in *Injector) Seed() int64 { return in.seed }
 
 // SetFlight installs a black-box recorder that gets one event per rule
-// hit — drop, duplication, or delay — with the rule's name (nil clears).
-// No-op on a nil injector.
-func (in *Injector) SetFlight(f *obs.FlightRecorder) {
+// hit — drop, duplication, or delay — with the rule's name (nil clears),
+// stamped epoch plus the elapsed time Decide was given: the driver's own
+// clock, virtual or wall. No-op on a nil injector.
+func (in *Injector) SetFlight(f *obs.Recorder, epoch time.Time) {
 	if in == nil {
 		return
 	}
 	in.mu.Lock()
-	in.fl = f
+	in.fl, in.epoch = f, epoch
 	in.mu.Unlock()
 }
 
@@ -89,16 +91,16 @@ func (in *Injector) Decide(now time.Duration, p Packet) Decision {
 		if d.Drop {
 			c.Dropped++
 			d.Delay, d.Extra = 0, nil
-			in.recordHit(c.Rule, "drop", p)
+			in.recordHit(now, c.Rule, "drop", p)
 			break
 		}
 		if n := len(d.Extra) - prevExtra; n > 0 {
 			c.Duplicated += uint64(n)
-			in.recordHit(c.Rule, "dup", p)
+			in.recordHit(now, c.Rule, "dup", p)
 		}
 		if d.Delay > prevDelay {
 			c.Delayed++
-			in.recordHit(c.Rule, "delay", p)
+			in.recordHit(now, c.Rule, "delay", p)
 		}
 	}
 	return d
@@ -106,7 +108,7 @@ func (in *Injector) Decide(now time.Duration, p Packet) Decision {
 
 // recordHit notes one fault-injection action in the flight recorder.
 // Called with in.mu held.
-func (in *Injector) recordHit(rule, effect string, p Packet) {
+func (in *Injector) recordHit(now time.Duration, rule, effect string, p Packet) {
 	if in.fl == nil {
 		return
 	}
@@ -114,7 +116,7 @@ func (in *Injector) recordHit(rule, effect string, p Packet) {
 	if p.Token {
 		note += ":token"
 	}
-	in.fl.Record(obs.FlightEvent{Kind: obs.FlightFault, Note: note, Seq: uint64(p.From), Aru: uint64(p.To)})
+	in.fl.Record(obs.Event{Kind: obs.FlightFault, At: in.epoch.Add(now), Note: note, Seq: uint64(p.From), Aru: uint64(p.To)})
 }
 
 // DecideWall is Decide with elapsed wall-clock time since New, for

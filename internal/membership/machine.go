@@ -305,25 +305,12 @@ func (m *Machine) metricName(base string) string {
 	return m.cfg.Observer.MetricName(base)
 }
 
-// flight returns the observer's black-box recorder (nil: recording off).
-func (m *Machine) flight() *obs.FlightRecorder {
-	return m.cfg.Observer.Recorder()
-}
-
-// ringLabel is the observer's shard label for flight events.
-func (m *Machine) ringLabel() string {
-	if m.cfg.Observer == nil {
-		return ""
-	}
-	return m.cfg.Observer.Label
-}
-
 // setState transitions the machine's phase, recording for the observer the
 // membership.state gauge and — on leaving gather or recover — how long the
 // phase lasted. now is driver time (wall or simulated).
 func (m *Machine) setState(s State, now time.Time) {
-	if fr := m.flight(); fr != nil && m.state != s {
-		fr.Record(obs.FlightEvent{Kind: obs.FlightState, Ring: m.ringLabel(), At: now, Note: s.String()})
+	if m.state != s {
+		m.cfg.Observer.Record(obs.Event{Kind: obs.FlightState, At: now, Note: s.String()})
 	}
 	if reg := m.obsReg(); reg != nil && m.state != s {
 		if !now.IsZero() && !m.stateSince.IsZero() {
@@ -675,9 +662,7 @@ func (m *Machine) Tick(now time.Time) {
 		if now.After(m.commitDeadline) {
 			m.counters.CommitTimeouts++
 			m.obsReg().Counter(m.metricName("membership.commit_timeouts")).Inc()
-			if fr := m.flight(); fr != nil {
-				fr.Record(obs.FlightEvent{Kind: obs.FlightState, Ring: m.ringLabel(), At: now, Note: "commit_timeout"})
-			}
+			m.cfg.Observer.Record(obs.Event{Kind: obs.FlightState, At: now, Note: "commit_timeout"})
 			m.enterGather(now)
 		}
 	case StateOperational, StateRecover:
@@ -741,12 +726,10 @@ func (m *Machine) tokenTimers(now time.Time) {
 			m.lastRetransAt = now
 			m.counters.TokenRetransmits++
 			m.obsReg().Counter(m.metricName("membership.token_retransmits")).Inc()
-			if fr := m.flight(); fr != nil {
-				fr.Record(obs.FlightEvent{
-					Kind: obs.FlightTokenTx, Ring: m.ringLabel(), At: now, Note: "retransmit",
-					Seq: tok.Seq, Aru: tok.Aru, Fcc: tok.Fcc,
-				})
-			}
+			m.cfg.Observer.Record(obs.Event{
+				Kind: obs.FlightTokenTx, At: now, Note: "retransmit",
+				Seq: tok.Seq, Aru: tok.Aru, Fcc: tok.Fcc,
+			})
 		}
 	}
 }

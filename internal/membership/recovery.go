@@ -143,12 +143,10 @@ func (m *Machine) install(c *wire.Commit, now time.Time) {
 	m.lastRetransAt = time.Time{}
 	m.counters.Installs++
 	m.obsReg().Counter(m.metricName("membership.installs")).Inc()
-	if fr := m.flight(); fr != nil {
-		fr.Record(obs.FlightEvent{
-			Kind: obs.FlightState, Ring: m.ringLabel(), At: now, Note: "install",
-			Seq: c.NewRing.ID.Seq, Count: len(c.NewRing.Members),
-		})
-	}
+	m.cfg.Observer.Record(obs.Event{
+		Kind: obs.FlightState, At: now, Note: "install",
+		Seq: c.NewRing.ID.Seq, Count: len(c.NewRing.Members),
+	})
 
 	// Flood every unstable old-ring message we hold, then the done
 	// marker, then any application messages that never got sequence

@@ -10,7 +10,7 @@ import (
 // Token.DecodeFrom aliases its Rtr slice into a per-engine scratch buffer
 // that the next decode overwrites. Any observability record that kept a
 // slice (or pointer) into protocol state would therefore silently mutate
-// after the fact. The event structs are required to be scalar-only so the
+// after the fact. The one event struct (and its /debug/ring rendering) is required to be scalar-only so the
 // hazard is structurally impossible; this test pins that property.
 func TestEventStructsAreAliasFree(t *testing.T) {
 	// time.Time is allowed: its only pointer is the *Location for a
@@ -37,7 +37,7 @@ func TestEventStructsAreAliasFree(t *testing.T) {
 		}
 	}
 
-	for _, ev := range []any{RoundTrace{}, MsgEvent{}, FlightEvent{}} {
+	for _, ev := range []any{Event{}, RoundTrace{}} {
 		typ := reflect.TypeOf(ev)
 		check(t, typ, typ.Name())
 	}

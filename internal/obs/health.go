@@ -11,27 +11,11 @@ type HealthConfig struct {
 	// unlabeled single-ring node, "shard0".."shardN-1" for a sharded
 	// one. Empty defaults to the single unlabeled scope.
 	Scopes []string
-	// Interval is the detector-loop period for Start (default 1s).
-	Interval time.Duration
 	// RetransBudget is the per-round retransmission cap
 	// (flowcontrol.Windows.RetransBudget, i.e. the global window). A
-	// round answering >= StormFraction*RetransBudget retransmissions is
+	// round answering >= stormFraction*RetransBudget retransmissions is
 	// flagged as a storm. 0 disables storm detection.
 	RetransBudget int
-	// StormFraction is the fraction of RetransBudget that counts as a
-	// storm (default 0.5).
-	StormFraction float64
-	// SlowConsumerCounters names the (unscoped) counters whose growth
-	// flags slow-consumer backpressure (default
-	// "daemon.slow_disconnects").
-	SlowConsumerCounters []string
-	// BackpressureCounters names the (unscoped) counters whose growth
-	// flags client sessions climbing the backpressure tiers — spilling
-	// or throttled, but not yet disconnected (default "daemon.tier_spill"
-	// and "daemon.tier_throttle").
-	BackpressureCounters []string
-	// Now supplies timestamps (default time.Now).
-	Now func() time.Time
 	// OnChange, when set, is called from the detector loop whenever a
 	// scope's flag set differs from the previous pass (e.g. to log).
 	OnChange func(HealthStatus)
@@ -46,8 +30,21 @@ type HealthConfig struct {
 	// Flight, when non-nil, records a FlightSLO event on every rising
 	// edge of SLOBurn or MergeStall, so a dump around a tail-latency
 	// incident pins down when the burn started.
-	Flight *FlightRecorder
+	Flight *Recorder
+
+	interval time.Duration // detector-loop period of Start; tests shorten the 1s default
 }
+
+// stormFraction is the fraction of RetransBudget that counts as a storm.
+const stormFraction = 0.5
+
+// The (unscoped) daemon counters whose growth raises a scope's
+// SlowConsumer flag — sessions disconnected for backpressure — and its
+// Backpressure flag: sessions spilling or throttled, not yet disconnected.
+var (
+	slowConsumerCounters = []string{"daemon.slow_disconnects"}
+	backpressureCounters = []string{"daemon.tier_spill", "daemon.tier_throttle"}
+)
 
 // HealthStatus is one scope's verdict from one detector pass. The boolean
 // flags are also exported as <scope>.health.* gauges (0/1), which the
@@ -97,10 +94,7 @@ type HealthStatus struct {
 }
 
 // Healthy reports whether no flag is raised.
-func (st HealthStatus) Healthy() bool {
-	return !st.TokenStall && !st.AruStagnation && !st.RetransStorm &&
-		!st.SlowConsumer && !st.Backpressure && !st.MergeStall && !st.SLOBurn
-}
+func (st HealthStatus) Healthy() bool { return st.flags() == [7]bool{} }
 
 // flags packs the status booleans for change detection.
 func (st HealthStatus) flags() [7]bool {
@@ -144,20 +138,8 @@ func NewHealth(reg *Registry, cfg HealthConfig) *Health {
 	if len(cfg.Scopes) == 0 {
 		cfg.Scopes = []string{""}
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
-	if cfg.StormFraction <= 0 {
-		cfg.StormFraction = 0.5
-	}
-	if len(cfg.SlowConsumerCounters) == 0 {
-		cfg.SlowConsumerCounters = []string{"daemon.slow_disconnects"}
-	}
-	if len(cfg.BackpressureCounters) == 0 {
-		cfg.BackpressureCounters = []string{"daemon.tier_spill", "daemon.tier_throttle"}
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.interval <= 0 {
+		cfg.interval = time.Second
 	}
 	return &Health{
 		reg:  reg,
@@ -189,7 +171,7 @@ func (h *Health) Check() []HealthStatus {
 }
 
 func (h *Health) checkLocked() []HealthStatus {
-	now := h.cfg.Now()
+	now := time.Now()
 	h.cfg.Latency.Fold()
 	var slo map[string]SLOStatus
 	if h.cfg.SLO != nil {
@@ -199,10 +181,10 @@ func (h *Health) checkLocked() []HealthStatus {
 		}
 	}
 	var slow, back uint64
-	for _, name := range h.cfg.SlowConsumerCounters {
+	for _, name := range slowConsumerCounters {
 		slow += h.reg.Counter(name).Value()
 	}
-	for _, name := range h.cfg.BackpressureCounters {
+	for _, name := range backpressureCounters {
 		back += h.reg.Counter(name).Value()
 	}
 	// Merge-stall needs a cross-scope view: one ring's frontier standing
@@ -242,7 +224,7 @@ func (h *Health) checkLocked() []HealthStatus {
 			if roundsDelta > 0 {
 				st.RetransPerRound = float64(cur.retr-prev.retr) / float64(roundsDelta)
 				if h.cfg.RetransBudget > 0 &&
-					st.RetransPerRound >= h.cfg.StormFraction*float64(h.cfg.RetransBudget) {
+					st.RetransPerRound >= stormFraction*float64(h.cfg.RetransBudget) {
 					st.RetransStorm = true
 				}
 			}
@@ -256,13 +238,11 @@ func (h *Health) checkLocked() []HealthStatus {
 			st.SLOBurn = s.Breach
 			st.SLOP99Burn = s.P99Burn
 		}
-		if h.cfg.Flight != nil {
-			if st.SLOBurn && !prev.sloBurn {
-				h.cfg.Flight.Record(FlightEvent{Kind: FlightSLO, Ring: scope, Note: "slo_burn"})
-			}
-			if st.MergeStall && !prev.mergeStall {
-				h.cfg.Flight.Record(FlightEvent{Kind: FlightSLO, Ring: scope, Note: "merge_stall"})
-			}
+		if st.SLOBurn && !prev.sloBurn {
+			h.cfg.Flight.Record(Event{At: now, Kind: FlightSLO, Ring: scope, Note: "slo_burn"})
+		}
+		if st.MergeStall && !prev.mergeStall {
+			h.cfg.Flight.Record(Event{At: now, Kind: FlightSLO, Ring: scope, Note: "merge_stall"})
 		}
 		cur.mergeStall = st.MergeStall
 		cur.sloBurn = st.SLOBurn
@@ -327,9 +307,9 @@ func (h *Health) Start() {
 	h.mu.Unlock()
 	go func() {
 		defer close(h.done)
-		tick := time.NewTicker(h.cfg.Interval)
+		tick := time.NewTicker(h.cfg.interval)
 		defer tick.Stop()
-		var prevFlags map[string][7]bool
+		prevFlags := make(map[string][7]bool)
 		for {
 			select {
 			case <-h.stop:
@@ -341,9 +321,6 @@ func (h *Health) Start() {
 					continue
 				}
 				flags := st.flags()
-				if prevFlags == nil {
-					prevFlags = make(map[string][7]bool)
-				}
 				if prevFlags[st.Ring] != flags {
 					prevFlags[st.Ring] = flags
 					h.cfg.OnChange(st)

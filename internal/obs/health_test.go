@@ -5,27 +5,23 @@ import (
 	"time"
 )
 
-// healthRig builds a detector over a synthetic registry plus a virtual
-// clock, so each pathology can be staged by poking counters directly.
+// healthRig builds a detector over a synthetic registry, so each pathology
+// can be staged by poking counters directly.
 type healthRig struct {
 	reg *Registry
 	h   *Health
-	now time.Time
 }
 
 func newHealthRig(t *testing.T, cfg HealthConfig) *healthRig {
 	t.Helper()
-	rig := &healthRig{reg: NewRegistry(), now: time.Unix(1000, 0)}
-	cfg.Now = func() time.Time { return rig.now }
+	rig := &healthRig{reg: NewRegistry()}
 	rig.h = NewHealth(rig.reg, cfg)
 	return rig
 }
 
-// pass advances the clock and runs one detector pass, returning the
-// single-scope status.
+// pass runs one detector pass, returning the single-scope status.
 func (r *healthRig) pass(t *testing.T) HealthStatus {
 	t.Helper()
-	r.now = r.now.Add(time.Second)
 	sts := r.h.Check()
 	if len(sts) != 1 {
 		t.Fatalf("got %d statuses, want 1", len(sts))
@@ -151,15 +147,13 @@ func TestHealthBackpressure(t *testing.T) {
 }
 
 func TestHealthScopesAndGauges(t *testing.T) {
-	rig := &healthRig{reg: NewRegistry(), now: time.Unix(1000, 0)}
+	rig := &healthRig{reg: NewRegistry()}
 	rig.h = NewHealth(rig.reg, HealthConfig{
 		Scopes: []string{"shard0", "shard1"},
-		Now:    func() time.Time { return rig.now },
 	})
 	rig.reg.Counter("shard0.ring.rounds").Add(5)
 	rig.reg.Counter("shard1.ring.rounds").Add(5)
 	rig.h.Check()
-	rig.now = rig.now.Add(time.Second)
 	rig.reg.Counter("shard1.ring.rounds").Add(5) // only shard1 rotates
 	sts := rig.h.Check()
 	if len(sts) != 2 {
@@ -200,7 +194,7 @@ func TestHealthStartOnChange(t *testing.T) {
 	changes := make(chan HealthStatus, 16)
 	reg := NewRegistry()
 	h := NewHealth(reg, HealthConfig{
-		Interval: time.Millisecond,
+		interval: time.Millisecond,
 		OnChange: func(st HealthStatus) { changes <- st },
 	})
 	reg.Counter("ring.rounds").Add(3) // rotated once, then wedged
@@ -232,21 +226,19 @@ func TestHealthCloseWithoutStart(t *testing.T) {
 	}
 }
 
-// TestHealthMergeStall stages the cross-ring pathology under a virtual
-// clock: ring 1's merge frontier freezes while ring 0's keeps advancing,
-// which means the global order is progressing on skips alone.
+// TestHealthMergeStall stages the cross-ring pathology: ring 1's merge
+// frontier freezes while ring 0's keeps advancing, which means the global
+// order is progressing on skips alone.
 func TestHealthMergeStall(t *testing.T) {
-	rig := &healthRig{reg: NewRegistry(), now: time.Unix(1000, 0)}
-	fl := NewFlightRecorder(16)
+	rig := &healthRig{reg: NewRegistry()}
+	fl := NewRecorder(16)
 	rig.h = NewHealth(rig.reg, HealthConfig{
 		Scopes: []string{"shard0", "shard1"},
-		Now:    func() time.Time { return rig.now },
 		Flight: fl,
 	})
 	front0 := rig.reg.Gauge("shard0.merge.frontier")
 	front1 := rig.reg.Gauge("shard1.merge.frontier")
 	check := func() map[string]HealthStatus {
-		rig.now = rig.now.Add(time.Second)
 		out := make(map[string]HealthStatus)
 		for _, st := range rig.h.Check() {
 			out[st.Ring] = st
@@ -276,7 +268,7 @@ func TestHealthMergeStall(t *testing.T) {
 		t.Fatalf("shard1.health.merge_stall gauge = %d, want 1", v)
 	}
 	// The rising edge landed exactly one flight event.
-	evs := fl.Snapshot()
+	evs := fl.Snapshot(0)
 	if len(evs) != 1 || evs[0].Kind != FlightSLO || evs[0].Ring != "shard1" || evs[0].Note != "merge_stall" {
 		t.Fatalf("flight events = %+v, want one shard1 merge_stall", evs)
 	}
@@ -285,7 +277,7 @@ func TestHealthMergeStall(t *testing.T) {
 	if sts := check(); !sts["shard1"].MergeStall {
 		t.Fatal("stall flag dropped while still frozen")
 	}
-	if n := len(fl.Snapshot()); n != 1 {
+	if n := len(fl.Snapshot(0)); n != 1 {
 		t.Fatalf("sustained stall re-recorded: %d events", n)
 	}
 	// Recovery clears the flag; a later re-freeze records a new edge.
@@ -298,7 +290,7 @@ func TestHealthMergeStall(t *testing.T) {
 	if sts := check(); !sts["shard1"].MergeStall {
 		t.Fatal("re-frozen shard1 not re-flagged")
 	}
-	if n := len(fl.Snapshot()); n != 2 {
+	if n := len(fl.Snapshot(0)); n != 2 {
 		t.Fatalf("re-freeze did not record a second edge: %d events", n)
 	}
 	// Both frozen together (no peer advanced): idle cluster, not a stall.
@@ -307,31 +299,28 @@ func TestHealthMergeStall(t *testing.T) {
 	}
 }
 
-// TestHealthSLOBurnFlight drives a full latency->SLO->health chain under
-// virtual time: sampled spans past the p99 target must flip the SLOBurn
-// flag and land exactly one flight-recorder event on the rising edge.
+// TestHealthSLOBurnFlight drives a full latency->SLO->health chain:
+// sampled spans past the p99 target must flip the SLOBurn flag and land
+// exactly one flight-recorder event on the rising edge.
 func TestHealthSLOBurnFlight(t *testing.T) {
 	reg := NewRegistry()
 	tracer := NewMsgTracer(1, 1024)
 	agg := NewLatencyAgg(reg)
 	agg.AddTracer("", tracer)
-	slo := NewSLO(reg, SLOConfig{TargetP99: 10 * time.Millisecond, MinSamples: 1, Window: 2})
+	slo := NewSLO(reg, SLOConfig{TargetP99: 10 * time.Millisecond, minSamples: 1, window: 2})
 	slo.Track("", agg.E2E(""))
-	fl := NewFlightRecorder(16)
-	now := time.Unix(1000, 0)
+	fl := NewRecorder(16)
 	h := NewHealth(reg, HealthConfig{
-		Now:     func() time.Time { return now },
 		Latency: agg,
 		SLO:     slo,
 		Flight:  fl,
 	})
 	base := time.Unix(2000, 0)
 	span := func(seq uint64, e2e time.Duration) {
-		tracer.Record(MsgEvent{Seq: seq, Stage: StageSubmit, At: base})
-		tracer.Record(MsgEvent{Seq: seq, Stage: StageDeliver, At: base.Add(e2e)})
+		tracer.Record(Event{Seq: seq, Kind: StageSubmit, At: base})
+		tracer.Record(Event{Seq: seq, Kind: StageDeliver, At: base.Add(e2e)})
 	}
 	check := func() HealthStatus {
-		now = now.Add(time.Second)
 		sts := h.Check()
 		if len(sts) != 1 {
 			t.Fatalf("got %d statuses, want 1", len(sts))
@@ -353,11 +342,11 @@ func TestHealthSLOBurnFlight(t *testing.T) {
 	if v := reg.Gauge("health.slo_burn").Value(); v != 1 {
 		t.Fatalf("health.slo_burn gauge = %d, want 1", v)
 	}
-	evs := fl.Snapshot()
+	evs := fl.Snapshot(0)
 	if len(evs) != 1 || evs[0].Kind != FlightSLO || evs[0].Note != "slo_burn" {
 		t.Fatalf("flight events = %+v, want one slo_burn", evs)
 	}
-	if check(); len(fl.Snapshot()) != 1 {
+	if check(); len(fl.Snapshot(0)) != 1 {
 		t.Fatal("sustained burn re-recorded the rising edge")
 	}
 	// Two quiet passes slide the burst out of the SLO window.

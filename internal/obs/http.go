@@ -13,26 +13,25 @@ import (
 // Server is the optional HTTP debug endpoint. It serves
 //
 //	/debug/vars      the registry snapshot as JSON (expvar-style)
-//	/debug/ring      the last N token-round traces per registered tracer
+//	/debug/ring      token visits as round traces, per recorder and ring
 //	/debug/msgtrace  sampled per-message lifecycle spans (?seq=N merges
-//	                 one message's span across registered tracers)
-//	/debug/flight    flight-recorder contents as JSONL
+//	                 one message's span across recorders)
+//	/debug/flight    black-box protocol events as JSONL
 //	/debug/health    the health detector's latest per-ring statuses
 //	/debug/latency   per-stage latency attribution digests per ring
 //	/metrics         the registry in Prometheus text exposition format
 //	/debug/pprof     the standard net/http/pprof profiles
 //
-// Tracers may be added while the server runs (rings come and go with
-// membership changes; nodes are added as they start).
+// /debug/ring, /debug/msgtrace and /debug/flight are three views of the
+// events held by the recorders registered with Add; each lists the names
+// that hold events of its kinds.
 type Server struct {
 	reg *Registry
 	ln  net.Listener
 	srv *http.Server
 
 	mu      sync.Mutex
-	tracers map[string]*RingTracer
-	msgs    map[string]*MsgTracer
-	flights map[string]*FlightRecorder
+	recs    map[string][]*Recorder
 	health  *Health
 	latency *LatencyAgg
 }
@@ -49,13 +48,7 @@ func StartServer(addr string, reg *Registry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		reg:     reg,
-		ln:      ln,
-		tracers: make(map[string]*RingTracer),
-		msgs:    make(map[string]*MsgTracer),
-		flights: make(map[string]*FlightRecorder),
-	}
+	s := &Server{reg: reg, ln: ln, recs: make(map[string][]*Recorder)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/vars", s.handleVars)
 	mux.HandleFunc("/debug/ring", s.handleRing)
@@ -74,40 +67,16 @@ func StartServer(addr string, reg *Registry) (*Server, error) {
 	return s, nil
 }
 
-// AddTracer registers a round tracer under name (e.g. "node1"); its
-// traces appear in /debug/ring. A nil tracer removes the name.
-func (s *Server) AddTracer(name string, t *RingTracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t == nil {
-		delete(s.tracers, name)
+// Add registers a recorder under name (e.g. "node1"). Recorders may be
+// added while the server runs, and several may share a name — a node's
+// flight recorder and its message tracer. A nil recorder is ignored.
+func (s *Server) Add(name string, r *Recorder) {
+	if r == nil {
 		return
 	}
-	s.tracers[name] = t
-}
-
-// AddMsgTracer registers a message tracer under name; its spans appear
-// in /debug/msgtrace. A nil tracer removes the name.
-func (s *Server) AddMsgTracer(name string, t *MsgTracer) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t == nil {
-		delete(s.msgs, name)
-		return
-	}
-	s.msgs[name] = t
-}
-
-// AddFlight registers a flight recorder under name; its events appear in
-// /debug/flight. A nil recorder removes the name.
-func (s *Server) AddFlight(name string, f *FlightRecorder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f == nil {
-		delete(s.flights, name)
-		return
-	}
-	s.flights[name] = f
+	s.recs[name] = append(s.recs[name], r)
+	s.mu.Unlock()
 }
 
 // SetHealth attaches the health detector served at /debug/health (nil
@@ -133,8 +102,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = s.reg.WriteJSON(w)
+	writeJSON(w, s.reg.Snapshot())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -158,120 +126,151 @@ func queryCount(w http.ResponseWriter, r *http.Request, key string) (n int, ok b
 	return v, true
 }
 
+// writeJSON answers with v as indented JSON, or with a 500 naming the
+// encode error — never with an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// handleRing renders the last ?n= traces (default: everything buffered)
-// of every tracer — or just ?tracer=name — keyed by name, oldest first.
-// Bad parameters (negative or huge n, unknown tracer) are a 400.
-func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
-	max, ok := queryCount(w, r, "n")
-	if !ok {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	want := r.URL.Query().Get("tracer")
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client went away
+}
 
+// namedEvents is the snapshot of the recorders registered under one name.
+type namedEvents struct {
+	name   string
+	events []Event
+}
+
+// snapshots returns the buffered events of every recorder registered
+// under the name the query selects with key (all of them when absent), in
+// name order. An unregistered name is a 400 and ok is false.
+func (s *Server) snapshots(w http.ResponseWriter, r *http.Request, key string) (out []namedEvents, ok bool) {
+	want := r.URL.Query().Get(key)
 	s.mu.Lock()
-	names := make([]string, 0, len(s.tracers))
-	for name := range s.tracers {
+	names := make([]string, 0, len(s.recs))
+	for name := range s.recs {
 		if want == "" || name == want {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	out := make(map[string][]RoundTrace, len(names))
+	var recs [][]*Recorder
 	for _, name := range names {
-		out[name] = s.tracers[name].Snapshot(max)
+		recs = append(recs, s.recs[name])
 	}
 	s.mu.Unlock()
 
 	if want != "" && len(names) == 0 {
-		http.Error(w, "unknown tracer "+strconv.Quote(want), http.StatusBadRequest)
+		http.Error(w, "unknown "+key+" "+strconv.Quote(want), http.StatusBadRequest)
+		return nil, false
+	}
+	for i, name := range names {
+		ne := namedEvents{name: name}
+		for _, rec := range recs[i] {
+			ne.events = append(ne.events, rec.Snapshot(0)...)
+		}
+		out = append(out, ne)
+	}
+	return out, true
+}
+
+// lastN keeps the newest max elements (all of them when max <= 0).
+func lastN[T any](s []T, max int) []T {
+	if max > 0 && len(s) > max {
+		return s[len(s)-max:]
+	}
+	return s
+}
+
+// handleRing renders the last ?n= token visits (default: everything
+// buffered) of every recorder — or just ?tracer=name — oldest first,
+// keyed by name and, on sharded nodes, "name.shardN". Bad parameters
+// (negative or huge n, unknown name) are a 400.
+func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
+	max, ok := queryCount(w, r, "n")
+	if !ok {
 		return
+	}
+	snaps, ok := s.snapshots(w, r, "tracer")
+	if !ok {
+		return
+	}
+	out := make(map[string][]RoundTrace)
+	for _, sn := range snaps {
+		for ring, rounds := range Rounds(sn.events) {
+			name := sn.name
+			if ring != "" {
+				name += "." + ring
+			}
+			out[name] = lastN(rounds, max)
+		}
 	}
 	writeJSON(w, out)
 }
 
-// handleMsgTrace renders sampled message-lifecycle events per registered
-// tracer: ?seq=N selects one message's span (merged across nodes when
-// several tracers are registered), ?n= bounds the events per tracer,
-// ?tracer=name selects one tracer. Bad parameters are a 400.
+// handleMsgTrace renders sampled message-lifecycle stages per name:
+// ?seq=N selects one message's span (merged across nodes when several
+// tracers are registered), ?n= bounds the events per name, ?tracer=name
+// selects one. Bad parameters are a 400.
 func (s *Server) handleMsgTrace(w http.ResponseWriter, r *http.Request) {
 	max, ok := queryCount(w, r, "n")
 	if !ok {
 		return
 	}
 	var seq uint64
-	haveSeq := false
-	if q := r.URL.Query().Get("seq"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
+	q := r.URL.Query().Get("seq")
+	if q != "" {
+		var err error
+		if seq, err = strconv.ParseUint(q, 10, 64); err != nil {
 			http.Error(w, "bad seq parameter: want an unsigned integer", http.StatusBadRequest)
 			return
 		}
-		seq, haveSeq = v, true
 	}
-	want := r.URL.Query().Get("tracer")
-
-	s.mu.Lock()
-	names := make([]string, 0, len(s.msgs))
-	for name := range s.msgs {
-		if want == "" || name == want {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	out := make(map[string][]MsgEvent, len(names))
-	for _, name := range names {
-		t := s.msgs[name]
-		if haveSeq {
-			out[name] = t.ForSeq(seq)
-		} else {
-			out[name] = t.Snapshot(max)
-		}
-	}
-	s.mu.Unlock()
-
-	if want != "" && len(names) == 0 {
-		http.Error(w, "unknown tracer "+strconv.Quote(want), http.StatusBadRequest)
+	snaps, ok := s.snapshots(w, r, "tracer")
+	if !ok {
 		return
+	}
+	out := make(map[string][]Event)
+	for _, sn := range snaps {
+		for _, ev := range sn.events {
+			if ev.Kind.IsStage() && (q == "" || ev.Seq == seq) {
+				out[sn.name] = append(out[sn.name], ev)
+			}
+		}
+	}
+	if q == "" {
+		for name := range out {
+			out[name] = lastN(out[name], max)
+		}
 	}
 	writeJSON(w, out)
 }
 
-// handleFlight streams flight-recorder events as JSONL, one recorder
-// after another (?name= selects one; unknown names are a 400). Each
-// recorder's section is preceded by a {"recorder": name} line.
+// handleFlight streams black-box events as JSONL, one name after another
+// (?name= selects one; unknown names are a 400). Each name's section is
+// preceded by a {"recorder": name} line.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	want := r.URL.Query().Get("name")
-
-	s.mu.Lock()
-	names := make([]string, 0, len(s.flights))
-	for name := range s.flights {
-		if want == "" || name == want {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	recs := make([]*FlightRecorder, len(names))
-	for i, name := range names {
-		recs[i] = s.flights[name]
-	}
-	s.mu.Unlock()
-
-	if want != "" && len(names) == 0 {
-		http.Error(w, "unknown recorder "+strconv.Quote(want), http.StatusBadRequest)
+	snaps, ok := s.snapshots(w, r, "name")
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	for i, rec := range recs {
-		_ = enc.Encode(map[string]string{"recorder": names[i]})
-		_ = rec.WriteJSONL(w)
+	for _, sn := range snaps {
+		header := false
+		for _, ev := range sn.events {
+			if ev.Kind.IsStage() {
+				continue
+			}
+			if !header {
+				header = true
+				_ = enc.Encode(map[string]string{"recorder": sn.name})
+			}
+			_ = enc.Encode(ev)
+		}
 	}
 }
 

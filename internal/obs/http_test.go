@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func get(t *testing.T, url string) []byte {
@@ -35,10 +37,10 @@ func TestDebugServer(t *testing.T) {
 	}
 	defer s.Close()
 
-	tr := NewRingTracer(4)
-	tr.Record(RoundTrace{Round: 1, SentSeq: 3})
-	tr.Record(RoundTrace{Round: 2, SentSeq: 6})
-	s.AddTracer("node1", tr)
+	fr := NewRecorder(16)
+	visit(fr, "", time.Unix(1, 0), 1, 0, 3, 2, 0, 0)
+	visit(fr, "", time.Unix(2, 0), 2, 3, 3, 2, 0, 0)
+	s.Add("node1", fr)
 
 	base := "http://" + s.Addr()
 
@@ -54,7 +56,7 @@ func TestDebugServer(t *testing.T) {
 	if err := json.Unmarshal(get(t, base+"/debug/ring"), &ring); err != nil {
 		t.Fatal(err)
 	}
-	if len(ring["node1"]) != 2 || ring["node1"][1].Round != 2 {
+	if len(ring["node1"]) != 2 || ring["node1"][1].Round != 2 || ring["node1"][1].SentSeq != 6 {
 		t.Fatalf("ring traces = %+v", ring["node1"])
 	}
 
@@ -83,19 +85,16 @@ func startTestServer(t *testing.T) (*Server, string) {
 	}
 	t.Cleanup(func() { s.Close() })
 
-	tr := NewRingTracer(4)
-	tr.Record(RoundTrace{Round: 1})
-	s.AddTracer("node1", tr)
-
+	// A node's message tracer and its flight recorder share its name.
 	mt := NewMsgTracer(1, 8)
-	mt.Record(MsgEvent{Seq: 7, Stage: StageSubmit})
-	mt.Record(MsgEvent{Seq: 7, Stage: StageDeliver})
-	mt.Record(MsgEvent{Seq: 8, Stage: StageSubmit})
-	s.AddMsgTracer("node1", mt)
+	mt.Record(Event{Seq: 7, Kind: StageSubmit})
+	mt.Record(Event{Seq: 7, Kind: StageDeliver})
+	mt.Record(Event{Seq: 8, Kind: StageSubmit})
+	s.Add("node1", mt)
 
-	fr := NewFlightRecorder(8)
-	fr.Record(FlightEvent{Kind: FlightTokenRx, Seq: 7})
-	s.AddFlight("node1", fr)
+	fr := NewRecorder(8)
+	fr.Record(Event{Kind: FlightState, Note: "operational"})
+	s.Add("node1", fr)
 
 	return s, "http://" + s.Addr()
 }
@@ -156,8 +155,8 @@ func TestDebugServerMsgTraceMergesBySeq(t *testing.T) {
 	// A second node's tracer: the same deterministic sampling records the
 	// same seq, so ?seq=7 returns the span from both.
 	mt2 := NewMsgTracer(1, 8)
-	mt2.Record(MsgEvent{Seq: 7, Stage: StageRecv})
-	s.AddMsgTracer("node2", mt2)
+	mt2.Record(Event{Seq: 7, Kind: StageRecv})
+	s.Add("node2", mt2)
 
 	var out map[string][]map[string]any
 	if err := json.Unmarshal(get(t, base+"/debug/msgtrace?seq=7"), &out); err != nil {
@@ -200,8 +199,10 @@ func TestDebugServerFlightJSONL(t *testing.T) {
 		}
 		lines++
 	}
-	if lines != 2 { // {"recorder": "node1"} + one event
-		t.Fatalf("got %d JSONL lines, want 2", lines)
+	// {"recorder": "node1"} + its one black-box event: the stages the
+	// name's message tracer holds belong to /debug/msgtrace.
+	if lines != 2 || !strings.HasPrefix(string(body), `{"recorder":"node1"}`+"\n"+`{"at":`) || !strings.Contains(string(body), `"kind":"state","note":"operational"`) {
+		t.Fatalf("got %d JSONL lines:\n%s", lines, body)
 	}
 }
 
@@ -243,5 +244,68 @@ func TestDebugServerHealth(t *testing.T) {
 	s.SetHealth(nil)
 	if got := status(t, base+"/debug/health"); got != 404 {
 		t.Fatalf("detached health = %d, want 404", got)
+	}
+}
+
+// TestDebugServerRingViewSharded: one recorder shared by a node's rings is
+// rendered as one key per ring, "name.shardN", as the per-ring tracers
+// were.
+func TestDebugServerRingViewSharded(t *testing.T) {
+	s, base := startTestServer(t)
+	fr := NewRecorder(32)
+	visit(fr, "shard0", time.Unix(1, 0), 1, 0, 2, 1, 0, 0)
+	visit(fr, "shard1", time.Unix(1, 0), 1, 0, 1, 1, 0, 0)
+	visit(fr, "shard0", time.Unix(2, 0), 2, 2, 0, 0, 0, 0)
+	s.Add("daemon1", fr)
+
+	var ring map[string][]RoundTrace
+	if err := json.Unmarshal(get(t, base+"/debug/ring?n=1"), &ring); err != nil {
+		t.Fatal(err)
+	}
+	if len(ring) != 2 || len(ring["daemon1.shard0"]) != 1 || len(ring["daemon1.shard1"]) != 1 ||
+		ring["daemon1.shard0"][0].Round != 2 {
+		t.Fatalf("sharded ring view = %+v", ring)
+	}
+}
+
+// TestDebugServerLatencyOverflowSpan is the regression for the endpoint
+// going blank forever: one span longer than the top latency bucket
+// (~13.4 s, e.g. a message delivered after a healed partition) lands in the
+// +Inf bucket, whose bound JSON cannot carry; the digest must clamp it to
+// the last finite bound and the endpoint keep answering.
+func TestDebugServerLatencyOverflowSpan(t *testing.T) {
+	s, base := startTestServer(t)
+	mt := NewMsgTracer(1, 8)
+	agg := NewLatencyAgg(s.reg)
+	agg.AddTracer("", mt)
+	s.SetLatency(agg)
+	at := time.Unix(100, 0)
+	mt.Record(Event{Seq: 1, Kind: StageSubmit, At: at})
+	mt.Record(Event{Seq: 1, Kind: StageDeliver, At: at.Add(20 * time.Second)})
+
+	var scopes []LatencyScopeSnapshot
+	if err := json.Unmarshal(get(t, base+"/debug/latency"), &scopes); err != nil {
+		t.Fatalf("/debug/latency after a 20 s span: %v", err)
+	}
+	bounds := LatencyBuckets()
+	if top := bounds[len(bounds)-1]; len(scopes) != 1 || scopes[0].SpansFolded != 1 ||
+		scopes[0].E2E.MaxNs != top || scopes[0].Stages["ordering"].MaxNs != top {
+		t.Fatalf("digest = %+v, want max_ns clamped to the last finite bound", scopes)
+	}
+}
+
+// TestWriteJSONEncodeErrorIs500: a value JSON cannot carry must answer
+// 500 with the reason, never an empty 200.
+func TestWriteJSONEncodeErrorIs500(t *testing.T) {
+	s, base := startTestServer(t)
+	s.reg.Publish("bad", func() any { return math.Inf(1) })
+	resp, err := http.Get(base + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "encode response") {
+		t.Fatalf("status %d body %q, want a 500 naming the encode error", resp.StatusCode, body)
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -30,60 +31,46 @@ import (
 // histograms: 100ns to ~13s doubling, wide enough for both the virtual
 // time testbed (sub-µs stages) and real-network tails.
 func LatencyBuckets() []float64 {
-	var b []float64
-	for v := float64(100 * time.Nanosecond); v <= float64(16*time.Second); v *= 2 {
-		b = append(b, v)
-	}
-	return b
+	return doublingBuckets(100*time.Nanosecond, 16*time.Second)
 }
 
-// latencyMilestone maps a recorded stage to its slot in pipeline order,
-// or -1 for stages that are not span milestones (dup receipts and
+// latencyMilestones lists a span's milestones in pipeline order: the
+// stages that mark reaching each, and the name of the delta ENDING there —
+// the stage histogram latency.stage.<delta>_ns holds the time from the
+// previous present milestone to this one (pack is always a span's first
+// milestone, so no delta ends at it).
+var latencyMilestones = [...]struct {
+	delta  string
+	stages []Kind
+}{
+	{"", []Kind{StagePack}},
+	{"pack_hold", []Kind{StageSubmit}},
+	{"token_wait", []Kind{StageSentPre, StageSentPost}},
+	{"batch_wait", []Kind{StageBatchFlush}},
+	{"wire", []Kind{StageRecv}},
+	{"ordering", []Kind{StageDeliver}},
+	{"merge_hold", []Kind{StageMergeOut}},
+	{"fanout", []Kind{StageFanout}},
+	{"writer_flush", []Kind{StageWriterFlush}},
+	{"client_wire", []Kind{StageClientRecv}},
+}
+
+const numMilestones = len(latencyMilestones)
+
+// latencyMilestone maps a recorded kind to its slot in latencyMilestones,
+// or -1 for kinds that are not span milestones (dup receipts and
 // retransmission traffic shape the deltas but are not themselves steps
-// every message takes).
-func latencyMilestone(s MsgStage) int {
-	switch s {
-	case StagePack:
-		return 0
-	case StageSubmit:
-		return 1
-	case StageSentPre, StageSentPost:
-		return 2
-	case StageBatchFlush:
-		return 3
-	case StageRecv:
-		return 4
-	case StageDeliver:
-		return 5
-	case StageMergeOut:
-		return 6
-	case StageFanout:
-		return 7
-	case StageWriterFlush:
-		return 8
-	case StageClientRecv:
-		return 9
+// every message takes; flight events are not stages at all).
+func latencyMilestone(k Kind) int {
+	for m := range latencyMilestones {
+		for _, stage := range latencyMilestones[m].stages {
+			if stage == k {
+				return m
+			}
+		}
 	}
 	return -1
 }
-
-// latencyStageNames names the delta ENDING at each milestone: the stage
-// histogram latency.stage.<name>_ns holds the time from the previous
-// present milestone to this one.
-var latencyStageNames = [numMilestones]string{
-	0: "", // pack is always a span's first milestone; no delta ends here
-	1: "pack_hold",
-	2: "token_wait",
-	3: "batch_wait",
-	4: "wire",
-	5: "ordering",
-	6: "merge_hold",
-	7: "fanout",
-	8: "writer_flush",
-	9: "client_wire",
-}
-
-const numMilestones = 10
 
 // latencySource is one tracer feeding the aggregator, with the scope
 // prefix its histograms are registered under ("", "shard0.", ...).
@@ -137,11 +124,10 @@ func (a *LatencyAgg) AddTracer(scope string, t *MsgTracer) {
 		spans:  a.reg.Counter(scoped(scope, "latency.spans_folded")),
 		folded: make(map[uint64]struct{}),
 	}
-	for i, name := range latencyStageNames {
-		if name == "" {
-			continue
+	for i, m := range latencyMilestones {
+		if m.delta != "" {
+			src.stage[i] = a.reg.Histogram(scoped(scope, "latency.stage."+m.delta+"_ns"), LatencyBuckets())
 		}
-		src.stage[i] = a.reg.Histogram(scoped(scope, "latency.stage."+name+"_ns"), LatencyBuckets())
 	}
 	a.mu.Lock()
 	a.sources = append(a.sources, src)
@@ -164,21 +150,6 @@ func (a *LatencyAgg) E2E(scope string) *Histogram {
 	return nil
 }
 
-// Scopes returns the registered scope prefixes, sorted.
-func (a *LatencyAgg) Scopes() []string {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.sources))
-	for _, src := range a.sources {
-		out = append(out, src.scope)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Fold drains every source: each sampled seq whose span has settled is
 // reduced to milestone deltas and observed exactly once. Cheap to call
 // periodically (a health tick) or on demand (the /debug/latency
@@ -196,8 +167,7 @@ func (a *LatencyAgg) Fold() {
 
 // span collects one seq's earliest event time per milestone.
 type span struct {
-	at   [numMilestones]time.Time
-	last uint64 // max seq seen carrying a settled-marker stage
+	at [numMilestones]time.Time
 }
 
 // fold scans the tracer buffer once and folds settled spans.
@@ -210,12 +180,12 @@ func (src *latencySource) fold() {
 	var maxSettled, minSeq uint64
 	minSeq = ^uint64(0)
 	for _, ev := range events {
-		if ev.Seq < minSeq {
-			minSeq = ev.Seq
-		}
-		m := latencyMilestone(ev.Stage)
+		m := latencyMilestone(ev.Kind)
 		if m < 0 || ev.At.IsZero() {
 			continue
+		}
+		if ev.Seq < minSeq {
+			minSeq = ev.Seq
 		}
 		sp := spans[ev.Seq]
 		if sp == nil {
@@ -325,7 +295,9 @@ func digest(h *Histogram) LatencyStageSnapshot {
 		P99Ns: h.Quantile(0.99),
 	}
 	if n := len(s.Buckets); n > 0 {
-		d.MaxNs = s.Buckets[n-1].Le // upper bound of the hottest bucket
+		// Upper bound of the highest non-empty bucket; like Quantile, the
+		// +Inf bucket reports the last finite bound (JSON has no +Inf).
+		d.MaxNs = math.Min(s.Buckets[n-1].Le, h.bounds[len(h.bounds)-1])
 	}
 	return d
 }
@@ -355,7 +327,7 @@ func (a *LatencyAgg) Snapshot() []LatencyScopeSnapshot {
 			if d.Count == 0 {
 				continue
 			}
-			sc.Stages[latencyStageNames[i]] = d
+			sc.Stages[latencyMilestones[i].delta] = d
 			sc.StageSumNs += d.SumNs
 		}
 		sc.E2ESumNs = sc.E2E.SumNs

@@ -24,8 +24,8 @@ func newLatRig(t *testing.T, scope string) *latRig {
 var t0 = time.Unix(1000, 0)
 
 // record stamps one stage at t0+off.
-func (r *latRig) record(seq uint64, stage MsgStage, off time.Duration) {
-	r.t.Record(MsgEvent{Seq: seq, Stage: stage, At: t0.Add(off)})
+func (r *latRig) record(seq uint64, stage Kind, off time.Duration) {
+	r.t.Record(Event{Seq: seq, Kind: stage, At: t0.Add(off)})
 }
 
 // snap returns the single-scope digest.
@@ -41,7 +41,7 @@ func (r *latRig) snap(t *testing.T) LatencyScopeSnapshot {
 func TestLatencyFoldFullPipeline(t *testing.T) {
 	rig := newLatRig(t, "")
 	// One sampled message through every milestone, 1ms apart.
-	stages := []MsgStage{StagePack, StageSubmit, StageSentPre, StageBatchFlush,
+	stages := []Kind{StagePack, StageSubmit, StageSentPre, StageBatchFlush,
 		StageRecv, StageDeliver, StageMergeOut, StageFanout, StageWriterFlush,
 		StageClientRecv}
 	for i, st := range stages {
@@ -199,16 +199,13 @@ func TestLatencyScopedRegistration(t *testing.T) {
 	if h := rig.agg.E2E("shard0"); h != nil {
 		t.Fatal("E2E(shard0) should be nil for an unregistered scope")
 	}
-	if got := rig.agg.Scopes(); len(got) != 1 || got[0] != "shard1" {
-		t.Fatalf("Scopes() = %v, want [shard1]", got)
-	}
 }
 
 func TestLatencyNilSafe(t *testing.T) {
 	var a *LatencyAgg
 	a.AddTracer("", NewMsgTracer(1, 8))
 	a.Fold()
-	if a.Snapshot() != nil || a.Scopes() != nil || a.E2E("") != nil {
+	if a.Snapshot() != nil || a.E2E("") != nil {
 		t.Fatal("nil LatencyAgg methods must return zero values")
 	}
 	if NewLatencyAgg(nil) != nil {

@@ -1,19 +1,19 @@
 // Package obs is the observability layer: a zero-dependency (standard
 // library only) metrics registry of atomic counters, gauges, and
-// fixed-bucket histograms; a ring-aware token-round tracer (trace.go); and
-// an HTTP debug server exposing /debug/vars, /debug/ring, and pprof
-// (http.go).
+// fixed-bucket histograms; one scalar Event and one bounded Recorder of
+// them (recorder.go) that the protocol stack reports into through a
+// RingObserver (trace.go); and an HTTP debug server exposing the registry,
+// three views of the recorders' events, and pprof (http.go).
 //
 // Everything is nil-safe: methods on a nil *Registry, *Counter, *Gauge,
-// *Histogram, *RingTracer, or *RingObserver are no-ops, so instrumented
+// *Histogram, *Recorder, or *RingObserver are no-ops, so instrumented
 // code needs no "is observability on?" branches and the zero value costs
 // nothing beyond an inlined nil check on the hot path.
 package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -86,15 +86,19 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
 }
 
-// DurationBuckets returns exponential bucket bounds in nanoseconds from
-// 1µs to ~16s (doubling), suitable for latency histograms.
-func DurationBuckets() []float64 {
+// doublingBuckets returns exponential bucket bounds in nanoseconds: lo,
+// 2·lo, 4·lo, ... up to hi.
+func doublingBuckets(lo, hi time.Duration) []float64 {
 	var b []float64
-	for v := float64(time.Microsecond); v <= float64(16*time.Second); v *= 2 {
+	for v := float64(lo); v <= float64(hi); v *= 2 {
 		b = append(b, v)
 	}
 	return b
 }
+
+// DurationBuckets returns exponential bucket bounds in nanoseconds from
+// 1µs to ~16s (doubling), suitable for latency histograms.
+func DurationBuckets() []float64 { return doublingBuckets(time.Microsecond, 16*time.Second) }
 
 // FineDurationBuckets returns exponential bucket bounds in nanoseconds
 // from 100ns to ~1.7s (doubling). DurationBuckets starts at 1µs, which
@@ -103,11 +107,7 @@ func DurationBuckets() []float64 {
 // ladder instead. Existing metric names are unchanged — only the bounds
 // differ.
 func FineDurationBuckets() []float64 {
-	var b []float64
-	for v := float64(100 * time.Nanosecond); v <= float64(2*time.Second); v *= 2 {
-		b = append(b, v)
-	}
-	return b
+	return doublingBuckets(100*time.Nanosecond, 2*time.Second)
 }
 
 // Observe records one sample. No-op on a nil histogram.
@@ -261,19 +261,25 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
+	return getOrCreate(&r.mu, r.counters, name, func() *Counter { return &Counter{} })
+}
+
+// getOrCreate returns m[name], creating it with mk on first use: a read
+// lock on the common path, the write lock (and a re-check) only to insert.
+func getOrCreate[T any](mu *sync.RWMutex, m map[string]*T, name string, mk func() *T) *T {
+	mu.RLock()
+	v := m[name]
+	mu.RUnlock()
+	if v != nil {
+		return v
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
+	mu.Lock()
+	defer mu.Unlock()
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
 	}
-	return c
+	return v
 }
 
 // Gauge returns the named gauge, creating it on first use. It returns nil
@@ -282,19 +288,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(&r.mu, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
@@ -304,19 +298,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
+	return getOrCreate(&r.mu, r.hists, name, func() *Histogram { return newHistogram(bounds) })
 }
 
 // Publish registers a computed variable: fn is called at snapshot time and
@@ -332,6 +314,14 @@ func (r *Registry) Publish(name string, fn func() any) {
 	r.mu.Unlock()
 }
 
+// metrics returns a copy of every name-to-metric map, so readers render
+// (and call published functions) outside the registry lock.
+func (r *Registry) metrics() (map[string]*Counter, map[string]*Gauge, map[string]*Histogram, map[string]func() any) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists), maps.Clone(r.funcs)
+}
+
 // Snapshot returns every metric's current value keyed by name, plus
 // "uptime_seconds". Counters and gauges map to numbers, histograms to
 // HistogramSnapshot, published functions to their result.
@@ -340,25 +330,7 @@ func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return out
 	}
-	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	funcs := make(map[string]func() any, len(r.funcs))
-	for k, v := range r.funcs {
-		funcs[k] = v
-	}
-	r.mu.RUnlock()
-
+	counters, gauges, hists, funcs := r.metrics()
 	for k, v := range counters {
 		out[k] = v.Value()
 	}
@@ -373,21 +345,4 @@ func (r *Registry) Snapshot() map[string]any {
 	}
 	out["uptime_seconds"] = time.Since(r.start).Seconds()
 	return out
-}
-
-// WriteJSON writes the snapshot as indented JSON with sorted keys (Go maps
-// marshal with sorted keys already).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// String renders the snapshot compactly, for logs and tests.
-func (r *Registry) String() string {
-	b, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		return fmt.Sprintf("obs.Registry(marshal error: %v)", err)
-	}
-	return string(b)
 }

@@ -104,25 +104,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	funcs := make(map[string]func() any, len(r.funcs))
-	for k, v := range r.funcs {
-		funcs[k] = v
-	}
-	r.mu.RUnlock()
-
+	counters, gauges, hists, funcs := r.metrics()
 	fams := make(map[string]*promFamily)
 	add := func(name, typ string, row promRow) {
 		f := fams[name]

@@ -18,13 +18,13 @@ import (
 // means latency is exactly on budget, >= the configured factor flips the
 // scope's SLOBurn health flag and lands a flight-recorder event.
 
-// DefaultSLOWindow is how many evaluation passes the rolling window
-// holds when SLOConfig.Window is zero.
-const DefaultSLOWindow = 8
+// sloWindow is how many evaluation passes the rolling window holds.
+const sloWindow = 8
 
-// DefaultSLOBurnFactor is the burn-rate threshold that counts as
-// breaching when SLOConfig.BurnFactor is zero.
-const DefaultSLOBurnFactor = 1.0
+// sloMinSamples is the minimum windowed sample count before a breach can
+// be declared, so a single slow message on an idle ring does not page
+// anyone.
+const sloMinSamples = 10
 
 // SLOConfig parameterizes an SLO evaluator.
 type SLOConfig struct {
@@ -32,16 +32,13 @@ type SLOConfig struct {
 	TargetP99 time.Duration
 	// TargetP999 is the p999 latency target. Zero disables the p999 rule.
 	TargetP999 time.Duration
-	// Window is the rolling window length in evaluation passes
-	// (default DefaultSLOWindow).
-	Window int
 	// BurnFactor is the burn rate at or above which a scope is breaching
-	// (default DefaultSLOBurnFactor).
+	// (default 1.0: latency exactly on budget).
 	BurnFactor float64
-	// MinSamples is the minimum windowed sample count before a breach
-	// can be declared, so a single slow message on an idle ring does not
-	// page anyone (default 10).
-	MinSamples uint64
+
+	// window and minSamples override sloWindow and sloMinSamples (tests).
+	window     int
+	minSamples uint64
 }
 
 // SLOStatus is one scope's state after an evaluation pass.
@@ -71,7 +68,6 @@ type sloScope struct {
 
 	window []sloSample
 	wpos   int
-	filled int
 
 	burn99G, burn999G, breachG, p99G *Gauge
 }
@@ -90,14 +86,14 @@ type SLO struct {
 // slo.* gauges (burn rates in parts-per-million, breach flag, p99
 // estimate).
 func NewSLO(reg *Registry, cfg SLOConfig) *SLO {
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultSLOWindow
+	if cfg.window <= 0 {
+		cfg.window = sloWindow
 	}
 	if cfg.BurnFactor <= 0 {
-		cfg.BurnFactor = DefaultSLOBurnFactor
+		cfg.BurnFactor = 1.0
 	}
-	if cfg.MinSamples == 0 {
-		cfg.MinSamples = 10
+	if cfg.minSamples == 0 {
+		cfg.minSamples = sloMinSamples
 	}
 	return &SLO{cfg: cfg, reg: reg, scopes: make(map[string]*sloScope)}
 }
@@ -113,7 +109,7 @@ func (s *SLO) Track(scope string, h *Histogram) {
 	defer s.mu.Unlock()
 	s.scopes[scope] = &sloScope{
 		h:        h,
-		window:   make([]sloSample, s.cfg.Window),
+		window:   make([]sloSample, s.cfg.window),
 		burn99G:  s.reg.Gauge(scoped(scope, "slo.p99_burn_ppm")),
 		burn999G: s.reg.Gauge(scoped(scope, "slo.p999_burn_ppm")),
 		breachG:  s.reg.Gauge(scoped(scope, "slo.breach")),
@@ -170,7 +166,6 @@ func (s *SLO) passScope(scope string, sc *sloScope) SLOStatus {
 	sc.prev = cur
 	var smp sloSample
 	if !first { // the first pass only baselines
-		smp.total = 0
 		for _, n := range delta {
 			smp.total += n
 		}
@@ -183,9 +178,6 @@ func (s *SLO) passScope(scope string, sc *sloScope) SLOStatus {
 	}
 	sc.window[sc.wpos] = smp
 	sc.wpos = (sc.wpos + 1) % len(sc.window)
-	if sc.filled < len(sc.window) {
-		sc.filled++
-	}
 
 	var win sloSample
 	for _, w := range sc.window {
@@ -203,7 +195,7 @@ func (s *SLO) passScope(scope string, sc *sloScope) SLOStatus {
 		}
 	}
 	st.EstP99 = time.Duration(sc.h.Quantile(0.99))
-	if win.total >= s.cfg.MinSamples {
+	if win.total >= s.cfg.minSamples {
 		st.Breach = (s.cfg.TargetP99 > 0 && st.P99Burn >= s.cfg.BurnFactor) ||
 			(s.cfg.TargetP999 > 0 && st.P999Burn >= s.cfg.BurnFactor)
 	}

@@ -72,17 +72,17 @@ func TestSLOBurnAndBreach(t *testing.T) {
 }
 
 func TestSLOMinSamplesGuardsIdleRings(t *testing.T) {
-	rig := newSLORig(t, SLOConfig{TargetP99: 10 * time.Millisecond, MinSamples: 10})
+	rig := newSLORig(t, SLOConfig{TargetP99: 10 * time.Millisecond, minSamples: 10})
 	rig.pass(t)
 	// One slow message on an idle ring: burn is huge but samples are thin.
 	rig.h.ObserveDuration(time.Second)
 	if st := rig.pass(t); st.Breach {
-		t.Fatalf("a single slow sample breached below MinSamples: %+v", st)
+		t.Fatalf("a single slow sample breached below minSamples: %+v", st)
 	}
 }
 
 func TestSLOWindowRecovers(t *testing.T) {
-	rig := newSLORig(t, SLOConfig{TargetP99: 10 * time.Millisecond, Window: 2, MinSamples: 1})
+	rig := newSLORig(t, SLOConfig{TargetP99: 10 * time.Millisecond, window: 2, minSamples: 1})
 	rig.pass(t)
 	for i := 0; i < 20; i++ {
 		rig.h.ObserveDuration(time.Second)
@@ -124,7 +124,7 @@ func TestSLOP999Rule(t *testing.T) {
 func TestSLOScopedGauges(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("shard0.latency.e2e_ns", LatencyBuckets())
-	s := NewSLO(reg, SLOConfig{TargetP99: 10 * time.Millisecond, MinSamples: 1})
+	s := NewSLO(reg, SLOConfig{TargetP99: 10 * time.Millisecond, minSamples: 1})
 	s.Track("shard0", h)
 	s.Pass()
 	for i := 0; i < 20; i++ {
@@ -147,7 +147,7 @@ func TestSLONilSafe(t *testing.T) {
 	}
 	// Nil registry: evaluation works, gauges are no-ops.
 	h := NewRegistry().Histogram("x", LatencyBuckets())
-	s2 := NewSLO(nil, SLOConfig{TargetP99: time.Millisecond, MinSamples: 1})
+	s2 := NewSLO(nil, SLOConfig{TargetP99: time.Millisecond, minSamples: 1})
 	s2.Track("", h)
 	s2.Pass()
 	for i := 0; i < 20; i++ {

@@ -5,15 +5,18 @@ import (
 	"time"
 )
 
-// RoundTrace is one structured record of a token visit at one participant:
-// what the token carried when it arrived, what the participant put on it,
-// and what the participant multicast around it. Field names follow the
-// paper's terminology (§III-B): seq is the highest sequence number
-// assigned on the ring, aru is the all-received-up-to line, fcc is the
-// flow-control count of messages sent in the previous rotation.
+// RoundTrace is the /debug/ring rendering of a token visit at one
+// participant (see Rounds), and what the engine hands OnRound for the
+// registry's aggregates: what the token carried when it arrived, what the
+// participant put on it, and what the participant multicast around it.
+// Field names follow the paper's terminology (§III-B): seq is the highest
+// sequence number assigned on the ring, aru is the all-received-up-to
+// line, fcc is the flow-control count of messages sent in the previous
+// rotation.
 type RoundTrace struct {
-	// At is the token's arrival time (zero when the driver has no wall
-	// clock, e.g. in the discrete-event simulator).
+	// At is the token's arrival time on the observer's clock (the
+	// recorder's wall-clock stamp when the driver has none, e.g. in the
+	// discrete-event simulator).
 	At time.Time `json:"at,omitempty"`
 	// Round is the token round number.
 	Round uint64 `json:"round"`
@@ -39,93 +42,54 @@ type RoundTrace struct {
 	// Requested is the number of retransmission requests added to the
 	// outgoing token.
 	Requested int `json:"requested"`
-	// Hold is the token hold time: token receipt to token send (zero
-	// without a wall clock).
+	// Hold is the token hold time: token receipt to token send.
 	Hold time.Duration `json:"hold_ns"`
 }
 
-// RingTracer records the last N RoundTraces in a bounded ring buffer. It
-// is safe for concurrent use and nil-safe: Record on a nil tracer is a
-// no-op.
-type RingTracer struct {
-	mu    sync.Mutex
-	buf   []RoundTrace
-	next  int
-	total uint64
-}
-
-// DefaultTraceDepth is the ring-buffer size used when none is given.
-const DefaultTraceDepth = 64
-
-// NewRingTracer returns a tracer holding the last n rounds (n <= 0 uses
-// DefaultTraceDepth).
-func NewRingTracer(n int) *RingTracer {
-	if n <= 0 {
-		n = DefaultTraceDepth
-	}
-	return &RingTracer{buf: make([]RoundTrace, 0, n)}
-}
-
-// Record appends one round trace, evicting the oldest when full.
-func (t *RingTracer) Record(tr RoundTrace) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, tr)
-	} else {
-		t.buf[t.next] = tr
-		t.next = (t.next + 1) % cap(t.buf)
-	}
-	t.total++
-	t.mu.Unlock()
-}
-
-// Total returns the number of rounds recorded over the tracer's lifetime.
-func (t *RingTracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Snapshot returns up to max of the most recent traces, oldest first
-// (max <= 0 returns everything buffered). It returns nil on a nil tracer.
-func (t *RingTracer) Snapshot(max int) []RoundTrace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := len(t.buf)
-	out := make([]RoundTrace, 0, n)
-	// t.next is the oldest element once the buffer has wrapped.
-	for i := 0; i < n; i++ {
-		out = append(out, t.buf[(t.next+i)%n])
-	}
-	if max > 0 && len(out) > max {
-		out = out[len(out)-max:]
+// Rounds renders the token visits among events — one recorder's snapshot,
+// oldest first — as RoundTraces keyed by ring label. A visit is a
+// token_rx, the rtr_ans/rtr_req the engine recorded while it held the
+// token, and the token_tx that forwarded it; a visit whose token_rx has
+// left the buffer is skipped. This is the /debug/ring view: the engine
+// writes each visit's numbers once, as flight events.
+func Rounds(events []Event) map[string][]RoundTrace {
+	out := make(map[string][]RoundTrace)
+	open := make(map[string]*RoundTrace)
+	for _, ev := range events {
+		tr := open[ev.Ring]
+		switch {
+		case ev.Kind == FlightTokenRx:
+			open[ev.Ring] = &RoundTrace{At: ev.At, Round: ev.Round, TokenSeq: ev.TokenSeq, RecvSeq: ev.Seq}
+		case tr == nil:
+		case ev.Kind == FlightRetransAns:
+			tr.Retransmitted += ev.Count
+		case ev.Kind == FlightRetransReq:
+			tr.Requested += ev.Count
+		case ev.Kind == FlightTokenTx && ev.Note == "":
+			tr.SentSeq, tr.Aru, tr.Fcc = ev.Seq, ev.Aru, ev.Fcc
+			tr.New = int(ev.Seq - tr.RecvSeq)
+			tr.Pre, tr.Post = ev.Pre, tr.New-ev.Pre
+			tr.Hold = ev.At.Sub(tr.At)
+			out[ev.Ring] = append(out[ev.Ring], *tr)
+			delete(open, ev.Ring)
+		}
 	}
 	return out
 }
 
 // RingObserver bundles the hooks the protocol stack reports into: a
-// metrics registry, a round tracer, and an optional wall clock. Any field
-// may be nil; a nil *RingObserver disables observation entirely. One
-// observer serves every ring a participant installs over its lifetime —
-// counters accumulate across membership changes, gauges reflect the
-// current ring.
+// metrics registry, the node's clock, and its recorders. Any field may be
+// nil; a nil *RingObserver disables observation entirely. One observer
+// serves every ring a participant installs over its lifetime — counters
+// accumulate across membership changes, gauges reflect the current ring.
 type RingObserver struct {
 	// Reg receives counters, gauges, and histograms (nil: metrics off).
 	Reg *Registry
-	// Tracer receives one RoundTrace per token visit (nil: tracing off).
-	Tracer *RingTracer
-	// Clock supplies wall time for hold times and delivery latencies
-	// (nil: durations are reported as zero). Simulated drivers leave it
-	// nil to stay deterministic.
+	// Clock is the node's one time source: hold times, delivery latencies
+	// and the At of every event recorded through this observer. Nil
+	// reports durations as zero (simulated drivers leave it nil to keep
+	// their metrics deterministic) and leaves events to the recorder's
+	// wall-clock stamp; a driver on a virtual clock installs it here.
 	Clock func() time.Time
 	// Label, when non-empty, scopes every metric the protocol stack
 	// reports through this observer: "shard1.ring.rounds" instead of
@@ -133,13 +97,14 @@ type RingObserver struct {
 	// label so per-ring series stay separable in one shared registry.
 	// Must be set before the first report and never changed.
 	Label string
-	// Msg receives sampled per-message lifecycle events (nil: message
-	// tracing off — the engine's zero-allocation fast path).
+	// Msg receives sampled per-message lifecycle stages (nil: message
+	// tracing off).
 	Msg *MsgTracer
-	// Flight receives compact black-box protocol events (nil: flight
-	// recording off). Sharded nodes share one recorder across rings;
-	// events carry the observer's Label in their Ring field.
-	Flight *FlightRecorder
+	// Flight receives black-box protocol events — token visits, state
+	// transitions, retransmission traffic, deliveries (nil: recording
+	// off). Sharded nodes share one recorder across rings; events carry
+	// the observer's Label in their Ring field.
+	Flight *Recorder
 
 	once sync.Once
 	m    *ringMetrics
@@ -161,7 +126,7 @@ type deliveryMetrics struct {
 	latency *Histogram
 }
 
-// Now returns the observer's wall time, or the zero time when it has no
+// Now returns the observer's clock time, or the zero time when it has no
 // clock (or is nil).
 func (o *RingObserver) Now() time.Time {
 	if o == nil || o.Clock == nil {
@@ -179,28 +144,46 @@ func (o *RingObserver) MsgTracer() *MsgTracer {
 	return o.Msg
 }
 
-// Stamp records a lifecycle stage for seq at the observer's clock if its
-// message tracer samples seq, and reports whether it did. False on a nil
-// observer or tracer, and for seq 0 (no carrier sequence number).
-func (o *RingObserver) Stamp(seq uint64, stage MsgStage) bool {
-	if seq == 0 {
+// Stamp records lifecycle stage kind of message seq, at the observer's
+// clock, if its message tracer samples that seq, and reports whether it
+// did; round is the token round the stage is tied to (0: none). False on
+// a nil observer or tracer, and for seq 0. It takes scalars and inlines
+// to two nil checks, so with tracing off the hot path builds no Event.
+func (o *RingObserver) Stamp(kind Kind, seq, round uint64) bool {
+	return o != nil && o.Msg != nil && o.stamp(kind, seq, round, time.Time{}, "")
+}
+
+// StampAt is Stamp for a stage with more to say: a backdated time (zero:
+// now) and a Note.
+func (o *RingObserver) StampAt(kind Kind, seq, round uint64, at time.Time, note string) bool {
+	return o != nil && o.Msg != nil && o.stamp(kind, seq, round, at, note)
+}
+
+func (o *RingObserver) stamp(kind Kind, seq, round uint64, at time.Time, note string) bool {
+	if !o.Msg.Sampled(seq) {
 		return false
 	}
-	mt := o.MsgTracer()
-	if !mt.Sampled(seq) {
-		return false
+	if at.IsZero() {
+		at = o.Now()
 	}
-	mt.Record(MsgEvent{Seq: seq, Stage: stage, At: o.Now()})
+	o.Msg.Record(Event{At: at, Kind: kind, Seq: seq, Round: round, Note: note})
 	return true
 }
 
-// Recorder returns the observer's flight recorder; nil (recording off)
-// on a nil observer.
-func (o *RingObserver) Recorder() *FlightRecorder {
-	if o == nil {
-		return nil
+// Record adds ev to the observer's flight recorder, labelled with its
+// ring and stamped with its clock. No-op on a nil observer or recorder.
+func (o *RingObserver) Record(ev Event) {
+	if o != nil && o.Flight != nil {
+		o.record(ev)
 	}
-	return o.Flight
+}
+
+func (o *RingObserver) record(ev Event) {
+	ev.Ring = o.Label
+	if ev.At.IsZero() {
+		ev.At = o.Now()
+	}
+	o.Flight.Record(ev)
 }
 
 // MetricName scopes a metric name with the observer's label ("<label>.<base>"),
@@ -217,6 +200,7 @@ func (o *RingObserver) MetricName(base string) string {
 func (o *RingObserver) metrics() *ringMetrics {
 	o.once.Do(func() {
 		r := o.Reg
+		o.delivered = make(map[string]*deliveryMetrics)
 		o.m = &ringMetrics{
 			rounds:        r.Counter(o.MetricName("ring.rounds")),
 			sentPre:       r.Counter(o.MetricName("ring.sent_pre_token")),
@@ -232,14 +216,10 @@ func (o *RingObserver) metrics() *ringMetrics {
 	return o.m
 }
 
-// OnRound records one token visit: the trace goes to the tracer, the
-// aggregates to the registry. No-op on a nil observer.
+// OnRound folds one token visit into the registry's aggregates. No-op on
+// a nil observer.
 func (o *RingObserver) OnRound(tr RoundTrace) {
-	if o == nil {
-		return
-	}
-	o.Tracer.Record(tr)
-	if o.Reg == nil {
+	if o == nil || o.Reg == nil {
 		return
 	}
 	m := o.metrics()
@@ -264,23 +244,13 @@ func (o *RingObserver) OnDeliver(service string, latency time.Duration) {
 	if o == nil || o.Reg == nil {
 		return
 	}
-	o.dmu.RLock()
-	d := o.delivered[service]
-	o.dmu.RUnlock()
-	if d == nil {
-		o.dmu.Lock()
-		if o.delivered == nil {
-			o.delivered = make(map[string]*deliveryMetrics)
+	o.metrics() // makes the delivered map
+	d := getOrCreate(&o.dmu, o.delivered, service, func() *deliveryMetrics {
+		return &deliveryMetrics{
+			count:   o.Reg.Counter(o.MetricName("ring.delivered." + service)),
+			latency: o.Reg.Histogram(o.MetricName("ring.delivery_ns."+service), FineDurationBuckets()),
 		}
-		if d = o.delivered[service]; d == nil {
-			d = &deliveryMetrics{
-				count:   o.Reg.Counter(o.MetricName("ring.delivered." + service)),
-				latency: o.Reg.Histogram(o.MetricName("ring.delivery_ns."+service), FineDurationBuckets()),
-			}
-			o.delivered[service] = d
-		}
-		o.dmu.Unlock()
-	}
+	})
 	d.count.Inc()
 	if latency > 0 {
 		d.latency.ObserveDuration(latency)

@@ -47,7 +47,7 @@ type Config struct {
 	// must not call back into the Node except Submit-from-another-
 	// goroutine.
 	OnEvent func(evs.Event)
-	// Observer receives protocol metrics and round traces. If set and its
+	// Observer receives protocol metrics and events. If set and its
 	// Clock is nil, the node installs time.Now so hold times and delivery
 	// latencies are measured. Nil disables observation.
 	Observer *obs.RingObserver
@@ -88,23 +88,21 @@ func Original(self evs.ProcID, tr transport.Transport, personal, global int) Con
 // ForRing derives the configuration of one ring instance of a multi-ring
 // node from a base template: protocol parameters (Self, windows, priority,
 // timeouts) are inherited. When the base carries an observer, the
-// instance gets its own: same registry and clock, but a fresh tracer and
-// a "shard<ring>" label so every metric series and round trace stays
-// separable per ring. internal/shard instantiates this N times and fills
-// in each ring's transport and event sink; a single ring uses the base
-// as it is.
-func (c Config) ForRing(ring int, traceDepth int) Config {
+// instance gets its own: same registry and clock, but a "shard<ring>"
+// label so every metric series and round trace stays separable per ring.
+// internal/shard instantiates this N times and fills in each ring's
+// transport and event sink; a single ring uses the base as it is.
+func (c Config) ForRing(ring int) Config {
 	rc := c
 	if base := c.Observer; base != nil {
 		rc.Observer = &obs.RingObserver{
-			Reg:    base.Reg,
-			Tracer: obs.NewRingTracer(traceDepth),
-			Clock:  base.Clock,
-			Label:  fmt.Sprintf("shard%d", ring),
-			// Message tracing is per-ring (each engine owns its
-			// lock-free ring) at the base's sampling rate; the flight
-			// recorder is shared — events carry the shard label.
-			Msg:    obs.NewMsgTracer(base.Msg.Every(), base.Msg.Depth()),
+			Reg:   base.Reg,
+			Clock: base.Clock,
+			Label: fmt.Sprintf("shard%d", ring),
+			// Message tracing is per-ring (sequence numbers, the span
+			// key, are) at the base's sampling rate; the flight recorder
+			// is shared — events carry the shard label.
+			Msg:    base.Msg.Fresh(),
 			Flight: base.Flight,
 		}
 	}
@@ -240,7 +238,7 @@ func (n *Node) Status() Status { return n.status.Load().(Status) }
 
 // Observer returns the observer the node was started with (nil when
 // observation is disabled). Sharded drivers use it to reach each ring's
-// tracer.
+// message tracer and metric label.
 func (n *Node) Observer() *obs.RingObserver { return n.cfg.Observer }
 
 // WaitState blocks until the node reaches the given state (with any ring)
@@ -391,20 +389,16 @@ func (n *Node) run() {
 	// machine step that can transmit (frame handling, ticks) so the
 	// staged burst hits the wire in one syscall before the loop waits.
 	flusher, _ := n.cfg.Transport.(transport.Flusher)
-	mt := n.cfg.Observer.MsgTracer()
+	// Once a staged burst (if any) is on the wire, stamp the batch flush
+	// on every sampled message sent since the last flush (none when
+	// tracing is off) so spans separate syscall batching delay from
+	// network time.
+	stampFlush := func(seq uint64) { n.cfg.Observer.Stamp(obs.StageBatchFlush, seq, 0) }
 	wireFlush := func() {
 		if flusher != nil {
 			_ = flusher.Flush()
 		}
-		if mt != nil {
-			// The staged burst (if any) is on the wire; stamp the batch
-			// flush on every sampled message sent since the last flush so
-			// spans separate syscall batching delay from network time.
-			at := n.cfg.Observer.Now()
-			n.machine.DrainSampledSent(func(seq uint64) {
-				mt.Record(obs.MsgEvent{Seq: seq, Stage: obs.StageBatchFlush, At: at})
-			})
-		}
+		n.machine.DrainSampledSent(stampFlush)
 	}
 
 	// Received frames are rented from bufpool by the transport and owned

@@ -51,9 +51,10 @@ type Config struct {
 	Shards int
 	// Base is the per-ring configuration template: Self, windows,
 	// priority, timeouts, tick interval, and (optionally) an Observer
-	// whose registry and clock are shared by all rings — with one ring it
-	// is used as given, tracers and unlabelled series included. Its
-	// Transport and OnEvent fields are ignored — those are per-ring.
+	// whose registry, clock and flight recorder are shared by all rings —
+	// with one ring it is used as given, message tracer and unlabelled
+	// series included. Its Transport and OnEvent fields are ignored —
+	// those are per-ring.
 	Base ringnode.Config
 	// NewTransport opens ring r's transport binding (hub endpoint, or UDP
 	// sockets on the ring's own port pair). Each ring must get its own:
@@ -63,9 +64,6 @@ type Config struct {
 	// index. It runs on ring r's protocol goroutine: calls for different
 	// rings are CONCURRENT; per-ring calls are serial. Must not block.
 	OnEvent func(ring int, ev evs.Event)
-	// TraceDepth sizes each ring's round tracer when Base.Observer is set
-	// (0 uses obs.DefaultTraceDepth).
-	TraceDepth int
 }
 
 // Group runs N ring instances behind one node.
@@ -97,7 +95,7 @@ func Start(cfg Config) (*Group, error) {
 		}
 		rc := cfg.Base
 		if cfg.Shards > 1 {
-			rc = cfg.Base.ForRing(r, cfg.TraceDepth)
+			rc = cfg.Base.ForRing(r)
 		}
 		rc.Transport, rc.OnEvent = tr, onEvent
 		n, err := ringnode.Start(rc)
@@ -116,14 +114,6 @@ func (g *Group) Shards() int { return g.shards }
 
 // Node returns ring r's driver (status inspection, direct submission).
 func (g *Group) Node(r int) *ringnode.Node { return g.nodes[r] }
-
-// Tracer returns ring r's round tracer (nil without an observer).
-func (g *Group) Tracer(r int) *obs.RingTracer {
-	if o := g.nodes[r].Observer(); o != nil {
-		return o.Tracer
-	}
-	return nil
-}
 
 // MsgTracer returns ring r's message-lifecycle tracer (nil unless the
 // base observer carried a sampling tracer).

@@ -32,8 +32,8 @@ type Options struct {
 	// SubmitHighWater pauses client ingestion while the engine queue is at
 	// or above it (default 4× Personal window).
 	SubmitHighWater int
-	// Observer, when non-nil, supplies a per-node RingObserver for round
-	// tracing and metrics (node is the zero-based cluster index; return
+	// Observer, when non-nil, supplies a per-node RingObserver for event
+	// recording and metrics (node is the zero-based cluster index; return
 	// nil to leave that node unobserved). Observers must have a nil or
 	// simulation-derived Clock to keep the run deterministic: with a nil
 	// Clock durations read as zero but counts and traces are exact;

@@ -26,7 +26,7 @@ import (
 // tag is appended into an internal scratch owned by the single sender
 // goroutine) and verified receives still hand off the pooled buffer,
 // trimmed in place, so bufpool recycling by capacity is unaffected.
-func WithAuth(inner Transport, key []byte, reg *obs.Registry, fl *obs.FlightRecorder) Transport {
+func WithAuth(inner Transport, key []byte, reg *obs.Registry, fl *obs.Recorder) Transport {
 	auth := wire.NewAuth(key)
 	if auth == nil {
 		return inner
@@ -59,7 +59,7 @@ type authTransport struct {
 
 	drops   atomic.Uint64
 	dropCnt *obs.Counter
-	fl      *obs.FlightRecorder
+	fl      *obs.Recorder
 }
 
 var _ Transport = (*authTransport)(nil)
@@ -126,7 +126,7 @@ func (a *authTransport) forward(in <-chan []byte, out chan []byte, note string) 
 				bufpool.Put(f)
 				a.drops.Add(1)
 				a.dropCnt.Inc()
-				a.fl.Record(obs.FlightEvent{Kind: obs.FlightRxDrop, Note: note})
+				a.fl.Record(obs.Event{Kind: obs.FlightRxDrop, Note: note})
 				continue
 			}
 			select {

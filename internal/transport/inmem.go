@@ -22,7 +22,6 @@ type Hub struct {
 	eps    map[evs.ProcID]*Endpoint
 	inj    *faults.Injector
 	nm     *netMetrics
-	fl     atomic.Pointer[obs.FlightRecorder]
 	delayQ delayQueue
 }
 
@@ -47,13 +46,6 @@ func (h *Hub) SetObserver(reg *obs.Registry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.nm = newNetMetrics(reg, "transport.inmem.")
-}
-
-// SetFlight installs a black-box recorder that gets one event per frame
-// dropped on a full receive channel (nil clears). Safe to call while the
-// hub carries traffic: delayed deliveries load it atomically.
-func (h *Hub) SetFlight(f *obs.FlightRecorder) {
-	h.fl.Store(f)
 }
 
 // push delivers every surviving copy of a frame to one endpoint's channel
@@ -97,13 +89,6 @@ func (h *Hub) deliverAfter(peer *Endpoint, token bool, frame []byte, delay time.
 			bufpool.Put(cp)
 			cnt.Add(1)
 			nm.rxDrop()
-			if fl := h.fl.Load(); fl != nil {
-				note := "data"
-				if token {
-					note = "token"
-				}
-				fl.Record(obs.FlightEvent{Kind: obs.FlightRxDrop, Note: note})
-			}
 		}
 	}
 	if delay > 0 {

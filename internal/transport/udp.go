@@ -96,7 +96,7 @@ type UDPConfig struct {
 	Obs *obs.Registry
 	// Flight, when non-nil, receives a black-box event per inbound frame
 	// dropped on a full receive channel.
-	Flight *obs.FlightRecorder
+	Flight *obs.Recorder
 }
 
 // mcMagic/mcHeader frame the transport-level multicast envelope: group
@@ -152,7 +152,7 @@ type UDP struct {
 	rxSysN    atomic.Uint64
 	wg        sync.WaitGroup
 	nm        *netMetrics
-	fl        *obs.FlightRecorder
+	fl        *obs.Recorder
 	delayQ    delayQueue
 }
 
@@ -483,7 +483,7 @@ func (u *UDP) recordDrop(token bool) {
 	if token {
 		note = "token"
 	}
-	u.fl.Record(obs.FlightEvent{Kind: obs.FlightRxDrop, Note: note})
+	u.fl.Record(obs.Event{Kind: obs.FlightRxDrop, Note: note})
 }
 
 // Multicast implements Transport. In multicast mode the frame goes to

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"accelring/internal/obs"
 )
 
 // fastTimeouts keeps membership rounds short for tests.
@@ -230,8 +232,8 @@ func TestMembershipChangeSurfacesTypedError(t *testing.T) {
 func TestObserverWiring(t *testing.T) {
 	reg := NewRegistry()
 	nodes := openCluster(t, 2, WithObserver(reg))
-	if nodes[0].Tracer() == nil {
-		t.Fatal("Tracer() = nil with WithObserver")
+	if nodes[0].Recorder() == nil {
+		t.Fatal("Recorder() = nil with WithObserver")
 	}
 	if err := nodes[0].Join("g"); err != nil {
 		t.Fatal(err)
@@ -246,7 +248,7 @@ func TestObserverWiring(t *testing.T) {
 	if reg.Counter("ring.rounds").Value() == 0 {
 		t.Fatal("ring.rounds never incremented")
 	}
-	if nodes[0].Tracer().Total() == 0 {
-		t.Fatal("tracer recorded no rounds")
+	if len(obs.Rounds(nodes[0].Recorder().Snapshot(0))[""]) == 0 {
+		t.Fatal("recorder holds no token rounds")
 	}
 }

@@ -59,24 +59,18 @@ func WithEventBuffer(n int) Option {
 	return func(c *Config) { c.EventBuffer = n }
 }
 
-// WithObserver directs the node's metrics into reg and enables token-round
-// tracing (depth DefaultTraceDepth unless WithTraceDepth is also given).
-// Serve reg with StartDebugServer.
+// WithObserver directs the node's metrics into reg and turns on its
+// black-box event recorder (Node.Recorder). Serve both with
+// StartDebugServer.
 func WithObserver(reg *Registry) Option {
 	return func(c *Config) { c.Observer = reg }
-}
-
-// WithTraceDepth sets how many token-round traces the node retains for
-// /debug/ring. Only effective together with WithObserver.
-func WithTraceDepth(n int) Option {
-	return func(c *Config) { c.TraceDepth = n }
 }
 
 // WithTraceSampling enables message-lifecycle tracing: every every-th
 // sequence number (seq % every == 0) gets a span of per-stage events —
 // submit, pre/post-token multicast, receive, retransmission, delivery —
 // retained in a per-ring buffer served at /debug/msgtrace (register the
-// node's MsgTracer with DebugServer.AddMsgTracer). Sampling is
+// node's MsgTracers with DebugServer.Add). Sampling is
 // deterministic in the sequence number, so every node samples the same
 // messages and spans merge across the cluster. Zero (the default)
 // disables tracing entirely — the hot path keeps its zero-allocation

@@ -6,12 +6,14 @@
 # validates what comes back:
 #   /metrics        valid Prometheus exposition, accelring_* names only
 #   /debug/health   JSON array with one healthy status per ring
+#   /debug/ring     round traces derived from the flight recorder, per ring
 #   /debug/msgtrace JSON (message tracing enabled end to end)
 #   /debug/flight   JSONL black-box dump
 #
 # A second phase brings up a 2-node x 2-shard cluster with -slo-p99,
 # pushes real client traffic through it with ringload, and validates the
 # latency-attribution stack:
+#   /debug/ring     one "daemonN.shardR" key per ring of the shared recorder
 #   /debug/latency  per-ring stage digests with folded spans
 #   /metrics        accelring_latency_* and accelring_slo_* families
 #   ringtop -once   renders one console snapshot across both nodes
@@ -58,6 +60,17 @@ fetch() { # fetch URL [retries]
     done
     echo "FAIL: $url never answered" >&2
     return 1
+}
+
+# ring_keys prints the /debug/ring keys (one per ring) that hold at least
+# one round, after checking every round's sent_seq >= recv_seq; a round
+# that breaks it is printed as BAD:<key>.
+ring_keys() { # ring_keys BODY
+    echo "$1" | awk '
+        /^  "[^"]+": \[/ { key = $1; gsub(/[":]/, "", key) }
+        /"recv_seq":/    { recv = $2 + 0 }
+        /"sent_seq":/    { if ($2 + 0 >= recv) ok[key] = 1; else print "BAD:" key }
+        END              { for (k in ok) print k }' | sort
 }
 
 fail() {
@@ -110,6 +123,14 @@ for port in "${obs_ports[@]}"; do
         || fail "node :$port unhealthy: $health"
 done
 echo "   all nodes healthy"
+
+echo "== validating /debug/ring"
+for i in 1 2 3; do
+    ring=$(fetch "http://127.0.0.1:${obs_ports[$((i-1))]}/debug/ring?n=8")
+    keys=$(ring_keys "$ring")
+    [ "$keys" = "daemon$i" ] || fail "node $i /debug/ring rings = '$keys', want 'daemon$i': ${ring:0:400}"
+done
+echo "   every node renders consistent rounds for its ring"
 
 echo "== validating /debug/msgtrace and /debug/flight"
 trace=$(fetch "http://127.0.0.1:${obs_ports[0]}/debug/msgtrace")
@@ -168,6 +189,15 @@ done
 [ "$formed" -eq 1 ] || fail2 "sharded rings never rotated on both nodes"
 echo "   both rings rotating on both nodes"
 
+echo "== validating /debug/ring on the sharded nodes"
+for i in 1 2; do
+    ring=$(fetch "http://127.0.0.1:${shard_obs[$((i-1))]}/debug/ring?n=8")
+    keys=$(ring_keys "$ring" | tr '\n' ' ')
+    [ "$keys" = "daemon$i.shard0 daemon$i.shard1 " ] \
+        || fail2 "node $i /debug/ring rings = '$keys', want both shards: ${ring:0:400}"
+done
+echo "   both rings of both nodes render consistent rounds"
+
 echo "== pushing client traffic through the sharded cluster"
 "$workdir/ringload" -daemons 127.0.0.1:4811,127.0.0.1:4812 \
     -rate 200 -payload 64 -warmup 500ms -duration 2s \
@@ -188,6 +218,7 @@ for _ in $(seq 40); do
     esac
     sleep 0.25
 done
+[ "${lat:0:1}" = "[" ] && [ "${#lat}" -gt 2 ] || fail2 "/debug/latency is not non-empty JSON: '${lat:0:200}'"
 [ "$spans" -gt 0 ] || fail2 "no spans folded at /debug/latency: $lat"
 case "$lat" in
 *'"scope":"shard0"'* | *'"scope": "shard0"'*) ;;

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"accelring/internal/obs"
 )
 
 // openShardedCluster starts nn facade nodes, each running `shards` rings
@@ -258,23 +260,19 @@ func TestShardedViewChangeRings(t *testing.T) {
 	}
 }
 
-// TestShardedObserver checks per-ring metric labels and tracers.
+// TestShardedObserver checks per-ring metric labels and that the node's
+// one recorder keeps the rings' token rounds apart by label.
 func TestShardedObserver(t *testing.T) {
 	reg := NewRegistry()
 	nodes := openShardedCluster(t, 2, 2, WithObserver(reg))
 	n := nodes[0]
 
-	tracers := n.Tracers()
-	if len(tracers) != 2 || tracers[0] == nil || tracers[1] == nil {
-		t.Fatalf("Tracers() = %v", tracers)
-	}
-	if n.Tracer() != tracers[0] {
-		t.Fatal("Tracer() is not ring 0's tracer")
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
+		rounds := obs.Rounds(n.Recorder().Snapshot(0))
 		if reg.Counter("shard0.ring.rounds").Value() > 0 &&
-			reg.Counter("shard1.ring.rounds").Value() > 0 {
+			reg.Counter("shard1.ring.rounds").Value() > 0 &&
+			len(rounds["shard0"]) > 0 && len(rounds["shard1"]) > 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -41,10 +41,10 @@ func TestTraceSamplingWiring(t *testing.T) {
 		}
 	}
 
-	counts := func(n *Node) map[MsgStage]int {
-		out := make(map[MsgStage]int)
+	counts := func(n *Node) map[EventKind]int {
+		out := make(map[EventKind]int)
 		for _, ev := range n.MsgTracer().Snapshot(0) {
-			out[ev.Stage]++
+			out[ev.Kind]++
 		}
 		return out
 	}
@@ -65,13 +65,13 @@ func TestTraceSamplingWiring(t *testing.T) {
 	// merge across nodes.
 	senderSeqs := make(map[uint64]bool)
 	for _, ev := range nodes[0].MsgTracer().Snapshot(0) {
-		if ev.Stage == StageDeliver {
+		if ev.Kind == StageDeliver {
 			senderSeqs[ev.Seq] = true
 		}
 	}
 	matched := 0
 	for _, ev := range nodes[1].MsgTracer().Snapshot(0) {
-		if ev.Stage == StageDeliver && senderSeqs[ev.Seq] {
+		if ev.Kind == StageDeliver && senderSeqs[ev.Seq] {
 			matched++
 		}
 	}

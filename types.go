@@ -47,31 +47,28 @@ type (
 	// the node populates when passed via WithObserver.
 	Registry = obs.Registry
 
-	// RingTracer retains the most recent token-round traces; serve it
-	// with a DebugServer at /debug/ring.
-	RingTracer = obs.RingTracer
+	// Recorder is a bounded ring of the last recorded events, dumpable as
+	// JSONL: a node's black-box recorder (Node.Recorder) and, with a
+	// sampling gate, its message tracers. Register either with
+	// DebugServer.Add.
+	Recorder = obs.Recorder
 
-	// RoundTrace is one token visit: sequence numbers, aru, fcc, counts
-	// of new/retransmitted messages and the token hold time.
-	RoundTrace = obs.RoundTrace
-
-	// MsgTracer retains sampled message-lifecycle spans (see
-	// WithTraceSampling); serve it with a DebugServer at /debug/msgtrace.
+	// MsgTracer is a Recorder retaining sampled message-lifecycle spans
+	// (see WithTraceSampling).
 	MsgTracer = obs.MsgTracer
 
-	// MsgEvent is one stage of a sampled message's lifecycle: submit,
-	// pre/post-token multicast, receive, retransmission, delivery.
-	MsgEvent = obs.MsgEvent
+	// RecordedEvent is the one scalar record a Recorder holds: a stage of
+	// a sampled message's lifecycle, or a black-box protocol event.
+	RecordedEvent = obs.Event
 
-	// MsgStage labels the lifecycle stage of a MsgEvent.
-	MsgStage = obs.MsgStage
+	// EventKind classifies a RecordedEvent: the Stage* lifecycle stages
+	// below, or a black-box kind ("token_rx", "state", ...).
+	EventKind = obs.Kind
 
-	// FlightRecorder is a black-box ring of the last protocol events,
-	// dumpable as JSONL; serve it with a DebugServer at /debug/flight.
-	FlightRecorder = obs.FlightRecorder
-
-	// FlightEvent is one compact protocol event in a FlightRecorder.
-	FlightEvent = obs.FlightEvent
+	// RoundTrace is the /debug/ring rendering of one token visit:
+	// sequence numbers, aru, fcc, counts of new/retransmitted messages
+	// and the token hold time.
+	RoundTrace = obs.RoundTrace
 
 	// DebugServer serves /debug/vars, /debug/ring, /debug/msgtrace,
 	// /debug/flight, /debug/health, /debug/latency, /metrics and
@@ -105,8 +102,8 @@ const (
 	Safe     = evs.Safe
 )
 
-// Message-lifecycle stages recorded by a MsgTracer (see
-// WithTraceSampling), in protocol order.
+// Message-lifecycle stages (EventKind values) recorded by a MsgTracer
+// (see WithTraceSampling), in protocol order.
 const (
 	StagePack        = obs.StagePack
 	StageSubmit      = obs.StageSubmit
@@ -131,11 +128,6 @@ func NewHub() *Hub { return transport.NewHub() }
 // and StartDebugServer.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// NewFlightRecorder returns a black-box recorder of the last depth
-// protocol events (depth <= 0 uses a default). Register it with
-// DebugServer.AddFlight to serve dumps at /debug/flight.
-func NewFlightRecorder(depth int) *FlightRecorder { return obs.NewFlightRecorder(depth) }
-
 // NewLatencyAgg returns a latency aggregator registering its per-stage
 // histograms on reg (nil reg disables attribution). Feed it a node's
 // tracers with Node.AttachLatency and serve it at /debug/latency with
@@ -152,11 +144,11 @@ func NewSLO(reg *Registry, cfg SLOConfig) *SLO { return obs.NewSLO(reg, cfg) }
 func DefaultTimeouts() Timeouts { return membership.DefaultTimeouts() }
 
 // StartDebugServer serves reg at addr: /debug/vars (JSON metrics),
-// /metrics (Prometheus text exposition), /debug/ring (recent token-round
-// traces; register a node's tracer with AddTracer), /debug/msgtrace
-// (sampled message spans; AddMsgTracer), /debug/flight (black-box event
-// dumps; AddFlight), /debug/health (ring health; SetHealth) and
-// /debug/pprof. Close the returned server when done.
+// /metrics (Prometheus text exposition), /debug/health (ring health;
+// SetHealth), /debug/pprof, and three views of the recorders registered
+// with Add: /debug/ring (recent token-round traces), /debug/msgtrace
+// (sampled message spans) and /debug/flight (black-box event dumps).
+// Close the returned server when done.
 func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 	return obs.StartServer(addr, reg)
 }
