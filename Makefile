@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-full loc bench-e2e bench-e2e-quick bench-smoke bench-baseline bench-wire bench-wire-smoke bench-fanout bench-fanout-smoke bench-xring bench-xring-smoke chaos chaos-xring obs-smoke soak-smoke
+.PHONY: ci vet build test race race-full loc bench-e2e bench-e2e-quick bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke
 
 ci: vet build test race
 
@@ -42,68 +42,16 @@ bench-e2e:
 bench-e2e-quick:
 	$(GO) run ./benchmark -quick
 
-# One-iteration benchmark pass over two figures and the core engine, as a
-# cheap regression tripwire (CI runs this as its own job).
+# Two paper figures in quick mode through the one figure entry point, and
+# one pass over the core engine's benchmarks, as a cheap regression
+# tripwire (CI runs this as its own job). The gated numbers are the
+# per-layer ladder rungs of `go run ./benchmark` (benchmark/README.md) and
+# the AllocsPerRun tests; the other Benchmark* functions are developer
+# tools.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Fig0[13]' -benchtime 1x .
+	$(GO) run ./cmd/ringbench -quick -figure fig1 -out $$(mktemp -d)
+	$(GO) run ./cmd/ringbench -quick -figure fig3 -out $$(mktemp -d)
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core
-
-# Allocation/throughput baseline: core-engine + wire microbenchmarks plus
-# the Fig01/Fig03 end-to-end simulations, all with -benchmem, written as
-# JSON to results/BENCH_core.json (raw text kept alongside). Commit the
-# JSON when the hot path changes so regressions show up in review.
-bench-baseline:
-	mkdir -p results
-	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/wire ; \
-	  $(GO) test -run '^$$' -bench 'Fig0[13]' -benchtime 1x -benchmem . ; } \
-	  | tee results/BENCH_core.txt | $(GO) run ./cmd/benchjson > results/BENCH_core.json
-
-# Wire-path baseline: loopback UDP syscalls-per-frame (bare vs batched
-# vs multicast sendmmsg/recvmmsg) plus simulated-ring ordered throughput
-# bare vs packed, recorded in results/BENCH_wire.json (+ raw text).
-# Commit the JSON when the wire path changes; the multicast rows skip
-# silently where the environment cannot route group traffic on loopback.
-bench-wire:
-	mkdir -p results
-	{ $(GO) test -run '^$$' -bench 'Wire' -benchtime 20000x -benchmem ./internal/transport ; \
-	  $(GO) test -run '^$$' -bench 'WireRing' -benchtime 30000x -benchmem ./internal/ringnode ; } \
-	  | tee results/BENCH_wire.txt | $(GO) run ./cmd/benchjson > results/BENCH_wire.json
-
-# Quick variant for CI: one pass, throwaway output.
-bench-wire-smoke:
-	$(GO) test -run '^$$' -bench 'Wire' -benchtime 1000x ./internal/transport
-	$(GO) test -run '^$$' -bench 'WireRing' -benchtime 2000x ./internal/ringnode
-
-# Client fan-out figure: 1 publisher frame delivered to 16/64 subscriber
-# sessions over TCP loopback through the production outbox and writer
-# (encode-once shared bodies, batched vectored writes). Records frames/s,
-# write syscalls/frame, and allocs/op in results/BENCH_fanout.json (+ raw
-# text). Commit the JSON when the daemon client layer changes.
-bench-fanout:
-	mkdir -p results
-	$(GO) test -run '^$$' -bench 'Fanout' -benchtime 20000x -benchmem ./internal/daemon \
-	  | tee results/BENCH_fanout.txt | $(GO) run ./cmd/benchjson > results/BENCH_fanout.json
-
-# Quick variant for CI: one short pass, throwaway output.
-bench-fanout-smoke:
-	$(GO) test -run '^$$' -bench 'Fanout' -benchtime 500x ./internal/daemon
-
-# Cross-ring merge figure: end-to-end client delivery through real
-# daemons — single-ring split baseline (the PR 4 shape) vs the 2-shard
-# merged path (merge overhead is the per-message delta), plus the live
-# migration blackout window (ns/op of one Migrate round trip with
-# traffic in flight). Recorded in results/BENCH_xring.json (+ raw text).
-# Commit the JSON when the merge or migration path changes.
-bench-xring:
-	mkdir -p results
-	{ $(GO) test -run '^$$' -bench 'XRing(Split|Merged)Delivery' -benchtime 20000x -benchmem ./internal/daemon ; \
-	  $(GO) test -run '^$$' -bench 'XRingMigrationBlackout' -benchtime 200x -benchmem ./internal/daemon ; } \
-	  | tee results/BENCH_xring.txt | $(GO) run ./cmd/benchjson > results/BENCH_xring.json
-
-# Quick variant for CI: short passes, throwaway output.
-bench-xring-smoke:
-	$(GO) test -run '^$$' -bench 'XRing(Split|Merged)Delivery' -benchtime 1000x ./internal/daemon
-	$(GO) test -run '^$$' -bench 'XRingMigrationBlackout' -benchtime 20x ./internal/daemon
 
 # Replay one chaos seed: make chaos FAULTS_SEED=17
 chaos:
@@ -113,6 +61,13 @@ chaos:
 # make chaos-xring FAULTS_SEED=17
 chaos-xring:
 	$(GO) test -v -run TestXRingChaos ./internal/faults/chaos/
+
+# Deep sweep of both seeded harnesses over seeds 1..N:
+# make chaos-sweep N=200
+N ?= 200
+chaos-sweep:
+	FAULTS_SEED=$$(seq -s, 1 $(N)) $(GO) test -count=1 -timeout 1800s \
+	  -run 'TestChaosRandomPlans|TestXRingChaosGlobalOrder' ./internal/faults/chaos/
 
 # End-to-end observability smoke: live 3-node ring, curl /metrics,
 # /debug/health, /debug/msgtrace, /debug/flight and validate the output.

@@ -14,7 +14,6 @@ import (
 	"accelring/internal/simproc"
 	"accelring/internal/stats"
 	"accelring/internal/wire"
-	"accelring/internal/workload"
 )
 
 // Protocol selects the ordering protocol variant under test.
@@ -175,15 +174,15 @@ func Run(cfg RunConfig) (Result, error) {
 	// Workload.
 	until := wEnd
 	for i, node := range c.Nodes {
-		gen := &workload.Generator{
-			Sim:         c.Sim,
-			Rng:         rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-			PayloadSize: cfg.PayloadBytes,
-			Service:     cfg.Service,
+		gen := &generator{
+			sim:         c.Sim,
+			rng:         rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
+			payloadSize: cfg.PayloadBytes,
+			service:     cfg.Service,
 		}
 		if cfg.OfferedMbps > 0 {
-			rate := workload.SpreadRate(cfg.OfferedMbps*1e6, cfg.PayloadBytes, n)
-			gen.RunRate(node, rate, until)
+			rate := spreadRate(cfg.OfferedMbps*1e6, cfg.PayloadBytes, n)
+			gen.runRate(node, rate, until)
 		} else {
 			// Saturating: refill a personal window every half of the time
 			// a fully loaded round takes on the wire (2× oversubscribed,
@@ -194,7 +193,7 @@ func Run(cfg RunConfig) (Result, error) {
 			if every < 10*simnet.Microsecond {
 				every = 10 * simnet.Microsecond
 			}
-			gen.RunSaturating(node, batch, every, until)
+			gen.runSaturating(node, batch, every, until)
 		}
 	}
 

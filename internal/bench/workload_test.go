@@ -1,4 +1,4 @@
-package workload
+package bench
 
 import (
 	"math"
@@ -22,15 +22,15 @@ func testCluster(t *testing.T) *simproc.Cluster {
 
 func TestRunRateApproximatesRate(t *testing.T) {
 	c := testCluster(t)
-	g := &Generator{
-		Sim:         c.Sim,
-		Rng:         rand.New(rand.NewSource(7)),
-		PayloadSize: 200,
-		Service:     evs.Agreed,
+	g := &generator{
+		sim:         c.Sim,
+		rng:         rand.New(rand.NewSource(7)),
+		payloadSize: 200,
+		service:     evs.Agreed,
 	}
 	const rate = 5000.0 // msgs/s
 	horizon := 500 * simnet.Millisecond
-	g.RunRate(c.Nodes[0], rate, horizon)
+	g.runRate(c.Nodes[0], rate, horizon)
 	c.Sim.RunUntil(horizon + 50*simnet.Millisecond)
 	got := float64(c.Nodes[0].Stats().Submitted)
 	want := rate * float64(horizon) / 1e9
@@ -41,8 +41,8 @@ func TestRunRateApproximatesRate(t *testing.T) {
 
 func TestRunRateZeroIsNoop(t *testing.T) {
 	c := testCluster(t)
-	g := &Generator{Sim: c.Sim, Rng: rand.New(rand.NewSource(1)), PayloadSize: 64, Service: evs.Agreed}
-	g.RunRate(c.Nodes[0], 0, simnet.Second)
+	g := &generator{sim: c.Sim, rng: rand.New(rand.NewSource(1)), payloadSize: 64, service: evs.Agreed}
+	g.runRate(c.Nodes[0], 0, simnet.Second)
 	c.Sim.RunUntil(10 * simnet.Millisecond)
 	if c.Nodes[0].Stats().Submitted != 0 {
 		t.Fatal("zero rate submitted messages")
@@ -51,9 +51,9 @@ func TestRunRateZeroIsNoop(t *testing.T) {
 
 func TestRunSaturatingKeepsQueueFed(t *testing.T) {
 	c := testCluster(t)
-	g := &Generator{Sim: c.Sim, Rng: rand.New(rand.NewSource(1)), PayloadSize: 1350, Service: evs.Agreed}
+	g := &generator{sim: c.Sim, rng: rand.New(rand.NewSource(1)), payloadSize: 1350, service: evs.Agreed}
 	for _, n := range c.Nodes {
-		g.RunSaturating(n, 20, 100*simnet.Microsecond, 50*simnet.Millisecond)
+		g.runSaturating(n, 20, 100*simnet.Microsecond, 50*simnet.Millisecond)
 	}
 	c.Sim.RunUntil(60 * simnet.Millisecond)
 	// Every node must have sent a personal window's worth many times over.
@@ -66,7 +66,7 @@ func TestRunSaturatingKeepsQueueFed(t *testing.T) {
 
 func TestPayloadsAreStamped(t *testing.T) {
 	c := testCluster(t)
-	g := &Generator{Sim: c.Sim, Rng: rand.New(rand.NewSource(3)), PayloadSize: 64, Service: evs.Agreed}
+	g := &generator{sim: c.Sim, rng: rand.New(rand.NewSource(3)), payloadSize: 64, service: evs.Agreed}
 	var stamps []simnet.Time
 	c.SetDeliverHook(func(node simnet.NodeID, m evs.Message, at simnet.Time) {
 		if node != 0 {
@@ -78,7 +78,7 @@ func TestPayloadsAreStamped(t *testing.T) {
 		}
 		stamps = append(stamps, ts)
 	})
-	g.RunRate(c.Nodes[1], 2000, 50*simnet.Millisecond)
+	g.runRate(c.Nodes[1], 2000, 50*simnet.Millisecond)
 	c.Sim.RunUntil(100 * simnet.Millisecond)
 	if len(stamps) == 0 {
 		t.Fatal("no stamped deliveries")
@@ -87,11 +87,11 @@ func TestPayloadsAreStamped(t *testing.T) {
 
 func TestSpreadRate(t *testing.T) {
 	// 1 Gb/s of 1350-byte payloads over 8 nodes ≈ 11574 msgs/s/node.
-	got := SpreadRate(1e9, 1350, 8)
+	got := spreadRate(1e9, 1350, 8)
 	if math.Abs(got-11574) > 1 {
 		t.Fatalf("SpreadRate = %v", got)
 	}
-	if SpreadRate(1e9, 0, 8) != 0 || SpreadRate(1e9, 1350, 0) != 0 {
+	if spreadRate(1e9, 0, 8) != 0 || spreadRate(1e9, 1350, 0) != 0 {
 		t.Fatal("degenerate SpreadRate not zero")
 	}
 }

@@ -31,7 +31,7 @@
 //     part of the window, so delivery is exactly-once across reconnects.
 //     Clients acknowledge (session.Ack) to release the window. A
 //     detached session that neither resumes nor said Bye within
-//     ResumeTimeout is disconnected in order.
+//     resumeTimeout is disconnected in order.
 //   - Graceful drain: Drain flushes every session's queue, hands clients
 //     a Detach notice with resume blessing, and emits the final ordered
 //     leave per session.
@@ -105,13 +105,6 @@ type Config struct {
 	// Throttle notification (default SpillLimit/2). The notification is
 	// withdrawn once the backlog halves again.
 	ThrottleAt int
-	// RetainLimit caps the written-but-unacked frames kept for re-sending
-	// after a resume (default 4096). A client whose reconnect needs more
-	// than this is refused resume and must start a fresh session.
-	RetainLimit int
-	// ResumeTimeout is how long a detached session is held for resume
-	// before its ordered disconnect is emitted (default 30s).
-	ResumeTimeout time.Duration
 	// Key, when non-empty, authenticates every session frame with a
 	// truncated HMAC-SHA256 tag; clients must present the same key.
 	// Forged frames are counted on daemon.auth_drops and dropped, and
@@ -211,7 +204,7 @@ func newDaemonMetrics(reg *obs.Registry) daemonMetrics {
 
 // clientConn is one client session. The session outlives its TCP
 // connection: on a connection loss it stays registered (detached) until
-// the client resumes, says Bye, or ResumeTimeout expires.
+// the client resumes, says Bye, or resumeTimeout expires.
 type clientConn struct {
 	id    group.ClientID
 	name  string
@@ -250,12 +243,6 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 	if cfg.ThrottleAt <= 0 || cfg.ThrottleAt > cfg.SpillLimit {
 		cfg.ThrottleAt = cfg.SpillLimit / 2
-	}
-	if cfg.RetainLimit <= 0 {
-		cfg.RetainLimit = 4096
-	}
-	if cfg.ResumeTimeout <= 0 {
-		cfg.ResumeTimeout = 30 * time.Second
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -435,7 +422,7 @@ func (d *Daemon) handleConnect(conn net.Conn, hello session.Connect) {
 		name:  hello.Name,
 		token: newToken(),
 		out: newOutbox(d.cfg.ClientBuffer,
-			d.cfg.ThrottleAt, d.cfg.SpillLimit, d.cfg.RetainLimit),
+			d.cfg.ThrottleAt, d.cfg.SpillLimit, sessionRetainLimit),
 	}
 	d.clients[c.id.Local] = c
 	active := len(d.clients)
@@ -523,6 +510,16 @@ func (d *Daemon) handleResume(conn net.Conn, req session.Resume) {
 // resumeChallengeTimeout bounds how long a Resume handshake may sit on
 // the challenge round trip before the daemon gives up the connection.
 const resumeChallengeTimeout = 5 * time.Second
+
+// Resume bounds. sessionRetainLimit caps the written-but-unacked frames a
+// session keeps for re-sending after a resume; a client whose reconnect
+// needs more is refused and must start a fresh session. resumeTimeout is
+// how long a detached session is held for resume before its ordered
+// disconnect is emitted.
+const (
+	sessionRetainLimit = 4096
+	resumeTimeout      = 30 * time.Second
+)
 
 // challengeResume demands fresh proof of key possession before a keyed
 // Resume is honored. The Resume frame's HMAC covers only static bytes,
@@ -724,7 +721,7 @@ func (d *Daemon) afterTier(c *clientConn, ch tierChange) {
 }
 
 // detachClient handles a dead connection: the session stays registered
-// for ResumeTimeout awaiting a Resume, then is disconnected in order.
+// for resumeTimeout awaiting a Resume, then is disconnected in order.
 // Stale connections (already superseded by a resume) are ignored.
 func (d *Daemon) detachClient(c *clientConn, conn net.Conn) {
 	conn.Close()
@@ -744,7 +741,7 @@ func (d *Daemon) detachClient(c *clientConn, conn net.Conn) {
 		if c.expiry != nil {
 			c.expiry.Stop()
 		}
-		c.expiry = time.AfterFunc(d.cfg.ResumeTimeout, func() { d.dropClient(c) })
+		c.expiry = time.AfterFunc(resumeTimeout, func() { d.dropClient(c) })
 	}
 	c.mu.Unlock()
 	d.flight("detach", c.id.Local, 0)

@@ -7,8 +7,9 @@ package daemon
 // wakeup into a single vectored write.
 //
 // Reported metrics: frames/s across all subscribers, and write
-// syscalls/frame (writev flushes over frames delivered). Run via
-// `make bench-fanout`, committed as results/BENCH_fanout.json.
+// syscalls/frame (writev flushes over frames delivered). A developer
+// tool (EXPERIMENTS.md has the command line); the tracked figures are the
+// end-to-end benchmark's daemon.* per-layer rows.
 
 import (
 	"fmt"

@@ -307,7 +307,7 @@ func (o *outbox) ack(seq uint64) {
 // canResume reports whether a client that processed deliveries up to
 // lastSeq can be resumed without a gap: nothing past lastSeq has left the
 // window. An honest client is never behind its own acks, so only an
-// eviction (more than RetainLimit written and unacked) can put head past
+// eviction (more than retainLimit written and unacked) can put head past
 // it.
 func (o *outbox) canResume(lastSeq uint64) error {
 	o.mu.Lock()

@@ -15,8 +15,9 @@ package daemon
 // The merged benchmarks tighten the lambda pacing (SkipInterval 100µs,
 // SkipAhead 256) the way a throughput-tuned deployment would, so the
 // figure measures merge bookkeeping rather than the idle-ring pacing
-// interval. Run via `make bench-xring`, committed as
-// results/BENCH_xring.json.
+// interval. A developer tool (EXPERIMENTS.md has the command lines); the
+// tracked figures are the end-to-end benchmark's sharded row and merge.*
+// per-layer rows.
 
 import (
 	"fmt"

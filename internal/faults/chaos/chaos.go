@@ -1,9 +1,12 @@
 // Package chaos is the invariant-checking chaos harness: it runs
 // randomized, seed-replayable fault plans against a full multi-daemon
 // cluster — one membership.Machine (membership + recovery + ordering
-// engine) per participant, connected by a deterministic virtual-time
-// network routed through the unified faults.Injector — and checks the
-// Extended Virtual Synchrony delivery invariants after every run:
+// engine) per participant — on the repository's one virtual-time
+// simulator: simnet.Sim schedules every frame arrival, machine timer and
+// schedule step, and simnet.Network carries every frame through NIC
+// serialization, the switch's per-port drop-tail buffers and the unified
+// faults.Injector. It checks the Extended Virtual Synchrony delivery
+// invariants after every run:
 //
 //  1. total-order — agreed delivery produces one total order: a slot
 //     (configuration, sequence number) holds the same message at every
@@ -21,14 +24,23 @@
 //  4. seq-regression — per member and configuration, delivered sequence
 //     numbers are strictly increasing.
 //
-// A run is a pure function of its seed: the fault plan, the node count,
-// the kill/restart/partition schedule, and every per-packet fault
-// decision derive from it, so any violation replays exactly from the
-// printed seed (see faults.ReplaySeed and the FAULTS_SEED override).
+// The fault classes are process kill and restart, partition and heal,
+// i.i.d. and bursty loss, duplication, delay/reorder, and — on the seeds
+// whose fabric has a switch port buffer of only a few frames — drop-tail
+// overrun at the receiver's port when senders overlap (Result.SwitchDrops).
+//
+// RunXRing puts several rings on the same simulator: all rings of a run
+// share one clock, and each ring delivery reaches the node's production
+// ordered-group core (groupcore.Core) at its virtual instant, interleaved
+// with the other rings' deliveries exactly as the event order has them.
+//
+// A run is a pure function of its seed: the fabric, the fault plan, the
+// node count, the kill/restart/partition schedule, and every per-packet
+// fault decision derive from it, so any violation replays exactly from
+// the printed seed (see faults.ReplaySeed and the FAULTS_SEED override).
 package chaos
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"os"
@@ -42,13 +54,12 @@ import (
 	"accelring/internal/flowcontrol"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
+	"accelring/internal/simnet"
 	"accelring/internal/stats"
+	"accelring/internal/wire"
 )
 
 const (
-	// hopLatency is the virtual one-way frame latency; it keeps virtual
-	// time advancing so an operational ring cannot spin at one instant.
-	hopLatency = 200 * time.Microsecond
 	// tickStep is the virtual membership-timer resolution.
 	tickStep = 5 * time.Millisecond
 	// tickPhase staggers each machine's timer phase and tickSkew its
@@ -64,6 +75,33 @@ const (
 	// restartPhase further shifts a restarted incarnation's timers.
 	restartPhase = 311 * time.Microsecond
 )
+
+// epoch is the wall time of simulator time zero: the machines' clock is
+// epoch + Sim.Now().
+var epoch = time.Unix(1000, 0)
+
+// chaosFabric draws a run's fabric from its seed. The links are slow and
+// long, so a token hop costs about 200 µs of virtual time (two 45 µs
+// serializations of its ~56 bytes at 10 Mb/s, two propagation delays and
+// the switch) and an idle ring's token spins at a rate the run can afford.
+// Two runs in three get a port buffer nothing here can fill; the third
+// gets one of only a few frames (the largest, a six-member commit token,
+// is 295 bytes and must still fit), so senders that overlap at a
+// receiver's switch port — the accelerated ring's post-token multicasts
+// against its successor's, a join storm — overrun it and frames are lost.
+func chaosFabric(rng *rand.Rand, n int) simnet.Config {
+	cfg := simnet.Config{
+		Nodes:          n,
+		LinkBitsPerSec: 1e7,
+		PropDelay:      50 * simnet.Microsecond,
+		SwitchLatency:  10 * simnet.Microsecond,
+		PortBufBytes:   1 << 20,
+	}
+	if rng.Intn(3) == 0 {
+		cfg.PortBufBytes = 300 + rng.Intn(300)
+	}
+	return cfg
+}
 
 // Options parameterizes a chaos run. Zero fields derive from the seed.
 type Options struct {
@@ -107,8 +145,10 @@ type Result struct {
 	// application message deliveries summed over members; Configs counts
 	// regular configuration installs summed over members.
 	Submitted, Delivered, Configs int
-	// Faults holds the fault plan's per-rule counters.
-	Faults []stats.FaultCounter
+	// Faults holds the fault plan's per-rule counters; SwitchDrops counts
+	// the frames lost to drop-tail overrun at a full switch port.
+	Faults      []stats.FaultCounter
+	SwitchDrops uint64
 	// Violations holds every invariant breach (empty on a clean run).
 	Violations []Violation
 }
@@ -130,76 +170,60 @@ type memberLog struct {
 
 func (l *memberLog) name() string { return fmt.Sprintf("%d.%d", l.id, l.gen) }
 
-// procOut adapts a machine's effects onto the harness network.
+// procOut adapts a machine's effects onto the simulated network.
 type procOut struct {
 	h   *harness
 	log *memberLog
 }
 
-func (o *procOut) Multicast(frame []byte) {
-	cp := append([]byte(nil), frame...)
-	for _, id := range o.h.ids {
-		if id != o.log.id {
-			o.h.send(o.log.id, id, false, cp)
-		}
+// packet wraps a copy of frame (the machine reuses its buffer) for the
+// wire. kind is the frame's class, not its exact type: everything unicast
+// rides the token channel, everything multicast the data channel, which is
+// what the injector's class rules and the receiving socket go by.
+func (o *procOut) packet(kind wire.FrameType, frame []byte) *simnet.Packet {
+	return &simnet.Packet{
+		From: simnet.NodeID(o.log.id - 1), Kind: kind,
+		Wire: len(frame), Frame: append([]byte(nil), frame...),
 	}
 }
 
+func (o *procOut) Multicast(frame []byte) {
+	p := o.packet(wire.FrameData, frame)
+	o.h.net.Multicast(p.From, p)
+}
+
 func (o *procOut) Unicast(to evs.ProcID, frame []byte) {
-	o.h.send(o.log.id, to, true, append([]byte(nil), frame...))
+	p := o.packet(wire.FrameToken, frame)
+	o.h.net.Unicast(p.From, simnet.NodeID(to-1), p)
 }
 
 func (o *procOut) Deliver(ev evs.Event) {
 	o.log.events = append(o.log.events, ev)
-}
-
-// envelope is one in-flight frame copy.
-type envelope struct {
-	at    time.Time
-	seq   uint64
-	to    evs.ProcID
-	token bool
-	frame []byte
-}
-
-type envHeap []*envelope
-
-func (h envHeap) Len() int { return len(h) }
-func (h envHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+	if o.h.onDeliver != nil {
+		o.h.onDeliver(o.log.id, ev)
 	}
-	return h[i].seq < h[j].seq
-}
-func (h envHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *envHeap) Push(x any)   { *h = append(*h, x.(*envelope)) }
-func (h *envHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }
 
-// harness is the deterministic virtual-time cluster: machines, a timed
-// frame queue, and the fault injector. Everything runs on one goroutine;
-// map iteration never decides anything (h.ids orders all fan-out).
+// harness is one ring's deterministic virtual-time cluster: machines on a
+// simulated fabric with the fault injector at its ingress; participant id
+// runs on fabric host id-1. Everything runs on the simulator's one
+// goroutine; map iteration never decides anything (h.ids orders fan-out).
 type harness struct {
-	rng        *rand.Rand
-	start, now time.Time
-	tickAt     map[evs.ProcID]time.Time
+	rng *rand.Rand
+	sim *simnet.Sim
+	net *simnet.Network
 
 	ids      []evs.ProcID
 	machines map[evs.ProcID]*membership.Machine
 	gens     map[evs.ProcID]int
 	cur      map[evs.ProcID]*memberLog
 	logs     []*memberLog
+	// onDeliver, when set, sees every delivery of every member at its
+	// virtual instant (RunXRing feeds the node's ordered-group core here).
+	onDeliver func(id evs.ProcID, ev evs.Event)
 
-	inj        *faults.Injector
-	part       *faults.Partition
-	faultStart time.Time
-	faultsOn   bool
+	inj  *faults.Injector
+	part *faults.Partition
 
 	// netFlight records the fault injector's actions; flightDir and
 	// forceViolation carry the Options' flight-dump settings.
@@ -207,8 +231,6 @@ type harness struct {
 	flightDir      string
 	forceViolation bool
 
-	queue     envHeap
-	seq       uint64
 	submitted int
 }
 
@@ -222,18 +244,23 @@ func chaosTimeouts() membership.Timeouts {
 	}
 }
 
-func newHarness(rng *rand.Rand, n int) *harness {
+// newHarness builds an n-machine ring on sim (shared by all rings of a
+// run), on a fabric drawn from rng.
+func newHarness(sim *simnet.Sim, rng *rand.Rand, n int) *harness {
 	h := &harness{
-		rng:      rng,
-		start:    time.Unix(1000, 0),
-		now:      time.Unix(1000, 0),
-		machines: make(map[evs.ProcID]*membership.Machine),
-		gens:     make(map[evs.ProcID]int),
-		cur:      make(map[evs.ProcID]*memberLog),
-		tickAt:   make(map[evs.ProcID]time.Time),
-		part:     faults.NewPartition(),
+		rng:       rng,
+		sim:       sim,
+		machines:  make(map[evs.ProcID]*membership.Machine),
+		gens:      make(map[evs.ProcID]int),
+		cur:       make(map[evs.ProcID]*memberLog),
+		part:      faults.NewPartition(),
+		netFlight: obs.NewRecorder(0),
 	}
-	h.netFlight = obs.NewRecorder(0)
+	net, err := simnet.NewNetwork(sim, chaosFabric(rng, n), h.receive)
+	if err != nil {
+		panic("chaos: " + err.Error())
+	}
+	h.net = net
 	for i := 0; i < n; i++ {
 		id := evs.ProcID(i + 1)
 		h.ids = append(h.ids, id)
@@ -242,9 +269,10 @@ func newHarness(rng *rand.Rand, n int) *harness {
 	return h
 }
 
+func (h *harness) now() time.Time { return epoch.Add(time.Duration(h.sim.Now())) }
+
 func (h *harness) addMachine(id evs.ProcID) {
-	log := &memberLog{id: id, gen: h.gens[id]}
-	log.flight = obs.NewRecorder(0)
+	log := &memberLog{id: id, gen: h.gens[id], flight: obs.NewRecorder(0)}
 	h.cur[id] = log
 	h.logs = append(h.logs, log)
 	m, err := membership.New(membership.Config{
@@ -253,30 +281,52 @@ func (h *harness) addMachine(id evs.ProcID) {
 		Priority:        core.PriorityAggressive,
 		DelayedRequests: true,
 		Timeouts:        chaosTimeouts(),
-		// Flight recording only, on the harness's virtual clock: no
-		// registry and no tracer, so the machines behave identically to
-		// unobserved ones and the Result stays a pure function of the
-		// seed.
-		Observer: &obs.RingObserver{Flight: log.flight, Clock: func() time.Time { return h.now }},
-	}, &procOut{h: h, log: log}, h.now)
+		// Flight recording only, on the simulator's clock: no registry
+		// and no tracer, so the machines behave identically to unobserved
+		// ones and the Result stays a pure function of the seed.
+		Observer: &obs.RingObserver{Flight: log.flight, Clock: h.now},
+	}, &procOut{h: h, log: log}, h.now())
 	if err != nil {
 		panic("chaos: " + err.Error())
 	}
 	h.machines[id] = m
-	h.tickAt[id] = h.now.Add(tickStep +
-		time.Duration(id)*tickPhase + time.Duration(h.gens[id])*restartPhase)
+	every := simnet.Time(tickStep + time.Duration(id)*tickSkew)
+	var tick func()
+	tick = func() {
+		if h.cur[id] != log {
+			return // this incarnation was killed: its timer dies with it
+		}
+		m.Tick(h.now())
+		h.sim.After(every, tick)
+	}
+	h.sim.After(simnet.Time(tickStep+
+		time.Duration(id)*tickPhase+time.Duration(h.gens[id])*restartPhase), tick)
+}
+
+// receive is the fabric's delivery callback: a frame that survived the
+// queues and the injector reaches the process now running on the host, if
+// any — frames to a killed host find nobody.
+func (h *harness) receive(to simnet.NodeID, p *simnet.Packet) {
+	m := h.machines[evs.ProcID(to+1)]
+	if m == nil {
+		return
+	}
+	if p.Kind == wire.FrameToken {
+		m.HandleTokenFrame(p.Frame, h.now())
+	} else {
+		m.HandleDataFrame(p.Frame, h.now())
+	}
 }
 
 // kill stops a participant's process: its machine vanishes, its current
-// incarnation is marked crashed, and in-flight frames to it are dropped at
-// dispatch.
+// incarnation is marked crashed, and frames and timers still in flight
+// for it are dropped when they fire.
 func (h *harness) kill(id evs.ProcID) {
 	if log := h.cur[id]; log != nil {
 		log.crashed = true
 	}
 	delete(h.machines, id)
 	delete(h.cur, id)
-	delete(h.tickAt, id)
 }
 
 // restart boots a fresh process for a killed participant.
@@ -295,89 +345,34 @@ func (h *harness) liveIDs() []evs.ProcID {
 	return out
 }
 
-// send routes one frame copy (or more, under duplication) through the
-// injector onto the timed queue.
-func (h *harness) send(from, to evs.ProcID, token bool, frame []byte) {
-	if h.machines[from] == nil {
-		return
-	}
-	if h.faultsOn {
-		d := h.inj.Decide(h.now.Sub(h.faultStart), faults.Packet{
-			From: from, To: to, Token: token, Size: len(frame), Frame: frame,
-		})
-		if d.Drop {
-			return
-		}
-		h.enqueue(to, token, frame, hopLatency+d.Delay)
-		for _, extra := range d.Extra {
-			h.enqueue(to, token, frame, hopLatency+extra)
-		}
-		return
-	}
-	h.enqueue(to, token, frame, hopLatency)
+// startFaults installs the seeded fault plan for a fault phase of the
+// given duration; its rule windows count from now.
+func (h *harness) startFaults(seed int64, dur time.Duration) {
+	h.inj = faults.New(seed, randomPlan(h.rng, len(h.ids), dur, h.part))
+	h.inj.SetFlight(h.netFlight, h.now())
+	h.net.SetInjector(h.inj, nil)
 }
 
-func (h *harness) enqueue(to evs.ProcID, token bool, frame []byte, delay time.Duration) {
-	h.seq++
-	heap.Push(&h.queue, &envelope{
-		at: h.now.Add(delay), seq: h.seq, to: to, token: token, frame: frame,
-	})
+// stopFaults ends the fault phase: no injector, no partition.
+func (h *harness) stopFaults() {
+	h.net.SetInjector(nil, nil)
+	h.part.Heal()
 }
 
-func (h *harness) dispatch(env *envelope) {
-	m := h.machines[env.to]
-	if m == nil {
-		return
-	}
-	if env.token {
-		m.HandleTokenFrame(env.frame, h.now)
-	} else {
-		m.HandleDataFrame(env.frame, h.now)
-	}
-}
+func (h *harness) advance(d time.Duration) { advance(h.sim, d) }
 
-// advance runs the discrete-event loop for d of virtual time: frames
-// dispatch at their arrival instants, each machine ticks every tickStep
-// on its own phase.
-func (h *harness) advance(d time.Duration) {
-	end := h.now.Add(d)
-	for {
-		var tickID evs.ProcID
-		var tickT time.Time
-		for _, id := range h.ids {
-			if h.machines[id] == nil {
-				continue
-			}
-			if at := h.tickAt[id]; tickT.IsZero() || at.Before(tickT) {
-				tickID, tickT = id, at
-			}
+// advance runs the simulator — every ring on it — for d of virtual time.
+func advance(sim *simnet.Sim, d time.Duration) { sim.RunUntil(sim.Now() + simnet.Time(d)) }
+
+// waitFor advances sim in slices of step until cond holds or within has
+// passed, and reports whether it held.
+func waitFor(sim *simnet.Sim, within, step time.Duration, cond func() bool) bool {
+	for deadline := sim.Now() + simnet.Time(within); sim.Now() < deadline; advance(sim, step) {
+		if cond() {
+			return true
 		}
-		tickNext := !tickT.IsZero() && (len(h.queue) == 0 || tickT.Before(h.queue[0].at))
-		if tickNext {
-			if tickT.After(end) {
-				break
-			}
-			h.now = tickT
-			h.machines[tickID].Tick(h.now)
-			h.tickAt[tickID] = tickT.Add(tickStep + time.Duration(tickID)*tickSkew)
-			continue
-		}
-		if len(h.queue) == 0 {
-			break // nothing alive to tick, nothing in flight
-		}
-		env := heap.Pop(&h.queue).(*envelope)
-		if env.at.After(end) {
-			heap.Push(&h.queue, env)
-			break
-		}
-		if env.at.After(h.now) {
-			h.now = env.at
-		}
-		h.dispatch(env)
 	}
-	if end.After(h.now) {
-		h.now = end
-	}
+	return cond()
 }
 
 // converged reports whether every live machine is operational on one
@@ -408,15 +403,17 @@ func (h *harness) converged() bool {
 	return true
 }
 
-func (h *harness) waitConverged(within time.Duration) bool {
-	deadline := h.now.Add(within)
-	for h.now.Before(deadline) {
-		if h.converged() {
-			return true
-		}
-		h.advance(25 * time.Millisecond)
+// states renders every live machine's phase and ring, for a violation.
+func (h *harness) states() (out string) {
+	for _, id := range h.liveIDs() {
+		m := h.machines[id]
+		out += fmt.Sprintf(" %d=%v/%v", id, m.State(), m.Ring().ID)
 	}
-	return h.converged()
+	return out
+}
+
+func (h *harness) waitConverged(within time.Duration) bool {
+	return waitFor(h.sim, within, 25*time.Millisecond, h.converged)
 }
 
 func (h *harness) submit(id evs.ProcID, svc evs.Service) {
@@ -489,6 +486,24 @@ func randomPlan(rng *rand.Rand, n int, dur time.Duration, part *faults.Partition
 	return plan
 }
 
+// shape fills in what a run's Options left to the seed: the cluster size
+// and the fault schedule's step durations — drawn up front, with their
+// total, so the plan's rule windows can span the whole fault phase.
+func shape(rng *rand.Rand, nodes, steps int) (n int, durs []time.Duration, total time.Duration) {
+	if nodes == 0 {
+		nodes = 4 + rng.Intn(3)
+	}
+	if steps == 0 {
+		steps = 10 + rng.Intn(8)
+	}
+	durs = make([]time.Duration, steps)
+	for i := range durs {
+		durs[i] = time.Duration(50+rng.Intn(300)) * time.Millisecond
+		total += durs[i]
+	}
+	return nodes, durs, total
+}
+
 // Run executes one chaos run. It is deterministic: equal Options produce
 // equal Results.
 func Run(opts Options) *Result {
@@ -500,16 +515,10 @@ func Run(opts Options) *Result {
 // inspect the raw delivery logs.
 func runForDebug(opts Options) (*Result, *harness) {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	n := opts.Nodes
-	if n == 0 {
-		n = 4 + rng.Intn(3)
-	}
-	steps := opts.Steps
-	if steps == 0 {
-		steps = 10 + rng.Intn(8)
-	}
+	n, durs, total := shape(rng, opts.Nodes, opts.Steps)
+	steps := len(durs)
 	res := &Result{Seed: opts.Seed, Nodes: n, Steps: steps}
-	h := newHarness(rng, n)
+	h := newHarness(simnet.NewSim(), rng, n)
 	h.flightDir = opts.FlightDir
 	if h.flightDir == "" {
 		h.flightDir = os.Getenv("CHAOS_FLIGHT_DIR")
@@ -523,18 +532,8 @@ func runForDebug(opts Options) (*Result, *harness) {
 		return finish(res, h), h
 	}
 
-	// Phase 2: the fault schedule. Step durations are drawn up front so
-	// the plan's rule windows can span the whole phase.
-	durs := make([]time.Duration, steps)
-	var total time.Duration
-	for i := range durs {
-		durs[i] = time.Duration(50+rng.Intn(300)) * time.Millisecond
-		total += durs[i]
-	}
-	h.inj = faults.New(opts.Seed, randomPlan(rng, n, total, h.part))
-	h.faultStart = h.now
-	h.inj.SetFlight(h.netFlight, h.faultStart)
-	h.faultsOn = true
+	// Phase 2: the fault schedule.
+	h.startFaults(opts.Seed, total)
 
 	for s := 0; s < steps; s++ {
 		switch rng.Intn(8) {
@@ -574,15 +573,10 @@ func runForDebug(opts Options) (*Result, *harness) {
 
 	// Phase 3: stop all faults, let the survivors converge, then flush so
 	// every pending recovery and safe delivery completes.
-	h.faultsOn = false
-	h.part.Heal()
+	h.stopFaults()
 	if !h.waitConverged(20 * time.Second) {
-		detail := "live machines did not converge after heal:"
-		for _, id := range h.liveIDs() {
-			m := h.machines[id]
-			detail += fmt.Sprintf(" %d=%v/%v", id, m.State(), m.Ring().ID)
-		}
-		res.Violations = append(res.Violations, Violation{"convergence", detail})
+		res.Violations = append(res.Violations, Violation{"convergence",
+			"live machines did not converge after heal:" + h.states()})
 		return finish(res, h), h
 	}
 	h.advance(2 * time.Second)
@@ -598,7 +592,6 @@ func finish(res *Result, h *harness) *Result {
 			switch e := ev.(type) {
 			case evs.Message:
 				res.Delivered++
-				_ = e
 			case evs.ConfigChange:
 				if !e.Transitional {
 					res.Configs++
@@ -609,6 +602,7 @@ func finish(res *Result, h *harness) *Result {
 	if h.inj != nil {
 		res.Faults = h.inj.Counters()
 	}
+	res.SwitchDrops = h.net.Stats().SwitchDrops
 	if h.forceViolation {
 		res.Violations = append(res.Violations,
 			Violation{"forced", "planted by Options.ForceViolation"})

@@ -2,11 +2,14 @@ package chaos
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"accelring/internal/evs"
 	"accelring/internal/faults"
+	"accelring/internal/simnet"
 )
 
 // TestChaosRandomPlans runs the full chaos harness over ≥ 20 seeds: each
@@ -58,25 +61,70 @@ func TestChaosDeterministicReplay(t *testing.T) {
 }
 
 // TestChaosExercisesFaults: across the default seeds, the injector must
-// actually drop, duplicate, and delay traffic — otherwise the harness is
-// vacuous.
+// actually drop, duplicate, and delay traffic, and at least one run on a
+// small-buffer fabric must lose frames to switch-port overrun and still
+// converge with every invariant intact — otherwise the harness is vacuous.
 func TestChaosExercisesFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("aggregate fault-activity check needs the full seed set")
 	}
-	var dropped, duplicated, delayed, killed uint64
-	for seed := int64(1); seed <= 10; seed++ {
+	var dropped, duplicated, delayed uint64
+	overrunSurvived := false
+	for seed := int64(1); seed <= 24; seed++ {
 		res := Run(Options{Seed: seed})
 		for _, c := range res.Faults {
 			dropped += c.Dropped
 			duplicated += c.Duplicated
 			delayed += c.Delayed
 		}
-		_ = killed
+		if res.SwitchDrops > 0 && len(res.Violations) == 0 {
+			overrunSurvived = true
+		}
 	}
 	if dropped == 0 || duplicated == 0 || delayed == 0 {
 		t.Fatalf("fault plans too tame: dropped=%d duplicated=%d delayed=%d",
 			dropped, duplicated, delayed)
+	}
+	if !overrunSurvived {
+		t.Fatal("no default seed overran a switch port and still converged cleanly")
+	}
+}
+
+// TestRestartAloneMintsFreshViewID is the scenario of a failure the sweep
+// found (on this substrate, seed 3; on the previous one, seeds past 200):
+// the representative of the first ring is killed and restarts cut off from
+// everyone, so the fresh process — no memory of its past — forms a ring of
+// one. That ring must not carry the ViewID of the first ring its previous
+// incarnation minted, or two different configurations share one name.
+func TestRestartAloneMintsFreshViewID(t *testing.T) {
+	h := newHarness(simnet.NewSim(), rand.New(rand.NewSource(1)), 4)
+	if !h.waitConverged(10 * time.Second) {
+		t.Fatal("initial ring did not form")
+	}
+	first := h.machines[1].Ring().ID
+	rep := first.Rep
+	var plan faults.Plan
+	plan.Add(faults.Rule{Name: "partition", Model: h.part})
+	h.net.SetInjector(faults.New(1, plan), nil)
+
+	h.kill(rep)
+	h.part.Split(map[evs.ProcID]int{rep: 1})
+	h.restart(rep)
+	h.advance(time.Second)
+	alone := h.machines[rep].Ring()
+	if len(alone.Members) != 1 {
+		t.Fatalf("restarted process did not form a ring of one: %v", alone)
+	}
+	if alone.ID == first {
+		t.Fatalf("restarted process re-minted %v, the ViewID of the first ring", first)
+	}
+	h.stopFaults()
+	if !h.waitConverged(20 * time.Second) {
+		t.Fatal("did not converge after heal")
+	}
+	h.advance(2 * time.Second)
+	for _, v := range checkInvariants(h.logs) {
+		t.Errorf("invariant violated: %s", v)
 	}
 }
 

@@ -60,10 +60,10 @@ func TestForcedViolationDumpsFlights(t *testing.T) {
 				t.Fatalf("%s: event without kind: %q", f, line)
 			}
 			// Dumps line up with the deterministic schedule: every event
-			// is stamped from the harness's virtual clock (which starts at
-			// Unix second 1000), never from the wall.
+			// is stamped from the simulator's clock (epoch + Sim.Now()),
+			// never from the wall.
 			at, err := time.Parse(time.RFC3339Nano, fmt.Sprint(m["at"]))
-			if start := time.Unix(1000, 0); err != nil || at.Before(start) || at.After(start.Add(time.Hour)) {
+			if err != nil || at.Before(epoch) || at.After(epoch.Add(time.Hour)) {
 				t.Fatalf("%s: event not on the virtual clock: %q (%v)", f, line, err)
 			}
 			lines++

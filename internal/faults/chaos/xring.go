@@ -8,16 +8,27 @@ import (
 	"time"
 
 	"accelring/internal/evs"
-	"accelring/internal/faults"
 	"accelring/internal/group"
 	"accelring/internal/groupcore"
+	"accelring/internal/simnet"
 )
 
+// paceEvery is the period of the cores' lambda-pacing round, the virtual
+// stand-in for groupcore.Core.Run's ticker.
+const paceEvery = 10 * time.Millisecond
+
+// ringSeed derives ring r's private seed from the master seed, so every
+// ring gets an independent but replay-stable fault stream.
+func ringSeed(seed int64, r int) int64 {
+	return seed*1_000_003 + int64(r+1)*7919
+}
+
 // XRingOptions parameterizes a cross-ring merge chaos run: one harness
-// cluster per ring as in RunSharded, but every node additionally runs the
-// production ordered-group core (groupcore.Core — the very code a sharded
-// daemon runs, driven here under virtual time) over all of its per-ring
-// delivery streams — including lambda-pacing skips, a live group migration
+// cluster per ring, each on its own fabric with its own seeded fault plan,
+// all on one simulator and so one clock; every node runs the production
+// ordered-group core (groupcore.Core — the very code a sharded daemon
+// runs, driven here under virtual time) over all of its per-ring delivery
+// streams — including lambda-pacing skips, a live group migration
 // triggered mid-stream, and a split/heal of the migration's source ring
 // while the migration is in flight. Zero fields derive from the seed.
 type XRingOptions struct {
@@ -70,22 +81,20 @@ type XRingResult struct {
 	Violations []Violation
 }
 
-// xnode is one daemon-equivalent: a groupcore.Core over the node's own
-// per-ring delivery logs, with the node as both of the core's seams — its
+// xnode is one daemon-equivalent: a groupcore.Core fed by the node's
+// machine on every ring, with the node as both of the core's seams — its
 // Submitter (onto the harness machines) and its Sink (the globally ordered
-// output).
+// output). Nodes are never restarted (a fresh merger's slot numbering
+// would only re-level at the next announcement round — the guarantee is
+// per incarnation).
 type xnode struct {
 	x    *xrun
 	id   evs.ProcID
 	dead bool
 	core *groupcore.Core
-	// logs[r] is this node's incarnation log on ring r; consumed[r] is
-	// how much of it has been fed to the core. Nodes are never restarted
-	// (a fresh merger's slot numbering would only re-level at the next
-	// announcement round — the guarantee is per incarnation), so the log
-	// pointers are stable for the whole run.
-	logs     []*memberLog
-	consumed []int
+	// fedAt holds the virtual instant of every ring delivery handed to
+	// the core, in hand-over order.
+	fedAt []simnet.Time
 	// global is the node's globally ordered delivery stream (message
 	// payloads; config changes are per-ring and excluded from cross-node
 	// comparison since partitioned components legitimately see different
@@ -122,7 +131,9 @@ func (n *xnode) Migrated(string, int, int)                     { n.migClosed++ }
 
 // xrun is the running state of one cross-ring chaos run.
 type xrun struct {
-	res    *XRingResult
+	res *XRingResult
+	// sim schedules every ring: the run has one clock.
+	sim    *simnet.Sim
 	hs     []*harness
 	nodes  []*xnode
 	msgSeq uint32
@@ -135,80 +146,85 @@ func (x *xrun) violate(inv, detail string) {
 	x.res.Violations = append(x.res.Violations, Violation{inv, detail})
 }
 
-// feed pushes every not-yet-consumed per-ring delivery of every live node
-// into that node's core, in node then ring order. Emission happens
-// inline, so queued control submissions are ready for the next pace.
-func (x *xrun) feed() {
-	for _, n := range x.nodes {
-		if n.dead {
-			continue
-		}
-		for r := range x.hs {
-			log := n.logs[r]
-			for n.consumed[r] < len(log.events) {
-				ev := log.events[n.consumed[r]]
-				n.consumed[r]++
-				// The core ignores foreign payloads; here every payload is
-				// ours, so one that does not decode is a violation.
-				if m, ok := ev.(evs.Message); ok {
-					if _, err := group.DecodeEnvelope(m.Payload); err != nil {
-						x.violate("decode", fmt.Sprintf(
-							"node %d ring %d: %v", n.id, r, err))
-						continue
-					}
-				}
-				n.core.OnRingEvent(r, ev)
-			}
+// onRingEvent hands one ring delivery to the node's core at the instant
+// the machine made it, as the production ring goroutine's callback does.
+// Emission happens inline; control envelopes it queues go out at the next
+// pace.
+func (n *xnode) onRingEvent(ring int, ev evs.Event) {
+	// The core ignores foreign payloads; here every payload is ours, so
+	// one that does not decode is a violation.
+	if m, ok := ev.(evs.Message); ok {
+		if _, err := group.DecodeEnvelope(m.Payload); err != nil {
+			n.x.violate("decode", fmt.Sprintf("node %d ring %d: %v", n.id, ring, err))
+			return
 		}
 	}
+	n.fedAt = append(n.fedAt, n.x.sim.Now())
+	n.core.OnRingEvent(ring, ev)
 }
 
-// pace is one lambda-pacing round of every live node's core: flush its
+// pace is one lambda-pacing round of every live node's core — flush its
 // queued control envelopes (retrying refused submits, in order), then
-// submit the skip claims its merge wants.
+// submit the skip claims its merge wants — and the timer for the next.
 func (x *xrun) pace() {
 	for _, n := range x.nodes {
 		if !n.dead {
 			n.core.Pace()
 		}
 	}
+	x.sim.After(simnet.Time(paceEvery), x.pace)
 }
 
-// run advances all rings d of virtual time in small chunks, feeding and
-// pacing the cores between chunks — the deterministic stand-in for the
-// ring goroutines' event callbacks and groupcore.Core.Run's ticker.
-func (x *xrun) run(d time.Duration) {
-	const chunk = 10 * time.Millisecond
-	for d > 0 {
-		step := chunk
-		if d < step {
-			step = d
-		}
+// waitConverged waits until every ring has converged. On failure it
+// records what as a violation naming the rings still reforming.
+func (x *xrun) waitConverged(within time.Duration, inv, what string) bool {
+	ok := waitFor(x.sim, within, 25*time.Millisecond, func() bool {
 		for _, h := range x.hs {
-			h.advance(step)
+			if !h.converged() {
+				return false
+			}
 		}
-		d -= step
-		x.feed()
-		x.pace()
+		return true
+	})
+	if !ok {
+		detail := what + ":"
+		for r, h := range x.hs {
+			if !h.converged() {
+				detail += fmt.Sprintf(" ring %d{%s }", r, h.states())
+			}
+		}
+		x.violate(inv, detail)
 	}
+	return ok
 }
 
-// settle runs until every live merger has drained (no queued items, no
-// unsubmitted control envelopes) for a few consecutive rounds, or the
-// virtual-time budget runs out.
-func (x *xrun) settle(budget time.Duration) bool {
+// settle runs until every live merger has stayed drained (no queued
+// items, no unsubmitted control envelopes) for a few consecutive pacing
+// rounds. If the virtual-time budget runs out first, that is a
+// merge-liveness violation naming what stalled and every live merger's
+// pending state.
+func (x *xrun) settle(budget time.Duration, what string) bool {
 	quiet := 0
-	for spent := time.Duration(0); spent < budget; spent += 10 * time.Millisecond {
-		x.run(10 * time.Millisecond)
-		if x.quiescent() {
-			if quiet++; quiet >= 5 {
-				return true
-			}
-		} else {
+	ok := waitFor(x.sim, budget, paceEvery, func() bool {
+		if !x.quiescent() {
 			quiet = 0
+			return false
 		}
+		quiet++
+		return quiet >= 5
+	})
+	if !ok {
+		detail := what + ":"
+		for _, n := range x.liveNodes() {
+			detail += fmt.Sprintf(" node%d{pending=%d ctl=%d", n.id, n.core.Merger().Pending(), n.core.Queued())
+			for r := range x.hs {
+				detail += fmt.Sprintf(" f%d=%d", r, n.core.Merger().Frontier(r))
+			}
+			detail += "}"
+		}
+		x.violate("merge-liveness", detail)
 	}
-	return x.quiescent()
+	return ok
 }
 
 func (x *xrun) quiescent() bool {
@@ -266,6 +282,24 @@ func (x *xrun) submitMsg(n *xnode, g, phase string, svc evs.Service) bool {
 	return true
 }
 
+// burst submits base to base+3 application messages, each from a seeded
+// live node to a seeded group, sender-routed, mixed Agreed/Safe, and
+// returns how many were accepted.
+func (x *xrun) burst(rng *rand.Rand, base int, phase string) (accepted int) {
+	for k := base + rng.Intn(4); k > 0; k-- {
+		g := x.res.Groups[rng.Intn(len(x.res.Groups))]
+		svc := evs.Agreed
+		if rng.Intn(2) == 0 {
+			svc = evs.Safe
+		}
+		if live := x.liveNodes(); len(live) > 0 &&
+			x.submitMsg(live[rng.Intn(len(live))], g, phase, svc) {
+			accepted++
+		}
+	}
+	return accepted
+}
+
 // splitRing installs a seeded two-sided partition on one ring.
 func (x *xrun) splitRing(r int, rng *rand.Rand) {
 	sides := make(map[evs.ProcID]int, len(x.hs[r].ids))
@@ -319,20 +353,18 @@ func (x *xrun) checkEqualStreams(inv string, streams map[evs.ProcID][]string) {
 
 // RunXRing executes one cross-ring merge chaos run. It is deterministic:
 // equal Options produce equal Results, including every node's global log.
-func RunXRing(opts XRingOptions) *XRingResult {
+func RunXRing(opts XRingOptions) *XRingResult { return finishXRing(runXRing(opts)) }
+
+// runXRing is RunXRing up to the result's summary fields, exposing the
+// run's state so tests can inspect it.
+func runXRing(opts XRingOptions) *xrun {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	shards := opts.Shards
 	if shards == 0 {
 		shards = 2
 	}
-	n := opts.Nodes
-	if n == 0 {
-		n = 4 + rng.Intn(3)
-	}
-	steps := opts.Steps
-	if steps == 0 {
-		steps = 10 + rng.Intn(8)
-	}
+	n, durs, total := shape(rng, opts.Nodes, opts.Steps)
+	steps := len(durs)
 	ngroups := opts.Groups
 	if ngroups == 0 {
 		ngroups = 3 + rng.Intn(3)
@@ -342,46 +374,31 @@ func RunXRing(opts XRingOptions) *XRingResult {
 		res.Groups = append(res.Groups, fmt.Sprintf("g-%d", g))
 	}
 
-	x := &xrun{res: res, split: make([]bool, shards)}
-	for r := 0; r < shards; r++ {
-		x.hs = append(x.hs, newHarness(rand.New(rand.NewSource(ringSeed(opts.Seed, r))), n))
-		res.PerRing = append(res.PerRing, &Result{Seed: ringSeed(opts.Seed, r), Nodes: n, Steps: steps})
-	}
+	x := &xrun{res: res, sim: simnet.NewSim(), split: make([]bool, shards)}
 	for i := 0; i < n; i++ {
-		node := &xnode{x: x, id: evs.ProcID(i + 1), consumed: make([]int, shards)}
+		node := &xnode{x: x, id: evs.ProcID(i + 1)}
 		node.core = groupcore.New(groupcore.Config{
 			Shards: shards, Self: node.id, Submit: node, Sink: node,
 		})
-		for r := 0; r < shards; r++ {
-			node.logs = append(node.logs, x.hs[r].cur[node.id])
-		}
 		x.nodes = append(x.nodes, node)
 	}
+	for r := 0; r < shards; r++ {
+		r := r
+		h := newHarness(x.sim, rand.New(rand.NewSource(ringSeed(opts.Seed, r))), n)
+		h.onDeliver = func(id evs.ProcID, ev evs.Event) { x.nodes[id-1].onRingEvent(r, ev) }
+		x.hs = append(x.hs, h)
+		res.PerRing = append(res.PerRing, &Result{Seed: ringSeed(opts.Seed, r), Nodes: n, Steps: steps})
+	}
+	x.sim.After(simnet.Time(paceEvery), x.pace)
 
 	// Phase 1: fault-free formation of every ring, then a converged burst
 	// that every node must deliver in the identical global order.
-	for r, h := range x.hs {
-		if !h.waitConverged(10 * time.Second) {
-			x.violate("formation", fmt.Sprintf("ring %d did not form", r))
-			return finishXRing(res, x)
-		}
+	if !x.waitConverged(10*time.Second, "formation", "rings did not form") {
+		return x
 	}
-	x.feed()
-	x.pace()
-	burstA := 0
-	for i := 0; i < 4+rng.Intn(4); i++ {
-		g := res.Groups[rng.Intn(ngroups)]
-		svc := evs.Agreed
-		if rng.Intn(2) == 0 {
-			svc = evs.Safe
-		}
-		if x.submitMsg(x.nodes[rng.Intn(n)], g, "a", svc) {
-			burstA++
-		}
-	}
-	if !x.settle(20 * time.Second) {
-		x.violate("merge-liveness", x.stallDetail("converged burst did not drain"))
-		return finishXRing(res, x)
+	burstA := x.burst(rng, 4, "a")
+	if !x.settle(20*time.Second, "converged burst did not drain") {
+		return x
 	}
 	streams := make(map[evs.ProcID][]string)
 	for _, node := range x.nodes {
@@ -421,16 +438,8 @@ func RunXRing(opts XRingOptions) *XRingResult {
 	// plans, whole-node kills, ring splits and heals, group traffic — with
 	// the migration forced mid-stream and its source ring split and healed
 	// while the migration is in flight.
-	durs := make([]time.Duration, steps)
-	var total time.Duration
-	for i := range durs {
-		durs[i] = time.Duration(50+rng.Intn(300)) * time.Millisecond
-		total += durs[i]
-	}
 	for r, h := range x.hs {
-		h.inj = faults.New(ringSeed(opts.Seed, r), randomPlan(h.rng, n, total, h.part))
-		h.faultStart = h.now
-		h.faultsOn = true
+		h.startFaults(ringSeed(opts.Seed, r), total)
 	}
 
 	for s := 0; s < steps; s++ {
@@ -448,27 +457,14 @@ func RunXRing(opts XRingOptions) *XRingResult {
 					x.killNode(live[rng.Intn(len(live))])
 				}
 			case 1:
-				// Restarts are deliberately absent: the merge guarantee is
-				// per incarnation (a reborn merger re-levels only at the
-				// next announcement round), and the daemon restart path is
-				// out of scope here. Burn the rng draw to keep the
-				// schedule shape aligned with the other chaos suites.
-				_ = rng.Intn(2)
+				// A quiet step where Run would restart a process: nodes
+				// here never restart (see xnode).
 			case 2: // split one ring
 				x.splitRing(rng.Intn(shards), rng)
 			case 3: // heal one ring
 				x.healRing(rng.Intn(shards))
-			default: // traffic burst: sender-routed, mixed Agreed/Safe
-				for i := 0; i < 1+rng.Intn(4); i++ {
-					svc := evs.Agreed
-					if rng.Intn(2) == 0 {
-						svc = evs.Safe
-					}
-					g := res.Groups[rng.Intn(ngroups)]
-					if live := x.liveNodes(); len(live) > 0 {
-						x.submitMsg(live[rng.Intn(len(live))], g, "x", svc)
-					}
-				}
+			default:
+				x.burst(rng, 1, "x")
 			}
 		}
 		// Keep traffic flowing at the migrating group through the handoff
@@ -481,39 +477,27 @@ func RunXRing(opts XRingOptions) *XRingResult {
 				}
 			}
 		}
-		x.run(durs[s])
+		advance(x.sim, durs[s])
 	}
 
 	// Phase 3: stop all faults, converge every ring, drain the merge, and
 	// make sure a migration actually ran even on seeds whose schedule kept
 	// the source ring split through the whole window.
-	for _, h := range x.hs {
-		h.faultsOn = false
-	}
-	for r := range x.hs {
-		x.healRing(r)
-	}
 	for r, h := range x.hs {
-		if !h.waitConverged(20 * time.Second) {
-			detail := fmt.Sprintf("ring %d live machines did not converge after heal:", r)
-			for _, id := range h.liveIDs() {
-				m := h.machines[id]
-				detail += fmt.Sprintf(" %d=%v/%v", id, m.State(), m.Ring().ID)
-			}
-			x.violate("convergence", detail)
-			return finishXRing(res, x)
-		}
+		h.stopFaults()
+		x.split[r] = false
 	}
-	if !x.settle(30 * time.Second) {
-		x.violate("merge-liveness", x.stallDetail("post-heal drain"))
-		return finishXRing(res, x)
+	if !x.waitConverged(20*time.Second, "convergence", "live machines did not converge after heal") {
+		return x
+	}
+	if !x.settle(30*time.Second, "post-heal drain") {
+		return x
 	}
 	if !migSubmitted {
 		submitBegin()
-		x.run(time.Second)
-		if !x.settle(20 * time.Second) {
-			x.violate("merge-liveness", x.stallDetail("fallback migration drain"))
-			return finishXRing(res, x)
+		advance(x.sim, time.Second)
+		if !x.settle(20*time.Second, "fallback migration drain") {
+			return x
 		}
 	}
 
@@ -550,10 +534,9 @@ func RunXRing(opts XRingOptions) *XRingResult {
 				x.violate("migration", fmt.Sprintf(
 					"routes for %q diverged and no live node could submit the repair Begin", gM))
 			}
-			x.run(time.Second)
-			if !x.settle(20 * time.Second) {
-				x.violate("merge-liveness", x.stallDetail("repair migration drain"))
-				return finishXRing(res, x)
+			advance(x.sim, time.Second)
+			if !x.settle(20*time.Second, "repair migration drain") {
+				return x
 			}
 		}
 	}
@@ -589,22 +572,9 @@ func RunXRing(opts XRingOptions) *XRingResult {
 	// Epilogue: a post-heal burst every live node must deliver in the
 	// identical global order, with nothing lost and nothing duplicated —
 	// the re-leveling guarantee after the frontier announcement round.
-	burstE := 0
-	for i := 0; i < 4+rng.Intn(4); i++ {
-		g := res.Groups[rng.Intn(ngroups)]
-		svc := evs.Agreed
-		if rng.Intn(2) == 0 {
-			svc = evs.Safe
-		}
-		if live := x.liveNodes(); len(live) > 0 {
-			if x.submitMsg(live[rng.Intn(len(live))], g, "e", svc) {
-				burstE++
-			}
-		}
-	}
-	if !x.settle(20 * time.Second) {
-		x.violate("merge-liveness", x.stallDetail("epilogue burst did not drain"))
-		return finishXRing(res, x)
+	burstE := x.burst(rng, 4, "e")
+	if !x.settle(20*time.Second, "epilogue burst did not drain") {
+		return x
 	}
 
 	epilogue := make(map[evs.ProcID][]string)
@@ -637,35 +607,18 @@ func RunXRing(opts XRingOptions) *XRingResult {
 	}
 
 	// Per-ring EVS invariants still hold underneath the merge.
+	advance(x.sim, 2*time.Second)
 	for r, h := range x.hs {
-		h.advance(2 * time.Second)
-		x.feed()
 		for _, v := range checkInvariants(h.logs) {
 			res.PerRing[r].Violations = append(res.PerRing[r].Violations, v)
 			x.violate(v.Invariant, fmt.Sprintf("ring %d: %s", r, v.Detail))
 		}
 	}
-	return finishXRing(res, x)
+	return x
 }
 
-// stallDetail snapshots every live merger's pending state for a
-// merge-liveness violation message.
-func (x *xrun) stallDetail(what string) string {
-	detail := what + ":"
-	for _, n := range x.nodes {
-		if n.dead {
-			continue
-		}
-		detail += fmt.Sprintf(" node%d{pending=%d ctl=%d", n.id, n.core.Merger().Pending(), n.core.Queued())
-		for r := range x.hs {
-			detail += fmt.Sprintf(" f%d=%d", r, n.core.Merger().Frontier(r))
-		}
-		detail += "}"
-	}
-	return detail
-}
-
-func finishXRing(res *XRingResult, x *xrun) *XRingResult {
+func finishXRing(x *xrun) *XRingResult {
+	res := x.res
 	for r, h := range x.hs {
 		finish(res.PerRing[r], h)
 		res.Submitted += res.PerRing[r].Submitted

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"accelring/internal/evs"
 	"accelring/internal/faults"
+	"accelring/internal/simnet"
 )
 
 // TestXRingChaosGlobalOrder sweeps ≥ 20 seeds over a 2-shard topology
@@ -90,5 +92,64 @@ func TestXRingChaosDeterministicReplay(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no node produced a global log; the mergers are not being driven")
+	}
+}
+
+// TestEqualStreamsDetectsPlantedViolations: the cross-ring order checker
+// must see one entry of one node's global stream swapped with its
+// neighbour, dropped, or duplicated — and stay silent on equal streams.
+func TestEqualStreamsDetectsPlantedViolations(t *testing.T) {
+	ref := []string{"g-0/a-1-1", "g-1/a-2-2", "g-0/a-3-3", "g-2/a-1-4"}
+	plant := map[string]func([]string) []string{
+		"equal":     func(s []string) []string { return s },
+		"swap":      func(s []string) []string { s[1], s[2] = s[2], s[1]; return s },
+		"drop":      func(s []string) []string { return append(s[:2], s[3:]...) },
+		"drop-last": func(s []string) []string { return s[:3] },
+		"duplicate": func(s []string) []string { return append(s[:3], s[2:]...) },
+	}
+	for name, mutate := range plant {
+		x := &xrun{res: &XRingResult{}, nodes: []*xnode{{id: 1}, {id: 2}, {id: 3}}}
+		streams := map[evs.ProcID][]string{1: ref, 2: ref, 3: mutate(append([]string(nil), ref...))}
+		x.checkEqualStreams("global-order", streams)
+		if got := violationsOf("global-order", x.res.Violations); (got == 0) != (name == "equal") {
+			t.Errorf("%s: %d global-order violations: %v", name, got, x.res.Violations)
+		}
+	}
+	// A dead node's stream is exempt: it stopped wherever it was killed.
+	x := &xrun{res: &XRingResult{}, nodes: []*xnode{{id: 1}, {id: 2}, {id: 3, dead: true}}}
+	x.checkEqualStreams("global-order", map[evs.ProcID][]string{1: ref, 2: ref, 3: ref[:1]})
+	if len(x.res.Violations) != 0 {
+		t.Errorf("dead node held to the global order: %v", x.res.Violations)
+	}
+}
+
+// TestXRingRunHasOneClock: every ring of a run is scheduled by the same
+// simulator, and each ring delivery reaches the node's core at its own
+// virtual instant — so the instants of consecutive hand-overs into one
+// core never go backwards, whichever rings they came from, and they are
+// not rounded to any harness step.
+func TestXRingRunHasOneClock(t *testing.T) {
+	x := runXRing(XRingOptions{Seed: 7, Shards: 2})
+	for r, h := range x.hs {
+		if h.sim != x.sim {
+			t.Fatalf("ring %d runs on its own scheduler", r)
+		}
+	}
+	offStep := false
+	for _, n := range x.nodes {
+		if len(n.fedAt) == 0 {
+			t.Fatalf("node %d's core was never fed", n.id)
+		}
+		for i, at := range n.fedAt {
+			if i > 0 && at < n.fedAt[i-1] {
+				t.Fatalf("node %d: hand-over %d at %v after one at %v", n.id, i, at, n.fedAt[i-1])
+			}
+			if at%simnet.Millisecond != 0 {
+				offStep = true
+			}
+		}
+	}
+	if !offStep {
+		t.Fatal("every delivery landed on a whole millisecond: deliveries are being batched")
 	}
 }

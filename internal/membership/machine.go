@@ -152,7 +152,8 @@ type Machine struct {
 	// ring is the installed regular configuration (zero before the first).
 	ring evs.Configuration
 	eng  *core.Engine
-	// ringSeqHigh is the highest configuration sequence seen anywhere.
+	// ringSeqHigh is the highest configuration sequence seen anywhere,
+	// counting from the boot clock (see New).
 	ringSeqHigh uint64
 	attempt     uint32
 
@@ -231,7 +232,11 @@ func New(cfg Config, out Output, now time.Time) (*Machine, error) {
 	if out == nil {
 		return nil, errors.New("membership: nil Output")
 	}
-	m := &Machine{cfg: cfg, out: out}
+	// A process keeps no stable storage, so its ring sequence starts from
+	// the boot clock: a restart under the same ProcID must never re-mint
+	// a ViewID its previous incarnation already used (the incarnation
+	// minted at most one per JoinInterval, far fewer than one per ms).
+	m := &Machine{cfg: cfg, out: out, ringSeqHigh: uint64(now.UnixMilli())}
 	m.enterGather(now)
 	return m, nil
 }
@@ -353,9 +358,7 @@ func (m *Machine) enterGather(now time.Time) {
 	m.attempt++
 	m.joins = make(map[evs.ProcID]*wire.Join)
 	m.gatherExtensions = 0
-	if !m.ring.ID.IsZero() && m.ring.ID.Seq > m.ringSeqHigh {
-		m.ringSeqHigh = m.ring.ID.Seq
-	}
+	m.ringSeqHigh = max(m.ringSeqHigh, m.ring.ID.Seq)
 	m.broadcastJoin(now)
 	m.gatherDeadline = now.Add(m.cfg.Timeouts.Gather)
 	m.consensusFloor = now.Add(2 * m.cfg.Timeouts.JoinInterval)
@@ -455,9 +458,7 @@ func (m *Machine) handleJoin(j *wire.Join, now time.Time) {
 	if j.Sender == m.cfg.Self {
 		return
 	}
-	if j.RingSeq > m.ringSeqHigh {
-		m.ringSeqHigh = j.RingSeq
-	}
+	m.ringSeqHigh = max(m.ringSeqHigh, j.RingSeq)
 	if j.Attempt == beaconAttempt {
 		// A presence beacon from an operational ring. If the sender is
 		// not in our ring, two rings can reach each other: merge.
@@ -615,9 +616,7 @@ func (m *Machine) handleCommit(c *wire.Commit, now time.Time) {
 	if !m.ring.ID.IsZero() && c.NewRing.ID.Seq <= m.ring.ID.Seq {
 		return // stale commit for a ring we've moved past
 	}
-	if c.NewRing.ID.Seq > m.ringSeqHigh {
-		m.ringSeqHigh = c.NewRing.ID.Seq
-	}
+	m.ringSeqHigh = max(m.ringSeqHigh, c.NewRing.ID.Seq)
 	switch c.Rotation {
 	case 1:
 		m.fillCommitInfo(c)

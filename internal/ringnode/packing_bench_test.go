@@ -14,7 +14,7 @@ import (
 // benchRing measures ordered-delivery throughput of a 3-node simulated
 // ring (in-process hub): b.N small messages submitted with backlog, timed
 // until the submitting node has delivered them all. kmsg/s is reported as
-// a metric so packed-vs-bare shows up directly in BENCH_wire.json.
+// a metric so packed-vs-bare shows up directly in the output.
 func benchRing(b *testing.B, pc *pack.AdaptiveConfig) {
 	hub := transport.NewHub()
 	const members = 3

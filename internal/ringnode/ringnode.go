@@ -39,9 +39,6 @@ type Config struct {
 	DelayedRequests bool
 	// Timeouts are the membership timing parameters (defaults applied).
 	Timeouts membership.Timeouts
-	// TickInterval drives timers; zero derives a sensible value from the
-	// timeouts.
-	TickInterval time.Duration
 	// OnEvent receives the delivery stream (messages and configuration
 	// changes) on the protocol goroutine. It must not block for long and
 	// must not call back into the Node except Submit-from-another-
@@ -284,10 +281,8 @@ func (n *Node) Stop() {
 	<-n.done
 }
 
+// tickInterval is the timer resolution, derived from the timeouts.
 func (n *Node) tickInterval() time.Duration {
-	if n.cfg.TickInterval > 0 {
-		return n.cfg.TickInterval
-	}
 	t := n.machineTimeouts()
 	d := t.JoinInterval
 	if t.TokenRetransmit < d {

@@ -122,6 +122,7 @@ type Network struct {
 	deliver DeliverFn
 	filter  IngressFilter
 	inj     *faults.Injector
+	injAt   Time // when inj was installed: its rule windows count from here
 	pid     func(NodeID) evs.ProcID
 
 	// nicFree[i] is when host i's egress link is next idle.
@@ -159,13 +160,14 @@ func (n *Network) SetIngressFilter(f IngressFilter) { n.filter = f }
 // SetInjector installs a fault injector at the per-receiver ingress point
 // (nil clears), generalizing the drop-only filter: rules can also delay
 // (reordering) and duplicate packets, all in deterministic virtual time.
-// pid maps fabric hosts to protocol participant IDs; nil uses the
-// simproc convention (node i → participant i+1).
+// Rule windows are measured from the moment of installation. pid maps
+// fabric hosts to protocol participant IDs; nil uses the simproc
+// convention (node i → participant i+1).
 func (n *Network) SetInjector(in *faults.Injector, pid func(NodeID) evs.ProcID) {
 	if pid == nil {
 		pid = func(id NodeID) evs.ProcID { return evs.ProcID(id + 1) }
 	}
-	n.inj = in
+	n.inj, n.injAt = in, n.sim.Now()
 	n.pid = pid
 }
 
@@ -247,7 +249,7 @@ func (n *Network) enqueuePort(d NodeID, p *Packet) {
 			return
 		}
 		if n.inj != nil {
-			dec := n.inj.Decide(time.Duration(n.sim.Now()), faults.Packet{
+			dec := n.inj.Decide(time.Duration(n.sim.Now()-n.injAt), faults.Packet{
 				From:  n.pid(p.From),
 				To:    n.pid(d),
 				Token: p.Kind == wire.FrameToken,

@@ -97,17 +97,15 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// RunUntil executes events until virtual time exceeds deadline or no
-// events remain. Events at exactly the deadline still run. The clock is
-// left at the time of the last executed event (or the deadline if it ran
-// dry earlier... it stays wherever it stopped).
+// RunUntil executes every event scheduled at or before deadline, in
+// order, and leaves the clock at the deadline whether or not later events
+// are pending: a caller that steps in slices and acts between them acts
+// at the instant it asked for, never in the past.
 func (s *Sim) RunUntil(deadline Time) {
 	for len(s.events) > 0 && s.events[0].at <= deadline {
-		e := heap.Pop(&s.events).(event)
-		s.now = e.at
-		e.fn()
+		s.Step()
 	}
-	if s.now < deadline && len(s.events) == 0 {
+	if s.now < deadline {
 		s.now = deadline
 	}
 }

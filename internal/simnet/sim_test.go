@@ -76,6 +76,21 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 500 {
 		t.Fatalf("now = %v, want 500", s.Now())
 	}
+	// ... and also when a later event is still pending: whatever the
+	// caller schedules next counts from the deadline, not from the last
+	// event that happened to run.
+	s.At(510, func() {})
+	s.At(1000, func() {})
+	s.RunUntil(600)
+	if s.Now() != 600 || s.Pending() != 1 {
+		t.Fatalf("now = %v pending = %d, want 600 and 1", s.Now(), s.Pending())
+	}
+	var fired Time
+	s.After(100, func() { fired = s.Now() })
+	s.RunUntil(800)
+	if fired != 700 {
+		t.Fatalf("After(100) from a stepped clock fired at %v, want 700", fired)
+	}
 }
 
 func TestDrainBudget(t *testing.T) {

@@ -83,9 +83,6 @@ type UDPConfig struct {
 	// Peers maps every other participant to its addresses. Self may be
 	// present and is ignored.
 	Peers map[evs.ProcID]UDPPeer
-	// DataChanCap and TokenChanCap size the receive channels in frames
-	// (defaults 8192 and 16).
-	DataChanCap, TokenChanCap int
 	// Batch sizes sendmmsg/recvmmsg syscall coalescing on the data path.
 	// The zero value keeps one syscall per datagram.
 	Batch BatchConfig
@@ -106,6 +103,12 @@ type UDPConfig struct {
 const (
 	mcMagic  = 0xAC
 	mcHeader = 5
+)
+
+// dataChanCap and tokenChanCap size the receive channels, in frames.
+const (
+	dataChanCap  = 8192
+	tokenChanCap = 16
 )
 
 // UDP is the real-network transport: one socket per frame class, exactly
@@ -182,12 +185,6 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if cfg.Self == 0 {
 		return nil, fmt.Errorf("transport: udp requires Self")
 	}
-	if cfg.DataChanCap <= 0 {
-		cfg.DataChanCap = 8192
-	}
-	if cfg.TokenChanCap <= 0 {
-		cfg.TokenChanCap = 16
-	}
 	dataConn, err := listenUDP(cfg.Listen.Data)
 	if err != nil {
 		return nil, fmt.Errorf("transport: data socket: %w", err)
@@ -206,8 +203,8 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		self:     cfg.Self,
 		dataConn: dataConn,
 		tokConn:  tokConn,
-		dataCh:   make(chan []byte, cfg.DataChanCap),
-		tokenCh:  make(chan []byte, cfg.TokenChanCap),
+		dataCh:   make(chan []byte, dataChanCap),
+		tokenCh:  make(chan []byte, tokenChanCap),
 		nm:       newNetMetrics(cfg.Obs, "transport.udp."),
 		fl:       cfg.Flight,
 	}
