@@ -13,14 +13,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The transports, the fault injector, the sharding layer (N protocol
-# goroutines per node), the ordered-group core they all feed, the
-# daemon's client layer (a reader and a writer goroutine per session
+# The transports, the fault injector, the protocol step and its two hosts
+# (the real-time goroutine and the simulator), the sharding layer (N
+# protocol goroutines per node), the ordered-group core they all feed,
+# the daemon's client layer (a reader and a writer goroutine per session
 # around one send window) and the recorder every one of them writes into
 # are the concurrency hot spots; keep them under the race detector even
 # when the full -race run is too slow for the inner loop.
 race:
-	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/... ./internal/obs/...
+	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/ringnode/... ./internal/simproc/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/... ./internal/obs/...
 
 # The full suite under the race detector (CI runs this as its own job).
 race-full:

@@ -35,6 +35,7 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/faults"
 	"accelring/internal/obs"
+	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 	"accelring/internal/simproc"
 	"accelring/internal/stats"
@@ -109,12 +110,15 @@ func runFaults(seed int64, nodes, msgs int, obsAddr string) error {
 		Model: faults.Delay{Max: 200 * time.Microsecond}})
 	inj := faults.New(seed, plan)
 
-	// With -obs, observe node 0 (metrics + round traces). The observer's
-	// Clock stays nil so the simulation remains deterministic.
+	// With -obs, observe node 0 (metrics + round traces), on the
+	// simulated clock the host installs, so the run stays deterministic.
 	var reg *obs.Registry
 	var flight *obs.Recorder
-	opts := simproc.AcceleratedOptions(
-		simnet.GigabitFabric(nodes), simproc.Daemon(), 20, 200, 10)
+	opts := simproc.Options{
+		Fabric:  simnet.GigabitFabric(nodes),
+		Profile: simproc.Daemon(),
+		Ring:    ringnode.Accelerated(0, nil, 20, 200, 10),
+	}
 	if obsAddr != "" {
 		reg = obs.NewRegistry()
 		flight = obs.NewRecorder(0)
@@ -131,18 +135,20 @@ func runFaults(seed int64, nodes, msgs int, obsAddr string) error {
 	if err != nil {
 		return err
 	}
-	c.Net.SetInjector(inj, nil)
+	c.Net.SetInjector(inj)
 
 	delivered := make([]int, nodes)
-	c.SetDeliverHook(func(node simnet.NodeID, m evs.Message, at simnet.Time) {
-		delivered[node]++
+	c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
+		if _, ok := ev.(evs.Message); ok {
+			delivered[node]++
+		}
 	})
 	for _, n := range c.Nodes {
 		for i := 0; i < msgs; i++ {
 			n.Submit(make([]byte, 1350), evs.Agreed)
 		}
 	}
-	c.Sim.RunUntil(30 * simnet.Second)
+	c.Sim.RunUntil(c.Formed + 30*simnet.Second)
 
 	fmt.Printf("== Accelerated Ring, %d nodes, %d msgs/node, fault seed %d ==\n\n",
 		nodes, msgs, seed)
@@ -184,41 +190,36 @@ func runFaults(seed int64, nodes, msgs int, obsAddr string) error {
 
 // runFollow runs the simulated cluster with deterministic message
 // sampling on every node and prints the merged cross-node span per
-// sampled message. The observers' clock is derived from the simulation,
-// so the run stays deterministic and the timestamps are exact virtual
-// times.
+// sampled message. The observers run on the simulated clock, so the run
+// stays deterministic and the timestamps are exact virtual times, counted
+// from ring formation.
 func runFollow(nodes, msgs, sample int) error {
 	if sample < 1 {
 		return fmt.Errorf("-sample must be at least 1")
 	}
-	opts := simproc.AcceleratedOptions(
-		simnet.GigabitFabric(nodes), simproc.Daemon(), 20, 200, 10)
 	tracers := make([]*obs.MsgTracer, nodes)
 	for i := range tracers {
 		// Deep enough to keep every stage of every sampled message.
 		tracers[i] = obs.NewMsgTracer(sample, 8*msgs*nodes/sample+64)
 	}
-	var cl *simproc.Cluster
-	clock := func() time.Time {
-		if cl == nil {
-			return time.Unix(0, 0)
-		}
-		return time.Unix(0, int64(cl.Sim.Now()))
-	}
-	opts.Observer = func(node int) *obs.RingObserver {
-		return &obs.RingObserver{Msg: tracers[node], Clock: clock}
-	}
-	c, err := simproc.NewCluster(opts)
+	c, err := simproc.NewCluster(simproc.Options{
+		Fabric:  simnet.GigabitFabric(nodes),
+		Profile: simproc.Daemon(),
+		Ring:    ringnode.Accelerated(0, nil, 20, 200, 10),
+		Observer: func(node int) *obs.RingObserver {
+			return &obs.RingObserver{Msg: tracers[node]}
+		},
+	})
 	if err != nil {
 		return err
 	}
-	cl = c
+	formed := simproc.Wall(c.Formed)
 	for _, n := range c.Nodes {
 		for i := 0; i < msgs; i++ {
 			n.Submit(make([]byte, 1350), evs.Agreed)
 		}
 	}
-	c.Sim.RunUntil(30 * simnet.Second)
+	c.Sim.RunUntil(c.Formed + 30*simnet.Second)
 
 	// Merge: the same seqs are sampled everywhere, so spans group by seq.
 	// Each span keeps the earliest cluster-wide time per lifecycle
@@ -303,7 +304,7 @@ func runFollow(nodes, msgs, sample int) error {
 		if t.IsZero() {
 			return "-"
 		}
-		return time.Duration(t.UnixNano()).String()
+		return t.Sub(formed).String()
 	}
 	submitSlot := slot[obs.StageSubmit]
 	var e2es []time.Duration

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"accelring/internal/evs"
+	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 	"accelring/internal/simproc"
 )
@@ -53,26 +54,18 @@ func Fig1Trace(accelerated bool) ([]simproc.TraceEvent, error) {
 }
 
 // fig1Trace runs the Figure 1 scenario and returns the send events for the
-// first 20 messages plus the token sends between them.
+// first 20 messages plus the token sends between them. Times and seqs count
+// from the formed ring: its first seqs are the members' recovery markers.
 func fig1Trace(accelerated bool) ([]simproc.TraceEvent, error) {
-	fabric := simnet.GigabitFabric(3)
-	var opts simproc.Options
+	ring := ringnode.Original(0, nil, 5, 100)
 	if accelerated {
-		opts = simproc.AcceleratedOptions(fabric, simproc.Library(), 5, 100, 3)
-	} else {
-		opts = simproc.OriginalOptions(fabric, simproc.Library(), 5, 100)
+		ring = ringnode.Accelerated(0, nil, 5, 100, 3)
 	}
-	c, err := simproc.NewCluster(opts)
+	c, err := simproc.NewCluster(simproc.Options{
+		Fabric: simnet.GigabitFabric(3), Profile: simproc.Library(), Ring: ring,
+	})
 	if err != nil {
 		return nil, err
-	}
-	var events []simproc.TraceEvent
-	for _, n := range c.Nodes {
-		n.SetTrace(func(ev simproc.TraceEvent) {
-			if ev.Kind == "send-data" || ev.Kind == "send-token" {
-				events = append(events, ev)
-			}
-		})
 	}
 	// Paper Figure 1: A sends 1-5 and 16-20, B sends 6-10, C sends 11-15.
 	submit := func(node, count int) {
@@ -80,12 +73,29 @@ func fig1Trace(accelerated bool) ([]simproc.TraceEvent, error) {
 			c.Nodes[node].Submit(make([]byte, 1350), evs.Agreed)
 		}
 	}
-	submit(0, 5)
-	submit(1, 5)
-	submit(2, 5)
-	// A's second batch arrives while the first round is in flight.
-	c.Sim.After(50*simnet.Microsecond, func() { submit(0, 5) })
-	c.Sim.RunUntil(10 * simnet.Millisecond)
+	base := c.Nodes[0].Engine().High()
+	var events []simproc.TraceEvent
+	started := false
+	for _, n := range c.Nodes {
+		n.SetTrace(func(ev simproc.TraceEvent) {
+			switch {
+			case !started && ev.Node == 0 && ev.Kind == "recv-token":
+				// The clients submit as the idle token reaches A.
+				started = true
+				submit(0, 5)
+				submit(1, 5)
+				submit(2, 5)
+				// A's second batch arrives while the first round is in
+				// flight.
+				c.Sim.After(50*simnet.Microsecond, func() { submit(0, 5) })
+			case started && (ev.Kind == "send-data" || ev.Kind == "send-token"):
+				ev.At -= c.Formed
+				ev.Seq -= base
+				events = append(events, ev)
+			}
+		})
+	}
+	c.Sim.RunUntil(c.Formed + 10*simnet.Millisecond)
 
 	// Keep events up to and including the send of message 20 — under the
 	// accelerated protocol that is after the token carrying seq 20.

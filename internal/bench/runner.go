@@ -10,6 +10,7 @@ import (
 
 	"accelring/internal/core"
 	"accelring/internal/evs"
+	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 	"accelring/internal/simproc"
 	"accelring/internal/stats"
@@ -137,9 +138,10 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 	installLoss(c, cfg)
 
+	// Every window counts from the instant the ring formed.
 	n := len(c.Nodes)
-	wStart := cfg.Warmup
-	wEnd := cfg.Warmup + cfg.Measure
+	wStart := c.Formed + cfg.Warmup
+	wEnd := wStart + cfg.Measure
 
 	// Measurement hooks.
 	var all stats.Latency
@@ -147,7 +149,11 @@ func Run(cfg RunConfig) (Result, error) {
 	seqSeen := make(map[uint64]struct{})
 	var payloadBytes uint64
 	hop := cfg.Profile.ClientHop
-	c.SetDeliverHook(func(node simnet.NodeID, m evs.Message, at simnet.Time) {
+	c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
+		m, ok := ev.(evs.Message)
+		if !ok {
+			return
+		}
 		// Goodput counts deliveries completed inside the window (a
 		// saturated system delivers messages injected long before).
 		if node == 0 && at >= wStart && at < wEnd {
@@ -213,9 +219,9 @@ func Run(cfg RunConfig) (Result, error) {
 	res.GoodputMbps = stats.Mbps(stats.Rate(payloadBytes, int64(cfg.Measure)))
 	netStats := c.Net.Stats()
 	res.SwitchDrops = netStats.SwitchDrops
+	res.SockDrops = c.SockDrops
 	for _, node := range c.Nodes {
 		res.Retransmissions += node.Engine().Counters().Retransmitted
-		res.SockDrops += node.Stats().DataSockDrops
 	}
 	res.Rounds = c.Nodes[0].Engine().Counters().Rounds
 	return res, nil
@@ -223,22 +229,20 @@ func Run(cfg RunConfig) (Result, error) {
 
 func clusterOptions(cfg RunConfig) simproc.Options {
 	w := cfg.Windows
-	var opts simproc.Options
+	ring := ringnode.Original(0, nil, w.Personal, w.Global)
 	if cfg.Protocol == AcceleratedRing {
-		opts = simproc.AcceleratedOptions(cfg.Fabric, cfg.Profile, w.Personal, w.Global, w.Accelerated)
-	} else {
-		opts = simproc.OriginalOptions(cfg.Fabric, cfg.Profile, w.Personal, w.Global)
+		ring = ringnode.Accelerated(0, nil, w.Personal, w.Global, w.Accelerated)
 	}
 	if cfg.priorityOverride != 0 {
-		opts.Priority = cfg.priorityOverride
+		ring.Priority = cfg.priorityOverride
 	}
 	switch cfg.requestsOverride {
 	case requestImmediate:
-		opts.DelayedRequests = false
+		ring.DelayedRequests = false
 	case requestDelayed:
-		opts.DelayedRequests = true
+		ring.DelayedRequests = true
 	}
-	return opts
+	return simproc.Options{Fabric: cfg.Fabric, Profile: cfg.Profile, Ring: ring}
 }
 
 // installLoss wires the configured loss model into the fabric's ingress.

@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"accelring/internal/evs"
+	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 	"accelring/internal/simproc"
 )
 
 func testCluster(t *testing.T) *simproc.Cluster {
 	t.Helper()
-	c, err := simproc.NewCluster(simproc.AcceleratedOptions(
-		simnet.GigabitFabric(3), simproc.Library(), 20, 160, 15))
+	c, err := simproc.NewCluster(simproc.Options{
+		Fabric:  simnet.GigabitFabric(3),
+		Profile: simproc.Library(),
+		Ring:    ringnode.Accelerated(0, nil, 20, 160, 15),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +34,9 @@ func TestRunRateApproximatesRate(t *testing.T) {
 	}
 	const rate = 5000.0 // msgs/s
 	horizon := 500 * simnet.Millisecond
-	g.runRate(c.Nodes[0], rate, horizon)
-	c.Sim.RunUntil(horizon + 50*simnet.Millisecond)
-	got := float64(c.Nodes[0].Stats().Submitted)
+	g.runRate(c.Nodes[0], rate, c.Formed+horizon)
+	c.Sim.RunUntil(c.Formed + horizon + 50*simnet.Millisecond)
+	got := float64(c.Nodes[0].Submitted())
 	want := rate * float64(horizon) / 1e9
 	if math.Abs(got-want)/want > 0.15 {
 		t.Fatalf("submitted %v messages, want about %v", got, want)
@@ -42,9 +46,9 @@ func TestRunRateApproximatesRate(t *testing.T) {
 func TestRunRateZeroIsNoop(t *testing.T) {
 	c := testCluster(t)
 	g := &generator{sim: c.Sim, rng: rand.New(rand.NewSource(1)), payloadSize: 64, service: evs.Agreed}
-	g.runRate(c.Nodes[0], 0, simnet.Second)
-	c.Sim.RunUntil(10 * simnet.Millisecond)
-	if c.Nodes[0].Stats().Submitted != 0 {
+	g.runRate(c.Nodes[0], 0, c.Formed+simnet.Second)
+	c.Sim.RunUntil(c.Formed + 10*simnet.Millisecond)
+	if c.Nodes[0].Submitted() != 0 {
 		t.Fatal("zero rate submitted messages")
 	}
 }
@@ -53,9 +57,9 @@ func TestRunSaturatingKeepsQueueFed(t *testing.T) {
 	c := testCluster(t)
 	g := &generator{sim: c.Sim, rng: rand.New(rand.NewSource(1)), payloadSize: 1350, service: evs.Agreed}
 	for _, n := range c.Nodes {
-		g.runSaturating(n, 20, 100*simnet.Microsecond, 50*simnet.Millisecond)
+		g.runSaturating(n, 20, 100*simnet.Microsecond, c.Formed+50*simnet.Millisecond)
 	}
-	c.Sim.RunUntil(60 * simnet.Millisecond)
+	c.Sim.RunUntil(c.Formed + 60*simnet.Millisecond)
 	// Every node must have sent a personal window's worth many times over.
 	for i, n := range c.Nodes {
 		if sent := n.Engine().Counters().Sent; sent < 200 {
@@ -68,8 +72,9 @@ func TestPayloadsAreStamped(t *testing.T) {
 	c := testCluster(t)
 	g := &generator{sim: c.Sim, rng: rand.New(rand.NewSource(3)), payloadSize: 64, service: evs.Agreed}
 	var stamps []simnet.Time
-	c.SetDeliverHook(func(node simnet.NodeID, m evs.Message, at simnet.Time) {
-		if node != 0 {
+	c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
+		m, ok := ev.(evs.Message)
+		if node != 0 || !ok {
 			return
 		}
 		ts := simproc.PayloadStamp(m.Payload)
@@ -78,8 +83,8 @@ func TestPayloadsAreStamped(t *testing.T) {
 		}
 		stamps = append(stamps, ts)
 	})
-	g.runRate(c.Nodes[1], 2000, 50*simnet.Millisecond)
-	c.Sim.RunUntil(100 * simnet.Millisecond)
+	g.runRate(c.Nodes[1], 2000, c.Formed+50*simnet.Millisecond)
+	c.Sim.RunUntil(c.Formed + 100*simnet.Millisecond)
 	if len(stamps) == 0 {
 		t.Fatal("no stamped deliveries")
 	}

@@ -1,18 +1,20 @@
 // Package chaos is the invariant-checking chaos harness: it runs
 // randomized, seed-replayable fault plans against a full multi-daemon
-// cluster — one membership.Machine (membership + recovery + ordering
-// engine) per participant — on the repository's one virtual-time
-// simulator: simnet.Sim schedules every frame arrival, machine timer and
+// cluster — one ringnode step (membership, recovery, packing and the
+// ordering engine: the production protocol code) per participant, hosted
+// by internal/simproc — on the repository's one virtual-time simulator:
+// simnet.Sim schedules every frame arrival, timer tick, step input and
 // schedule step, and simnet.Network carries every frame through NIC
 // serialization, the switch's per-port drop-tail buffers and the unified
 // faults.Injector. It checks the Extended Virtual Synchrony delivery
 // invariants after every run:
 //
 //  1. total-order — agreed delivery produces one total order: a slot
-//     (configuration, sequence number) holds the same message at every
-//     member that fills it, no member delivers the same message twice
-//     within one incarnation, and any two members deliver the messages
-//     they have in common in the same relative order;
+//     (configuration, sequence number, position within a packed bundle)
+//     holds the same message at every member that fills it, no member
+//     delivers the same message twice within one incarnation, and any two
+//     members deliver the messages they have in common in the same
+//     relative order;
 //  2. safe-stability — a Safe message delivered in a regular
 //     configuration (before the configuration's transitional marker) was
 //     received by every member of it: every non-crashed member that
@@ -22,22 +24,27 @@
 //     configuration deliver exactly the same messages in the
 //     configuration they left;
 //  4. seq-regression — per member and configuration, delivered sequence
-//     numbers are strictly increasing.
+//     numbers never decrease, and positions within one seq's bundle
+//     strictly increase.
 //
 // The fault classes are process kill and restart, partition and heal,
-// i.i.d. and bursty loss, duplication, delay/reorder, and — on the seeds
-// whose fabric has a switch port buffer of only a few frames — drop-tail
-// overrun at the receiver's port when senders overlap (Result.SwitchDrops).
+// i.i.d. and bursty loss, duplication, delay/reorder, drop-tail overrun at
+// a receiver's switch port on the seeds whose fabric has a port buffer of
+// only a few frames (Result.SwitchDrops), and receive-socket overrun on
+// the seeds whose hosts read data slower than their link delivers it into
+// a socket of only a few frames (Result.SockDrops). A seed-chosen half of
+// Run's clusters pack small messages into bundles.
 //
 // RunXRing puts several rings on the same simulator: all rings of a run
 // share one clock, and each ring delivery reaches the node's production
 // ordered-group core (groupcore.Core) at its virtual instant, interleaved
 // with the other rings' deliveries exactly as the event order has them.
 //
-// A run is a pure function of its seed: the fabric, the fault plan, the
-// node count, the kill/restart/partition schedule, and every per-packet
-// fault decision derive from it, so any violation replays exactly from
-// the printed seed (see faults.ReplaySeed and the FAULTS_SEED override).
+// A run is a pure function of its seed: the fabric, the hosts, the fault
+// plan, the node count, the kill/restart/partition schedule, and every
+// per-packet fault decision derive from it, so any violation replays
+// exactly from the printed seed (see faults.ReplaySeed and the
+// FAULTS_SEED override).
 package chaos
 
 import (
@@ -48,37 +55,17 @@ import (
 	"sort"
 	"time"
 
-	"accelring/internal/core"
 	"accelring/internal/evs"
 	"accelring/internal/faults"
-	"accelring/internal/flowcontrol"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
+	"accelring/internal/pack"
+	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
+	"accelring/internal/simproc"
 	"accelring/internal/stats"
 	"accelring/internal/wire"
 )
-
-const (
-	// tickStep is the virtual membership-timer resolution.
-	tickStep = 5 * time.Millisecond
-	// tickPhase staggers each machine's timer phase and tickSkew its
-	// timer period. With identical phases and periods the whole
-	// cluster's membership timers fire at the same instants forever — a
-	// lockstep symmetry no real deployment has (independent clocks
-	// always skew and drift), under which competing gather rounds can
-	// collide, expire, and retry in unison indefinitely. Distinct
-	// periods make the relative phases precess, so no periodic orbit is
-	// stable.
-	tickPhase = 700 * time.Microsecond
-	tickSkew  = 17 * time.Microsecond
-	// restartPhase further shifts a restarted incarnation's timers.
-	restartPhase = 311 * time.Microsecond
-)
-
-// epoch is the wall time of simulator time zero: the machines' clock is
-// epoch + Sim.Now().
-var epoch = time.Unix(1000, 0)
 
 // chaosFabric draws a run's fabric from its seed. The links are slow and
 // long, so a token hop costs about 200 µs of virtual time (two 45 µs
@@ -103,15 +90,30 @@ func chaosFabric(rng *rand.Rand, n int) simnet.Config {
 	return cfg
 }
 
-// Options parameterizes a chaos run. Zero fields derive from the seed.
+// chaosHost draws a run's host model from its seed. Modeled wire sizes are
+// the frames' encoded sizes. Two runs in three get cost-free cores and a
+// data socket nothing here can fill; the third gets a core slower than its
+// link — reading a data frame costs more than the 40–120 µs the frame
+// takes to arrive — and a data socket of only a few frames (the largest,
+// a recovery flood of a packed bundle, must still fit), so data arriving
+// back to back — a multicast burst, a join storm — overruns the socket and
+// is lost there (Result.SockDrops).
+func chaosHost(rng *rand.Rand) (prof simproc.Profile, dataSock int) {
+	prof = simproc.Profile{HeaderBytes: wire.DataOverhead, TokenBytes: (&wire.Token{}).EncodedLen()}
+	if rng.Intn(3) == 0 {
+		prof.RecvDataFixed = simnet.Time(150+rng.Intn(150)) * simnet.Microsecond
+		prof.RecvTokenFixed = 20 * simnet.Microsecond
+		prof.SendFixed = 5 * simnet.Microsecond
+		dataSock = 400 + rng.Intn(400)
+	}
+	return prof, dataSock
+}
+
+// Options parameterizes a chaos run.
 type Options struct {
-	// Seed determines everything about the run.
+	// Seed determines everything about the run: 4–6 nodes, 10–17
+	// fault-schedule steps and everything they do.
 	Seed int64
-	// Nodes is the cluster size (default: 4–6, seed-chosen).
-	Nodes int
-	// Steps is the number of fault-schedule steps (default: 10–17,
-	// seed-chosen).
-	Steps int
 	// FlightDir, when non-empty (or via the CHAOS_FLIGHT_DIR environment
 	// variable), receives one flight-recorder JSONL dump per process
 	// incarnation — plus one for the network fault injector — whenever
@@ -141,14 +143,16 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 type Result struct {
 	Seed         int64
 	Nodes, Steps int
-	// Submitted counts accepted client submissions; Delivered counts
+	// Submitted counts client submissions queued at a live process
+	// (which hands them to its step once it can take them); Delivered counts
 	// application message deliveries summed over members; Configs counts
 	// regular configuration installs summed over members.
 	Submitted, Delivered, Configs int
 	// Faults holds the fault plan's per-rule counters; SwitchDrops counts
-	// the frames lost to drop-tail overrun at a full switch port.
-	Faults      []stats.FaultCounter
-	SwitchDrops uint64
+	// the frames lost to drop-tail overrun at a full switch port and
+	// SockDrops those lost to overrun at a full receive socket.
+	Faults                 []stats.FaultCounter
+	SwitchDrops, SockDrops uint64
 	// Violations holds every invariant breach (empty on a clean run).
 	Violations []Violation
 }
@@ -163,6 +167,10 @@ type memberLog struct {
 	// require eventual delivery exempt them.
 	crashed bool
 	events  []evs.Event
+	// pos holds each message's position within its packing bundle, the
+	// messages of one bundle sharing a seq (0 when unpacked; entries past
+	// the end read 0).
+	pos []int
 	// flight is the incarnation's black-box recorder (virtual-clock
 	// timestamps), dumped as JSONL when the run ends with violations.
 	flight *obs.Recorder
@@ -170,66 +178,36 @@ type memberLog struct {
 
 func (l *memberLog) name() string { return fmt.Sprintf("%d.%d", l.id, l.gen) }
 
-// procOut adapts a machine's effects onto the simulated network.
-type procOut struct {
-	h   *harness
-	log *memberLog
-}
-
-// packet wraps a copy of frame (the machine reuses its buffer) for the
-// wire. kind is the frame's class, not its exact type: everything unicast
-// rides the token channel, everything multicast the data channel, which is
-// what the injector's class rules and the receiving socket go by.
-func (o *procOut) packet(kind wire.FrameType, frame []byte) *simnet.Packet {
-	return &simnet.Packet{
-		From: simnet.NodeID(o.log.id - 1), Kind: kind,
-		Wire: len(frame), Frame: append([]byte(nil), frame...),
+func (l *memberLog) posAt(i int) int {
+	if i < len(l.pos) {
+		return l.pos[i]
 	}
+	return 0
 }
 
-func (o *procOut) Multicast(frame []byte) {
-	p := o.packet(wire.FrameData, frame)
-	o.h.net.Multicast(p.From, p)
-}
-
-func (o *procOut) Unicast(to evs.ProcID, frame []byte) {
-	p := o.packet(wire.FrameToken, frame)
-	o.h.net.Unicast(p.From, simnet.NodeID(to-1), p)
-}
-
-func (o *procOut) Deliver(ev evs.Event) {
-	o.log.events = append(o.log.events, ev)
-	if o.h.onDeliver != nil {
-		o.h.onDeliver(o.log.id, ev)
-	}
-}
-
-// harness is one ring's deterministic virtual-time cluster: machines on a
-// simulated fabric with the fault injector at its ingress; participant id
-// runs on fabric host id-1. Everything runs on the simulator's one
-// goroutine; map iteration never decides anything (h.ids orders fan-out).
+// harness is one ring's deterministic virtual-time cluster: simulated
+// hosts running the production ringnode step on a simulated fabric with
+// the fault injector at its ingress; participant id runs on fabric host
+// id-1. Everything runs on the simulator's one goroutine; map iteration
+// never decides anything.
 type harness struct {
 	rng *rand.Rand
-	sim *simnet.Sim
-	net *simnet.Network
+	c   *simproc.Cluster
 
-	ids      []evs.ProcID
-	machines map[evs.ProcID]*membership.Machine
-	gens     map[evs.ProcID]int
-	cur      map[evs.ProcID]*memberLog
-	logs     []*memberLog
+	// cur holds each host's latest incarnation, logs every incarnation.
+	cur  []*memberLog
+	logs []*memberLog
+	// packed marks a run whose members pack: a bundle's messages share a
+	// seq and are delivered back to back.
+	packed bool
 	// onDeliver, when set, sees every delivery of every member at its
 	// virtual instant (RunXRing feeds the node's ordered-group core here).
 	onDeliver func(id evs.ProcID, ev evs.Event)
 
 	inj  *faults.Injector
 	part *faults.Partition
-
-	// netFlight records the fault injector's actions; flightDir and
-	// forceViolation carry the Options' flight-dump settings.
-	netFlight      *obs.Recorder
-	flightDir      string
-	forceViolation bool
+	// netFlight records the fault injector's actions.
+	netFlight *obs.Recorder
 
 	submitted int
 }
@@ -244,102 +222,92 @@ func chaosTimeouts() membership.Timeouts {
 	}
 }
 
-// newHarness builds an n-machine ring on sim (shared by all rings of a
-// run), on a fabric drawn from rng.
-func newHarness(sim *simnet.Sim, rng *rand.Rand, n int) *harness {
+// newHarness builds an n-process ring on sim (shared by all rings of a
+// run), with a fabric and host model drawn from rng; packed enables
+// adaptive packing on every member.
+func newHarness(sim *simnet.Sim, rng *rand.Rand, n int, packed bool) *harness {
 	h := &harness{
 		rng:       rng,
-		sim:       sim,
-		machines:  make(map[evs.ProcID]*membership.Machine),
-		gens:      make(map[evs.ProcID]int),
-		cur:       make(map[evs.ProcID]*memberLog),
+		cur:       make([]*memberLog, n),
+		packed:    packed,
 		part:      faults.NewPartition(),
 		netFlight: obs.NewRecorder(0),
 	}
-	net, err := simnet.NewNetwork(sim, chaosFabric(rng, n), h.receive)
+	ring := ringnode.Accelerated(0, nil, 5, 100, 3)
+	ring.Timeouts = chaosTimeouts()
+	if packed {
+		ring.Packing = &pack.AdaptiveConfig{}
+	}
+	opts := simproc.Options{Fabric: chaosFabric(rng, n), Ring: ring, Observer: h.boot}
+	opts.Profile, opts.DataSockBytes = chaosHost(rng)
+	c, err := simproc.Boot(sim, opts)
 	if err != nil {
 		panic("chaos: " + err.Error())
 	}
-	h.net = net
-	for i := 0; i < n; i++ {
-		id := evs.ProcID(i + 1)
-		h.ids = append(h.ids, id)
-		h.addMachine(id)
-	}
+	c.SetDeliverHook(h.deliver)
+	h.c = c
 	return h
 }
 
-func (h *harness) now() time.Time { return epoch.Add(time.Duration(h.sim.Now())) }
-
-func (h *harness) addMachine(id evs.ProcID) {
-	log := &memberLog{id: id, gen: h.gens[id], flight: obs.NewRecorder(0)}
-	h.cur[id] = log
+// boot is the cluster's observer factory, called once per process boot: it
+// opens the incarnation's delivery log and its flight recorder, on the
+// simulated clock the host installs. There is no registry and no tracer,
+// so the steps behave identically to unobserved ones and the Result stays
+// a pure function of the seed.
+func (h *harness) boot(i int) *obs.RingObserver {
+	log := &memberLog{id: evs.ProcID(i + 1), flight: obs.NewRecorder(0)}
+	if prev := h.cur[i]; prev != nil {
+		log.gen = prev.gen + 1
+	}
+	h.cur[i] = log
 	h.logs = append(h.logs, log)
-	m, err := membership.New(membership.Config{
-		Self:            id,
-		Windows:         flowcontrol.Windows{Personal: 5, Global: 100, Accelerated: 3},
-		Priority:        core.PriorityAggressive,
-		DelayedRequests: true,
-		Timeouts:        chaosTimeouts(),
-		// Flight recording only, on the simulator's clock: no registry
-		// and no tracer, so the machines behave identically to unobserved
-		// ones and the Result stays a pure function of the seed.
-		Observer: &obs.RingObserver{Flight: log.flight, Clock: h.now},
-	}, &procOut{h: h, log: log}, h.now())
-	if err != nil {
-		panic("chaos: " + err.Error())
-	}
-	h.machines[id] = m
-	every := simnet.Time(tickStep + time.Duration(id)*tickSkew)
-	var tick func()
-	tick = func() {
-		if h.cur[id] != log {
-			return // this incarnation was killed: its timer dies with it
+	return &obs.RingObserver{Flight: log.flight}
+}
+
+// deliver is the cluster's delivery hook: it appends to the incarnation's
+// log, numbering each message's position within its bundle.
+func (h *harness) deliver(node simnet.NodeID, ev evs.Event, _ simnet.Time) {
+	log := h.cur[node]
+	pos := 0
+	if m, ok := ev.(evs.Message); ok && h.packed && len(log.events) > 0 {
+		k := len(log.events) - 1
+		if prev, ok := log.events[k].(evs.Message); ok && prev.Config == m.Config && prev.Seq == m.Seq {
+			pos = log.pos[k] + 1
 		}
-		m.Tick(h.now())
-		h.sim.After(every, tick)
 	}
-	h.sim.After(simnet.Time(tickStep+
-		time.Duration(id)*tickPhase+time.Duration(h.gens[id])*restartPhase), tick)
-}
-
-// receive is the fabric's delivery callback: a frame that survived the
-// queues and the injector reaches the process now running on the host, if
-// any — frames to a killed host find nobody.
-func (h *harness) receive(to simnet.NodeID, p *simnet.Packet) {
-	m := h.machines[evs.ProcID(to+1)]
-	if m == nil {
-		return
-	}
-	if p.Kind == wire.FrameToken {
-		m.HandleTokenFrame(p.Frame, h.now())
-	} else {
-		m.HandleDataFrame(p.Frame, h.now())
+	log.events = append(log.events, ev)
+	log.pos = append(log.pos, pos)
+	if h.onDeliver != nil {
+		h.onDeliver(log.id, ev)
 	}
 }
 
-// kill stops a participant's process: its machine vanishes, its current
-// incarnation is marked crashed, and frames and timers still in flight
-// for it are dropped when they fire.
+// node returns participant id's running process, or nil.
+func (h *harness) node(id evs.ProcID) *simproc.Node { return h.c.Nodes[id-1] }
+
+// kill stops a participant's process: its current incarnation is marked
+// crashed, and frames and timers still in flight for it are dropped.
 func (h *harness) kill(id evs.ProcID) {
-	if log := h.cur[id]; log != nil {
-		log.crashed = true
+	if h.node(id) != nil {
+		h.cur[id-1].crashed = true
+		h.c.Kill(int(id - 1))
 	}
-	delete(h.machines, id)
-	delete(h.cur, id)
 }
 
 // restart boots a fresh process for a killed participant.
 func (h *harness) restart(id evs.ProcID) {
-	h.gens[id]++
-	h.addMachine(id)
+	if err := h.c.Restart(int(id - 1)); err != nil {
+		panic("chaos: " + err.Error())
+	}
 }
 
-func (h *harness) liveIDs() []evs.ProcID {
+// ids returns the participants whose process is alive, or those whose is
+// not.
+func (h *harness) ids(alive bool) []evs.ProcID {
 	var out []evs.ProcID
-	for _, id := range h.ids {
-		if h.machines[id] != nil {
-			out = append(out, id)
+	for i, n := range h.c.Nodes {
+		if (n != nil) == alive {
+			out = append(out, evs.ProcID(i+1))
 		}
 	}
 	return out
@@ -348,18 +316,16 @@ func (h *harness) liveIDs() []evs.ProcID {
 // startFaults installs the seeded fault plan for a fault phase of the
 // given duration; its rule windows count from now.
 func (h *harness) startFaults(seed int64, dur time.Duration) {
-	h.inj = faults.New(seed, randomPlan(h.rng, len(h.ids), dur, h.part))
-	h.inj.SetFlight(h.netFlight, h.now())
-	h.net.SetInjector(h.inj, nil)
+	h.inj = faults.New(seed, randomPlan(h.rng, len(h.c.Nodes), dur, h.part))
+	h.inj.SetFlight(h.netFlight, simproc.Wall(h.c.Sim.Now()))
+	h.c.Net.SetInjector(h.inj)
 }
 
 // stopFaults ends the fault phase: no injector, no partition.
 func (h *harness) stopFaults() {
-	h.net.SetInjector(nil, nil)
+	h.c.Net.SetInjector(nil)
 	h.part.Heal()
 }
-
-func (h *harness) advance(d time.Duration) { advance(h.sim, d) }
 
 // advance runs the simulator — every ring on it — for d of virtual time.
 func advance(sim *simnet.Sim, d time.Duration) { sim.RunUntil(sim.Now() + simnet.Time(d)) }
@@ -375,56 +341,39 @@ func waitFor(sim *simnet.Sim, within, step time.Duration, cond func() bool) bool
 	return cond()
 }
 
-// converged reports whether every live machine is operational on one
-// shared ring containing exactly the live members.
-func (h *harness) converged() bool {
-	live := h.liveIDs()
-	if len(live) == 0 {
+// waitConverged advances sim until every ring of hs has converged or
+// within has passed. It returns the rings still reforming, with each live
+// process's phase and ring, for a violation ("" once converged).
+func waitConverged(sim *simnet.Sim, within time.Duration, hs ...*harness) (stuck string) {
+	if waitFor(sim, within, 25*time.Millisecond, func() bool {
+		for _, h := range hs {
+			if !h.c.Converged() {
+				return false
+			}
+		}
 		return true
+	}) {
+		return ""
 	}
-	ref := h.machines[live[0]].Ring()
-	if h.machines[live[0]].State() != membership.StateOperational ||
-		len(ref.Members) != len(live) {
-		return false
-	}
-	have := make(map[evs.ProcID]bool, len(ref.Members))
-	for _, id := range ref.Members {
-		have[id] = true
-	}
-	for _, id := range live {
-		if !have[id] {
-			return false
-		}
-		if h.machines[id].State() != membership.StateOperational ||
-			!h.machines[id].Ring().Equal(ref) {
-			return false
+	for r, h := range hs {
+		if !h.c.Converged() {
+			stuck += fmt.Sprintf(" ring %d{", r)
+			for _, id := range h.ids(true) {
+				m := h.node(id).Machine()
+				stuck += fmt.Sprintf(" %d=%v/%v", id, m.State(), m.Ring().ID)
+			}
+			stuck += " }"
 		}
 	}
-	return true
+	return stuck
 }
 
-// states renders every live machine's phase and ring, for a violation.
-func (h *harness) states() (out string) {
-	for _, id := range h.liveIDs() {
-		m := h.machines[id]
-		out += fmt.Sprintf(" %d=%v/%v", id, m.State(), m.Ring().ID)
-	}
-	return out
-}
-
-func (h *harness) waitConverged(within time.Duration) bool {
-	return waitFor(h.sim, within, 25*time.Millisecond, h.converged)
-}
-
+// submit queues one client message at a live participant's process, which
+// holds it until the step can take it.
 func (h *harness) submit(id evs.ProcID, svc evs.Service) {
-	m := h.machines[id]
-	if m == nil {
-		return
-	}
-	payload := fmt.Sprintf("m-%d-%d", id, h.submitted+1)
-	// Submission fails while the machine is reforming; real clients retry.
-	if m.Submit([]byte(payload), svc) == nil {
+	if n := h.node(id); n != nil {
 		h.submitted++
+		n.Submit([]byte(fmt.Sprintf("m-%d-%d", id, h.submitted)), svc)
 	}
 }
 
@@ -486,22 +435,17 @@ func randomPlan(rng *rand.Rand, n int, dur time.Duration, part *faults.Partition
 	return plan
 }
 
-// shape fills in what a run's Options left to the seed: the cluster size
-// and the fault schedule's step durations — drawn up front, with their
-// total, so the plan's rule windows can span the whole fault phase.
-func shape(rng *rand.Rand, nodes, steps int) (n int, durs []time.Duration, total time.Duration) {
-	if nodes == 0 {
-		nodes = 4 + rng.Intn(3)
-	}
-	if steps == 0 {
-		steps = 10 + rng.Intn(8)
-	}
-	durs = make([]time.Duration, steps)
+// shape draws a run's cluster size and the fault schedule's step
+// durations — up front, with their total, so the plan's rule windows can
+// span the whole fault phase.
+func shape(rng *rand.Rand) (n int, durs []time.Duration, total time.Duration) {
+	n = 4 + rng.Intn(3)
+	durs = make([]time.Duration, 10+rng.Intn(8))
 	for i := range durs {
 		durs[i] = time.Duration(50+rng.Intn(300)) * time.Millisecond
 		total += durs[i]
 	}
-	return nodes, durs, total
+	return n, durs, total
 }
 
 // Run executes one chaos run. It is deterministic: equal Options produce
@@ -515,21 +459,16 @@ func Run(opts Options) *Result {
 // inspect the raw delivery logs.
 func runForDebug(opts Options) (*Result, *harness) {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	n, durs, total := shape(rng, opts.Nodes, opts.Steps)
+	n, durs, total := shape(rng)
 	steps := len(durs)
 	res := &Result{Seed: opts.Seed, Nodes: n, Steps: steps}
-	h := newHarness(simnet.NewSim(), rng, n)
-	h.flightDir = opts.FlightDir
-	if h.flightDir == "" {
-		h.flightDir = os.Getenv("CHAOS_FLIGHT_DIR")
-	}
-	h.forceViolation = opts.ForceViolation
+	h := newHarness(simnet.NewSim(), rng, n, rng.Intn(2) == 0)
 
 	// Phase 1: fault-free ring formation.
-	if !h.waitConverged(10 * time.Second) {
+	if stuck := waitConverged(h.c.Sim, 10*time.Second, h); stuck != "" {
 		res.Violations = append(res.Violations,
-			Violation{"formation", "initial ring did not form"})
-		return finish(res, h), h
+			Violation{"formation", "initial ring did not form:" + stuck})
+		return finish(res, h, opts), h
 	}
 
 	// Phase 2: the fault schedule.
@@ -538,22 +477,16 @@ func runForDebug(opts Options) (*Result, *harness) {
 	for s := 0; s < steps; s++ {
 		switch rng.Intn(8) {
 		case 0: // kill one process (keep a workable majority of the ids)
-			if live := h.liveIDs(); len(live) > 3 {
+			if live := h.ids(true); len(live) > 3 {
 				h.kill(live[rng.Intn(len(live))])
 			}
 		case 1: // restart a killed process as a fresh incarnation
-			var dead []evs.ProcID
-			for _, id := range h.ids {
-				if h.machines[id] == nil {
-					dead = append(dead, id)
-				}
-			}
-			if len(dead) > 0 {
+			if dead := h.ids(false); len(dead) > 0 {
 				h.restart(dead[rng.Intn(len(dead))])
 			}
 		case 2: // split into two sides
-			sides := make(map[evs.ProcID]int, len(h.ids))
-			for _, id := range h.ids {
+			sides := make(map[evs.ProcID]int, n)
+			for id := evs.ProcID(1); int(id) <= n; id++ {
 				sides[id] = rng.Intn(2)
 			}
 			h.part.Split(sides)
@@ -565,27 +498,29 @@ func runForDebug(opts Options) (*Result, *harness) {
 				if rng.Intn(2) == 0 {
 					svc = evs.Safe
 				}
-				h.submit(h.ids[rng.Intn(n)], svc)
+				h.submit(evs.ProcID(rng.Intn(n)+1), svc)
 			}
 		}
-		h.advance(durs[s])
+		advance(h.c.Sim, durs[s])
 	}
 
 	// Phase 3: stop all faults, let the survivors converge, then flush so
 	// every pending recovery and safe delivery completes.
 	h.stopFaults()
-	if !h.waitConverged(20 * time.Second) {
+	if stuck := waitConverged(h.c.Sim, 20*time.Second, h); stuck != "" {
 		res.Violations = append(res.Violations, Violation{"convergence",
-			"live machines did not converge after heal:" + h.states()})
-		return finish(res, h), h
+			"live processes did not converge after heal:" + stuck})
+		return finish(res, h, opts), h
 	}
-	h.advance(2 * time.Second)
+	advance(h.c.Sim, 2*time.Second)
 
 	res.Violations = append(res.Violations, checkInvariants(h.logs)...)
-	return finish(res, h), h
+	return finish(res, h, opts), h
 }
 
-func finish(res *Result, h *harness) *Result {
+// finish fills in the Result's counters and, per opts, plants the forced
+// violation and dumps the flight recorders of a run with violations.
+func finish(res *Result, h *harness, opts Options) *Result {
 	res.Submitted = h.submitted
 	for _, log := range h.logs {
 		for _, ev := range log.events {
@@ -602,16 +537,20 @@ func finish(res *Result, h *harness) *Result {
 	if h.inj != nil {
 		res.Faults = h.inj.Counters()
 	}
-	res.SwitchDrops = h.net.Stats().SwitchDrops
-	if h.forceViolation {
+	res.SwitchDrops = h.c.Net.Stats().SwitchDrops
+	res.SockDrops = h.c.SockDrops
+	if opts.ForceViolation {
 		res.Violations = append(res.Violations,
 			Violation{"forced", "planted by Options.ForceViolation"})
 	}
 	sort.SliceStable(res.Violations, func(i, j int) bool {
 		return res.Violations[i].Invariant < res.Violations[j].Invariant
 	})
-	if len(res.Violations) > 0 {
-		dumpFlights(res.Seed, h)
+	if dir := opts.FlightDir; len(res.Violations) > 0 {
+		if dir == "" {
+			dir = os.Getenv("CHAOS_FLIGHT_DIR")
+		}
+		dumpFlights(dir, res.Seed, h)
 	}
 	return res
 }
@@ -621,15 +560,15 @@ func finish(res *Result, h *harness) *Result {
 // file per recorder, named like the CHAOS_DUMP log dumps. Best effort: a
 // write failure is reported on stderr, never fails the run, and the
 // Result is untouched either way.
-func dumpFlights(seed int64, h *harness) {
-	if h.flightDir == "" {
+func dumpFlights(dir string, seed int64, h *harness) {
+	if dir == "" {
 		return
 	}
 	write := func(name string, f *obs.Recorder) {
 		if f.Total() == 0 {
 			return
 		}
-		path := filepath.Join(h.flightDir, fmt.Sprintf("chaos-flight-seed%d-%s.jsonl", seed, name))
+		path := filepath.Join(dir, fmt.Sprintf("chaos-flight-seed%d-%s.jsonl", seed, name))
 		if err := f.DumpFile(path); err != nil {
 			fmt.Fprintln(os.Stderr, "chaos: flight dump:", err)
 			return

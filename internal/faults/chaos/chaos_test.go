@@ -61,32 +61,44 @@ func TestChaosDeterministicReplay(t *testing.T) {
 }
 
 // TestChaosExercisesFaults: across the default seeds, the injector must
-// actually drop, duplicate, and delay traffic, and at least one run on a
-// small-buffer fabric must lose frames to switch-port overrun and still
-// converge with every invariant intact — otherwise the harness is vacuous.
+// actually drop, duplicate, and delay traffic, and at least one run must
+// lose frames to switch-port overrun and one to receive-socket overrun
+// and still converge with every invariant intact, and a packed run must
+// deliver a multi-message bundle — otherwise the harness is vacuous.
 func TestChaosExercisesFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("aggregate fault-activity check needs the full seed set")
 	}
 	var dropped, duplicated, delayed uint64
-	overrunSurvived := false
+	switchSurvived, sockSurvived, bundled := false, false, false
 	for seed := int64(1); seed <= 24; seed++ {
-		res := Run(Options{Seed: seed})
+		res, h := runForDebug(Options{Seed: seed})
+		for _, log := range h.logs {
+			for i := range log.events {
+				bundled = bundled || log.posAt(i) > 0
+			}
+		}
 		for _, c := range res.Faults {
 			dropped += c.Dropped
 			duplicated += c.Duplicated
 			delayed += c.Delayed
 		}
-		if res.SwitchDrops > 0 && len(res.Violations) == 0 {
-			overrunSurvived = true
-		}
+		clean := len(res.Violations) == 0
+		switchSurvived = switchSurvived || res.SwitchDrops > 0 && clean
+		sockSurvived = sockSurvived || res.SockDrops > 0 && clean
 	}
 	if dropped == 0 || duplicated == 0 || delayed == 0 {
 		t.Fatalf("fault plans too tame: dropped=%d duplicated=%d delayed=%d",
 			dropped, duplicated, delayed)
 	}
-	if !overrunSurvived {
+	if !switchSurvived {
 		t.Fatal("no default seed overran a switch port and still converged cleanly")
+	}
+	if !sockSurvived {
+		t.Fatal("no default seed overran a receive socket and still converged cleanly")
+	}
+	if !bundled {
+		t.Fatal("no default seed delivered a multi-message packing bundle")
 	}
 }
 
@@ -97,21 +109,21 @@ func TestChaosExercisesFaults(t *testing.T) {
 // one. That ring must not carry the ViewID of the first ring its previous
 // incarnation minted, or two different configurations share one name.
 func TestRestartAloneMintsFreshViewID(t *testing.T) {
-	h := newHarness(simnet.NewSim(), rand.New(rand.NewSource(1)), 4)
-	if !h.waitConverged(10 * time.Second) {
-		t.Fatal("initial ring did not form")
+	h := newHarness(simnet.NewSim(), rand.New(rand.NewSource(1)), 4, false)
+	if stuck := waitConverged(h.c.Sim, 10*time.Second, h); stuck != "" {
+		t.Fatal("initial ring did not form:" + stuck)
 	}
-	first := h.machines[1].Ring().ID
+	first := h.node(1).Machine().Ring().ID
 	rep := first.Rep
 	var plan faults.Plan
 	plan.Add(faults.Rule{Name: "partition", Model: h.part})
-	h.net.SetInjector(faults.New(1, plan), nil)
+	h.c.Net.SetInjector(faults.New(1, plan))
 
 	h.kill(rep)
 	h.part.Split(map[evs.ProcID]int{rep: 1})
 	h.restart(rep)
-	h.advance(time.Second)
-	alone := h.machines[rep].Ring()
+	advance(h.c.Sim, time.Second)
+	alone := h.node(rep).Machine().Ring()
 	if len(alone.Members) != 1 {
 		t.Fatalf("restarted process did not form a ring of one: %v", alone)
 	}
@@ -119,10 +131,10 @@ func TestRestartAloneMintsFreshViewID(t *testing.T) {
 		t.Fatalf("restarted process re-minted %v, the ViewID of the first ring", first)
 	}
 	h.stopFaults()
-	if !h.waitConverged(20 * time.Second) {
-		t.Fatal("did not converge after heal")
+	if stuck := waitConverged(h.c.Sim, 20*time.Second, h); stuck != "" {
+		t.Fatal("did not converge after heal:" + stuck)
 	}
-	h.advance(2 * time.Second)
+	advance(h.c.Sim, 2*time.Second)
 	for _, v := range checkInvariants(h.logs) {
 		t.Errorf("invariant violated: %s", v)
 	}
@@ -225,6 +237,20 @@ func TestCheckersDetectPlantedViolations(t *testing.T) {
 		}}
 		if violationsOf("seq-regression", checkInvariants([]*memberLog{b})) == 0 {
 			t.Fatal("sequence regression not detected")
+		}
+		// A packed bundle's messages share a seq at increasing positions;
+		// a position that does not increase is a duplicate.
+		bundle := &memberLog{id: 1, events: []evs.Event{
+			regular(c1, 1),
+			msg(c1, 5, 1, evs.Agreed, "x"),
+			msg(c1, 5, 1, evs.Agreed, "y"),
+		}, pos: []int{0, 0, 1}}
+		if vs := checkInvariants([]*memberLog{bundle}); len(vs) != 0 {
+			t.Fatalf("a packed bundle flagged: %v", vs)
+		}
+		bundle.pos[2] = 0
+		if violationsOf("seq-regression", checkInvariants([]*memberLog{bundle})) == 0 {
+			t.Fatal("repeated bundle position not detected")
 		}
 	})
 

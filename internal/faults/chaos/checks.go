@@ -37,23 +37,29 @@ func deliveriesByConfig(log *memberLog) map[evs.ViewID][]string {
 }
 
 // checkSeqRegression: within each configuration, a member's delivered
-// sequence numbers must be strictly increasing — no regression, no
-// duplicate delivery.
+// sequence numbers never decrease, and the messages of one packed bundle
+// (which share a seq) come at strictly increasing positions — no
+// regression, no duplicate delivery.
 func checkSeqRegression(logs []*memberLog) []Violation {
 	var out []Violation
+	type at struct {
+		seq uint64
+		pos int
+	}
 	for _, log := range logs {
-		last := make(map[evs.ViewID]uint64)
-		for _, ev := range log.events {
+		last := make(map[evs.ViewID]at)
+		for i, ev := range log.events {
 			m, ok := ev.(evs.Message)
 			if !ok {
 				continue
 			}
-			if prev, seen := last[m.Config]; seen && m.Seq <= prev {
+			cur := at{m.Seq, log.posAt(i)}
+			if prev, seen := last[m.Config]; seen && (cur.seq < prev.seq || cur.seq == prev.seq && cur.pos <= prev.pos) {
 				out = append(out, Violation{"seq-regression", fmt.Sprintf(
-					"member %s delivered seq %d after %d in config %v",
-					log.name(), m.Seq, prev, m.Config)})
+					"member %s delivered seq %d.%d after %d.%d in config %v",
+					log.name(), cur.seq, cur.pos, prev.seq, prev.pos, m.Config)})
 			}
-			last[m.Config] = m.Seq
+			last[m.Config] = cur
 		}
 	}
 	return out
@@ -61,8 +67,9 @@ func checkSeqRegression(logs []*memberLog) []Violation {
 
 // checkTotalOrder: agreed delivery produces one total order. Three
 // consequences are checkable from the outside without protocol internals:
-// (a) a slot (config, seq) holds the same message at every member that
-// fills it — the token assigns each sequence number exactly once per ring;
+// (a) a slot (config, seq, position within a packed bundle) holds the
+// same message at every member that fills it — the token assigns each
+// sequence number exactly once per ring;
 // (b) no member delivers the same message twice within one incarnation —
 // membership changes re-multicast old-ring messages under new sequence
 // numbers, and survivors that already delivered them must suppress the
@@ -79,20 +86,20 @@ func checkTotalOrder(logs []*memberLog) []Violation {
 	seqs := make([][]string, len(logs))
 	for i, log := range logs {
 		seen := make(map[string]bool)
-		for _, ev := range log.events {
+		for k, ev := range log.events {
 			m, ok := ev.(evs.Message)
 			if !ok {
 				continue
 			}
 			id := fmt.Sprintf("%d:%s", m.Sender, m.Payload)
-			sl := fmt.Sprintf("%v/%d", m.Config, m.Seq)
+			sl := fmt.Sprintf("%v/%d.%d", m.Config, m.Seq, log.posAt(k))
 			if prev, taken := slot[sl]; !taken {
 				slot[sl] = id
 				slotBy[sl] = log.name()
 			} else if prev != id {
 				out = append(out, Violation{"total-order", fmt.Sprintf(
-					"config %v seq %d is %q at %s but %q at %s",
-					m.Config, m.Seq, prev, slotBy[sl], id, log.name())})
+					"slot %s is %q at %s but %q at %s",
+					sl, prev, slotBy[sl], id, log.name())})
 			}
 			if seen[id] {
 				out = append(out, Violation{"total-order", fmt.Sprintf(
@@ -223,11 +230,12 @@ func checkVirtualSynchrony(logs []*memberLog) []Violation {
 func checkSafeStability(logs []*memberLog) []Violation {
 	var out []Violation
 
-	// safeRegular[(cfg, seq)] = first member that delivered it safely in
-	// the regular part.
+	// safeRegular[(cfg, seq, pos)] = first member that delivered it safely
+	// in the regular part.
 	type key struct {
 		cfg evs.ViewID
 		seq uint64
+		pos int
 	}
 	safeRegular := make(map[key]string)
 	var safeOrder []key
@@ -239,7 +247,7 @@ func checkSafeStability(logs []*memberLog) []Violation {
 		installedAt[i] = make(map[evs.ViewID]bool)
 		var current evs.ViewID
 		pastTransitional := make(map[evs.ViewID]bool)
-		for _, ev := range log.events {
+		for j, ev := range log.events {
 			switch e := ev.(type) {
 			case evs.ConfigChange:
 				if e.Transitional {
@@ -251,7 +259,7 @@ func checkSafeStability(logs []*memberLog) []Violation {
 					installedAt[i][current] = true
 				}
 			case evs.Message:
-				k := key{e.Config, e.Seq}
+				k := key{e.Config, e.Seq, log.posAt(j)}
 				delivered[i][k] = true
 				if e.Service == evs.Safe && !pastTransitional[e.Config] {
 					if _, seen := safeRegular[k]; !seen {
@@ -269,8 +277,8 @@ func checkSafeStability(logs []*memberLog) []Violation {
 				continue
 			}
 			out = append(out, Violation{"safe-stability", fmt.Sprintf(
-				"safe message (config %v, seq %d) delivered in the regular configuration by %s but never by live member %s of that configuration",
-				k.cfg, k.seq, safeRegular[k], log.name())})
+				"safe message (config %v, seq %d.%d) delivered in the regular configuration by %s but never by live member %s of that configuration",
+				k.cfg, k.seq, k.pos, safeRegular[k], log.name())})
 		}
 	}
 	return out

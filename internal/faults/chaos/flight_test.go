@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"accelring/internal/simproc"
 )
 
 // TestForcedViolationDumpsFlights exercises the violation → black-box
@@ -60,10 +62,9 @@ func TestForcedViolationDumpsFlights(t *testing.T) {
 				t.Fatalf("%s: event without kind: %q", f, line)
 			}
 			// Dumps line up with the deterministic schedule: every event
-			// is stamped from the simulator's clock (epoch + Sim.Now()),
-			// never from the wall.
+			// is stamped from the simulator's clock, never from the wall.
 			at, err := time.Parse(time.RFC3339Nano, fmt.Sprint(m["at"]))
-			if err != nil || at.Before(epoch) || at.After(epoch.Add(time.Hour)) {
+			if epoch := simproc.Wall(0); err != nil || at.Before(epoch) || at.After(epoch.Add(time.Hour)) {
 				t.Fatalf("%s: event not on the virtual clock: %q (%v)", f, line, err)
 			}
 			lines++

@@ -30,20 +30,14 @@ func ringSeed(seed int64, r int) int64 {
 // runs, driven here under virtual time) over all of its per-ring delivery
 // streams — including lambda-pacing skips, a live group migration
 // triggered mid-stream, and a split/heal of the migration's source ring
-// while the migration is in flight. Zero fields derive from the seed.
+// while the migration is in flight.
 type XRingOptions struct {
-	// Seed determines everything about the run.
+	// Seed determines everything about the run: 4–6 nodes per ring, 10–17
+	// fault-schedule steps, 3–5 client groups spread across the rings, and
+	// everything they do.
 	Seed int64
 	// Shards is the ring count (default 2).
 	Shards int
-	// Nodes is the per-ring cluster size (default: 4–6, seed-chosen).
-	Nodes int
-	// Steps is the number of fault-schedule steps (default: 10–17,
-	// seed-chosen).
-	Steps int
-	// Groups is the number of client groups spread across the rings
-	// (default: 3–5, seed-chosen).
-	Groups int
 }
 
 // XRingResult summarizes one cross-ring chaos run. Two runs with equal
@@ -82,8 +76,8 @@ type XRingResult struct {
 }
 
 // xnode is one daemon-equivalent: a groupcore.Core fed by the node's
-// machine on every ring, with the node as both of the core's seams — its
-// Submitter (onto the harness machines) and its Sink (the globally ordered
+// process on every ring, with the node as both of the core's seams — its
+// Submitter (onto the harness processes) and its Sink (the globally ordered
 // output). Nodes are never restarted (a fresh merger's slot numbering
 // would only re-level at the next announcement round — the guarantee is
 // per incarnation).
@@ -104,15 +98,17 @@ type xnode struct {
 	migClosed int
 }
 
-var errNoMachine = errors.New("chaos: node has no machine on that ring")
+var errNoProcess = errors.New("chaos: node has no process on that ring")
 
-// Submit implements groupcore.Submitter on the node's harness machines.
+// Submit implements groupcore.Submitter through the node's process on the
+// ring, which queues the payload until its step can take it.
 func (n *xnode) Submit(ring int, payload []byte, svc evs.Service) error {
-	m := n.x.hs[ring].machines[n.id]
-	if m == nil {
-		return errNoMachine
+	p := n.x.hs[ring].node(n.id)
+	if p == nil {
+		return errNoProcess
 	}
-	return m.Submit(payload, svc)
+	p.Submit(payload, svc)
+	return nil
 }
 
 // Message implements groupcore.Sink: deliveries append to the node's
@@ -147,7 +143,7 @@ func (x *xrun) violate(inv, detail string) {
 }
 
 // onRingEvent hands one ring delivery to the node's core at the instant
-// the machine made it, as the production ring goroutine's callback does.
+// the step made it, as the production ring goroutine's callback does.
 // Emission happens inline; control envelopes it queues go out at the next
 // pace.
 func (n *xnode) onRingEvent(ring int, ev evs.Event) {
@@ -178,24 +174,11 @@ func (x *xrun) pace() {
 // waitConverged waits until every ring has converged. On failure it
 // records what as a violation naming the rings still reforming.
 func (x *xrun) waitConverged(within time.Duration, inv, what string) bool {
-	ok := waitFor(x.sim, within, 25*time.Millisecond, func() bool {
-		for _, h := range x.hs {
-			if !h.converged() {
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
-		detail := what + ":"
-		for r, h := range x.hs {
-			if !h.converged() {
-				detail += fmt.Sprintf(" ring %d{%s }", r, h.states())
-			}
-		}
-		x.violate(inv, detail)
+	stuck := waitConverged(x.sim, within, x.hs...)
+	if stuck != "" {
+		x.violate(inv, what+":"+stuck)
 	}
-	return ok
+	return stuck == ""
 }
 
 // settle runs until every live merger has stayed drained (no queued
@@ -228,10 +211,7 @@ func (x *xrun) settle(budget time.Duration, what string) bool {
 }
 
 func (x *xrun) quiescent() bool {
-	for _, n := range x.nodes {
-		if n.dead {
-			continue
-		}
+	for _, n := range x.liveNodes() {
 		if n.core.Queued() > 0 || n.core.Merger().Pending() > 0 {
 			return false
 		}
@@ -249,8 +229,8 @@ func (x *xrun) liveNodes() []*xnode {
 	return out
 }
 
-// killNode stops one node everywhere: its machines vanish from every
-// ring and its core is no longer driven.
+// killNode stops one node everywhere: its processes die on every ring
+// and its core is no longer driven.
 func (x *xrun) killNode(n *xnode) {
 	n.dead = true
 	for _, h := range x.hs {
@@ -265,7 +245,7 @@ func (x *xrun) killNode(n *xnode) {
 // clients). Returns whether the submission was accepted.
 func (x *xrun) submitMsg(n *xnode, g, phase string, svc evs.Service) bool {
 	ring := n.core.RingOfGroup(g)
-	if x.hs[ring].machines[n.id] == nil {
+	if x.hs[ring].node(n.id) == nil {
 		return false
 	}
 	x.msgSeq++
@@ -302,13 +282,13 @@ func (x *xrun) burst(rng *rand.Rand, base int, phase string) (accepted int) {
 
 // splitRing installs a seeded two-sided partition on one ring.
 func (x *xrun) splitRing(r int, rng *rand.Rand) {
-	sides := make(map[evs.ProcID]int, len(x.hs[r].ids))
-	for i, id := range x.hs[r].ids {
+	sides := make(map[evs.ProcID]int, len(x.nodes))
+	for i, n := range x.nodes {
 		// Guarantee both sides are nonempty, then randomize the rest.
 		if i < 2 {
-			sides[id] = i
+			sides[n.id] = i
 		} else {
-			sides[id] = rng.Intn(2)
+			sides[n.id] = rng.Intn(2)
 		}
 	}
 	x.hs[r].part.Split(sides)
@@ -330,11 +310,7 @@ func (x *xrun) checkEqualStreams(inv string, streams map[evs.ProcID][]string) {
 	ref := streams[live[0].id]
 	for _, n := range live[1:] {
 		got := streams[n.id]
-		limit := len(ref)
-		if len(got) < limit {
-			limit = len(got)
-		}
-		for i := 0; i < limit; i++ {
+		for i := 0; i < min(len(ref), len(got)); i++ {
 			if ref[i] != got[i] {
 				x.violate(inv, fmt.Sprintf(
 					"nodes %d and %d diverge at global position %d: %q vs %q",
@@ -363,12 +339,9 @@ func runXRing(opts XRingOptions) *xrun {
 	if shards == 0 {
 		shards = 2
 	}
-	n, durs, total := shape(rng, opts.Nodes, opts.Steps)
+	n, durs, total := shape(rng)
 	steps := len(durs)
-	ngroups := opts.Groups
-	if ngroups == 0 {
-		ngroups = 3 + rng.Intn(3)
-	}
+	ngroups := 3 + rng.Intn(3)
 	res := &XRingResult{Seed: opts.Seed, Shards: shards, Nodes: n, Steps: steps}
 	for g := 0; g < ngroups; g++ {
 		res.Groups = append(res.Groups, fmt.Sprintf("g-%d", g))
@@ -384,7 +357,7 @@ func runXRing(opts XRingOptions) *xrun {
 	}
 	for r := 0; r < shards; r++ {
 		r := r
-		h := newHarness(x.sim, rand.New(rand.NewSource(ringSeed(opts.Seed, r))), n)
+		h := newHarness(x.sim, rand.New(rand.NewSource(ringSeed(opts.Seed, r))), n, false)
 		h.onDeliver = func(id evs.ProcID, ev evs.Event) { x.nodes[id-1].onRingEvent(r, ev) }
 		x.hs = append(x.hs, h)
 		res.PerRing = append(res.PerRing, &Result{Seed: ringSeed(opts.Seed, r), Nodes: n, Steps: steps})
@@ -487,7 +460,7 @@ func runXRing(opts XRingOptions) *xrun {
 		h.stopFaults()
 		x.split[r] = false
 	}
-	if !x.waitConverged(20*time.Second, "convergence", "live machines did not converge after heal") {
+	if !x.waitConverged(20*time.Second, "convergence", "live processes did not converge after heal") {
 		return x
 	}
 	if !x.settle(30*time.Second, "post-heal drain") {
@@ -546,22 +519,15 @@ func runXRing(opts XRingOptions) *xrun {
 	// migration left open. Close COUNTS may differ legitimately — a
 	// repair-joining member closes both the original and the repair — so
 	// the result records the maximum.
-	live := x.liveNodes()
-	if len(live) > 0 {
-		for _, node := range live {
-			if node.migClosed > res.MigrationsClosed {
-				res.MigrationsClosed = node.migClosed
-			}
-		}
+	if live := x.liveNodes(); len(live) > 0 {
 		ref := live[0].core.RingOfGroup(gM)
-		for _, node := range live[1:] {
+		for _, node := range live {
+			res.MigrationsClosed = max(res.MigrationsClosed, node.migClosed)
 			if got := node.core.RingOfGroup(gM); got != ref {
 				x.violate("migration", fmt.Sprintf(
 					"nodes %d and %d route %q to rings %d vs %d after heal",
 					live[0].id, node.id, gM, ref, got))
 			}
-		}
-		for _, node := range live {
 			if node.core.Merger().Migrating(gM) {
 				x.violate("migration", fmt.Sprintf(
 					"migration of %q still open at node %d after heal", gM, node.id))
@@ -620,7 +586,7 @@ func runXRing(opts XRingOptions) *xrun {
 func finishXRing(x *xrun) *XRingResult {
 	res := x.res
 	for r, h := range x.hs {
-		finish(res.PerRing[r], h)
+		finish(res.PerRing[r], h, Options{})
 		res.Submitted += res.PerRing[r].Submitted
 		res.Delivered += res.PerRing[r].Delivered
 	}

@@ -131,7 +131,7 @@ func TestEqualStreamsDetectsPlantedViolations(t *testing.T) {
 func TestXRingRunHasOneClock(t *testing.T) {
 	x := runXRing(XRingOptions{Seed: 7, Shards: 2})
 	for r, h := range x.hs {
-		if h.sim != x.sim {
+		if h.c.Sim != x.sim {
 			t.Fatalf("ring %d runs on its own scheduler", r)
 		}
 	}

@@ -122,28 +122,6 @@ func TestPackedOversizeSolo(t *testing.T) {
 	}
 }
 
-// TestPackedIdleLatency: with no backlog the bundler must not sit on a
-// lone message — it flushes on the no-backlog check or the MaxDelay
-// bound, so a quiet ring still delivers promptly.
-func TestPackedIdleLatency(t *testing.T) {
-	nodes, logs := startPackedHubNodes(t, 2, pack.AdaptiveConfig{MaxDelay: 5 * time.Millisecond})
-	waitFullRing(t, nodes, 2, 5*time.Second)
-
-	start := time.Now()
-	if err := nodes[0].Submit([]byte("lone"), evs.Agreed); err != nil {
-		t.Fatal(err)
-	}
-	waitMessages(t, logs, 1, 2*time.Second)
-	if lat := time.Since(start); lat > time.Second {
-		t.Fatalf("idle-ring packed delivery took %v", lat)
-	}
-	for i, l := range logs {
-		if got := l.messages()[0].Payload; string(got) != "lone" {
-			t.Fatalf("node %d delivered %q", i, got)
-		}
-	}
-}
-
 // TestPackedMixedServices: Agreed and Safe messages never share a
 // bundle (a bundle carries one service class), but both classes deliver
 // with their own guarantees on a packed ring.

@@ -1,0 +1,322 @@
+package ringnode
+
+import (
+	"fmt"
+	"time"
+
+	"accelring/internal/core"
+	"accelring/internal/evs"
+	"accelring/internal/flowcontrol"
+	"accelring/internal/membership"
+	"accelring/internal/obs"
+	"accelring/internal/pack"
+	"accelring/internal/transport"
+)
+
+// Config configures a node.
+type Config struct {
+	// Self is this participant's ID.
+	Self evs.ProcID
+	// Transport moves frames; the node takes ownership and closes it on
+	// Stop.
+	Transport transport.Transport
+	// Windows are the protocol's flow-control parameters.
+	Windows flowcontrol.Windows
+	// Priority is the token-priority method (defaults to aggressive).
+	Priority core.PriorityMethod
+	// DelayedRequests selects the accelerated retransmission rule.
+	DelayedRequests bool
+	// Timeouts are the membership timing parameters (defaults applied).
+	Timeouts membership.Timeouts
+	// OnEvent receives the delivery stream (messages and configuration
+	// changes) on the protocol goroutine. It must not block for long and
+	// must not call back into the Node except Submit-from-another-
+	// goroutine.
+	OnEvent func(evs.Event)
+	// Observer receives protocol metrics and events. If set and its
+	// Clock is nil, the node installs time.Now so hold times and delivery
+	// latencies are measured. Nil disables observation.
+	Observer *obs.RingObserver
+	// Packing, when non-nil, enables adaptive small-message packing:
+	// submissions are bundled up to the configured byte limit and the
+	// bundle is held open only while a send backlog already hides the
+	// wait (and never past MaxDelay, checked at the next protocol event).
+	// At low rate every message flushes immediately. All ring members
+	// must agree on whether packing is enabled — with it on, every data
+	// payload travels in the bundle wire format and receivers unpack on
+	// delivery.
+	Packing *pack.AdaptiveConfig
+}
+
+// Accelerated returns a Config for the Accelerated Ring protocol.
+func Accelerated(self evs.ProcID, tr transport.Transport, personal, global, accelerated int) Config {
+	return Config{
+		Self:      self,
+		Transport: tr,
+		Windows: flowcontrol.Windows{
+			Personal: personal, Global: global, Accelerated: accelerated,
+		},
+		Priority:        core.PriorityAggressive,
+		DelayedRequests: true,
+	}
+}
+
+// Original returns a Config for the original Ring protocol.
+func Original(self evs.ProcID, tr transport.Transport, personal, global int) Config {
+	return Config{
+		Self:      self,
+		Transport: tr,
+		Windows:   flowcontrol.Windows{Personal: personal, Global: global},
+		Priority:  core.PriorityConservative,
+	}
+}
+
+// ForRing derives the configuration of one ring instance of a multi-ring
+// node from a base template: protocol parameters (Self, windows, priority,
+// timeouts) are inherited. When the base carries an observer, the
+// instance gets its own: same registry and clock, but a "shard<ring>"
+// label so every metric series and round trace stays separable per ring.
+// internal/shard instantiates this N times and fills in each ring's
+// transport and event sink; a single ring uses the base as it is.
+func (c Config) ForRing(ring int) Config {
+	rc := c
+	if base := c.Observer; base != nil {
+		rc.Observer = &obs.RingObserver{
+			Reg:   base.Reg,
+			Clock: base.Clock,
+			Label: fmt.Sprintf("shard%d", ring),
+			// Message tracing is per-ring (sequence numbers, the span
+			// key, are) at the base's sampling rate; the flight recorder
+			// is shared — events carry the shard label.
+			Msg:    base.Msg.Fresh(),
+			Flight: base.Flight,
+		}
+	}
+	return rc
+}
+
+// Status is a snapshot of the node's protocol state.
+type Status struct {
+	State membership.State
+	Ring  evs.Configuration
+	// Engine holds the ordering engine's counters for the current ring
+	// (zero before the first ring forms).
+	Engine core.Counters
+	// Membership holds the membership algorithm's counters.
+	Membership membership.Counters
+	// QueueLen is the number of submissions waiting for a token; callers
+	// can use it for backpressure.
+	QueueLen int
+}
+
+// Sender is what a step sends through, borrowing each frame for the call;
+// transport.Transport satisfies it.
+type Sender interface {
+	Multicast(frame []byte) error
+	Unicast(to evs.ProcID, frame []byte) error
+}
+
+// Step is one participant's protocol, passive (see the package comment):
+// its inputs each carry the host's now, and its effects leave through the
+// Sender and Config.OnEvent. Not safe for concurrent use.
+type Step struct {
+	machine *membership.Machine
+	bundle  *pack.Adaptive // nil when packing is off
+	out     Sender
+	flusher transport.Flusher // out, when it stages sends
+	onEvent func(evs.Event)
+	// stampFlush is bound once so draining sampled sends allocates nothing.
+	stampFlush func(seq uint64)
+}
+
+// NewStep builds cfg's step at time now, sending through out rather than
+// cfg.Transport.
+func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
+	s := &Step{out: out, onEvent: cfg.OnEvent}
+	s.flusher, _ = out.(transport.Flusher)
+	if cfg.Packing != nil {
+		if err := cfg.Packing.Validate(); err != nil {
+			return nil, err
+		}
+		s.bundle = pack.NewAdaptive(*cfg.Packing)
+	}
+	o := cfg.Observer
+	s.stampFlush = func(seq uint64) { o.Stamp(obs.StageBatchFlush, seq, 0) }
+	m, err := membership.New(membership.Config{
+		Self:            cfg.Self,
+		Windows:         cfg.Windows,
+		Priority:        cfg.Priority,
+		DelayedRequests: cfg.DelayedRequests,
+		Timeouts:        cfg.Timeouts,
+		Observer:        o,
+	}, machineOut{s}, now)
+	if err != nil {
+		return nil, err
+	}
+	s.machine = m
+	return s, nil
+}
+
+// Machine returns the step's membership machine (read-only use).
+func (s *Step) Machine() *membership.Machine { return s.machine }
+
+// DataPriority reports whether a host holding frames of both classes
+// should feed the data frame first (§III-D/E).
+func (s *Step) DataPriority() bool { return s.machine.DataPriority() }
+
+// Status returns a snapshot of the protocol state.
+func (s *Step) Status() Status {
+	st := Status{
+		State:      s.machine.State(),
+		Ring:       s.machine.Ring(),
+		Membership: s.machine.Counters(),
+	}
+	if eng := s.machine.Engine(); eng != nil {
+		st.Engine = eng.Counters()
+		st.QueueLen = eng.QueueLen()
+	}
+	return st
+}
+
+// Data handles one data-class frame and reports whether the step retained
+// it (see membership.Machine.HandleDataFrame): then it must not be
+// recycled.
+func (s *Step) Data(frame []byte, now time.Time) (retained bool) {
+	s.flushExpired(now)
+	retained = s.machine.HandleDataFrame(frame, now)
+	s.wireFlush()
+	return retained
+}
+
+// Token handles one token-class frame; the step never retains it.
+func (s *Step) Token(frame []byte, now time.Time) {
+	// The token triggers this round's sends: anything staged in the
+	// bundler must reach the engine's send queue first or it misses the
+	// round.
+	s.flushPack()
+	s.machine.HandleTokenFrame(frame, now)
+	s.wireFlush()
+}
+
+// Submit queues a payload for totally ordered multicast with the given
+// service — through the bundler when packing is enabled. The payload must
+// not be mutated afterwards. It fails with membership.ErrNotOperational
+// before the first ring forms.
+func (s *Step) Submit(payload []byte, service evs.Service, now time.Time) (err error) {
+	s.flushExpired(now)
+	switch {
+	case s.bundle == nil:
+		return s.machine.Submit(payload, service)
+	case !s.machine.CanSubmit():
+		return membership.ErrNotOperational
+	case !service.Valid():
+		return fmt.Errorf("ringnode: invalid service %d", service)
+	case s.bundle.Oversize(len(payload)):
+		// Too big to ever share a frame: solo-framed, so every payload on
+		// a packed ring speaks the bundle format, and queued behind the
+		// open bundle, so the sender's order holds. The fresh allocation
+		// is required — the engine retains submitted payloads zero-copy.
+		s.flushPack()
+		err = s.machine.Submit(pack.AppendSolo(make([]byte, 0, len(payload)+pack.SoloOverhead), payload), service)
+	case !s.bundle.Add(payload, uint8(service), now):
+		// Bundle full or service-class change: close it out first. An
+		// empty bundle accepts any non-oversize payload, so the retry
+		// cannot fail.
+		s.flushPack()
+		s.bundle.Add(payload, uint8(service), now)
+	}
+	s.maybeFlushPack(now)
+	return err
+}
+
+// Tick drives the membership timers; hosts call it a few times per
+// JoinInterval.
+func (s *Step) Tick(now time.Time) {
+	s.flushExpired(now)
+	s.machine.Tick(now)
+	s.wireFlush()
+}
+
+// wireFlush ends every frame and tick: a sender that stages sends
+// (transport.Flusher) puts the burst on the wire in one syscall, then
+// every sampled message sent since the last flush gets its batch-flush
+// stamp, so spans separate syscall batching delay from network time.
+func (s *Step) wireFlush() {
+	if s.flusher != nil {
+		_ = s.flusher.Flush()
+	}
+	s.machine.DrainSampledSent(s.stampFlush)
+}
+
+// flushPack submits the open bundle to the machine. CanSubmit was checked
+// when the bundle opened and can never revert, and the bundle is bounded
+// well under the engine's payload cap, so the submit cannot fail.
+func (s *Step) flushPack() {
+	if s.bundle == nil || s.bundle.Empty() {
+		return
+	}
+	svc := evs.Service(s.bundle.Service())
+	held := s.bundle.Since()
+	if b := s.bundle.Flush(); b != nil {
+		_ = s.machine.SubmitHeld(b, svc, held)
+	}
+}
+
+// flushExpired flushes a bundle past its latency bound, whatever the
+// backlog: every input checks, so the bound holds at input granularity.
+func (s *Step) flushExpired(now time.Time) {
+	if s.bundle != nil && s.bundle.Expired(now) {
+		s.flushPack()
+	}
+}
+
+// maybeFlushPack flushes the open bundle unless holding it is free: with
+// a backlog already waiting for the token, later submissions can join
+// the bundle without adding latency. An idle queue means the bundle
+// would be the next thing sent, so it goes immediately — packing engages
+// under load and stays out of the way at low rate. MaxDelay bounds the
+// hold regardless of backlog.
+func (s *Step) maybeFlushPack(now time.Time) {
+	if s.bundle == nil || s.bundle.Empty() {
+		return
+	}
+	eng := s.machine.Engine()
+	if eng == nil || eng.QueueLen() == 0 || s.bundle.Expired(now) {
+		s.flushPack()
+	}
+}
+
+// machineOut adapts the membership machine's effects to the sender and
+// the application callback.
+type machineOut struct{ s *Step }
+
+// Send errors are UDP-like losses; the protocol recovers.
+func (o machineOut) Multicast(frame []byte) { _ = o.s.out.Multicast(frame) }
+
+func (o machineOut) Unicast(to evs.ProcID, frame []byte) { _ = o.s.out.Unicast(to, frame) }
+
+func (o machineOut) Deliver(ev evs.Event) {
+	s := o.s
+	if s.onEvent == nil {
+		return
+	}
+	if s.bundle != nil {
+		if m, ok := ev.(evs.Message); ok && pack.IsBundle(m.Payload) {
+			// Fan the bundle out as one event per packed message, in
+			// packing order. Sub-payloads alias the delivered buffer,
+			// which is handed off and never recycled, so aliasing is
+			// safe for as long as the application keeps any of them.
+			if err := pack.Each(m.Payload, func(msg []byte) {
+				sub := m
+				sub.Payload = msg
+				s.onEvent(sub)
+			}); err == nil {
+				return
+			}
+			// A corrupt bundle means a peer without packing shares the
+			// ring (a misconfiguration); deliver the raw payload rather
+			// than lose it.
+		}
+	}
+	s.onEvent(ev)
+}

@@ -18,7 +18,7 @@ func sendOne(t *testing.T, inj *faults.Injector) (delivered int, st Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetInjector(inj, nil)
+	net.SetInjector(inj)
 	net.Unicast(0, 1, &Packet{From: 0, Kind: wire.FrameData, Wire: 100})
 	sim.RunUntil(Second)
 	return got, net.Stats()
@@ -49,7 +49,7 @@ func TestNetworkInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetInjector(faults.New(1, delayPlan), nil)
+	net.SetInjector(faults.New(1, delayPlan))
 	net.Unicast(0, 1, &Packet{From: 0, Kind: wire.FrameData, Wire: 100})
 	sim.RunUntil(Second)
 	if at < Millisecond {
@@ -75,7 +75,7 @@ func TestNetworkInjectorDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.SetInjector(faults.New(5, plan), nil)
+		net.SetInjector(faults.New(5, plan))
 		for i := 0; i < 50; i++ {
 			net.Multicast(0, &Packet{From: 0, Kind: wire.FrameData, Wire: 500})
 		}

@@ -111,8 +111,6 @@ type Stats struct {
 	// InjectedDelays counts per-receiver deliveries the fault injector
 	// deferred.
 	InjectedDelays uint64
-	// BytesDelivered sums the wire size of delivered packets.
-	BytesDelivered uint64
 }
 
 // Network simulates the hosts' NICs and the switch.
@@ -123,7 +121,6 @@ type Network struct {
 	filter  IngressFilter
 	inj     *faults.Injector
 	injAt   Time // when inj was installed: its rule windows count from here
-	pid     func(NodeID) evs.ProcID
 
 	// nicFree[i] is when host i's egress link is next idle.
 	nicFree []Time
@@ -160,22 +157,14 @@ func (n *Network) SetIngressFilter(f IngressFilter) { n.filter = f }
 // SetInjector installs a fault injector at the per-receiver ingress point
 // (nil clears), generalizing the drop-only filter: rules can also delay
 // (reordering) and duplicate packets, all in deterministic virtual time.
-// Rule windows are measured from the moment of installation. pid maps
-// fabric hosts to protocol participant IDs; nil uses the simproc
-// convention (node i → participant i+1).
-func (n *Network) SetInjector(in *faults.Injector, pid func(NodeID) evs.ProcID) {
-	if pid == nil {
-		pid = func(id NodeID) evs.ProcID { return evs.ProcID(id + 1) }
-	}
+// Rule windows are measured from the moment of installation. Rules name
+// host i as protocol participant i+1.
+func (n *Network) SetInjector(in *faults.Injector) {
 	n.inj, n.injAt = in, n.sim.Now()
-	n.pid = pid
 }
 
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats { return n.stats }
-
-// Config returns the fabric parameters.
-func (n *Network) Config() Config { return n.cfg }
 
 // serialize returns the time to clock p's bytes onto a link.
 func (n *Network) serialize(bytes int) Time {
@@ -203,11 +192,7 @@ func (n *Network) egress(from NodeID, p *Packet, dest NodeID) {
 		panic(fmt.Sprintf("simnet: send from invalid node %d", from))
 	}
 	n.stats.Sent++
-	start := n.sim.Now()
-	if n.nicFree[from] > start {
-		start = n.nicFree[from]
-	}
-	done := start + n.serialize(p.Wire)
+	done := max(n.sim.Now(), n.nicFree[from]) + n.serialize(p.Wire)
 	n.nicFree[from] = done
 	arrive := done + n.cfg.PropDelay + n.cfg.SwitchLatency
 	n.sim.At(arrive, func() { n.switchArrive(p, dest) })
@@ -234,44 +219,33 @@ func (n *Network) enqueuePort(d NodeID, p *Packet) {
 		return
 	}
 	n.portBytes[d] += p.Wire
-	start := n.sim.Now()
-	if n.portFree[d] > start {
-		start = n.portFree[d]
-	}
-	done := start + n.serialize(p.Wire)
+	done := max(n.sim.Now(), n.portFree[d]) + n.serialize(p.Wire)
 	n.portFree[d] = done
 	n.sim.At(done, func() {
 		n.portBytes[d] -= p.Wire
 	})
 	n.sim.At(done+n.cfg.PropDelay, func() {
+		var dec faults.Decision
 		if n.filter != nil && n.filter(d, p) {
-			n.stats.FilterDrops++
-			return
-		}
-		if n.inj != nil {
-			dec := n.inj.Decide(time.Duration(n.sim.Now()-n.injAt), faults.Packet{
-				From:  n.pid(p.From),
-				To:    n.pid(d),
+			dec.Drop = true
+		} else if n.inj != nil {
+			dec = n.inj.Decide(time.Duration(n.sim.Now()-n.injAt), faults.Packet{
+				From:  evs.ProcID(p.From + 1),
+				To:    evs.ProcID(d + 1),
 				Token: p.Kind == wire.FrameToken,
 				Size:  p.Wire,
 				Frame: p.Frame,
 			})
-			if dec.Drop {
-				n.stats.FilterDrops++
-				return
-			}
-			if dec.Delay > 0 || len(dec.Extra) > 0 {
-				n.deliverCopy(d, p, dec.Delay)
-				for _, extra := range dec.Extra {
-					n.stats.InjectedDups++
-					n.deliverCopy(d, p, extra)
-				}
-				return
-			}
 		}
-		n.stats.Delivered++
-		n.stats.BytesDelivered += uint64(p.Wire)
-		n.deliver(d, p)
+		if dec.Drop {
+			n.stats.FilterDrops++
+			return
+		}
+		n.deliverCopy(d, p, dec.Delay)
+		for _, extra := range dec.Extra {
+			n.stats.InjectedDups++
+			n.deliverCopy(d, p, extra)
+		}
 	})
 }
 
@@ -279,15 +253,11 @@ func (n *Network) enqueuePort(d NodeID, p *Packet) {
 // Delayed copies are rescheduled on the event queue, so they arrive after
 // packets already in flight — injected reordering.
 func (n *Network) deliverCopy(d NodeID, p *Packet, delay time.Duration) {
-	emit := func() {
-		n.stats.Delivered++
-		n.stats.BytesDelivered += uint64(p.Wire)
-		n.deliver(d, p)
-	}
-	if delay <= 0 {
-		emit()
+	if delay > 0 {
+		n.stats.InjectedDelays++
+		n.sim.After(Time(delay), func() { n.deliverCopy(d, p, 0) })
 		return
 	}
-	n.stats.InjectedDelays++
-	n.sim.After(Time(delay), emit)
+	n.stats.Delivered++
+	n.deliver(d, p)
 }

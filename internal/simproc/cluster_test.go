@@ -4,28 +4,31 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"accelring/internal/core"
 	"accelring/internal/evs"
 	"accelring/internal/obs"
+	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 )
 
 func gigOpts(nodes int, accelerated bool) Options {
-	fabric := simnet.GigabitFabric(nodes)
+	ring := ringnode.Original(0, nil, 20, 160)
 	if accelerated {
-		return AcceleratedOptions(fabric, Daemon(), 20, 160, 15)
+		ring = ringnode.Accelerated(0, nil, 20, 160, 15)
 	}
-	return OriginalOptions(fabric, Daemon(), 20, 160)
+	return Options{Fabric: simnet.GigabitFabric(nodes), Profile: Daemon(), Ring: ring}
 }
+
+// runFor advances the cluster's simulation by d.
+func runFor(c *Cluster, d simnet.Time) { c.Sim.RunUntil(c.Sim.Now() + d) }
 
 func TestTokenRotates(t *testing.T) {
 	c, err := NewCluster(gigOpts(4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Sim.RunUntil(5 * simnet.Millisecond)
+	runFor(c, 5*simnet.Millisecond)
 	for i, n := range c.Nodes {
 		rounds := n.Engine().Counters().Rounds
 		if rounds < 10 {
@@ -42,8 +45,10 @@ func TestClusterTotalOrderAndDelivery(t *testing.T) {
 				t.Fatal(err)
 			}
 			delivered := make(map[simnet.NodeID][]evs.Message)
-			c.SetDeliverHook(func(node simnet.NodeID, m evs.Message, at simnet.Time) {
-				delivered[node] = append(delivered[node], m)
+			c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
+				if m, ok := ev.(evs.Message); ok {
+					delivered[node] = append(delivered[node], m)
+				}
 			})
 			const perNode = 25
 			total := perNode * len(c.Nodes)
@@ -55,14 +60,15 @@ func TestClusterTotalOrderAndDelivery(t *testing.T) {
 					n.Submit(payload, evs.Agreed)
 				}
 			}
-			c.Sim.RunUntil(100 * simnet.Millisecond)
+			runFor(c, 100*simnet.Millisecond)
 			for id, ms := range delivered {
 				if len(ms) != total {
 					t.Fatalf("node %d delivered %d, want %d", id, len(ms), total)
 				}
 				for i, m := range ms {
-					if m.Seq != uint64(i+1) {
-						t.Fatalf("node %d delivery %d has seq %d", id, i, m.Seq)
+					// Seqs before the first are the ring's recovery markers.
+					if i > 0 && m.Seq != ms[i-1].Seq+1 {
+						t.Fatalf("node %d delivery %d has seq %d after %d", id, i, m.Seq, ms[i-1].Seq)
 					}
 					if ref := delivered[0][i]; m.Sender != ref.Sender || m.Seq != ref.Seq {
 						t.Fatalf("node %d delivery %d differs from node 0", id, i)
@@ -84,21 +90,21 @@ func TestSafeDeliveryLatencyExceedsAgreed(t *testing.T) {
 		}
 		var total simnet.Time
 		var count int
-		c.SetDeliverHook(func(node simnet.NodeID, m evs.Message, at simnet.Time) {
-			ts := PayloadStamp(m.Payload)
-			if ts >= 0 {
+		c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
+			m, ok := ev.(evs.Message)
+			if ts := PayloadStamp(m.Payload); ok && ts >= 0 {
 				total += at - ts
 				count++
 			}
 		})
 		// Let the ring spin up, then submit a handful of stamped messages.
-		c.Sim.RunUntil(2 * simnet.Millisecond)
+		runFor(c, 2*simnet.Millisecond)
 		for i := 0; i < 10; i++ {
 			payload := make([]byte, 200)
 			StampPayload(payload, c.Sim.Now())
 			c.Nodes[1].Submit(payload, svc)
 		}
-		c.Sim.RunUntil(50 * simnet.Millisecond)
+		runFor(c, 50*simnet.Millisecond)
 		if count == 0 {
 			t.Fatalf("no deliveries for %v", svc)
 		}
@@ -138,8 +144,9 @@ func TestAcceleratedFasterRounds(t *testing.T) {
 			}
 			c.Sim.After(0, refill)
 		}
-		c.Sim.RunUntil(50 * simnet.Millisecond)
-		return c.Nodes[0].Engine().Counters().Rounds
+		before := c.Nodes[0].Engine().Counters().Rounds
+		runFor(c, 50*simnet.Millisecond)
+		return c.Nodes[0].Engine().Counters().Rounds - before
 	}
 	orig := rounds(false)
 	accel := rounds(true)
@@ -164,8 +171,10 @@ func TestIngressFilterLossRecovers(t *testing.T) {
 		return seen%3 == 0
 	})
 	delivered := make(map[simnet.NodeID]int)
-	c.SetDeliverHook(func(node simnet.NodeID, m evs.Message, at simnet.Time) {
-		delivered[node]++
+	c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
+		if _, ok := ev.(evs.Message); ok {
+			delivered[node]++
+		}
 	})
 	const perNode = 20
 	for _, n := range c.Nodes {
@@ -173,7 +182,7 @@ func TestIngressFilterLossRecovers(t *testing.T) {
 			n.Submit(make([]byte, 300), evs.Agreed)
 		}
 	}
-	c.Sim.RunUntil(200 * simnet.Millisecond)
+	runFor(c, 200*simnet.Millisecond)
 	want := perNode * len(c.Nodes)
 	for id, got := range delivered {
 		if got != want {
@@ -202,7 +211,7 @@ func TestTraceEventsEmitted(t *testing.T) {
 		n.SetTrace(func(ev TraceEvent) { kinds[ev.Kind]++ })
 	}
 	c.Nodes[0].Submit(make([]byte, 100), evs.Agreed)
-	c.Sim.RunUntil(5 * simnet.Millisecond)
+	runFor(c, 5*simnet.Millisecond)
 	for _, k := range []string{"send-data", "send-token", "recv-data", "recv-token", "deliver"} {
 		if kinds[k] == 0 {
 			t.Fatalf("no %q trace events (got %v)", k, kinds)
@@ -230,7 +239,7 @@ func TestClusterValidation(t *testing.T) {
 		t.Fatal("zero-node cluster accepted")
 	}
 	opts = gigOpts(4, true)
-	opts.Windows.Personal = 0
+	opts.Ring.Windows.Personal = 0
 	if _, err := NewCluster(opts); err == nil {
 		t.Fatal("invalid windows accepted")
 	}
@@ -243,18 +252,15 @@ func ringViewRun(t *testing.T) ([][]obs.RoundTrace, []core.Counters) {
 	t.Helper()
 	const nodes = 4
 	opts := gigOpts(nodes, true)
-	var cl *Cluster
-	clock := func() time.Time { return time.Unix(0, int64(cl.Sim.Now())) }
 	recs := make([]*obs.Recorder, nodes)
 	opts.Observer = func(node int) *obs.RingObserver {
 		recs[node] = obs.NewRecorder(1 << 16) // deep enough for every visit of the run
-		return &obs.RingObserver{Flight: recs[node], Clock: clock}
+		return &obs.RingObserver{Flight: recs[node]}
 	}
 	c, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl = c
 	var seen int
 	c.Net.SetIngressFilter(func(to simnet.NodeID, p *simnet.Packet) bool {
 		if to != 2 || p.Kind == 1 /* token */ {
@@ -268,7 +274,7 @@ func ringViewRun(t *testing.T) ([][]obs.RoundTrace, []core.Counters) {
 			n.Submit(make([]byte, 300), evs.Agreed)
 		}
 	}
-	c.Sim.RunUntil(100 * simnet.Millisecond)
+	runFor(c, 100*simnet.Millisecond)
 
 	views := make([][]obs.RoundTrace, nodes)
 	counters := make([]core.Counters, nodes)

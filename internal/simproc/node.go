@@ -2,10 +2,11 @@ package simproc
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"accelring/internal/core"
 	"accelring/internal/evs"
+	"accelring/internal/membership"
+	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 	"accelring/internal/wire"
 )
@@ -25,24 +26,10 @@ type TraceEvent struct {
 	PostToken bool
 }
 
-// TraceFn observes trace events.
-type TraceFn func(TraceEvent)
-
-// DeliverFn observes application deliveries at a node. at is the instant
-// the daemon finished delivering (before the client IPC hop).
-type DeliverFn func(node simnet.NodeID, m evs.Message, at simnet.Time)
-
-// NodeStats counts node-level activity.
-type NodeStats struct {
-	// DataSockDrops counts data packets dropped at a full data socket.
-	DataSockDrops uint64
-	// TokenSockDrops counts tokens dropped at a full token socket.
-	TokenSockDrops uint64
-	// Submitted counts client messages ingested into the engine.
-	Submitted uint64
-	// Delivered counts messages delivered to clients.
-	Delivered uint64
-}
+// DeliverFn observes a node's delivery stream (messages and configuration
+// changes). at is the instant the daemon finished delivering (before the
+// client IPC hop).
+type DeliverFn func(node simnet.NodeID, ev evs.Event, at simnet.Time)
 
 type submission struct {
 	payload []byte
@@ -69,74 +56,56 @@ func (q *pktQueue) pop() *simnet.Packet {
 	q.items[0] = nil
 	q.items = q.items[1:]
 	q.bytes -= p.Wire
-	// Reclaim the backing array periodically.
-	if len(q.items) == 0 {
-		q.items = nil
-	}
 	return p
 }
 
-// Node is one simulated participant: a single-core process running the
-// protocol engine, with separate token and data sockets and a local client
-// queue, exactly like the paper's daemons.
+// Node is one simulated participant: the production ringnode step on a
+// single modeled core, with separate bounded token and data sockets and a
+// local client queue, exactly like the paper's daemons. The core is
+// charged per the cluster's Profile for every step input, send and
+// delivery.
 type Node struct {
 	id   simnet.NodeID
-	pid  evs.ProcID
-	sim  *simnet.Sim
-	net  *simnet.Network
-	prof Profile
-	eng  *core.Engine
-	succ simnet.NodeID
+	c    *Cluster
+	step *ringnode.Step
+	// dead marks a killed process: its pending step and tick events find
+	// it dead and do nothing.
+	dead bool
 
 	tokenQ  pktQueue
 	dataQ   pktQueue
 	clientQ []submission
-	// submitHighWater pauses client ingestion while the engine's send
-	// queue is at or above it (session-level flow control).
-	submitHighWater int
+	tickDue bool
 
 	busyUntil   simnet.Time
 	wakePending bool
-	// cursor charges CPU time to the effects the engine emits during a
-	// handler call.
+	// cursor is the core's time within the current step input: sends
+	// leave and deliveries complete at it.
 	cursor simnet.Time
 
-	onDeliver DeliverFn
-	trace     TraceFn
-	stats     NodeStats
-
-	// tokScratch/dataScratch are reusable frame decoders (the engine
-	// treats received tokens as read-only and copies data structs). The
-	// zero-copy data decode aliases the simulated packet's frame, which is
-	// safe: simnet frames are immutable and never recycled, even when one
-	// packet is shared across receivers or duplicate deliveries — which is
-	// also why this driver must NOT return frames to bufpool.
-	tokScratch  wire.Token
-	dataScratch wire.Data
+	trace     func(TraceEvent)
+	submitted uint64
 }
 
-var _ core.Output = (*Node)(nil)
+// Machine exposes the step's membership machine (read-only use).
+func (n *Node) Machine() *membership.Machine { return n.step.Machine() }
 
-// ID returns the node's fabric address.
-func (n *Node) ID() simnet.NodeID { return n.id }
+// Engine exposes the current ring's protocol engine (read-only use; nil
+// before the first ring forms).
+func (n *Node) Engine() *core.Engine { return n.step.Machine().Engine() }
 
-// PID returns the node's protocol participant ID.
-func (n *Node) PID() evs.ProcID { return n.pid }
-
-// Engine exposes the node's protocol engine (read-only use).
-func (n *Node) Engine() *core.Engine { return n.eng }
-
-// Stats returns a snapshot of node-level counters.
-func (n *Node) Stats() NodeStats { return n.stats }
+// Submitted counts the client messages the step accepted.
+func (n *Node) Submitted() uint64 { return n.submitted }
 
 // SetTrace installs a trace observer (nil clears).
-func (n *Node) SetTrace(fn TraceFn) { n.trace = fn }
+func (n *Node) SetTrace(fn func(TraceEvent)) { n.trace = fn }
 
 // Submit injects a message from this node's local sending client. The
 // payload should carry a timestamp (see StampPayload) if latency is being
-// measured. The client IPC hop is charged before the daemon sees it.
+// measured. The client IPC hop is charged before the daemon sees it, and
+// the message waits in the client queue until the step can accept it.
 func (n *Node) Submit(payload []byte, service evs.Service) {
-	n.sim.After(n.prof.ClientHop, func() {
+	n.c.Sim.After(n.c.opts.Profile.ClientHop, func() {
 		n.clientQ = append(n.clientQ, submission{payload: payload, service: service})
 		n.wake()
 	})
@@ -144,17 +113,13 @@ func (n *Node) Submit(payload []byte, service evs.Service) {
 
 // ingress accepts a packet from the network into the matching socket.
 func (n *Node) ingress(p *simnet.Packet) {
-	switch p.Kind {
-	case wire.FrameToken:
-		if !n.tokenQ.push(p) {
-			n.stats.TokenSockDrops++
-			return
-		}
-	default:
-		if !n.dataQ.push(p) {
-			n.stats.DataSockDrops++
-			return
-		}
+	q := &n.dataQ
+	if p.Kind == wire.FrameToken {
+		q = &n.tokenQ
+	}
+	if !q.push(p) {
+		n.c.SockDrops++
+		return
 	}
 	n.wake()
 }
@@ -165,46 +130,61 @@ func (n *Node) wake() {
 		return
 	}
 	n.wakePending = true
-	at := n.busyUntil
-	if now := n.sim.Now(); at < now {
-		at = now
+	n.c.Sim.At(max(n.busyUntil, n.c.Sim.Now()), n.run)
+}
+
+// canIngest reports whether a queued client message can enter the step:
+// a ring has formed and the engine queue is below the session high-water
+// mark (session-level flow control).
+func (n *Node) canIngest() bool {
+	if len(n.clientQ) == 0 || !n.step.Machine().CanSubmit() {
+		return false
 	}
-	n.sim.At(at, n.step)
+	return n.Engine().QueueLen() < submitHighWater*n.c.opts.Ring.Windows.Personal
 }
 
 // hasWork reports whether the CPU has anything runnable.
 func (n *Node) hasWork() bool {
-	if len(n.tokenQ.items) > 0 || len(n.dataQ.items) > 0 {
-		return true
-	}
-	return len(n.clientQ) > 0 && n.eng.QueueLen() < n.submitHighWater
+	return n.tickDue || len(n.tokenQ.items) > 0 || len(n.dataQ.items) > 0 || n.canIngest()
 }
 
-// step runs one work item on the node's core, then reschedules itself if
-// more work is pending. Item selection implements the paper's priority
-// scheme: the class (token or data) with priority is drained first; the
-// other is read only when the preferred socket is empty. Client messages
-// are ingested last, and only while the engine queue is below the
-// session high-water mark.
-func (n *Node) step() {
+// run feeds one input to the step on the node's core, then reschedules
+// itself if more work is pending. A due tick goes first, as the real-time
+// host services its timer before the frame pass. Frames follow the
+// paper's priority scheme: the class (token or data) with priority is
+// drained first; the other is read only when the preferred socket is
+// empty. Client messages are ingested last.
+func (n *Node) run() {
 	n.wakePending = false
-	now := n.sim.Now()
-
-	dataFirst := n.eng.DataPriority()
+	if n.dead {
+		return
+	}
+	prof := &n.c.opts.Profile
+	n.cursor = n.c.Sim.Now()
+	now := Wall(n.cursor)
 	switch {
-	case dataFirst && len(n.dataQ.items) > 0:
-		n.processData(now, n.dataQ.pop())
+	case n.tickDue:
+		n.tickDue = false
+		n.step.Tick(now)
+	case len(n.dataQ.items) > 0 && (n.step.DataPriority() || len(n.tokenQ.items) == 0):
+		// Simulated frames are immutable and shared by every receiver, so
+		// one the step retains is never recycled.
+		p := n.dataQ.pop()
+		n.cursor += prof.recvDataCost(p.Wire)
+		n.traceFrame(p.Frame, "recv-data", "")
+		n.step.Data(p.Frame, now)
 	case len(n.tokenQ.items) > 0:
-		n.processToken(now, n.tokenQ.pop())
-	case len(n.dataQ.items) > 0:
-		n.processData(now, n.dataQ.pop())
-	case len(n.clientQ) > 0 && n.eng.QueueLen() < n.submitHighWater:
+		p := n.tokenQ.pop()
+		n.cursor += prof.RecvTokenFixed
+		n.traceFrame(p.Frame, "", "recv-token")
+		n.step.Token(p.Frame, now)
+	case n.canIngest():
 		sub := n.clientQ[0]
 		n.clientQ[0] = submission{}
 		n.clientQ = n.clientQ[1:]
-		n.cursor = now + n.prof.submitCost(len(sub.payload))
-		if err := n.eng.Submit(sub.payload, sub.service); err == nil {
-			n.stats.Submitted++
+		n.cursor += prof.submitCost(len(sub.payload))
+		if n.step.Submit(sub.payload, sub.service, now) == nil {
+			n.submitted++
 		}
 	default:
 		return
@@ -215,65 +195,60 @@ func (n *Node) step() {
 	}
 }
 
-func (n *Node) processData(now simnet.Time, p *simnet.Packet) {
-	n.cursor = now + n.prof.recvDataCost(p.Wire)
-	d := &n.dataScratch
-	if err := d.DecodeFrom(p.Frame); err != nil {
-		// Corrupt frames cannot occur in the simulator; fail loudly.
-		panic(fmt.Sprintf("simproc: bad data frame: %v", err))
-	}
-	n.traceEvent("recv-data", d.Seq, d.PostToken())
-	n.eng.HandleData(d)
+// sender is the step's Sender: it charges each send syscall to the core,
+// then hands a copy of the frame to the NIC at the syscall's completion.
+// Everything multicast rides the data channel and everything unicast the
+// token channel, which is what the receiving socket and the fault
+// injector's class rules go by.
+type sender struct{ n *Node }
+
+func (s sender) Multicast(frame []byte) error {
+	s.n.send(wire.FrameData, frame, -1)
+	return nil
 }
 
-func (n *Node) processToken(now simnet.Time, p *simnet.Packet) {
-	n.cursor = now + n.prof.RecvTokenFixed
-	t := &n.tokScratch
-	if err := t.DecodeFrom(p.Frame); err != nil {
-		panic(fmt.Sprintf("simproc: bad token frame: %v", err))
-	}
-	n.traceEvent("recv-token", t.Seq, false)
-	n.eng.HandleToken(t)
+func (s sender) Unicast(to evs.ProcID, frame []byte) error {
+	s.n.send(wire.FrameToken, frame, simnet.NodeID(to-1))
+	return nil
 }
 
-// Multicast implements core.Output: charge the send syscall, then hand the
-// packet to the NIC at the syscall's completion time.
-func (n *Node) Multicast(d *wire.Data) {
-	wireBytes := n.prof.dataWire(len(d.Payload))
-	n.cursor += n.prof.sendCost(wireBytes)
-	pkt := &simnet.Packet{
-		From:  n.id,
-		Kind:  wire.FrameData,
-		Wire:  wireBytes,
-		Frame: d.AppendTo(make([]byte, 0, d.EncodedLen())),
-	}
-	n.traceEvent("send-data", d.Seq, d.PostToken())
-	n.sim.At(n.cursor, func() { n.net.Multicast(n.id, pkt) })
+func (n *Node) send(kind wire.FrameType, frame []byte, to simnet.NodeID) {
+	prof := &n.c.opts.Profile
+	p := &simnet.Packet{From: n.id, Kind: kind, Wire: prof.frameWire(frame), Frame: append([]byte(nil), frame...)}
+	n.cursor += prof.sendCost(p.Wire)
+	n.traceFrame(p.Frame, "send-data", "send-token")
+	net := n.c.Net
+	n.c.Sim.At(n.cursor, func() {
+		if to < 0 {
+			net.Multicast(p.From, p)
+		} else {
+			net.Unicast(p.From, to, p)
+		}
+	})
 }
 
-// SendToken implements core.Output.
-func (n *Node) SendToken(t *wire.Token) {
-	wireBytes := n.prof.tokenWire(len(t.Rtr))
-	n.cursor += n.prof.sendCost(wireBytes)
-	pkt := &simnet.Packet{
-		From:  n.id,
-		Kind:  wire.FrameToken,
-		Wire:  wireBytes,
-		Frame: t.AppendTo(make([]byte, 0, t.EncodedLen())),
+// deliver is the step's OnEvent: charge the client delivery cost of a
+// message and report the event to the cluster's observer.
+func (n *Node) deliver(ev evs.Event) {
+	if m, ok := ev.(evs.Message); ok {
+		n.cursor += n.c.opts.Profile.deliverCost(len(m.Payload))
+		n.traceEvent("deliver", m.Seq, false)
 	}
-	n.traceEvent("send-token", t.Seq, false)
-	succ := n.succ
-	n.sim.At(n.cursor, func() { n.net.Unicast(n.id, succ, pkt) })
+	if n.c.onDeliver != nil {
+		n.c.onDeliver(n.id, ev, n.cursor)
+	}
 }
 
-// Deliver implements core.Output: charge the client delivery cost and
-// report the delivery to the observer.
-func (n *Node) Deliver(m evs.Message) {
-	n.cursor += n.prof.deliverCost(len(m.Payload))
-	n.stats.Delivered++
-	n.traceEvent("deliver", m.Seq, false)
-	if n.onDeliver != nil {
-		n.onDeliver(n.id, m, n.cursor)
+// traceFrame traces a data or token frame (membership frames are not
+// traced) under the given kinds.
+func (n *Node) traceFrame(frame []byte, dataKind, tokenKind string) {
+	if n.trace == nil {
+		return
+	}
+	if d, err := wire.DecodeData(frame); err == nil {
+		n.traceEvent(dataKind, d.Seq, d.PostToken())
+	} else if t, err := wire.DecodeToken(frame); err == nil {
+		n.traceEvent(tokenKind, t.Seq, false)
 	}
 }
 

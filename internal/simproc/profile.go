@@ -1,12 +1,18 @@
-// Package simproc models the protocol participants of the paper's testbed:
-// single-threaded daemons pinned to one core, reading tokens and data from
-// separate sockets with the protocol's priority rules, and paying CPU time
-// for every receive, send, and client delivery. Combined with simnet it
-// reproduces the performance trade-off the paper studies — on 1 GbE the
-// network is the bottleneck, on 10 GbE the single core is.
+// Package simproc hosts the production protocol step (ringnode.Step, with
+// membership and packing) on the simulator: each participant is a
+// single-threaded daemon pinned to one modeled core, reading tokens and
+// data from separate bounded sockets with the protocol's priority rules,
+// and paying CPU time per its cost Profile for every step input, send and
+// client delivery. Combined with simnet it reproduces the performance
+// trade-off the paper studies — on 1 GbE the network is the bottleneck,
+// on 10 GbE the single core is — and the chaos harness runs the same hosts
+// under faults.
 package simproc
 
-import "accelring/internal/simnet"
+import (
+	"accelring/internal/simnet"
+	"accelring/internal/wire"
+)
 
 // Profile is the processing-cost model of one implementation from the
 // paper's evaluation. Costs are charged on the node's single core; *_PerByte
@@ -138,3 +144,20 @@ func (p *Profile) dataWire(payloadBytes int) int { return payloadBytes + p.Heade
 
 // tokenWire returns the modeled wire size of a token with nRtr requests.
 func (p *Profile) tokenWire(nRtr int) int { return p.TokenBytes + 8*nRtr }
+
+// tokenOverhead is the encoded size of a token without requests.
+var tokenOverhead = (&wire.Token{}).EncodedLen()
+
+// frameWire returns the modeled wire size of an encoded frame: a data
+// frame is dataWire of its payload and a token tokenWire of its
+// retransmission requests — the profile's sizes stand in for the
+// encoding's own — and membership frames count as encoded.
+func (p *Profile) frameWire(frame []byte) int {
+	switch t, _ := wire.PeekType(frame); t {
+	case wire.FrameData:
+		return p.dataWire(len(frame) - wire.DataOverhead)
+	case wire.FrameToken:
+		return p.tokenWire((len(frame) - tokenOverhead) / 8)
+	}
+	return len(frame)
+}
