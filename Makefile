@@ -4,8 +4,11 @@ GO ?= go
 
 ci: vet build test race
 
+# go vet, then the format gate: any file gofmt would change fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+	  echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -67,6 +67,7 @@ func (*ViewChange) isEvent() {}
 type Node struct {
 	cfg    Config
 	rings  *shard.Group
+	flight *Recorder
 	self   ClientID
 	events chan Event
 
@@ -129,30 +130,17 @@ func OpenConfig(ctx context.Context, cfg Config) (*Node, error) {
 		SkipAhead: cfg.SkipAhead,
 		Obs:       cfg.Observer,
 	})
-	base := cfg.ringConfig()
-	if cfg.Observer != nil || cfg.TraceSampling > 0 {
-		// With several rings shard.Start derives one observer per ring
-		// from this base: shared registry and flight recorder, per-ring
-		// "shard<r>" labels and message tracers (the base Msg only
-		// carries the sampling rate). A single ring uses the base itself.
-		base.Observer = &obs.RingObserver{
-			Reg: cfg.Observer,
-			Msg: obs.NewMsgTracer(cfg.TraceSampling, 0),
-		}
-		if cfg.Observer != nil {
-			base.Observer.Flight = obs.NewRecorder(0)
-		}
-	}
+	base, open, flight := cfg.Stack()
 	rings, err := shard.Start(shard.Config{
 		Shards:       cfg.Shards,
 		Base:         base,
-		NewTransport: cfg.openTransport,
+		NewTransport: open,
 		OnEvent:      n.core.OnRingEvent,
 	})
 	if err != nil {
 		return nil, err
 	}
-	n.rings = rings
+	n.rings, n.flight = rings, flight
 	go func() {
 		defer close(n.pacerDone)
 		n.core.Run(cfg.SkipInterval, n.pacerStop)
@@ -241,12 +229,7 @@ func (n *Node) Groups() []string { return n.core.GroupsOf(n.self) }
 // event labelled with its ring — for DebugServer.Add, which serves it at
 // /debug/ring and /debug/flight (nil unless the node was opened with
 // WithObserver).
-func (n *Node) Recorder() *Recorder {
-	if o := n.rings.Node(0).Observer(); o != nil {
-		return o.Flight
-	}
-	return nil
-}
+func (n *Node) Recorder() *Recorder { return n.flight }
 
 // MsgTracer returns the node's message-lifecycle tracer for
 // DebugServer.Add, which serves it at /debug/msgtrace (nil unless the node

@@ -25,6 +25,11 @@
 // data path to true IP multicast, -batch-send/-batch-recv coalesce
 // datagrams into sendmmsg/recvmmsg calls, and -pack bundles small
 // messages into shared frames under load.
+//
+// Every ring flag binds to a field of internal/ringconf's Config, the
+// declaration the accelring facade validates and opens, so the daemon
+// shares its defaults, its validation (run before anything is bound) and
+// its per-ring port, multicast-group and subkey derivation.
 package main
 
 import (
@@ -44,9 +49,8 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/obs"
 	"accelring/internal/pack"
-	"accelring/internal/ringnode"
+	"accelring/internal/ringconf"
 	"accelring/internal/transport"
-	"accelring/internal/wire"
 )
 
 func main() {
@@ -56,72 +60,79 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options are the flags run translates into Config fields of another
+// type, and those that do not declare the ring at all.
+type options struct {
+	id                            uint
+	client, peers, obs, ringKey   string
+	original, pack                bool
+	sloP99, sloP999, drainTimeout time.Duration
+	sloBurn                       float64
+}
+
+// flags declares the command line, binding every ring setting into cfg.
+func flags(cfg *ringconf.Config, o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("ringdaemon", flag.ContinueOnError)
-	id := fs.Uint("id", 0, "participant ID (non-zero, unique per daemon)")
-	dataAddr := fs.String("data", "127.0.0.1:5001", "UDP listen address for data messages")
-	tokenAddr := fs.String("token", "127.0.0.1:6001", "UDP listen address for the token")
-	clientAddr := fs.String("client", "127.0.0.1:4801", "TCP listen address for clients (or unix:PATH)")
-	peerSpec := fs.String("peers", "", "comma-separated peers: id=dataAddr/tokenAddr")
-	original := fs.Bool("original", false, "run the original Ring protocol instead of the Accelerated Ring")
-	personal := fs.Int("personal", 20, "personal window (messages per participant per round)")
-	global := fs.Int("global", 160, "global window (messages per round, ring-wide)")
-	accel := fs.Int("accelerated", 15, "accelerated window (post-token messages per round)")
-	obsAddr := fs.String("obs", "", "serve /debug/vars, /debug/ring, /metrics, /debug/health and /debug/pprof on this address (e.g. :6060)")
-	traceSample := fs.Int("trace-sample", 0, "sample every Nth sequence number for message-lifecycle tracing at /debug/msgtrace and latency attribution at /debug/latency (0 disables)")
-	sloP99 := fs.Duration("slo-p99", 0, "p99 end-to-end latency target per ring; burn rate past -slo-burn flips the health slo_burn flag (0 disables; needs -obs and -trace-sample)")
-	sloP999 := fs.Duration("slo-p999", 0, "p999 end-to-end latency target per ring (0 disables; needs -obs and -trace-sample)")
-	sloBurn := fs.Float64("slo-burn", 0, "burn-rate factor at or above which an SLO scope is breaching (0 = default 1.0)")
-	shards := fs.Int("shards", 1, "independent rings per daemon; ring r uses every base port + stride*r (numeric ports required)")
-	stride := fs.Int("shard-stride", 2, "port gap between consecutive rings of a sharded daemon (all daemons must agree)")
-	skipInterval := fs.Duration("skip-interval", 0, "cross-ring merge lambda-pacing tick: how often idle rings blocking the global order are skipped (0 = default 2ms; shards > 1 only)")
-	skipAhead := fs.Uint64("skip-ahead", 0, "virtual slots each cross-ring skip claims past the blocked head (0 = merge default; shards > 1 only)")
-	mcast := fs.String("mcast", "", "IPv4 multicast group for the data path, e.g. 239.1.1.7:5100 (empty keeps unicast fan-out; all daemons must agree)")
-	mcastTTL := fs.Int("mcast-ttl", 1, "IP_MULTICAST_TTL for outgoing multicast data (1 = link-local)")
-	mcastIf := fs.String("mcast-if", "", "network interface for multicast send/join (empty lets the kernel choose)")
-	batchSend := fs.Int("batch-send", 0, "stage up to N data frames and send them in one sendmmsg call (0 disables)")
-	batchRecv := fs.Int("batch-recv", 0, "drain up to N datagrams per recvmmsg call (0 disables)")
-	packOn := fs.Bool("pack", false, "bundle small messages into shared frames under load (all daemons must agree)")
-	packLimit := fs.Int("pack-limit", 0, "packed-frame size budget in bytes (0 = pack.DefaultLimit)")
-	packDelay := fs.Duration("pack-delay", 0, "longest a message may wait in a partial bundle (0 = pack.DefaultMaxDelay)")
-	ringKey := fs.String("ring-key", "", "shared secret authenticating ring wire frames and client sessions with HMAC-SHA256 (all daemons and clients must agree; empty disables)")
-	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "graceful-drain budget on SIGINT/SIGTERM before hard stop")
+	w := &cfg.Wire
+	w.Packing = new(pack.AdaptiveConfig) // dropped again without -pack
+	fs.UintVar(&o.id, "id", 0, "participant ID (non-zero, unique per daemon)")
+	fs.StringVar(&w.Listen.Data, "data", "127.0.0.1:5001", "UDP listen address for data messages")
+	fs.StringVar(&w.Listen.Token, "token", "127.0.0.1:6001", "UDP listen address for the token")
+	fs.StringVar(&o.client, "client", "127.0.0.1:4801", "TCP listen address for clients (or unix:PATH)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated peers: id=dataAddr/tokenAddr")
+	fs.BoolVar(&o.original, "original", false, "run the original Ring protocol instead of the Accelerated Ring")
+	fs.IntVar(&cfg.PersonalWindow, "personal", ringconf.DefaultPersonalWindow, "personal window (messages per participant per round)")
+	fs.IntVar(&cfg.GlobalWindow, "global", ringconf.DefaultGlobalWindow, "global window (messages per round, ring-wide)")
+	fs.IntVar(&cfg.AcceleratedWindow, "accelerated", ringconf.DefaultAcceleratedWindow, "accelerated window (post-token messages per round)")
+	fs.StringVar(&o.obs, "obs", "", "serve /debug/vars, /debug/ring, /metrics, /debug/health and /debug/pprof on this address (e.g. :6060)")
+	fs.IntVar(&cfg.TraceSampling, "trace-sample", 0, "sample every Nth sequence number for message-lifecycle tracing at /debug/msgtrace and latency attribution at /debug/latency (0 disables)")
+	fs.DurationVar(&o.sloP99, "slo-p99", 0, "p99 end-to-end latency target per ring; burn rate past -slo-burn flips the health slo_burn flag (0 disables; needs -obs and -trace-sample)")
+	fs.DurationVar(&o.sloP999, "slo-p999", 0, "p999 end-to-end latency target per ring (0 disables; needs -obs and -trace-sample)")
+	fs.Float64Var(&o.sloBurn, "slo-burn", 0, "burn-rate factor at or above which an SLO scope is breaching (0 = default 1.0)")
+	fs.IntVar(&cfg.Shards, "shards", 1, "independent rings per daemon; ring r uses every base port + stride*r (numeric ports required)")
+	fs.IntVar(&w.ShardStride, "shard-stride", ringconf.DefaultShardStride, "port gap between consecutive rings of a sharded daemon (all daemons must agree)")
+	fs.DurationVar(&cfg.SkipInterval, "skip-interval", 0, "cross-ring merge lambda-pacing tick: how often idle rings blocking the global order are skipped (0 = default 2ms; shards > 1 only)")
+	fs.Uint64Var(&cfg.SkipAhead, "skip-ahead", 0, "virtual slots each cross-ring skip claims past the blocked head (0 = merge default; shards > 1 only)")
+	fs.StringVar(&w.MulticastGroup, "mcast", "", "IPv4 multicast group for the data path, e.g. 239.1.1.7:5100 (empty keeps unicast fan-out; all daemons must agree)")
+	fs.IntVar(&w.MulticastTTL, "mcast-ttl", 1, "IP_MULTICAST_TTL for outgoing multicast data (1 = link-local)")
+	fs.StringVar(&w.MulticastInterface, "mcast-if", "", "network interface for multicast send/join (empty lets the kernel choose)")
+	fs.IntVar(&w.Batch.Send, "batch-send", 0, "stage up to N data frames and send them in one sendmmsg call (0 disables)")
+	fs.IntVar(&w.Batch.Recv, "batch-recv", 0, "drain up to N datagrams per recvmmsg call (0 disables)")
+	fs.BoolVar(&o.pack, "pack", false, "bundle small messages into shared frames under load (all daemons must agree)")
+	fs.IntVar(&w.Packing.Limit, "pack-limit", 0, "packed-frame size budget in bytes (0 = pack.DefaultLimit)")
+	fs.DurationVar(&w.Packing.MaxDelay, "pack-delay", 0, "longest a message may wait in a partial bundle (0 = pack.DefaultMaxDelay)")
+	fs.StringVar(&o.ringKey, "ring-key", "", "shared secret authenticating ring wire frames and client sessions with HMAC-SHA256 (all daemons and clients must agree; empty disables)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "graceful-drain budget on SIGINT/SIGTERM before hard stop")
+	return fs
+}
+
+func run(args []string) error {
+	var cfg ringconf.Config
+	var o options
+	fs := flags(&cfg, &o)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *id == 0 {
-		return fmt.Errorf("-id is required and must be non-zero")
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1")
-	}
-	if *stride < 1 {
-		return fmt.Errorf("-shard-stride must be at least 1")
-	}
-	if *mcastTTL < 0 || *mcastTTL > 255 {
-		return fmt.Errorf("-mcast-ttl must be in [0,255]")
-	}
-	if *batchSend < 0 || *batchSend > transport.MaxBatch || *batchRecv < 0 || *batchRecv > transport.MaxBatch {
-		return fmt.Errorf("-batch-send/-batch-recv must be in [0,%d]", transport.MaxBatch)
-	}
-	if *traceSample < 0 {
-		return fmt.Errorf("-trace-sample must be non-negative")
-	}
-	if *skipInterval < 0 {
-		return fmt.Errorf("-skip-interval must be non-negative")
+	explicit := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	// Config reads zero as "take the default"; on the command line an
+	// explicit 0 is a mistake, not a request for the default.
+	for _, name := range []string{"shards", "shard-stride", "personal", "global", "accelerated"} {
+		if explicit[name] && fs.Lookup(name).Value.String() == "0" {
+			return fmt.Errorf("-%s must be at least 1", name)
+		}
 	}
 	// A flag that only tunes a feature does nothing while the feature is
 	// off; accepting it silently hides a typo'd or forgotten switch.
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	w := &cfg.Wire
 	for _, dep := range []struct {
 		tuning []string
 		needs  string
 		on     bool
 	}{
-		{[]string{"trace-sample", "slo-p99", "slo-p999", "slo-burn"}, "obs", *obsAddr != ""},
-		{[]string{"pack-limit", "pack-delay"}, "pack", *packOn},
-		{[]string{"mcast-ttl", "mcast-if"}, "mcast", *mcast != ""},
+		{[]string{"trace-sample", "slo-p99", "slo-p999", "slo-burn"}, "obs", o.obs != ""},
+		{[]string{"pack-limit", "pack-delay"}, "pack", o.pack},
+		{[]string{"mcast-ttl", "mcast-if"}, "mcast", w.MulticastGroup != ""},
 	} {
 		for _, name := range dep.tuning {
 			if explicit[name] && !dep.on {
@@ -130,155 +141,74 @@ func run(args []string) error {
 		}
 	}
 
-	var reg *obs.Registry
-	var srv *obs.Server
-	var flight *obs.Recorder
-	if *obsAddr != "" {
-		reg = obs.NewRegistry()
-		// The flight recorder is always on with -obs: it is a fixed-size
-		// black box, cheap enough to leave running, dumped on SIGQUIT,
-		// and the source of /debug/ring's round traces.
-		flight = obs.NewRecorder(0)
-		var err error
-		if srv, err = obs.StartServer(*obsAddr, reg); err != nil {
-			return err
-		}
-		defer srv.Close()
-		srv.Add(fmt.Sprintf("daemon%d", *id), flight)
-		log.Printf("observability: http://%s/debug/vars", srv.Addr())
+	var err error
+	if w.Peers, err = parsePeers(o.peers); err != nil {
+		return err
 	}
-
-	peers, err := parsePeers(*peerSpec)
+	cfg.Self = evs.ProcID(o.id)
+	if o.original {
+		cfg.Protocol = ringconf.ProtocolOriginal
+	}
+	if !o.pack {
+		w.Packing = nil
+	}
+	cfg.RingKey = []byte(o.ringKey)
+	if o.obs != "" {
+		cfg.Observer = obs.NewRegistry()
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	// With -obs, flight is the always-on black box: dumped on SIGQUIT, and
+	// the source of /debug/ring's round traces.
+	ring, open, flight := cfg.Stack()
+	ln, err := listen(o.client)
 	if err != nil {
 		return err
 	}
-	self := evs.ProcID(*id)
-	newTransport := func(ring int) (transport.Transport, error) {
-		listenAddrs, err := transport.UDPPeer{Data: *dataAddr, Token: *tokenAddr}.Shift(*stride * ring)
-		if err != nil {
-			return nil, err
-		}
-		ringPeers := make(map[evs.ProcID]transport.UDPPeer, len(peers))
-		for pid, p := range peers {
-			if ringPeers[pid], err = p.Shift(*stride * ring); err != nil {
-				return nil, err
-			}
-		}
-		var mc *transport.UDPMulticast
-		if *mcast != "" {
-			group := *mcast
-			if *shards > 1 {
-				// Each ring joins its own group address, same stride rule as
-				// the unicast ports, so shards never see each other's data.
-				if group, err = transport.ShiftPort(group, *stride*ring); err != nil {
-					return nil, err
-				}
-			}
-			mc = &transport.UDPMulticast{Group: group, TTL: *mcastTTL, Interface: *mcastIf}
-		}
-		udp, err := transport.NewUDP(transport.UDPConfig{
-			Self:      self,
-			Listen:    listenAddrs,
-			Peers:     ringPeers,
-			Batch:     transport.BatchConfig{Send: *batchSend, Recv: *batchRecv},
-			Multicast: mc,
-			Obs:       reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var tr transport.Transport = udp
-		if *ringKey != "" {
-			// Per-ring subkeys, matching the facade's WithRingKey rule, so
-			// frames cannot be replayed across rings.
-			sub := wire.DeriveKey([]byte(*ringKey), "ring"+strconv.Itoa(ring))
-			tr = transport.WithAuth(tr, sub, reg, flight)
-		}
-		return tr, nil
-	}
-
-	dcfg := daemon.Config{
-		Obs: reg, Flight: flight, Key: []byte(*ringKey),
-		Shards: *shards, NewTransport: newTransport,
-		SkipInterval: *skipInterval, SkipAhead: *skipAhead,
-	}
-	if *original {
-		dcfg.Ring = ringnode.Original(self, nil, *personal, *global)
-	} else {
-		dcfg.Ring = ringnode.Accelerated(self, nil, *personal, *global, *accel)
-	}
-	if reg != nil {
-		// A single ring uses this observer as it is. Several rings each
-		// derive their own from it — "shard<r>"-labeled, with per-ring
-		// message tracers, registered below; the flight recorder is
-		// shared and its events carry the shard label.
-		dcfg.Ring.Observer = &obs.RingObserver{
-			Reg: reg, Flight: flight,
-			Msg: obs.NewMsgTracer(*traceSample, 0),
-		}
-	}
-
-	if *packOn {
-		pc := pack.AdaptiveConfig{Limit: *packLimit, MaxDelay: *packDelay}
-		if err := pc.Validate(); err != nil {
-			return err
-		}
-		dcfg.Ring.Packing = &pc
-	}
-
-	ln, err := listen(*clientAddr)
-	if err != nil {
-		return err
-	}
-	dcfg.Listener = ln
-
-	d, err := daemon.Start(dcfg)
+	d, err := daemon.Start(daemon.Config{
+		Ring: ring, Shards: cfg.Shards, NewTransport: open,
+		SkipInterval: cfg.SkipInterval, SkipAhead: cfg.SkipAhead,
+		Listener: ln, Key: cfg.RingKey, Obs: cfg.Observer, Flight: flight,
+	})
 	if err != nil {
 		ln.Close()
 		return err
 	}
-	if srv != nil {
-		for r := 0; r < d.Shards(); r++ {
-			o := d.RingNode(r).Observer()
-			name := fmt.Sprintf("daemon%d", *id)
-			if o.Label != "" {
-				name += "." + o.Label
-			}
-			srv.Add(name, o.MsgTracer())
-		}
-	}
-
 	var health *obs.Health
-	if reg != nil {
-		// A ring's metric scope is its observer's label: "" for a single
-		// ring, "shard<r>" otherwise.
-		var scopes []string
-		for r := 0; r < d.Shards(); r++ {
-			scopes = append(scopes, d.RingNode(r).Observer().Label)
+	if cfg.Observer != nil {
+		srv, err := obs.StartServer(o.obs, cfg.Observer)
+		if err != nil {
+			d.Stop()
+			return err
 		}
-		// Latency attribution: fold each ring's sampled spans into
-		// per-stage histograms under the ring's metric scope. With
+		defer srv.Close()
+		srv.Add(fmt.Sprintf("daemon%d", cfg.Self), flight)
+		log.Printf("observability: http://%s/debug/vars", srv.Addr())
+		// Each ring's metric scope is its observer's label: "" for a single
+		// ring, "shard<r>" otherwise. Latency attribution folds the ring's
+		// sampled spans into per-stage histograms under that scope; with
 		// -trace-sample 0 the tracers are nil and AddTracer no-ops, so
 		// /debug/latency serves empty scopes at zero cost.
-		lat := obs.NewLatencyAgg(reg)
-		for r, scope := range scopes {
-			lat.AddTracer(scope, d.RingNode(r).Observer().MsgTracer())
+		lat := obs.NewLatencyAgg(cfg.Observer)
+		var scopes []string
+		for r := 0; r < d.Shards(); r++ {
+			ob := d.RingNode(r).Observer()
+			scopes = append(scopes, ob.Label)
+			lat.AddTracer(ob.Label, ob.MsgTracer())
+			srv.Add(strings.TrimSuffix(fmt.Sprintf("daemon%d.%s", cfg.Self, ob.Label), "."), ob.MsgTracer())
 		}
 		srv.SetLatency(lat)
 		var slo *obs.SLO
-		if *sloP99 > 0 || *sloP999 > 0 {
-			slo = obs.NewSLO(reg, obs.SLOConfig{
-				TargetP99:  *sloP99,
-				TargetP999: *sloP999,
-				BurnFactor: *sloBurn,
-			})
+		if o.sloP99 > 0 || o.sloP999 > 0 {
+			slo = obs.NewSLO(cfg.Observer, obs.SLOConfig{TargetP99: o.sloP99, TargetP999: o.sloP999, BurnFactor: o.sloBurn})
 			for _, scope := range scopes {
 				slo.Track(scope, lat.E2E(scope))
 			}
 		}
-		health = obs.NewHealth(reg, obs.HealthConfig{
+		health = obs.NewHealth(cfg.Observer, obs.HealthConfig{
 			Scopes:        scopes,
-			RetransBudget: *global,
+			RetransBudget: cfg.GlobalWindow,
 			Latency:       lat,
 			SLO:           slo,
 			Flight:        flight,
@@ -291,31 +221,20 @@ func run(args []string) error {
 		defer health.Close()
 		srv.SetHealth(health)
 	}
-	proto := "accelerated"
-	if *original {
-		proto = "original"
-	}
-	wireMode := "unicast"
-	if *mcast != "" {
-		wireMode = "multicast " + *mcast
-	}
-	log.Printf("daemon %d up: protocol=%s shards=%d data=%s token=%s wire=%s batch=%d/%d pack=%v clients=%s peers=%d",
-		*id, proto, d.Shards(), *dataAddr, *tokenAddr, wireMode, *batchSend, *batchRecv, *packOn, ln.Addr(), len(peers))
+	log.Printf("daemon %d up: protocol=%v shards=%d data=%s token=%s wire=%v batch=%d/%d pack=%v clients=%s peers=%d",
+		cfg.Self, cfg.Protocol, d.Shards(), w.Listen.Data, w.Listen.Token, w.Mode,
+		w.Batch.Send, w.Batch.Recv, w.Packing != nil, ln.Addr(), len(w.Peers))
 
 	go func() {
-		for {
-			time.Sleep(5 * time.Second)
-			healthy := make(map[string]bool)
-			for _, st := range health.Status() {
-				healthy[st.Ring] = st.Healthy()
-			}
+		for range time.Tick(5 * time.Second) {
+			healthy := health.Status() // one per ring, in ring order; nil without -obs
 			for r := 0; r < d.Shards(); r++ {
 				st := d.RingNode(r).Status()
 				line := fmt.Sprintf("ring=%d state=%v members=%v rounds=%d sent=%d delivered=%d retrans=%d",
 					r, st.State, st.Ring, st.Engine.Rounds, st.Engine.Sent,
 					st.Engine.Delivered, st.Engine.Retransmitted)
-				if health != nil {
-					line += fmt.Sprintf(" healthy=%v", healthy[d.RingNode(r).Observer().Label])
+				if healthy != nil {
+					line += fmt.Sprintf(" healthy=%v", healthy[r].Healthy())
 				}
 				log.Print(line)
 			}
@@ -329,19 +248,18 @@ func run(args []string) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
 	for s := range sig {
-		if s == syscall.SIGQUIT && flight != nil {
-			path := fmt.Sprintf("ringdaemon-%d-flight.jsonl", *id)
-			if err := flight.DumpFile(path); err != nil {
-				log.Printf("flight dump failed: %v", err)
-			} else {
-				log.Printf("flight recorder dumped to %s (%d events recorded)", path, flight.Total())
-			}
-			continue
+		if s != syscall.SIGQUIT || flight == nil {
+			break
 		}
-		break
+		path := fmt.Sprintf("ringdaemon-%d-flight.jsonl", cfg.Self)
+		if err := flight.DumpFile(path); err != nil {
+			log.Printf("flight dump failed: %v", err)
+		} else {
+			log.Printf("flight recorder dumped to %s (%d events recorded)", path, flight.Total())
+		}
 	}
-	log.Printf("draining (budget %v)", *drainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Printf("draining (budget %v)", o.drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	if err := d.Drain(ctx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}

@@ -1,9 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"flag"
+	"log"
+	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"accelring/internal/ringconf"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -59,35 +67,81 @@ func TestListen(t *testing.T) {
 	}
 }
 
+// TestHelpGolden pins the command line: every flag's name, default and
+// help text, byte for byte (testdata/help.golden).
+func TestHelpGolden(t *testing.T) {
+	var out bytes.Buffer
+	fs := flags(new(ringconf.Config), new(options))
+	fs.SetOutput(&out)
+	if err := fs.Parse([]string{"-help"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-help = %v", err)
+	}
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("-help output drifted from testdata/help.golden:\n%s", out.Bytes())
+	}
+}
+
 // TestRunFlagValidation: every rejected command line fails before anything
-// is bound, with an error naming the flag at fault — including tuning
-// flags given without the switch that makes them act.
+// is bound — with the shared Config's sentinel where Validate rejects it,
+// otherwise with an error naming the flag at fault, including tuning
+// flags given without the switch that makes them act. Each case runs
+// against a client address that is already taken, so a case that got as
+// far as listening fails with a bind error instead, and with log output
+// captured, so one that started the observability server is caught too.
 func TestRunFlagValidation(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
 	for _, tc := range []struct {
 		args    string
+		want    error
 		wantErr string
 	}{
-		{"", "-id"},
-		{"-id 1 -peers garbage", "bad peer"},
-		{"-id 1 -shards 0", "-shards"},
-		{"-id 1 -shard-stride 0", "-shard-stride"},
-		{"-id 1 -mcast 239.1.1.7:5100 -mcast-ttl 256", "-mcast-ttl"},
-		{"-id 1 -batch-send -1", "-batch-send"},
-		{"-id 1 -obs 127.0.0.1:0 -trace-sample -1", "-trace-sample"},
-		{"-id 1 -skip-interval -1ms", "-skip-interval"},
-		{"-id 1 -trace-sample 64", "without -obs"},
-		{"-id 1 -slo-p99 5ms", "without -obs"},
-		{"-id 1 -slo-p999 9ms", "without -obs"},
-		{"-id 1 -slo-burn 2", "without -obs"},
-		{"-id 1 -pack-limit 1200", "without -pack"},
-		{"-id 1 -pack-delay 1ms", "without -pack"},
-		{"-id 1 -pack=false -pack-delay 1ms", "without -pack"},
-		{"-id 1 -mcast-ttl 4", "without -mcast"},
-		{"-id 1 -mcast-if lo", "without -mcast"},
+		{"", ringconf.ErrNoSelf, ""},
+		{"-id 1 -peers garbage", nil, "bad peer"},
+		{"-id 1 -shards 0", nil, "-shards"},
+		{"-id 1 -shards -1", ringconf.ErrBadShards, ""},
+		{"-id 1 -shard-stride 0", nil, "-shard-stride"},
+		{"-id 1 -shard-stride -2", ringconf.ErrBadWire, ""},
+		{"-id 1 -personal 0", nil, "-personal"},
+		{"-id 1 -mcast 239.1.1.7:5100 -mcast-ttl 256", ringconf.ErrBadWire, ""},
+		{"-id 1 -mcast 127.0.0.1:5100", ringconf.ErrBadWire, ""},
+		{"-id 1 -batch-send -1", ringconf.ErrBadWire, ""},
+		{"-id 1 -pack -pack-limit 999999", ringconf.ErrBadWire, ""},
+		{"-id 1 -accelerated 25 -obs 127.0.0.1:0", ringconf.ErrBadWindow, ""},
+		{"-id 1 -global 5", ringconf.ErrBadWindow, ""},
+		{"-id 1 -obs 127.0.0.1:0 -trace-sample -1", ringconf.ErrBadBufferSize, ""},
+		{"-id 1 -skip-interval -1ms", ringconf.ErrBadTimeout, ""},
+		{"-id 1 -data 127.0.0.1:0 -token 127.0.0.1:0 -shards 2", ringconf.ErrShardPorts, ""},
+		{"-id 1 -trace-sample 64", nil, "without -obs"},
+		{"-id 1 -slo-p99 5ms", nil, "without -obs"},
+		{"-id 1 -slo-p999 9ms", nil, "without -obs"},
+		{"-id 1 -slo-burn 2", nil, "without -obs"},
+		{"-id 1 -pack-limit 1200", nil, "without -pack"},
+		{"-id 1 -pack-delay 1ms", nil, "without -pack"},
+		{"-id 1 -pack=false -pack-delay 1ms", nil, "without -pack"},
+		{"-id 1 -mcast-ttl 4", nil, "without -mcast"},
+		{"-id 1 -mcast-if lo", nil, "without -mcast"},
 	} {
-		err := run(strings.Fields(tc.args))
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+		logged.Reset()
+		err := run(append(strings.Fields(tc.args), "-client", held.Addr().String()))
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("run(%q) = %v, want %v", tc.args, err, tc.want)
+		}
+		if tc.want == nil && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.wantErr)
+		}
+		if logged.Len() > 0 {
+			t.Errorf("run(%q) started serving before it failed: %s", tc.args, logged.Bytes())
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"accelring/internal/evs"
 	"accelring/internal/group"
+	"accelring/internal/ringconf"
 )
 
 // Sentinel errors returned by the public API. Branch with errors.Is; for
@@ -30,6 +31,20 @@ var (
 	ErrInvalidService = errors.New("accelring: invalid service level")
 	// ErrBadGroupCount rejects a Send with zero or too many groups.
 	ErrBadGroupCount = fmt.Errorf("accelring: need 1..%d groups", group.MaxGroups)
+
+	// Validation errors returned by Config.Validate (wrapped with
+	// context).
+	ErrNoSelf        = ringconf.ErrNoSelf
+	ErrNoTransport   = ringconf.ErrNoTransport
+	ErrBadWindow     = ringconf.ErrBadWindow
+	ErrBadTimeout    = ringconf.ErrBadTimeout
+	ErrBadAddress    = ringconf.ErrBadAddress
+	ErrBadProtocol   = ringconf.ErrBadProtocol
+	ErrBadBufferSize = ringconf.ErrBadBufferSize
+	ErrBadShards     = ringconf.ErrBadShards
+	ErrWireConflict  = ringconf.ErrWireConflict // mutually exclusive WireConfig fields
+	ErrShardPorts    = ringconf.ErrShardPorts   // derived per-ring ports collide or overflow
+	ErrBadWire       = ringconf.ErrBadWire      // invalid wire mode or knob
 )
 
 // MembershipChangedError is returned by Join/Leave/Send while the ring is

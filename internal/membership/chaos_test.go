@@ -21,6 +21,7 @@ import (
 //  2. self delivery — no member delivers its own message twice;
 //  3. convergence — after faults stop and the network heals, all live
 //     machines end operational on one shared ring.
+//
 // Seeds come from faults.Seeds, so a failing schedule can be replayed
 // with FAULTS_SEED=<seed>.
 func TestChaosRandomFaultSchedules(t *testing.T) {

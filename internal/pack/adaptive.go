@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"accelring/internal/wire"
 )
 
 // Adaptive defaults.
@@ -21,8 +23,9 @@ var ErrBadConfig = errors.New("pack: bad adaptive config")
 // AdaptiveConfig tunes the adaptive bundler. The zero value takes every
 // default.
 type AdaptiveConfig struct {
-	// Limit caps the encoded bundle size in bytes (DefaultLimit if 0).
-	// Payloads too large to ever fit are sent as solo bundles.
+	// Limit caps the encoded bundle size in bytes (DefaultLimit if 0, at
+	// most wire.MaxPayload). Payloads too large to ever fit are sent as
+	// solo bundles.
 	Limit int
 	// MaxMessages caps messages per bundle (MaxMessages if 0).
 	MaxMessages int
@@ -36,6 +39,9 @@ type AdaptiveConfig struct {
 func (c AdaptiveConfig) Validate() error {
 	if c.Limit < 0 || (c.Limit > 0 && c.Limit < headerLen+perMsgLen+1) {
 		return fmt.Errorf("%w: limit %d (need >= %d)", ErrBadConfig, c.Limit, headerLen+perMsgLen+1)
+	}
+	if c.Limit > wire.MaxPayload {
+		return fmt.Errorf("%w: limit %d exceeds the %d-byte frame payload cap", ErrBadConfig, c.Limit, wire.MaxPayload)
 	}
 	if c.MaxMessages < 0 || c.MaxMessages > MaxMessages {
 		return fmt.Errorf("%w: max messages %d (cap %d)", ErrBadConfig, c.MaxMessages, MaxMessages)

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"accelring/internal/wire"
 )
 
 func TestPackUnpackRoundTrip(t *testing.T) {
@@ -188,6 +190,28 @@ func BenchmarkPack64B(b *testing.B) {
 		if ok, _ := p.Add(msg); !ok {
 			p.Flush()
 			p.Add(msg)
+		}
+	}
+}
+
+// TestAdaptiveConfigValidate: the knob bounds every host checks through
+// Validate, the frame payload cap included.
+func TestAdaptiveConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cfg AdaptiveConfig
+		ok  bool
+	}{
+		{AdaptiveConfig{}, true},
+		{AdaptiveConfig{Limit: wire.MaxPayload}, true},
+		{AdaptiveConfig{Limit: wire.MaxPayload + 1}, false},
+		{AdaptiveConfig{Limit: 3}, false},
+		{AdaptiveConfig{Limit: -1}, false},
+		{AdaptiveConfig{MaxMessages: MaxMessages + 1}, false},
+		{AdaptiveConfig{MaxDelay: -1}, false},
+	} {
+		err := tc.cfg.Validate()
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrBadConfig)) {
+			t.Errorf("Validate(%+v) = %v, want ok=%v", tc.cfg, err, tc.ok)
 		}
 	}
 }

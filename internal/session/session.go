@@ -270,14 +270,14 @@ type Seqd struct {
 // Frame is any session frame.
 type Frame interface{ kind() Kind }
 
-func (Connect) kind() Kind { return KindConnect }
-func (Join) kind() Kind    { return KindJoin }
-func (Leave) kind() Kind   { return KindLeave }
-func (Send) kind() Kind    { return KindSend }
-func (Welcome) kind() Kind { return KindWelcome }
-func (Message) kind() Kind { return KindMessage }
-func (View) kind() Kind    { return KindView }
-func (Error) kind() Kind   { return KindError }
+func (Connect) kind() Kind  { return KindConnect }
+func (Join) kind() Kind     { return KindJoin }
+func (Leave) kind() Kind    { return KindLeave }
+func (Send) kind() Kind     { return KindSend }
+func (Welcome) kind() Kind  { return KindWelcome }
+func (Message) kind() Kind  { return KindMessage }
+func (View) kind() Kind     { return KindView }
+func (Error) kind() Kind    { return KindError }
 func (Private) kind() Kind  { return KindPrivate }
 func (Resume) kind() Kind   { return KindResume }
 func (Ack) kind() Kind      { return KindAck }

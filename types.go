@@ -5,12 +5,32 @@ import (
 	"accelring/internal/group"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
+	"accelring/internal/pack"
+	"accelring/internal/ringconf"
+	"accelring/internal/shard"
 	"accelring/internal/transport"
 )
 
 // Type aliases re-exporting the stable pieces of the internal packages, so
 // applications only ever import accelring.
 type (
+	// Config configures a Node. It is the one ring-stack declaration
+	// (internal/ringconf) that cmd/ringdaemon binds its flags into too;
+	// Validate fills in defaults, and Open calls it for you. Protocol
+	// selects its ring protocol variant; WireConfig is its transport
+	// configuration (mode, addressing, per-shard port stride, batching,
+	// packing) and WireMode how its frames travel.
+	Config     = ringconf.Config
+	Protocol   = ringconf.Protocol
+	WireConfig = ringconf.WireConfig
+	WireMode   = ringconf.WireMode
+
+	// BatchConfig sizes sendmmsg/recvmmsg syscall batching on the UDP wire
+	// path; PackingConfig tunes adaptive small-message packing (see
+	// WireConfig.Packing). Their zero values take every default.
+	BatchConfig   = transport.BatchConfig
+	PackingConfig = pack.AdaptiveConfig
+
 	// ProcID identifies one ring participant (a daemon in the paper's
 	// terms). IDs must be unique and nonzero across the deployment.
 	ProcID = evs.ProcID
@@ -92,6 +112,24 @@ type (
 	SLOStatus = obs.SLOStatus
 )
 
+// Protocol variants, wire modes (WireAuto infers the mode from the rest
+// of the WireConfig), and the defaults Validate fills in for zero Config
+// fields.
+const (
+	ProtocolAccelerated      = ringconf.ProtocolAccelerated
+	ProtocolOriginal         = ringconf.ProtocolOriginal
+	WireAuto                 = ringconf.WireAuto
+	WireHub                  = ringconf.WireHub
+	WireUnicast              = ringconf.WireUnicast
+	WireMulticast            = ringconf.WireMulticast
+	DefaultPersonalWindow    = ringconf.DefaultPersonalWindow
+	DefaultGlobalWindow      = ringconf.DefaultGlobalWindow
+	DefaultAcceleratedWindow = ringconf.DefaultAcceleratedWindow
+	DefaultEventBuffer       = ringconf.DefaultEventBuffer
+	DefaultShardStride       = ringconf.DefaultShardStride
+	MaxShards                = shard.MaxShards
+)
+
 // Delivery service levels, in increasing strength. The ring totally orders
 // every message; the level determines when delivery is allowed.
 const (
@@ -120,6 +158,12 @@ const (
 	StageWriterFlush = obs.StageWriterFlush
 	StageClientRecv  = obs.StageClientRecv
 )
+
+// RingOf returns the ring that owns a group name in a node opened with
+// WithShards(shards). The hash is stable across processes and releases:
+// every node routes a group to the same ring, which is what preserves the
+// group's total order in a sharded deployment.
+func RingOf(groupName string, shards int) int { return group.RingOf(groupName, shards) }
 
 // NewHub returns an in-process virtual network for tests and examples.
 func NewHub() *Hub { return transport.NewHub() }
