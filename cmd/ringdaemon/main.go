@@ -21,15 +21,16 @@
 // -shards value and numeric ports with a gap of stride*N free above
 // each base port.
 //
-// Wire-path tuning (see README § "Wire modes"): -mcast switches the
-// data path to true IP multicast, -batch-send/-batch-recv coalesce
-// datagrams into sendmmsg/recvmmsg calls, and -pack bundles small
-// messages into shared frames under load.
+// Data frames reach the other daemons by unicast fan-out, one datagram
+// per peer; the token is unicast to the next daemon on the ring.
+// Wire-path tuning (see README § "Wire modes"): -batch-send/-batch-recv
+// coalesce datagrams into sendmmsg/recvmmsg calls, and -pack bundles
+// small messages into shared frames under load.
 //
 // Every ring flag binds to a field of internal/ringconf's Config, the
 // declaration the accelring facade validates and opens, so the daemon
 // shares its defaults, its validation (run before anything is bound) and
-// its per-ring port, multicast-group and subkey derivation.
+// its per-ring port and subkey derivation.
 package main
 
 import (
@@ -93,9 +94,6 @@ func flags(cfg *ringconf.Config, o *options) *flag.FlagSet {
 	fs.IntVar(&w.ShardStride, "shard-stride", ringconf.DefaultShardStride, "port gap between consecutive rings of a sharded daemon (all daemons must agree)")
 	fs.DurationVar(&cfg.SkipInterval, "skip-interval", 0, "cross-ring merge lambda-pacing tick: how often idle rings blocking the global order are skipped (0 = default 2ms; shards > 1 only)")
 	fs.Uint64Var(&cfg.SkipAhead, "skip-ahead", 0, "virtual slots each cross-ring skip claims past the blocked head (0 = merge default; shards > 1 only)")
-	fs.StringVar(&w.MulticastGroup, "mcast", "", "IPv4 multicast group for the data path, e.g. 239.1.1.7:5100 (empty keeps unicast fan-out; all daemons must agree)")
-	fs.IntVar(&w.MulticastTTL, "mcast-ttl", 1, "IP_MULTICAST_TTL for outgoing multicast data (1 = link-local)")
-	fs.StringVar(&w.MulticastInterface, "mcast-if", "", "network interface for multicast send/join (empty lets the kernel choose)")
 	fs.IntVar(&w.Batch.Send, "batch-send", 0, "stage up to N data frames and send them in one sendmmsg call (0 disables)")
 	fs.IntVar(&w.Batch.Recv, "batch-recv", 0, "drain up to N datagrams per recvmmsg call (0 disables)")
 	fs.BoolVar(&o.pack, "pack", false, "bundle small messages into shared frames under load (all daemons must agree)")
@@ -124,7 +122,6 @@ func run(args []string) error {
 	}
 	// A flag that only tunes a feature does nothing while the feature is
 	// off; accepting it silently hides a typo'd or forgotten switch.
-	w := &cfg.Wire
 	for _, dep := range []struct {
 		tuning []string
 		needs  string
@@ -132,7 +129,6 @@ func run(args []string) error {
 	}{
 		{[]string{"trace-sample", "slo-p99", "slo-p999", "slo-burn"}, "obs", o.obs != ""},
 		{[]string{"pack-limit", "pack-delay"}, "pack", o.pack},
-		{[]string{"mcast-ttl", "mcast-if"}, "mcast", w.MulticastGroup != ""},
 	} {
 		for _, name := range dep.tuning {
 			if explicit[name] && !dep.on {
@@ -141,6 +137,7 @@ func run(args []string) error {
 		}
 	}
 
+	w := &cfg.Wire
 	var err error
 	if w.Peers, err = parsePeers(o.peers); err != nil {
 		return err
@@ -221,8 +218,8 @@ func run(args []string) error {
 		defer health.Close()
 		srv.SetHealth(health)
 	}
-	log.Printf("daemon %d up: protocol=%v shards=%d data=%s token=%s wire=%v batch=%d/%d pack=%v clients=%s peers=%d",
-		cfg.Self, cfg.Protocol, d.Shards(), w.Listen.Data, w.Listen.Token, w.Mode,
+	log.Printf("daemon %d up: protocol=%v shards=%d data=%s token=%s batch=%d/%d pack=%v clients=%s peers=%d",
+		cfg.Self, cfg.Protocol, d.Shards(), w.Listen.Data, w.Listen.Token,
 		w.Batch.Send, w.Batch.Recv, w.Packing != nil, ln.Addr(), len(w.Peers))
 
 	go func() {
@@ -293,6 +290,9 @@ func parsePeers(spec string) (map[evs.ProcID]transport.UDPPeer, error) {
 		data, token, ok := strings.Cut(addrs, "/")
 		if !ok {
 			return nil, fmt.Errorf("bad peer addresses %q (want dataAddr/tokenAddr)", addrs)
+		}
+		if _, dup := peers[evs.ProcID(pid)]; dup {
+			return nil, fmt.Errorf("peer id %d given twice", pid)
 		}
 		peers[evs.ProcID(pid)] = transport.UDPPeer{Data: data, Token: token}
 	}

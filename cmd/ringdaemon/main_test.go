@@ -40,6 +40,7 @@ func TestParsePeersErrors(t *testing.T) {
 		"x=1.2.3.4:1/1.2.3.4:2",
 		"0=1.2.3.4:1/1.2.3.4:2",
 		"2=1.2.3.4:1",
+		"2=1.2.3.4:1/1.2.3.4:2,2=1.2.3.4:3/1.2.3.4:4",
 	} {
 		if _, err := parsePeers(spec); err == nil {
 			t.Errorf("parsePeers(%q) accepted", spec)
@@ -113,8 +114,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-id 1 -shard-stride 0", nil, "-shard-stride"},
 		{"-id 1 -shard-stride -2", ringconf.ErrBadWire, ""},
 		{"-id 1 -personal 0", nil, "-personal"},
-		{"-id 1 -mcast 239.1.1.7:5100 -mcast-ttl 256", ringconf.ErrBadWire, ""},
-		{"-id 1 -mcast 127.0.0.1:5100", ringconf.ErrBadWire, ""},
 		{"-id 1 -batch-send -1", ringconf.ErrBadWire, ""},
 		{"-id 1 -pack -pack-limit 999999", ringconf.ErrBadWire, ""},
 		{"-id 1 -accelerated 25 -obs 127.0.0.1:0", ringconf.ErrBadWindow, ""},
@@ -129,8 +128,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-id 1 -pack-limit 1200", nil, "without -pack"},
 		{"-id 1 -pack-delay 1ms", nil, "without -pack"},
 		{"-id 1 -pack=false -pack-delay 1ms", nil, "without -pack"},
-		{"-id 1 -mcast-ttl 4", nil, "without -mcast"},
-		{"-id 1 -mcast-if lo", nil, "without -mcast"},
 	} {
 		logged.Reset()
 		err := run(append(strings.Fields(tc.args), "-client", held.Addr().String()))

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"accelring/internal/transport"
 )
 
 func validUDPConfig() Config {
@@ -19,11 +21,22 @@ func validUDPConfig() Config {
 }
 
 // TestConfigValidate covers Validate end to end: protocol parameters, and
-// the wire-path resolve with every mode, conflict and knob bound.
+// the wire-path resolve with every transport inference, conflict and knob
+// bound.
 func TestConfigValidate(t *testing.T) {
 	hubEp := func() Transport {
 		ep, _ := NewHub().Endpoint(1, 16, 16)
 		return ep
+	}
+	// openRing0 opens the transport Stack derives for ring 0.
+	openRing0 := func(t *testing.T, c *Config) Transport {
+		_, open, _ := c.Stack()
+		tr, err := open(0)
+		if err != nil {
+			t.Fatalf("open ring 0: %v", err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		return tr
 	}
 	udpWire := func() WireConfig { return validUDPConfig().Wire }
 	tests := []struct {
@@ -42,6 +55,9 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown protocol", func(c *Config) { c.Protocol = Protocol(9) }, ErrBadProtocol, nil},
 		{"no transport at all", func(c *Config) {
 			c.Wire = WireConfig{}
+		}, ErrNoTransport, nil},
+		{"hub mode without transport", func(c *Config) {
+			c.Wire = WireConfig{Transports: []Transport{}} // an empty list is no transport
 		}, ErrNoTransport, nil},
 		{"missing token address", func(c *Config) {
 			c.Wire.Listen.Token = ""
@@ -71,28 +87,21 @@ func TestConfigValidate(t *testing.T) {
 			c.Wire.Peers[0] = UDPAddrs{Data: "127.0.0.1:1", Token: "127.0.0.1:2"}
 		}, ErrBadAddress, nil},
 
-		// Mode inference.
+		// Transport inference: Listen means UDP (an unsharded node binds
+		// ephemeral ports as given), Transport means that transport.
 		{"wire unicast auto", func(c *Config) {
-			c.Wire = udpWire()
+			c.Wire = WireConfig{Listen: UDPAddrs{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}}
 		}, nil, func(t *testing.T, c *Config) {
-			if c.Wire.Mode != WireUnicast {
-				t.Fatalf("Mode = %v, want unicast", c.Wire.Mode)
+			tr := openRing0(t, c)
+			if _, ok := tr.(*transport.UDP); !ok {
+				t.Fatalf("Listen opened %T, want *transport.UDP", tr)
 			}
 		}},
 		{"wire hub auto", func(c *Config) {
 			c.Wire = WireConfig{Transport: hubEp()}
 		}, nil, func(t *testing.T, c *Config) {
-			if c.Wire.Mode != WireHub {
-				t.Fatalf("Mode = %v, want hub", c.Wire.Mode)
-			}
-		}},
-		{"wire multicast auto", func(c *Config) {
-			w := udpWire()
-			w.MulticastGroup = "239.192.7.1:7600"
-			c.Wire = w
-		}, nil, func(t *testing.T, c *Config) {
-			if c.Wire.Mode != WireMulticast {
-				t.Fatalf("Mode = %v, want multicast", c.Wire.Mode)
+			if tr := openRing0(t, c); tr != c.Wire.Transport {
+				t.Fatalf("Transport opened %T, want the given endpoint", tr)
 			}
 		}},
 		{"stride default applied", func(c *Config) {
@@ -115,41 +124,14 @@ func TestConfigValidate(t *testing.T) {
 			w.Transport = hubEp()
 			c.Wire = w
 		}, ErrWireConflict, nil},
+		{"hub transport plus peers", func(c *Config) {
+			c.Wire = WireConfig{Transport: hubEp(), Peers: udpWire().Peers}
+		}, ErrWireConflict, nil},
 		{"both transport and transports", func(c *Config) {
 			c.Wire = WireConfig{Transport: hubEp(), Transports: []Transport{hubEp()}}
 		}, ErrWireConflict, nil},
-		{"multicast group in unicast mode", func(c *Config) {
-			w := udpWire()
-			w.Mode = WireUnicast
-			w.MulticastGroup = "239.192.7.1:7600"
-			c.Wire = w
-		}, ErrWireConflict, nil},
 
-		// Mode/knob errors.
-		{"unknown wire mode", func(c *Config) {
-			w := udpWire()
-			w.Mode = WireMode(99)
-			c.Wire = w
-		}, ErrBadWire, nil},
-		{"hub mode without transport", func(c *Config) {
-			c.Wire = WireConfig{Mode: WireHub}
-		}, ErrBadWire, nil},
-		{"multicast mode without group", func(c *Config) {
-			w := udpWire()
-			w.Mode = WireMulticast
-			c.Wire = w
-		}, ErrBadWire, nil},
-		{"non-multicast group address", func(c *Config) {
-			w := udpWire()
-			w.MulticastGroup = "127.0.0.1:7600"
-			c.Wire = w
-		}, ErrBadWire, nil},
-		{"multicast ttl out of range", func(c *Config) {
-			w := udpWire()
-			w.MulticastGroup = "239.192.7.1:7600"
-			w.MulticastTTL = 300
-			c.Wire = w
-		}, ErrBadWire, nil},
+		// Knob errors.
 		{"batching on hub transport", func(c *Config) {
 			c.Wire = WireConfig{Transport: hubEp(), Batch: BatchConfig{Send: 8}}
 		}, ErrBadWire, nil},
@@ -204,11 +186,9 @@ func TestConfigValidate(t *testing.T) {
 			w.Peers = map[ProcID]UDPAddrs{2: {Data: "127.0.0.1:7500", Token: "127.0.0.1:7501"}}
 			c.Wire = w
 		}, nil, nil},
-		{"sharded multicast group overflow", func(c *Config) {
-			c.Shards = 3
-			w := udpWire()
-			w.MulticastGroup = "239.192.7.1:65534"
-			c.Wire = w
+		{"sharded ephemeral port", func(c *Config) {
+			c.Shards = 2
+			c.Wire = WireConfig{Listen: UDPAddrs{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}}
 		}, ErrShardPorts, nil},
 	}
 	for _, tt := range tests {

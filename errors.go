@@ -44,7 +44,7 @@ var (
 	ErrBadShards     = ringconf.ErrBadShards
 	ErrWireConflict  = ringconf.ErrWireConflict // mutually exclusive WireConfig fields
 	ErrShardPorts    = ringconf.ErrShardPorts   // derived per-ring ports collide or overflow
-	ErrBadWire       = ringconf.ErrBadWire      // invalid wire mode or knob
+	ErrBadWire       = ringconf.ErrBadWire      // invalid wire knob
 )
 
 // MembershipChangedError is returned by Join/Leave/Send while the ring is

@@ -1,9 +1,10 @@
 // Package faults is the unified fault-injection subsystem: a deterministic,
 // seed-replayable engine that decides, per packet, whether a frame is
-// dropped, delayed, or duplicated. One Injector serves every packet path in
-// the repository — the simnet discrete-event switch, the in-memory
-// transport Hub, and the real UDP transport — so experiments, examples,
-// and chaos tests all exercise the same code.
+// dropped, delayed, or duplicated. One Injector serves both injectable
+// packet paths in the repository — the simnet discrete-event switch and
+// the in-memory transport Hub — so experiments, examples, and chaos tests
+// all exercise the same code. The real UDP transport has no fault shim:
+// its loss is the network's own.
 //
 // Fault behavior is declared as a Plan of Rules. A Rule selects packets
 // (by sender, receiver, frame class, custom predicate, and an activity

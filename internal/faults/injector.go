@@ -17,8 +17,8 @@ import (
 //
 // The injector has two clocks. Paths with a virtual clock (simnet, the
 // chaos harness) call Decide with their own elapsed time, keeping runs
-// fully deterministic. Real-time paths (transport.Hub, transport.UDP)
-// call DecideWall, which measures elapsed wall time since New.
+// fully deterministic. The real-time path (transport.Hub) calls
+// DecideWall, which measures elapsed wall time since New.
 type Injector struct {
 	seed int64
 

@@ -101,9 +101,9 @@ type Config struct {
 	// order later relative to busy rings.
 	SkipAhead uint64
 
-	// Wire is the unified transport configuration: mode (hub, unicast,
-	// multicast), addressing, per-shard port stride, syscall batching,
-	// and adaptive message packing. See WireConfig and WithWire.
+	// Wire is the unified transport configuration: transport
+	// (in-process or UDP), addressing, per-shard port stride, syscall
+	// batching, and adaptive message packing. See WireConfig and WithWire.
 	Wire WireConfig
 
 	// EventBuffer is the Events channel capacity (default
@@ -223,7 +223,7 @@ func (c *Config) Validate() error {
 		return ErrBadBufferSize
 	}
 
-	// Transport: the single resolve path for every mode and knob.
+	// Transport: the single resolve path for every wire field and knob.
 	return c.resolveWire()
 }
 
@@ -262,7 +262,7 @@ func (c *Config) Stack() (ringnode.Config, func(ring int) (transport.Transport, 
 		tr := w.Transport
 		if len(w.Transports) > 0 {
 			tr = w.Transports[ring]
-		} else if w.Mode != WireHub {
+		} else if tr == nil {
 			u, err := c.udpConfig(ring)
 			if err == nil {
 				tr, err = transport.NewUDP(u)
@@ -277,15 +277,11 @@ func (c *Config) Stack() (ringnode.Config, func(ring int) (transport.Transport, 
 }
 
 // udpConfig derives ring's UDP binding: the base addresses for a single
-// ring (ephemeral ports included); on a sharded node every port and the
-// multicast group shifted by ShardStride*ring.
+// ring (ephemeral ports included); on a sharded node every port shifted
+// by ShardStride*ring.
 func (c *Config) udpConfig(ring int) (transport.UDPConfig, error) {
 	w := &c.Wire
 	u := transport.UDPConfig{Self: c.Self, Listen: w.Listen, Peers: w.Peers, Batch: w.Batch, Obs: c.Observer}
-	if w.Mode == WireMulticast {
-		u.Multicast = &transport.UDPMulticast{Group: w.MulticastGroup, TTL: w.MulticastTTL,
-			Interface: w.MulticastInterface, DisableLoopback: w.MulticastNoLoopback}
-	}
 	if c.Shards == 1 {
 		return u, nil
 	}
@@ -300,11 +296,7 @@ func (c *Config) udpConfig(ring int) (transport.UDPConfig, error) {
 			return u, err
 		}
 	}
-	// Each ring joins its own group, so shards never see each other's data.
-	if u.Multicast != nil {
-		u.Multicast.Group, err = transport.ShiftPort(w.MulticastGroup, by)
-	}
-	return u, err
+	return u, nil
 }
 
 // subkey derives ring's own frame key from RingKey, so frames cannot be

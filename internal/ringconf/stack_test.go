@@ -11,7 +11,7 @@ import (
 
 // TestStackOpener covers the one per-ring opener the facade and the daemon
 // share: an unsharded node keeps its addresses as given (ephemeral ports
-// included), a sharded one derives ring r's ports, group and subkey.
+// included), a sharded one derives ring r's ports and subkey.
 func TestStackOpener(t *testing.T) {
 	single := Config{Self: 1, Wire: WireConfig{
 		Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
@@ -33,9 +33,8 @@ func TestStackOpener(t *testing.T) {
 	}
 
 	cfg := Config{Self: 1, Shards: 2, RingKey: []byte("secret"), Wire: WireConfig{
-		Listen:         transport.UDPPeer{Data: "127.0.0.1:7400", Token: "127.0.0.1:7401"},
-		Peers:          map[evs.ProcID]transport.UDPPeer{2: {Data: "127.0.0.1:7500", Token: "127.0.0.1:7501"}},
-		MulticastGroup: "239.192.7.1:7600",
+		Listen: transport.UDPPeer{Data: "127.0.0.1:7400", Token: "127.0.0.1:7401"},
+		Peers:  map[evs.ProcID]transport.UDPPeer{2: {Data: "127.0.0.1:7500", Token: "127.0.0.1:7501"}},
 	}}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -49,9 +48,6 @@ func TestStackOpener(t *testing.T) {
 	}
 	if want := (transport.UDPPeer{Data: "127.0.0.1:7502", Token: "127.0.0.1:7503"}); u.Peers[2] != want {
 		t.Errorf("ring 1 peer 2 = %+v, want %+v", u.Peers[2], want)
-	}
-	if u.Multicast == nil || u.Multicast.Group != "239.192.7.1:7602" {
-		t.Errorf("ring 1 multicast = %+v, want group 239.192.7.1:7602", u.Multicast)
 	}
 	k0, k1 := cfg.subkey(0), cfg.subkey(1)
 	if len(k0) == 0 || bytes.Equal(k0, k1) {

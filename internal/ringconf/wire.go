@@ -11,35 +11,6 @@ import (
 	"accelring/internal/transport"
 )
 
-// WireMode selects how a node's protocol frames travel.
-type WireMode int
-
-const (
-	// WireAuto (the default) infers the mode from the rest of the
-	// WireConfig: WireHub when an established Transport is supplied,
-	// WireMulticast when a multicast group is set, WireUnicast when only
-	// UDP listen addresses are given.
-	WireAuto WireMode = iota
-	// WireHub runs over an established Transport (an in-process Hub
-	// endpoint, or any custom implementation).
-	WireHub
-	// WireUnicast opens UDP sockets and emulates multicast by unicast
-	// fan-out to every peer — the fallback the paper notes Spread
-	// provides where IP multicast is unavailable.
-	WireUnicast
-	// WireMulticast opens UDP sockets and sends each data frame once to
-	// an IP-multicast group, as on the paper's testbed. Tokens stay
-	// unicast.
-	WireMulticast
-)
-
-func (m WireMode) String() string {
-	if m >= WireAuto && m <= WireMulticast {
-		return [...]string{"auto", "hub", "unicast", "multicast"}[m]
-	}
-	return fmt.Sprintf("wiremode(%d)", int(m))
-}
-
 // DefaultShardStride is the port offset between consecutive rings of a
 // sharded UDP node: ring r listens (and expects every peer) on each base
 // port + stride*r. Two ports per ring (data and token) is why the
@@ -47,39 +18,28 @@ func (m WireMode) String() string {
 const DefaultShardStride = 2
 
 // WireConfig is the unified transport configuration: one place for the
-// mode (hub, unicast, multicast), the addressing, the per-shard port
+// transport (in-process or UDP), the addressing, the per-shard port
 // stride, and the throughput knobs (syscall batching, adaptive message
-// packing). Set it with WithWire or the Config.Wire field.
+// packing). Which transport runs follows from the fields set: Transport
+// or Transports run the ring in-process, Listen opens UDP sockets, and
+// setting both is ErrWireConflict. Set it with WithWire or the
+// Config.Wire field.
 type WireConfig struct {
-	// Mode selects the wire mode; WireAuto infers it (see WireMode).
-	Mode WireMode
-
-	// Transport carries frames in WireHub mode for a single-ring node;
-	// the node takes ownership and closes it on Close. Transports does
-	// the same per ring of a sharded node (length must equal Shards).
-	// Set at most one of the two.
+	// Transport carries frames for a single-ring node over an
+	// established transport (an in-process Hub endpoint, or any custom
+	// implementation); the node takes ownership and closes it on Close.
+	// Transports does the same per ring of a sharded node (length must
+	// equal Shards). Set at most one of the two.
 	Transport  transport.Transport
 	Transports []transport.Transport
 
-	// Listen holds this node's data/token UDP listen addresses in the
-	// UDP modes; Peers the other participants'. With Shards > 1 every
-	// port must be numeric and nonzero so per-ring ports can be derived
-	// (see ShardStride).
+	// Listen holds this node's data/token UDP listen addresses; Peers the
+	// other participants'. Data frames reach the peers by unicast
+	// fan-out, one datagram each. With Shards > 1 every port must be
+	// numeric and nonzero so per-ring ports can be derived (see
+	// ShardStride).
 	Listen transport.UDPPeer
 	Peers  map[evs.ProcID]transport.UDPPeer
-
-	// MulticastGroup is the IPv4 group host:port data frames are sent to
-	// and received from in WireMulticast mode, e.g. "239.192.7.1:7600".
-	// Every ring member must use the same group; a sharded node derives
-	// ring r's group port by ShardStride like the unicast ports.
-	MulticastGroup string
-	// MulticastTTL bounds propagation (0 means 1: link-local).
-	MulticastTTL int
-	// MulticastInterface optionally names the NIC for sending/joining.
-	MulticastInterface string
-	// MulticastNoLoopback disables IP_MULTICAST_LOOP. Leave it off for
-	// same-host deployments and tests.
-	MulticastNoLoopback bool
 
 	// ShardStride is the port offset between consecutive rings of a
 	// sharded UDP node: ring r uses every base port + ShardStride*r
@@ -88,7 +48,7 @@ type WireConfig struct {
 	ShardStride int
 
 	// Batch coalesces the per-token-round burst of data frames into
-	// single sendmmsg/recvmmsg kernel crossings (UDP modes only). The
+	// single sendmmsg/recvmmsg kernel crossings (UDP only). The
 	// zero value keeps one syscall per datagram.
 	Batch transport.BatchConfig
 
@@ -103,48 +63,28 @@ type WireConfig struct {
 // Wire-path validation errors (wrapped with context; branch with
 // errors.Is).
 var (
-	// ErrWireConflict reports mutually exclusive WireConfig fields, e.g.
-	// an established Transport together with UDP listen addresses.
+	// ErrWireConflict reports mutually exclusive WireConfig fields: an
+	// established Transport together with UDP addresses, or both
+	// Transport and Transports.
 	ErrWireConflict = errors.New("accelring: conflicting wire configuration")
 	// ErrShardPorts reports a sharded UDP port derivation problem:
 	// derived ports collide or exceed 65535.
 	ErrShardPorts = errors.New("accelring: bad sharded port derivation")
-	// ErrBadWire reports an invalid wire mode or knob.
+	// ErrBadWire reports an invalid wire knob.
 	ErrBadWire = errors.New("accelring: invalid wire configuration")
 )
 
-// resolveWire infers c.Wire's mode, applies defaults, and validates the
-// result.
+// resolveWire infers c.Wire's transport from the fields set, applies
+// defaults, and validates the result.
 func (c *Config) resolveWire() error {
 	w := &c.Wire
-	if w.Mode < WireAuto || w.Mode > WireMulticast {
-		return fmt.Errorf("%w: unknown mode %d", ErrBadWire, int(w.Mode))
-	}
-	hasHub := w.Transport != nil || len(w.Transports) > 0
-	hasUDP := w.Listen.Data != "" || w.Listen.Token != ""
-	if w.Mode == WireAuto {
-		switch {
-		case hasHub:
-			w.Mode = WireHub
-		case w.MulticastGroup != "":
-			w.Mode = WireMulticast
-		case hasUDP:
-			w.Mode = WireUnicast
-		default:
-			return ErrNoTransport
-		}
-	}
-
-	switch w.Mode {
-	case WireHub:
-		if !hasHub {
-			return fmt.Errorf("%w: hub mode needs a Transport (or Transports)", ErrBadWire)
-		}
-		if hasUDP || len(w.Peers) > 0 || w.MulticastGroup != "" {
-			return fmt.Errorf("%w: hub mode excludes UDP listen addresses and multicast groups", ErrWireConflict)
+	established := w.Transport != nil || len(w.Transports) > 0
+	if established {
+		if w.Listen.Data != "" || w.Listen.Token != "" || len(w.Peers) > 0 {
+			return fmt.Errorf("%w: an established Transport excludes UDP addresses", ErrWireConflict)
 		}
 		if w.Batch != (transport.BatchConfig{}) {
-			return fmt.Errorf("%w: syscall batching applies to the UDP wire modes, not hub transports", ErrBadWire)
+			return fmt.Errorf("%w: syscall batching applies to UDP, not established Transports", ErrBadWire)
 		}
 		if w.Transport != nil && len(w.Transports) > 0 {
 			return fmt.Errorf("%w: set Transport or Transports, not both", ErrWireConflict)
@@ -160,10 +100,7 @@ func (c *Config) resolveWire() error {
 		if c.Shards > 1 && len(w.Transports) == 0 {
 			return fmt.Errorf("%w: a sharded node needs one transport per ring: use Transports, not Transport", ErrBadShards)
 		}
-	case WireUnicast, WireMulticast:
-		if hasHub {
-			return fmt.Errorf("%w: the UDP wire modes exclude established Transports", ErrWireConflict)
-		}
+	} else {
 		if w.Listen.Data == "" || w.Listen.Token == "" {
 			return ErrNoTransport
 		}
@@ -177,20 +114,6 @@ func (c *Config) resolveWire() error {
 			if err := checkUDPAddrs(fmt.Sprintf("peer %d", id), p); err != nil {
 				return err
 			}
-		}
-		if w.Mode == WireMulticast {
-			ga, err := net.ResolveUDPAddr("udp4", w.MulticastGroup)
-			if err != nil {
-				return fmt.Errorf("%w: multicast group %q: %v", ErrBadAddress, w.MulticastGroup, err)
-			}
-			if ga.IP == nil || !ga.IP.IsMulticast() {
-				return fmt.Errorf("%w: %q is not an IPv4 multicast group", ErrBadWire, w.MulticastGroup)
-			}
-			if w.MulticastTTL < 0 || w.MulticastTTL > 255 {
-				return fmt.Errorf("%w: multicast TTL %d out of range [0, 255]", ErrBadWire, w.MulticastTTL)
-			}
-		} else if w.MulticastGroup != "" {
-			return fmt.Errorf("%w: a multicast group with Mode WireUnicast", ErrWireConflict)
 		}
 	}
 
@@ -210,7 +133,7 @@ func (c *Config) resolveWire() error {
 	if w.ShardStride == 0 {
 		w.ShardStride = DefaultShardStride
 	}
-	if c.Shards > 1 && w.Mode != WireHub {
+	if c.Shards > 1 && !established {
 		if err := c.checkShardPorts(); err != nil {
 			return err
 		}
@@ -239,9 +162,6 @@ func (c *Config) checkShardPorts() error {
 		bases = append(bases,
 			base{fmt.Sprintf("peer %d data", id), p.Data},
 			base{fmt.Sprintf("peer %d token", id), p.Token})
-	}
-	if w.Mode == WireMulticast {
-		bases = append(bases, base{"multicast group", w.MulticastGroup})
 	}
 	used := make(map[string]string, len(bases)*c.Shards)
 	for _, b := range bases {

@@ -161,6 +161,30 @@ func TestUDPBatchedSyscallReduction(t *testing.T) {
 	}
 }
 
+// TestUDPRefusedDatagramSkipped: one peer the socket cannot reach (an IPv6
+// address beside an IPv4-bound socket, so the kernel refuses every
+// datagram to it) must cost only its own datagrams. The healthy peer gets
+// every frame, batched or not; a batched flush that stopped at the first
+// refused datagram silenced it for the whole batch.
+func TestUDPRefusedDatagramSkipped(t *testing.T) {
+	for _, send := range []int{0, 8} {
+		sender, healthy := newBatchedUDPPair(t, send, 0)
+		if err := sender.AddPeer(3, UDPPeer{Data: "[::1]:9", Token: "[::1]:9"}); err != nil {
+			t.Fatal(err)
+		}
+		const n = 4
+		for i := 0; i < n; i++ {
+			if err := sender.Multicast([]byte{byte(i), 0x6A}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sender.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		collectFrames(t, healthy.Data(), n)
+	}
+}
+
 // TestUDPBatchedAllocs is the zero-allocation gate for the batched wire
 // path: staging a burst, flushing it with sendmmsg, receiving it with
 // recvmmsg, and recycling the frames must not allocate in steady state.

@@ -83,13 +83,14 @@ func TestHubCloseRecyclesQueuedFrames(t *testing.T) {
 	poolBalanced(t, before)
 }
 
-// TestUDPCloseRecyclesQueuedFrames: frames the readLoop already rented and
-// queued, plus delayed sends pending in the delay queue, are recycled by
-// Close.
+// TestUDPCloseRecyclesQueuedFrames: frames the readLoop already rented
+// and queued, plus frames still staged in the sender's send batch, are
+// recycled by Close.
 func TestUDPCloseRecyclesQueuedFrames(t *testing.T) {
 	before := bufpool.Snapshot()
 
-	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
+	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+		Batch: BatchConfig{Send: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,28 +101,26 @@ func TestUDPCloseRecyclesQueuedFrames(t *testing.T) {
 	if err := u1.AddPeer(2, u2.LocalAddrs()); err != nil {
 		t.Fatal(err)
 	}
-	// Delay every outgoing frame so copies pile up in u1's delay queue.
-	var plan faults.Plan
-	plan.Add(faults.Rule{Name: "slow", Model: faults.Delay{Min: time.Minute, Max: time.Minute}})
-	u1.SetInjector(faults.New(7, plan))
-	for i := 0; i < 5; i++ {
-		if err := u1.Multicast([]byte(fmt.Sprintf("delayed-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	u1.SetInjector(nil)
-
-	// Undelayed frames reach u2's socket and get rented into its channels;
+	// Flushed frames reach u2's socket and get rented into its channels;
 	// nothing ever reads them.
 	for i := 0; i < 5; i++ {
 		if err := u1.Multicast([]byte(fmt.Sprintf("queued-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := u1.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	// Give u2's readLoop a moment to rent and queue the datagrams.
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) && len(u2.dataCh) < 5 {
 		time.Sleep(2 * time.Millisecond)
+	}
+	// Fewer frames than the batch size stay staged in u1's pooled copies.
+	for i := 0; i < 3; i++ {
+		if err := u1.Multicast([]byte(fmt.Sprintf("staged-%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if err := u2.Close(); err != nil {
@@ -194,11 +193,14 @@ func TestHubCloseUnderLoad(t *testing.T) {
 }
 
 // TestUDPCloseUnderLoadWithDelays closes a UDP transport while concurrent
-// senders keep scheduling injector-delayed copies. Close must flush the
-// delay queue exactly once per pending copy (race detector pins this) and
-// never write after the sockets are gone.
+// senders keep staging frames in its send batch, where each waits for a
+// flush (a full batch, a token send, or Close). Close must recycle every
+// staged frame exactly once and let none be staged after it (the race
+// detector and the pool balance pin this), and later sends fail fast.
 func TestUDPCloseUnderLoadWithDelays(t *testing.T) {
-	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
+	before := bufpool.Snapshot()
+	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+		Batch: BatchConfig{Send: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +208,9 @@ func TestUDPCloseUnderLoadWithDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer u2.Close()
 	if err := u1.AddPeer(2, u2.LocalAddrs()); err != nil {
 		t.Fatal(err)
 	}
-	var plan faults.Plan
-	plan.Add(faults.Rule{Name: "jitter", Model: faults.Delay{Min: 0, Max: 2 * time.Millisecond}})
-	plan.Add(faults.Rule{Name: "dup", Model: faults.Duplicate{P: 0.5}})
-	u1.SetInjector(faults.New(99, plan))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -221,7 +218,7 @@ func TestUDPCloseUnderLoadWithDelays(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			payload := []byte("delayed-under-close")
+			payload := []byte("staged-under-close")
 			for {
 				select {
 				case <-stop:
@@ -239,7 +236,14 @@ func TestUDPCloseUnderLoadWithDelays(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if err := u1.Multicast([]byte("late")); err != ErrClosed {
+		t.Fatalf("send after close: %v, want ErrClosed", err)
+	}
 	if err := u1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := u2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	poolBalanced(t, before)
 }

@@ -94,64 +94,6 @@ func TestHubInjectorReorders(t *testing.T) {
 	}
 }
 
-// TestUDPInjectorPaths: the UDP transport must accept the same injector,
-// dropping per destination and duplicating tokens on the send path.
-func TestUDPInjectorPaths(t *testing.T) {
-	newUDP := func(self evs.ProcID) *UDP {
-		u, err := NewUDP(UDPConfig{
-			Self:   self,
-			Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { u.Close() })
-		return u
-	}
-	a, b, c := newUDP(1), newUDP(2), newUDP(3)
-	for _, u := range []*UDP{a, b, c} {
-		for id, peer := range map[evs.ProcID]*UDP{1: a, 2: b, 3: c} {
-			if err := u.AddPeer(id, peer.LocalAddrs()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	var plan faults.Plan
-	plan.Add(faults.Rule{Name: "drop-to-2", To: 2, Model: faults.Loss{P: 1}})
-	plan.Add(faults.Rule{Name: "dup-tok-to-3", To: 3, Classes: faults.ClassToken,
-		Model: faults.Duplicate{P: 1}})
-	a.SetInjector(faults.New(1, plan))
-
-	if err := a.Multicast([]byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Unicast(3, []byte("token")); err != nil {
-		t.Fatal(err)
-	}
-	if got := drainFrames(b.Data(), 100*time.Millisecond); len(got) != 0 {
-		t.Fatalf("dropped destination received %d data frames", len(got))
-	}
-	if got := drainFrames(c.Data(), 100*time.Millisecond); len(got) != 1 {
-		t.Fatalf("undropped destination received %d data frames, want 1", len(got))
-	}
-	if got := drainFrames(c.Token(), 100*time.Millisecond); len(got) != 2 {
-		t.Fatalf("duplicated token arrived %d times, want 2", len(got))
-	}
-	for _, ctr := range a.inj.Load().Counters() {
-		switch ctr.Rule {
-		case "drop-to-2":
-			if ctr.Dropped == 0 {
-				t.Error("drop rule counted no drops")
-			}
-		case "dup-tok-to-3":
-			if ctr.Duplicated != 1 {
-				t.Errorf("dup rule counted %d duplicates, want 1", ctr.Duplicated)
-			}
-		}
-	}
-}
-
 // TestInjectorConcurrentSenders hammers one hub injector from many
 // goroutines; run under -race this guards the locking on every path.
 func TestInjectorConcurrentSenders(t *testing.T) {

@@ -122,8 +122,10 @@ func (w *mmsgWriter) staged() int { return len(w.frames) }
 const maxMsgsPerCall = 1024
 
 // writeBatch transmits every staged datagram and returns how many
-// syscalls it took (normally 1). Send errors are dropped like UDP loss;
-// the protocol's retransmission machinery recovers.
+// syscalls it took (normally 1). A datagram the kernel refuses is
+// dropped like UDP loss and the rest still go out, exactly as the
+// portable fallback's per-datagram writes behave; the protocol's
+// retransmission machinery recovers. Only a closed socket drops the rest.
 func (w *mmsgWriter) writeBatch() int {
 	total := len(w.frames)
 	if total == 0 {
@@ -151,9 +153,15 @@ func (w *mmsgWriter) writeBatch() int {
 		if w.chunk > maxMsgsPerCall {
 			w.chunk = maxMsgsPerCall
 		}
-		werr := w.rc.Write(w.sendFn)
-		if werr != nil || w.errno != 0 || w.n == 0 {
-			break // socket closed or a hard error: drop the rest, like loss
+		if w.rc.Write(w.sendFn) != nil {
+			break // socket closed: drop the rest, like loss
+		}
+		if w.errno != 0 || w.n == 0 {
+			// sendmmsg stops at the first datagram it cannot send (an
+			// unreachable address family, say) and reports that datagram's
+			// error on its own: skip it.
+			w.off++
+			continue
 		}
 		w.off += int(w.n)
 	}

@@ -216,6 +216,12 @@ func TestUDPConfigValidation(t *testing.T) {
 	if _, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "bogus::addr::", Token: "127.0.0.1:0"}}); err == nil {
 		t.Fatal("bad listen address accepted")
 	}
+	// A peer that does not resolve fails NewUDP instead of hanging its
+	// cleanup on reader goroutines that never started.
+	if _, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+		Peers: map[evs.ProcID]UDPPeer{2: {Data: "bogus::addr::", Token: "127.0.0.1:1"}}}); err == nil {
+		t.Fatal("bad peer address accepted")
+	}
 }
 
 func TestUDPManyFrames(t *testing.T) {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"strconv"
@@ -11,7 +10,6 @@ import (
 
 	"accelring/internal/bufpool"
 	"accelring/internal/evs"
-	"accelring/internal/faults"
 	"accelring/internal/obs"
 	"accelring/internal/wire"
 )
@@ -55,25 +53,6 @@ func (p UDPPeer) Shift(by int) (UDPPeer, error) {
 	return p, nil
 }
 
-// UDPMulticast selects the true IP-multicast data path: data frames are
-// sent once to the group instead of unicast per peer, as on the paper's
-// testbed. Tokens stay unicast. Every ring member must be configured with
-// the same group; IPv4 groups only (239.0.0.0/8 is the private-use
-// range).
-type UDPMulticast struct {
-	// Group is the multicast group host:port data frames are sent to and
-	// received from, e.g. "239.192.7.1:7600".
-	Group string
-	// TTL bounds propagation; 0 means the default of 1 (link-local).
-	TTL int
-	// Interface optionally names the NIC used for sending and joining.
-	Interface string
-	// DisableLoopback turns off IP_MULTICAST_LOOP. Leave it false for
-	// same-host deployments and tests, where members share a machine and
-	// only see each other via the loopback copy.
-	DisableLoopback bool
-}
-
 // UDPConfig configures a UDP transport.
 type UDPConfig struct {
 	// Self is the local participant.
@@ -86,24 +65,12 @@ type UDPConfig struct {
 	// Batch sizes sendmmsg/recvmmsg syscall coalescing on the data path.
 	// The zero value keeps one syscall per datagram.
 	Batch BatchConfig
-	// Multicast, when non-nil, replaces unicast fan-out with IP
-	// multicast for data frames.
-	Multicast *UDPMulticast
 	// Obs, when non-nil, receives transport.udp.* frame/byte counters.
 	Obs *obs.Registry
 	// Flight, when non-nil, receives a black-box event per inbound frame
 	// dropped on a full receive channel.
 	Flight *obs.Recorder
 }
-
-// mcMagic/mcHeader frame the transport-level multicast envelope: group
-// datagrams carry [magic][sender ProcID, big-endian u32] ahead of the
-// protocol frame so receivers can discard their own loopback copies (the
-// protocol self-delivers at send time) and foreign traffic on the group.
-const (
-	mcMagic  = 0xAC
-	mcHeader = 5
-)
 
 // dataChanCap and tokenChanCap size the receive channels, in frames.
 const (
@@ -113,10 +80,10 @@ const (
 
 // UDP is the real-network transport: one socket per frame class, exactly
 // as the paper's implementations separate token and data traffic. Data
-// dissemination is either unicast fan-out (the fallback the paper notes
-// Spread provides where multicast is unavailable) or true IP multicast,
-// and sends/receives can be batched into single sendmmsg/recvmmsg
-// kernel crossings.
+// frames reach the ring by unicast fan-out, one datagram per peer — the
+// fallback the paper notes Spread provides where IP multicast is
+// unavailable — and sends/receives can be batched into single
+// sendmmsg/recvmmsg kernel crossings.
 type UDP struct {
 	self     evs.ProcID
 	dataConn *net.UDPConn
@@ -128,11 +95,10 @@ type UDP struct {
 	// peerMu serializes the writers only.
 	peerMu sync.Mutex
 	peers  atomic.Pointer[map[evs.ProcID]*udpPeerAddrs]
-	inj    atomic.Pointer[faults.Injector]
 
 	// Send batching: frames staged under sendMu in pooled copies, each
-	// with the peer snapshot it was addressed against (nil = the
-	// multicast group). writer is non-nil iff batching is on.
+	// with the peer snapshot it was addressed against. writer is non-nil
+	// iff batching is on.
 	sendMu    sync.Mutex
 	writer    *mmsgWriter
 	batchSend int
@@ -142,8 +108,6 @@ type UDP struct {
 	// empty or metrics are off). Feeds the batch_wait_ns histogram so the
 	// syscall-batching hold shows up in latency attribution.
 	pendSince time.Time
-
-	mc *mcState
 
 	dataCh  chan []byte
 	tokenCh chan []byte
@@ -156,23 +120,12 @@ type UDP struct {
 	wg        sync.WaitGroup
 	nm        *netMetrics
 	fl        *obs.Recorder
-	delayQ    delayQueue
 }
 
 type udpPeerAddrs struct {
 	data, token *net.UDPAddr
 	// raw is the precomputed kernel sockaddr for the data address, built
 	// once at AddPeer so the batched flush never resolves anything.
-	raw   rawAddr
-	rawOK bool
-}
-
-// mcState holds the multicast data path: the group-joined receive socket
-// and the resolved group address sends go to. In multicast mode the
-// unicast data socket is send-only.
-type mcState struct {
-	conn  *net.UDPConn
-	group *net.UDPAddr
 	raw   rawAddr
 	rawOK bool
 }
@@ -208,15 +161,6 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		nm:       newNetMetrics(cfg.Obs, "transport.udp."),
 		fl:       cfg.Flight,
 	}
-	if cfg.Multicast != nil {
-		mc, err := openMulticast(dataConn, cfg.Multicast)
-		if err != nil {
-			dataConn.Close()
-			tokConn.Close()
-			return nil, err
-		}
-		u.mc = mc
-	}
 	if cfg.Batch.Send > 1 {
 		if w := newMMsgWriter(dataConn, cfg.Batch.Send); w != nil {
 			u.writer = w
@@ -225,6 +169,16 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	}
 	empty := make(map[evs.ProcID]*udpPeerAddrs)
 	u.peers.Store(&empty)
+	// The readers start first: Close, on a bad peer below, waits for them
+	// to close the receive channels.
+	u.wg.Add(2)
+	go u.readLoop(dataConn, cfg.Batch.Recv, u.dataCh, func(raw []byte) {
+		u.deliverFrame(raw, u.dataCh, &u.dataDrop, false)
+	})
+	// Tokens arrive one per round; batching buys nothing there.
+	go u.readLoop(tokConn, 0, u.tokenCh, func(raw []byte) {
+		u.deliverFrame(raw, u.tokenCh, &u.tokenDrop, true)
+	})
 	// Register ourselves: the membership representative starts a new ring
 	// by unicasting the initial token to itself.
 	if err := u.AddPeer(cfg.Self, u.LocalAddrs()); err != nil {
@@ -240,56 +194,7 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 			return nil, err
 		}
 	}
-	recvBatch := cfg.Batch.Recv
-	u.wg.Add(2)
-	if u.mc != nil {
-		// Data arrives on the group socket only; the envelope filters our
-		// own loopback copies.
-		go u.readLoop(u.mc.conn, recvBatch, u.dataCh, u.deliverMC)
-	} else {
-		go u.readLoop(dataConn, recvBatch, u.dataCh, func(raw []byte) {
-			u.deliverFrame(raw, u.dataCh, &u.dataDrop, false)
-		})
-	}
-	// Tokens arrive one per round; batching buys nothing there.
-	go u.readLoop(tokConn, 0, u.tokenCh, func(raw []byte) {
-		u.deliverFrame(raw, u.tokenCh, &u.tokenDrop, true)
-	})
 	return u, nil
-}
-
-// openMulticast joins the group for receiving and configures the unicast
-// data socket (the sender) with TTL, loopback, and interface options.
-func openMulticast(send *net.UDPConn, m *UDPMulticast) (*mcState, error) {
-	ga, err := net.ResolveUDPAddr("udp4", m.Group)
-	if err != nil {
-		return nil, fmt.Errorf("transport: multicast group: %w", err)
-	}
-	if ga.IP == nil || !ga.IP.IsMulticast() {
-		return nil, fmt.Errorf("transport: multicast group %q is not an IPv4 multicast address", m.Group)
-	}
-	var ifi *net.Interface
-	if m.Interface != "" {
-		ifi, err = net.InterfaceByName(m.Interface)
-		if err != nil {
-			return nil, fmt.Errorf("transport: multicast interface %q: %w", m.Interface, err)
-		}
-	}
-	conn, err := net.ListenMulticastUDP("udp4", ifi, ga)
-	if err != nil {
-		return nil, fmt.Errorf("transport: join multicast group %s: %w", ga, err)
-	}
-	_ = conn.SetReadBuffer(4 << 20)
-	ttl := m.TTL
-	if ttl <= 0 {
-		ttl = 1
-	}
-	if err := setMulticastSendOpts(send, ttl, !m.DisableLoopback, ifi); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: multicast send options: %w", err)
-	}
-	raw, ok := mkRawAddr(ga)
-	return &mcState{conn: conn, group: ga, raw: raw, rawOK: ok}, nil
 }
 
 func listenUDP(addr string) (*net.UDPConn, error) {
@@ -324,48 +229,6 @@ func (u *UDP) AddPeer(id evs.ProcID, p UDPPeer) error {
 	u.peers.Store(&next)
 	u.peerMu.Unlock()
 	return nil
-}
-
-// SetInjector installs a fault injector on the send path (nil clears):
-// every outgoing frame is decided per destination, so loss, delay
-// (reordering), duplication, and partitions behave per-receiver exactly as
-// on the other transports. Emulating faults at the sender keeps the
-// receive path a plain socket read.
-func (u *UDP) SetInjector(in *faults.Injector) {
-	u.inj.Store(in)
-}
-
-// sendFaulty writes every surviving copy of frame per the injector
-// decision. Delayed copies are copied into rented buffers (the caller may
-// reuse the frame as encode scratch the moment we return) and written from
-// the transport's single delay-queue drainer; writes after Close fail
-// silently, like loss.
-func (u *UDP) sendFaulty(conn *net.UDPConn, frame []byte, addr *net.UDPAddr, d faults.Decision) {
-	if d.Drop {
-		return
-	}
-	sched := func(delay time.Duration) {
-		if delay <= 0 {
-			if !u.closed.Load() {
-				_, _ = conn.WriteToUDP(frame, addr)
-				u.countTxSys(1)
-			}
-			return
-		}
-		cp := bufpool.Get(len(frame))
-		copy(cp, frame)
-		u.delayQ.after(delay, func() {
-			if !u.closed.Load() {
-				_, _ = conn.WriteToUDP(cp, addr)
-				u.countTxSys(1)
-			}
-			bufpool.Put(cp)
-		})
-	}
-	sched(d.Delay)
-	for _, extra := range d.Extra {
-		sched(extra)
-	}
 }
 
 // LocalAddrs returns the bound listen addresses (useful with :0 ports).
@@ -458,19 +321,6 @@ func (u *UDP) deliverFrame(raw []byte, ch chan []byte, drops *atomic.Uint64, tok
 	}
 }
 
-// deliverMC strips the multicast envelope and discards our own loopback
-// copies (the protocol self-delivers at send time) and any foreign
-// traffic sharing the group.
-func (u *UDP) deliverMC(raw []byte) {
-	if len(raw) < mcHeader || raw[0] != mcMagic {
-		return
-	}
-	if evs.ProcID(binary.BigEndian.Uint32(raw[1:mcHeader])) == u.self {
-		return
-	}
-	u.deliverFrame(raw[mcHeader:], u.dataCh, &u.dataDrop, false)
-}
-
 // recordDrop notes a receiver-overflow drop in the flight recorder.
 func (u *UDP) recordDrop(token bool) {
 	if u.fl == nil {
@@ -483,39 +333,18 @@ func (u *UDP) recordDrop(token bool) {
 	u.fl.Record(obs.Event{Kind: obs.FlightRxDrop, Note: note})
 }
 
-// Multicast implements Transport. In multicast mode the frame goes to
-// the group in one datagram; otherwise it is fanned out by unicast to
-// every peer's data address. Send errors are ignored, as UDP loss would
-// be; the protocol's retransmission machinery recovers. With batching on,
-// the frame is staged in a pooled copy and hits the wire at the next
-// flush (batch full, token send, or explicit Flush).
+// Multicast implements Transport: the frame is fanned out by unicast to
+// every peer's data address, never to ourselves (the protocol
+// self-receives its own messages at send time). Send errors are ignored,
+// as UDP loss would be; the protocol's retransmission machinery recovers.
+// With batching on, the frame is staged in a pooled copy and hits the
+// wire at the next flush (batch full, token send, or explicit Flush).
 func (u *UDP) Multicast(frame []byte) error {
 	if u.closed.Load() {
 		return ErrClosed
 	}
-	if u.mc != nil {
-		return u.multicastGroup(frame)
-	}
 	snap := u.peers.Load()
 	peers := *snap
-	if inj := u.inj.Load(); inj != nil {
-		// Faults are decided per destination and sent immediately; flush
-		// first so staged frames keep their ordering ahead of these.
-		_ = u.Flush()
-		for id, p := range peers {
-			if id == u.self {
-				// No loopback: the protocol self-receives its own
-				// messages at send time.
-				continue
-			}
-			u.nm.tx(false, len(frame))
-			d := inj.DecideWall(faults.Packet{
-				From: u.self, To: id, Size: len(frame), Frame: frame,
-			})
-			u.sendFaulty(u.dataConn, frame, p.data, d)
-		}
-		return nil
-	}
 	if u.writer != nil {
 		// One pooled copy per frame, shared across the whole fan-out; the
 		// peer snapshot is resolved at flush time from the pointer staged
@@ -528,6 +357,13 @@ func (u *UDP) Multicast(frame []byte) error {
 			}
 		}
 		u.sendMu.Lock()
+		if u.closed.Load() {
+			// Close already recycled the batch; nothing may be staged
+			// after it.
+			u.sendMu.Unlock()
+			bufpool.Put(cp)
+			return ErrClosed
+		}
 		u.pendBuf = append(u.pendBuf, cp)
 		u.pendTo = append(u.pendTo, snap)
 		if u.nm != nil && len(u.pendBuf) == 1 {
@@ -547,44 +383,6 @@ func (u *UDP) Multicast(frame []byte) error {
 		_, _ = u.dataConn.WriteToUDP(frame, p.data)
 		u.countTxSys(1)
 	}
-	return nil
-}
-
-// multicastGroup sends one enveloped datagram to the group.
-func (u *UDP) multicastGroup(frame []byte) error {
-	u.nm.tx(false, len(frame))
-	cp := bufpool.Get(mcHeader + len(frame))
-	cp[0] = mcMagic
-	binary.BigEndian.PutUint32(cp[1:mcHeader], uint32(u.self))
-	copy(cp[mcHeader:], frame)
-	if inj := u.inj.Load(); inj != nil {
-		// Real multicast cannot drop per receiver at the sender: one
-		// decision covers the whole group, modeling loss on the sender's
-		// uplink.
-		_ = u.Flush()
-		d := inj.DecideWall(faults.Packet{
-			From: u.self, Size: len(cp), Frame: cp,
-		})
-		u.sendFaulty(u.dataConn, cp, u.mc.group, d)
-		bufpool.Put(cp)
-		return nil
-	}
-	if u.writer != nil {
-		u.sendMu.Lock()
-		u.pendBuf = append(u.pendBuf, cp)
-		u.pendTo = append(u.pendTo, nil)
-		if u.nm != nil && len(u.pendBuf) == 1 {
-			u.pendSince = time.Now()
-		}
-		if len(u.pendBuf) >= u.batchSend {
-			u.flushLocked()
-		}
-		u.sendMu.Unlock()
-		return nil
-	}
-	_, _ = u.dataConn.WriteToUDP(cp, u.mc.group)
-	u.countTxSys(1)
-	bufpool.Put(cp)
 	return nil
 }
 
@@ -614,14 +412,7 @@ func (u *UDP) flushLocked() {
 		u.pendSince = time.Time{}
 	}
 	for i, f := range u.pendBuf {
-		snap := u.pendTo[i]
-		if snap == nil {
-			if u.mc != nil && u.mc.rawOK {
-				u.writer.append(f, &u.mc.raw)
-			}
-			continue
-		}
-		for id, p := range *snap {
+		for id, p := range *u.pendTo[i] {
 			if id == u.self || !p.rawOK {
 				continue
 			}
@@ -655,13 +446,6 @@ func (u *UDP) Unicast(to evs.ProcID, frame []byte) error {
 		return nil
 	}
 	u.nm.tx(true, len(frame))
-	if inj := u.inj.Load(); inj != nil {
-		d := inj.DecideWall(faults.Packet{
-			From: u.self, To: to, Token: true, Size: len(frame), Frame: frame,
-		})
-		u.sendFaulty(u.tokConn, frame, p.token, d)
-		return nil
-	}
 	_, _ = u.tokConn.WriteToUDP(frame, p.token)
 	u.countTxSys(1)
 	return nil
@@ -679,17 +463,13 @@ func (u *UDP) Drops() Drops {
 }
 
 // Close shuts both sockets down and waits for the readers to exit. The
-// receive channels are closed, and every pending delayed send, staged
-// batch frame, and received-but-unconsumed frame is recycled to bufpool —
-// nothing the transport rented stays stranded.
+// receive channels are closed, and every staged batch frame and
+// received-but-unconsumed frame is recycled to bufpool — nothing the
+// transport rented stays stranded.
 func (u *UDP) Close() error {
 	if u.closed.Swap(true) {
 		return nil
 	}
-	// Flush the delay queue first: with the closed flag set, each pending
-	// callback skips its socket write and recycles its buffer, and the
-	// drainer goroutine exits.
-	u.delayQ.stop()
 	// Staged batch frames are dropped, not sent: a closed transport loses
 	// in-flight traffic exactly like the network would.
 	u.sendMu.Lock()
@@ -703,9 +483,6 @@ func (u *UDP) Close() error {
 	u.sendMu.Unlock()
 	err1 := u.dataConn.Close()
 	err2 := u.tokConn.Close()
-	if u.mc != nil {
-		_ = u.mc.conn.Close()
-	}
 	u.wg.Wait()
 	// The readLoops have closed both channels; recycle frames that were
 	// received but never consumed. A consumer draining concurrently is

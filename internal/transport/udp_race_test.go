@@ -97,17 +97,11 @@ drain:
 
 // TestUDPDelayedSendCopiesFrame pins the delayed-send ownership rule: a
 // frame handed to Multicast may be reused as encode scratch the moment the
-// call returns, even when a fault injector holds a delayed copy. The old
-// code captured the caller's slice in its timer; mutating the scratch then
-// corrupted the in-flight frame.
+// call returns, even when send batching holds it until the next flush.
+// Staging must copy it; an aliased slice would put the caller's next
+// frame on the wire in its place.
 func TestUDPDelayedSendCopiesFrame(t *testing.T) {
-	send, recv := newUDPPair(t)
-	defer recv.Close()
-	defer send.Close()
-
-	var plan faults.Plan
-	plan.Add(faults.Rule{Name: "delay", To: 2, Model: faults.Delay{Min: 20 * time.Millisecond, Max: 20 * time.Millisecond}})
-	send.SetInjector(faults.New(1, plan))
+	send, recv := newBatchedUDPPair(t, 8, 0)
 
 	scratch := make([]byte, 32)
 	for i := range scratch {
@@ -117,18 +111,21 @@ func TestUDPDelayedSendCopiesFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range scratch {
-		scratch[i] = 0xBB // reuse the scratch while the copy is in flight
+		scratch[i] = 0xBB // reuse the scratch while the copy is staged
+	}
+	if err := send.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	select {
 	case f := <-recv.Data():
 		for i, b := range f {
 			if b != 0xAA {
-				t.Fatalf("delayed frame byte %d is %#x, want 0xAA: sender scratch leaked into flight", i, b)
+				t.Fatalf("staged frame byte %d is %#x, want 0xAA: sender scratch leaked into flight", i, b)
 			}
 		}
 		bufpool.Put(f)
 	case <-time.After(2 * time.Second):
-		t.Fatal("delayed frame never arrived")
+		t.Fatal("staged frame never arrived")
 	}
 }
 

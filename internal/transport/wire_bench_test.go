@@ -14,23 +14,14 @@ import (
 // syscalls-per-datagram (recvmmsg drains many frames per call). UDP may
 // drop under blast load, so receive-side figures are over the frames
 // that actually arrived; the "delivered" metric reports that fraction.
-func benchWire(b *testing.B, batch BatchConfig, mcast *UDPMulticast) {
+func benchWire(b *testing.B, batch BatchConfig) {
 	mk := func(self evs.ProcID) *UDP {
-		var mc *UDPMulticast
-		if mcast != nil {
-			c := *mcast
-			mc = &c
-		}
 		u, err := NewUDP(UDPConfig{
-			Self:      self,
-			Listen:    UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-			Batch:     batch,
-			Multicast: mc,
+			Self:   self,
+			Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+			Batch:  batch,
 		})
 		if err != nil {
-			if mcast != nil {
-				b.Skipf("multicast unavailable: %v", err)
-			}
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { u.Close() })
@@ -53,21 +44,6 @@ func benchWire(b *testing.B, batch BatchConfig, mcast *UDPMulticast) {
 	}()
 
 	payload := make([]byte, 1350)
-	if mcast != nil {
-		// Probe: group joins can succeed in environments that still do
-		// not route multicast back over loopback.
-		deadline := time.Now().Add(2 * time.Second)
-		for got.Load() == 0 {
-			if time.Now().After(deadline) {
-				b.Skip("multicast loopback does not deliver in this environment")
-			}
-			snd.Multicast(payload)
-			Flush(snd)
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-
-	got.Store(0)
 	txBefore, _ := snd.Syscalls()
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
@@ -99,21 +75,13 @@ func benchWire(b *testing.B, batch BatchConfig, mcast *UDPMulticast) {
 }
 
 func BenchmarkWireUnicastBare(b *testing.B) {
-	benchWire(b, BatchConfig{}, nil)
+	benchWire(b, BatchConfig{})
 }
 
 func BenchmarkWireUnicastBatched16(b *testing.B) {
-	benchWire(b, BatchConfig{Send: 16, Recv: 16}, nil)
+	benchWire(b, BatchConfig{Send: 16, Recv: 16})
 }
 
 func BenchmarkWireUnicastBatched64(b *testing.B) {
-	benchWire(b, BatchConfig{Send: 64, Recv: 64}, nil)
-}
-
-func BenchmarkWireMulticastBare(b *testing.B) {
-	benchWire(b, BatchConfig{}, &UDPMulticast{Group: "239.77.14.1:39271", TTL: 0})
-}
-
-func BenchmarkWireMulticastBatched16(b *testing.B) {
-	benchWire(b, BatchConfig{Send: 16, Recv: 16}, &UDPMulticast{Group: "239.77.14.2:39272", TTL: 0})
+	benchWire(b, BatchConfig{Send: 64, Recv: 64})
 }

@@ -39,9 +39,9 @@ func WithShards(n int) Option {
 	return func(c *Config) { c.Shards = n }
 }
 
-// WithWire sets the unified transport configuration: wire mode (hub,
-// unicast, IP multicast), addressing, per-shard port stride, syscall
-// batching, and adaptive message packing.
+// WithWire sets the unified transport configuration: transport
+// (in-process or UDP unicast fan-out), addressing, per-shard port stride,
+// syscall batching, and adaptive message packing.
 func WithWire(w WireConfig) Option {
 	return func(c *Config) { c.Wire = w }
 }

@@ -18,12 +18,11 @@ type (
 	// (internal/ringconf) that cmd/ringdaemon binds its flags into too;
 	// Validate fills in defaults, and Open calls it for you. Protocol
 	// selects its ring protocol variant; WireConfig is its transport
-	// configuration (mode, addressing, per-shard port stride, batching,
-	// packing) and WireMode how its frames travel.
+	// configuration (transport, addressing, per-shard port stride,
+	// batching, packing).
 	Config     = ringconf.Config
 	Protocol   = ringconf.Protocol
 	WireConfig = ringconf.WireConfig
-	WireMode   = ringconf.WireMode
 
 	// BatchConfig sizes sendmmsg/recvmmsg syscall batching on the UDP wire
 	// path; PackingConfig tunes adaptive small-message packing (see
@@ -112,16 +111,11 @@ type (
 	SLOStatus = obs.SLOStatus
 )
 
-// Protocol variants, wire modes (WireAuto infers the mode from the rest
-// of the WireConfig), and the defaults Validate fills in for zero Config
+// Protocol variants, and the defaults Validate fills in for zero Config
 // fields.
 const (
 	ProtocolAccelerated      = ringconf.ProtocolAccelerated
 	ProtocolOriginal         = ringconf.ProtocolOriginal
-	WireAuto                 = ringconf.WireAuto
-	WireHub                  = ringconf.WireHub
-	WireUnicast              = ringconf.WireUnicast
-	WireMulticast            = ringconf.WireMulticast
 	DefaultPersonalWindow    = ringconf.DefaultPersonalWindow
 	DefaultGlobalWindow      = ringconf.DefaultGlobalWindow
 	DefaultAcceleratedWindow = ringconf.DefaultAcceleratedWindow
