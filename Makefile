@@ -17,8 +17,8 @@ test:
 	$(GO) test ./...
 
 # The transports, the fault injector, the protocol step and its two hosts
-# (the real-time goroutine and the simulator), the sharding layer (N
-# protocol goroutines per node), the ordered-group core they all feed,
+# (the real-time goroutine and the simulator), the cross-ring merge, the
+# ordered-group core and its host (N protocol goroutines and a pacer),
 # the daemon's client layer (a reader and a writer goroutine per session
 # around one send window) and the recorder every one of them writes into
 # are the concurrency hot spots; keep them under the race detector even
@@ -27,8 +27,12 @@ race:
 	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/ringnode/... ./internal/simproc/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/... ./internal/obs/...
 
 # The full suite under the race detector (CI runs this as its own job).
+# The benchmark's quick pass drives real daemons against wall-clock
+# deadlines; beside every other package under -race it starves and its
+# subscribers see Throttled notices, so it runs alone, after the rest.
 race-full:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '^accelring/benchmark$$')
+	$(GO) test -race ./benchmark
 
 # Non-test Go lines per package (the benchmark excluded), then the total:
 # the size figure simplification PRs report before and after.

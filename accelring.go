@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"accelring/internal/evs"
 	"accelring/internal/group"
@@ -13,7 +12,6 @@ import (
 	"accelring/internal/membership"
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
-	"accelring/internal/shard"
 )
 
 // Event is a delivery to the application: a *Message, a *GroupView, or a
@@ -66,24 +64,23 @@ func (*ViewChange) isEvent() {}
 // ring instances and partitions groups across them (see Config.Shards).
 type Node struct {
 	cfg    Config
-	rings  *shard.Group
 	flight *Recorder
 	self   ClientID
 	events chan Event
 
-	// core turns the rings' ordered streams into one globally ordered
-	// event stream (internal/groupcore; one ring is its N = 1 case) and
-	// delivers it to nodeSink. pacerStop ends its pacing goroutine, and
-	// pacerDone reports that it has.
-	core      *groupcore.Core
-	pacerStop chan struct{}
-	pacerDone chan struct{}
+	// host runs the rings and the core that turns their ordered streams
+	// into one globally ordered event stream (internal/groupcore; one ring
+	// is its N = 1 case), delivered to nodeSink; core is host.Core().
+	host *groupcore.Host
+	core *groupcore.Core
+
+	// ready is closed once every ring has installed its first regular
+	// configuration, done by Close.
+	ready, done chan struct{}
 
 	mu        sync.Mutex
 	lastViews []ViewID
-	readyMask []bool
-	ready     bool
-	closed    bool
+	unready   int // rings yet to install their first regular configuration
 
 	failed    atomic.Bool
 	closeOnce sync.Once
@@ -117,44 +114,20 @@ func OpenConfig(ctx context.Context, cfg Config) (*Node, error) {
 		cfg:       cfg,
 		self:      ClientID{Daemon: cfg.Self, Local: 1},
 		events:    make(chan Event, cfg.EventBuffer),
-		pacerStop: make(chan struct{}),
-		pacerDone: make(chan struct{}),
+		ready:     make(chan struct{}),
+		done:      make(chan struct{}),
 		lastViews: make([]ViewID, cfg.Shards),
-		readyMask: make([]bool, cfg.Shards),
+		unready:   cfg.Shards,
 	}
-	n.core = groupcore.New(groupcore.Config{
-		Shards:    cfg.Shards,
-		Self:      cfg.Self,
-		Submit:    ringSubmitter{n},
-		Sink:      nodeSink{n},
-		SkipAhead: cfg.SkipAhead,
-		Obs:       cfg.Observer,
-	})
-	base, open, flight := cfg.Stack()
-	rings, err := shard.Start(shard.Config{
-		Shards:       cfg.Shards,
-		Base:         base,
-		NewTransport: open,
-		OnEvent:      n.core.OnRingEvent,
+	ring, open, flight := cfg.Stack()
+	host, err := groupcore.Start(groupcore.HostConfig{
+		Shards: cfg.Shards, Ring: ring, NewTransport: open, Sink: nodeSink{n}, Obs: cfg.Observer,
 	})
 	if err != nil {
 		return nil, err
 	}
-	n.rings, n.flight = rings, flight
-	go func() {
-		defer close(n.pacerDone)
-		n.core.Run(cfg.SkipInterval, n.pacerStop)
-	}()
+	n.host, n.core, n.flight = host, host.Core(), flight
 	return n, nil
-}
-
-// ringSubmitter is the core's submit seam. It reads n.rings at call time:
-// the core exists before the rings start (they need its OnRingEvent), and
-// submits nothing until OpenConfig has stored them.
-type ringSubmitter struct{ n *Node }
-
-func (s ringSubmitter) Submit(ring int, payload []byte, svc evs.Service) error {
-	return s.n.rings.Submit(ring, payload, svc)
 }
 
 // ID returns this node's group-messaging endpoint identity, as it appears
@@ -179,24 +152,26 @@ func (n *Node) Receive(ctx context.Context) (Event, error) {
 	}
 }
 
-// WaitReady blocks until the first ring configuration is installed (after
-// which Join/Leave/Send work) or the context is done.
+// WaitReady blocks until every ring has installed its first regular
+// configuration (after which Join/Leave/Send work), the node closes
+// (ErrClosed), or the context is done. A closed node reports ErrClosed even
+// if it was ready.
 func (n *Node) WaitReady(ctx context.Context) error {
-	for {
-		n.mu.Lock()
-		ready, closed := n.ready, n.closed
-		n.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
-		if ready {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
+	select {
+	case <-n.ready:
+	case <-n.done:
+	case <-ctx.Done():
+	}
+	select {
+	case <-n.done:
+		return ErrClosed
+	default:
+	}
+	select {
+	case <-n.ready:
+		return nil
+	default:
+		return ctx.Err()
 	}
 }
 
@@ -204,10 +179,14 @@ func (n *Node) WaitReady(ctx context.Context) error {
 // On a sharded node it is ring 0's view; see ViewOf.
 func (n *Node) View() ViewID { return n.ViewOf(0) }
 
-// ViewOf returns ring's current view (zero before that ring forms).
+// ViewOf returns ring's current view: zero before that ring forms, and for
+// a ring index this node does not run (outside [0, Shards())).
 func (n *Node) ViewOf(ring int) ViewID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if ring < 0 || ring >= len(n.lastViews) {
+		return ViewID{}
+	}
 	return n.lastViews[ring]
 }
 
@@ -235,7 +214,9 @@ func (n *Node) Recorder() *Recorder { return n.flight }
 // DebugServer.Add, which serves it at /debug/msgtrace (nil unless the node
 // was opened with WithTraceSampling). On a sharded node it is ring 0's
 // tracer; see MsgTracers.
-func (n *Node) MsgTracer() *MsgTracer { return n.rings.MsgTracer(0) }
+func (n *Node) MsgTracer() *MsgTracer { return n.msgTracer(0) }
+
+func (n *Node) msgTracer(r int) *MsgTracer { return n.host.RingNode(r).Observer().MsgTracer() }
 
 // MsgTracers returns one message-lifecycle tracer per ring instance (nil
 // unless the node was opened with WithTraceSampling).
@@ -245,7 +226,7 @@ func (n *Node) MsgTracers() []*MsgTracer {
 	}
 	out := make([]*MsgTracer, n.cfg.Shards)
 	for r := range out {
-		out[r] = n.rings.MsgTracer(r)
+		out[r] = n.msgTracer(r)
 	}
 	return out
 }
@@ -257,7 +238,7 @@ func (n *Node) MsgTracers() []*MsgTracer {
 // WithObserver and WithTraceSampling.
 func (n *Node) AttachLatency(agg *LatencyAgg) {
 	for r, mt := range n.MsgTracers() {
-		agg.AddTracer(n.rings.Node(r).Observer().Label, mt)
+		agg.AddTracer(n.host.RingNode(r).Observer().Label, mt)
 	}
 }
 
@@ -329,11 +310,10 @@ func (n *Node) submit(ring int, env *group.Envelope, svc Service) error {
 // ringCall runs an operation that orders something on ring, translating
 // the driver's errors into the public sentinels.
 func (n *Node) ringCall(ring int, op func() error) error {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
+	select {
+	case <-n.done:
 		return ErrClosed
+	default:
 	}
 	err := op()
 	switch {
@@ -357,11 +337,13 @@ func (n *Node) ringCall(ring int, op func() error) error {
 // Err returns the terminal error after the event stream is closed (nil on
 // clean Close, ErrSlowConsumer if the consumer fell behind).
 func (n *Node) Err() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.closed {
+	select {
+	case <-n.done:
+	default:
 		return nil
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.closeErr
 }
 
@@ -369,14 +351,10 @@ func (n *Node) Err() error {
 // is idempotent and safe from any goroutine.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
-		n.mu.Lock()
-		n.closed = true
-		n.mu.Unlock()
-		close(n.pacerStop)
-		<-n.pacerDone
-		// Stop waits for every protocol goroutine to exit, so no event
-		// callback can race the channel close below.
-		n.rings.Stop()
+		close(n.done)
+		// Stop waits for the pacing loop and every protocol goroutine to
+		// exit, so no event callback can race the channel close below.
+		n.host.Stop()
 		close(n.events)
 	})
 	return nil
@@ -416,7 +394,7 @@ func (n *Node) emit(ev Event) {
 type nodeSink struct{ n *Node }
 
 func (k nodeSink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []ClientID) {
-	k.n.rings.Node(ring).Observer().Stamp(obs.StageMergeOut, seq, 0)
+	k.n.host.RingNode(ring).Observer().Stamp(obs.StageMergeOut, seq, 0)
 	if memberOf(to, k.n.self) {
 		k.n.emit(&Message{
 			Sender: env.Sender, Service: svc,
@@ -448,12 +426,12 @@ func (k nodeSink) Config(ring int, e evs.ConfigChange) {
 		return
 	}
 	n.mu.Lock()
-	n.lastViews[ring] = e.Config.ID
-	n.readyMask[ring] = true
-	n.ready = true
-	for _, r := range n.readyMask {
-		n.ready = n.ready && r
+	if n.lastViews[ring].IsZero() {
+		if n.unready--; n.unready == 0 {
+			close(n.ready)
+		}
 	}
+	n.lastViews[ring] = e.Config.ID
 	n.mu.Unlock()
 }
 

@@ -92,8 +92,6 @@ func flags(cfg *ringconf.Config, o *options) *flag.FlagSet {
 	fs.Float64Var(&o.sloBurn, "slo-burn", 0, "burn-rate factor at or above which an SLO scope is breaching (0 = default 1.0)")
 	fs.IntVar(&cfg.Shards, "shards", 1, "independent rings per daemon; ring r uses every base port + stride*r (numeric ports required)")
 	fs.IntVar(&w.ShardStride, "shard-stride", ringconf.DefaultShardStride, "port gap between consecutive rings of a sharded daemon (all daemons must agree)")
-	fs.DurationVar(&cfg.SkipInterval, "skip-interval", 0, "cross-ring merge lambda-pacing tick: how often idle rings blocking the global order are skipped (0 = default 2ms; shards > 1 only)")
-	fs.Uint64Var(&cfg.SkipAhead, "skip-ahead", 0, "virtual slots each cross-ring skip claims past the blocked head (0 = merge default; shards > 1 only)")
 	fs.IntVar(&w.Batch.Send, "batch-send", 0, "stage up to N data frames and send them in one sendmmsg call (0 disables)")
 	fs.IntVar(&w.Batch.Recv, "batch-recv", 0, "drain up to N datagrams per recvmmsg call (0 disables)")
 	fs.BoolVar(&o.pack, "pack", false, "bundle small messages into shared frames under load (all daemons must agree)")
@@ -165,7 +163,6 @@ func run(args []string) error {
 	}
 	d, err := daemon.Start(daemon.Config{
 		Ring: ring, Shards: cfg.Shards, NewTransport: open,
-		SkipInterval: cfg.SkipInterval, SkipAhead: cfg.SkipAhead,
 		Listener: ln, Key: cfg.RingKey, Obs: cfg.Observer, Flight: flight,
 	})
 	if err != nil {

@@ -119,7 +119,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-id 1 -accelerated 25 -obs 127.0.0.1:0", ringconf.ErrBadWindow, ""},
 		{"-id 1 -global 5", ringconf.ErrBadWindow, ""},
 		{"-id 1 -obs 127.0.0.1:0 -trace-sample -1", ringconf.ErrBadBufferSize, ""},
-		{"-id 1 -skip-interval -1ms", ringconf.ErrBadTimeout, ""},
 		{"-id 1 -data 127.0.0.1:0 -token 127.0.0.1:0 -shards 2", ringconf.ErrShardPorts, ""},
 		{"-id 1 -trace-sample 64", nil, "without -obs"},
 		{"-id 1 -slo-p99 5ms", nil, "without -obs"},

@@ -104,7 +104,7 @@ func main() {
 			log.Fatalf("daemon %d did not become operational", i+1)
 		}
 	}
-	fmt.Println("daemons up, ring:", daemons[0].Node().Status().Ring)
+	fmt.Println("daemons up, ring:", daemons[0].RingNode(0).Status().Ring)
 
 	// Connect one chat client per daemon and join #general.
 	names := []string{"alice", "bob", "carol"}

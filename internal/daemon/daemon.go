@@ -12,17 +12,17 @@
 // ring by the stable group.RingOf hash; aggregate ordering throughput
 // multiplies and the cross-ring merge gives clients back one global
 // delivery order. Everything between a ring's ordered stream and the
-// client sessions — tables, merge, apply logic, pacing, migration — is
-// internal/groupcore; the daemon is its sink (one ring is just N = 1).
+// client sessions — rings, tables, merge, apply logic, pacing, migration —
+// is one groupcore.Host; the daemon is its sink (one ring is just N = 1).
 //
 // The client path is hardened for the edge of overload:
 //
 //   - Tiered backpressure: each session's sequenced frames sit in one
 //     send window whose unsent backlog is metered against three
-//     watermarks: past ClientBuffer the session counts as lagging
-//     (tier 1, daemon.tier_spill); past ThrottleAt the client is told to
+//     watermarks: past clientBuffer the session counts as lagging
+//     (tier 1, daemon.tier_spill); past throttleAt the client is told to
 //     pace itself (tier 2, session.Throttle); only a backlog of
-//     SpillLimit disconnects (the last resort). Transitions are exported
+//     spillLimit disconnects (the last resort). Transitions are exported
 //     as daemon.tier_* metrics and flight-recorder events.
 //   - Reconnect with resume: every delivery carries a per-session
 //     sequence number (session.Seqd); a client that loses its TCP
@@ -61,7 +61,6 @@ import (
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
 	"accelring/internal/session"
-	"accelring/internal/shard"
 	"accelring/internal/transport"
 )
 
@@ -80,31 +79,9 @@ type Config struct {
 	// Shards > 1 (each ring needs its own ports). A single ring uses
 	// Ring.Transport when that is set.
 	NewTransport func(ring int) (transport.Transport, error)
-	// SkipInterval is the lambda-pacing tick of the cross-ring merge
-	// (Shards > 1 only): how often the daemon checks for idle rings that
-	// block the global order and, when it is the blocked ring's
-	// representative, orders a skip claim on it (default 2ms). Smaller
-	// values cut the latency a busy ring's messages wait on an idle one;
-	// larger values cut skip traffic.
-	SkipInterval time.Duration
-	// SkipAhead is how many virtual slots past the blocked head each
-	// skip claims (default merge.DefaultSkipAhead).
-	SkipAhead uint64
 	// Listener accepts client connections (TCP or Unix socket). The
 	// daemon takes ownership and closes it on Stop.
 	Listener net.Listener
-	// ClientBuffer is the per-session delivery backlog a session may run
-	// up at no cost: its send window starts out this large, and a backlog
-	// past it counts on daemon.tier_spill (default 1024).
-	ClientBuffer int
-	// SpillLimit caps the per-session delivery backlog; a session this
-	// far behind is disconnected as the last resort (default
-	// 16*ClientBuffer).
-	SpillLimit int
-	// ThrottleAt is the backlog watermark at which the client is sent a
-	// Throttle notification (default SpillLimit/2). The notification is
-	// withdrawn once the backlog halves again.
-	ThrottleAt int
 	// Key, when non-empty, authenticates every session frame with a
 	// truncated HMAC-SHA256 tag; clients must present the same key.
 	// Forged frames are counted on daemon.auth_drops and dropped, and
@@ -118,21 +95,36 @@ type Config struct {
 	// (connect, disconnect, tier transitions, resume, drain). The ring
 	// protocol's own flight events are wired through Ring.Observer.
 	Flight *obs.Recorder
+
+	// clientBuffer, spillLimit and throttleAt override the session-window
+	// watermarks of the same names (tests).
+	clientBuffer, spillLimit, throttleAt int
 }
+
+// Session-window watermarks, against a session's unsent delivery backlog.
+// clientBuffer is the backlog a session may run up at no cost: its send
+// window starts out this large, and a backlog past it counts on
+// daemon.tier_spill. At throttleAt the client is sent a Throttle
+// notification, withdrawn once the backlog halves again. A session
+// spillLimit behind is disconnected as the last resort.
+const (
+	clientBuffer = 1024
+	spillLimit   = 16 * clientBuffer
+	throttleAt   = spillLimit / 2
+)
 
 // Daemon is one host's ordering daemon.
 type Daemon struct {
 	cfg   Config
 	self  evs.ProcID
-	rings *shard.Group
 	ln    net.Listener
 	codec session.Codec
 
-	// core turns the rings' ordered streams into one globally ordered
-	// stream of ready-to-apply events, delivered to sink; pacerStop ends
-	// its pacing goroutine.
-	core      *groupcore.Core
-	pacerStop chan struct{}
+	// host runs the rings and the core that turns their ordered streams
+	// into one globally ordered stream of ready-to-apply events, delivered
+	// to sink; core is host.Core().
+	host *groupcore.Host
+	core *groupcore.Core
 
 	mu        sync.Mutex
 	clients   map[uint32]*clientConn
@@ -235,74 +227,39 @@ func Start(cfg Config) (*Daemon, error) {
 	if cfg.Listener == nil {
 		return nil, errors.New("daemon: nil listener")
 	}
-	if cfg.ClientBuffer <= 0 {
-		cfg.ClientBuffer = 1024
-	}
-	if cfg.SpillLimit <= cfg.ClientBuffer {
-		cfg.SpillLimit = 16 * cfg.ClientBuffer
-	}
-	if cfg.ThrottleAt <= 0 || cfg.ThrottleAt > cfg.SpillLimit {
-		cfg.ThrottleAt = cfg.SpillLimit / 2
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	if tr := cfg.Ring.Transport; cfg.Shards == 1 && tr != nil {
-		cfg.NewTransport = func(int) (transport.Transport, error) { return tr, nil }
+	cfg.Shards = max(cfg.Shards, 1)
+	if cfg.clientBuffer == 0 {
+		cfg.clientBuffer, cfg.spillLimit, cfg.throttleAt = clientBuffer, spillLimit, throttleAt
 	}
 	d := &Daemon{
-		cfg:       cfg,
-		self:      cfg.Ring.Self,
-		ln:        cfg.Listener,
-		codec:     session.NewCodec(cfg.Key),
-		clients:   make(map[uint32]*clientConn),
-		dm:        newDaemonMetrics(cfg.Obs),
-		pacerStop: make(chan struct{}),
+		cfg:     cfg,
+		self:    cfg.Ring.Self,
+		ln:      cfg.Listener,
+		codec:   session.NewCodec(cfg.Key),
+		clients: make(map[uint32]*clientConn),
+		dm:      newDaemonMetrics(cfg.Obs),
 	}
-	d.core = groupcore.New(groupcore.Config{
-		Shards:    cfg.Shards,
-		Self:      d.self,
-		Submit:    ringSubmitter{d},
-		Sink:      sink{d},
-		SkipAhead: cfg.SkipAhead,
-		Obs:       cfg.Obs,
-	})
-	rings, err := shard.Start(shard.Config{
+	host, err := groupcore.Start(groupcore.HostConfig{
 		Shards:       cfg.Shards,
-		Base:         cfg.Ring,
+		Ring:         cfg.Ring,
 		NewTransport: cfg.NewTransport,
-		OnEvent:      d.core.OnRingEvent,
+		Sink:         sink{d},
+		Obs:          cfg.Obs,
 	})
 	if err != nil {
 		return nil, err
 	}
-	d.rings = rings
-	d.wg.Add(2)
-	go func() {
-		defer d.wg.Done()
-		d.core.Run(cfg.SkipInterval, d.pacerStop)
-	}()
+	d.host, d.core = host, host.Core()
+	d.wg.Add(1)
 	go d.acceptLoop()
 	return d, nil
 }
 
-// ringSubmitter is the core's submit seam. It reads d.rings at call time:
-// the core exists before the rings start (they need its OnRingEvent), and
-// submits nothing until Start has stored them.
-type ringSubmitter struct{ d *Daemon }
-
-func (s ringSubmitter) Submit(ring int, payload []byte, svc evs.Service) error {
-	return s.d.rings.Submit(ring, payload, svc)
-}
-
-// Node exposes the underlying protocol node (ring 0's when sharded).
-func (d *Daemon) Node() *ringnode.Node { return d.rings.Node(0) }
-
 // Shards returns the daemon's ring-instance count.
-func (d *Daemon) Shards() int { return d.rings.Shards() }
+func (d *Daemon) Shards() int { return d.cfg.Shards }
 
 // RingNode exposes ring r's protocol node (status inspection).
-func (d *Daemon) RingNode(r int) *ringnode.Node { return d.rings.Node(r) }
+func (d *Daemon) RingNode(r int) *ringnode.Node { return d.host.RingNode(r) }
 
 // Addr returns the client listener's address.
 func (d *Daemon) Addr() net.Addr { return d.ln.Addr() }
@@ -310,10 +267,17 @@ func (d *Daemon) Addr() net.Addr { return d.ln.Addr() }
 // WaitOperational blocks until every one of the daemon's rings is
 // operational.
 func (d *Daemon) WaitOperational(timeout time.Duration) bool {
-	return d.rings.WaitOperational(timeout)
+	deadline := time.Now().Add(timeout)
+	for r := 0; r < d.Shards(); r++ {
+		if !d.RingNode(r).WaitState(membership.StateOperational, max(time.Until(deadline), time.Millisecond)) {
+			return false
+		}
+	}
+	return true
 }
 
-// Stop disconnects clients, stops the listener and the protocol node.
+// Stop disconnects clients, stops the listener, then the pacing loop and
+// the rings.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
 	if d.stopped {
@@ -328,12 +292,11 @@ func (d *Daemon) Stop() {
 	d.mu.Unlock()
 
 	d.ln.Close()
-	close(d.pacerStop)
 	for _, c := range clients {
 		d.shutdownClient(c)
 	}
 	d.wg.Wait()
-	d.rings.Stop()
+	d.host.Stop()
 }
 
 // shutdownClient tears the session down without the ordered-disconnect
@@ -421,8 +384,8 @@ func (d *Daemon) handleConnect(conn net.Conn, hello session.Connect) {
 		id:    group.ClientID{Daemon: d.self, Local: d.nextLocal},
 		name:  hello.Name,
 		token: newToken(),
-		out: newOutbox(d.cfg.ClientBuffer,
-			d.cfg.ThrottleAt, d.cfg.SpillLimit, sessionRetainLimit),
+		out: newOutbox(d.cfg.clientBuffer,
+			d.cfg.throttleAt, d.cfg.spillLimit, sessionRetainLimit),
 	}
 	d.clients[c.id.Local] = c
 	active := len(d.clients)
@@ -615,7 +578,7 @@ func (d *Daemon) handleRequest(c *clientConn, f session.Frame) bool {
 			return false
 		}
 		d.backpressure()
-		d.submitEnvelope(c, shard.RingOfClient(req.To.String(), d.Shards()), group.Envelope{
+		d.submitEnvelope(c, group.RingOfClient(req.To.String(), d.Shards()), group.Envelope{
 			Kind: group.OpPrivate, Sender: c.id, Target: req.To,
 			Payload: req.Payload,
 		}, svc)
@@ -643,7 +606,7 @@ func (d *Daemon) submitEnvelope(c *clientConn, ring int, env group.Envelope, svc
 		d.pushError(c, session.Error{Code: session.CodeBadRequest, Msg: err.Error()})
 		return
 	}
-	if err := d.rings.Submit(ring, enc, svc); err != nil {
+	if err := d.host.Submit(ring, enc, svc); err != nil {
 		code := session.CodeGeneric
 		if errors.Is(err, membership.ErrNotOperational) {
 			code = session.CodeNotReady
@@ -682,7 +645,7 @@ func (d *Daemon) sessionWriter(c *clientConn) {
 			// otherwise): the frame's bytes have reached the client
 			// socket. Replays after a reconnect re-record; the latency
 			// fold keeps the earliest stamp.
-			d.rings.Node(frames[i].traceRing).Observer().Stamp(obs.StageWriterFlush, frames[i].traceSeq, 0)
+			d.host.RingNode(frames[i].traceRing).Observer().Stamp(obs.StageWriterFlush, frames[i].traceSeq, 0)
 		}
 		d.afterTier(c, c.out.wroteBatch(conn, frames))
 	}
@@ -692,7 +655,7 @@ func (d *Daemon) sessionWriter(c *clientConn) {
 // write completion caused.
 func (d *Daemon) afterTier(c *clientConn, ch tierChange) {
 	if ch.overflow {
-		// Last resort: the backlog reached SpillLimit.
+		// Last resort: the backlog reached spillLimit.
 		d.dm.slowDisconns.Inc()
 		d.flight("slow_disconnect", c.id.Local, ch.queued)
 		d.dropClient(c)
@@ -801,7 +764,7 @@ type sink struct{ d *Daemon }
 // keyed) at write time.
 func (k sink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []group.ClientID) {
 	d := k.d
-	o := d.rings.Node(ring).Observer()
+	o := d.host.RingNode(ring).Observer()
 	// The span's merge stage: the envelope's globally ordered emission
 	// point (a slot copy under the recorder's own lock; nothing blocks).
 	o.Stamp(obs.StageMergeOut, seq, 0)
@@ -910,7 +873,7 @@ func (d *Daemon) rejectPrivate(env *group.Envelope) {
 	if env.Sender.Daemon == d.self {
 		return // sender is also gone; nobody to tell
 	}
-	d.core.SubmitAsync(shard.RingOfClient(env.Sender.String(), d.Shards()),
+	d.core.SubmitAsync(group.RingOfClient(env.Sender.String(), d.Shards()),
 		group.Envelope{Kind: group.OpPrivateReject, Sender: env.Target, Target: env.Sender})
 }
 
@@ -954,7 +917,7 @@ func (d *Daemon) backpressure() {
 func (d *Daemon) deepestQueue() int {
 	deepest := 0
 	for r := 0; r < d.Shards(); r++ {
-		if q := d.rings.Node(r).Status().QueueLen; q > deepest {
+		if q := d.host.RingNode(r).Status().QueueLen; q > deepest {
 			deepest = q
 		}
 	}

@@ -87,7 +87,7 @@ func TestDuplicateFramesThroughDaemons(t *testing.T) {
 	}
 	var tokDropped, dataDropped uint64
 	for _, d := range daemons {
-		st := d.Node().Status()
+		st := d.RingNode(0).Status()
 		tokDropped += st.Engine.TokensDropped
 		dataDropped += st.Engine.DataDropped
 	}

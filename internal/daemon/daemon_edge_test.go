@@ -28,7 +28,7 @@ func TestSlowClientIsDisconnected(t *testing.T) {
 	}
 	ringCfg := ringnode.Accelerated(1, ep, 10, 100, 7)
 	ringCfg.Timeouts = fastTimeouts()
-	d, err := Start(Config{Ring: ringCfg, Listener: ln, ClientBuffer: 4})
+	d, err := Start(Config{Ring: ringCfg, Listener: ln, clientBuffer: 4, spillLimit: 64, throttleAt: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

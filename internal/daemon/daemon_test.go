@@ -63,10 +63,10 @@ func startDaemonsOnHub(t *testing.T, n int, hub *transport.Hub) []*Daemon {
 	// Wait for all daemons to share one full ring.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(daemons[0].Node().Status().Ring.Members) == n {
+		if len(daemons[0].RingNode(0).Status().Ring.Members) == n {
 			ok := true
 			for _, d := range daemons[1:] {
-				if !d.Node().Status().Ring.Equal(daemons[0].Node().Status().Ring) {
+				if !d.RingNode(0).Status().Ring.Equal(daemons[0].RingNode(0).Status().Ring) {
 					ok = false
 				}
 			}

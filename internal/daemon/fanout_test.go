@@ -42,7 +42,7 @@ func pushMsg(t testing.TB, o *outbox, i int) tierChange {
 
 // TestOutboxBatchDrain: nextBatch peeks control first, then deliveries,
 // bounded by max; wroteBatch completes the whole batch, and the backlog
-// crossing ClientBuffer (4 here) is reported once in each direction.
+// crossing clientBuffer (4 here) is reported once in each direction.
 func TestOutboxBatchDrain(t *testing.T) {
 	o := newOutbox(4, 100, 100, 16)
 	conn := testConn(t)

@@ -302,9 +302,9 @@ func TestDrainSkipsDetachedSession(t *testing.T) {
 // gauges must return to zero instead of leaking forever.
 func TestSlowDisconnectSettlesGauges(t *testing.T) {
 	daemons, regs := startDaemonsObs(t, 1, func(cfg *Config) {
-		cfg.ClientBuffer = 4
-		cfg.SpillLimit = 24
-		cfg.ThrottleAt = 8
+		cfg.clientBuffer = 4
+		cfg.spillLimit = 24
+		cfg.throttleAt = 8
 	})
 	d := daemons[0]
 

@@ -65,10 +65,10 @@ func startDaemonsObs(t *testing.T, n int, mut func(*Config)) ([]*Daemon, []*obs.
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(daemons[0].Node().Status().Ring.Members) == n {
+		if len(daemons[0].RingNode(0).Status().Ring.Members) == n {
 			ok := true
 			for _, d := range daemons[1:] {
-				if !d.Node().Status().Ring.Equal(daemons[0].Node().Status().Ring) {
+				if !d.RingNode(0).Status().Ring.Equal(daemons[0].RingNode(0).Status().Ring) {
 					ok = false
 				}
 			}
@@ -287,9 +287,9 @@ func TestResumeRejectsBadCredentials(t *testing.T) {
 // disconnecting.
 func TestThrottleTierNotifications(t *testing.T) {
 	daemons, regs := startDaemonsObs(t, 1, func(cfg *Config) {
-		cfg.ClientBuffer = 4
-		cfg.SpillLimit = 512
-		cfg.ThrottleAt = 8
+		cfg.clientBuffer = 4
+		cfg.spillLimit = 512
+		cfg.throttleAt = 8
 	})
 	d := daemons[0]
 

@@ -52,10 +52,10 @@ type seqFrame struct {
 // while the lock is held, so On/Off can never be reordered by the
 // reporting goroutines.
 type tierChange struct {
-	// overflow: the backlog reached SpillLimit; disconnecting is the last
+	// overflow: the backlog reached spillLimit; disconnecting is the last
 	// resort left. The frame was NOT queued.
 	overflow bool
-	// spillStart/spillEnd: the backlog rose past ClientBuffer (tier 1) or
+	// spillStart/spillEnd: the backlog rose past clientBuffer (tier 1) or
 	// fell back to it.
 	spillStart, spillEnd bool
 	// throttleOn/throttleOff: the backlog reached the throttle watermark
@@ -83,7 +83,7 @@ var (
 // it back to head, so a re-send is the same walk as a first send. written
 // is the furthest any connection got (sent catches up with it and then
 // carries it along): only frames past it are backlog — the tiers
-// (ClientBuffer, ThrottleAt, SpillLimit) meter what the client has never
+// (clientBuffer, throttleAt, spillLimit) meter what the client has never
 // been sent, so a resume's re-sends can neither throttle nor overflow the
 // session. head trails written by at most retainLimit.
 //
@@ -115,7 +115,7 @@ type outbox struct {
 	overflowed bool
 	closed     bool
 
-	spillAt     int // tier-1 watermark on the delivery backlog (ClientBuffer)
+	spillAt     int // tier-1 watermark on the delivery backlog (clientBuffer)
 	throttleAt  int // tier-2 watermark on the delivery backlog
 	spillLimit  int // hard cap on the delivery backlog
 	retainLimit int // cap on written-but-unacked frames kept for a resume

@@ -87,7 +87,7 @@ func TestOutboxShutdownReportsTiersOnce(t *testing.T) {
 		t.Fatal("attach refused")
 	}
 	for i := 0; i < 5; i++ {
-		pushMsg(t, o, i) // backlog 5: past ClientBuffer 2 and the throttle watermark 3
+		pushMsg(t, o, i) // backlog 5: past clientBuffer 2 and the throttle watermark 3
 	}
 	c, spilling, throttled := o.shutdown()
 	if c != conn || !spilling || !throttled {

@@ -21,7 +21,7 @@ func startShardedDaemons(t testing.TB, n, shards int) []*Daemon {
 }
 
 // startShardedDaemonsCfg is startShardedDaemons with a config hook, so
-// benchmarks can tune the merge pacing knobs.
+// tests can observe the daemons.
 func startShardedDaemonsCfg(t testing.TB, n, shards int, tune func(*Config)) []*Daemon {
 	t.Helper()
 	hubs := make([]*transport.Hub, shards)

@@ -12,10 +12,10 @@ package daemon
 //     traffic in flight: ns/op IS the blackout window (Begin submitted →
 //     globally ordered close emitted locally).
 //
-// The merged benchmarks tighten the lambda pacing (SkipInterval 100µs,
-// SkipAhead 256) the way a throughput-tuned deployment would, so the
-// figure measures merge bookkeeping rather than the idle-ring pacing
-// interval. A developer tool (EXPERIMENTS.md has the command lines); the
+// Every benchmark runs the production lambda pacing (a skip claim of
+// merge.DefaultSkipAhead slots every groupcore.DefaultSkipInterval), so
+// the merged figures include the idle-ring pacing interval a deployment
+// pays. A developer tool (EXPERIMENTS.md has the command lines); the
 // tracked figures are the end-to-end benchmark's sharded row and merge.*
 // per-layer rows.
 
@@ -28,12 +28,6 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/group"
 )
-
-// xringTune is the pacing configuration the merged benchmarks run with.
-func xringTune(cfg *Config) {
-	cfg.SkipInterval = 100 * time.Microsecond
-	cfg.SkipAhead = 256
-}
 
 // drainCount consumes the client's event stream, signalling done when
 // `want` messages have arrived.
@@ -54,7 +48,7 @@ func drainCount(c *client.Client, want int, done chan<- struct{}) {
 // message. With shards > 1 the subscriber's groups span the rings, so
 // every delivery flows through the cross-ring merger.
 func benchDelivery(b *testing.B, shards int) {
-	daemons := startShardedDaemonsCfg(b, 2, shards, xringTune)
+	daemons := startShardedDaemons(b, 2, shards)
 	pub := dial(b, daemons[0], "pub")
 	sub := dial(b, daemons[1], "sub")
 	groups := []string{"g-0"}
@@ -99,7 +93,7 @@ func BenchmarkXRingMergedDelivery(b *testing.B) { benchDelivery(b, 2) }
 // the ordered close, re-home the membership state, replay the buffered
 // target-ring traffic. ns/op is the migration blackout window.
 func BenchmarkXRingMigrationBlackout(b *testing.B) {
-	daemons := startShardedDaemonsCfg(b, 2, 2, xringTune)
+	daemons := startShardedDaemons(b, 2, 2)
 	g := "g-0"
 	alice := dial(b, daemons[0], "alice")
 	bob := dial(b, daemons[1], "bob")

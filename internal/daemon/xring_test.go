@@ -10,7 +10,6 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/group"
 	"accelring/internal/groupcore"
-	"accelring/internal/shard"
 )
 
 // collectPayloads drains n Message deliveries from c, in order.
@@ -185,7 +184,7 @@ func TestPrivateSameRingFIFOWithMerge(t *testing.T) {
 	bob := dial(t, daemons[1], "bob")
 
 	// Pick a group whose ring coincides with bob's private-delivery ring.
-	pr := shard.RingOfClient(bob.ID().String(), 2)
+	pr := group.RingOfClient(bob.ID().String(), 2)
 	g := ""
 	for i := 0; i < 64 && g == ""; i++ {
 		if cand := fmt.Sprintf("g-%d", i); group.RingOf(cand, 2) == pr {

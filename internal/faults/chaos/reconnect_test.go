@@ -81,10 +81,10 @@ func startCluster(t *testing.T, n int, key []byte) ([]*daemon.Daemon, []*obs.Reg
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(daemons[0].Node().Status().Ring.Members) == n {
+		if len(daemons[0].RingNode(0).Status().Ring.Members) == n {
 			ok := true
 			for _, d := range daemons[1:] {
-				if !d.Node().Status().Ring.Equal(daemons[0].Node().Status().Ring) {
+				if !d.RingNode(0).Status().Ring.Equal(daemons[0].RingNode(0).Status().Ring) {
 					ok = false
 				}
 			}

@@ -34,6 +34,11 @@ func RingOf(group string, shards int) int {
 	return int(h.Sum64() % uint64(shards))
 }
 
+// RingOfClient routes client-addressed (private) traffic by the stable
+// string form of an identity, spreading point-to-point load across rings
+// with the same everywhere-identical guarantee as RingOf.
+func RingOfClient(id string, shards int) int { return RingOf(id, shards) }
+
 // ShardedTable partitions the replicated group-membership state of a
 // sharded daemon: one Table per ring. The default placement is RingOf
 // (pure hash), and live migration (PR 9) can re-home individual groups

@@ -10,9 +10,10 @@
 // The core is passive. It starts no goroutine and reads no clock: its host
 // feeds it ring events (OnRingEvent), calls Pace when time has passed, and
 // receives the globally ordered result through a Sink. That is what lets
-// the chaos harness run the production path under virtual time. The two
-// helpers that do block on real time, Run and Migrate, live in host.go and
-// only call the passive methods.
+// the chaos harness run the production path under virtual time. What does
+// run on real time lives in host.go: Host, which starts the rings and the
+// pacing loop around one Core for the facade and the daemon alike, and
+// Migrate, which only calls the passive methods.
 //
 // # Locking
 //
@@ -35,7 +36,7 @@ import (
 	"accelring/internal/shard/merge"
 )
 
-// Submitter orders a payload on one ring. shard.Group is the production
+// Submitter orders a payload on one ring. Host is the production
 // implementation; the chaos harness submits to its virtual-time machines.
 type Submitter interface {
 	Submit(ring int, payload []byte, svc evs.Service) error
@@ -80,8 +81,6 @@ type Config struct {
 	Submit Submitter
 	// Sink receives the ordered output.
 	Sink Sink
-	// SkipAhead overrides merge.DefaultSkipAhead when > 0.
-	SkipAhead uint64
 	// Obs registers merge.* metrics when non-nil.
 	Obs *obs.Registry
 }
@@ -107,7 +106,7 @@ type Core struct {
 	// ctl holds control envelopes queued at emission points (migration
 	// acks, frontier announcements) or by the host (disconnects, private
 	// rejections) until the next Pace submits them, FIFO — so an ack never
-	// overtakes the traffic it drains. wake nudges Run.
+	// overtakes the traffic it drains. wake nudges the host's pacing loop.
 	qmu  sync.Mutex
 	ctl  []ctlEnv
 	wake chan struct{}
@@ -125,12 +124,11 @@ func New(cfg Config) *Core {
 		wake:   make(chan struct{}, 1),
 	}
 	c.merger = merge.New(merge.Config{
-		Shards:    cfg.Shards,
-		Self:      cfg.Self,
-		Table:     c.table,
-		Out:       (*mergeOut)(c),
-		SkipAhead: cfg.SkipAhead,
-		Obs:       cfg.Obs,
+		Shards: cfg.Shards,
+		Self:   cfg.Self,
+		Table:  c.table,
+		Out:    (*mergeOut)(c),
+		Obs:    cfg.Obs,
 	})
 	return c
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"accelring/internal/evs"
 	"accelring/internal/group"
@@ -385,31 +384,5 @@ func TestPaceRetriesRefusedControlInOrder(t *testing.T) {
 	want := []string{"r0 disconnect []", "r1 private_reject []"}
 	if !reflect.DeepEqual(sub.got, want) || core.Queued() != 0 {
 		t.Fatalf("submitted %v (queued %d), want %v", sub.got, core.Queued(), want)
-	}
-}
-
-// TestRunSubmitsQueuedControl: Run wakes for a queued control envelope
-// even on a single ring (which has no pacing ticker) and returns when
-// stopped.
-func TestRunSubmitsQueuedControl(t *testing.T) {
-	core, _, sub := newTestCore(1)
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		core.Run(0, stop)
-	}()
-	core.SubmitAsync(0, group.Envelope{Kind: group.OpDisconnect, Sender: cid(1, 1)})
-	deadline := time.Now().Add(5 * time.Second)
-	for sub.count() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("Run never submitted the queued envelope")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after stop")
 	}
 }

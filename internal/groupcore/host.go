@@ -1,44 +1,152 @@
 package groupcore
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"time"
+
+	"accelring/internal/evs"
+	"accelring/internal/obs"
+	"accelring/internal/ringnode"
+	"accelring/internal/transport"
 )
 
-// The real-time half a production host runs around the passive core. The
-// chaos harness uses neither: it calls Pace and BeginMigrate from its own
-// virtual-time loop.
+// Host is the core's one real-time host, for the library facade and the
+// daemon alike: N independent ring instances (the Multi-Ring scaling
+// pattern of "Stretching Multi-Ring Paxos"), each a full ringnode bundle
+// with its own transport so one ring's membership incidents never stall
+// another, their streams merged by one Core, and the pacing loop. The
+// chaos harness drives the passive Core from its own virtual-time loop.
+type Host struct {
+	core  *Core
+	nodes []*ringnode.Node
 
-// DefaultSkipInterval is Run's lambda-pacing tick.
-const DefaultSkipInterval = 2 * time.Millisecond
+	// stop ends the pacing loop and done reports that it has; both stay
+	// nil until the loop starts, the last step of a successful Start.
+	stop, done chan struct{}
+	stopOnce   sync.Once
+}
 
-// MigrateTimeout bounds how long Migrate waits for the ordered close.
-const MigrateTimeout = 30 * time.Second
+const (
+	// MaxShards bounds the ring count: sharding wins by multiplying rings a
+	// few times over, not by spraying hundreds of tokens through one host.
+	MaxShards = 64
+	// DefaultSkipInterval is the pacing loop's lambda-pacing tick.
+	DefaultSkipInterval = 2 * time.Millisecond
+	// MigrateTimeout bounds how long Migrate waits for the ordered close.
+	MigrateTimeout = 30 * time.Second
+)
 
-// Run is the pacing loop: it calls Pace every interval (the merge's lambda
-// pacing; non-positive takes DefaultSkipInterval) and whenever a control
-// envelope is queued, until stop closes. With one ring nothing ever needs
-// pacing, so no ticker runs and the loop only wakes for queued envelopes.
-// The host runs it on a goroutine of its own; only one Run per core.
-func (c *Core) Run(interval time.Duration, stop <-chan struct{}) {
-	var tick <-chan time.Time
-	if c.shards > 1 {
-		if interval <= 0 {
-			interval = DefaultSkipInterval
+// HostConfig parameterizes a Host.
+type HostConfig struct {
+	// Shards is the ring count, in [1, MaxShards].
+	Shards int
+	// Ring is the per-ring template (Self, windows, timeouts, an Observer
+	// all rings share). One ring runs it as given, over its Transport when
+	// set; with more, ring r runs Ring.ForRing(r). The host owns OnEvent.
+	Ring ringnode.Config
+	// NewTransport opens ring r's own transport binding: rings are
+	// independent precisely because their frames never mix.
+	NewTransport func(ring int) (transport.Transport, error)
+	// Sink receives the globally ordered output.
+	Sink Sink
+	// Obs registers merge.* metrics when non-nil.
+	Obs *obs.Registry
+}
+
+// Start opens every ring's transport, starts every ring, builds the core
+// over them and runs its pacing loop. On any failure the rings already
+// started are stopped (closing their transports).
+func Start(cfg HostConfig) (*Host, error) {
+	if cfg.Shards < 1 || cfg.Shards > MaxShards {
+		return nil, fmt.Errorf("groupcore: ring count %d out of range [1, %d]", cfg.Shards, MaxShards)
+	}
+	open := cfg.NewTransport
+	if tr := cfg.Ring.Transport; cfg.Shards == 1 && tr != nil {
+		open = func(int) (transport.Transport, error) { return tr, nil }
+	}
+	if open == nil {
+		return nil, errors.New("groupcore: nil NewTransport")
+	}
+	h := &Host{}
+	h.core = New(Config{Shards: cfg.Shards, Self: cfg.Ring.Self, Submit: h, Sink: cfg.Sink, Obs: cfg.Obs})
+	for r := 0; r < cfg.Shards; r++ {
+		tr, err := open(r)
+		if err != nil {
+			h.Stop()
+			return nil, fmt.Errorf("groupcore: ring %d transport: %w", r, err)
 		}
-		t := time.NewTicker(interval)
+		rc := cfg.Ring
+		if cfg.Shards > 1 {
+			rc = cfg.Ring.ForRing(r)
+		}
+		rc.Transport, rc.OnEvent = tr, func(ev evs.Event) { h.core.OnRingEvent(r, ev) }
+		n, err := ringnode.Start(rc)
+		if err != nil {
+			tr.Close()
+			h.Stop()
+			return nil, fmt.Errorf("groupcore: ring %d: %w", r, err)
+		}
+		h.nodes = append(h.nodes, n)
+	}
+	h.stop, h.done = make(chan struct{}), make(chan struct{})
+	go h.run()
+	return h, nil
+}
+
+// run is the pacing loop: it calls Pace every DefaultSkipInterval (the
+// merge's lambda pacing) and whenever a control envelope is queued, until
+// Stop. One ring never needs pacing, so it only ticks while a control
+// envelope the ring refused (it was re-forming) awaits a retry.
+func (h *Host) run() {
+	defer close(h.done)
+	var tick, retry <-chan time.Time
+	if h.core.shards > 1 {
+		t := time.NewTicker(DefaultSkipInterval)
 		defer t.Stop()
 		tick = t.C
 	}
 	for {
 		select {
-		case <-stop:
+		case <-h.stop:
 			return
 		case <-tick:
-		case <-c.wake:
+		case <-retry:
+		case <-h.core.wake:
 		}
-		c.Pace()
+		h.core.Pace()
+		if retry = nil; tick == nil && h.core.Queued() > 0 {
+			retry = time.After(DefaultSkipInterval)
+		}
 	}
+}
+
+// Core returns the ordered-group core the host feeds.
+func (h *Host) Core() *Core { return h.core }
+
+// RingNode returns ring r's protocol node (status inspection, observer).
+func (h *Host) RingNode(r int) *ringnode.Node { return h.nodes[r] }
+
+// Submit orders a payload on ring r in that ring's total order: the core's
+// Submitter. Safe for any goroutine.
+func (h *Host) Submit(r int, payload []byte, svc evs.Service) error {
+	return h.nodes[r].Submit(payload, svc)
+}
+
+// Stop stops the pacing loop, then every ring (closing its transport), and
+// waits for all of them: once it returns no Sink method runs. It is
+// idempotent and safe on a partially started host.
+func (h *Host) Stop() {
+	h.stopOnce.Do(func() {
+		if h.stop != nil {
+			close(h.stop)
+			<-h.done
+		}
+		for _, n := range h.nodes {
+			n.Stop()
+		}
+	})
 }
 
 // Migrate re-homes a group onto another ring with no loss, duplication or

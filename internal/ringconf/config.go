@@ -17,7 +17,6 @@ import (
 	"accelring/internal/membership"
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
-	"accelring/internal/shard"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
 )
@@ -88,19 +87,6 @@ type Config struct {
 	// Wire.ShardStride*r.
 	Shards int
 
-	// SkipInterval is the lambda-pacing tick of the cross-ring merge
-	// (Shards > 1 only): how often the node checks for idle rings that
-	// block the global delivery order and, when it is the blocked ring's
-	// representative, orders a skip claim on it (default 2ms). Smaller
-	// values cut the latency a busy ring's messages wait on an idle
-	// one; larger values cut skip traffic.
-	SkipInterval time.Duration
-	// SkipAhead is how many virtual slots past the blocked head each
-	// skip claims (default 32). Larger values cut skip traffic on quiet
-	// rings at the cost of letting a quiet ring's next real message
-	// order later relative to busy rings.
-	SkipAhead uint64
-
 	// Wire is the unified transport configuration: transport
 	// (in-process or UDP), addressing, per-shard port stride, syscall
 	// batching, and adaptive message packing. See WireConfig and WithWire.
@@ -158,8 +144,8 @@ func (c *Config) Validate() error {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
-	if c.Shards < 1 || c.Shards > shard.MaxShards {
-		return fmt.Errorf("%w: Shards %d out of range [1, %d]", ErrBadShards, c.Shards, shard.MaxShards)
+	if c.Shards < 1 || c.Shards > groupcore.MaxShards {
+		return fmt.Errorf("%w: Shards %d out of range [1, %d]", ErrBadShards, c.Shards, groupcore.MaxShards)
 	}
 
 	// Defaults.
@@ -177,12 +163,6 @@ func (c *Config) Validate() error {
 	}
 	if c.EventBuffer == 0 {
 		c.EventBuffer = DefaultEventBuffer
-	}
-	if c.SkipInterval < 0 {
-		return fmt.Errorf("%w: got %v", ErrBadTimeout, c.SkipInterval)
-	}
-	if c.SkipInterval == 0 {
-		c.SkipInterval = groupcore.DefaultSkipInterval
 	}
 
 	// Windows.
@@ -251,8 +231,8 @@ func (c *Config) Stack() (ringnode.Config, func(ring int) (transport.Transport, 
 		flight = obs.NewRecorder(0)
 	}
 	if c.Observer != nil || c.TraceSampling > 0 {
-		// shard.Start derives one observer per ring of a sharded node from
-		// this one (Msg here only carries the sampling rate).
+		// groupcore.Start derives one observer per ring of a sharded node
+		// from this one (Msg here only carries the sampling rate).
 		rc.Observer = &obs.RingObserver{Reg: c.Observer, Flight: flight, Msg: obs.NewMsgTracer(c.TraceSampling, 0)}
 	}
 	// Ring r runs over its hub transport or UDP sockets per udpConfig,

@@ -1,7 +1,8 @@
 // Package merge gives a sharded deployment back the paper's single total
 // order: a deterministic merger that consumes the per-ring Agreed/Safe
-// delivery streams of a shard.Group and emits ONE globally ordered stream,
-// the way "Stretching Multi-Ring Paxos" merges independent Paxos rings.
+// delivery streams of a node's rings (groupcore.Host) and emits ONE
+// globally ordered stream, the way "Stretching Multi-Ring Paxos" merges
+// independent Paxos rings.
 //
 // # Merge order
 //
@@ -21,8 +22,8 @@
 // any message but consumes no slot: it raises the ring's virtual frontier
 // to its Arg (max-merged, so duplicate or stale skips are harmless),
 // telling the merge "this ring will order nothing below Arg". Claims are
-// issued SkipAhead slots past the blocked head so a quiet ring does not
-// need one skip per foreign message, and any blocked member of the idle
+// issued DefaultSkipAhead slots past the blocked head so a quiet ring does
+// not need one skip per foreign message, and any blocked member of the idle
 // ring may claim (blockedness is per-daemon after a partition, so a
 // designated claimer could deadlock). At every regular configuration
 // change each member announces its frontier with an OpFrontier anchored
@@ -118,8 +119,6 @@ type Config struct {
 	Self   evs.ProcID
 	Table  *group.ShardedTable
 	Out    Out
-	// SkipAhead overrides DefaultSkipAhead when > 0.
-	SkipAhead uint64
 	// Obs registers merge.* metrics when non-nil.
 	Obs *obs.Registry
 }
@@ -216,8 +215,7 @@ type migration struct {
 // goroutine; emission happens inline under the merger's lock in whichever
 // push completes an emission.
 type Merger struct {
-	cfg   Config
-	ahead uint64
+	cfg Config
 
 	mu       sync.Mutex
 	rings    []ringState
@@ -246,10 +244,6 @@ type Merger struct {
 // degenerate merge: every item emits at its own push, nothing ever blocks,
 // and no skip or frontier traffic exists.
 func New(cfg Config) *Merger {
-	ahead := cfg.SkipAhead
-	if ahead == 0 {
-		ahead = DefaultSkipAhead
-	}
 	frontG := make([]*obs.Gauge, cfg.Shards)
 	for ri := range frontG {
 		name := "merge.frontier" // one ring: unlabelled, like its other series
@@ -260,7 +254,6 @@ func New(cfg Config) *Merger {
 	}
 	return &Merger{
 		cfg:        cfg,
-		ahead:      ahead,
 		rings:      make([]ringState, cfg.Shards),
 		migs:       make(map[string]*migration),
 		migEpoch:   make(map[string]uint64),
@@ -653,7 +646,7 @@ type Want struct {
 }
 
 // Wants reports the skips this daemon should submit right now: for every
-// idle ring that blocks OUR current head, a claim SkipAhead past the
+// idle ring that blocks OUR current head, a claim DefaultSkipAhead past the
 // head. Any blocked member of the idle ring may claim — blockedness is a
 // per-daemon condition (partition-era frontier divergence can leave one
 // daemon's merge blocked where another's, including the ring
@@ -681,7 +674,7 @@ func (m *Merger) Wants(dst []Want) []Want {
 		if !r.haveCfg || !contains(r.cfg.Members, m.cfg.Self) {
 			continue // cannot order a claim on a ring we are not part of
 		}
-		target := bs + m.ahead
+		target := bs + DefaultSkipAhead
 		if r.pendingSkipTarget >= target {
 			if r.pendingSkipAge < skipRetryTicks {
 				r.pendingSkipAge++

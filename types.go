@@ -3,11 +3,11 @@ package accelring
 import (
 	"accelring/internal/evs"
 	"accelring/internal/group"
+	"accelring/internal/groupcore"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
 	"accelring/internal/pack"
 	"accelring/internal/ringconf"
-	"accelring/internal/shard"
 	"accelring/internal/transport"
 )
 
@@ -121,7 +121,7 @@ const (
 	DefaultAcceleratedWindow = ringconf.DefaultAcceleratedWindow
 	DefaultEventBuffer       = ringconf.DefaultEventBuffer
 	DefaultShardStride       = ringconf.DefaultShardStride
-	MaxShards                = shard.MaxShards
+	MaxShards                = groupcore.MaxShards
 )
 
 // Delivery service levels, in increasing strength. The ring totally orders
