@@ -17,14 +17,17 @@ test:
 	$(GO) test ./...
 
 # The transports, the fault injector, the protocol step and its two hosts
-# (the real-time goroutine and the simulator), the cross-ring merge, the
-# ordered-group core and its host (N protocol goroutines and a pacer),
-# the daemon's client layer (a reader and a writer goroutine per session
+# (the real-time goroutine, whose submission queue any goroutine feeds,
+# and the simulator), the cross-ring merge, the ordered-group core and its
+# host (N protocol goroutines that submit to one another's queues at
+# emission points, and a pacer), the library facade (application
+# goroutines submitting into queues the ring goroutines drain), the
+# daemon's client layer (a reader and a writer goroutine per session
 # around one send window) and the recorder every one of them writes into
 # are the concurrency hot spots; keep them under the race detector even
 # when the full -race run is too slow for the inner loop.
 race:
-	$(GO) test -race ./internal/transport/... ./internal/faults/... ./internal/ringnode/... ./internal/simproc/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/... ./internal/obs/...
+	$(GO) test -race . ./internal/transport/... ./internal/faults/... ./internal/ringnode/... ./internal/simproc/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/... ./internal/obs/...
 
 # The full suite under the race detector (CI runs this as its own job).
 # The benchmark's quick pass drives real daemons against wall-clock

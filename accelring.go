@@ -304,31 +304,25 @@ func (n *Node) Send(service Service, payload []byte, groups ...string) error {
 
 // submit hands the envelope to the owning ring through the core.
 func (n *Node) submit(ring int, env *group.Envelope, svc Service) error {
-	return n.ringCall(ring, func() error { return n.core.Submit(ring, env, svc) })
+	return n.ringCall(func() error { return n.core.Submit(ring, env, svc) })
 }
 
-// ringCall runs an operation that orders something on ring, translating
-// the driver's errors into the public sentinels.
-func (n *Node) ringCall(ring int, op func() error) error {
+// ringCall runs an operation that orders something on a ring, translating
+// the driver's errors into the public sentinels. Rings never block a
+// submitter, so a caller that outruns them first waits in Host.Paced.
+func (n *Node) ringCall(op func() error) error {
 	select {
 	case <-n.done:
 		return ErrClosed
 	default:
 	}
+	n.host.Paced()
 	err := op()
 	switch {
 	case errors.Is(err, ringnode.ErrStopped):
 		return ErrClosed
 	case errors.Is(err, membership.ErrNotOperational):
-		n.mu.Lock()
-		last := n.lastViews[ring]
-		n.mu.Unlock()
-		if last.IsZero() {
-			return ErrNotReady
-		}
-		// The ring this node was operating in dissolved and the new one
-		// is still forming.
-		return &MembershipChangedError{OldView: last}
+		return ErrNotReady // a formed ring never refuses again
 	default:
 		return err
 	}
@@ -451,7 +445,7 @@ func (nodeSink) Migrated(string, int, int) {}
 // call returning early (timeout): the protocol completes or voids
 // deterministically on every node regardless.
 func (n *Node) Migrate(groupName string, ring int) error {
-	return n.ringCall(n.core.RingOfGroup(groupName), func() error { return n.core.Migrate(groupName, ring) })
+	return n.ringCall(func() error { return n.core.Migrate(groupName, ring) })
 }
 
 // RingOfGroup reports which ring instance currently owns a group: its

@@ -22,8 +22,9 @@
 //
 // Configuration is validated up front (Config.Validate); failures on the
 // request paths use exported sentinels (ErrClosed, ErrNotReady,
-// ErrNotMember, ...) and the typed *MembershipChangedError, so callers
-// branch with errors.Is and errors.As. Passing a metrics Registry via
+// ErrNotMember, ...), so callers branch with errors.Is. A ring that
+// re-forms after a partition, merge or crash queues Join/Leave/Send and
+// orders them once it has formed again. Passing a metrics Registry via
 // WithObserver enables counters, latency histograms, and token-round
 // traces, served over HTTP by StartDebugServer at /debug/vars,
 // /debug/ring, and /debug/pprof.

@@ -9,8 +9,7 @@ import (
 	"accelring/internal/ringconf"
 )
 
-// Sentinel errors returned by the public API. Branch with errors.Is; for
-// membership transitions use errors.As with *MembershipChangedError.
+// Sentinel errors returned by the public API. Branch with errors.Is.
 var (
 	// ErrClosed is returned by every method after Close (or after the
 	// node failed terminally; Err explains why).
@@ -47,9 +46,9 @@ var (
 	ErrBadWire       = ringconf.ErrBadWire      // invalid wire knob
 )
 
-// MembershipChangedError is returned by Join/Leave/Send while the ring is
-// re-forming after a partition, merge, or crash: the view the operation
-// was issued in no longer exists. Detect it with errors.As, wait for the
-// next ViewChange event, and retry. NewView is zero while the replacement
-// configuration is still being agreed on.
+// MembershipChangedError reports an operation that could not complete in
+// the view it was issued in; it is the decoded form of the session
+// protocol's CodeMembershipChanged error. Node's Join/Leave/Send never
+// return it: a ring re-forming after a partition, merge, or crash queues
+// them and orders them once it has formed again.
 type MembershipChangedError = evs.MembershipChangedError

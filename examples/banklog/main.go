@@ -159,8 +159,11 @@ func (r *replica) onEvent(ev evs.Event) {
 		r.buffer = nil
 		fmt.Printf("replica %d: configuration %v (leader=%v)\n", r.id, e.Config, r.leader)
 		if r.leader {
-			// Kick off state transfer for the new configuration.
-			go r.node.Submit(encodeMarker(r.epoch), evs.Safe)
+			// Kick off state transfer for the new configuration. Submit
+			// only queues, so the handler may call it.
+			if err := r.node.Submit(encodeMarker(r.epoch), evs.Safe); err != nil {
+				log.Printf("replica %d: marker: %v", r.id, err)
+			}
 		}
 	case evs.Message:
 		r.onMessage(e)
@@ -190,7 +193,9 @@ func (r *replica) onMessage(e evs.Message) {
 		r.buffer = nil
 		if r.leader {
 			snap := encodeSnapshot(epoch, r.applied, cloneBalances(r.balances))
-			go r.node.Submit(snap, evs.Safe)
+			if err := r.node.Submit(snap, evs.Safe); err != nil {
+				log.Printf("replica %d: snapshot: %v", r.id, err)
+			}
 		}
 	case len(e.Payload) > 0 && e.Payload[0] == kindSnapshot:
 		epoch, applied, balances, ok := decodeSnapshot(e.Payload)

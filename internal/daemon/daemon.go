@@ -731,11 +731,15 @@ func (d *Daemon) dropClient(c *clientConn) {
 		}
 		d.dm.clients.Add(-1)
 		d.flight("disconnect", c.id.Local, 0)
-		// One copy, ordered on ring 0 and applied to every partition at
-		// its single global emission point. Queued, not submitted here:
-		// drops can originate on a ring's own event goroutine (overflow
-		// during delivery), where a synchronous Submit would deadlock.
-		d.core.SubmitAsync(0, group.Envelope{Kind: group.OpDisconnect, Sender: c.id})
+		// One copy, applied to every partition at its single emission
+		// point, on the first ring that takes it: if none does, none ever
+		// took a join of this client either (formation is monotonic).
+		bye := group.Envelope{Kind: group.OpDisconnect, Sender: c.id}
+		for r := 0; r < d.Shards(); r++ {
+			if d.core.Submit(r, &bye, evs.Agreed) == nil {
+				break
+			}
+		}
 	})
 }
 
@@ -753,7 +757,7 @@ func (d *Daemon) localClient(id group.ClientID) *clientConn {
 // sink is the Daemon seen as the core's ordered-event sink. Its methods run
 // at globally ordered emission points with the merger's lock held; none of
 // them blocks (outboxes overflow rather than wait) or reenters the core
-// beyond SubmitAsync.
+// beyond Submit, which only queues on a ring.
 type sink struct{ d *Daemon }
 
 // Message fans one ordered delivery out to the local sessions in its
@@ -802,7 +806,7 @@ func (k sink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64
 	if sh != nil {
 		sh.Unref() // creator's reference; outboxes hold their own
 	} else if env.Kind == group.OpPrivate && env.Target.Daemon == d.self {
-		d.rejectPrivate(env)
+		d.rejectPrivate(ring, env)
 	}
 }
 
@@ -860,8 +864,9 @@ func (d *Daemon) RingOfGroup(g string) int { return d.core.RingOfGroup(g) }
 // rejectPrivate handles a Private whose target — one of ours — is gone:
 // count it, flight-record it, and send the sender a non-fatal rejection.
 // Only the target's host daemon detects this, so for remote senders the
-// rejection rides the ring as an ordered OpPrivateReject.
-func (d *Daemon) rejectPrivate(env *group.Envelope) {
+// rejection rides the carrier ring (formed: it just delivered the private)
+// as an ordered OpPrivateReject.
+func (d *Daemon) rejectPrivate(ring int, env *group.Envelope) {
 	d.dm.privateDrops.Inc()
 	d.flight("private_drop", env.Target.Local, 0)
 	if c := d.localClient(env.Sender); c != nil {
@@ -873,53 +878,28 @@ func (d *Daemon) rejectPrivate(env *group.Envelope) {
 	if env.Sender.Daemon == d.self {
 		return // sender is also gone; nobody to tell
 	}
-	d.core.SubmitAsync(group.RingOfClient(env.Sender.String(), d.Shards()),
-		group.Envelope{Kind: group.OpPrivateReject, Sender: env.Target, Target: env.Sender})
+	_ = d.core.Submit(ring, &group.Envelope{Kind: group.OpPrivateReject, Sender: env.Target, Target: env.Sender}, evs.Agreed)
 }
 
-// Pacing bounds for backpressure: past backpressureQueueMax queued
-// protocol frames the client reader sleeps in backpressureTick steps,
-// but never more than backpressureMaxWait per frame — a wedged ring must
-// not hang client readers forever.
-const (
-	backpressureQueueMax = 512
-	backpressureMaxWait  = 2 * time.Second
-	backpressureTick     = time.Millisecond
-)
+// backpressureMaxWait bounds how long backpressure holds a client reader
+// per frame: a wedged ring must not hang client readers forever.
+const backpressureMaxWait = groupcore.PaceMaxWait
 
 // backpressure paces client ingestion while the protocol's send queue is
 // deep: not reading from the client socket makes TCP push back on the
 // sender, which is Spread's session flow control in spirit. Without it a
-// flooding client would balloon the daemon's memory. Each wait tick is
-// counted on daemon.backpressure_waits; daemon.backpressure_active holds
-// how many client readers are pacing right now and
-// daemon.backpressure_queue the deepest queue last seen.
+// flooding client would balloon the daemon's memory. The wait is the
+// host's (groupcore.Host.Paced), which the facade's senders meet too.
+// Each wait tick is counted on daemon.backpressure_waits;
+// daemon.backpressure_active holds how many client readers are pacing
+// right now and daemon.backpressure_queue the deepest queue last seen.
 func (d *Daemon) backpressure() {
-	deepest := d.deepestQueue()
-	d.dm.backQueue.Set(int64(deepest))
-	if deepest < backpressureQueueMax {
+	if deepest := d.host.Backlog(); deepest < groupcore.PaceBacklog {
+		d.dm.backQueue.Set(int64(deepest))
 		return
 	}
 	d.dm.backActive.Add(1)
-	defer d.dm.backActive.Add(-1)
-	deadline := time.Now().Add(backpressureMaxWait)
-	for {
-		d.dm.backWaits.Inc()
-		time.Sleep(backpressureTick)
-		deepest = d.deepestQueue()
-		d.dm.backQueue.Set(int64(deepest))
-		if deepest < backpressureQueueMax || !time.Now().Before(deadline) {
-			return
-		}
-	}
-}
-
-func (d *Daemon) deepestQueue() int {
-	deepest := 0
-	for r := 0; r < d.Shards(); r++ {
-		if q := d.host.RingNode(r).Status().QueueLen; q > deepest {
-			deepest = q
-		}
-	}
-	return deepest
+	d.dm.backWaits.Add(uint64(d.host.Paced()))
+	d.dm.backActive.Add(-1)
+	d.dm.backQueue.Set(int64(d.host.Backlog()))
 }

@@ -8,7 +8,9 @@ import (
 
 	"accelring/internal/client"
 	"accelring/internal/evs"
+	"accelring/internal/faults"
 	"accelring/internal/group"
+	"accelring/internal/membership"
 	"accelring/internal/ringnode"
 	"accelring/internal/transport"
 )
@@ -220,4 +222,67 @@ func TestShardedStartValidation(t *testing.T) {
 	if _, err := Start(Config{Ring: ringCfg, Shards: 2, Listener: ln}); err == nil {
 		t.Fatal("sharded start without NewTransport accepted")
 	}
+}
+
+// TestDisconnectWhileRingZeroForms: a client whose daemon has not formed
+// ring 0 — here it never will, cut off on that ring's hub — still leaves
+// its groups on the other rings when it disconnects, because the ordered
+// disconnect rides the first ring that takes it.
+func TestDisconnectWhileRingZeroForms(t *testing.T) {
+	hubs := []*transport.Hub{transport.NewHub(), transport.NewHub()}
+	var cut faults.Plan
+	cut.Add(faults.Rule{Name: "cut", Model: faults.Loss{P: 1},
+		Match: func(p faults.Packet) bool { return p.From == 2 || p.To == 2 }})
+	hubs[0].SetInjector(faults.New(1, cut))
+	daemons := make([]*Daemon, 2)
+	for i := range daemons {
+		id := evs.ProcID(i + 1)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ringCfg := ringnode.Accelerated(id, nil, 10, 100, 7)
+		ringCfg.Timeouts = fastTimeouts()
+		d, err := Start(Config{Ring: ringCfg, Shards: 2, Listener: ln,
+			NewTransport: func(ring int) (transport.Transport, error) { return hubs[ring].Endpoint(id, 0, 0) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Stop)
+		daemons[i] = d
+	}
+	observer, cutOff := daemons[0], daemons[1]
+	g := "g-0" // ring 1 by the pinned hash
+	if group.RingOf(g, 2) != 1 {
+		t.Fatal("test group does not live on ring 1")
+	}
+	waitMembers := func(want int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for len(observer.core.Members(g)) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: members of %s = %v", what, g, observer.core.Members(g))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for !observer.WaitOperational(0) || len(observer.RingNode(1).Status().Ring.Members) != 2 ||
+		!cutOff.RingNode(1).Status().Ring.Equal(observer.RingNode(1).Status().Ring) {
+		if time.Now().After(deadline) {
+			t.Fatal("ring 1 did not form across both daemons")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c := dial(t, cutOff, "leaver")
+	if err := c.Join(g); err != nil {
+		t.Fatal(err)
+	}
+	waitMembers(1, "join never ordered")
+	if cutOff.RingNode(0).Status().State == membership.StateOperational {
+		t.Fatal("ring 0 formed on the cut-off daemon")
+	}
+	c.Close()
+	waitMembers(0, "disconnected client still a member")
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // paceEvery is the period of the cores' lambda-pacing round, the virtual
-// stand-in for groupcore.Core.Run's ticker.
+// stand-in for groupcore.Host's pacing ticker.
 const paceEvery = 10 * time.Millisecond
 
 // ringSeed derives ring r's private seed from the master seed, so every
@@ -144,8 +144,7 @@ func (x *xrun) violate(inv, detail string) {
 
 // onRingEvent hands one ring delivery to the node's core at the instant
 // the step made it, as the production ring goroutine's callback does.
-// Emission happens inline; control envelopes it queues go out at the next
-// pace.
+// Emission happens inline, and so do the control envelopes it submits.
 func (n *xnode) onRingEvent(ring int, ev evs.Event) {
 	// The core ignores foreign payloads; here every payload is ours, so
 	// one that does not decode is a violation.
@@ -159,9 +158,8 @@ func (n *xnode) onRingEvent(ring int, ev evs.Event) {
 	n.core.OnRingEvent(ring, ev)
 }
 
-// pace is one lambda-pacing round of every live node's core — flush its
-// queued control envelopes (retrying refused submits, in order), then
-// submit the skip claims its merge wants — and the timer for the next.
+// pace is one lambda-pacing round of every live node's core — submit the
+// skip claims its merge wants — and the timer for the next.
 func (x *xrun) pace() {
 	for _, n := range x.nodes {
 		if !n.dead {
@@ -182,10 +180,9 @@ func (x *xrun) waitConverged(within time.Duration, inv, what string) bool {
 }
 
 // settle runs until every live merger has stayed drained (no queued
-// items, no unsubmitted control envelopes) for a few consecutive pacing
-// rounds. If the virtual-time budget runs out first, that is a
-// merge-liveness violation naming what stalled and every live merger's
-// pending state.
+// items) for a few consecutive pacing rounds. If the virtual-time budget
+// runs out first, that is a merge-liveness violation naming what stalled
+// and every live merger's pending state.
 func (x *xrun) settle(budget time.Duration, what string) bool {
 	quiet := 0
 	ok := waitFor(x.sim, budget, paceEvery, func() bool {
@@ -199,7 +196,7 @@ func (x *xrun) settle(budget time.Duration, what string) bool {
 	if !ok {
 		detail := what + ":"
 		for _, n := range x.liveNodes() {
-			detail += fmt.Sprintf(" node%d{pending=%d ctl=%d", n.id, n.core.Merger().Pending(), n.core.Queued())
+			detail += fmt.Sprintf(" node%d{pending=%d", n.id, n.core.Merger().Pending())
 			for r := range x.hs {
 				detail += fmt.Sprintf(" f%d=%d", r, n.core.Merger().Frontier(r))
 			}
@@ -212,7 +209,7 @@ func (x *xrun) settle(budget time.Duration, what string) bool {
 
 func (x *xrun) quiescent() bool {
 	for _, n := range x.liveNodes() {
-		if n.core.Queued() > 0 || n.core.Merger().Pending() > 0 {
+		if n.core.Merger().Pending() > 0 {
 			return false
 		}
 	}

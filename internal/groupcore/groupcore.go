@@ -22,13 +22,13 @@
 // emission. A sink therefore must not block, and must not call
 // OnRingEvent, Pace, BeginMigrate, Members or GroupsOf (they take that
 // lock). It may call the routing accessors (RingOfGroup, SplitByRing) and
-// SubmitAsync, which only queues.
+// Submit: the Submitter never blocks, so the merger itself submits its
+// control envelopes (migration acks, frontier announcements) right there.
 package groupcore
 
 import (
 	"errors"
 	"sort"
-	"sync"
 
 	"accelring/internal/evs"
 	"accelring/internal/group"
@@ -36,7 +36,8 @@ import (
 	"accelring/internal/shard/merge"
 )
 
-// Submitter orders a payload on one ring. Host is the production
+// Submitter orders a payload on one ring. It must not block, since the
+// merger calls it at emission points. Host is the production
 // implementation; the chaos harness submits to its virtual-time machines.
 type Submitter interface {
 	Submit(ring int, payload []byte, svc evs.Service) error
@@ -76,19 +77,12 @@ type Config struct {
 	Shards int
 	// Self is the local daemon's identity.
 	Self evs.ProcID
-	// Submit orders payloads on the rings. It is only used by Submit, Pace
-	// and BeginMigrate, never at an emission point.
+	// Submit orders payloads on the rings, emission points included.
 	Submit Submitter
 	// Sink receives the ordered output.
 	Sink Sink
 	// Obs registers merge.* metrics when non-nil.
 	Obs *obs.Registry
-}
-
-// ctlEnv is one encoded control envelope awaiting submission.
-type ctlEnv struct {
-	ring int
-	enc  []byte
 }
 
 // Core is one node's ordered-group state machine.
@@ -103,14 +97,6 @@ type Core struct {
 	// are serialized by the merger's lock).
 	one [1]group.ClientID
 
-	// ctl holds control envelopes queued at emission points (migration
-	// acks, frontier announcements) or by the host (disconnects, private
-	// rejections) until the next Pace submits them, FIFO — so an ack never
-	// overtakes the traffic it drains. wake nudges the host's pacing loop.
-	qmu  sync.Mutex
-	ctl  []ctlEnv
-	wake chan struct{}
-
 	wants []merge.Want // Pace scratch; Pace is never called concurrently
 }
 
@@ -121,7 +107,6 @@ func New(cfg Config) *Core {
 		sub:    cfg.Submit,
 		sink:   cfg.Sink,
 		table:  group.NewShardedTable(cfg.Shards),
-		wake:   make(chan struct{}, 1),
 	}
 	c.merger = merge.New(merge.Config{
 		Shards: cfg.Shards,
@@ -157,7 +142,7 @@ func (c *Core) OnRingEvent(ring int, ev evs.Event) {
 	}
 }
 
-// Submit encodes an envelope and orders it on ring.
+// Submit encodes an envelope and orders it on ring, without blocking.
 func (c *Core) Submit(ring int, env *group.Envelope, svc evs.Service) error {
 	enc, err := env.Encode()
 	if err != nil {
@@ -166,54 +151,13 @@ func (c *Core) Submit(ring int, env *group.Envelope, svc evs.Service) error {
 	return c.sub.Submit(ring, enc, svc)
 }
 
-// SubmitAsync queues a control envelope for the next Pace. It never blocks
-// and takes no merger lock, so it is safe at emission points — where a
-// synchronous Submit would wait on the very ring goroutine that is
-// emitting.
-func (c *Core) SubmitAsync(ring int, env group.Envelope) {
-	enc, err := env.Encode()
-	if err != nil {
-		return // only a malformed control envelope, i.e. a bug; nothing to order
-	}
-	c.qmu.Lock()
-	c.ctl = append(c.ctl, ctlEnv{ring, enc})
-	c.qmu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Queued returns how many control envelopes await submission.
-func (c *Core) Queued() int {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	return len(c.ctl)
-}
-
-// Pace is one lambda-pacing round: submit the queued control envelopes in
-// order (a refused one stays queued for the next round), then, for every
-// idle ring that blocks this node's global order, order a skip claim on
-// it. Skips are ordinary ordered envelopes, so every node applies the same
-// claims at the same per-ring positions; a refused skip is dropped, since
-// the merger re-requests it after its suppression window. With one ring
-// nothing ever blocks and no skip is ever wanted.
+// Pace is one lambda-pacing round: for every idle ring that blocks this
+// node's global order, order a skip claim on it. Skips are ordinary
+// ordered envelopes, so every node applies the same claims at the same
+// per-ring positions; a refused skip is dropped, since the merger
+// re-requests it after its suppression window. With one ring nothing ever
+// blocks and no skip is ever wanted.
 func (c *Core) Pace() {
-	c.qmu.Lock()
-	batch := c.ctl
-	c.ctl = nil
-	c.qmu.Unlock()
-	kept := batch[:0]
-	for _, e := range batch {
-		if c.sub.Submit(e.ring, e.enc, evs.Agreed) != nil {
-			kept = append(kept, e)
-		}
-	}
-	if len(kept) > 0 {
-		c.qmu.Lock()
-		c.ctl = append(kept, c.ctl...)
-		c.qmu.Unlock()
-	}
 	c.wants = c.merger.Wants(c.wants)
 	for _, w := range c.wants {
 		env := c.merger.SkipEnvelope(w)
@@ -395,8 +339,11 @@ func (o *mergeOut) Config(ring int, cc evs.ConfigChange) {
 	}
 }
 
+// SubmitAsync orders a merge-control envelope right at its emission point,
+// behind this node's earlier submissions to the ring. A refusal is dropped:
+// the merger re-announces acks and frontiers at configuration changes.
 func (o *mergeOut) SubmitAsync(ring int, env group.Envelope) {
-	(*Core)(o).SubmitAsync(ring, env)
+	_ = (*Core)(o).Submit(ring, &env, evs.Agreed)
 }
 
 func (o *mergeOut) Migrated(g string, from, to int) {

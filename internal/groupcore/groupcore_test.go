@@ -205,8 +205,8 @@ func TestSingleRingEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(sink.events, want) {
 		t.Fatalf("sink saw\n  %q\nwant\n  %q", sink.events, want)
 	}
-	if n := sub.count(); n != 0 || core.Queued() != 0 {
-		t.Fatalf("single ring submitted %d control envelopes (%v), %d queued", n, sub.got, core.Queued())
+	if n := sub.count(); n != 0 {
+		t.Fatalf("single ring submitted %d control envelopes (%v)", n, sub.got)
 	}
 	if core.Merger().Pending() != 0 {
 		t.Fatalf("single ring left %d items pending", core.Merger().Pending())
@@ -249,15 +249,15 @@ func TestStragglerOnMigratedAwayRing(t *testing.T) {
 	x.env(from, group.Envelope{Kind: group.OpJoin, Sender: a, Groups: []string{g}})
 	x.env(to, group.Envelope{Kind: group.OpJoin, Sender: a, Groups: []string{other}})
 
-	// Migrate g: the Begin orders on the old ring, this node's ack follows
-	// through Pace, and its emission closes the migration.
+	// Migrate g: the Begin orders on the old ring, this node's ack is
+	// submitted at the Begin's emission, and its emission closes the
+	// migration.
 	done, err := core.BeginMigrate(g, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
 	begin := sub.raw[len(sub.raw)-1]
 	x.push(begin.ring, evs.Message{Payload: begin.enc, Service: begin.svc})
-	core.Pace()
 	var ack *submitted
 	for i := range sub.raw {
 		if env, _ := group.DecodeEnvelope(sub.raw[i].enc); env.Kind == group.OpMigrateAck {
@@ -365,24 +365,5 @@ func TestBeginMigrateRefusedLeavesNoWaiter(t *testing.T) {
 	}
 	if _, err := core.BeginMigrate(g, from, 2); err == nil {
 		t.Fatal("out-of-range target ring accepted")
-	}
-}
-
-// TestPaceRetriesRefusedControlInOrder: a control envelope the ring
-// refuses stays queued, ahead of anything queued later.
-func TestPaceRetriesRefusedControlInOrder(t *testing.T) {
-	core, _, sub := newTestCore(2)
-	sub.refuse = true
-	core.SubmitAsync(0, group.Envelope{Kind: group.OpDisconnect, Sender: cid(1, 1)})
-	core.Pace()
-	if core.Queued() != 1 {
-		t.Fatalf("refused envelope not kept: %d queued", core.Queued())
-	}
-	core.SubmitAsync(1, group.Envelope{Kind: group.OpPrivateReject, Sender: cid(1, 2), Target: cid(2, 1)})
-	sub.refuse = false
-	core.Pace()
-	want := []string{"r0 disconnect []", "r1 private_reject []"}
-	if !reflect.DeepEqual(sub.got, want) || core.Queued() != 0 {
-		t.Fatalf("submitted %v (queued %d), want %v", sub.got, core.Queued(), want)
 	}
 }

@@ -16,14 +16,14 @@ import (
 // daemon alike: N independent ring instances (the Multi-Ring scaling
 // pattern of "Stretching Multi-Ring Paxos"), each a full ringnode bundle
 // with its own transport so one ring's membership incidents never stall
-// another, their streams merged by one Core, and the pacing loop. The
-// chaos harness drives the passive Core from its own virtual-time loop.
+// another, their streams merged by one Core, and (N > 1) the pacing loop.
+// The chaos harness drives the passive Core from its own virtual-time loop.
 type Host struct {
 	core  *Core
 	nodes []*ringnode.Node
 
 	// stop ends the pacing loop and done reports that it has; both stay
-	// nil until the loop starts, the last step of a successful Start.
+	// nil unless a multi-ring Start ends by starting the loop.
 	stop, done chan struct{}
 	stopOnce   sync.Once
 }
@@ -36,6 +36,10 @@ const (
 	DefaultSkipInterval = 2 * time.Millisecond
 	// MigrateTimeout bounds how long Migrate waits for the ordered close.
 	MigrateTimeout = 30 * time.Second
+	// Application senders pace (Paced) while a ring has PaceBacklog
+	// submissions unsent, never longer than PaceMaxWait per call.
+	PaceBacklog = 512
+	PaceMaxWait = 2 * time.Second
 )
 
 // HostConfig parameterizes a Host.
@@ -56,8 +60,8 @@ type HostConfig struct {
 }
 
 // Start opens every ring's transport, starts every ring, builds the core
-// over them and runs its pacing loop. On any failure the rings already
-// started are stopped (closing their transports).
+// over them and (N > 1) runs its pacing loop. On any failure the rings
+// already started are stopped (closing their transports).
 func Start(cfg HostConfig) (*Host, error) {
 	if cfg.Shards < 1 || cfg.Shards > MaxShards {
 		return nil, fmt.Errorf("groupcore: ring count %d out of range [1, %d]", cfg.Shards, MaxShards)
@@ -90,34 +94,26 @@ func Start(cfg HostConfig) (*Host, error) {
 		}
 		h.nodes = append(h.nodes, n)
 	}
-	h.stop, h.done = make(chan struct{}), make(chan struct{})
-	go h.run()
+	if cfg.Shards > 1 {
+		h.stop, h.done = make(chan struct{}), make(chan struct{})
+		go h.run()
+	}
 	return h, nil
 }
 
 // run is the pacing loop: it calls Pace every DefaultSkipInterval (the
-// merge's lambda pacing) and whenever a control envelope is queued, until
-// Stop. One ring never needs pacing, so it only ticks while a control
-// envelope the ring refused (it was re-forming) awaits a retry.
+// merge's lambda pacing) until Stop. One ring never blocks its own merge,
+// so a one-ring host runs no loop.
 func (h *Host) run() {
 	defer close(h.done)
-	var tick, retry <-chan time.Time
-	if h.core.shards > 1 {
-		t := time.NewTicker(DefaultSkipInterval)
-		defer t.Stop()
-		tick = t.C
-	}
+	t := time.NewTicker(DefaultSkipInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-h.stop:
 			return
-		case <-tick:
-		case <-retry:
-		case <-h.core.wake:
-		}
-		h.core.Pace()
-		if retry = nil; tick == nil && h.core.Queued() > 0 {
-			retry = time.After(DefaultSkipInterval)
+		case <-t.C:
+			h.core.Pace()
 		}
 	}
 }
@@ -129,9 +125,29 @@ func (h *Host) Core() *Core { return h.core }
 func (h *Host) RingNode(r int) *ringnode.Node { return h.nodes[r] }
 
 // Submit orders a payload on ring r in that ring's total order: the core's
-// Submitter. Safe for any goroutine.
+// Submitter. It never blocks, so any goroutine may call it.
 func (h *Host) Submit(r int, payload []byte, svc evs.Service) error {
 	return h.nodes[r].Submit(payload, svc)
+}
+
+// Backlog returns the deepest ring's count of unsent submissions.
+func (h *Host) Backlog() (deepest int) {
+	for _, n := range h.nodes {
+		deepest = max(deepest, n.Status().QueueLen)
+	}
+	return deepest
+}
+
+// Paced holds the caller in 1 ms steps while Backlog is PaceBacklog or
+// more, for at most PaceMaxWait, and returns the steps it waited: Submit
+// never blocks, so an application sender paces itself here.
+func (h *Host) Paced() (waits int) {
+	deadline := time.Now().Add(PaceMaxWait)
+	for h.Backlog() >= PaceBacklog && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		waits++
+	}
+	return waits
 }
 
 // Stop stops the pacing loop, then every ring (closing its transport), and

@@ -272,11 +272,14 @@ func TestStartFailureStopsStartedRings(t *testing.T) {
 	}
 }
 
-// TestHostStopIdempotent: a second Stop returns at once, and the stopped
-// host refuses submissions.
+// TestHostStopIdempotent: a one-ring host runs no pacing loop, a second
+// Stop returns at once, and the stopped host refuses submissions.
 func TestHostStopIdempotent(t *testing.T) {
 	hosts, _, _ := startHosts(t, 1, 1)
 	h := hosts[0]
+	if pacerRunning() {
+		t.Fatal("a one-ring host runs a pacing loop")
+	}
 	h.Stop()
 	if pacerRunning() {
 		t.Fatal("pacing loop still running after Stop")
@@ -293,35 +296,5 @@ func TestHostStopIdempotent(t *testing.T) {
 	}
 	if err := h.Submit(0, []byte("late"), evs.Agreed); !errors.Is(err, ringnode.ErrStopped) {
 		t.Fatalf("Submit after Stop = %v, want ErrStopped", err)
-	}
-}
-
-// TestRunSubmitsQueuedControl: the pacing loop wakes for a queued control
-// envelope even on a single ring (which has no pacing ticker), and retries
-// one the ring refused: queued right after Start, the envelope meets a
-// ring that is still forming, and must be ordered once it has formed.
-func TestRunSubmitsQueuedControl(t *testing.T) {
-	hub := transport.NewHub()
-	log := &hostLog{}
-	h, err := Start(HostConfig{
-		Shards: 1,
-		Ring:   hostRing(1),
-		NewTransport: func(int) (transport.Transport, error) {
-			return hub.Endpoint(1, 0, 0)
-		},
-		Sink: log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Core().SubmitAsync(0, group.Envelope{
-		Kind: group.OpMessage, Sender: cid(1, 1), Groups: []string{"g"}, Payload: []byte("ctl"),
-	})
-	if got := log.waitLen(t, 1); got[0] != "r0 ctl" {
-		t.Fatalf("delivered %q, want the queued envelope", got)
-	}
-	h.Stop()
-	if pacerRunning() {
-		t.Fatal("pacing loop still running after Stop")
 	}
 }

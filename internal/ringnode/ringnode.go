@@ -3,9 +3,9 @@
 // engine), the packing bundler and the bundle fan-out, fed frames,
 // submissions and ticks with the host's time. Node is its real-time host:
 // a single goroutine over a transport.Transport implementing the paper's
-// token/data socket priority scheme, the membership timer, and a
-// synchronous submission API. internal/simproc hosts the same Step on the
-// simulator.
+// token/data socket priority scheme, the membership timer, and a FIFO
+// submission queue that never blocks. internal/simproc hosts the same Step
+// on the simulator.
 //
 // The single protocol goroutine mirrors the paper's single-threaded
 // daemons: the ordering service deliberately consumes at most one core.
@@ -14,6 +14,7 @@ package ringnode
 import (
 	"cmp"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,20 +27,25 @@ import (
 // ErrStopped is returned by Submit after Stop.
 var ErrStopped = errors.New("ringnode: node stopped")
 
-type submitReq struct {
+type submission struct {
 	payload []byte
 	service evs.Service
-	reply   chan error
 }
 
 // Node runs the protocol for one participant.
 type Node struct {
-	cfg      Config
-	step     *Step
-	submitCh chan submitReq
-	stopCh   chan struct{}
-	done     chan struct{}
-	status   atomic.Value // Status
+	cfg    Config
+	step   *Step
+	stopCh chan struct{}
+	done   chan struct{}
+	status atomic.Value // Status
+
+	// Submit appends to queue under qmu and nudges wake; drain swaps in
+	// spare, the batch it drained last, so the steady state allocates
+	// nothing.
+	qmu          sync.Mutex
+	queue, spare []submission
+	wake         chan struct{}
 }
 
 // Start creates the node and launches its protocol goroutine. The node
@@ -55,13 +61,7 @@ func Start(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		cfg:      cfg,
-		step:     step,
-		submitCh: make(chan submitReq),
-		stopCh:   make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	n := &Node{cfg: cfg, step: step, stopCh: make(chan struct{}), done: make(chan struct{}), wake: make(chan struct{}, 1)}
 	n.publishStatus()
 	go n.run()
 	return n, nil
@@ -69,8 +69,15 @@ func Start(cfg Config) (*Node, error) {
 
 func (n *Node) publishStatus() { n.status.Store(n.step.Status()) }
 
-// Status returns a snapshot of the node's state. Safe for any goroutine.
-func (n *Node) Status() Status { return n.status.Load().(Status) }
+// Status returns a snapshot of the node's state, its QueueLen counting the
+// submissions not yet drained too. Safe for any goroutine.
+func (n *Node) Status() Status {
+	st := n.status.Load().(Status)
+	n.qmu.Lock()
+	defer n.qmu.Unlock()
+	st.QueueLen += len(n.queue)
+	return st
+}
 
 // Observer returns the observer the node was started with (nil when
 // observation is disabled). Sharded drivers use it to reach each ring's
@@ -91,22 +98,30 @@ func (n *Node) WaitState(st membership.State, timeout time.Duration) bool {
 }
 
 // Submit multicasts a payload with the given delivery service, in total
-// order. Safe for any goroutine. The payload must not be mutated after
-// the call. It fails with membership.ErrNotOperational before the first
-// ring forms and with ErrStopped after Stop.
+// order. It queues and never blocks, so any goroutine may call it, OnEvent
+// included. The payload must not be mutated after the call. It fails with
+// ErrStopped after Stop, with membership.ErrNotOperational before the first
+// ring forms, and as Step.Check does.
 func (n *Node) Submit(payload []byte, service evs.Service) error {
-	req := submitReq{payload: payload, service: service, reply: make(chan error, 1)}
 	select {
-	case n.submitCh <- req:
-	case <-n.done:
+	case <-n.stopCh:
 		return ErrStopped
+	default:
 	}
-	select {
-	case err := <-req.reply:
+	if n.status.Load().(Status).Ring.ID.IsZero() { // no ring installed yet
+		return membership.ErrNotOperational
+	}
+	if err := n.step.Check(len(payload), service); err != nil {
 		return err
-	case <-n.done:
-		return ErrStopped
 	}
+	n.qmu.Lock()
+	n.queue = append(n.queue, submission{payload, service})
+	n.qmu.Unlock()
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
+	return nil
 }
 
 // Stop terminates the protocol goroutine and closes the transport.
@@ -118,6 +133,21 @@ func (n *Node) Stop() {
 	}
 	close(n.stopCh)
 	<-n.done
+}
+
+// drain feeds the queued submissions to the step in order; Submit already
+// refused what the step would.
+func (n *Node) drain() {
+	n.qmu.Lock()
+	batch := n.queue
+	n.queue = n.spare
+	n.qmu.Unlock()
+	now := time.Now()
+	for _, s := range batch {
+		_ = n.step.Submit(s.payload, s.service, now)
+	}
+	clear(batch)
+	n.spare = batch[:0]
 }
 
 // tickInterval is the timer resolution, derived from the timeouts.
@@ -161,9 +191,6 @@ func (n *Node) run() {
 		n.step.Token(f, time.Now())
 		bufpool.Put(f)
 	}
-	submit := func(req submitReq) {
-		req.reply <- n.step.Submit(req.payload, req.service, time.Now())
-	}
 	// poll handles one frame of ch's class if one is waiting.
 	poll := func(ch <-chan []byte, handle func([]byte, bool)) bool {
 		select {
@@ -184,8 +211,8 @@ func (n *Node) run() {
 		select {
 		case <-n.stopCh:
 			return
-		case req := <-n.submitCh:
-			submit(req)
+		case <-n.wake:
+			n.drain()
 		case <-ticker.C:
 			n.step.Tick(time.Now())
 		default:
@@ -206,8 +233,8 @@ func (n *Node) run() {
 			handleData(f, ok)
 		case f, ok := <-tokenCh:
 			handleToken(f, ok)
-		case req := <-n.submitCh:
-			submit(req)
+		case <-n.wake:
+			n.drain()
 		case <-ticker.C:
 			n.step.Tick(time.Now())
 		case <-n.stopCh:

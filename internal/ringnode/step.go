@@ -11,6 +11,7 @@ import (
 	"accelring/internal/obs"
 	"accelring/internal/pack"
 	"accelring/internal/transport"
+	"accelring/internal/wire"
 )
 
 // Config configures a node.
@@ -30,8 +31,7 @@ type Config struct {
 	Timeouts membership.Timeouts
 	// OnEvent receives the delivery stream (messages and configuration
 	// changes) on the protocol goroutine. It must not block for long and
-	// must not call back into the Node except Submit-from-another-
-	// goroutine.
+	// must not call back into the Node except Submit, which only queues.
 	OnEvent func(evs.Event)
 	// Observer receives protocol metrics and events. If set and its
 	// Clock is nil, the node installs time.Now so hold times and delivery
@@ -104,8 +104,8 @@ type Status struct {
 	Engine core.Counters
 	// Membership holds the membership algorithm's counters.
 	Membership membership.Counters
-	// QueueLen is the number of submissions waiting for a token; callers
-	// can use it for backpressure.
+	// QueueLen is the number of submissions not yet sent; callers can use
+	// it for backpressure.
 	QueueLen int
 }
 
@@ -198,19 +198,32 @@ func (s *Step) Token(frame []byte, now time.Time) {
 	s.wireFlush()
 }
 
+// Check refuses, from any goroutine, what Submit would on a formed ring: a
+// bad service, or a payload too big for a frame less the solo framing.
+func (s *Step) Check(n int, service evs.Service) error {
+	if !service.Valid() {
+		return fmt.Errorf("ringnode: invalid service %d", service)
+	}
+	if n > wire.MaxPayload || s.bundle != nil && n > wire.MaxPayload-pack.SoloOverhead {
+		return core.ErrPayloadTooLarge
+	}
+	return nil
+}
+
 // Submit queues a payload for totally ordered multicast with the given
 // service — through the bundler when packing is enabled. The payload must
 // not be mutated afterwards. It fails with membership.ErrNotOperational
-// before the first ring forms.
+// before the first ring forms, and as Check does.
 func (s *Step) Submit(payload []byte, service evs.Service, now time.Time) (err error) {
 	s.flushExpired(now)
+	if err = s.Check(len(payload), service); err != nil {
+		return err
+	}
 	switch {
-	case s.bundle == nil:
-		return s.machine.Submit(payload, service)
 	case !s.machine.CanSubmit():
 		return membership.ErrNotOperational
-	case !service.Valid():
-		return fmt.Errorf("ringnode: invalid service %d", service)
+	case s.bundle == nil:
+		return s.machine.Submit(payload, service)
 	case s.bundle.Oversize(len(payload)):
 		// Too big to ever share a frame: solo-framed, so every payload on
 		// a packed ring speaks the bundle format, and queued behind the

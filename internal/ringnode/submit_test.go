@@ -1,0 +1,159 @@
+package ringnode
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"accelring/internal/evs"
+	"accelring/internal/membership"
+	"accelring/internal/transport"
+)
+
+// startSingleton starts one node on its own hub with onEvent as its
+// handler and waits for its singleton ring.
+func startSingleton(t *testing.T, onEvent func(evs.Event)) *Node {
+	t.Helper()
+	ep, err := transport.NewHub().Endpoint(1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Accelerated(1, ep, 10, 100, 7)
+	cfg.Timeouts = fastTimeouts()
+	cfg.OnEvent = onEvent
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	if !n.WaitState(membership.StateOperational, 5*time.Second) {
+		t.Fatal("singleton ring did not form")
+	}
+	return n
+}
+
+// TestSubmitFromOnEvent: a handler that submits on its own node, on the
+// protocol goroutine, gets its message ordered.
+func TestSubmitFromOnEvent(t *testing.T) {
+	var n *Node
+	pong := make(chan error, 1)
+	n = startSingleton(t, func(ev evs.Event) {
+		m, ok := ev.(evs.Message)
+		switch {
+		case !ok:
+		case string(m.Payload) == "ping":
+			if err := n.Submit([]byte("pong"), evs.Agreed); err != nil {
+				pong <- err
+			}
+		case string(m.Payload) == "pong":
+			pong <- nil
+		}
+	})
+	if err := n.Submit([]byte("ping"), evs.Agreed); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-pong:
+		if err != nil {
+			t.Fatalf("Submit from OnEvent = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a message submitted from OnEvent was never ordered")
+	}
+}
+
+// TestSubmitAllocFree: Submit allocates nothing once the queue has grown
+// to the batch size. The protocol goroutine is parked in OnEvent while it
+// is measured, so nothing else in the process allocates.
+func TestSubmitAllocFree(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	n := startSingleton(t, func(ev evs.Event) {
+		if m, ok := ev.(evs.Message); ok && string(m.Payload) == "park" {
+			close(parked)
+			<-release
+		}
+	})
+	defer close(release)
+	if err := n.Submit([]byte("park"), evs.Agreed); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	n.qmu.Lock()
+	n.queue = slices.Grow(n.queue, 1000) // the capacity earlier batches left
+	n.qmu.Unlock()
+	payload := []byte("x")
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := n.Submit(payload, evs.Agreed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Submit allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestConcurrentSubmitRacingStop: eight goroutines submit to one node
+// while it is stopped under them. Every receiver sees each submitter's
+// messages in submission order without duplicates, and every call made
+// after Stop returned fails with ErrStopped. Submit never blocks, so the
+// submitters pace themselves on the node's backlog, as the daemon's
+// clients and the facade's senders are paced.
+func TestConcurrentSubmitRacingStop(t *testing.T) {
+	const submitters = 8
+	nodes, logs, _ := startHubNodes(t, 3, true)
+	waitFullRing(t, nodes, 3, 5*time.Second)
+
+	var stopped atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, submitters)
+	for k := 0; k < submitters; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			refused := 0
+			for i := 0; refused < 10; i++ {
+				for nodes[0].Status().QueueLen >= 256 && !stopped.Load() {
+					time.Sleep(time.Millisecond)
+				}
+				after := stopped.Load()
+				err := nodes[0].Submit([]byte(fmt.Sprintf("%d/%d", k, i)), evs.Agreed)
+				switch {
+				case err == ErrStopped:
+					refused++
+				case err != nil:
+					errs <- fmt.Errorf("submitter %d: call %d = %v", k, i, err)
+					return
+				case after:
+					errs <- fmt.Errorf("submitter %d: call %d after Stop accepted", k, i)
+					return
+				}
+			}
+		}()
+	}
+	waitMessages(t, logs, 200, 5*time.Second)
+	nodes[0].Stop()
+	stopped.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	waitFullRing(t, nodes[1:], 2, 10*time.Second)
+
+	for r, l := range logs {
+		next := make([]int, submitters) // lowest index each submitter may deliver next
+		for _, m := range l.messages() {
+			var k, i int
+			if _, err := fmt.Sscanf(string(m.Payload), "%d/%d", &k, &i); err != nil {
+				t.Fatalf("receiver %d: payload %q: %v", r, m.Payload, err)
+			}
+			if i < next[k] {
+				t.Fatalf("receiver %d: submitter %d's message %d after %d", r, k, i, next[k]-1)
+			}
+			next[k] = i + 1
+		}
+	}
+}

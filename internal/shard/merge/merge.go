@@ -106,7 +106,9 @@ type Out interface {
 	// ordered position.
 	Config(ring int, cc evs.ConfigChange)
 	// SubmitAsync submits a merge-control envelope (ack, frontier
-	// announcement) to a ring without blocking — implementations spawn.
+	// announcement) to a ring at the emission point, so it must not
+	// block: implementations queue. A refusal may be dropped — the merger
+	// re-announces both at the ring's next configuration change.
 	SubmitAsync(ring int, env group.Envelope)
 	// Migrated reports a migration that closed at the current emission
 	// point, after the group's state moved rings.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/membership"
 	"accelring/internal/obs"
 )
 
@@ -182,50 +183,48 @@ func TestNotReadyBeforeRing(t *testing.T) {
 	}
 }
 
-func TestMembershipChangeSurfacesTypedError(t *testing.T) {
+// TestSendDuringReformReachesSurvivor: a Send made while the ring
+// re-forms returns nil, and the survivor delivers the message once its
+// singleton ring has formed.
+func TestSendDuringReformReachesSurvivor(t *testing.T) {
 	nodes := openCluster(t, 2)
-	oldView := nodes[0].View()
-	if oldView.IsZero() {
-		t.Fatal("ready node has zero view")
+	n := nodes[0]
+	if err := n.Join("g"); err != nil {
+		t.Fatal(err)
 	}
+	nextEvent[*GroupView](t, n)
+	oldView := n.View()
 
 	// Kill node 2; node 1 loses the ring and re-forms a singleton one.
 	nodes[1].Close()
 	deadline := time.Now().Add(5 * time.Second)
-	var mce *MembershipChangedError
-	for time.Now().Before(deadline) {
-		err := nodes[0].Send(Agreed, []byte("x"), "g")
-		if errors.As(err, &mce) {
-			break
+	for n.host.RingNode(0).Status().State == membership.StateOperational {
+		if time.Now().After(deadline) {
+			t.Fatal("survivor never noticed the lost ring")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	if mce == nil {
-		t.Skip("ring re-formed between token loss and send; nothing to assert")
-	}
-	if mce.OldView != oldView {
-		t.Fatalf("MembershipChangedError.OldView = %v, want %v", mce.OldView, oldView)
-	}
-	if !mce.NewView.IsZero() {
-		t.Fatalf("NewView = %v, want zero while re-forming", mce.NewView)
+	if err := n.Send(Agreed, []byte("during"), "g"); err != nil {
+		t.Fatalf("Send while re-forming = %v, want nil", err)
 	}
 
-	// The survivor eventually installs a singleton ring and can send again.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	var reformed bool
 	for {
-		err := nodes[0].Send(Agreed, []byte("y"), "g")
-		if err == nil {
-			break
+		switch ev := nextEvent[Event](t, n).(type) {
+		case *ViewChange:
+			reformed = reformed || (!ev.Transitional && len(ev.Members) == 1)
+		case *Message:
+			if string(ev.Payload) != "during" {
+				continue
+			}
+			if !reformed {
+				t.Fatal("message delivered before the singleton ring formed")
+			}
+			if v := n.View(); v == oldView || v.IsZero() {
+				t.Fatalf("view after re-formation = %v, want a new view", v)
+			}
+			return
 		}
-		select {
-		case <-ctx.Done():
-			t.Fatalf("survivor never recovered: last err %v", err)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	if v := nodes[0].View(); v == oldView || v.IsZero() {
-		t.Fatalf("view after re-formation = %v, want a new view", v)
 	}
 }
 
