@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-full loc bench-e2e bench-e2e-quick bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke
+.PHONY: ci vet build test race race-full loc bench-e2e bench-e2e-quick bench-pairs bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke
 
 ci: vet build test race
 
@@ -20,7 +20,7 @@ test:
 # (the real-time goroutine, whose submission queue any goroutine feeds,
 # and the simulator), the cross-ring merge, the ordered-group core and its
 # host (N protocol goroutines that submit to one another's queues at
-# emission points, and a pacer), the library facade (application
+# emission points), the library facade (application
 # goroutines submitting into queues the ring goroutines drain), the
 # daemon's client layer (a reader and a writer goroutine per session
 # around one send window) and the recorder every one of them writes into
@@ -52,6 +52,14 @@ bench-e2e:
 
 bench-e2e-quick:
 	$(GO) run ./benchmark -quick
+
+# Interleaved timing pairs of one workload, a parent commit against the
+# working tree, at the pinned 20 s windows (scripts/bench_pairs.sh):
+# make bench-pairs PARENT=<sha> N=10 W=steady_sharded_1350 [SEED=2]
+# N defaults to 10 here, whatever chaos-sweep's default.
+SEED ?= 1
+bench-pairs:
+	./scripts/bench_pairs.sh $(PARENT) $(if $(filter command line,$(origin N)),$(N),10) $(W) $(SEED)
 
 # Two paper figures in quick mode through the one figure entry point, and
 # one pass over the core engine's benchmarks, as a cheap regression

@@ -346,8 +346,8 @@ func (n *Node) Err() error {
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.done)
-		// Stop waits for the pacing loop and every protocol goroutine to
-		// exit, so no event callback can race the channel close below.
+		// Stop waits for every protocol goroutine to exit, so no event
+		// callback can race the channel close below.
 		n.host.Stop()
 		close(n.events)
 	})

@@ -276,8 +276,7 @@ func (d *Daemon) WaitOperational(timeout time.Duration) bool {
 	return true
 }
 
-// Stop disconnects clients, stops the listener, then the pacing loop and
-// the rings.
+// Stop disconnects clients, stops the listener, then the rings.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
 	if d.stopped {

@@ -1,9 +1,12 @@
 package daemon
 
 import (
+	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -15,7 +18,11 @@ import (
 )
 
 // TestSlowClientIsDisconnected: a client that stops reading must be cut
-// off rather than stalling the ordering daemon.
+// off rather than stalling the ordering daemon. The slow connection's
+// receive buffer is shrunk and the whole flood is ordered before it reads
+// a byte, so the socket buffers cannot absorb what its send window cannot
+// hold: only the daemon's cut ends its read with EOF or a reset, and a read
+// that times out means the client was never cut.
 func TestSlowClientIsDisconnected(t *testing.T) {
 	hub := transport.NewHub()
 	ep, err := hub.Endpoint(1, 0, 0)
@@ -37,12 +44,16 @@ func TestSlowClientIsDisconnected(t *testing.T) {
 		t.Fatal("daemon not operational")
 	}
 
-	// The slow client: joins but never reads events.
+	// The slow client: joins, then reads nothing until the flood is in.
 	conn, err := net.Dial("tcp", d.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if err := session.WriteFrame(conn, session.Connect{Name: "slow"}); err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +63,36 @@ func TestSlowClientIsDisconnected(t *testing.T) {
 	if err := session.WriteFrame(conn, session.Join{Group: "g"}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := session.ReadFrame(conn); err != nil { // the join's view
+		t.Fatal(err)
+	}
 
-	// A healthy sender floods the group; the slow client's 4-frame buffer
-	// overflows and the daemon cuts it loose.
+	// A healthy sender floods the group with far more than the window's
+	// 64 frames plus what the shrunken socket buffers hold. Its own join
+	// of another group orders after the flood, so once that view arrives
+	// every flood message has been queued for the slow session, or has
+	// overflowed it.
 	sender := dial(t, d, "sender")
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 1000; i++ {
 		if err := sender.Multicast(evs.Agreed, make([]byte, 512), "g"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if err := sender.Join("sync"); err != nil {
+		t.Fatal(err)
+	}
+	nextView(t, sender, "sync", 10*time.Second)
+
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, 4096)
 	for {
-		if _, err := conn.Read(buf); err != nil {
-			return // disconnected: success
+		_, err := conn.Read(buf)
+		switch {
+		case err == nil:
+		case errors.Is(err, io.EOF), errors.Is(err, syscall.ECONNRESET):
+			return // cut off: success
+		default:
+			t.Fatalf("read ended with %v, not EOF or a reset: the daemon never cut the slow client", err)
 		}
 	}
 }

@@ -12,12 +12,12 @@ package daemon
 //     traffic in flight: ns/op IS the blackout window (Begin submitted →
 //     globally ordered close emitted locally).
 //
-// Every benchmark runs the production lambda pacing (a skip claim of
-// merge.DefaultSkipAhead slots every groupcore.DefaultSkipInterval), so
-// the merged figures include the idle-ring pacing interval a deployment
-// pays. A developer tool (EXPERIMENTS.md has the command lines); the
-// tracked figures are the end-to-end benchmark's sharded row and merge.*
-// per-layer rows.
+// Every benchmark runs the production skip claims (a merge blocked on an
+// idle ring claims merge.DefaultSkipAhead slots past its head there at
+// once), so the merged figures include the idle-ring wait a deployment
+// pays: one ordering of the claim on the idle ring. A developer tool
+// (EXPERIMENTS.md has the command lines); the tracked figures are the
+// end-to-end benchmark's sharded row and merge.* per-layer rows.
 
 import (
 	"fmt"

@@ -13,8 +13,9 @@ import (
 	"accelring/internal/simnet"
 )
 
-// paceEvery is the period of the cores' lambda-pacing round, the virtual
-// stand-in for groupcore.Host's pacing ticker.
+// paceEvery is settle's poll step: how often it checks that every live
+// merger has drained. The cores themselves need no timer — a blocked
+// merge claims its skips at the delivery that blocked it.
 const paceEvery = 10 * time.Millisecond
 
 // ringSeed derives ring r's private seed from the master seed, so every
@@ -28,9 +29,9 @@ func ringSeed(seed int64, r int) int64 {
 // all on one simulator and so one clock; every node runs the production
 // ordered-group core (groupcore.Core — the very code a sharded daemon
 // runs, driven here under virtual time) over all of its per-ring delivery
-// streams — including lambda-pacing skips, a live group migration
-// triggered mid-stream, and a split/heal of the migration's source ring
-// while the migration is in flight.
+// streams — including the skip claims a blocked merge orders, a live
+// group migration triggered mid-stream, and a split/heal of the
+// migration's source ring while the migration is in flight.
 type XRingOptions struct {
 	// Seed determines everything about the run: 4–6 nodes per ring, 10–17
 	// fault-schedule steps, 3–5 client groups spread across the rings, and
@@ -158,17 +159,6 @@ func (n *xnode) onRingEvent(ring int, ev evs.Event) {
 	n.core.OnRingEvent(ring, ev)
 }
 
-// pace is one lambda-pacing round of every live node's core — submit the
-// skip claims its merge wants — and the timer for the next.
-func (x *xrun) pace() {
-	for _, n := range x.nodes {
-		if !n.dead {
-			n.core.Pace()
-		}
-	}
-	x.sim.After(simnet.Time(paceEvery), x.pace)
-}
-
 // waitConverged waits until every ring has converged. On failure it
 // records what as a violation naming the rings still reforming.
 func (x *xrun) waitConverged(within time.Duration, inv, what string) bool {
@@ -180,7 +170,7 @@ func (x *xrun) waitConverged(within time.Duration, inv, what string) bool {
 }
 
 // settle runs until every live merger has stayed drained (no queued
-// items) for a few consecutive pacing rounds. If the virtual-time budget
+// items) for a few consecutive poll steps. If the virtual-time budget
 // runs out first, that is a merge-liveness violation naming what stalled
 // and every live merger's pending state.
 func (x *xrun) settle(budget time.Duration, what string) bool {
@@ -359,7 +349,6 @@ func runXRing(opts XRingOptions) *xrun {
 		x.hs = append(x.hs, h)
 		res.PerRing = append(res.PerRing, &Result{Seed: ringSeed(opts.Seed, r), Nodes: n, Steps: steps})
 	}
-	x.sim.After(simnet.Time(paceEvery), x.pace)
 
 	// Phase 1: fault-free formation of every ring, then a converged burst
 	// that every node must deliver in the identical global order.

@@ -2,28 +2,30 @@
 // r ordered this" and "the application sees it". It owns the sharded group
 // table, the cross-ring merger, the route-aware table lookup, the
 // envelope and configuration-change apply logic, view announcement,
-// control-envelope submission, lambda pacing and live migration. The
-// library facade (accelring.Node), the client daemon (daemon.Daemon) and
-// the cross-ring chaos harness all drive this same code; one ring is
+// control-envelope submission (skip claims included) and live migration.
+// The library facade (accelring.Node), the client daemon (daemon.Daemon)
+// and the cross-ring chaos harness all drive this same code; one ring is
 // simply the N = 1 merge.
 //
 // The core is passive. It starts no goroutine and reads no clock: its host
-// feeds it ring events (OnRingEvent), calls Pace when time has passed, and
-// receives the globally ordered result through a Sink. That is what lets
-// the chaos harness run the production path under virtual time. What does
-// run on real time lives in host.go: Host, which starts the rings and the
-// pacing loop around one Core for the facade and the daemon alike, and
-// Migrate, which only calls the passive methods.
+// feeds it ring events (OnRingEvent) and receives the globally ordered
+// result through a Sink, and whatever the merge needs ordered — skip
+// claims for an idle ring included — it submits at the event that made it
+// needed. That is what lets the chaos harness run the production path
+// under virtual time. What does run on real time lives in host.go: Host,
+// which starts the rings around one Core for the facade and the daemon
+// alike, and Migrate, which only calls the passive methods.
 //
 // # Locking
 //
 // Every Sink method runs at a globally ordered emission point with the
 // merger's lock held, on whichever ring goroutine's event completed the
 // emission. A sink therefore must not block, and must not call
-// OnRingEvent, Pace, BeginMigrate, Members or GroupsOf (they take that
-// lock). It may call the routing accessors (RingOfGroup, SplitByRing) and
-// Submit: the Submitter never blocks, so the merger itself submits its
-// control envelopes (migration acks, frontier announcements) right there.
+// OnRingEvent, BeginMigrate, Members or GroupsOf (they take that lock). It
+// may call the routing accessors (RingOfGroup, SplitByRing) and Submit: the
+// Submitter never blocks, so the merger itself submits its control
+// envelopes (skip claims, migration acks, frontier announcements) right
+// there.
 package groupcore
 
 import (
@@ -96,8 +98,6 @@ type Core struct {
 	// one is Message's delivery-set scratch for privates (emission points
 	// are serialized by the merger's lock).
 	one [1]group.ClientID
-
-	wants []merge.Want // Pace scratch; Pace is never called concurrently
 }
 
 // New builds a core for cfg.Shards rings.
@@ -149,20 +149,6 @@ func (c *Core) Submit(ring int, env *group.Envelope, svc evs.Service) error {
 		return err
 	}
 	return c.sub.Submit(ring, enc, svc)
-}
-
-// Pace is one lambda-pacing round: for every idle ring that blocks this
-// node's global order, order a skip claim on it. Skips are ordinary
-// ordered envelopes, so every node applies the same claims at the same
-// per-ring positions; a refused skip is dropped, since the merger
-// re-requests it after its suppression window. With one ring nothing ever
-// blocks and no skip is ever wanted.
-func (c *Core) Pace() {
-	c.wants = c.merger.Wants(c.wants)
-	for _, w := range c.wants {
-		env := c.merger.SkipEnvelope(w)
-		_ = c.Submit(w.Ring, &env, evs.Agreed)
-	}
 }
 
 // BeginMigrate orders a MigrateBegin moving group g from ring from (the
@@ -341,7 +327,8 @@ func (o *mergeOut) Config(ring int, cc evs.ConfigChange) {
 
 // SubmitAsync orders a merge-control envelope right at its emission point,
 // behind this node's earlier submissions to the ring. A refusal is dropped:
-// the merger re-announces acks and frontiers at configuration changes.
+// the merger re-claims skips and re-announces acks and frontiers at
+// configuration changes.
 func (o *mergeOut) SubmitAsync(ring int, env group.Envelope) {
 	_ = (*Core)(o).Submit(ring, &env, evs.Agreed)
 }

@@ -182,7 +182,7 @@ func TestApply(t *testing.T) {
 
 // TestSingleRingEquivalence: one ring through the core is exactly that
 // ring's order — every event emits at its own push — and the merge layer
-// stays silent: no control envelope is ever submitted and Pace is a no-op.
+// stays silent: no control envelope is ever submitted.
 func TestSingleRingEquivalence(t *testing.T) {
 	core, sink, sub := newTestCore(1)
 	core.OnRingEvent(0, regular(1, 2))
@@ -197,11 +197,9 @@ func TestSingleRingEquivalence(t *testing.T) {
 		if len(sink.events) != len(want) {
 			t.Fatalf("push %d did not emit immediately: %d events, want %d", i, len(sink.events), len(want))
 		}
-		core.Pace()
 	}
 	core.OnRingEvent(0, regular(1))
 	want = append(want, "config r0 [1] trans=false")
-	core.Pace()
 	if !reflect.DeepEqual(sink.events, want) {
 		t.Fatalf("sink saw\n  %q\nwant\n  %q", sink.events, want)
 	}

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"accelring/internal/evs"
+	"accelring/internal/membership"
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
 	"accelring/internal/transport"
@@ -16,24 +18,24 @@ import (
 // daemon alike: N independent ring instances (the Multi-Ring scaling
 // pattern of "Stretching Multi-Ring Paxos"), each a full ringnode bundle
 // with its own transport so one ring's membership incidents never stall
-// another, their streams merged by one Core, and (N > 1) the pacing loop.
-// The chaos harness drives the passive Core from its own virtual-time loop.
+// another, their streams merged by one Core. The host starts no goroutine
+// beyond its rings': the merge claims skips from the ring goroutines that
+// feed it. The chaos harness drives the passive Core from its own
+// virtual-time loop.
 type Host struct {
-	core  *Core
-	nodes []*ringnode.Node
-
-	// stop ends the pacing loop and done reports that it has; both stay
-	// nil unless a multi-ring Start ends by starting the loop.
-	stop, done chan struct{}
-	stopOnce   sync.Once
+	core *Core
+	// nodes[r] is published once ring r has started. A started ring's
+	// events reach the core, and through it Submit, while Start is still
+	// starting the rings after it, and no goroutine of the host's orders
+	// the two.
+	nodes    []atomic.Pointer[ringnode.Node]
+	stopOnce sync.Once
 }
 
 const (
 	// MaxShards bounds the ring count: sharding wins by multiplying rings a
 	// few times over, not by spraying hundreds of tokens through one host.
 	MaxShards = 64
-	// DefaultSkipInterval is the pacing loop's lambda-pacing tick.
-	DefaultSkipInterval = 2 * time.Millisecond
 	// MigrateTimeout bounds how long Migrate waits for the ordered close.
 	MigrateTimeout = 30 * time.Second
 	// Application senders pace (Paced) while a ring has PaceBacklog
@@ -59,9 +61,9 @@ type HostConfig struct {
 	Obs *obs.Registry
 }
 
-// Start opens every ring's transport, starts every ring, builds the core
-// over them and (N > 1) runs its pacing loop. On any failure the rings
-// already started are stopped (closing their transports).
+// Start opens every ring's transport, starts every ring and builds the core
+// over them. On any failure the rings already started are stopped (closing
+// their transports).
 func Start(cfg HostConfig) (*Host, error) {
 	if cfg.Shards < 1 || cfg.Shards > MaxShards {
 		return nil, fmt.Errorf("groupcore: ring count %d out of range [1, %d]", cfg.Shards, MaxShards)
@@ -73,7 +75,7 @@ func Start(cfg HostConfig) (*Host, error) {
 	if open == nil {
 		return nil, errors.New("groupcore: nil NewTransport")
 	}
-	h := &Host{}
+	h := &Host{nodes: make([]atomic.Pointer[ringnode.Node], cfg.Shards)}
 	h.core = New(Config{Shards: cfg.Shards, Self: cfg.Ring.Self, Submit: h, Sink: cfg.Sink, Obs: cfg.Obs})
 	for r := 0; r < cfg.Shards; r++ {
 		tr, err := open(r)
@@ -92,48 +94,32 @@ func Start(cfg HostConfig) (*Host, error) {
 			h.Stop()
 			return nil, fmt.Errorf("groupcore: ring %d: %w", r, err)
 		}
-		h.nodes = append(h.nodes, n)
-	}
-	if cfg.Shards > 1 {
-		h.stop, h.done = make(chan struct{}), make(chan struct{})
-		go h.run()
+		h.nodes[r].Store(n)
 	}
 	return h, nil
-}
-
-// run is the pacing loop: it calls Pace every DefaultSkipInterval (the
-// merge's lambda pacing) until Stop. One ring never blocks its own merge,
-// so a one-ring host runs no loop.
-func (h *Host) run() {
-	defer close(h.done)
-	t := time.NewTicker(DefaultSkipInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-h.stop:
-			return
-		case <-t.C:
-			h.core.Pace()
-		}
-	}
 }
 
 // Core returns the ordered-group core the host feeds.
 func (h *Host) Core() *Core { return h.core }
 
 // RingNode returns ring r's protocol node (status inspection, observer).
-func (h *Host) RingNode(r int) *ringnode.Node { return h.nodes[r] }
+func (h *Host) RingNode(r int) *ringnode.Node { return h.nodes[r].Load() }
 
 // Submit orders a payload on ring r in that ring's total order: the core's
-// Submitter. It never blocks, so any goroutine may call it.
+// Submitter. It never blocks, so any goroutine may call it. A ring Start
+// has not started yet has formed no ring either: ErrNotOperational.
 func (h *Host) Submit(r int, payload []byte, svc evs.Service) error {
-	return h.nodes[r].Submit(payload, svc)
+	n := h.nodes[r].Load()
+	if n == nil {
+		return membership.ErrNotOperational
+	}
+	return n.Submit(payload, svc)
 }
 
 // Backlog returns the deepest ring's count of unsent submissions.
 func (h *Host) Backlog() (deepest int) {
-	for _, n := range h.nodes {
-		deepest = max(deepest, n.Status().QueueLen)
+	for r := range h.nodes {
+		deepest = max(deepest, h.nodes[r].Load().Status().QueueLen)
 	}
 	return deepest
 }
@@ -150,17 +136,15 @@ func (h *Host) Paced() (waits int) {
 	return waits
 }
 
-// Stop stops the pacing loop, then every ring (closing its transport), and
-// waits for all of them: once it returns no Sink method runs. It is
-// idempotent and safe on a partially started host.
+// Stop stops every ring (closing its transport) and waits for all of them:
+// once it returns no Sink method runs. It is idempotent and safe on a
+// partially started host.
 func (h *Host) Stop() {
 	h.stopOnce.Do(func() {
-		if h.stop != nil {
-			close(h.stop)
-			<-h.done
-		}
-		for _, n := range h.nodes {
-			n.Stop()
+		for r := range h.nodes {
+			if n := h.nodes[r].Load(); n != nil {
+				n.Stop()
+			}
 		}
 	})
 }

@@ -235,15 +235,18 @@ func (c *closeTracker) Close() error {
 	return c.Transport.Close()
 }
 
-// pacerRunning reports whether any goroutine is in a host's pacing loop.
-func pacerRunning() bool {
+// hostGoroutines counts the live goroutines this package's host code
+// started, as opposed to its rings' (started by ringnode) and the tests'.
+func hostGoroutines() int {
 	buf := make([]byte, 1<<20)
-	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "groupcore.(*Host).run")
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	return strings.Count(stacks, "created by accelring/internal/groupcore.Start") +
+		strings.Count(stacks, "created by accelring/internal/groupcore.(*")
 }
 
 // TestStartFailureStopsStartedRings: when ring 1 cannot start, ring 0,
-// already running, is stopped with its transport closed, and no pacing
-// loop is left behind.
+// already running, is stopped with its transport closed, and no goroutine
+// of the host's is left behind.
 func TestStartFailureStopsStartedRings(t *testing.T) {
 	hub := transport.NewHub()
 	ep, err := hub.Endpoint(1, 0, 0)
@@ -267,34 +270,35 @@ func TestStartFailureStopsStartedRings(t *testing.T) {
 	if !ring0.closed.Load() {
 		t.Fatal("ring 0's transport left open after the failed start")
 	}
-	if pacerRunning() {
-		t.Fatal("a pacing loop outlived the failed start")
+	if n := hostGoroutines(); n != 0 {
+		t.Fatalf("%d host goroutines outlived the failed start", n)
 	}
 }
 
-// TestHostStopIdempotent: a one-ring host runs no pacing loop, a second
-// Stop returns at once, and the stopped host refuses submissions.
+// TestHostStopIdempotent: a host starts no goroutine beyond its rings',
+// for one ring or several (the merge claims skips from the ring
+// goroutines), a second Stop returns at once, and the stopped host refuses
+// submissions.
 func TestHostStopIdempotent(t *testing.T) {
-	hosts, _, _ := startHosts(t, 1, 1)
-	h := hosts[0]
-	if pacerRunning() {
-		t.Fatal("a one-ring host runs a pacing loop")
-	}
-	h.Stop()
-	if pacerRunning() {
-		t.Fatal("pacing loop still running after Stop")
-	}
-	stopped := make(chan struct{})
-	go func() {
+	for _, shards := range []int{1, 2} {
+		hosts, _, _ := startHosts(t, 1, shards)
+		h := hosts[0]
+		if n := hostGoroutines(); n != 0 {
+			t.Fatalf("a %d-ring host runs %d goroutines of its own", shards, n)
+		}
 		h.Stop()
-		close(stopped)
-	}()
-	select {
-	case <-stopped:
-	case <-time.After(5 * time.Second):
-		t.Fatal("second Stop blocked")
-	}
-	if err := h.Submit(0, []byte("late"), evs.Agreed); !errors.Is(err, ringnode.ErrStopped) {
-		t.Fatalf("Submit after Stop = %v, want ErrStopped", err)
+		stopped := make(chan struct{})
+		go func() {
+			h.Stop()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d rings: second Stop blocked", shards)
+		}
+		if err := h.Submit(0, []byte("late"), evs.Agreed); !errors.Is(err, ringnode.ErrStopped) {
+			t.Fatalf("%d rings: Submit after Stop = %v, want ErrStopped", shards, err)
+		}
 	}
 }

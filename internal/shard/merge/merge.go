@@ -17,15 +17,16 @@
 // no clocks, no cross-daemon coordination.
 //
 // An idle ring would stall the merge (its next slot stays forever
-// pending), so blocked members emit skip envelopes on a short timer —
-// Multi-Ring Paxos lambda pacing. A skip is ordered on its ring like
-// any message but consumes no slot: it raises the ring's virtual frontier
-// to its Arg (max-merged, so duplicate or stale skips are harmless),
-// telling the merge "this ring will order nothing below Arg". Claims are
-// issued DefaultSkipAhead slots past the blocked head so a quiet ring does
-// not need one skip per foreign message, and any blocked member of the idle
-// ring may claim (blockedness is per-daemon after a partition, so a
-// designated claimer could deadlock). At every regular configuration
+// pending), so the moment a member's merge blocks on an idle ring it
+// orders a skip claim there — Multi-Ring Paxos skip instances, paced by
+// the busy ring's own deliveries rather than by a timer. A skip is ordered
+// on its ring like any message but consumes no slot: it raises the ring's
+// virtual frontier to its Arg (max-merged, so duplicate or stale skips are
+// harmless), telling the merge "this ring will order nothing below Arg".
+// Claims reach DefaultSkipAhead slots past the blocked head so a quiet ring
+// does not need one skip per foreign message, and any blocked member of
+// the idle ring may claim (blockedness is per-daemon after a partition, so
+// a designated claimer could deadlock). At every regular configuration
 // change each member announces its frontier with an OpFrontier anchored
 // to the change itself (receivers apply Arg plus the slots they consumed
 // since that change), which re-levels the frontiers of members that
@@ -87,10 +88,6 @@ import (
 // quiet ring's next real message order later relative to busy rings.
 const DefaultSkipAhead = 32
 
-// skipRetryTicks is how many Wants calls a submitted skip suppresses
-// re-requesting the same ring before it is considered lost and retried.
-const skipRetryTicks = 8
-
 // Out receives the merger's globally ordered output. All methods are
 // invoked with the merger's lock held, serialized in global order, from
 // whichever ring goroutine's push completed the emission — implementations
@@ -105,10 +102,11 @@ type Out interface {
 	// Config hands over a ring's configuration change at its globally
 	// ordered position.
 	Config(ring int, cc evs.ConfigChange)
-	// SubmitAsync submits a merge-control envelope (ack, frontier
-	// announcement) to a ring at the emission point, so it must not
-	// block: implementations queue. A refusal may be dropped — the merger
-	// re-announces both at the ring's next configuration change.
+	// SubmitAsync submits a merge-control envelope (skip claim, ack,
+	// frontier announcement) to a ring at the emission point, so it must
+	// not block: implementations queue. A refusal may be dropped — the
+	// merger re-claims and re-announces at the ring's next configuration
+	// change.
 	SubmitAsync(ring int, env group.Envelope)
 	// Migrated reports a migration that closed at the current emission
 	// point, after the group's state moved rings.
@@ -158,10 +156,10 @@ type ringState struct {
 	// deterministic timeline.
 	cfg     evs.Configuration
 	haveCfg bool
-	// pendingSkipTarget/pendingSkipAge suppress duplicate skip requests
-	// while one is in flight.
+	// pendingSkipTarget is the Arg of this daemon's skip claim in flight
+	// on the ring (0: none). It suppresses duplicate claims until a skip
+	// or frontier raises front, or the ring slots a configuration change.
 	pendingSkipTarget uint64
-	pendingSkipAge    int
 }
 
 // pending returns the number of queued, unemitted items.
@@ -332,6 +330,9 @@ func (m *Merger) PushConfig(ring int, cc evs.ConfigChange) {
 	r.front++
 	m.frontG[ring].Set(int64(r.front))
 	r.push(item{slot: r.front, cc: cc})
+	// A claim the ring refused while it was not operational was dropped,
+	// and such a ring slots a change before it orders anything: re-arm.
+	r.pendingSkipTarget = 0
 	// Announce our frontier at every regular change, immediately at push:
 	// members whose virtual slot counters diverged while partitioned
 	// re-level back to one value. Announcing at the change's EMISSION
@@ -374,12 +375,18 @@ func (m *Merger) drain() {
 			return
 		}
 		// The head is emittable only if every idle ring's next possible
-		// slot lies beyond it in (slot, ring) order.
+		// slot lies beyond it in (slot, ring) order; claim past it on every
+		// ring that is not.
+		blocked := false
 		for qi := range m.rings {
 			if m.blocks(qi, best, bs) {
-				m.updatePending()
-				return
+				m.claimSkip(qi, bs)
+				blocked = true
 			}
+		}
+		if blocked {
+			m.updatePending()
+			return
 		}
 		it := m.rings[best].pop()
 		m.emitted.Inc()
@@ -415,6 +422,24 @@ func (m *Merger) blocks(qi, best int, slot uint64) bool {
 	}
 	lb := m.rings[qi].front + 1
 	return lb < slot || (lb == slot && qi < best)
+}
+
+// claimSkip orders a skip on idle ring qi reaching DefaultSkipAhead slots
+// past the blocked head slot bs, unless this daemon cannot order on qi
+// (it is not in the ring's configuration) or its own claim covering bs is
+// already in flight. Claims max-merge, so concurrent claimers are
+// harmless. Called with m.mu held.
+func (m *Merger) claimSkip(qi int, bs uint64) {
+	r := &m.rings[qi]
+	if r.pendingSkipTarget >= bs || !r.haveCfg || !contains(r.cfg.Members, m.cfg.Self) {
+		return
+	}
+	r.pendingSkipTarget = bs + DefaultSkipAhead
+	m.cfg.Out.SubmitAsync(qi, group.Envelope{
+		Kind:   group.OpSkip,
+		Sender: m.ctlSender(),
+		Arg:    r.pendingSkipTarget,
+	})
 }
 
 // queued is the total unemitted item count. Called with m.mu held.
@@ -640,73 +665,12 @@ func (m *Merger) sortedMigrations() []*migration {
 	return out
 }
 
-// Want is one skip submission that would unblock the merge: ring's
-// representative (us) should order a skip claiming Target.
-type Want struct {
-	Ring   int
-	Target uint64
-}
-
-// Wants reports the skips this daemon should submit right now: for every
-// idle ring that blocks OUR current head, a claim DefaultSkipAhead past the
-// head. Any blocked member of the idle ring may claim — blockedness is a
-// per-daemon condition (partition-era frontier divergence can leave one
-// daemon's merge blocked where another's, including the ring
-// representative's, is not), so waiting on a designated claimer would
-// deadlock. Claims max-merge, so concurrent claimers are harmless.
-// Recently requested rings are suppressed until the in-flight skip lands
-// or skipRetryTicks calls pass, so a slow pacer tick doesn't flood rings
-// with duplicates.
-func (m *Merger) Wants(dst []Want) []Want {
-	dst = dst[:0]
-	if len(m.rings) == 1 {
-		return dst // a lone ring never blocks
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	best, bs := m.head()
-	if best < 0 {
-		return dst
-	}
-	for qi := range m.rings {
-		if !m.blocks(qi, best, bs) {
-			continue
-		}
-		r := &m.rings[qi]
-		if !r.haveCfg || !contains(r.cfg.Members, m.cfg.Self) {
-			continue // cannot order a claim on a ring we are not part of
-		}
-		target := bs + DefaultSkipAhead
-		if r.pendingSkipTarget >= target {
-			if r.pendingSkipAge < skipRetryTicks {
-				r.pendingSkipAge++
-				continue
-			}
-		}
-		r.pendingSkipTarget = target
-		r.pendingSkipAge = 0
-		dst = append(dst, Want{Ring: qi, Target: target})
-	}
-	return dst
-}
-
 // ctlSender allocates the sender identity of one merger-originated
 // control envelope. The Local counter only provides byte-uniqueness;
 // emission logic keys on Sender.Daemon alone. Called with m.mu held.
 func (m *Merger) ctlSender() group.ClientID {
 	m.ctlSeq++
 	return group.ClientID{Daemon: m.cfg.Self, Local: m.ctlSeq}
-}
-
-// SkipEnvelope builds the skip envelope for a Want.
-func (m *Merger) SkipEnvelope(w Want) group.Envelope {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return group.Envelope{
-		Kind:   group.OpSkip,
-		Sender: m.ctlSender(),
-		Arg:    w.Target,
-	}
 }
 
 // BeginEnvelope builds the MigrateBegin envelope moving g to ring `to`,

@@ -36,9 +36,9 @@ func (o *recOut) Migrated(g string, from, to int) {
 	o.migrated = append(o.migrated, fmt.Sprintf("%s:%d->%d", g, from, to))
 }
 
-// acks filters the captured async submits down to migration acks (the
-// merger also submits OpSkip frontier announcements at config changes).
-func (o *recOut) acks() []struct {
+// of filters the captured async submits down to one kind (the merger
+// submits skip claims, migration acks and frontier announcements).
+func (o *recOut) of(kind group.OpKind) []struct {
 	ring int
 	env  group.Envelope
 } {
@@ -47,11 +47,18 @@ func (o *recOut) acks() []struct {
 		env  group.Envelope
 	}
 	for _, s := range o.submits {
-		if s.env.Kind == group.OpMigrateAck {
+		if s.env.Kind == kind {
 			out = append(out, s)
 		}
 	}
 	return out
+}
+
+func (o *recOut) acks() []struct {
+	ring int
+	env  group.Envelope
+} {
+	return o.of(group.OpMigrateAck)
 }
 
 func msg(sender evs.ProcID, gs []string, payload string) *group.Envelope {
@@ -61,8 +68,8 @@ func msg(sender evs.ProcID, gs []string, payload string) *group.Envelope {
 	}
 }
 
-// pace simulates the representative's lambda pacing: a skip on ring
-// claiming up to slot target.
+// pace orders a skip on ring claiming up to slot target, as a blocked
+// member's claim would.
 func pace(m *Merger, ring int, target uint64) {
 	skip := group.Envelope{Kind: group.OpSkip, Sender: group.ClientID{Daemon: 1}, Arg: target}
 	m.PushEnvelope(ring, &skip, evs.Agreed)
@@ -116,65 +123,99 @@ func TestMergeLexOrder(t *testing.T) {
 	}
 }
 
-// TestSkipUnblocksIdleRing: an idle ring stalls the merge until a skip
-// claims its slots; claimed slots let a burst pass without more skips.
-func TestSkipUnblocksIdleRing(t *testing.T) {
+// TestBlockedPushClaimsSkip: the push that blocks on an idle ring orders
+// one skip there, DefaultSkipAhead past the head; further blocked pushes
+// claim nothing while it is in flight; the ordered claim releases the head
+// and covers a following burst with no further claims.
+func TestBlockedPushClaimsSkip(t *testing.T) {
 	m, _, out := newTestMerger(t, 2, 1)
 	m.PushConfig(0, cfgChange(1, 2))
 	m.PushConfig(1, cfgChange(1, 2))
 	n := len(out.events)
 
-	// Ring 1 has traffic; ring 0 is idle past its config change.
+	// Ring 1 has traffic; ring 0 is idle past its config change (slot 1),
+	// so the message at ring 1's slot 2 waits on ring 0's slot 2.
 	m.PushEnvelope(1, msg(2, []string{"b"}, "b1"), evs.Agreed)
 	if len(out.events) != n {
 		t.Fatalf("emitted %v past an idle ring", out.events[n:])
 	}
-	if got := m.Pending(); got != 1 {
-		t.Fatalf("pending = %d, want 1", got)
+	skips := out.of(group.OpSkip)
+	if len(skips) != 1 || skips[0].ring != 0 || skips[0].env.Arg != 2+DefaultSkipAhead {
+		t.Fatalf("skips = %+v, want one on ring 0 claiming %d", skips, 2+DefaultSkipAhead)
+	}
+	m.PushEnvelope(1, msg(2, []string{"b"}, "b2"), evs.Agreed)
+	if got := len(out.of(group.OpSkip)); got != 1 {
+		t.Fatalf("%d skips after a second blocked push, want the one in flight", got)
 	}
 
-	// We (daemon 1) are ring 0's representative: a skip is wanted.
-	wants := m.Wants(nil)
-	if len(wants) != 1 || wants[0].Ring != 0 {
-		t.Fatalf("wants = %+v, want one skip on ring 0", wants)
+	claim := skips[0].env
+	m.PushEnvelope(0, &claim, evs.Agreed)
+	if got := out.events[n:]; !reflect.DeepEqual(got, []string{"d1:message:b1", "d1:message:b2"}) {
+		t.Fatalf("after the claim got %v", got)
 	}
-	// Wants suppresses an immediate duplicate.
-	if again := m.Wants(nil); len(again) != 0 {
-		t.Fatalf("duplicate want not suppressed: %+v", again)
-	}
-	env := m.SkipEnvelope(wants[0])
-	m.PushEnvelope(0, &env, evs.Agreed)
-	if got := out.events[n:]; !reflect.DeepEqual(got, []string{"d1:message:b1"}) {
-		t.Fatalf("after skip got %v", got)
-	}
-	// The claim covers a following burst with no further skips.
 	for i := 0; i < int(DefaultSkipAhead)-1; i++ {
 		m.PushEnvelope(1, msg(2, []string{"b"}, "x"), evs.Agreed)
 	}
 	if got := m.Pending(); got != 0 {
-		t.Fatalf("pending = %d after claimed burst, want 0", got)
+		t.Fatalf("pending = %d after the claimed burst, want 0", got)
+	}
+	if got := len(out.of(group.OpSkip)); got != 1 {
+		t.Fatalf("%d skips after the claimed burst, want 1", got)
 	}
 }
 
-// TestWantsOnlyForMembers: any blocked member of the idle ring may claim
-// skips (a designated claimer could deadlock after a partition, since
-// blockedness is per-daemon), but a daemon outside the ring's
-// configuration must not volunteer — it could not order the claim anyway.
-func TestWantsOnlyForMembers(t *testing.T) {
-	m, _, _ := newTestMerger(t, 2, 2) // self = 2, a member but not representative
+// TestClaimOnlyByMembers: any blocked member of the idle ring claims (a
+// designated claimer could deadlock after a partition, since blockedness
+// is per-daemon), but a daemon outside the ring's configuration never
+// does — it could not order the claim anyway.
+func TestClaimOnlyByMembers(t *testing.T) {
+	m, _, out := newTestMerger(t, 2, 2) // a member, not the representative
 	m.PushConfig(0, cfgChange(1, 2))
 	m.PushConfig(1, cfgChange(1, 2))
 	m.PushEnvelope(1, msg(2, []string{"b"}, "b1"), evs.Agreed)
-	if wants := m.Wants(nil); len(wants) != 1 || wants[0].Ring != 0 {
-		t.Fatalf("blocked member did not claim the idle ring: %+v", wants)
+	if skips := out.of(group.OpSkip); len(skips) != 1 || skips[0].ring != 0 {
+		t.Fatalf("blocked member did not claim the idle ring: %+v", skips)
 	}
 
-	out, _, _ := newTestMerger(t, 2, 3) // self = 3, not in ring 0's config
-	out.PushConfig(0, cfgChange(1, 2))
-	out.PushConfig(1, cfgChange(1, 2, 3))
-	out.PushEnvelope(1, msg(2, []string{"b"}, "b1"), evs.Agreed)
-	if wants := out.Wants(nil); len(wants) != 0 {
-		t.Fatalf("non-member volunteered skips: %+v", wants)
+	m, _, out = newTestMerger(t, 2, 3) // not in ring 0's configuration
+	m.PushConfig(0, cfgChange(1, 2))
+	m.PushConfig(1, cfgChange(1, 2, 3))
+	for i := 0; i < 3; i++ {
+		m.PushEnvelope(1, msg(2, []string{"b"}, "b"), evs.Agreed)
+	}
+	if m.Pending() != 3 {
+		t.Fatalf("pending = %d, want 3 blocked", m.Pending())
+	}
+	if skips := out.of(group.OpSkip); len(skips) != 0 {
+		t.Fatalf("non-member claimed: %+v", skips)
+	}
+}
+
+// TestDroppedClaimReissuedAtConfigChange: a claim the Out drops (its ring
+// refused it while re-forming) is claimed again once that ring slots a
+// configuration change, with no timer.
+func TestDroppedClaimReissuedAtConfigChange(t *testing.T) {
+	m, _, out := newTestMerger(t, 2, 1)
+	m.PushConfig(0, cfgChange(1, 2))
+	m.PushConfig(1, cfgChange(1, 2))
+	for _, p := range []string{"b1", "b2", "b3"} {
+		m.PushEnvelope(1, msg(2, []string{"b"}, p), evs.Agreed)
+	}
+	if got := len(out.of(group.OpSkip)); got != 1 {
+		t.Fatalf("%d skips, want 1 (then dropped)", got)
+	}
+
+	// Ring 0 re-forms: its change takes slot 2 and emits, releasing b1 at
+	// slot 2; b2 at slot 3 blocks on ring 0 again.
+	m.PushConfig(0, cfgChange(1, 2))
+	skips := out.of(group.OpSkip)
+	if len(skips) != 2 || skips[1].ring != 0 || skips[1].env.Arg != 3+DefaultSkipAhead {
+		t.Fatalf("skips = %+v, want a second claim on ring 0 for %d", skips, 3+DefaultSkipAhead)
+	}
+	claim := skips[1].env
+	m.PushEnvelope(0, &claim, evs.Agreed)
+	if m.Pending() != 0 {
+		t.Fatalf("pending = %d after the re-issued claim, want 0", m.Pending())
 	}
 }
 
@@ -544,8 +585,8 @@ func TestPushEmitAllocFree(t *testing.T) {
 }
 
 // TestSingleRingIsDegenerateMerge: with one ring every item emits at its
-// own push in stream order, no frontier announcement is submitted at a
-// configuration change, and nothing is ever wanted from the pacer.
+// own push in stream order, and no control envelope — frontier
+// announcement or skip claim — is ever submitted.
 func TestSingleRingIsDegenerateMerge(t *testing.T) {
 	m, _, out := newTestMerger(t, 1, 1)
 	m.PushConfig(0, cfgChange(1, 2))
@@ -558,8 +599,8 @@ func TestSingleRingIsDegenerateMerge(t *testing.T) {
 	if len(out.submits) != 0 {
 		t.Fatalf("single ring submitted control envelopes: %v", out.submits)
 	}
-	if w := m.Wants(nil); len(w) != 0 || m.Pending() != 0 {
-		t.Fatalf("single ring wants %v, pending %d", w, m.Pending())
+	if m.Pending() != 0 {
+		t.Fatalf("single ring left %d pending", m.Pending())
 	}
 }
 
