@@ -23,11 +23,14 @@ test:
 # emission points), the library facade (application
 # goroutines submitting into queues the ring goroutines drain), the
 # daemon's client layer (a reader and a writer goroutine per session
-# around one send window) and the recorder every one of them writes into
-# are the concurrency hot spots; keep them under the race detector even
-# when the full -race run is too slow for the inner loop.
+# around one send window), the state the delivery path reuses between
+# messages (the group table's cached delivery sets, each connection
+# reader's interned names and scratch, the client's delivery events) and
+# the recorder every one of them writes into are the concurrency hot
+# spots; keep them under the race detector even when the full -race run
+# is too slow for the inner loop.
 race:
-	$(GO) test -race . ./internal/transport/... ./internal/faults/... ./internal/ringnode/... ./internal/simproc/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/... ./internal/obs/...
+	$(GO) test -race . ./internal/transport/... ./internal/faults/... ./internal/ringnode/... ./internal/simproc/... ./internal/shard/... ./internal/groupcore/... ./internal/daemon/... ./internal/group/... ./internal/session/... ./internal/client/... ./internal/obs/...
 
 # The full suite under the race detector (CI runs this as its own job).
 # The benchmark's quick pass drives real daemons against wall-clock

@@ -3,6 +3,7 @@ package accelring
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -390,9 +391,11 @@ type nodeSink struct{ n *Node }
 func (k nodeSink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []ClientID) {
 	k.n.host.RingNode(ring).Observer().Stamp(obs.StageMergeOut, seq, 0)
 	if memberOf(to, k.n.self) {
+		// env.Groups may be shared with other envelopes: the application
+		// gets its own copy.
 		k.n.emit(&Message{
 			Sender: env.Sender, Service: svc,
-			Groups: env.Groups, Payload: env.Payload,
+			Groups: slices.Clone(env.Groups), Payload: env.Payload,
 		})
 	}
 }

@@ -16,6 +16,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -48,6 +49,14 @@ type Message struct {
 }
 
 func (*Message) isEvent() {}
+
+// msgEvent is a delivered Message allocated together with room for one
+// group name, so a single-group delivery costs the client one allocation
+// and still owns its Groups slice.
+type msgEvent struct {
+	Message
+	group [1]string
+}
 
 // View is a group's agreed membership after a join, leave, disconnect, or
 // daemon membership change.
@@ -345,8 +354,9 @@ func (c *Client) Err() error {
 // while every other frame's buffer recycles immediately.
 func (c *Client) readLoop(conn net.Conn) {
 	defer close(c.events)
+	rd := c.codec.NewReader()
 	for {
-		f, buf, err := c.codec.ReadFramePooled(conn)
+		f, msg, seq, buf, err := c.read(rd, conn)
 		if err != nil {
 			select {
 			case <-c.done:
@@ -373,6 +383,18 @@ func (c *Client) readLoop(conn net.Conn) {
 			continue
 		}
 		switch v := f.(type) {
+		case nil: // a sequenced Message, already decoded into msg
+			if seq <= c.lastSeq {
+				bufpool.Put(buf)
+				continue // duplicate from a resume replay
+			}
+			c.lastSeq = seq
+			c.deliver(msg)
+			c.counted(conn)
+			if len(msg.Payload) == 0 {
+				bufpool.Put(buf)
+			}
+			continue
 		case session.Seqd:
 			if v.Seq <= c.lastSeq {
 				bufpool.Put(buf)
@@ -383,10 +405,7 @@ func (c *Client) readLoop(conn net.Conn) {
 				bufpool.Put(buf)
 				return
 			}
-			c.unacked++
-			if c.unacked >= c.cfg.AckEvery {
-				c.ack(conn)
-			}
+			c.counted(conn)
 		case session.Throttle:
 			c.events <- &Throttled{On: v.On, Queued: int(v.Queued)}
 		case session.Detach:
@@ -404,6 +423,52 @@ func (c *Client) readLoop(conn net.Conn) {
 			bufpool.Put(buf)
 		}
 	}
+}
+
+// read reads the next frame from conn. The per-delivery frame, a
+// sequenced Message, decodes straight into the event the application
+// receives: it comes back as msg, with its session sequence seq and a nil
+// f. Every other frame comes back decoded in f.
+func (c *Client) read(rd *session.Reader, conn io.Reader) (f session.Frame, msg *Message, seq uint64, buf []byte, err error) {
+	body, buf, err := rd.ReadBody(conn)
+	if err != nil {
+		return nil, nil, 0, nil, err
+	}
+	if session.IsSeqdMessage(body) {
+		msg, seq, err = decodeMessage(rd, body)
+	} else {
+		f, err = rd.Decode(body)
+	}
+	if err != nil {
+		bufpool.Put(buf)
+		return nil, nil, 0, nil, err
+	}
+	return f, msg, seq, buf, nil
+}
+
+// decodeMessage decodes a sequenced Message body into a fresh event: the
+// one allocation a single-group delivery costs.
+func decodeMessage(rd *session.Reader, body []byte) (*Message, uint64, error) {
+	ev := new(msgEvent)
+	ev.Groups = ev.group[:0]
+	// Message and session.Message share one underlying struct type.
+	seq, err := rd.DecodeSeqdMessage(body, (*session.Message)(&ev.Message))
+	return &ev.Message, seq, err
+}
+
+// counted counts one processed sequenced delivery, acknowledging every
+// AckEvery of them.
+func (c *Client) counted(conn net.Conn) {
+	c.unacked++
+	if c.unacked >= c.cfg.AckEvery {
+		c.ack(conn)
+	}
+}
+
+// deliver hands a Message event to the application.
+func (c *Client) deliver(m *Message) {
+	c.cfg.Tracer.Stamp(obs.Event{Kind: obs.StageClientRecv, Seq: m.Seq})
+	c.events <- m
 }
 
 // retainsBuf reports whether the decoded frame's zero-copy fields alias
@@ -424,8 +489,7 @@ func retainsBuf(f session.Frame) bool {
 func (c *Client) handleDelivery(f session.Frame) bool {
 	switch v := f.(type) {
 	case session.Message:
-		c.cfg.Tracer.Stamp(obs.Event{Kind: obs.StageClientRecv, Seq: v.Seq})
-		c.events <- &Message{Sender: v.Sender, Service: v.Service, Groups: v.Groups, Payload: v.Payload, Seq: v.Seq}
+		c.deliver(&Message{Sender: v.Sender, Service: v.Service, Groups: v.Groups, Payload: v.Payload, Seq: v.Seq})
 	case session.View:
 		c.events <- &View{Group: v.Group, Members: v.Members}
 	case session.Error:
@@ -569,13 +633,19 @@ func (c *Client) awaitConn() (net.Conn, error) {
 }
 
 func (c *Client) write(f session.Frame) error {
+	return c.writeWith(func(conn net.Conn) error { return c.codec.WriteFrame(conn, f) })
+}
+
+// writeWith runs one frame write on the current connection under writeMu,
+// retrying across reconnects.
+func (c *Client) writeWith(write func(net.Conn) error) error {
 	for {
 		conn, err := c.awaitConn()
 		if err != nil {
 			return err
 		}
 		c.writeMu.Lock()
-		err = c.codec.WriteFrame(conn, f)
+		err = write(conn)
 		c.writeMu.Unlock()
 		if err == nil {
 			return nil
@@ -636,7 +706,10 @@ func (c *Client) Multicast(service evs.Service, payload []byte, groups ...string
 	if !service.Valid() {
 		return ErrInvalidService
 	}
-	return c.write(session.Send{Service: service, Groups: groups, Payload: payload})
+	// The per-message write: encoded straight from the Send, not boxed
+	// into a Frame.
+	s := session.Send{Service: service, Groups: groups, Payload: payload}
+	return c.writeWith(func(conn net.Conn) error { return c.codec.WriteSend(conn, &s) })
 }
 
 // closeGrace bounds how long Close waits for the daemon to act on the

@@ -1,10 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
 
+	"accelring/internal/bufpool"
 	"accelring/internal/evs"
 	"accelring/internal/group"
 	"accelring/internal/session"
@@ -199,4 +201,51 @@ func TestDaemonErrorSurfacesInErr(t *testing.T) {
 	if err := c.Err(); err == nil {
 		t.Fatal("Err is nil after daemon error")
 	}
+}
+
+// TestSeqdMessageDecode: a sequenced Message read off the connection
+// decodes into the one event handed to the application — a single
+// allocation for a one-group delivery — and no two events share a Groups
+// slice.
+func TestSeqdMessageDecode(t *testing.T) {
+	var wire bytes.Buffer
+	msg := session.Message{Sender: group.ClientID{Daemon: 1, Local: 1}, Service: evs.Agreed,
+		Seq: 11, Groups: []string{"g"}, Payload: []byte("payload")}
+	if err := session.WriteFrame(&wire, session.Seqd{Seq: 4, Frame: msg}); err != nil {
+		t.Fatal(err)
+	}
+	src := &loopReader{b: wire.Bytes()}
+	c := &Client{}
+	rd := c.codec.NewReader()
+	read := func() *Message {
+		f, m, seq, buf, err := c.read(rd, src)
+		if err != nil || f != nil || seq != 4 {
+			t.Fatalf("read = %v, %v, seq %d", f, err, seq)
+		}
+		bufpool.Put(buf)
+		return m
+	}
+	a, b := read(), read()
+	if a.Sender != msg.Sender || a.Service != msg.Service || a.Seq != 11 ||
+		len(a.Groups) != 1 || a.Groups[0] != "g" || string(a.Payload) != "payload" {
+		t.Fatalf("decoded %+v", a)
+	}
+	if &a.Groups[0] == &b.Groups[0] {
+		t.Fatal("two delivered events share one Groups slice")
+	}
+	if n := testing.AllocsPerRun(500, func() { read() }); n > 1 {
+		t.Fatalf("a sequenced one-group Message read allocates %.1f times, want at most 1 (the event)", n)
+	}
+}
+
+// loopReader serves the same bytes over and over.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.b[l.off:])
+	l.off = (l.off + n) % len(l.b)
+	return n, nil
 }

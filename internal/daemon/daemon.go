@@ -510,13 +510,15 @@ func (d *Daemon) challengeResume(conn net.Conn) bool {
 }
 
 // clientReader turns client requests into ordered envelopes. Frames are
-// read into pooled buffers and recycled after each request: every path
-// below copies what it keeps (envelope encoding copies payloads and
-// group names, decode already copied the strings), so nothing aliases
-// the buffer once handleRequest returns.
+// read into pooled buffers through the connection's own session.Reader
+// (interned group names, a Send decoded into its scratch) and recycled
+// after each request: every path below copies what it keeps (envelope
+// encoding copies payloads and group names), so nothing aliases the
+// buffer or the reader's scratch once handleRequest returns.
 func (d *Daemon) clientReader(c *clientConn, conn net.Conn) {
+	rd := d.codec.NewReader()
 	for {
-		f, buf, err := d.codec.ReadFramePooled(conn)
+		f, buf, err := rd.Read(conn)
 		if err != nil {
 			if errors.Is(err, session.ErrAuth) {
 				d.dm.authDrops.Inc()
@@ -550,7 +552,7 @@ func (d *Daemon) handleRequest(c *clientConn, f session.Frame) bool {
 		d.submitEnvelope(c, d.core.RingOfGroup(req.Group), group.Envelope{
 			Kind: group.OpLeave, Sender: c.id, Groups: []string{req.Group},
 		}, evs.Agreed)
-	case session.Send:
+	case *session.Send:
 		svc := req.Service
 		if !svc.Valid() {
 			d.pushError(c, session.Error{Code: session.CodeInvalidService, Msg: "invalid service"})
@@ -780,7 +782,7 @@ func (k sink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64
 		}
 		if sh == nil {
 			var err error
-			sh, err = session.NewShared(session.Message{
+			sh, err = session.NewSharedMessage(&session.Message{
 				Sender:  env.Sender,
 				Service: svc,
 				Seq:     seq,

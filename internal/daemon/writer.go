@@ -24,7 +24,10 @@ import (
 type frameWriter struct {
 	scratch []byte      // per-batch arena: headers, control encodes, MACs
 	bufs    net.Buffers // iovec under assembly
-	frames  []seqFrame  // peek buffer handed to nextBatch; never outgrows writerBatch
+	// vec is the header WriteTo consumes; as a field it does not escape to
+	// the heap on every flush the way a local copy of bufs would.
+	vec    net.Buffers
+	frames []seqFrame // peek buffer handed to nextBatch; never outgrows writerBatch
 }
 
 // seqdHdrLen is the per-frame scratch header for a shared body: 4-byte
@@ -77,7 +80,8 @@ func (w *frameWriter) flush(conn net.Conn, codec session.Codec, frames []seqFram
 		}
 	}
 	w.bufs = bufs // keep the (possibly grown) backing for the next batch
-	vec := bufs   // WriteTo consumes its receiver; spend a copy of the header
-	_, err := (&vec).WriteTo(conn)
+	w.vec = bufs  // WriteTo consumes its receiver; spend a copy of the header
+	_, err := w.vec.WriteTo(conn)
+	w.vec = nil
 	return err
 }

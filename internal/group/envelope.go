@@ -196,14 +196,59 @@ func (e *Envelope) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeEnvelope parses an encoded envelope.
+// DecodeEnvelope parses an encoded envelope into a fresh Envelope whose
+// group names are copies (see Envelope.Decode).
 func DecodeEnvelope(b []byte) (*Envelope, error) {
-	fail := func() (*Envelope, error) { return nil, fmt.Errorf("group: truncated envelope") }
+	e := new(Envelope)
+	if err := e.Decode(b, nil); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// maxNames bounds a Names set: past it, new names are copied per decode
+// again, so a stream naming ever more groups cannot grow the set forever.
+const maxNames = 1024
+
+// Names interns the group names one decoding goroutine sees. A stream
+// names the same few groups over and over, so after its first sighting a
+// name decodes without a copy, and a one-group list without an allocation.
+// The zero value is ready to use; a Names is not safe for concurrent use.
+type Names struct {
+	// lists maps a name to its shared one-group list; the list's only
+	// element is the interned name.
+	lists map[string][]string
+}
+
+// List returns the one-group list naming b. Interned lists are shared:
+// read-only, with no spare capacity for an append to write into.
+func (n *Names) List(b []byte) []string {
+	if l, ok := n.lists[string(b)]; ok {
+		return l
+	}
+	l := []string{string(b)}
+	if len(n.lists) < maxNames {
+		if n.lists == nil {
+			n.lists = make(map[string][]string)
+		}
+		n.lists[l[0]] = l
+	}
+	return l
+}
+
+// Name returns b as a string, interned.
+func (n *Names) Name(b []byte) string { return n.List(b)[0] }
+
+// Decode parses an encoded envelope into e, overwriting it. Payload
+// aliases b. Group names come from names when it is non-nil — interned,
+// and a one-group Groups list is then shared with other envelopes and must
+// not be modified — and are fresh copies otherwise.
+func (e *Envelope) Decode(b []byte, names *Names) error {
+	fail := func() error { return fmt.Errorf("group: truncated envelope") }
 	if len(b) < 18 {
 		return fail()
 	}
-	var e Envelope
-	e.Kind = OpKind(b[0])
+	*e = Envelope{Kind: OpKind(b[0])}
 	e.Sender.Daemon = evs.ProcID(binary.BigEndian.Uint32(b[1:]))
 	e.Sender.Local = binary.BigEndian.Uint32(b[5:])
 	e.Target.Daemon = evs.ProcID(binary.BigEndian.Uint32(b[9:]))
@@ -219,7 +264,7 @@ func DecodeEnvelope(b []byte) (*Envelope, error) {
 	ng := int(b[off])
 	off++
 	if ng > MaxGroups {
-		return nil, fmt.Errorf("group: %d groups exceeds %d", ng, MaxGroups)
+		return fmt.Errorf("group: %d groups exceeds %d", ng, MaxGroups)
 	}
 	for i := 0; i < ng; i++ {
 		if off >= len(b) {
@@ -230,7 +275,18 @@ func DecodeEnvelope(b []byte) (*Envelope, error) {
 		if off+gl > len(b) {
 			return fail()
 		}
-		e.Groups = append(e.Groups, string(b[off:off+gl]))
+		name := b[off : off+gl]
+		switch {
+		case names == nil:
+			e.Groups = append(e.Groups, string(name))
+		case ng == 1:
+			e.Groups = names.List(name)
+		default:
+			if e.Groups == nil {
+				e.Groups = make([]string, 0, ng)
+			}
+			e.Groups = append(e.Groups, names.Name(name))
+		}
 		off += gl
 	}
 	if off+4 > len(b) {
@@ -239,13 +295,10 @@ func DecodeEnvelope(b []byte) (*Envelope, error) {
 	pl := int(binary.BigEndian.Uint32(b[off:]))
 	off += 4
 	if off+pl != len(b) {
-		return nil, fmt.Errorf("group: envelope length mismatch")
+		return fmt.Errorf("group: envelope length mismatch")
 	}
 	if pl > 0 {
 		e.Payload = b[off : off+pl : off+pl]
 	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
+	return e.Validate()
 }

@@ -8,8 +8,10 @@
 package group
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"accelring/internal/evs"
@@ -31,12 +33,19 @@ type ClientID struct {
 
 func (c ClientID) String() string { return fmt.Sprintf("%d#%d", c.Daemon, c.Local) }
 
-// less orders clients for deterministic view listings.
-func (c ClientID) less(o ClientID) bool {
+// compare orders clients for deterministic view listings.
+func (c ClientID) compare(o ClientID) int {
 	if c.Daemon != o.Daemon {
-		return c.Daemon < o.Daemon
+		return cmp.Compare(c.Daemon, o.Daemon)
 	}
-	return c.Local < o.Local
+	return cmp.Compare(c.Local, o.Local)
+}
+
+// SortClients sorts ids and drops duplicates in place, returning the
+// shortened slice: the union step of a multi-group delivery set.
+func SortClients(ids []ClientID) []ClientID {
+	slices.SortFunc(ids, ClientID.compare)
+	return slices.Compact(ids)
 }
 
 // ValidGroupName reports whether a group name is usable.
@@ -52,6 +61,10 @@ type Table struct {
 	groups map[string]map[ClientID]struct{}
 	// byClient maps client -> joined group names.
 	byClient map[ClientID]map[string]struct{}
+	// sorted caches each group's sorted member list, built on first use
+	// and dropped by any membership change of that group, so a stream of
+	// messages to a steady group sorts nothing.
+	sorted map[string][]ClientID
 }
 
 // NewTable returns an empty table.
@@ -59,6 +72,7 @@ func NewTable() *Table {
 	return &Table{
 		groups:   make(map[string]map[ClientID]struct{}),
 		byClient: make(map[ClientID]map[string]struct{}),
+		sorted:   make(map[string][]ClientID),
 	}
 }
 
@@ -79,6 +93,7 @@ func (t *Table) Join(c ClientID, g string) error {
 		t.groups[g] = members
 	}
 	members[c] = struct{}{}
+	delete(t.sorted, g)
 	gs := t.byClient[c]
 	if gs == nil {
 		gs = make(map[string]struct{})
@@ -98,6 +113,7 @@ func (t *Table) Leave(c ClientID, g string) error {
 		return ErrNotMember
 	}
 	delete(members, c)
+	delete(t.sorted, g)
 	if len(members) == 0 {
 		delete(t.groups, g)
 	}
@@ -123,6 +139,7 @@ func (t *Table) Disconnect(c ClientID) []string {
 		left = append(left, g)
 		members := t.groups[g]
 		delete(members, c)
+		delete(t.sorted, g)
 		if len(members) == 0 {
 			delete(t.groups, g)
 		}
@@ -141,7 +158,7 @@ func (t *Table) DropDaemon(d evs.ProcID) []string {
 			clients = append(clients, c)
 		}
 	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i].less(clients[j]) })
+	slices.SortFunc(clients, ClientID.compare)
 	affected := make(map[string]struct{})
 	for _, c := range clients {
 		for _, g := range t.Disconnect(c) {
@@ -163,17 +180,29 @@ func (t *Table) Has(g string) bool {
 	return len(t.groups[g]) > 0
 }
 
-// Members returns the sorted membership of a group (nil if empty).
+// Members returns the sorted membership of a group (nil if empty), as a
+// fresh copy the caller owns: views escape to applications.
 func (t *Table) Members(g string) []ClientID {
-	members := t.groups[g]
-	if len(members) == 0 {
+	return slices.Clone(t.members(g))
+}
+
+// members returns g's cached sorted member list, building it on a miss
+// (nil if empty). The list is shared: read-only, and valid until the next
+// mutation of the table.
+func (t *Table) members(g string) []ClientID {
+	if out, ok := t.sorted[g]; ok {
+		return out
+	}
+	set := t.groups[g]
+	if len(set) == 0 {
 		return nil
 	}
-	out := make([]ClientID, 0, len(members))
-	for c := range members {
+	out := make([]ClientID, 0, len(set))
+	for c := range set {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	slices.SortFunc(out, ClientID.compare)
+	t.sorted[g] = out
 	return out
 }
 
@@ -192,23 +221,23 @@ func (t *Table) GroupsOf(c ClientID) []string {
 }
 
 // Recipients returns the deduplicated, sorted union of the members of the
-// given groups — the delivery set of a multi-group multicast.
+// given groups — the delivery set of a multi-group multicast — or nil if
+// it is empty. For one group it is the table's cached member list:
+// shared, read-only, and valid only until the table's next mutation. A
+// union of several groups is built fresh; a caller with scratch of its
+// own appends each group's list and calls SortClients instead.
 func (t *Table) Recipients(groups []string) []ClientID {
-	set := make(map[ClientID]struct{})
-	for _, g := range groups {
-		for c := range t.groups[g] {
-			set[c] = struct{}{}
-		}
+	if len(groups) == 1 {
+		return t.members(groups[0])
 	}
-	if len(set) == 0 {
+	var out []ClientID
+	for _, g := range groups {
+		out = append(out, t.members(g)...)
+	}
+	if len(out) == 0 {
 		return nil
 	}
-	out := make([]ClientID, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
+	return SortClients(out)
 }
 
 // Groups returns all group names, sorted.

@@ -2,6 +2,7 @@ package group
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -233,5 +234,50 @@ func TestQuickTableConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnvelopeDecodeInterned: a decode through a Names set yields the
+// same envelope as DecodeEnvelope, its one-group lists shared between
+// envelopes naming the same group, and the set stops growing at maxNames.
+func TestEnvelopeDecodeInterned(t *testing.T) {
+	var names Names
+	encode := func(e Envelope) []byte {
+		b, err := e.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	one := encode(Envelope{Kind: OpMessage, Sender: ClientID{1, 1}, Groups: []string{"g"}, Payload: []byte("p")})
+	multi := encode(Envelope{Kind: OpMessage, Sender: ClientID{1, 2}, Groups: []string{"g", "h"}})
+	var e1, e2, e3 Envelope
+	for _, c := range []struct {
+		e *Envelope
+		b []byte
+	}{{&e1, one}, {&e2, one}, {&e3, multi}} {
+		if err := c.e.Decode(c.b, &names); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := DecodeEnvelope(c.b)
+		if !reflect.DeepEqual(*c.e, *want) {
+			t.Fatalf("interned decode = %+v, want %+v", *c.e, *want)
+		}
+	}
+	if &e1.Groups[0] != &e2.Groups[0] {
+		t.Fatal("two envelopes naming one group do not share its list")
+	}
+	if cap(e1.Groups) != 1 {
+		t.Fatalf("a shared list has spare capacity %d an append could write into", cap(e1.Groups))
+	}
+	for i := 0; i < 2*maxNames; i++ {
+		names.Name([]byte(fmt.Sprintf("n%d", i)))
+	}
+	if len(names.lists) != maxNames {
+		t.Fatalf("names set holds %d entries, want the bound %d", len(names.lists), maxNames)
+	}
+	var e Envelope
+	if err := e.Decode(one[:len(one)-1], &names); err == nil {
+		t.Fatal("a truncated envelope decoded")
 	}
 }

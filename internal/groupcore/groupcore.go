@@ -51,8 +51,11 @@ type Sink interface {
 	// Message delivers an ordered multicast (OpMessage) or private
 	// (OpPrivate) envelope with its delivery set resolved against the
 	// group tables as of this point in the order: sorted, deduplicated,
-	// possibly empty, and valid only for the duration of the call. ring
-	// and seq identify the carrier message for latency attribution.
+	// possibly empty. env and to are both valid only for the duration of
+	// the call and both are shared (env.Groups with other envelopes, to
+	// with the table's cache): a sink copies what it keeps and modifies
+	// neither. ring and seq identify the carrier message for latency
+	// attribution.
 	Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []group.ClientID)
 	// View announces a group's agreed membership after a change. cause is
 	// the client whose join, leave or disconnect changed it, or the zero
@@ -95,9 +98,16 @@ type Core struct {
 	table  *group.ShardedTable
 	merger *merge.Merger
 
-	// one is Message's delivery-set scratch for privates (emission points
-	// are serialized by the merger's lock).
-	one [1]group.ClientID
+	// names[r] interns the group names ring r's stream carries. Only ring
+	// r's goroutine decodes into it, so it needs no lock and never races
+	// the table.
+	names []group.Names
+
+	// one and union are Message's delivery-set scratch for privates and
+	// multi-group unions (emission points are serialized by the merger's
+	// lock).
+	one   [1]group.ClientID
+	union []group.ClientID
 }
 
 // New builds a core for cfg.Shards rings.
@@ -107,6 +117,7 @@ func New(cfg Config) *Core {
 		sub:    cfg.Submit,
 		sink:   cfg.Sink,
 		table:  group.NewShardedTable(cfg.Shards),
+		names:  make([]group.Names, cfg.Shards),
 	}
 	c.merger = merge.New(merge.Config{
 		Shards: cfg.Shards,
@@ -126,15 +137,17 @@ func (c *Core) Merger() *merge.Merger { return c.merger }
 // ring's protocol goroutine (different rings concurrently) and emits, via
 // the Sink, whatever the event makes globally ordered. Payloads that are
 // not group envelopes belong to a foreign application on the same ring and
-// are ignored.
+// are ignored. An envelope decodes onto the stack with its group names
+// interned, and the merger queues it by value, so a message to one group
+// allocates nothing here.
 func (c *Core) OnRingEvent(ring int, ev evs.Event) {
 	switch e := ev.(type) {
 	case evs.Message:
-		env, err := group.DecodeEnvelope(e.Payload)
-		if err != nil {
+		var env group.Envelope
+		if env.Decode(e.Payload, &c.names[ring]) != nil {
 			return
 		}
-		c.merger.PushEnvelopeSeq(ring, env, e.Service, e.Seq)
+		c.merger.PushEnvelopeSeq(ring, &env, e.Service, e.Seq)
 	case evs.ConfigChange:
 		// Transitional changes are slotted too: every daemon must assign
 		// the same virtual slots to a ring's stream.
@@ -210,33 +223,20 @@ func (c *Core) tableFor(ring int, g string) *group.Table {
 	return c.table.For(g)
 }
 
-// recipients computes a multicast's delivery set honoring migrated groups.
-// The common case — every group's state in one table — is one Recipients
-// call; a straggler naming both a migrated and a resident group takes the
-// slow union.
+// recipients computes a multicast's delivery set honoring migrated groups,
+// each group's members read from whichever table holds its state. One
+// group's set is that table's cached list; a union of several is built in
+// the core's scratch. Either is valid only until the next emission.
 func (c *Core) recipients(ring int, groups []string) []group.ClientID {
-	tbl := c.tableFor(ring, groups[0])
-	mixed := false
-	for _, g := range groups[1:] {
-		if c.tableFor(ring, g) != tbl {
-			mixed = true
-			break
-		}
+	if len(groups) == 1 {
+		return c.tableFor(ring, groups[0]).Recipients(groups)
 	}
-	if !mixed {
-		return tbl.Recipients(groups)
+	u := c.union[:0]
+	for i, g := range groups {
+		u = append(u, c.tableFor(ring, g).Recipients(groups[i:i+1])...)
 	}
-	seen := make(map[group.ClientID]bool)
-	var out []group.ClientID
-	for _, g := range groups {
-		for _, m := range c.tableFor(ring, g).Members(g) {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
-	}
-	return out
+	c.union = group.SortClients(u)
+	return c.union
 }
 
 // mergeOut is the Core seen as the merger's output: its methods run at

@@ -211,6 +211,41 @@ func TestSingleRingEquivalence(t *testing.T) {
 	}
 }
 
+// nopSink discards the core's output.
+type nopSink struct{}
+
+func (nopSink) Message(int, *group.Envelope, evs.Service, uint64, []group.ClientID) {}
+func (nopSink) View(string, []group.ClientID, group.ClientID)                       {}
+func (nopSink) Config(int, evs.ConfigChange)                                        {}
+func (nopSink) Rejected(group.ClientID, group.OpKind, error)                        {}
+func (nopSink) Migrated(string, int, int)                                           {}
+
+// TestOnRingEventAllocFree: once a ring's stream is flowing, an ordered
+// message to one group — decode, merge queue, delivery set, emission —
+// allocates nothing in the core. A message to several groups allocates
+// only its decoded group list; the union is built in the core's scratch.
+func TestOnRingEventAllocFree(t *testing.T) {
+	core := New(Config{Shards: 1, Self: 1, Submit: &recSubmit{}, Sink: nopSink{}})
+	core.OnRingEvent(0, regular(1, 2))
+	for i, g := range []string{"g", "h", "g", "h"} {
+		core.OnRingEvent(0, ordered(t, group.Envelope{
+			Kind: group.OpJoin, Sender: cid(evs.ProcID(1+i%2), uint32(i)), Groups: []string{g},
+		}, uint64(i+1)))
+	}
+	for _, c := range []struct {
+		groups []string
+		want   float64
+	}{{[]string{"g"}, 0}, {[]string{"g", "h"}, 1}} {
+		var ev evs.Event = ordered(t, group.Envelope{
+			Kind: group.OpMessage, Sender: cid(2, 7), Groups: c.groups, Payload: []byte("payload"),
+		}, 9)
+		core.OnRingEvent(0, ev) // warm the interned names and the scratch
+		if n := testing.AllocsPerRun(1000, func() { core.OnRingEvent(0, ev) }); n > c.want {
+			t.Fatalf("an ordered message to %v allocates %.1f times in the core, want %v", c.groups, n, c.want)
+		}
+	}
+}
+
 // twoRings is a 2-ring core whose test pushes never block: after every
 // event it orders a skip on the other ring claiming far past it.
 type twoRings struct {

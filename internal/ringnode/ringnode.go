@@ -38,7 +38,14 @@ type Node struct {
 	step   *Step
 	stopCh chan struct{}
 	done   chan struct{}
-	status atomic.Value // Status
+
+	// status is the step's state as of the last handled input, published
+	// under smu by copy (boxing it into an atomic.Value allocated a Status
+	// per frame). installed is set once a ring is installed, which never
+	// reverts, so Submit's operational check takes no lock.
+	smu       sync.Mutex
+	status    Status
+	installed atomic.Bool
 
 	// Submit appends to queue under qmu and nudges wake; drain swaps in
 	// spare, the batch it drained last, so the steady state allocates
@@ -67,12 +74,22 @@ func Start(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-func (n *Node) publishStatus() { n.status.Store(n.step.Status()) }
+func (n *Node) publishStatus() {
+	st := n.step.Status()
+	n.smu.Lock()
+	n.status = st
+	n.smu.Unlock()
+	if !st.Ring.ID.IsZero() && !n.installed.Load() {
+		n.installed.Store(true)
+	}
+}
 
 // Status returns a snapshot of the node's state, its QueueLen counting the
 // submissions not yet drained too. Safe for any goroutine.
 func (n *Node) Status() Status {
-	st := n.status.Load().(Status)
+	n.smu.Lock()
+	st := n.status
+	n.smu.Unlock()
 	n.qmu.Lock()
 	defer n.qmu.Unlock()
 	st.QueueLen += len(n.queue)
@@ -108,7 +125,7 @@ func (n *Node) Submit(payload []byte, service evs.Service) error {
 		return ErrStopped
 	default:
 	}
-	if n.status.Load().(Status).Ring.ID.IsZero() { // no ring installed yet
+	if !n.installed.Load() {
 		return membership.ErrNotOperational
 	}
 	if err := n.step.Check(len(payload), service); err != nil {
@@ -150,6 +167,23 @@ func (n *Node) drain() {
 	n.spare = batch[:0]
 }
 
+// handleData feeds one received data frame to the step. Received frames
+// are rented from bufpool by the transport and owned by the protocol
+// goroutine; a data frame recycles only when the engine did not keep its
+// zero-copy payload alive.
+func (n *Node) handleData(f []byte) {
+	if !n.step.Data(f, time.Now()) {
+		bufpool.Put(f)
+	}
+}
+
+// handleToken feeds one token-class frame to the step, which never
+// retains one, so it recycles at once.
+func (n *Node) handleToken(f []byte) {
+	n.step.Token(f, time.Now())
+	bufpool.Put(f)
+}
+
 // tickInterval is the timer resolution, derived from the timeouts.
 func (n *Node) tickInterval() time.Duration {
 	t := cmp.Or(n.cfg.Timeouts, membership.DefaultTimeouts())
@@ -170,26 +204,19 @@ func (n *Node) run() {
 	dataCh := n.cfg.Transport.Data()
 	tokenCh := n.cfg.Transport.Token()
 
-	// Received frames are rented from bufpool by the transport and owned
-	// by this goroutine. Token-class frames are never retained by the
-	// step, so they recycle immediately; data frames recycle only when
-	// the engine did not keep their zero-copy payload alive.
 	handleData := func(f []byte, ok bool) {
 		if !ok {
 			dataCh = nil
 			return
 		}
-		if !n.step.Data(f, time.Now()) {
-			bufpool.Put(f)
-		}
+		n.handleData(f)
 	}
 	handleToken := func(f []byte, ok bool) {
 		if !ok {
 			tokenCh = nil
 			return
 		}
-		n.step.Token(f, time.Now())
-		bufpool.Put(f)
+		n.handleToken(f)
 	}
 	// poll handles one frame of ch's class if one is waiting.
 	poll := func(ch <-chan []byte, handle func([]byte, bool)) bool {

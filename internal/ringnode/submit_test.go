@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/bufpool"
 	"accelring/internal/evs"
 	"accelring/internal/membership"
 	"accelring/internal/transport"
+	"accelring/internal/wire"
 )
 
 // startSingleton starts one node on its own hub with onEvent as its
@@ -92,6 +94,44 @@ func TestSubmitAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Submit allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestHandledFrameAllocFree: the host's share of one handled frame — the
+// step call, the buffer recycle and the status publish that follows every
+// frame — allocates nothing. The frame is a data frame the node already
+// has, so the step itself sends and keeps nothing.
+func TestHandledFrameAllocFree(t *testing.T) {
+	r, steps := newStepRing(t, 2, func(c *Config) { c.OnEvent = func(evs.Event) {} })
+	r.form(t)
+	tok := r.tokenHeldFor(t, 2)
+	if err := steps[1].Submit([]byte("dup"), evs.Agreed, r.now); err != nil {
+		t.Fatal(err)
+	}
+	steps[1].Token(tok, r.now)
+	var data []byte
+	for data == nil {
+		if len(r.w.q) == 0 {
+			t.Fatal("the submitter sent no data frame")
+		}
+		if q := r.w.q[0]; q.to == 0 && q.frame[3] == byte(wire.FrameData) {
+			data = q.frame
+		}
+		r.deliver()
+	}
+	n := &Node{step: steps[0]}
+	allocs := testing.AllocsPerRun(200, func() {
+		f := bufpool.Get(len(data))
+		copy(f, data)
+		n.handleData(f)
+		n.publishStatus()
+		r.w.q, r.w.log = r.w.q[:0], r.w.log[:0]
+	})
+	if allocs != 0 {
+		t.Fatalf("a handled frame allocates %.1f times, want 0", allocs)
+	}
+	if !n.installed.Load() || n.Status().Ring.ID.IsZero() {
+		t.Fatal("the published status lost the installed ring")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 
-	"accelring/internal/bufpool"
 	"accelring/internal/evs"
 	"accelring/internal/group"
 )
@@ -342,21 +341,13 @@ func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 	case Leave:
 		b = appendString8(b, v.Group)
 	case Send:
-		b = append(b, byte(v.Service))
-		b = appendGroups(b, v.Groups)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(v.Payload)))
-		b = append(b, v.Payload...)
+		b = appendSend(b, &v)
 	case Welcome:
 		b = appendClientID(b, v.Client)
 		b = binary.BigEndian.AppendUint64(b, v.Token)
 		b = appendBool(b, v.Resumed)
 	case Message:
-		b = appendClientID(b, v.Sender)
-		b = append(b, byte(v.Service))
-		b = binary.BigEndian.AppendUint64(b, v.Seq)
-		b = appendGroups(b, v.Groups)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(v.Payload)))
-		b = append(b, v.Payload...)
+		b = appendMessage(b, &v)
 	case View:
 		b = appendString8(b, v.Group)
 		b = binary.BigEndian.AppendUint16(b, uint16(len(v.Members)))
@@ -408,16 +399,52 @@ func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("session: unknown frame %T", f)
 	}
+	return bounded(b, start)
+}
+
+// bounded applies the MaxFrame check to the body appended at b[start:].
+func bounded(b []byte, start int) ([]byte, error) {
 	if len(b)-start > MaxFrame {
 		return nil, ErrTooLarge
 	}
 	return b, nil
 }
 
+// AppendSend is AppendEncode for a Send, without boxing it into a Frame:
+// a client's per-message encode.
+func AppendSend(dst []byte, s *Send) ([]byte, error) {
+	return bounded(appendSend(append(dst, byte(KindSend)), s), len(dst))
+}
+
+// AppendMessage is AppendEncode for a Message, without boxing it into a
+// Frame: a daemon's per-delivery encode.
+func AppendMessage(dst []byte, m *Message) ([]byte, error) {
+	return bounded(appendMessage(append(dst, byte(KindMessage)), m), len(dst))
+}
+
+func appendSend(b []byte, s *Send) []byte {
+	b = append(b, byte(s.Service))
+	b = appendGroups(b, s.Groups)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Payload)))
+	return append(b, s.Payload...)
+}
+
+func appendMessage(b []byte, m *Message) []byte {
+	b = appendClientID(b, m.Sender)
+	b = append(b, byte(m.Service))
+	b = binary.BigEndian.AppendUint64(b, m.Seq)
+	b = appendGroups(b, m.Groups)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Payload)))
+	return append(b, m.Payload...)
+}
+
 type cursor struct {
 	b   []byte
 	off int
 	err error
+	// names interns decoded group names when set (a Reader's decode);
+	// without it every name is a fresh copy.
+	names *group.Names
 }
 
 func (c *cursor) u8() uint8 {
@@ -469,31 +496,63 @@ func (c *cursor) bool() bool {
 	return v == 1
 }
 
-func (c *cursor) string8() string {
+// bytes8 reads a one-byte length and that many bytes, aliasing the frame.
+func (c *cursor) bytes8() []byte {
 	n := int(c.u8())
 	if c.err != nil {
-		return ""
+		return nil
 	}
 	if c.off+n > len(c.b) {
 		c.err = ErrTruncated
-		return ""
+		return nil
 	}
-	s := string(c.b[c.off : c.off+n])
+	b := c.b[c.off : c.off+n]
 	c.off += n
-	return s
+	return b
 }
 
-func (c *cursor) groups() []string {
+func (c *cursor) string8() string { return string(c.bytes8()) }
+
+// groups reads a group list, appending the names to dst (nil for none).
+func (c *cursor) groups(dst []string) []string {
 	n := int(c.u8())
 	if n > group.MaxGroups {
 		c.err = ErrBadFrame
 		return nil
 	}
-	var gs []string
-	for i := 0; i < n && c.err == nil; i++ {
-		gs = append(gs, c.string8())
+	if n == 0 {
+		return nil
+	}
+	gs := dst[:0]
+	for i := 0; i < n; i++ {
+		b := c.bytes8()
+		if c.err != nil {
+			return nil
+		}
+		if c.names != nil {
+			gs = append(gs, c.names.Name(b))
+		} else {
+			gs = append(gs, string(b))
+		}
 	}
 	return gs
+}
+
+// send decodes a Send's fields into s, its group names appended to groups.
+func (c *cursor) send(s *Send, groups []string) {
+	s.Service = evs.Service(c.u8())
+	s.Groups = c.groups(groups)
+	s.Payload = c.payload()
+}
+
+// message decodes a Message's fields into m, its group names appended to
+// groups.
+func (c *cursor) message(m *Message, groups []string) {
+	m.Sender = c.clientID()
+	m.Service = evs.Service(c.u8())
+	m.Seq = c.u64()
+	m.Groups = c.groups(groups)
+	m.Payload = c.payload()
 }
 
 func (c *cursor) clientID() group.ClientID {
@@ -558,12 +617,17 @@ func (c *cursor) done() error {
 	return nil
 }
 
-// Decode parses a frame body.
-func Decode(b []byte) (Frame, error) {
+// Decode parses a frame body. Group names are fresh copies and the
+// payload aliases b.
+func Decode(b []byte) (Frame, error) { return decode(b, nil) }
+
+// decode parses a frame body, interning group names into names when it
+// is non-nil.
+func decode(b []byte, names *group.Names) (Frame, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated
 	}
-	c := &cursor{b: b, off: 1}
+	c := &cursor{b: b, off: 1, names: names}
 	var f Frame
 	switch Kind(b[0]) {
 	case KindConnect:
@@ -573,15 +637,15 @@ func Decode(b []byte) (Frame, error) {
 	case KindLeave:
 		f = Leave{Group: c.string8()}
 	case KindSend:
-		svc := evs.Service(c.u8())
-		f = Send{Service: svc, Groups: c.groups(), Payload: c.payload()}
+		var s Send
+		c.send(&s, nil)
+		f = s
 	case KindWelcome:
 		f = Welcome{Client: c.clientID(), Token: c.u64(), Resumed: c.bool()}
 	case KindMessage:
-		sender := c.clientID()
-		svc := evs.Service(c.u8())
-		seq := c.u64()
-		f = Message{Sender: sender, Service: svc, Seq: seq, Groups: c.groups(), Payload: c.payload()}
+		var m Message
+		c.message(&m, nil)
+		f = m
 	case KindView:
 		g := c.string8()
 		n := int(c.u16())
@@ -623,7 +687,7 @@ func Decode(b []byte) (Frame, error) {
 		if Kind(rest[0]) == KindSeqd {
 			return nil, fmt.Errorf("%w: nested Seqd", ErrBadFrame)
 		}
-		inner, err := Decode(rest)
+		inner, err := decode(rest, names)
 		if err != nil {
 			return nil, err
 		}
@@ -641,71 +705,13 @@ func Decode(b []byte) (Frame, error) {
 	return f, nil
 }
 
-// writeScratch is the pooled rent size for one-shot frame writes: large
-// enough that handshake and control frames encode without growing past
-// the pooled backing.
-const writeScratch = 1024
+// WriteFrame writes a length-prefixed frame to w as a single Write call
+// (see Codec.WriteFrame).
+func WriteFrame(w io.Writer, f Frame) error { return Codec{}.WriteFrame(w, f) }
 
-// WriteFrame writes a length-prefixed frame to w as a single Write call.
-// Header and body are assembled in one pooled buffer: two Write syscalls
-// per frame would double the syscall bill of every handshake and control
-// frame, and a split header/body write lets the kernel emit a 4-byte TCP
-// segment under TCP_NODELAY.
-func WriteFrame(w io.Writer, f Frame) error {
-	buf := bufpool.Get(writeScratch)[:4]
-	b, err := AppendEncode(buf, f)
-	if err != nil {
-		bufpool.Put(buf)
-		return err
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	_, err = w.Write(b)
-	bufpool.Put(b)
-	return err
-}
+// ReadFrame reads one length-prefixed frame from r (see Codec.ReadFrame).
+func ReadFrame(r io.Reader) (Frame, error) { return Codec{}.ReadFrame(r) }
 
-// ReadFrame reads one length-prefixed frame from r. The frame owns its
-// freshly allocated backing; use ReadFramePooled on hot paths.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return nil, ErrTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return Decode(body)
-}
-
-// ReadFramePooled reads one length-prefixed frame from r into a buffer
-// rented from bufpool and returns the frame together with its backing
-// buffer. Zero-copy fields of the decoded frame (Message.Payload and
-// friends) alias buf, so the caller owns buf under the retained-or-Put
-// convention: bufpool.Put(buf) once the frame is fully consumed, or let
-// the garbage collector reclaim it when a payload escapes. Never both.
-func ReadFramePooled(r io.Reader) (Frame, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return nil, nil, ErrTooLarge
-	}
-	body := bufpool.Get(int(n))
-	if _, err := io.ReadFull(r, body); err != nil {
-		bufpool.Put(body)
-		return nil, nil, err
-	}
-	f, err := Decode(body)
-	if err != nil {
-		bufpool.Put(body)
-		return nil, nil, err
-	}
-	return f, body, nil
-}
+// ReadFramePooled reads one length-prefixed frame from r into a pooled
+// buffer (see Codec.ReadFramePooled).
+func ReadFramePooled(r io.Reader) (Frame, []byte, error) { return Codec{}.ReadFramePooled(r) }

@@ -54,15 +54,28 @@ const sharedEncodeScratch = 2048
 // reference (the creator's). f must be a deliverable frame, never a Seqd:
 // the per-session Seqd wrapper is what stays out of the shared bytes.
 func NewShared(f Frame) (*Shared, error) {
-	if _, nested := f.(Seqd); nested {
+	switch v := f.(type) {
+	case Seqd:
 		return nil, ErrBadFrame
+	case Message:
+		return NewSharedMessage(&v)
 	}
-	hint := sharedEncodeScratch
-	if m, ok := f.(Message); ok && len(m.Payload) > hint-64 {
-		hint = len(m.Payload) + 64
-	}
-	buf := bufpool.Get(hint)[:0]
+	buf := bufpool.Get(sharedEncodeScratch)[:0]
 	b, err := AppendEncode(buf, f)
+	return share(buf, b, err)
+}
+
+// NewSharedMessage is NewShared for a Message, without boxing it into a
+// Frame: a daemon's per-delivery encode.
+func NewSharedMessage(m *Message) (*Shared, error) {
+	buf := bufpool.Get(max(sharedEncodeScratch, len(m.Payload)+64))[:0]
+	b, err := AppendMessage(buf, m)
+	return share(buf, b, err)
+}
+
+// share wraps an encoded body — b, grown from the pooled buf, or the
+// encode's err — in a Shared holding the creator's reference.
+func share(buf, b []byte, err error) (*Shared, error) {
 	if err != nil {
 		bufpool.Put(buf)
 		return nil, err

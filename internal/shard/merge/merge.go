@@ -97,7 +97,10 @@ type Out interface {
 	// merge-control kind). Ring is the ring the envelope was ordered on;
 	// seq is the carrier message's ring sequence number (0 when the
 	// pusher had none), which latency attribution uses to stamp the
-	// merge stage onto sampled spans.
+	// merge stage onto sampled spans. env points into the merger's queue:
+	// it is valid only for the duration of the call, and its Groups list
+	// may be shared with other envelopes, so neither may be kept or
+	// modified (copy what outlives the call).
 	Deliver(ring int, env *group.Envelope, svc evs.Service, seq uint64)
 	// Config hands over a ring's configuration change at its globally
 	// ordered position.
@@ -123,10 +126,12 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// item is one slotted entry of a ring's pending queue.
+// item is one slotted entry of a ring's pending queue. The envelope is
+// held by value, so queueing one allocates nothing once the queue's
+// backing array has grown.
 type item struct {
 	slot uint64
-	env  *group.Envelope // nil for a configuration change
+	env  group.Envelope // Kind 0 for a configuration change
 	svc  evs.Service
 	cc   evs.ConfigChange
 	// seq is the envelope's carrier ring sequence number (0 when
@@ -176,19 +181,17 @@ func (r *ringState) push(it item) {
 	r.queue = append(r.queue, it)
 }
 
-// pop removes and returns the queue's head.
-func (r *ringState) pop() item {
-	it := r.queue[r.head]
-	r.queue[r.head] = item{} // drop the envelope reference
+// pop removes the queue's head, once its emission has returned.
+func (r *ringState) pop() {
+	r.queue[r.head] = item{} // drop the envelope's references
 	if r.head++; r.head == len(r.queue) {
 		r.queue, r.head = r.queue[:0], 0
 	}
-	return it
 }
 
 // buffered is one diverted envelope of an in-flight migration.
 type buffered struct {
-	env *group.Envelope
+	env group.Envelope
 	svc evs.Service
 	seq uint64
 }
@@ -269,7 +272,9 @@ func New(cfg Config) *Merger {
 	}
 }
 
-// PushEnvelope feeds one decoded envelope from ring's ordered stream.
+// PushEnvelope feeds one decoded envelope from ring's ordered stream. The
+// merger queues a copy of *env, not the pointer; the slices it references
+// (Groups, Payload) must stay unmodified until the envelope is emitted.
 // Envelopes fed this way carry no ring seq for tracing; drivers that
 // know the carrier message's sequence number use PushEnvelopeSeq.
 func (m *Merger) PushEnvelope(ring int, env *group.Envelope, svc evs.Service) {
@@ -316,7 +321,7 @@ func (m *Merger) PushEnvelopeSeq(ring int, env *group.Envelope, svc evs.Service,
 	r.front++
 	r.sinceReg++
 	m.frontG[ring].Set(int64(r.front))
-	r.push(item{slot: r.front, env: env, svc: svc, seq: seq})
+	r.push(item{slot: r.front, env: *env, svc: svc, seq: seq})
 	m.drain()
 }
 
@@ -388,13 +393,18 @@ func (m *Merger) drain() {
 			m.updatePending()
 			return
 		}
-		it := m.rings[best].pop()
+		// Emit straight from the queue slot: a push takes m.mu, which is
+		// held here, so no emission can reenter one and move the slot
+		// before pop.
+		r := &m.rings[best]
+		it := &r.queue[r.head]
 		m.emitted.Inc()
-		if it.env != nil {
-			m.emitEnvelope(best, it.env, it.svc, it.seq)
+		if it.env.Kind != 0 {
+			m.emitEnvelope(best, &it.env, it.svc, it.seq)
 		} else {
 			m.emitConfig(best, it.cc)
 		}
+		r.pop()
 	}
 }
 
@@ -477,7 +487,7 @@ func (m *Merger) emitEnvelope(ring int, env *group.Envelope, svc evs.Service, se
 	if len(m.migs) > 0 {
 		for _, g := range env.Groups {
 			if mig := m.migs[g]; mig != nil && mig.to == ring {
-				mig.buffered = append(mig.buffered, buffered{env: env, svc: svc, seq: seq})
+				mig.buffered = append(mig.buffered, buffered{env: *env, svc: svc, seq: seq})
 				m.bufferedG.Add(1)
 				return
 			}
@@ -595,8 +605,9 @@ func (m *Merger) closeEval(mig *migration) {
 	buf := mig.buffered
 	mig.buffered = nil
 	m.bufferedG.Add(int64(-len(buf)))
-	for _, b := range buf {
-		m.emitEnvelope(mig.to, b.env, b.svc, b.seq)
+	for i := range buf {
+		b := &buf[i]
+		m.emitEnvelope(mig.to, &b.env, b.svc, b.seq)
 	}
 	for _, ch := range m.notify[g] {
 		close(ch)

@@ -66,36 +66,40 @@ func (h *Hub) push(peer *Endpoint, token bool, frame []byte, d faults.Decision, 
 // deliverAfter rents a copy of the frame and delivers it, via the hub's
 // single delay-queue drainer when delayed (which lets frames overtake each
 // other, like UDP). The copy is made synchronously: the sender may reuse
-// its encode scratch the moment its send call returns. Dropped copies
-// (closed endpoint, full channel) go straight back to the pool.
+// its encode scratch the moment its send call returns. Only a delayed
+// frame needs a closure, so an immediate one allocates nothing.
 func (h *Hub) deliverAfter(peer *Endpoint, token bool, frame []byte, delay time.Duration, nm *netMetrics) {
+	cp := bufpool.Get(len(frame))
+	copy(cp, frame)
+	if delay > 0 {
+		h.delayQ.after(delay, func() { deliverTo(peer, token, cp, nm) })
+		return
+	}
+	deliverTo(peer, token, cp, nm)
+}
+
+// deliverTo hands a rented frame copy to peer's channel of its class.
+// Dropped copies (closed endpoint, full channel) go straight back to the
+// pool.
+func deliverTo(peer *Endpoint, token bool, cp []byte, nm *netMetrics) {
 	ch := peer.dataCh
 	cnt := &peer.dataDrop
 	if token {
 		ch = peer.tokenCh
 		cnt = &peer.tokenDrop
 	}
-	cp := bufpool.Get(len(frame))
-	copy(cp, frame)
-	deliver := func() {
-		if peer.closed.Load() {
-			bufpool.Put(cp)
-			return
-		}
-		select {
-		case ch <- cp:
-			nm.rx(token, len(cp))
-		default:
-			bufpool.Put(cp)
-			cnt.Add(1)
-			nm.rxDrop()
-		}
-	}
-	if delay > 0 {
-		h.delayQ.after(delay, deliver)
+	if peer.closed.Load() {
+		bufpool.Put(cp)
 		return
 	}
-	deliver()
+	select {
+	case ch <- cp:
+		nm.rx(token, len(cp))
+	default:
+		bufpool.Put(cp)
+		cnt.Add(1)
+		nm.rxDrop()
+	}
 }
 
 // Close flushes the hub's delay queue: pending delayed deliveries run

@@ -102,11 +102,11 @@ echo "   token rotating on all 3 nodes ($rounds rounds at node 3)"
 echo "== validating /metrics on every node"
 for port in "${obs_ports[@]}"; do
     metrics=$(fetch "http://127.0.0.1:$port/metrics")
-    echo "$metrics" | grep -q '^# TYPE accelring_ring_rounds counter$' \
+    grep -q '^# TYPE accelring_ring_rounds counter$' <<<"$metrics" \
         || fail "node :$port missing TYPE line for accelring_ring_rounds"
-    echo "$metrics" | grep -q '^accelring_transport_udp_tx_token_frames ' \
+    grep -q '^accelring_transport_udp_tx_token_frames ' <<<"$metrics" \
         || fail "node :$port missing transport counters"
-    echo "$metrics" | grep -q '_bucket{le="+Inf"} ' \
+    grep -q '_bucket{le="+Inf"} ' <<<"$metrics" \
         || fail "node :$port missing histogram buckets"
     # Every sample line must carry the stable accelring_ prefix and
     # lowercase snake-case name.
@@ -119,7 +119,7 @@ echo "   exposition valid on all 3 nodes"
 echo "== validating /debug/health"
 for port in "${obs_ports[@]}"; do
     health=$(fetch "http://127.0.0.1:$port/debug/health")
-    echo "$health" | grep -Eq '"token_stall": *false' \
+    grep -Eq '"token_stall": *false' <<<"$health" \
         || fail "node :$port unhealthy: $health"
 done
 echo "   all nodes healthy"
@@ -234,8 +234,8 @@ echo "== validating SLO families and health verdicts"
 slo_ok=0
 for _ in $(seq 40); do
     m=$(fetch "http://127.0.0.1:${shard_obs[0]}/metrics")
-    if echo "$m" | grep -q '^accelring_slo_p99_burn_ppm{ring="0"} ' &&
-        echo "$m" | grep -q '^accelring_latency_e2e_ns_count{ring="0"} '; then
+    if grep -q '^accelring_slo_p99_burn_ppm{ring="0"} ' <<<"$m" &&
+        grep -q '^accelring_latency_e2e_ns_count{ring="0"} ' <<<"$m"; then
         slo_ok=1
         break
     fi
