@@ -58,11 +58,13 @@ bench-e2e-quick:
 
 # Interleaved timing pairs of one workload, a parent commit against the
 # working tree, at the pinned 20 s windows (scripts/bench_pairs.sh):
-# make bench-pairs PARENT=<sha> N=10 W=steady_sharded_1350 [SEED=2]
-# N defaults to 10 here, whatever chaos-sweep's default.
+# make bench-pairs PARENT=<sha> N=10 W=steady_sharded_1350 [SEED=2] [M=allocs_per_msg]
+# N defaults to 10 here, whatever chaos-sweep's default; M names the
+# metric printed pair by pair (default lat_p50_us).
 SEED ?= 1
+M ?= lat_p50_us
 bench-pairs:
-	./scripts/bench_pairs.sh $(PARENT) $(if $(filter command line,$(origin N)),$(N),10) $(W) $(SEED)
+	./scripts/bench_pairs.sh $(PARENT) $(if $(filter command line,$(origin N)),$(N),10) $(W) $(SEED) $(M)
 
 # Two paper figures in quick mode through the one figure entry point, and
 # one pass over the core engine's benchmarks, as a cheap regression

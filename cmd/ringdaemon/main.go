@@ -23,9 +23,8 @@
 //
 // Data frames reach the other daemons by unicast fan-out, one datagram
 // per peer; the token is unicast to the next daemon on the ring.
-// Wire-path tuning (see README § "Wire modes"): -batch-send/-batch-recv
-// coalesce datagrams into sendmmsg/recvmmsg calls, and -pack bundles
-// small messages into shared frames under load.
+// Wire-path tuning (see README § "Wire modes"): -pack bundles small
+// messages into shared frames under load.
 //
 // Every ring flag binds to a field of internal/ringconf's Config, the
 // declaration the accelring facade validates and opens, so the daemon
@@ -92,8 +91,6 @@ func flags(cfg *ringconf.Config, o *options) *flag.FlagSet {
 	fs.Float64Var(&o.sloBurn, "slo-burn", 0, "burn-rate factor at or above which an SLO scope is breaching (0 = default 1.0)")
 	fs.IntVar(&cfg.Shards, "shards", 1, "independent rings per daemon; ring r uses every base port + stride*r (numeric ports required)")
 	fs.IntVar(&w.ShardStride, "shard-stride", ringconf.DefaultShardStride, "port gap between consecutive rings of a sharded daemon (all daemons must agree)")
-	fs.IntVar(&w.Batch.Send, "batch-send", 0, "stage up to N data frames and send them in one sendmmsg call (0 disables)")
-	fs.IntVar(&w.Batch.Recv, "batch-recv", 0, "drain up to N datagrams per recvmmsg call (0 disables)")
 	fs.BoolVar(&o.pack, "pack", false, "bundle small messages into shared frames under load (all daemons must agree)")
 	fs.IntVar(&w.Packing.Limit, "pack-limit", 0, "packed-frame size budget in bytes (0 = pack.DefaultLimit)")
 	fs.DurationVar(&w.Packing.MaxDelay, "pack-delay", 0, "longest a message may wait in a partial bundle (0 = pack.DefaultMaxDelay)")
@@ -215,9 +212,9 @@ func run(args []string) error {
 		defer health.Close()
 		srv.SetHealth(health)
 	}
-	log.Printf("daemon %d up: protocol=%v shards=%d data=%s token=%s batch=%d/%d pack=%v clients=%s peers=%d",
+	log.Printf("daemon %d up: protocol=%v shards=%d data=%s token=%s pack=%v clients=%s peers=%d",
 		cfg.Self, cfg.Protocol, d.Shards(), w.Listen.Data, w.Listen.Token,
-		w.Batch.Send, w.Batch.Recv, w.Packing != nil, ln.Addr(), len(w.Peers))
+		w.Packing != nil, ln.Addr(), len(w.Peers))
 
 	go func() {
 		for range time.Tick(5 * time.Second) {

@@ -114,7 +114,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-id 1 -shard-stride 0", nil, "-shard-stride"},
 		{"-id 1 -shard-stride -2", ringconf.ErrBadWire, ""},
 		{"-id 1 -personal 0", nil, "-personal"},
-		{"-id 1 -batch-send -1", ringconf.ErrBadWire, ""},
+		{"-id 1 -batch-send 8", nil, "-batch-send"},
 		{"-id 1 -pack -pack-limit 999999", ringconf.ErrBadWire, ""},
 		{"-id 1 -accelerated 25 -obs 127.0.0.1:0", ringconf.ErrBadWindow, ""},
 		{"-id 1 -global 5", ringconf.ErrBadWindow, ""},

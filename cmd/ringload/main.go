@@ -52,7 +52,6 @@ func run(args []string) error {
 	churn := fs.Int("churn", 0, "churning sessions per daemon: each repeatedly connects, joins, sends, and disconnects for the whole run (session-lifecycle stress)")
 	shards := fs.Int("shards", 1, "self-contained mode: independent rings per daemon with cross-ring merge (see README § Multi-ring sharding)")
 	migrateEvery := fs.Duration("migrate-every", 0, "self-contained sharded mode: live-migrate the bench group to the next ring this often during the run, reporting the mean blackout (0 disables)")
-	batch := fs.Int("batch", 0, "self-contained mode: sendmmsg/recvmmsg batch size for the daemons' UDP transports (0 disables)")
 	packOn := fs.Bool("pack", false, "self-contained mode: bundle small messages into shared frames under load")
 	fanout := fs.Int("fanout", 0, "fan-out mode: one daemon, one publisher, N subscriber sessions; reports frames/s and write syscalls/frame (ignores -nodes/-daemons)")
 	if err := fs.Parse(args); err != nil {
@@ -90,7 +89,7 @@ func run(args []string) error {
 	} else {
 		var stop func()
 		var err error
-		addrs, locals, stop, err = selfContained(*nodes, *shards, *original, *batch, *packOn)
+		addrs, locals, stop, err = selfContained(*nodes, *shards, *original, *packOn)
 		if err != nil {
 			return err
 		}
@@ -148,7 +147,7 @@ func run(args []string) error {
 // selfContained spins up n daemons over UDP loopback — each running
 // `shards` independent rings when shards > 1 — and returns their client
 // addresses, the daemons themselves, and a stop function.
-func selfContained(n, shards int, original bool, batch int, packOn bool) ([]string, []*daemon.Daemon, func(), error) {
+func selfContained(n, shards int, original, packOn bool) ([]string, []*daemon.Daemon, func(), error) {
 	// transports[i][r] is daemon i's endpoint on ring r; every ring is its
 	// own fully cross-wired UDP mesh.
 	transports := make([][]*transport.UDP, n)
@@ -158,7 +157,6 @@ func selfContained(n, shards int, original bool, batch int, packOn bool) ([]stri
 			u, err := transport.NewUDP(transport.UDPConfig{
 				Self:   evs.ProcID(i + 1),
 				Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-				Batch:  transport.BatchConfig{Send: batch, Recv: batch},
 			})
 			if err != nil {
 				return nil, nil, nil, err

@@ -194,12 +194,11 @@ func renderNode(b *strings.Builder, n *nodeState) {
 		return
 	}
 	v := n.vars
-	fmt.Fprintf(b, "node %s  up %s  clients %.0f (spill %.0f, throttle %.0f)  tx_sys %s  rx_sys %s  batch_wait p99 %s\n",
+	fmt.Fprintf(b, "node %s  up %s  clients %.0f (spill %.0f, throttle %.0f)  tx_sys %s  rx_sys %s\n",
 		n.addr,
 		(time.Duration(num(v, "uptime_seconds")) * time.Second).String(),
 		num(v, "daemon.clients"), num(v, "daemon.clients_spilling"), num(v, "daemon.clients_throttled"),
-		n.rate("transport.udp.tx_syscalls"), n.rate("transport.udp.rx_syscalls"),
-		histP99(v, "transport.udp.batch_wait_ns"))
+		n.rate("transport.udp.tx_syscalls"), n.rate("transport.udp.rx_syscalls"))
 
 	lat := map[string]obs.LatencyScopeSnapshot{}
 	for _, sc := range n.latency {
@@ -250,35 +249,6 @@ func (n *nodeState) rate(name string) string {
 	}
 	dt := n.at.Sub(n.prevAt).Seconds()
 	return fmtCount((cur-num(n.prevVars, name))/dt) + "/s"
-}
-
-// histP99 digs the p99 out of a histogram's JSON snapshot (bucket
-// upper-bound estimate, same as the server side computes).
-func histP99(vars map[string]any, name string) string {
-	h, ok := vars[name].(map[string]any)
-	if !ok {
-		return "-"
-	}
-	count, _ := h["count"].(float64)
-	if count == 0 {
-		return "-"
-	}
-	buckets, _ := h["buckets"].([]any)
-	target := count * 0.99
-	var cum float64
-	for _, raw := range buckets {
-		bk, ok := raw.(map[string]any)
-		if !ok {
-			continue
-		}
-		c, _ := bk["n"].(float64)
-		cum += c
-		if cum >= target {
-			le, _ := bk["le"].(float64)
-			return fmtNs(le)
-		}
-	}
-	return "-"
 }
 
 // hotStage names the stage holding the largest share of attributed time.

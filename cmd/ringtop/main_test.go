@@ -54,10 +54,6 @@ func TestOnceGolden(t *testing.T) {
 	reg.Gauge("daemon.clients_spilling").Set(1)
 	reg.Counter("transport.udp.tx_syscalls").Add(12345)
 	reg.Counter("transport.udp.rx_syscalls").Add(678)
-	wait := reg.Histogram("transport.udp.batch_wait_ns", obs.FineDurationBuckets())
-	for i := 0; i < 100; i++ {
-		wait.ObserveDuration(40 * time.Microsecond)
-	}
 	scopes := []string{"shard0", "shard1"}
 	tracers := make(map[string]*obs.MsgTracer)
 	lat := obs.NewLatencyAgg(reg)
@@ -101,7 +97,7 @@ func TestOnceGolden(t *testing.T) {
 
 	const want = `ringtop  HH:MM:SS  1 node(s)
 
-node NODE  up 0s  clients 3 (spill 1, throttle 0)  tx_sys Σ12.3k  rx_sys Σ678  batch_wait p99 51µs
+node NODE  up 0s  clients 3 (spill 1, throttle 0)  tx_sys Σ12.3k  rx_sys Σ678
   RING              SEQ     ROUNDS   FRONTIER   E2E p50   E2E p99 HOT STAGE SLO p99-burn   BREACH  HEALTH
   shard0           1000        600       4000     614µs     815µs ordering 75%            -       no  ok
   shard1           2000        500       4001  79.954ms 13.421773s ordering 99%       100.00      YES  slo_burn,token_stall

@@ -111,9 +111,8 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("ShardStride = %d, want %d", c.Wire.ShardStride, DefaultShardStride)
 			}
 		}},
-		{"batching and packing knobs accepted", func(c *Config) {
+		{"packing knobs accepted", func(c *Config) {
 			w := udpWire()
-			w.Batch = BatchConfig{Send: 64, Recv: 32}
 			w.Packing = &PackingConfig{Limit: 1024, MaxDelay: time.Millisecond}
 			c.Wire = w
 		}, nil, nil},
@@ -132,19 +131,6 @@ func TestConfigValidate(t *testing.T) {
 		}, ErrWireConflict, nil},
 
 		// Knob errors.
-		{"batching on hub transport", func(c *Config) {
-			c.Wire = WireConfig{Transport: hubEp(), Batch: BatchConfig{Send: 8}}
-		}, ErrBadWire, nil},
-		{"negative batch", func(c *Config) {
-			w := udpWire()
-			w.Batch.Send = -1
-			c.Wire = w
-		}, ErrBadWire, nil},
-		{"oversized batch", func(c *Config) {
-			w := udpWire()
-			w.Batch.Recv = 100000
-			c.Wire = w
-		}, ErrBadWire, nil},
 		{"bad packing limit", func(c *Config) {
 			w := udpWire()
 			w.Packing = &PackingConfig{Limit: 3}

@@ -348,7 +348,10 @@ func (c *Client) Err() error {
 }
 
 // readLoop processes deliveries, surviving connection losses when
-// reconnect is on. Frames are read into pooled buffers; a buffer whose
+// reconnect is on. Frames are read through one session.Reader, a burst
+// per read syscall; after a reconnect it reads the new connection and
+// drops what the old one left buffered. Frames land in pooled buffers; a
+// buffer whose
 // decoded frame escapes to the application (a Message, whose Payload
 // aliases it zero-copy) is retained — it becomes the application's —
 // while every other frame's buffer recycles immediately.

@@ -268,8 +268,8 @@ type Engine struct {
 	reqScratch  []uint64
 	haveScratch map[uint64]struct{}
 	// sentSampled collects the sampled seqs multicast since the driver
-	// last drained them, so it can stamp StageBatchFlush when the staged
-	// wire batch actually leaves. Empty (and never appended to) when
+	// last drained them, so it can stamp StageBatchFlush when the send
+	// burst ends. Empty (and never appended to) when
 	// tracing is off.
 	sentSampled []uint64
 	// releaseFn is e.putData bound once (binding per discard would
@@ -368,10 +368,10 @@ func (e *Engine) QueueLen() int { return len(e.sendQ) }
 func (e *Engine) DataPriority() bool { return e.dataPriority }
 
 // DrainSampledSent calls fn for every sampled seq multicast since the
-// previous drain and forgets them. Batching drivers call it right after
-// flushing their staged wire writes and record StageBatchFlush for each,
-// closing the gap between "handed to the transport" and "left in a
-// syscall". Always empty when tracing is off, so the drain is free.
+// previous drain and forgets them. Drivers call it at the end of each
+// send burst and record StageBatchFlush for each, closing the gap between
+// "handed to the transport" and "the burst is on the wire". Always empty
+// when tracing is off, so the drain is free.
 func (e *Engine) DrainSampledSent(fn func(seq uint64)) {
 	for _, seq := range e.sentSampled {
 		fn(seq)

@@ -511,7 +511,8 @@ func (d *Daemon) challengeResume(conn net.Conn) bool {
 
 // clientReader turns client requests into ordered envelopes. Frames are
 // read into pooled buffers through the connection's own session.Reader
-// (interned group names, a Send decoded into its scratch) and recycled
+// (a burst of frames per read syscall, interned group names, a Send
+// decoded into its scratch) and recycled
 // after each request: every path below copies what it keeps (envelope
 // encoding copies payloads and group names), so nothing aliases the
 // buffer or the reader's scratch once handleRequest returns.

@@ -19,10 +19,12 @@ import (
 
 // TestSlowClientIsDisconnected: a client that stops reading must be cut
 // off rather than stalling the ordering daemon. The slow connection's
-// receive buffer is shrunk and the whole flood is ordered before it reads
-// a byte, so the socket buffers cannot absorb what its send window cannot
-// hold: only the daemon's cut ends its read with EOF or a reset, and a read
-// that times out means the client was never cut.
+// receive buffer and the daemon's send buffer are both shrunk (a send
+// buffer left to autotune can swallow the whole flood), and the whole
+// flood is ordered before the client reads a byte, so the socket buffers
+// cannot absorb what its send window cannot hold: only the daemon's cut
+// ends its read with EOF or a reset, and a read that times out means the
+// client was never cut.
 func TestSlowClientIsDisconnected(t *testing.T) {
 	hub := transport.NewHub()
 	ep, err := hub.Endpoint(1, 0, 0)
@@ -35,7 +37,7 @@ func TestSlowClientIsDisconnected(t *testing.T) {
 	}
 	ringCfg := ringnode.Accelerated(1, ep, 10, 100, 7)
 	ringCfg.Timeouts = fastTimeouts()
-	d, err := Start(Config{Ring: ringCfg, Listener: ln, clientBuffer: 4, spillLimit: 64, throttleAt: 32})
+	d, err := Start(Config{Ring: ringCfg, Listener: smallSendBuffers{ln}, clientBuffer: 4, spillLimit: 64, throttleAt: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +97,22 @@ func TestSlowClientIsDisconnected(t *testing.T) {
 			t.Fatalf("read ended with %v, not EOF or a reset: the daemon never cut the slow client", err)
 		}
 	}
+}
+
+// smallSendBuffers pins the send buffer of every connection it accepts at
+// 4 KB.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.(*net.TCPConn).SetWriteBuffer(4096); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // TestClientReconnectGetsFreshID: reconnecting yields a new client

@@ -43,8 +43,8 @@ const (
 	// assignment (the seq does not exist while the bundle is open) with
 	// the bundle's hold-start time, so the submit delta shows the hold.
 	StagePack
-	// StageBatchFlush marks the message's multicast actually leaving in a
-	// sendmmsg batch (the wire flush after the token visit that sent it).
+	// StageBatchFlush marks the end of the send burst that carried the
+	// message's multicast (the protocol input that sent it).
 	StageBatchFlush
 	// StageMergeOut marks the message's emission from the cross-ring
 	// merger into the single global order (sharded deployments only).

@@ -88,8 +88,8 @@ type Config struct {
 	Shards int
 
 	// Wire is the unified transport configuration: transport
-	// (in-process or UDP), addressing, per-shard port stride, syscall
-	// batching, and adaptive message packing. See WireConfig and WithWire.
+	// (in-process or UDP), addressing, per-shard port stride, and
+	// adaptive message packing. See WireConfig and WithWire.
 	Wire WireConfig
 
 	// EventBuffer is the Events channel capacity (default
@@ -261,7 +261,7 @@ func (c *Config) Stack() (ringnode.Config, func(ring int) (transport.Transport, 
 // by ShardStride*ring.
 func (c *Config) udpConfig(ring int) (transport.UDPConfig, error) {
 	w := &c.Wire
-	u := transport.UDPConfig{Self: c.Self, Listen: w.Listen, Peers: w.Peers, Batch: w.Batch, Obs: c.Observer}
+	u := transport.UDPConfig{Self: c.Self, Listen: w.Listen, Peers: w.Peers, Obs: c.Observer}
 	if c.Shards == 1 {
 		return u, nil
 	}

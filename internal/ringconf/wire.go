@@ -19,8 +19,7 @@ const DefaultShardStride = 2
 
 // WireConfig is the unified transport configuration: one place for the
 // transport (in-process or UDP), the addressing, the per-shard port
-// stride, and the throughput knobs (syscall batching, adaptive message
-// packing). Which transport runs follows from the fields set: Transport
+// stride, and the throughput knob (adaptive message packing). Which transport runs follows from the fields set: Transport
 // or Transports run the ring in-process, Listen opens UDP sockets, and
 // setting both is ErrWireConflict. Set it with WithWire or the
 // Config.Wire field.
@@ -46,11 +45,6 @@ type WireConfig struct {
 	// (default DefaultShardStride). Validate rejects strides whose
 	// derived ports collide or exceed 65535.
 	ShardStride int
-
-	// Batch coalesces the per-token-round burst of data frames into
-	// single sendmmsg/recvmmsg kernel crossings (UDP only). The
-	// zero value keeps one syscall per datagram.
-	Batch transport.BatchConfig
 
 	// Packing, when non-nil, enables adaptive small-message packing:
 	// under load, submissions are bundled up to the configured byte
@@ -83,9 +77,6 @@ func (c *Config) resolveWire() error {
 		if w.Listen.Data != "" || w.Listen.Token != "" || len(w.Peers) > 0 {
 			return fmt.Errorf("%w: an established Transport excludes UDP addresses", ErrWireConflict)
 		}
-		if w.Batch != (transport.BatchConfig{}) {
-			return fmt.Errorf("%w: syscall batching applies to UDP, not established Transports", ErrBadWire)
-		}
 		if w.Transport != nil && len(w.Transports) > 0 {
 			return fmt.Errorf("%w: set Transport or Transports, not both", ErrWireConflict)
 		}
@@ -117,11 +108,6 @@ func (c *Config) resolveWire() error {
 		}
 	}
 
-	if w.Batch.Send < 0 || w.Batch.Recv < 0 ||
-		w.Batch.Send > transport.MaxBatch || w.Batch.Recv > transport.MaxBatch {
-		return fmt.Errorf("%w: batch sizes must be in [0, %d], got send %d recv %d",
-			ErrBadWire, transport.MaxBatch, w.Batch.Send, w.Batch.Recv)
-	}
 	if w.Packing != nil {
 		if err := w.Packing.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadWire, err)

@@ -123,7 +123,6 @@ type Step struct {
 	machine *membership.Machine
 	bundle  *pack.Adaptive // nil when packing is off
 	out     Sender
-	flusher transport.Flusher // out, when it stages sends
 	onEvent func(evs.Event)
 	// stampFlush is bound once so draining sampled sends allocates nothing.
 	stampFlush func(seq uint64)
@@ -133,7 +132,6 @@ type Step struct {
 // cfg.Transport.
 func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
 	s := &Step{out: out, onEvent: cfg.OnEvent}
-	s.flusher, _ = out.(transport.Flusher)
 	if cfg.Packing != nil {
 		if err := cfg.Packing.Validate(); err != nil {
 			return nil, err
@@ -250,14 +248,10 @@ func (s *Step) Tick(now time.Time) {
 	s.wireFlush()
 }
 
-// wireFlush ends every frame and tick: a sender that stages sends
-// (transport.Flusher) puts the burst on the wire in one syscall, then
-// every sampled message sent since the last flush gets its batch-flush
-// stamp, so spans separate syscall batching delay from network time.
+// wireFlush ends every frame and tick: every sampled message sent since
+// the last one gets its batch-flush stamp, the instant the burst it rode
+// in is on the wire, so spans separate the send burst from network time.
 func (s *Step) wireFlush() {
-	if s.flusher != nil {
-		_ = s.flusher.Flush()
-	}
 	s.machine.DrainSampledSent(s.stampFlush)
 }
 

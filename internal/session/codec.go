@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -93,10 +94,13 @@ func (c Codec) ReadFrame(r io.Reader) (Frame, error) {
 
 // ReadFramePooled reads one frame from r into a buffer rented from bufpool
 // (verifying the tag when keyed) and returns the frame together with that
-// buffer. Zero-copy fields of the decoded frame (Message.Payload and
-// friends) alias buf, so the caller owns buf under the retained-or-Put
-// convention: bufpool.Put(buf) once the frame is fully consumed, or let
-// the garbage collector reclaim it when a payload escapes. Never both.
+// buffer. It reads exactly the frame's bytes and no more, which is what a
+// handshake needs: whatever follows stays on the connection for the
+// session's Reader. Zero-copy fields of the decoded frame
+// (Message.Payload and friends) alias buf, so the caller owns buf under
+// the retained-or-Put convention: bufpool.Put(buf) once the frame is
+// fully consumed, or let the garbage collector reclaim it when a payload
+// escapes. Never both.
 func (c Codec) ReadFramePooled(r io.Reader) (Frame, []byte, error) {
 	var hdr [4]byte
 	body, buf, err := c.readBody(r, &hdr)
@@ -138,27 +142,49 @@ func (c Codec) readBody(r io.Reader, hdr *[4]byte) (body, buf []byte, err error)
 	return body, buf, nil
 }
 
+// readBufSize is a Reader's read buffer: one read takes in a full
+// daemon writer batch of delivery frames and more.
+const readBufSize = 64 << 10
+
 // Reader reads one connection's inbound frames into pooled buffers without
 // the per-frame allocations of ReadFramePooled: it keeps the length
 // prefix's scratch, interns the group names the connection carries, and
 // decodes the two per-message kinds unboxed — a Send into the reader's own
 // scratch, a sequenced Message into the caller's struct
-// (DecodeSeqdMessage). One goroutine owns a Reader.
+// (DecodeSeqdMessage).
+//
+// A Reader reads its connection a burst at a time through one buffered
+// reader, so a run of small frames costs one read syscall, not two per
+// frame. It therefore belongs to one connection at a time: reading from a
+// different source (a reconnect) drops whatever the previous one left
+// buffered. Sources are told apart with ==, so they must be comparable;
+// a connection is. One goroutine owns a Reader.
 type Reader struct {
 	codec  Codec
+	src    io.Reader
+	br     *bufio.Reader
 	hdr    [4]byte
 	names  group.Names
 	send   Send
 	groups [group.MaxGroups]string
 }
 
-// NewReader returns a Reader for one connection framed by c.
+// NewReader returns a Reader for connections framed by c. Its read buffer
+// is allocated on the first read.
 func (c Codec) NewReader() *Reader { return &Reader{codec: c} }
 
-// ReadBody reads one frame into a pooled buffer and returns its verified
-// body, undecoded, with the buffer under ReadFramePooled's convention.
+// ReadBody reads one frame from src into a pooled buffer and returns its
+// verified body, undecoded, with the buffer under ReadFramePooled's
+// convention.
 func (r *Reader) ReadBody(src io.Reader) (body, buf []byte, err error) {
-	return r.codec.readBody(src, &r.hdr)
+	switch {
+	case r.br == nil:
+		r.br = bufio.NewReaderSize(src, readBufSize)
+	case src != r.src:
+		r.br.Reset(src)
+	}
+	r.src = src
+	return r.codec.readBody(r.br, &r.hdr)
 }
 
 // Read is ReadFramePooled through the reader (see Decode).

@@ -2,8 +2,11 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 
 	"accelring/internal/bufpool"
 	"accelring/internal/evs"
@@ -127,29 +130,177 @@ func TestReaderGarbage(t *testing.T) {
 
 // TestReaderSendAllocFree: the daemon's per-message read — length prefix,
 // verification, a Send decoded into the reader's scratch with its group
-// names interned — allocates nothing. (A keyed codec's tag check has
-// allocations of its own.)
+// names interned — allocates nothing, keyed or not.
 func TestReaderSendAllocFree(t *testing.T) {
-	var w bytes.Buffer
-	s := Send{Service: evs.Agreed, Groups: []string{"g"}, Payload: make([]byte, 1350)}
-	if err := (Codec{}).WriteSend(&w, &s); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		codec Codec
+	}{{"plain", Codec{}}, {"keyed", NewCodec([]byte("session key"))}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.codec.Keyed() && raceEnabled {
+				t.Skip("the race detector drops pooled MAC states at random")
+			}
+			var w bytes.Buffer
+			s := Send{Service: evs.Agreed, Groups: []string{"g"}, Payload: make([]byte, 1350)}
+			if err := tc.codec.WriteSend(&w, &s); err != nil {
+				t.Fatal(err)
+			}
+			src := &loopReader{b: w.Bytes()}
+			rd := tc.codec.NewReader()
+			read := func() {
+				f, buf, err := rd.Read(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := f.(*Send); got.Groups[0] != "g" || len(got.Payload) != 1350 {
+					t.Fatalf("read %+v", got)
+				}
+				bufpool.Put(buf)
+			}
+			read()
+			if n := testing.AllocsPerRun(500, read); n != 0 {
+				t.Fatalf("a Send read allocates %.1f times, want 0", n)
+			}
+		})
 	}
-	src := &loopReader{b: w.Bytes()}
-	rd := Codec{}.NewReader()
-	read := func() {
-		f, buf, err := rd.Read(src)
+}
+
+// countingReader counts the reads that reach the connection under it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// stream encodes frames with codec, back to back as on a connection, and
+// returns the bytes with each frame's body.
+func stream(t *testing.T, codec Codec, frames ...Frame) ([]byte, [][]byte) {
+	t.Helper()
+	var w bytes.Buffer
+	var bodies [][]byte
+	for _, f := range frames {
+		if err := codec.WriteFrame(&w, f); err != nil {
+			t.Fatal(err)
+		}
+		body, err := Encode(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := f.(*Send); got.Groups[0] != "g" || len(got.Payload) != 1350 {
-			t.Fatalf("read %+v", got)
+		bodies = append(bodies, body)
+	}
+	return w.Bytes(), bodies
+}
+
+// deliveries returns n sequenced 1350 B Messages, the frame a daemon
+// writes per delivery.
+func deliveries(n int) []Frame {
+	frames := make([]Frame, n)
+	for i := range frames {
+		m := sharedTestMsg()
+		m.Payload = bytes.Repeat([]byte{byte(i)}, 1350)
+		frames[i] = Seqd{Seq: uint64(i + 1), Frame: m}
+	}
+	return frames
+}
+
+// readBodies reads src through rd until it fails, checking each body
+// against want, and returns the error that ended the stream.
+func readBodies(t *testing.T, rd *Reader, src io.Reader, want [][]byte) error {
+	t.Helper()
+	for i := 0; ; i++ {
+		body, buf, err := rd.ReadBody(src)
+		if err != nil {
+			if i != len(want) {
+				t.Fatalf("stream ended after %d of %d frames: %v", i, len(want), err)
+			}
+			return err
+		}
+		if i >= len(want) || !bytes.Equal(body, want[i]) {
+			t.Fatalf("frame %d: read a body of %d bytes that is not the one written", i, len(body))
 		}
 		bufpool.Put(buf)
 	}
-	read()
-	if n := testing.AllocsPerRun(500, read); n != 0 {
-		t.Fatalf("a Send read allocates %.1f times, want 0", n)
+}
+
+// TestReaderReadsInBursts: 64 delivery frames cost the connection one
+// read per buffer-full (plus the read that finds the end), not two per
+// frame.
+func TestReaderReadsInBursts(t *testing.T) {
+	b, bodies := stream(t, Codec{}, deliveries(64)...)
+	src := &countingReader{r: bytes.NewReader(b)}
+	if err := readBodies(t, Codec{}.NewReader(), src, bodies); err != io.EOF {
+		t.Fatalf("stream ended with %v, want io.EOF", err)
+	}
+	if limit := (len(b)+readBufSize-1)/readBufSize + 1; src.reads > limit {
+		t.Fatalf("64 frames (%d bytes) took %d reads, want <= %d", len(b), src.reads, limit)
+	}
+}
+
+// TestReaderAnyChunking: however the connection splits the stream — a
+// byte at a time, with the error riding the last data, or around a frame
+// larger than the read buffer — the reader yields the same frames.
+func TestReaderAnyChunking(t *testing.T) {
+	big := Send{Service: evs.Agreed, Groups: []string{"g"}, Payload: bytes.Repeat([]byte{7}, 3*readBufSize/2)}
+	frames := append(deliveries(3), big, Join{Group: "chat"})
+	frames = append(frames, deliveries(2)...)
+	for _, codec := range []Codec{{}, NewCodec([]byte("k"))} {
+		b, bodies := stream(t, codec, frames...)
+		for name, src := range map[string]func() io.Reader{
+			"whole":     func() io.Reader { return bytes.NewReader(b) },
+			"one byte":  func() io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+			"data+err":  func() io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) },
+			"half read": func() io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+		} {
+			if err := readBodies(t, codec.NewReader(), src(), bodies); err != io.EOF {
+				t.Fatalf("keyed %v, %s: stream ended with %v, want io.EOF", codec.Keyed(), name, err)
+			}
+		}
+	}
+}
+
+// TestReaderErrorMidBuffer: a bad frame among buffered good ones surfaces
+// its own error, after the frames before it.
+func TestReaderErrorMidBuffer(t *testing.T) {
+	keyed := NewCodec([]byte("k"))
+	b, bodies := stream(t, keyed, deliveries(3)...)
+	forged := append([]byte(nil), b...)
+	second := 4 + binary.BigEndian.Uint32(b) // offset of the second frame
+	forged[second+4] ^= 1
+	src := &countingReader{r: bytes.NewReader(forged)}
+	if err := readBodies(t, keyed.NewReader(), src, bodies[:1]); err != ErrAuth {
+		t.Fatalf("forged second frame: got %v, want ErrAuth", err)
+	}
+	if src.reads != 1 {
+		t.Fatalf("the forged frame took %d reads to find, want 1 (it was buffered)", src.reads)
+	}
+
+	first, bodies := stream(t, Codec{}, deliveries(1)...)
+	rest, _ := stream(t, Codec{}, deliveries(2)...)
+	oversized := binary.BigEndian.AppendUint32(append([]byte(nil), first...), MaxFrame+1)
+	oversized = append(oversized, rest...)
+	if err := readBodies(t, Codec{}.NewReader(), bytes.NewReader(oversized), bodies); err != ErrTooLarge {
+		t.Fatalf("oversized length prefix: got %v, want ErrTooLarge", err)
+	}
+}
+
+// TestReaderSwitchDropsBuffered: reading from a second connection starts
+// clean; nothing the first one left in the buffer leaks into it.
+func TestReaderSwitchDropsBuffered(t *testing.T) {
+	all := deliveries(5)
+	a, aBodies := stream(t, Codec{}, all[:3]...)
+	b, bBodies := stream(t, Codec{}, all[3:]...)
+	rd := Codec{}.NewReader()
+	body, buf, err := rd.ReadBody(bytes.NewReader(a))
+	if err != nil || !bytes.Equal(body, aBodies[0]) {
+		t.Fatalf("first read: %v", err)
+	}
+	bufpool.Put(buf)
+	if err := readBodies(t, rd, bytes.NewReader(b), bBodies); err != io.EOF {
+		t.Fatalf("second connection ended with %v, want io.EOF", err)
 	}
 }
 

@@ -63,16 +63,6 @@ type authTransport struct {
 }
 
 var _ Transport = (*authTransport)(nil)
-var _ Flusher = (*authTransport)(nil)
-
-// Flush implements Flusher by forwarding to the inner transport, so
-// batching still flushes at burst boundaries when authentication is on.
-func (a *authTransport) Flush() error {
-	if f, ok := a.inner.(Flusher); ok {
-		return f.Flush()
-	}
-	return nil
-}
 
 // Multicast implements Transport, signing the frame first.
 func (a *authTransport) Multicast(frame []byte) error {

@@ -84,13 +84,11 @@ func TestHubCloseRecyclesQueuedFrames(t *testing.T) {
 }
 
 // TestUDPCloseRecyclesQueuedFrames: frames the readLoop already rented
-// and queued, plus frames still staged in the sender's send batch, are
-// recycled by Close.
+// and queued are recycled by Close.
 func TestUDPCloseRecyclesQueuedFrames(t *testing.T) {
 	before := bufpool.Snapshot()
 
-	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-		Batch: BatchConfig{Send: 64}})
+	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,26 +99,17 @@ func TestUDPCloseRecyclesQueuedFrames(t *testing.T) {
 	if err := u1.AddPeer(2, u2.LocalAddrs()); err != nil {
 		t.Fatal(err)
 	}
-	// Flushed frames reach u2's socket and get rented into its channels;
+	// The frames reach u2's socket and get rented into its channels;
 	// nothing ever reads them.
 	for i := 0; i < 5; i++ {
 		if err := u1.Multicast([]byte(fmt.Sprintf("queued-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := u1.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	// Give u2's readLoop a moment to rent and queue the datagrams.
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) && len(u2.dataCh) < 5 {
 		time.Sleep(2 * time.Millisecond)
-	}
-	// Fewer frames than the batch size stay staged in u1's pooled copies.
-	for i := 0; i < 3; i++ {
-		if err := u1.Multicast([]byte(fmt.Sprintf("staged-%d", i))); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	if err := u2.Close(); err != nil {
@@ -193,14 +182,12 @@ func TestHubCloseUnderLoad(t *testing.T) {
 }
 
 // TestUDPCloseUnderLoadWithDelays closes a UDP transport while concurrent
-// senders keep staging frames in its send batch, where each waits for a
-// flush (a full batch, a token send, or Close). Close must recycle every
-// staged frame exactly once and let none be staged after it (the race
-// detector and the pool balance pin this), and later sends fail fast.
+// senders keep multicasting and unicasting through it. Close must race
+// with none of them and strand no rented frame (the race detector and
+// the pool balance pin this), and later sends fail fast.
 func TestUDPCloseUnderLoadWithDelays(t *testing.T) {
 	before := bufpool.Snapshot()
-	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-		Batch: BatchConfig{Send: 16}})
+	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +205,7 @@ func TestUDPCloseUnderLoadWithDelays(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			payload := []byte("staged-under-close")
+			payload := []byte("sent-under-close")
 			for {
 				select {
 				case <-stop:

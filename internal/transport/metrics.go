@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"time"
-
 	"accelring/internal/bufpool"
 	"accelring/internal/obs"
 )
@@ -17,7 +15,6 @@ type netMetrics struct {
 	rxTokenFrames, rxTokenBytes *obs.Counter
 	rxDropped                   *obs.Counter
 	txSyscalls, rxSyscalls      *obs.Counter
-	batchWait                   *obs.Histogram
 }
 
 // newNetMetrics resolves the counter handles under prefix (e.g.
@@ -42,7 +39,6 @@ func newNetMetrics(reg *obs.Registry, prefix string) *netMetrics {
 		rxDropped:     reg.Counter(prefix + "rx_dropped"),
 		txSyscalls:    reg.Counter(prefix + "tx_syscalls"),
 		rxSyscalls:    reg.Counter(prefix + "rx_syscalls"),
-		batchWait:     reg.Histogram(prefix+"batch_wait_ns", obs.FineDurationBuckets()),
 	}
 }
 
@@ -74,8 +70,7 @@ func (m *netMetrics) rx(token bool, n int) {
 	m.rxDataBytes.Add(uint64(n))
 }
 
-// txSys counts kernel crossings on the send path. With batching one
-// crossing covers many frames; the ratio to tx_data_frames is the win.
+// txSys counts kernel crossings on the send path: one per datagram.
 func (m *netMetrics) txSys(n int) {
 	if m == nil || n == 0 {
 		return
@@ -83,21 +78,13 @@ func (m *netMetrics) txSys(n int) {
 	m.txSyscalls.Add(uint64(n))
 }
 
-// rxSys counts kernel crossings on the receive path.
+// rxSys counts kernel crossings on the receive path: one per recvmmsg
+// call, a burst or the empty poll before the reader parks.
 func (m *netMetrics) rxSys(n int) {
 	if m == nil || n == 0 {
 		return
 	}
 	m.rxSyscalls.Add(uint64(n))
-}
-
-// batchHeld records how long a send batch sat staged before its flush —
-// the adaptive-packing hold the batching trades for fewer syscalls.
-func (m *netMetrics) batchHeld(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.batchWait.ObserveDuration(d)
 }
 
 // rxDrop counts one frame lost to receive-channel overflow.

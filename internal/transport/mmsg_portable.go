@@ -1,74 +1,24 @@
 //go:build !(linux && (amd64 || arm64))
 
-// Portable single-syscall fallback for platforms without the raw
-// sendmmsg/recvmmsg wiring (see mmsg_linux.go). Batch semantics — staging,
-// flush points, buffer ownership — are identical; only the syscall count
-// per flush differs (one write/read per datagram instead of one per
-// batch).
+// Portable receive for platforms without the raw recvmmsg wiring (see
+// mmsg_linux.go): the same reader API, one datagram per call.
 
 package transport
 
-import "net"
-
 const mmsgAvailable = false
 
-// rawAddr keeps the resolved address; there is no kernel blob to build.
-type rawAddr struct {
-	addr *net.UDPAddr
-}
-
-func mkRawAddr(a *net.UDPAddr) (rawAddr, bool) {
-	if a == nil {
-		return rawAddr{}, false
-	}
-	return rawAddr{addr: a}, true
-}
-
-// mmsgWriter stages frames like the linux implementation but flushes with
-// one WriteToUDP per datagram.
-type mmsgWriter struct {
-	conn   *net.UDPConn
-	frames [][]byte
-	addrs  []*rawAddr
-}
-
-func newMMsgWriter(conn *net.UDPConn, batch int) *mmsgWriter {
-	return &mmsgWriter{conn: conn}
-}
-
-func (w *mmsgWriter) append(frame []byte, addr *rawAddr) {
-	w.frames = append(w.frames, frame)
-	w.addrs = append(w.addrs, addr)
-}
-
-func (w *mmsgWriter) staged() int { return len(w.frames) }
-
-func (w *mmsgWriter) writeBatch() int {
-	syscalls := 0
-	for i, f := range w.frames {
-		if w.addrs[i].addr == nil {
-			continue
-		}
-		_, _ = w.conn.WriteToUDP(f, w.addrs[i].addr)
-		syscalls++
-	}
-	w.frames = w.frames[:0]
-	w.addrs = w.addrs[:0]
-	return syscalls
-}
-
-// mmsgReader reads one datagram per syscall into slot 0.
+// mmsgReader reads one datagram per syscall into its single slot.
 type mmsgReader struct {
-	conn  *net.UDPConn
-	slots [][]byte
+	conn packetConn
+	buf  []byte
 }
 
-func newMMsgReader(conn *net.UDPConn, batch, frameSize int) *mmsgReader {
-	return &mmsgReader{conn: conn, slots: [][]byte{make([]byte, frameSize)}}
+func newMMsgReader(conn packetConn, slots, size int) (*mmsgReader, error) {
+	return &mmsgReader{conn: conn, buf: make([]byte, size)}, nil
 }
 
 func (r *mmsgReader) readBatch(visit func(i, n int)) (got, syscalls int, ok bool) {
-	n, _, err := r.conn.ReadFromUDP(r.slots[0])
+	n, err := r.conn.Read(r.buf)
 	if err != nil {
 		return 0, 1, false
 	}
@@ -76,4 +26,6 @@ func (r *mmsgReader) readBatch(visit func(i, n int)) (got, syscalls int, ok bool
 	return 1, 1, true
 }
 
-func (r *mmsgReader) slot(i int) []byte { return r.slots[i] }
+func (r *mmsgReader) slot(i int) []byte { return r.buf }
+
+func (r *mmsgReader) release() {}

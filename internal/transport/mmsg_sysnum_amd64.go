@@ -2,9 +2,6 @@
 
 package transport
 
-// The stdlib syscall table for linux/amd64 predates sendmmsg, so the
-// numbers are pinned here (x86-64 syscall table; stable ABI).
-const (
-	sysSENDMMSG = 307
-	sysRECVMMSG = 299
-)
+// The stdlib syscall table for linux/amd64 predates recvmmsg, so the
+// number is pinned here (x86-64 syscall table; stable ABI).
+const sysRECVMMSG = 299

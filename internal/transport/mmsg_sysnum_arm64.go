@@ -2,8 +2,5 @@
 
 package transport
 
-// Generic (asm-generic) syscall numbers used by linux/arm64; stable ABI.
-const (
-	sysSENDMMSG = 269
-	sysRECVMMSG = 243
-)
+// Generic (asm-generic) syscall number used by linux/arm64; stable ABI.
+const sysRECVMMSG = 243

@@ -49,43 +49,6 @@ type Transport interface {
 	Close() error
 }
 
-// Flusher is implemented by transports that stage sends for syscall
-// batching. Multicast on such a transport may buffer the frame; Flush
-// forces everything staged onto the wire. The provided batching transport
-// flushes implicitly when the batch fills and before every Unicast (so
-// data frames precede the token), but the protocol driver should still
-// Flush at the end of each burst to bound latency.
-type Flusher interface {
-	Flush() error
-}
-
-// Flush flushes t if it batches sends and is a no-op otherwise, so
-// drivers can call it unconditionally at burst boundaries.
-func Flush(t Transport) {
-	if f, ok := t.(Flusher); ok {
-		_ = f.Flush()
-	}
-}
-
-// MaxBatch caps BatchConfig sizes (the kernel clamps one
-// sendmmsg/recvmmsg vector at UIO_MAXIOV = 1024 messages anyway).
-const MaxBatch = 1024
-
-// BatchConfig sizes syscall batching on a wire transport. The zero value
-// disables batching (one syscall per datagram, the pre-batching
-// behavior).
-type BatchConfig struct {
-	// Send is the maximum number of data frames staged before a flush.
-	// Values above 1 enable send batching: a token round's burst of data
-	// frames is coalesced into one sendmmsg call (one write per datagram
-	// on platforms without sendmmsg). 0 or 1 disables.
-	Send int
-	// Recv is the maximum number of datagrams drained per receive
-	// syscall via recvmmsg. 0 or 1 disables (one blocking read per
-	// datagram).
-	Recv int
-}
-
 // ErrClosed is returned by sends on a closed transport.
 var ErrClosed = errors.New("transport: closed")
 

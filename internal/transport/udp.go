@@ -6,7 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
+	"syscall"
 
 	"accelring/internal/bufpool"
 	"accelring/internal/evs"
@@ -62,9 +62,6 @@ type UDPConfig struct {
 	// Peers maps every other participant to its addresses. Self may be
 	// present and is ignored.
 	Peers map[evs.ProcID]UDPPeer
-	// Batch sizes sendmmsg/recvmmsg syscall coalescing on the data path.
-	// The zero value keeps one syscall per datagram.
-	Batch BatchConfig
 	// Obs, when non-nil, receives transport.udp.* frame/byte counters.
 	Obs *obs.Registry
 	// Flight, when non-nil, receives a black-box event per inbound frame
@@ -78,12 +75,30 @@ const (
 	tokenChanCap = 16
 )
 
+// dataSlots and tokenSlots size each socket's receive burst: the most
+// datagrams one recvmmsg drains. A token round's burst of data frames
+// fits the data slots; tokens arrive one per round.
+const (
+	dataSlots  = 64
+	tokenSlots = 4
+)
+
+// slotSize holds the largest datagram a peer sends.
+const slotSize = wire.MaxPayload + 1024
+
+// packetConn is the datagram socket an mmsgReader drains: a
+// *net.UDPConn here.
+type packetConn interface {
+	syscall.Conn
+	Read(b []byte) (int, error)
+}
+
 // UDP is the real-network transport: one socket per frame class, exactly
 // as the paper's implementations separate token and data traffic. Data
 // frames reach the ring by unicast fan-out, one datagram per peer — the
 // fallback the paper notes Spread provides where IP multicast is
-// unavailable — and sends/receives can be batched into single
-// sendmmsg/recvmmsg kernel crossings.
+// unavailable. Each socket is read a burst at a time: one recvmmsg
+// drains every datagram queued on it.
 type UDP struct {
 	self     evs.ProcID
 	dataConn *net.UDPConn
@@ -95,19 +110,6 @@ type UDP struct {
 	// peerMu serializes the writers only.
 	peerMu sync.Mutex
 	peers  atomic.Pointer[map[evs.ProcID]*udpPeerAddrs]
-
-	// Send batching: frames staged under sendMu in pooled copies, each
-	// with the peer snapshot it was addressed against. writer is non-nil
-	// iff batching is on.
-	sendMu    sync.Mutex
-	writer    *mmsgWriter
-	batchSend int
-	pendBuf   [][]byte
-	pendTo    []*map[evs.ProcID]*udpPeerAddrs
-	// pendSince: when the oldest staged frame entered the batch (zero when
-	// empty or metrics are off). Feeds the batch_wait_ns histogram so the
-	// syscall-batching hold shows up in latency attribution.
-	pendSince time.Time
 
 	dataCh  chan []byte
 	tokenCh chan []byte
@@ -124,14 +126,9 @@ type UDP struct {
 
 type udpPeerAddrs struct {
 	data, token *net.UDPAddr
-	// raw is the precomputed kernel sockaddr for the data address, built
-	// once at AddPeer so the batched flush never resolves anything.
-	raw   rawAddr
-	rawOK bool
 }
 
 var _ Transport = (*UDP)(nil)
-var _ Flusher = (*UDP)(nil)
 
 // NewUDP opens the sockets and starts the reader goroutines.
 func NewUDP(cfg UDPConfig) (*UDP, error) {
@@ -161,24 +158,26 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		nm:       newNetMetrics(cfg.Obs, "transport.udp."),
 		fl:       cfg.Flight,
 	}
-	if cfg.Batch.Send > 1 {
-		if w := newMMsgWriter(dataConn, cfg.Batch.Send); w != nil {
-			u.writer = w
-			u.batchSend = cfg.Batch.Send
-		}
+	dataRd, err := newMMsgReader(dataConn, dataSlots, slotSize)
+	if err != nil {
+		dataConn.Close()
+		tokConn.Close()
+		return nil, fmt.Errorf("transport: data reader: %w", err)
+	}
+	tokRd, err := newMMsgReader(tokConn, tokenSlots, slotSize)
+	if err != nil {
+		dataRd.release()
+		dataConn.Close()
+		tokConn.Close()
+		return nil, fmt.Errorf("transport: token reader: %w", err)
 	}
 	empty := make(map[evs.ProcID]*udpPeerAddrs)
 	u.peers.Store(&empty)
 	// The readers start first: Close, on a bad peer below, waits for them
 	// to close the receive channels.
 	u.wg.Add(2)
-	go u.readLoop(dataConn, cfg.Batch.Recv, u.dataCh, func(raw []byte) {
-		u.deliverFrame(raw, u.dataCh, &u.dataDrop, false)
-	})
-	// Tokens arrive one per round; batching buys nothing there.
-	go u.readLoop(tokConn, 0, u.tokenCh, func(raw []byte) {
-		u.deliverFrame(raw, u.tokenCh, &u.tokenDrop, true)
-	})
+	go u.readLoop(dataRd, u.dataCh, &u.dataDrop, false)
+	go u.readLoop(tokRd, u.tokenCh, &u.tokenDrop, true)
 	// Register ourselves: the membership representative starts a new ring
 	// by unicasting the initial token to itself.
 	if err := u.AddPeer(cfg.Self, u.LocalAddrs()); err != nil {
@@ -218,7 +217,6 @@ func (u *UDP) AddPeer(id evs.ProcID, p UDPPeer) error {
 		return fmt.Errorf("transport: peer %d token addr: %w", id, err)
 	}
 	pa := &udpPeerAddrs{data: da, token: ta}
-	pa.raw, pa.rawOK = mkRawAddr(da)
 	u.peerMu.Lock()
 	old := *u.peers.Load()
 	next := make(map[evs.ProcID]*udpPeerAddrs, len(old)+1)
@@ -239,9 +237,10 @@ func (u *UDP) LocalAddrs() UDPPeer {
 	}
 }
 
-// Syscalls returns cumulative send/receive kernel crossings on the wire —
-// the number the batch path exists to shrink. Divide by the frame
-// counters for syscalls per frame.
+// Syscalls returns cumulative send/receive kernel crossings on the wire.
+// Divide by the frame counters for syscalls per frame: one per datagram
+// sent, and one per receive call (a burst, or the empty poll before the
+// reader parks).
 func (u *UDP) Syscalls() (tx, rx uint64) {
 	return u.txSysN.Load(), u.rxSysN.Load()
 }
@@ -262,38 +261,24 @@ func (u *UDP) countRxSys(n int) {
 	u.nm.rxSys(n)
 }
 
-// readLoop drains one socket into a receive channel, one datagram per
-// syscall or — when batch > 1 and the platform supports recvmmsg — a
-// batch per syscall. Each datagram is handed to deliver, which rents the
-// frame's pooled buffer; the fixed slot buffers here are reused across
-// reads. The channel is closed when the socket dies (Close).
-func (u *UDP) readLoop(conn *net.UDPConn, batch int, ch chan []byte, deliver func(raw []byte)) {
+// readLoop drains one socket into a receive channel a burst at a time.
+// Each datagram is handed to deliverFrame, which copies it out of the
+// reader's slot into a rented frame, so the slots are reused across reads
+// and released once the loop is done with them. The channel is closed
+// when the socket dies (Close).
+func (u *UDP) readLoop(r *mmsgReader, ch chan []byte, drops *atomic.Uint64, token bool) {
 	defer u.wg.Done()
-	if batch > 1 {
-		if r := newMMsgReader(conn, batch, wire.MaxPayload+1024); r != nil {
-			// Hoisted so the hot loop closes over one allocation, not one
-			// per syscall (the zero-alloc receive gate measures this).
-			visit := func(i, n int) { deliver(r.slot(i)[:n]) }
-			for {
-				_, sys, ok := r.readBatch(visit)
-				u.countRxSys(sys)
-				if !ok {
-					close(ch)
-					return
-				}
-			}
-		}
-	}
-	buf := make([]byte, wire.MaxPayload+1024)
+	defer r.release()
+	// Hoisted so the hot loop closes over one allocation, not one per
+	// syscall (the zero-alloc receive gate measures this).
+	visit := func(i, n int) { u.deliverFrame(r.slot(i)[:n], ch, drops, token) }
 	for {
-		n, _, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			// Socket closed (or fatal error): stop delivering.
+		_, sys, ok := r.readBatch(visit)
+		u.countRxSys(sys)
+		if !ok {
 			close(ch)
 			return
 		}
-		u.countRxSys(1)
-		deliver(buf[:n])
 	}
 }
 
@@ -335,47 +320,14 @@ func (u *UDP) recordDrop(token bool) {
 
 // Multicast implements Transport: the frame is fanned out by unicast to
 // every peer's data address, never to ourselves (the protocol
-// self-receives its own messages at send time). Send errors are ignored,
-// as UDP loss would be; the protocol's retransmission machinery recovers.
-// With batching on, the frame is staged in a pooled copy and hits the
-// wire at the next flush (batch full, token send, or explicit Flush).
+// self-receives its own messages at send time), and is on the wire when
+// Multicast returns. Send errors are ignored, as UDP loss would be; the
+// protocol's retransmission machinery recovers.
 func (u *UDP) Multicast(frame []byte) error {
 	if u.closed.Load() {
 		return ErrClosed
 	}
-	snap := u.peers.Load()
-	peers := *snap
-	if u.writer != nil {
-		// One pooled copy per frame, shared across the whole fan-out; the
-		// peer snapshot is resolved at flush time from the pointer staged
-		// with it.
-		cp := bufpool.Get(len(frame))
-		copy(cp, frame)
-		for id := range peers {
-			if id != u.self {
-				u.nm.tx(false, len(frame))
-			}
-		}
-		u.sendMu.Lock()
-		if u.closed.Load() {
-			// Close already recycled the batch; nothing may be staged
-			// after it.
-			u.sendMu.Unlock()
-			bufpool.Put(cp)
-			return ErrClosed
-		}
-		u.pendBuf = append(u.pendBuf, cp)
-		u.pendTo = append(u.pendTo, snap)
-		if u.nm != nil && len(u.pendBuf) == 1 {
-			u.pendSince = time.Now()
-		}
-		if len(u.pendBuf) >= u.batchSend {
-			u.flushLocked()
-		}
-		u.sendMu.Unlock()
-		return nil
-	}
-	for id, p := range peers {
+	for id, p := range *u.peers.Load() {
 		if id == u.self {
 			continue
 		}
@@ -386,59 +338,11 @@ func (u *UDP) Multicast(frame []byte) error {
 	return nil
 }
 
-// Flush implements Flusher: everything staged by send batching hits the
-// wire. Safe to call concurrently with sends; a no-op when batching is
-// off or nothing is pending.
-func (u *UDP) Flush() error {
-	if u.writer == nil {
-		return nil
-	}
-	u.sendMu.Lock()
-	u.flushLocked()
-	u.sendMu.Unlock()
-	return nil
-}
-
-// flushLocked expands every staged frame into its destinations and
-// transmits the whole batch in as few sendmmsg calls as possible. Caller
-// holds sendMu. Pooled frame copies are recycled after the syscall
-// returns — the kernel has copied them out by then.
-func (u *UDP) flushLocked() {
-	if len(u.pendBuf) == 0 {
-		return
-	}
-	if u.nm != nil && !u.pendSince.IsZero() {
-		u.nm.batchHeld(time.Since(u.pendSince))
-		u.pendSince = time.Time{}
-	}
-	for i, f := range u.pendBuf {
-		for id, p := range *u.pendTo[i] {
-			if id == u.self || !p.rawOK {
-				continue
-			}
-			u.writer.append(f, &p.raw)
-		}
-	}
-	u.countTxSys(u.writer.writeBatch())
-	for i, f := range u.pendBuf {
-		bufpool.Put(f)
-		u.pendBuf[i] = nil
-		u.pendTo[i] = nil
-	}
-	u.pendBuf = u.pendBuf[:0]
-	u.pendTo = u.pendTo[:0]
-}
-
 // Unicast implements Transport: send to the peer's token address. Like
-// Multicast, it runs lock-free over the peer snapshot. Staged data
-// frames are flushed first so the token never overtakes the data it
-// covers on the wire.
+// Multicast, it runs lock-free over the peer snapshot.
 func (u *UDP) Unicast(to evs.ProcID, frame []byte) error {
 	if u.closed.Load() {
 		return ErrClosed
-	}
-	if u.writer != nil {
-		_ = u.Flush()
 	}
 	p := (*u.peers.Load())[to]
 	if p == nil {
@@ -463,24 +367,12 @@ func (u *UDP) Drops() Drops {
 }
 
 // Close shuts both sockets down and waits for the readers to exit. The
-// receive channels are closed, and every staged batch frame and
-// received-but-unconsumed frame is recycled to bufpool — nothing the
-// transport rented stays stranded.
+// receive channels are closed, and every received-but-unconsumed frame
+// is recycled to bufpool — nothing the transport rented stays stranded.
 func (u *UDP) Close() error {
 	if u.closed.Swap(true) {
 		return nil
 	}
-	// Staged batch frames are dropped, not sent: a closed transport loses
-	// in-flight traffic exactly like the network would.
-	u.sendMu.Lock()
-	for i, f := range u.pendBuf {
-		bufpool.Put(f)
-		u.pendBuf[i] = nil
-		u.pendTo[i] = nil
-	}
-	u.pendBuf = u.pendBuf[:0]
-	u.pendTo = u.pendTo[:0]
-	u.sendMu.Unlock()
 	err1 := u.dataConn.Close()
 	err2 := u.tokConn.Close()
 	u.wg.Wait()

@@ -95,13 +95,12 @@ drain:
 	}
 }
 
-// TestUDPDelayedSendCopiesFrame pins the delayed-send ownership rule: a
-// frame handed to Multicast may be reused as encode scratch the moment the
-// call returns, even when send batching holds it until the next flush.
-// Staging must copy it; an aliased slice would put the caller's next
-// frame on the wire in its place.
+// TestUDPDelayedSendCopiesFrame pins the send ownership rule: a frame
+// handed to Multicast may be reused as encode scratch the moment the call
+// returns, and the bytes on the wire are the ones it held during the
+// call.
 func TestUDPDelayedSendCopiesFrame(t *testing.T) {
-	send, recv := newBatchedUDPPair(t, 8, 0)
+	send, recv := newUDPPair(t)
 
 	scratch := make([]byte, 32)
 	for i := range scratch {
@@ -111,21 +110,18 @@ func TestUDPDelayedSendCopiesFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range scratch {
-		scratch[i] = 0xBB // reuse the scratch while the copy is staged
-	}
-	if err := send.Flush(); err != nil {
-		t.Fatal(err)
+		scratch[i] = 0xBB // reuse the scratch once the call returned
 	}
 	select {
 	case f := <-recv.Data():
 		for i, b := range f {
 			if b != 0xAA {
-				t.Fatalf("staged frame byte %d is %#x, want 0xAA: sender scratch leaked into flight", i, b)
+				t.Fatalf("frame byte %d is %#x, want 0xAA: sender scratch leaked into flight", i, b)
 			}
 		}
 		bufpool.Put(f)
 	case <-time.After(2 * time.Second):
-		t.Fatal("staged frame never arrived")
+		t.Fatal("frame never arrived")
 	}
 }
 

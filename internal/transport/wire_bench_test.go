@@ -9,17 +9,17 @@ import (
 	"accelring/internal/evs"
 )
 
-// benchWire measures the loopback wire path sender-side: ns/op and
-// syscalls-per-frame for b.N data frames, plus the receiver's measured
-// syscalls-per-datagram (recvmmsg drains many frames per call). UDP may
-// drop under blast load, so receive-side figures are over the frames
-// that actually arrived; the "delivered" metric reports that fraction.
-func benchWire(b *testing.B, batch BatchConfig) {
+// BenchmarkWireUnicast measures the loopback wire path sender-side:
+// ns/op and syscalls-per-frame for b.N data frames, plus the receiver's
+// measured syscalls-per-datagram (recvmmsg drains many frames per call).
+// UDP may drop under blast load, so receive-side figures are over the
+// frames that actually arrived; the "delivered" metric reports that
+// fraction.
+func BenchmarkWireUnicast(b *testing.B) {
 	mk := func(self evs.ProcID) *UDP {
 		u, err := NewUDP(UDPConfig{
 			Self:   self,
 			Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-			Batch:  batch,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -52,7 +52,6 @@ func benchWire(b *testing.B, batch BatchConfig) {
 			b.Fatal(err)
 		}
 	}
-	Flush(snd)
 	b.StopTimer()
 
 	// Let the receiver settle: stop once the count is quiet for a bit.
@@ -72,16 +71,4 @@ func benchWire(b *testing.B, batch BatchConfig) {
 		b.ReportMetric(float64(rx)/float64(n), "rxsys/frame")
 		b.ReportMetric(float64(n)/float64(b.N), "delivered")
 	}
-}
-
-func BenchmarkWireUnicastBare(b *testing.B) {
-	benchWire(b, BatchConfig{})
-}
-
-func BenchmarkWireUnicastBatched16(b *testing.B) {
-	benchWire(b, BatchConfig{Send: 16, Recv: 16})
-}
-
-func BenchmarkWireUnicastBatched64(b *testing.B) {
-	benchWire(b, BatchConfig{Send: 64, Recv: 64})
 }

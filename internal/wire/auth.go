@@ -4,6 +4,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
+	"hash"
+	"sync"
 )
 
 // MacLen is the length of the truncated HMAC-SHA256 tag appended to
@@ -16,10 +18,19 @@ const MacLen = 16
 // nil *Auth is the "authentication off" mode: Sign and Verify pass frames
 // through unchanged, so callers can hold one pointer and never branch.
 //
-// Methods are safe for concurrent use — each call builds its own MAC
-// state from the key.
+// Methods are safe for concurrent use: each call takes a keyed MAC state
+// of its own from a pool and resets it, so a frame costs neither an
+// allocation nor the two key-pad compressions a fresh HMAC would.
 type Auth struct {
-	key []byte
+	key  []byte
+	macs sync.Pool // of *mac
+}
+
+// mac is one reusable HMAC-SHA256 state under an Auth's key, with room
+// for its sum.
+type mac struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
 }
 
 // NewAuth returns an authenticator for key, or nil when key is empty
@@ -28,7 +39,22 @@ func NewAuth(key []byte) *Auth {
 	if len(key) == 0 {
 		return nil
 	}
-	return &Auth{key: append([]byte(nil), key...)}
+	a := &Auth{key: append([]byte(nil), key...)}
+	a.macs.New = func() any { return &mac{h: hmac.New(sha256.New, a.key)} }
+	return a
+}
+
+// sum appends the truncated tag of the concatenation of parts to dst,
+// computed in a pooled MAC state.
+func (a *Auth) sum(dst []byte, parts ...[]byte) []byte {
+	m := a.macs.Get().(*mac)
+	m.h.Reset()
+	for _, p := range parts {
+		m.h.Write(p)
+	}
+	dst = append(dst, m.h.Sum(m.sum[:0])[:MacLen]...)
+	a.macs.Put(m)
+	return dst
 }
 
 // Overhead returns the per-frame byte cost of authentication: MacLen when
@@ -48,10 +74,7 @@ func (a *Auth) AppendMAC(dst, frame []byte) []byte {
 	if a == nil {
 		return dst
 	}
-	m := hmac.New(sha256.New, a.key)
-	m.Write(frame)
-	var sum [sha256.Size]byte
-	return append(dst, m.Sum(sum[:0])[:MacLen]...)
+	return a.sum(dst, frame)
 }
 
 // SumParts appends the authentication tag of the concatenation of parts
@@ -63,12 +86,7 @@ func (a *Auth) SumParts(dst []byte, parts ...[]byte) []byte {
 	if a == nil {
 		return dst
 	}
-	m := hmac.New(sha256.New, a.key)
-	for _, p := range parts {
-		m.Write(p)
-	}
-	var sum [sha256.Size]byte
-	return append(dst, m.Sum(sum[:0])[:MacLen]...)
+	return a.sum(dst, parts...)
 }
 
 // Verify checks the trailing tag of a received frame and returns the
@@ -83,11 +101,8 @@ func (a *Auth) Verify(frame []byte) ([]byte, bool) {
 		return nil, false
 	}
 	body := frame[:len(frame)-MacLen]
-	m := hmac.New(sha256.New, a.key)
-	m.Write(body)
-	var sum [sha256.Size]byte
-	tag := m.Sum(sum[:0])[:MacLen]
-	if subtle.ConstantTimeCompare(tag, frame[len(frame)-MacLen:]) != 1 {
+	var tag [MacLen]byte
+	if subtle.ConstantTimeCompare(a.sum(tag[:0], body), frame[len(frame)-MacLen:]) != 1 {
 		return nil, false
 	}
 	return body, true

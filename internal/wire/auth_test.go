@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"sync"
 	"testing"
 )
 
@@ -73,5 +76,69 @@ func TestDeriveKeyLabelsDiffer(t *testing.T) {
 	}
 	if !bytes.Equal(k1, DeriveKey(master, "ring0")) {
 		t.Fatal("derivation is not deterministic")
+	}
+}
+
+// TestAuthTagsMatchHMAC: the pooled MAC states give every method the tag a
+// fresh HMAC-SHA256 gives, frame after frame and across goroutines.
+func TestAuthTagsMatchHMAC(t *testing.T) {
+	key := []byte("secret")
+	a := NewAuth(key)
+	want := func(parts ...[]byte) []byte {
+		m := hmac.New(sha256.New, key)
+		for _, p := range parts {
+			m.Write(p)
+		}
+		return m.Sum(nil)[:MacLen]
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				frame := bytes.Repeat([]byte{byte(g), byte(i)}, 1+i)
+				signed := a.AppendMAC(nil, frame)
+				if !bytes.Equal(signed[len(frame):], want(frame)) {
+					t.Errorf("AppendMAC tag differs from HMAC-SHA256 on frame %d/%d", g, i)
+					return
+				}
+				if got := a.SumParts(nil, frame[:i], frame[i:]); !bytes.Equal(got, want(frame)) {
+					t.Errorf("SumParts tag differs from HMAC-SHA256 on frame %d/%d", g, i)
+					return
+				}
+				if body, ok := a.Verify(signed); !ok || !bytes.Equal(body, frame) {
+					t.Errorf("Verify rejected frame %d/%d", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestAuthAllocFree: signing, signing in parts and verifying a keyed frame
+// allocate nothing once the pooled MAC state exists.
+func TestAuthAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	a := NewAuth([]byte("secret"))
+	frame := bytes.Repeat([]byte{0x5A}, 1350)
+	dst := make([]byte, 0, 2*len(frame))
+	signed := a.AppendMAC(nil, frame)
+	for name, fn := range map[string]func(){
+		"AppendMAC": func() { dst = a.AppendMAC(dst[:0], frame) },
+		"SumParts":  func() { dst = a.SumParts(dst[:0], frame[:10], frame[10:]) },
+		"Verify": func() {
+			if _, ok := a.Verify(signed); !ok {
+				t.Fatal("verify failed")
+			}
+		},
+	} {
+		fn()
+		if n := testing.AllocsPerRun(200, fn); n != 0 {
+			t.Errorf("%s allocates %.1f times per frame, want 0", name, n)
+		}
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package wire
+
+// raceEnabled lets allocation gates skip under the race detector, which
+// drops pooled items at random.
+const raceEnabled = true

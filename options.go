@@ -41,7 +41,7 @@ func WithShards(n int) Option {
 
 // WithWire sets the unified transport configuration: transport
 // (in-process or UDP unicast fan-out), addressing, per-shard port stride,
-// syscall batching, and adaptive message packing.
+// and adaptive message packing.
 func WithWire(w WireConfig) Option {
 	return func(c *Config) { c.Wire = w }
 }

@@ -3,15 +3,15 @@
 # of the end-to-end benchmark (benchmark/README.md: a gain is claimed only
 # from interleaved pairs at defaults).
 #
-#   scripts/bench_pairs.sh PARENT N WORKLOAD [SEED]
-#   make bench-pairs PARENT=<sha> N=10 W=steady_sharded_1350 [SEED=2]
+#   scripts/bench_pairs.sh PARENT N WORKLOAD [SEED [METRIC]]
+#   make bench-pairs PARENT=<sha> N=10 W=steady_sharded_1350 [SEED=2] [M=allocs_per_msg]
 #
 # Builds the benchmark twice, from PARENT's committed files (exported with
 # git archive into a temporary directory, so nothing is registered in the
 # repository) and from the working tree. Then it runs N pairs of untraced
 # runs of WORKLOAD at the pinned 20 s window, the parent first in odd
 # pairs and the change first in even ones, and prints:
-#   - each pair's lat_p50_us and box probe, both sides;
+#   - each pair's METRIC (default lat_p50_us) and box probe, both sides;
 #   - per end-to-end metric, each side's median and quartiles over its N
 #     runs and the pairs the change won, in the direction BENCHMARK.json
 #     declares;
@@ -23,11 +23,12 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-usage="usage: $0 PARENT N WORKLOAD [SEED]"
+usage="usage: $0 PARENT N WORKLOAD [SEED [METRIC]]"
 parent=${1:?$usage}
 pairs=${2:?$usage}
 workload=${3:?$usage}
 seed=${4:-1}
+metric=${5:-lat_p50_us}
 seconds=20
 
 work=$(mktemp -d)
@@ -71,7 +72,7 @@ for i in $(seq 1 "$pairs"); do
 done
 
 echo "$workload: $pairs interleaved pairs, seed $seed, ${seconds} s windows; parent $(git rev-parse --short "$parent") vs working tree"
-awk '
+awk -v pm="$metric" '
     # Directions of the declared metrics: "better" follows "name" in each entry.
     FNR == NR {
         if (match($0, /"name": *"[^"]*"/)) { s = substr($0, RSTART, RLENGTH); sub(/.*: *"/, "", s); sub(/"$/, "", s); name = s }
@@ -102,10 +103,11 @@ awk '
         return num(quant(n, 0.5)) " [" num(quant(n, 0.25)) "-" num(quant(n, 0.75)) "]"
     }
     END {
-        printf "\n%-5s %12s %12s %12s %12s\n", "pair", "parent p50", "change p50", "parent box", "change box"
+        printf "\n%-5s %14s %14s %12s %12s\n", "pair", "parent", "change", "parent box", "change box"
+        printf "%-5s %29s\n", "", pm
         for (i = 1; i <= np; i++)
-            printf "%-5s %12.0f %12.0f %12.1f %12.1f\n", i (i % 2 ? "p" : "c"),
-                val["parent", i, "lat_p50_us"], val["change", i, "lat_p50_us"],
+            printf "%-5s %14s %14s %12.1f %12.1f\n", i (i % 2 ? "p" : "c"),
+                num(val["parent", i, pm]), num(val["change", i, pm]),
                 val["parent", i, "box_probe_us"], val["change", i, "box_probe_us"]
         printf "(p: parent ran first, c: change ran first)\n\n"
         printf "%-22s %-28s %-28s %s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "change won"

@@ -19,15 +19,13 @@ type (
 	// Validate fills in defaults, and Open calls it for you. Protocol
 	// selects its ring protocol variant; WireConfig is its transport
 	// configuration (transport, addressing, per-shard port stride,
-	// batching, packing).
+	// packing).
 	Config     = ringconf.Config
 	Protocol   = ringconf.Protocol
 	WireConfig = ringconf.WireConfig
 
-	// BatchConfig sizes sendmmsg/recvmmsg syscall batching on the UDP wire
-	// path; PackingConfig tunes adaptive small-message packing (see
-	// WireConfig.Packing). Their zero values take every default.
-	BatchConfig   = transport.BatchConfig
+	// PackingConfig tunes adaptive small-message packing (see
+	// WireConfig.Packing). Its zero value takes every default.
 	PackingConfig = pack.AdaptiveConfig
 
 	// ProcID identifies one ring participant (a daemon in the paper's

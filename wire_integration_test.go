@@ -30,8 +30,7 @@ func freeUDPPorts(t *testing.T, n int) []int {
 }
 
 // TestOpenWithWireUDP opens a two-node ring through the unified
-// WithWire option — unicast mode with syscall batching and adaptive
-// packing on — and checks ordered delivery end to end over real UDP
+// WithWire option — unicast mode with adaptive packing on — and checks ordered delivery end to end over real UDP
 // sockets.
 func TestOpenWithWireUDP(t *testing.T) {
 	ports := freeUDPPorts(t, 4)
@@ -55,7 +54,6 @@ func TestOpenWithWireUDP(t *testing.T) {
 			WithWire(WireConfig{
 				Listen:  addrs[i],
 				Peers:   peers,
-				Batch:   BatchConfig{Send: 16, Recv: 16},
 				Packing: &PackingConfig{},
 			}),
 			WithWindows(10, 100, 7),
