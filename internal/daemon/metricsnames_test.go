@@ -57,6 +57,14 @@ func TestMetricsNamesLint(t *testing.T) {
 	// The shared in-memory hub reports transport.inmem.* into the first
 	// daemon's registry (a real deployment has one UDP socket per node).
 	hub.SetObserver(regs[0])
+	// A ringdaemon over real sockets registers the UDP transport's series
+	// as well, the token-time drain counter among them.
+	u, err := transport.NewUDP(transport.UDPConfig{Self: 9,
+		Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}, Obs: regs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
 	for i, d := range daemons {
 		if !d.WaitOperational(10 * time.Second) {
 			t.Fatalf("daemon %d did not become operational", i)
@@ -113,6 +121,7 @@ func TestMetricsNamesLint(t *testing.T) {
 		"accelring_ring_rounds",
 		"accelring_daemon_clients",
 		"accelring_transport_",
+		"accelring_transport_udp_rx_drained_at_token",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("live registry missing family %q", want)

@@ -7,6 +7,9 @@
 // submission queue that never blocks. internal/simproc hosts the same Step
 // on the simulator.
 //
+// The priority scheme takes its ordering from the transport.Transport
+// contract: a token never reaches Node ahead of the data that preceded it.
+//
 // The single protocol goroutine mirrors the paper's single-threaded
 // daemons: the ordering service deliberately consumes at most one core.
 package ringnode

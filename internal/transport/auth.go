@@ -25,7 +25,10 @@ import (
 // The wrapper preserves the Transport contract: sends still borrow (the
 // tag is appended into an internal scratch owned by the single sender
 // goroutine) and verified receives still hand off the pooled buffer,
-// trimmed in place, so bufpool recycling by capacity is unaffected.
+// trimmed in place, so bufpool recycling by capacity is unaffected. It
+// keeps the ordering contract over an inner transport that does. Its
+// channels have the inner ones' capacities, and a frame that finds one
+// full is dropped, counted on "transport.auth_rx_dropped".
 func WithAuth(inner Transport, key []byte, reg *obs.Registry, fl *obs.Recorder) Transport {
 	auth := wire.NewAuth(key)
 	if auth == nil {
@@ -34,15 +37,15 @@ func WithAuth(inner Transport, key []byte, reg *obs.Registry, fl *obs.Recorder) 
 	a := &authTransport{
 		inner:   inner,
 		auth:    auth,
-		dataCh:  make(chan []byte, 4096),
-		tokenCh: make(chan []byte, 16),
+		dataCh:  make(chan []byte, cap(inner.Data())),
+		tokenCh: make(chan []byte, cap(inner.Token())),
 		stop:    make(chan struct{}),
 		dropCnt: reg.Counter("transport.auth_drops"),
+		fullCnt: reg.Counter("transport.auth_rx_dropped"),
 		fl:      fl,
 	}
-	a.wg.Add(2)
-	go a.forward(inner.Data(), a.dataCh, "auth:data")
-	go a.forward(inner.Token(), a.tokenCh, "auth:token")
+	a.wg.Add(1)
+	go a.forward(inner.Data(), inner.Token())
 	return a
 }
 
@@ -57,8 +60,8 @@ type authTransport struct {
 	wg      sync.WaitGroup
 	closed  atomic.Bool
 
-	drops   atomic.Uint64
 	dropCnt *obs.Counter
+	fullCnt *obs.Counter
 	fl      *obs.Recorder
 }
 
@@ -82,10 +85,7 @@ func (a *authTransport) Data() <-chan []byte { return a.dataCh }
 // Token implements Transport: only frames that verified.
 func (a *authTransport) Token() <-chan []byte { return a.tokenCh }
 
-// AuthDrops returns how many inbound frames failed verification.
-func (a *authTransport) AuthDrops() uint64 { return a.drops.Load() }
-
-// Close stops the verifier goroutines and closes the inner transport.
+// Close stops the verifier goroutine and closes the inner transport.
 // Like the inner implementations, the outbound channels are not closed;
 // drivers stop via their own signal.
 func (a *authTransport) Close() error {
@@ -98,33 +98,62 @@ func (a *authTransport) Close() error {
 	return err
 }
 
-// forward verifies frames from in and hands the trimmed bodies to out.
-// It exits on Close (the inner channels may never close — the Hub's
-// don't) or when the inner channel closes (UDP does on socket close).
-func (a *authTransport) forward(in <-chan []byte, out chan []byte, note string) {
+// forward verifies frames from the inner channels and queues the bodies,
+// the data already on the inner Data channel ahead of each token. It never
+// waits on the consumer and exits on Close (the Hub's channels never
+// close) or when an inner channel closes (UDP's do on socket close).
+func (a *authTransport) forward(data, token <-chan []byte) {
 	defer a.wg.Done()
 	for {
 		select {
 		case <-a.stop:
 			return
-		case f, ok := <-in:
+		case f, ok := <-data:
 			if !ok {
 				return
 			}
-			body, good := a.auth.Verify(f)
-			if !good {
-				bufpool.Put(f)
-				a.drops.Add(1)
-				a.dropCnt.Inc()
-				a.fl.Record(obs.Event{Kind: obs.FlightRxDrop, Note: note})
-				continue
+			a.pass(f, false)
+		case f, ok := <-token:
+			// Read without waiting: a Close may empty data meanwhile.
+			for n := len(data); ok && n > 0; n-- {
+				select {
+				case d, open := <-data:
+					if ok = open; ok {
+						a.pass(d, false)
+					}
+				default:
+					n = 0
+				}
 			}
-			select {
-			case out <- body:
-			case <-a.stop:
-				bufpool.Put(body)
+			if !ok {
+				bufpool.Put(f)
 				return
 			}
+			a.pass(f, true)
 		}
+	}
+}
+
+// pass verifies f and queues its body on the channel of its class. A
+// forgery is counted on auth_drops, a body that finds its channel full on
+// auth_rx_dropped; both are recycled.
+func (a *authTransport) pass(f []byte, token bool) {
+	out, forged, full := a.dataCh, "auth:data", "data"
+	if token {
+		out, forged, full = a.tokenCh, "auth:token", "token"
+	}
+	body, good := a.auth.Verify(f)
+	if !good {
+		bufpool.Put(f)
+		a.dropCnt.Inc()
+		a.fl.Record(obs.Event{Kind: obs.FlightRxDrop, Note: forged})
+		return
+	}
+	select {
+	case out <- body:
+	default:
+		bufpool.Put(body)
+		a.fullCnt.Inc()
+		a.fl.Record(obs.Event{Kind: obs.FlightRxDrop, Note: full})
 	}
 }

@@ -69,9 +69,8 @@ func TestAuthTransportDropsForged(t *testing.T) {
 		t.Fatalf("forged token frame delivered: %q", f)
 	case <-time.After(20 * time.Millisecond):
 	}
-	at := t2.(*authTransport)
-	if at.AuthDrops() != 2 {
-		t.Fatalf("AuthDrops = %d, want 2", at.AuthDrops())
+	if got := reg.Counter("transport.auth_drops").Value(); got != 2 {
+		t.Fatalf("auth_drops = %d, want 2", got)
 	}
 }
 
@@ -102,5 +101,44 @@ func TestAuthTransportOverheadOnWire(t *testing.T) {
 	raw := recvFrame(t, e2.Data())
 	if len(raw) != 3+wire.MacLen {
 		t.Fatalf("wire frame length = %d, want %d", len(raw), 3+wire.MacLen)
+	}
+}
+
+// TestAuthTokenNeverWaitsOnConsumer fills a keyed receiver's Data and
+// leaves it unread: a token sent after more data still reaches Token, and
+// the data queued ahead of it that found Data full is dropped and counted.
+func TestAuthTokenNeverWaitsOnConsumer(t *testing.T) {
+	reg := obs.NewRegistry()
+	t1, t2 := authPair(t, []byte("k"), []byte("k"), reg)
+	full := cap(t2.Data())
+	for i := 0; i < full; i++ {
+		if err := t1.Multicast([]byte("fill")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for len(t2.Data()) < full {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d data frames queued", len(t2.Data()), full)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const ahead = 3
+	for i := 0; i < ahead; i++ {
+		if err := t1.Multicast([]byte("ahead")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := t1.Unicast(2, []byte("token")); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvFrame(t, t2.Token()); string(got) != "token" {
+		t.Fatalf("token = %q", got)
+	}
+	if got := reg.Counter("transport.auth_rx_dropped").Value(); got != ahead {
+		t.Fatalf("auth_rx_dropped = %d, want %d", got, ahead)
+	}
+	if got := reg.Counter("transport.auth_drops").Value(); got != 0 {
+		t.Fatalf("auth_drops = %d, want 0: an overflow is not a forgery", got)
 	}
 }

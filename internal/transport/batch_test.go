@@ -104,8 +104,10 @@ func TestUDPRefusedDatagramSkipped(t *testing.T) {
 }
 
 // TestUDPBatchedAllocs is the zero-allocation gate for the wire path:
-// sending a burst, receiving it through the burst reader, and recycling
-// the frames must not allocate in steady state.
+// sending a burst of data and the token after it, receiving them through
+// the burst readers (the token reader draining whatever data is still on
+// the data socket), and recycling the frames must not allocate in steady
+// state.
 func TestUDPBatchedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the channel hand-off")
@@ -113,22 +115,30 @@ func TestUDPBatchedAllocs(t *testing.T) {
 	const burst = 8
 	a, b := newUDPPair(t)
 	payload := bytes.Repeat([]byte{0x5A}, 1200)
+	token := payload[:64]
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
+	recv := func(ch <-chan []byte) {
+		timer.Reset(5 * time.Second)
+		select {
+		case f := <-ch:
+			bufpool.Put(f)
+		case <-timer.C:
+			t.Fatal("timed out waiting for a frame")
+		}
+	}
 	step := func() {
 		for i := 0; i < burst; i++ {
 			if err := a.Multicast(payload); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if err := a.Unicast(2, token); err != nil {
+			t.Fatal(err)
+		}
+		recv(b.Token())
 		for i := 0; i < burst; i++ {
-			timer.Reset(5 * time.Second)
-			select {
-			case f := <-b.Data():
-				bufpool.Put(f)
-			case <-timer.C:
-				t.Fatal("timed out waiting for a frame")
-			}
+			recv(b.Data())
 		}
 	}
 	// Warm-up: size-classed pools reach steady-state capacity.

@@ -83,10 +83,8 @@ func (h *Hub) deliverAfter(peer *Endpoint, token bool, frame []byte, delay time.
 // pool.
 func deliverTo(peer *Endpoint, token bool, cp []byte, nm *netMetrics) {
 	ch := peer.dataCh
-	cnt := &peer.dataDrop
 	if token {
 		ch = peer.tokenCh
-		cnt = &peer.tokenDrop
 	}
 	if peer.closed.Load() {
 		bufpool.Put(cp)
@@ -97,7 +95,6 @@ func deliverTo(peer *Endpoint, token bool, cp []byte, nm *netMetrics) {
 		nm.rx(token, len(cp))
 	default:
 		bufpool.Put(cp)
-		cnt.Add(1)
 		nm.rxDrop()
 	}
 }
@@ -150,9 +147,7 @@ type Endpoint struct {
 	dataCh  chan []byte
 	tokenCh chan []byte
 
-	closed    atomic.Bool
-	dataDrop  atomic.Uint64
-	tokenDrop atomic.Uint64
+	closed atomic.Bool
 }
 
 var _ Transport = (*Endpoint)(nil)
@@ -218,11 +213,6 @@ func (e *Endpoint) Data() <-chan []byte { return e.dataCh }
 
 // Token implements Transport.
 func (e *Endpoint) Token() <-chan []byte { return e.tokenCh }
-
-// Drops returns receiver-side overflow counts.
-func (e *Endpoint) Drops() Drops {
-	return Drops{Data: e.dataDrop.Load(), Token: e.tokenDrop.Load()}
-}
 
 // Close detaches the endpoint and recycles frames already queued on its
 // receive channels. The channels are NOT closed (senders may hold

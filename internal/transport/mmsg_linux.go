@@ -15,6 +15,7 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 	"syscall"
 	"unsafe"
 )
@@ -44,14 +45,21 @@ type mmsgReader struct {
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
 
-	// recvFn is the closure passed to RawConn.Read, built once at
-	// construction so the per-burst hot path does not allocate a new
-	// closure (and escape its captures) on every syscall. It communicates
-	// through the n/errno/syscalls fields.
-	recvFn   func(fd uintptr) bool
-	n        uintptr
-	errno    syscall.Errno
-	syscalls int
+	// mu owns the slots from a recvmmsg until its burst is visited. Only
+	// the data reader is drained; the token reader's lock is uncontended.
+	mu sync.Mutex
+
+	// recvFn and drainFn are the closures passed to RawConn.Read and
+	// RawConn.Control, built once at construction so the per-burst hot
+	// path does not allocate a new closure (and escape its captures) on
+	// every syscall. Each communicates through its own result fields.
+	recvFn     func(fd uintptr) bool
+	n          uintptr
+	errno      syscall.Errno
+	syscalls   int
+	drainFn    func(fd uintptr)
+	drainN     uintptr
+	drainErrno syscall.Errno
 }
 
 // newMMsgReader maps slots receive slots of size bytes each on conn.
@@ -80,13 +88,24 @@ func newMMsgReader(conn packetConn, slots, size int) (*mmsgReader, error) {
 		h.Iovlen = 1
 	}
 	r.recvFn = func(fd uintptr) bool {
-		r.n, _, r.errno = syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		r.mu.Lock() // readBatch unlocks once the burst is visited
+		r.n, r.errno = r.recv(fd)
 		r.syscalls++
+		if r.errno != 0 {
+			r.mu.Unlock() // never park in the netpoller holding the slots
+		}
 		return r.errno != syscall.EAGAIN
 	}
+	r.drainFn = func(fd uintptr) { r.drainN, r.drainErrno = r.recv(fd) }
 	return r, nil
+}
+
+// recv is one non-blocking recvmmsg into every slot. The caller holds mu.
+func (r *mmsgReader) recv(fd uintptr) (uintptr, syscall.Errno) {
+	n, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	return n, errno
 }
 
 // readBatch blocks until at least one datagram arrives, then drains up to
@@ -95,22 +114,47 @@ func newMMsgReader(conn packetConn, slots, size int) (*mmsgReader, error) {
 // of syscalls spent; ok is false when the socket is closed.
 func (r *mmsgReader) readBatch(visit func(i, n int)) (got, syscalls int, ok bool) {
 	r.syscalls = 0
-	rerr := r.rc.Read(r.recvFn)
-	if rerr != nil || r.errno != 0 {
+	if err := r.rc.Read(r.recvFn); err != nil || r.errno != 0 {
 		return 0, r.syscalls, false
 	}
+	defer r.mu.Unlock()
 	for i := 0; i < int(r.n); i++ {
 		visit(i, int(r.hdrs[i].Len))
 	}
 	return int(r.n), r.syscalls, true
 }
 
-// slot returns slot i, valid until the next readBatch.
+// drain visits, as readBatch does, every datagram queued on the socket
+// without blocking; any goroutine may call it. It reads nothing once the
+// reader is released or the socket closed.
+func (r *mmsgReader) drain(visit func(i, n int)) (got, syscalls int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.slab != nil && r.rc.Control(r.drainFn) == nil {
+		syscalls++
+		if r.drainErrno != 0 {
+			break
+		}
+		n := int(r.drainN)
+		for i := 0; i < n; i++ {
+			visit(i, int(r.hdrs[i].Len))
+		}
+		got += n
+		if n < len(r.hdrs) {
+			break
+		}
+	}
+	return got, syscalls
+}
+
+// slot returns slot i, valid until the next readBatch or drain.
 func (r *mmsgReader) slot(i int) []byte { return r.slab[i*r.size : (i+1)*r.size] }
 
 // release unmaps the slots. Only the goroutine that reads may call it,
-// once it has stopped reading.
+// once it has stopped reading; a drain in progress finishes first.
 func (r *mmsgReader) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	// Drop every pointer into the mapping first: the collector must not
 	// find one once the address range can be reused.
 	r.hdrs, r.iovs = nil, nil

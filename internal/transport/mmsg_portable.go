@@ -26,6 +26,9 @@ func (r *mmsgReader) readBatch(visit func(i, n int)) (got, syscalls int, ok bool
 	return 1, 1, true
 }
 
+// drain reads nothing: there is no non-blocking read here.
+func (r *mmsgReader) drain(visit func(i, n int)) (got, syscalls int) { return 0, 0 }
+
 func (r *mmsgReader) slot(i int) []byte { return r.buf }
 
 func (r *mmsgReader) release() {}

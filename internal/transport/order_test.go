@@ -1,0 +1,223 @@
+package transport
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"accelring/internal/bufpool"
+	"accelring/internal/obs"
+)
+
+// TestDataQueuedBeforeToken pins the Transport ordering contract on every
+// implementation that keeps it: k data frames sent before a token are all
+// queued on Data by the time the token is read from Token.
+func TestDataQueuedBeforeToken(t *testing.T) {
+	key := []byte("ring-key")
+	cases := []struct {
+		name string
+		udp  bool
+		pair func(t *testing.T) (Transport, Transport)
+	}{
+		{"Hub", false, func(t *testing.T) (Transport, Transport) {
+			hub := NewHub()
+			a, err := hub.Endpoint(1, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := hub.Endpoint(2, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { a.Close(); b.Close(); hub.Close() })
+			return a, b
+		}},
+		{"UDP", true, func(t *testing.T) (Transport, Transport) {
+			return newUDPPair(t)
+		}},
+		{"WithAuth(UDP)", true, func(t *testing.T) (Transport, Transport) {
+			a, b := newUDPPair(t)
+			ka, kb := WithAuth(a, key, nil, nil), WithAuth(b, key, nil, nil)
+			t.Cleanup(func() { ka.Close(); kb.Close() })
+			return ka, kb
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.udp && !mmsgAvailable {
+				t.Skip("the portable UDP reader does not keep the ordering contract")
+			}
+			a, b := tc.pair(t)
+			const k, iterations = 50, 200
+			frame := make([]byte, 200)
+			for it := 0; it < iterations; it++ {
+				frame[0] = byte(it)
+				for j := 0; j < k; j++ {
+					frame[1] = byte(j)
+					if err := a.Multicast(frame); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := a.Unicast(2, []byte("token")); err != nil {
+					t.Fatal(err)
+				}
+				bufpool.Put(recvFrame(t, b.Token()))
+				if queued := len(b.Data()); queued != k {
+					t.Fatalf("iteration %d: %d of %d data frames queued when the token was read", it, queued, k)
+				}
+				for j := 0; j < k; j++ {
+					f := recvFrame(t, b.Data())
+					if f[0] != byte(it) || f[1] != byte(j) {
+						t.Fatalf("iteration %d: frame %d arrived as (%d, %d)", it, j, f[0], f[1])
+					}
+					bufpool.Put(f)
+				}
+			}
+		})
+	}
+}
+
+// TestUDPCloseWhileDraining closes a receiver while a peer floods it with
+// data and tokens, so that the token reader is draining the data socket
+// when the sockets die. Under -race (make race) this pins that a drain
+// never touches released slots or sends on the closed data channel, and
+// that Close strands no rented frame.
+func TestUDPCloseWhileDraining(t *testing.T) {
+	if !mmsgAvailable {
+		t.Skip("the portable UDP reader does not drain")
+	}
+	before := bufpool.Snapshot()
+	for round := 0; round < 10; round++ {
+		reg := obs.NewRegistry()
+		send, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv, err := NewUDP(UDPConfig{Self: 2, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := send.AddPeer(2, recv.LocalAddrs()); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload := make([]byte, 300)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 0; i < 16; i++ {
+					_ = send.Multicast(payload)
+				}
+				_ = send.Unicast(2, payload)
+			}
+		}()
+		// Consume tokens so the token reader keeps reading (and draining)
+		// until Close; leave the data queued.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range recv.Token() {
+				bufpool.Put(f)
+			}
+		}()
+		drained := reg.Counter("transport.udp.rx_drained_at_token")
+		deadline := time.Now().Add(5 * time.Second)
+		for drained.Value() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the token reader never drained the data socket under a flood")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := recv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		if err := send.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+	}
+	poolBalanced(t, before)
+}
+
+// TestAuthCloseWhileForwarding closes a keyed Hub endpoint while a peer
+// floods it with data and tokens and a consumer reads both classes, so
+// that the forwarder is queueing the data ahead of a token when Close
+// empties the inner channels. Close must return every time.
+func TestAuthCloseWhileForwarding(t *testing.T) {
+	key := []byte("ring-key")
+	for round := 0; round < 50; round++ {
+		hub := NewHub()
+		e1, err := hub.Endpoint(1, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2, err := hub.Endpoint(2, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send, recv := WithAuth(e1, key, nil, nil), WithAuth(e2, key, nil, nil)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			payload := make([]byte, 100)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 0; i < 16; i++ {
+					_ = send.Multicast(payload)
+				}
+				_ = send.Unicast(2, payload)
+			}
+		}()
+		tokens := make(chan struct{}, 1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				case f := <-recv.Data():
+					bufpool.Put(f)
+				case f := <-recv.Token():
+					bufpool.Put(f)
+					select {
+					case tokens <- struct{}{}:
+					default:
+					}
+				}
+			}
+		}()
+		select {
+		case <-tokens:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: no token forwarded", round)
+		}
+		closed := make(chan struct{})
+		go func() {
+			recv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close did not return while the forwarder was busy", round)
+		}
+		close(stop)
+		wg.Wait()
+		send.Close()
+		hub.Close()
+	}
+}

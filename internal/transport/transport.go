@@ -34,6 +34,14 @@ import (
 //     internal/bufpool; the consumer should bufpool.Put each frame it
 //     does not retain (recycling is optional — see the bufpool ownership
 //     rules — but keeps the steady state allocation-free).
+//
+// Ordering: data that reached the participant before a token is queued on
+// Data before the token reaches Token, so a reader polling Data first never
+// requests a frame it already holds (§III-D/E). Hub (without an injected
+// delay), UDP on linux/amd64 and linux/arm64 (elsewhere its reader cannot
+// drain the data socket, so a token may overtake data) and WithAuth over
+// either keep it. Every implementation drops a frame that finds its channel full rather
+// than wait for the consumer, so a token never waits behind unread data.
 type Transport interface {
 	// Multicast sends a frame to every other participant's data channel.
 	Multicast(frame []byte) error
@@ -51,9 +59,3 @@ type Transport interface {
 
 // ErrClosed is returned by sends on a closed transport.
 var ErrClosed = errors.New("transport: closed")
-
-// Drops reports receiver-side drops for transports that count them
-// (channel/socket overflow).
-type Drops struct {
-	Data, Token uint64
-}

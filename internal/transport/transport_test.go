@@ -8,6 +8,7 @@ import (
 
 	"accelring/internal/evs"
 	"accelring/internal/faults"
+	"accelring/internal/obs"
 )
 
 func recvFrame(t *testing.T, ch <-chan []byte) []byte {
@@ -99,13 +100,15 @@ func TestHubDropInjection(t *testing.T) {
 
 func TestHubOverflowDrops(t *testing.T) {
 	hub := NewHub()
+	reg := obs.NewRegistry()
+	hub.SetObserver(reg)
 	a, _ := hub.Endpoint(1, 0, 0)
-	b, _ := hub.Endpoint(2, 2, 0) // data capacity 2
+	hub.Endpoint(2, 2, 0) // data capacity 2
 	for i := 0; i < 5; i++ {
 		a.Multicast([]byte{byte(i)})
 	}
-	if d := b.Drops(); d.Data != 3 {
-		t.Fatalf("drops = %+v, want 3 data drops", d)
+	if got := reg.Counter("transport.inmem.rx_dropped").Value(); got != 3 {
+		t.Fatalf("rx_dropped = %d, want 3 data drops", got)
 	}
 }
 

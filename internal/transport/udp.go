@@ -114,14 +114,13 @@ type UDP struct {
 	dataCh  chan []byte
 	tokenCh chan []byte
 
-	closed    atomic.Bool
-	dataDrop  atomic.Uint64
-	tokenDrop atomic.Uint64
-	txSysN    atomic.Uint64
-	rxSysN    atomic.Uint64
-	wg        sync.WaitGroup
-	nm        *netMetrics
-	fl        *obs.Recorder
+	closed  atomic.Bool
+	txSysN  atomic.Uint64
+	rxSysN  atomic.Uint64
+	wg      sync.WaitGroup
+	nm      *netMetrics
+	drained *obs.Counter // data frames queued by the token reader's drain
+	fl      *obs.Recorder
 }
 
 type udpPeerAddrs struct {
@@ -156,6 +155,7 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		dataCh:   make(chan []byte, dataChanCap),
 		tokenCh:  make(chan []byte, tokenChanCap),
 		nm:       newNetMetrics(cfg.Obs, "transport.udp."),
+		drained:  cfg.Obs.Counter("transport.udp.rx_drained_at_token"),
 		fl:       cfg.Flight,
 	}
 	dataRd, err := newMMsgReader(dataConn, dataSlots, slotSize)
@@ -174,10 +174,20 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	empty := make(map[evs.ProcID]*udpPeerAddrs)
 	u.peers.Store(&empty)
 	// The readers start first: Close, on a bad peer below, waits for them
-	// to close the receive channels.
+	// to close the receive channels. The visits are hoisted so a burst
+	// allocates no closure (the zero-alloc receive gate measures this).
+	dataVisit := func(i, n int) { u.deliverFrame(dataRd.slot(i)[:n], u.dataCh, false) }
+	tokVisit := func(i, n int) {
+		if i == 0 { // the data already on the socket goes first
+			got, sys := dataRd.drain(dataVisit)
+			u.countRxSys(sys)
+			u.drained.Add(uint64(got))
+		}
+		u.deliverFrame(tokRd.slot(i)[:n], u.tokenCh, true)
+	}
 	u.wg.Add(2)
-	go u.readLoop(dataRd, u.dataCh, &u.dataDrop, false)
-	go u.readLoop(tokRd, u.tokenCh, &u.tokenDrop, true)
+	go u.readLoop(dataRd, dataVisit, u.dataCh)
+	go u.readLoop(tokRd, tokVisit, u.tokenCh)
 	// Register ourselves: the membership representative starts a new ring
 	// by unicasting the initial token to itself.
 	if err := u.AddPeer(cfg.Self, u.LocalAddrs()); err != nil {
@@ -239,8 +249,8 @@ func (u *UDP) LocalAddrs() UDPPeer {
 
 // Syscalls returns cumulative send/receive kernel crossings on the wire.
 // Divide by the frame counters for syscalls per frame: one per datagram
-// sent, and one per receive call (a burst, or the empty poll before the
-// reader parks).
+// sent, and one per receive call (a burst, the empty poll before the
+// reader parks, or a drain of the data socket ahead of a token).
 func (u *UDP) Syscalls() (tx, rx uint64) {
 	return u.txSysN.Load(), u.rxSysN.Load()
 }
@@ -261,21 +271,18 @@ func (u *UDP) countRxSys(n int) {
 	u.nm.rxSys(n)
 }
 
-// readLoop drains one socket into a receive channel a burst at a time.
-// Each datagram is handed to deliverFrame, which copies it out of the
-// reader's slot into a rented frame, so the slots are reused across reads
-// and released once the loop is done with them. The channel is closed
-// when the socket dies (Close).
-func (u *UDP) readLoop(r *mmsgReader, ch chan []byte, drops *atomic.Uint64, token bool) {
+// readLoop drains one socket into its receive channel ch a burst at a
+// time. visit hands each datagram to deliverFrame, which copies it out of
+// the reader's slot into a rented frame, so the slots are reused across
+// reads. When the socket dies (Close) the slots are released, which waits
+// out a drain, and only then is ch closed.
+func (u *UDP) readLoop(r *mmsgReader, visit func(i, n int), ch chan []byte) {
 	defer u.wg.Done()
-	defer r.release()
-	// Hoisted so the hot loop closes over one allocation, not one per
-	// syscall (the zero-alloc receive gate measures this).
-	visit := func(i, n int) { u.deliverFrame(r.slot(i)[:n], ch, drops, token) }
 	for {
 		_, sys, ok := r.readBatch(visit)
 		u.countRxSys(sys)
 		if !ok {
+			r.release()
 			close(ch)
 			return
 		}
@@ -286,9 +293,8 @@ func (u *UDP) readLoop(r *mmsgReader, ch chan []byte, drops *atomic.Uint64, toke
 // pushes it to the channel; the consumer (the protocol driver) owns it
 // from there. When the channel is already full the datagram is dropped
 // before renting or copying anything.
-func (u *UDP) deliverFrame(raw []byte, ch chan []byte, drops *atomic.Uint64, token bool) {
+func (u *UDP) deliverFrame(raw []byte, ch chan []byte, token bool) {
 	if len(ch) == cap(ch) {
-		drops.Add(1)
 		u.nm.rxDrop()
 		u.recordDrop(token)
 		return
@@ -300,7 +306,6 @@ func (u *UDP) deliverFrame(raw []byte, ch chan []byte, drops *atomic.Uint64, tok
 		u.nm.rx(token, len(raw))
 	default:
 		bufpool.Put(frame)
-		drops.Add(1)
 		u.nm.rxDrop()
 		u.recordDrop(token)
 	}
@@ -360,11 +365,6 @@ func (u *UDP) Data() <-chan []byte { return u.dataCh }
 
 // Token implements Transport.
 func (u *UDP) Token() <-chan []byte { return u.tokenCh }
-
-// Drops returns receiver-side channel overflow counts.
-func (u *UDP) Drops() Drops {
-	return Drops{Data: u.dataDrop.Load(), Token: u.tokenDrop.Load()}
-}
 
 // Close shuts both sockets down and waits for the readers to exit. The
 // receive channels are closed, and every received-but-unconsumed frame
