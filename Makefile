@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet vet-cross build test race race-full loc bench-e2e bench-e2e-quick bench-pairs bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke
+.PHONY: ci vet vet-cross build test race race-full loc bench-e2e bench-e2e-quick bench-pairs bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke examples-smoke
 
 ci: vet build test race
 
@@ -108,3 +108,10 @@ obs-smoke:
 # steady ordered load, then a keyed (-ring-key) ring drained via SIGTERM.
 soak-smoke:
 	./scripts/soak_smoke.sh
+
+# The example programs check their own replicas or transcripts against
+# each other and exit non-zero when they diverge.
+examples-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/chat
+	$(GO) run ./examples/banklog

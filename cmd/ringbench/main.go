@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"accelring/internal/bench"
-	"accelring/internal/obs"
 )
 
 func main() {
@@ -37,7 +36,6 @@ func run(args []string) error {
 	verbose := fs.Bool("v", false, "print per-run progress")
 	format := fs.String("format", "text", "output format: text or csv")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
-	obsAddr := fs.String("obs", "", "serve /debug/vars and /debug/pprof on this address while the suite runs (e.g. :6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -54,28 +52,6 @@ func run(args []string) error {
 	suite := &bench.Suite{Quick: *quick, Seed: *seed}
 	if *verbose {
 		suite.Progress = func(s string) { fmt.Fprintf(os.Stderr, "  run: %s\n", s) }
-	}
-
-	// -obs is mainly a pprof endpoint for profiling long sweeps; the
-	// registry also publishes live suite progress under bench.*.
-	var figsDone, runsDone obs.Counter
-	if *obsAddr != "" {
-		reg := obs.NewRegistry()
-		reg.Publish("bench.figures_done", func() any { return figsDone.Value() })
-		reg.Publish("bench.runs_done", func() any { return runsDone.Value() })
-		srv, err := obs.StartServer(*obsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "observability: http://%s/debug/pprof\n", srv.Addr())
-		prev := suite.Progress
-		suite.Progress = func(s string) {
-			runsDone.Inc()
-			if prev != nil {
-				prev(s)
-			}
-		}
 	}
 
 	ids := []string{*figure}
@@ -103,7 +79,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%.1fs)\n", path, time.Since(start).Seconds())
-		figsDone.Inc()
 	}
 	return nil
 }

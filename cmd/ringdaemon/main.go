@@ -48,7 +48,6 @@ import (
 	"accelring/internal/daemon"
 	"accelring/internal/evs"
 	"accelring/internal/obs"
-	"accelring/internal/pack"
 	"accelring/internal/ringconf"
 	"accelring/internal/transport"
 )
@@ -65,7 +64,7 @@ func main() {
 type options struct {
 	id                            uint
 	client, peers, obs, ringKey   string
-	original, pack                bool
+	original                      bool
 	sloP99, sloP999, drainTimeout time.Duration
 	sloBurn                       float64
 }
@@ -74,7 +73,6 @@ type options struct {
 func flags(cfg *ringconf.Config, o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("ringdaemon", flag.ContinueOnError)
 	w := &cfg.Wire
-	w.Packing = new(pack.AdaptiveConfig) // dropped again without -pack
 	fs.UintVar(&o.id, "id", 0, "participant ID (non-zero, unique per daemon)")
 	fs.StringVar(&w.Listen.Data, "data", "127.0.0.1:5001", "UDP listen address for data messages")
 	fs.StringVar(&w.Listen.Token, "token", "127.0.0.1:6001", "UDP listen address for the token")
@@ -91,9 +89,7 @@ func flags(cfg *ringconf.Config, o *options) *flag.FlagSet {
 	fs.Float64Var(&o.sloBurn, "slo-burn", 0, "burn-rate factor at or above which an SLO scope is breaching (0 = default 1.0)")
 	fs.IntVar(&cfg.Shards, "shards", 1, "independent rings per daemon; ring r uses every base port + stride*r (numeric ports required)")
 	fs.IntVar(&w.ShardStride, "shard-stride", ringconf.DefaultShardStride, "port gap between consecutive rings of a sharded daemon (all daemons must agree)")
-	fs.BoolVar(&o.pack, "pack", false, "bundle small messages into shared frames under load (all daemons must agree)")
-	fs.IntVar(&w.Packing.Limit, "pack-limit", 0, "packed-frame size budget in bytes (0 = pack.DefaultLimit)")
-	fs.DurationVar(&w.Packing.MaxDelay, "pack-delay", 0, "longest a message may wait in a partial bundle (0 = pack.DefaultMaxDelay)")
+	fs.BoolVar(&w.Packing, "pack", false, "bundle small messages into shared frames under load (all daemons must agree)")
 	fs.StringVar(&o.ringKey, "ring-key", "", "shared secret authenticating ring wire frames and client sessions with HMAC-SHA256 (all daemons and clients must agree; empty disables)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "graceful-drain budget on SIGINT/SIGTERM before hard stop")
 	return fs
@@ -115,20 +111,11 @@ func run(args []string) error {
 			return fmt.Errorf("-%s must be at least 1", name)
 		}
 	}
-	// A flag that only tunes a feature does nothing while the feature is
-	// off; accepting it silently hides a typo'd or forgotten switch.
-	for _, dep := range []struct {
-		tuning []string
-		needs  string
-		on     bool
-	}{
-		{[]string{"trace-sample", "slo-p99", "slo-p999", "slo-burn"}, "obs", o.obs != ""},
-		{[]string{"pack-limit", "pack-delay"}, "pack", o.pack},
-	} {
-		for _, name := range dep.tuning {
-			if explicit[name] && !dep.on {
-				return fmt.Errorf("-%s has no effect without -%s", name, dep.needs)
-			}
+	// A flag that only tunes observability does nothing without -obs;
+	// accepting it silently hides a typo'd or forgotten switch.
+	for _, name := range []string{"trace-sample", "slo-p99", "slo-p999", "slo-burn"} {
+		if explicit[name] && o.obs == "" {
+			return fmt.Errorf("-%s has no effect without -obs", name)
 		}
 	}
 
@@ -140,9 +127,6 @@ func run(args []string) error {
 	cfg.Self = evs.ProcID(o.id)
 	if o.original {
 		cfg.Protocol = ringconf.ProtocolOriginal
-	}
-	if !o.pack {
-		w.Packing = nil
 	}
 	cfg.RingKey = []byte(o.ringKey)
 	if o.obs != "" {
@@ -214,7 +198,7 @@ func run(args []string) error {
 	}
 	log.Printf("daemon %d up: protocol=%v shards=%d data=%s token=%s pack=%v clients=%s peers=%d",
 		cfg.Self, cfg.Protocol, d.Shards(), w.Listen.Data, w.Listen.Token,
-		w.Packing != nil, ln.Addr(), len(w.Peers))
+		w.Packing, ln.Addr(), len(w.Peers))
 
 	go func() {
 		for range time.Tick(5 * time.Second) {

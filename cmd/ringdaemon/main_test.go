@@ -115,7 +115,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-id 1 -shard-stride -2", ringconf.ErrBadWire, ""},
 		{"-id 1 -personal 0", nil, "-personal"},
 		{"-id 1 -batch-send 8", nil, "-batch-send"},
-		{"-id 1 -pack -pack-limit 999999", ringconf.ErrBadWire, ""},
+		{"-id 1 -pack -pack-limit 1200", nil, "-pack-limit"},
 		{"-id 1 -accelerated 25 -obs 127.0.0.1:0", ringconf.ErrBadWindow, ""},
 		{"-id 1 -global 5", ringconf.ErrBadWindow, ""},
 		{"-id 1 -obs 127.0.0.1:0 -trace-sample -1", ringconf.ErrBadBufferSize, ""},
@@ -124,9 +124,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-id 1 -slo-p99 5ms", nil, "without -obs"},
 		{"-id 1 -slo-p999 9ms", nil, "without -obs"},
 		{"-id 1 -slo-burn 2", nil, "without -obs"},
-		{"-id 1 -pack-limit 1200", nil, "without -pack"},
-		{"-id 1 -pack-delay 1ms", nil, "without -pack"},
-		{"-id 1 -pack=false -pack-delay 1ms", nil, "without -pack"},
 	} {
 		logged.Reset()
 		err := run(append(strings.Fields(tc.args), "-client", held.Addr().String()))

@@ -3,15 +3,10 @@
 // original and the Accelerated Ring protocol (Personal window 5,
 // Accelerated window 3). It prints an ASCII timeline per variant —
 // message sequence numbers at their send instants, '*' marking the token
-// send — followed by the event table. Under the accelerated protocol the
-// token visibly departs after two of each participant's five sends, and
-// the whole 20-message run finishes earlier.
-//
-// With -faults it instead runs the same simulated cluster under a
-// seed-replayable fault plan (loss, bursty loss, duplication, delay) and
-// prints the per-rule injection counters next to the protocol's recovery
-// counters — a quick view of how much damage the retransmission machinery
-// absorbed.
+// send. Under the accelerated protocol the token visibly departs after
+// two of each participant's five sends, and the whole 20-message run
+// finishes earlier. `ringbench -figure fig1` prints the same runs as an
+// event table.
 //
 // With -follow it runs the cluster with message-lifecycle tracing on
 // every node and merges the sampled spans across the cluster: because
@@ -26,19 +21,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
 	"time"
 
 	"accelring/internal/bench"
 	"accelring/internal/evs"
-	"accelring/internal/faults"
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 	"accelring/internal/simproc"
-	"accelring/internal/stats"
 )
 
 func main() {
@@ -50,20 +42,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ringtrace", flag.ContinueOnError)
-	table := fs.Bool("table", false, "also print the full event table")
 	width := fs.Int("width", 100, "timeline width in columns")
-	withFaults := fs.Bool("faults", false, "run the cluster under an injected fault plan instead")
 	follow := fs.Bool("follow", false, "trace sampled message lifecycles across the cluster instead")
 	sample := fs.Int("sample", 10, "with -follow: sample every Nth sequence number")
-	seed := fs.Int64("seed", 1, "fault plan seed (with -faults)")
-	nodes := fs.Int("nodes", 4, "cluster size (with -faults/-follow)")
-	msgs := fs.Int("msgs", 200, "messages per node (with -faults/-follow)")
-	obsAddr := fs.String("obs", "", "with -faults: serve the run's metrics and round traces on this address afterwards (e.g. :6060)")
+	nodes := fs.Int("nodes", 4, "cluster size (with -follow)")
+	msgs := fs.Int("msgs", 200, "messages per node (with -follow)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *withFaults {
-		return runFaults(*seed, *nodes, *msgs, *obsAddr)
 	}
 	if *follow {
 		return runFollow(*nodes, *msgs, *sample)
@@ -82,109 +67,7 @@ func run(args []string) error {
 		fmt.Println()
 	}
 	fmt.Println("legend: digits = data message seq at its send instant, * = token send")
-	fmt.Println("        (A sends 1-5 then 16-20, B sends 6-10, C sends 11-15; PW=5, AW=3)")
-
-	if *table {
-		s := &bench.Suite{Quick: true}
-		tbl, err := s.Figure("fig1")
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(tbl.Format())
-	}
-	return nil
-}
-
-// runFaults drives the Accelerated Ring cluster through a fixed fault
-// plan in virtual time and reports per-rule injection counters alongside
-// the engines' recovery counters.
-func runFaults(seed int64, nodes, msgs int, obsAddr string) error {
-	var plan faults.Plan
-	plan.Add(faults.Rule{Name: "iid-loss", Classes: faults.ClassData,
-		Model: faults.Loss{P: 0.05}})
-	plan.Add(faults.Rule{Name: "burst-loss", To: 2, Classes: faults.ClassData,
-		Model: &faults.GilbertElliott{PGoodBad: 0.02, PBadGood: 0.3, LossBad: 0.8}})
-	plan.Add(faults.Rule{Name: "dup", Model: faults.Duplicate{P: 0.02}})
-	plan.Add(faults.Rule{Name: "jitter",
-		Model: faults.Delay{Max: 200 * time.Microsecond}})
-	inj := faults.New(seed, plan)
-
-	// With -obs, observe node 0 (metrics + round traces), on the
-	// simulated clock the host installs, so the run stays deterministic.
-	var reg *obs.Registry
-	var flight *obs.Recorder
-	opts := simproc.Options{
-		Fabric:  simnet.GigabitFabric(nodes),
-		Profile: simproc.Daemon(),
-		Ring:    ringnode.Accelerated(0, nil, 20, 200, 10),
-	}
-	if obsAddr != "" {
-		reg = obs.NewRegistry()
-		flight = obs.NewRecorder(0)
-		inj.PublishTo(reg)
-		opts.Observer = func(node int) *obs.RingObserver {
-			if node != 0 {
-				return nil
-			}
-			return &obs.RingObserver{Reg: reg, Flight: flight}
-		}
-	}
-
-	c, err := simproc.NewCluster(opts)
-	if err != nil {
-		return err
-	}
-	c.Net.SetInjector(inj)
-
-	delivered := make([]int, nodes)
-	c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
-		if _, ok := ev.(evs.Message); ok {
-			delivered[node]++
-		}
-	})
-	for _, n := range c.Nodes {
-		for i := 0; i < msgs; i++ {
-			n.Submit(make([]byte, 1350), evs.Agreed)
-		}
-	}
-	c.Sim.RunUntil(c.Formed + 30*simnet.Second)
-
-	fmt.Printf("== Accelerated Ring, %d nodes, %d msgs/node, fault seed %d ==\n\n",
-		nodes, msgs, seed)
-	fmt.Print(stats.FormatFaults(inj.Counters()))
-	fmt.Println()
-	total := nodes * msgs
-	ok := true
-	for i, n := range c.Nodes {
-		cnt := n.Engine().Counters()
-		fmt.Printf("node %d: delivered=%d/%d retransmitted=%d rtr-requests=%d dup-data-dropped=%d dup-tokens-dropped=%d\n",
-			i+1, delivered[i], total, cnt.Retransmitted, cnt.Requested,
-			cnt.DataDropped, cnt.TokensDropped)
-		if delivered[i] != total {
-			ok = false
-		}
-	}
-	netStats := c.Net.Stats()
-	fmt.Printf("\nswitch: injected drops=%d dups=%d delays=%d\n",
-		netStats.FilterDrops, netStats.InjectedDups, netStats.InjectedDelays)
-	if !ok {
-		return fmt.Errorf("not all messages delivered; replay with -faults -seed %d", seed)
-	}
-	fmt.Println("all messages delivered everywhere in total order despite injected faults")
-
-	if reg != nil {
-		srv, err := obs.StartServer(obsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		srv.Add("node1", flight)
-		fmt.Printf("\nrun metrics at http://%s/debug/vars and /debug/ring (Ctrl-C to exit)\n", srv.Addr())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-	}
+	fmt.Println("        (B sends 1-5, C sends 6-10, A sends 11-15 then 16-20; PW=5, AW=3)")
 	return nil
 }
 

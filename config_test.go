@@ -111,9 +111,9 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("ShardStride = %d, want %d", c.Wire.ShardStride, DefaultShardStride)
 			}
 		}},
-		{"packing knobs accepted", func(c *Config) {
+		{"packing accepted", func(c *Config) {
 			w := udpWire()
-			w.Packing = &PackingConfig{Limit: 1024, MaxDelay: time.Millisecond}
+			w.Packing = true
 			c.Wire = w
 		}, nil, nil},
 
@@ -131,16 +131,6 @@ func TestConfigValidate(t *testing.T) {
 		}, ErrWireConflict, nil},
 
 		// Knob errors.
-		{"bad packing limit", func(c *Config) {
-			w := udpWire()
-			w.Packing = &PackingConfig{Limit: 3}
-			c.Wire = w
-		}, ErrBadWire, nil},
-		{"packing limit beyond frame cap", func(c *Config) {
-			w := udpWire()
-			w.Packing = &PackingConfig{Limit: 1 << 20}
-			c.Wire = w
-		}, ErrBadWire, nil},
 		{"negative stride", func(c *Config) {
 			w := udpWire()
 			w.ShardStride = -2

@@ -59,7 +59,6 @@ import (
 	"accelring/internal/faults"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
-	"accelring/internal/pack"
 	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 	"accelring/internal/simproc"
@@ -236,7 +235,7 @@ func newHarness(sim *simnet.Sim, rng *rand.Rand, n int, packed bool) *harness {
 	ring := ringnode.Accelerated(0, nil, 5, 100, 3)
 	ring.Timeouts = chaosTimeouts()
 	if packed {
-		ring.Packing = &pack.AdaptiveConfig{}
+		ring.Packing = true
 	}
 	opts := simproc.Options{Fabric: chaosFabric(rng, n), Ring: ring, Observer: h.boot}
 	opts.Profile, opts.DataSockBytes = chaosHost(rng)

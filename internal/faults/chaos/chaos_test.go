@@ -10,6 +10,7 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/faults"
 	"accelring/internal/simnet"
+	"accelring/internal/stats"
 )
 
 // TestChaosRandomPlans runs the full chaos harness over ≥ 20 seeds: each
@@ -31,8 +32,9 @@ func TestChaosRandomPlans(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			res := Run(Options{Seed: faults.ReplaySeed(t, seed)})
-			t.Logf("nodes=%d steps=%d submitted=%d delivered=%d configs=%d",
-				res.Nodes, res.Steps, res.Submitted, res.Delivered, res.Configs)
+			t.Logf("nodes=%d steps=%d submitted=%d delivered=%d configs=%d\n%s",
+				res.Nodes, res.Steps, res.Submitted, res.Delivered, res.Configs,
+				stats.FormatFaults(res.Faults))
 			for _, v := range res.Violations {
 				t.Errorf("invariant violated: %s", v)
 			}

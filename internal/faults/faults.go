@@ -231,8 +231,8 @@ func (dl Delay) Apply(rng *rand.Rand, _ Packet, d Decision) Decision {
 
 // Partition drops packets crossing a partition: symmetric sides (packets
 // cross only within a side) plus asymmetric one-way link cuts. It is
-// mutable at runtime — tests and examples split and heal the network while
-// traffic flows — and safe for concurrent use.
+// mutable at runtime — tests and the chaos harness split and heal the
+// network while traffic flows — and safe for concurrent use.
 type Partition struct {
 	mu      sync.Mutex
 	side    map[evs.ProcID]int

@@ -139,26 +139,3 @@ func (in *Injector) Counters() []stats.FaultCounter {
 	defer in.mu.Unlock()
 	return append([]stats.FaultCounter(nil), in.counts...)
 }
-
-// PublishTo exposes the injector's per-rule counters in reg under
-// "faults.rules": a live snapshot taken on every registry read, so
-// /debug/vars always shows current values. No-op when either side is nil.
-func (in *Injector) PublishTo(reg *obs.Registry) {
-	if in == nil || reg == nil {
-		return
-	}
-	reg.Publish("faults.rules", func() any {
-		rows := in.Counters()
-		out := make([]map[string]any, len(rows))
-		for i, r := range rows {
-			out[i] = map[string]any{
-				"rule":       r.Rule,
-				"matched":    r.Matched,
-				"dropped":    r.Dropped,
-				"duplicated": r.Duplicated,
-				"delayed":    r.Delayed,
-			}
-		}
-		return out
-	})
-}

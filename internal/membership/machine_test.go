@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -374,46 +375,77 @@ func TestRecoveryDeliversMissedMessage(t *testing.T) {
 	}
 }
 
+// TestMergeTwoRings: a partition splits the machines into two sides, each
+// side forms its own ring and delivers its own message, and when the
+// partition heals the sides merge into one regular configuration, each
+// member seeing its side's transitional configuration just before it.
 func TestMergeTwoRings(t *testing.T) {
-	h := newMemHarness(t, 1, 2)
-	// Partition: 1 and 2 cannot hear each other; each forms a singleton.
-	h.drop = func(from, to evs.ProcID, token bool, frame []byte) bool {
-		return from != to
-	}
-	h.waitOperational(3 * time.Second)
-	if len(h.ringOf(1).Members) != 1 || len(h.ringOf(2).Members) != 1 {
-		t.Fatalf("expected singletons, got %v / %v", h.ringOf(1), h.ringOf(2))
-	}
-	h.machines[1].Submit([]byte("one"), evs.Agreed)
-	h.machines[2].Submit([]byte("two"), evs.Agreed)
-	h.advance(100 * time.Millisecond)
-	// Heal: presence beacons cross, both sides re-gather and merge.
-	pre := h.ringOf(1).ID
-	if h.ringOf(2).ID.Less(pre) {
-		pre = h.ringOf(2).ID
-	}
-	h.drop = nil
-	h.waitReform(pre, 5*time.Second)
-	ring := h.ringOf(1)
-	if len(ring.Members) != 2 || !h.ringOf(2).Equal(ring) {
-		t.Fatalf("merged ring = %v / %v", ring, h.ringOf(2))
-	}
-	// Each side delivered its own pre-merge message exactly once and saw
-	// a transitional config of itself before the merged regular config.
-	for id, want := range map[evs.ProcID]string{1: "one", 2: "two"} {
-		ms := h.outs[id].messages()
-		if len(ms) != 1 || string(ms[0].Payload) != want {
-			t.Fatalf("machine %d messages = %v", id, ms)
-		}
-		cs := h.outs[id].configs()
-		last := cs[len(cs)-1]
-		if last.Transitional || len(last.Config.Members) != 2 {
-			t.Fatalf("machine %d final config = %+v", id, last)
-		}
-		prev := cs[len(cs)-2]
-		if !prev.Transitional || len(prev.Config.Members) != 1 {
-			t.Fatalf("machine %d transitional config = %+v", id, prev)
-		}
+	for _, tc := range []struct {
+		name  string
+		sides [2][]evs.ProcID
+	}{
+		{"singletons", [2][]evs.ProcID{{1}, {2}}},
+		{"three and two", [2][]evs.ProcID{{1, 2, 3}, {4, 5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sideOf := make(map[evs.ProcID]int)
+			var ids []evs.ProcID
+			for s, members := range tc.sides {
+				for _, id := range members {
+					sideOf[id] = s
+					ids = append(ids, id)
+				}
+			}
+			h := newMemHarness(t, ids...)
+			// Partition: the sides cannot hear each other; each forms its
+			// own ring.
+			h.drop = func(from, to evs.ProcID, token bool, frame []byte) bool {
+				return sideOf[from] != sideOf[to]
+			}
+			h.waitOperational(3 * time.Second)
+			var newest evs.ViewID
+			for s, members := range tc.sides {
+				ring := h.ringOf(members[0])
+				for _, id := range members {
+					if r := h.ringOf(id); len(r.Members) != len(members) || !r.Equal(ring) {
+						t.Fatalf("side %d: machine %d on %v, want the side's own ring", s, id, r)
+					}
+				}
+				if newest.Less(ring.ID) {
+					newest = ring.ID
+				}
+				h.machines[members[0]].Submit([]byte(fmt.Sprintf("side-%d", s)), evs.Agreed)
+			}
+			h.advance(100 * time.Millisecond)
+			// Heal: presence beacons cross, both sides re-gather and merge.
+			h.drop = nil
+			h.waitReform(newest, 5*time.Second)
+			ring := h.ringOf(ids[0])
+			if len(ring.Members) != len(ids) {
+				t.Fatalf("merged ring = %v", ring)
+			}
+			// Every member delivered its side's message exactly once and saw
+			// a transitional config of its side before the merged regular
+			// config.
+			for _, id := range ids {
+				if r := h.ringOf(id); !r.Equal(ring) {
+					t.Fatalf("machine %d on %v, want %v", id, r, ring)
+				}
+				ms := h.outs[id].messages()
+				if want := fmt.Sprintf("side-%d", sideOf[id]); len(ms) != 1 || string(ms[0].Payload) != want {
+					t.Fatalf("machine %d messages = %v, want only %q", id, ms, want)
+				}
+				cs := h.outs[id].configs()
+				last := cs[len(cs)-1]
+				if last.Transitional || len(last.Config.Members) != len(ids) {
+					t.Fatalf("machine %d final config = %+v", id, last)
+				}
+				prev := cs[len(cs)-2]
+				if !prev.Transitional || !slices.Equal(prev.Config.Members, tc.sides[sideOf[id]]) {
+					t.Fatalf("machine %d transitional config = %+v", id, prev)
+				}
+			}
+		})
 	}
 }
 

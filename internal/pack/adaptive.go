@@ -1,80 +1,15 @@
 package pack
 
 import (
-	"errors"
 	"fmt"
 	"time"
-
-	"accelring/internal/wire"
 )
 
-// Adaptive defaults.
-const (
-	// DefaultMaxDelay bounds how long an open bundle may wait for
-	// companions before it is flushed regardless of backlog. One
-	// millisecond is on the order of a token rotation under load, so the
-	// bound is invisible next to ordering latency.
-	DefaultMaxDelay = time.Millisecond
-)
-
-// ErrBadConfig reports an invalid adaptive packing configuration.
-var ErrBadConfig = errors.New("pack: bad adaptive config")
-
-// AdaptiveConfig tunes the adaptive bundler. The zero value takes every
-// default.
-type AdaptiveConfig struct {
-	// Limit caps the encoded bundle size in bytes (DefaultLimit if 0, at
-	// most wire.MaxPayload). Payloads too large to ever fit are sent as
-	// solo bundles.
-	Limit int
-	// MaxMessages caps messages per bundle (MaxMessages if 0).
-	MaxMessages int
-	// MaxDelay bounds the time the first message of a bundle may wait
-	// for companions (DefaultMaxDelay if 0). The bound only matters
-	// under backlog; an idle node flushes immediately.
-	MaxDelay time.Duration
-}
-
-// Validate checks the knobs, returning ErrBadConfig-wrapped errors.
-func (c AdaptiveConfig) Validate() error {
-	if c.Limit < 0 || (c.Limit > 0 && c.Limit < headerLen+perMsgLen+1) {
-		return fmt.Errorf("%w: limit %d (need >= %d)", ErrBadConfig, c.Limit, headerLen+perMsgLen+1)
-	}
-	if c.Limit > wire.MaxPayload {
-		return fmt.Errorf("%w: limit %d exceeds the %d-byte frame payload cap", ErrBadConfig, c.Limit, wire.MaxPayload)
-	}
-	if c.MaxMessages < 0 || c.MaxMessages > MaxMessages {
-		return fmt.Errorf("%w: max messages %d (cap %d)", ErrBadConfig, c.MaxMessages, MaxMessages)
-	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("%w: negative max delay", ErrBadConfig)
-	}
-	return nil
-}
-
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Limit <= 0 {
-		c.Limit = DefaultLimit
-	}
-	if c.MaxMessages <= 0 || c.MaxMessages > MaxMessages {
-		c.MaxMessages = MaxMessages
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = DefaultMaxDelay
-	}
-	return c
-}
-
-// AdaptiveStats counts what the bundler did, for observability.
-type AdaptiveStats struct {
-	// Messages is the number of payloads accepted.
-	Messages uint64
-	// Bundles is the number of multi-message bundles flushed.
-	Bundles uint64
-	// Solos is the number of single-message bundles flushed (idle-path
-	// and oversize payloads).
-	Solos uint64
-}
+// DefaultMaxDelay bounds how long an open bundle may wait for companions
+// before it is flushed regardless of backlog. One millisecond is on the
+// order of a token rotation under load, so the bound is invisible next to
+// ordering latency.
+const DefaultMaxDelay = time.Millisecond
 
 // Adaptive accumulates small messages into bundles under the control of
 // its driver: the driver decides when to hold (backlog present) and when
@@ -82,26 +17,19 @@ type AdaptiveStats struct {
 // that must observe everything submitted so far). One bundle is open at
 // a time, tagged with the service class of its messages — classes are
 // never mixed, since unpacked messages inherit the bundle's delivery
-// guarantee. Not safe for concurrent use.
+// guarantee. A bundle holds at most DefaultLimit bytes and MaxMessages
+// messages, and waits at most DefaultMaxDelay. Not safe for concurrent
+// use.
 type Adaptive struct {
-	cfg   AdaptiveConfig
 	p     *Packer
 	svc   uint8
 	since time.Time
-	stats AdaptiveStats
 }
 
-// NewAdaptive returns a bundler with cfg's knobs (defaults applied).
-func NewAdaptive(cfg AdaptiveConfig) *Adaptive {
-	cfg = cfg.withDefaults()
-	return &Adaptive{cfg: cfg, p: NewPacker(cfg.Limit)}
+// NewAdaptive returns an empty bundler.
+func NewAdaptive() *Adaptive {
+	return &Adaptive{p: NewPacker(DefaultLimit)}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (a *Adaptive) Config() AdaptiveConfig { return a.cfg }
-
-// Stats returns the running counters.
-func (a *Adaptive) Stats() AdaptiveStats { return a.stats }
 
 // Empty reports whether no bundle is open.
 func (a *Adaptive) Empty() bool { return a.p.Count() == 0 }
@@ -115,15 +43,16 @@ func (a *Adaptive) Service() uint8 { return a.svc }
 // backdates the pack stage of sampled spans to it.
 func (a *Adaptive) Since() time.Time { return a.since }
 
-// Expired reports whether the open bundle has waited past MaxDelay.
+// Expired reports whether the open bundle has waited past
+// DefaultMaxDelay.
 func (a *Adaptive) Expired(now time.Time) bool {
-	return a.p.Count() > 0 && now.Sub(a.since) >= a.cfg.MaxDelay
+	return a.p.Count() > 0 && now.Sub(a.since) >= DefaultMaxDelay
 }
 
 // Oversize reports whether a payload of n bytes can never join a bundle
 // and must be framed solo (see AppendSolo).
 func (a *Adaptive) Oversize(n int) bool {
-	return headerLen+perMsgLen+n > a.cfg.Limit
+	return headerLen+perMsgLen+n > DefaultLimit
 }
 
 // Add appends a payload of service class svc to the open bundle. It
@@ -132,7 +61,7 @@ func (a *Adaptive) Oversize(n int) bool {
 // retry. Oversize payloads (see Oversize) are rejected with false
 // forever; callers frame those with AppendSolo instead.
 func (a *Adaptive) Add(payload []byte, svc uint8, now time.Time) bool {
-	if a.p.Count() > 0 && (svc != a.svc || a.p.Count() >= a.cfg.MaxMessages) {
+	if a.p.Count() > 0 && svc != a.svc {
 		return false
 	}
 	ok, err := a.p.Add(payload)
@@ -143,24 +72,12 @@ func (a *Adaptive) Add(payload []byte, svc uint8, now time.Time) bool {
 		a.svc = svc
 		a.since = now
 	}
-	a.stats.Messages++
 	return true
 }
 
 // Flush closes the open bundle and returns its encoding (nil when
 // Empty). The caller owns the returned slice.
-func (a *Adaptive) Flush() []byte {
-	n := a.p.Count()
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		a.stats.Solos++
-	} else {
-		a.stats.Bundles++
-	}
-	return a.p.Flush()
-}
+func (a *Adaptive) Flush() []byte { return a.p.Flush() }
 
 // SoloOverhead is how many framing bytes AppendSolo adds to a payload.
 const SoloOverhead = headerLen + perMsgLen

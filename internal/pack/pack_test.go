@@ -194,24 +194,13 @@ func BenchmarkPack64B(b *testing.B) {
 	}
 }
 
-// TestAdaptiveConfigValidate: the knob bounds every host checks through
-// Validate, the frame payload cap included.
-func TestAdaptiveConfigValidate(t *testing.T) {
-	for _, tc := range []struct {
-		cfg AdaptiveConfig
-		ok  bool
-	}{
-		{AdaptiveConfig{}, true},
-		{AdaptiveConfig{Limit: wire.MaxPayload}, true},
-		{AdaptiveConfig{Limit: wire.MaxPayload + 1}, false},
-		{AdaptiveConfig{Limit: 3}, false},
-		{AdaptiveConfig{Limit: -1}, false},
-		{AdaptiveConfig{MaxMessages: MaxMessages + 1}, false},
-		{AdaptiveConfig{MaxDelay: -1}, false},
-	} {
-		err := tc.cfg.Validate()
-		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrBadConfig)) {
-			t.Errorf("Validate(%+v) = %v, want ok=%v", tc.cfg, err, tc.ok)
-		}
+// TestDefaultLimitFitsFrame: a full bundle fits one frame's payload, and
+// the limit leaves room for at least one byte of message.
+func TestDefaultLimitFitsFrame(t *testing.T) {
+	if DefaultLimit > wire.MaxPayload {
+		t.Errorf("DefaultLimit %d exceeds the %d-byte frame payload cap", DefaultLimit, wire.MaxPayload)
+	}
+	if DefaultLimit < headerLen+perMsgLen+1 {
+		t.Errorf("DefaultLimit %d cannot hold a one-byte message", DefaultLimit)
 	}
 }

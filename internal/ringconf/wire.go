@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"accelring/internal/evs"
-	"accelring/internal/pack"
 	"accelring/internal/transport"
 )
 
@@ -46,12 +45,12 @@ type WireConfig struct {
 	// derived ports collide or exceed 65535.
 	ShardStride int
 
-	// Packing, when non-nil, enables adaptive small-message packing:
-	// under load, submissions are bundled up to the configured byte
-	// limit per protocol frame and unpacked on delivery; at low rate
-	// every message flushes immediately, bounded by MaxDelay. All ring
-	// members must agree on whether packing is enabled.
-	Packing *pack.AdaptiveConfig
+	// Packing enables adaptive small-message packing: under load,
+	// submissions are bundled up to pack.DefaultLimit bytes per protocol
+	// frame and unpacked on delivery; at low rate every message flushes
+	// immediately, bounded by pack.DefaultMaxDelay. All ring members must
+	// agree on whether packing is enabled.
+	Packing bool
 }
 
 // Wire-path validation errors (wrapped with context; branch with
@@ -108,11 +107,6 @@ func (c *Config) resolveWire() error {
 		}
 	}
 
-	if w.Packing != nil {
-		if err := w.Packing.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadWire, err)
-		}
-	}
 	if w.ShardStride < 0 {
 		return fmt.Errorf("%w: negative ShardStride %d", ErrBadWire, w.ShardStride)
 	}

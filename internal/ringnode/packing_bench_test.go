@@ -7,7 +7,6 @@ import (
 
 	"accelring/internal/evs"
 	"accelring/internal/membership"
-	"accelring/internal/pack"
 	"accelring/internal/transport"
 )
 
@@ -15,7 +14,7 @@ import (
 // ring (in-process hub): b.N small messages submitted with backlog, timed
 // until the submitting node has delivered them all. kmsg/s is reported as
 // a metric so packed-vs-bare shows up directly in the output.
-func benchRing(b *testing.B, pc *pack.AdaptiveConfig) {
+func benchRing(b *testing.B, packing bool) {
 	hub := transport.NewHub()
 	const members = 3
 	var delivered atomic.Int64
@@ -37,10 +36,7 @@ func benchRing(b *testing.B, pc *pack.AdaptiveConfig) {
 		} else {
 			cfg.OnEvent = func(evs.Event) {}
 		}
-		if pc != nil {
-			c := *pc
-			cfg.Packing = &c
-		}
+		cfg.Packing = packing
 		node, err := Start(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -79,9 +75,9 @@ func benchRing(b *testing.B, pc *pack.AdaptiveConfig) {
 }
 
 func BenchmarkWireRingBare(b *testing.B) {
-	benchRing(b, nil)
+	benchRing(b, false)
 }
 
 func BenchmarkWireRingPacked(b *testing.B) {
-	benchRing(b, &pack.AdaptiveConfig{})
+	benchRing(b, true)
 }

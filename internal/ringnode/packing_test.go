@@ -7,13 +7,12 @@ import (
 	"time"
 
 	"accelring/internal/evs"
-	"accelring/internal/pack"
 	"accelring/internal/transport"
 )
 
 // startPackedHubNodes is startHubNodes with adaptive message packing
 // enabled on every node.
-func startPackedHubNodes(t *testing.T, n int, pc pack.AdaptiveConfig) ([]*Node, []*eventLog) {
+func startPackedHubNodes(t *testing.T, n int) ([]*Node, []*eventLog) {
 	t.Helper()
 	hub := transport.NewHub()
 	nodes := make([]*Node, n)
@@ -28,8 +27,7 @@ func startPackedHubNodes(t *testing.T, n int, pc pack.AdaptiveConfig) ([]*Node, 
 		cfg := Accelerated(id, ep, 10, 100, 7)
 		cfg.Timeouts = fastTimeouts()
 		cfg.OnEvent = log.add
-		pcCopy := pc
-		cfg.Packing = &pcCopy
+		cfg.Packing = true
 		node, err := Start(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +44,7 @@ func startPackedHubNodes(t *testing.T, n int, pc pack.AdaptiveConfig) ([]*Node, 
 // payload, unpacked, in the identical total order — packing must be
 // invisible above the transport.
 func TestPackedRingOrders(t *testing.T) {
-	nodes, logs := startPackedHubNodes(t, 3, pack.AdaptiveConfig{})
+	nodes, logs := startPackedHubNodes(t, 3)
 	waitFullRing(t, nodes, 3, 5*time.Second)
 
 	const perNode = 40
@@ -98,10 +96,10 @@ func TestPackedRingOrders(t *testing.T) {
 // budget still travels (solo-framed) on a packed ring, interleaved with
 // small bundled messages.
 func TestPackedOversizeSolo(t *testing.T) {
-	nodes, logs := startPackedHubNodes(t, 2, pack.AdaptiveConfig{Limit: 256})
+	nodes, logs := startPackedHubNodes(t, 2)
 	waitFullRing(t, nodes, 2, 5*time.Second)
 
-	big := bytes.Repeat([]byte{0xBB}, 4000) // far over the 256-byte bundle budget
+	big := bytes.Repeat([]byte{0xBB}, 4000) // far over the pack.DefaultLimit bundle budget
 	if err := nodes[0].Submit([]byte("small-before"), evs.Agreed); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +124,7 @@ func TestPackedOversizeSolo(t *testing.T) {
 // bundle (a bundle carries one service class), but both classes deliver
 // with their own guarantees on a packed ring.
 func TestPackedMixedServices(t *testing.T) {
-	nodes, logs := startPackedHubNodes(t, 3, pack.AdaptiveConfig{})
+	nodes, logs := startPackedHubNodes(t, 3)
 	waitFullRing(t, nodes, 3, 5*time.Second)
 
 	for k := 0; k < 10; k++ {

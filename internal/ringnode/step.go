@@ -37,15 +37,14 @@ type Config struct {
 	// Clock is nil, the node installs time.Now so hold times and delivery
 	// latencies are measured. Nil disables observation.
 	Observer *obs.RingObserver
-	// Packing, when non-nil, enables adaptive small-message packing:
-	// submissions are bundled up to the configured byte limit and the
-	// bundle is held open only while a send backlog already hides the
-	// wait (and never past MaxDelay, checked at the next protocol event).
-	// At low rate every message flushes immediately. All ring members
-	// must agree on whether packing is enabled — with it on, every data
-	// payload travels in the bundle wire format and receivers unpack on
-	// delivery.
-	Packing *pack.AdaptiveConfig
+	// Packing enables adaptive small-message packing: submissions are
+	// bundled up to pack.DefaultLimit bytes and the bundle is held open
+	// only while a send backlog already hides the wait (and never past
+	// pack.DefaultMaxDelay, checked at the next protocol event). At low
+	// rate every message flushes immediately. All ring members must agree
+	// on whether packing is enabled — with it on, every data payload
+	// travels in the bundle wire format and receivers unpack on delivery.
+	Packing bool
 }
 
 // Accelerated returns a Config for the Accelerated Ring protocol.
@@ -132,11 +131,8 @@ type Step struct {
 // cfg.Transport.
 func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
 	s := &Step{out: out, onEvent: cfg.OnEvent}
-	if cfg.Packing != nil {
-		if err := cfg.Packing.Validate(); err != nil {
-			return nil, err
-		}
-		s.bundle = pack.NewAdaptive(*cfg.Packing)
+	if cfg.Packing {
+		s.bundle = pack.NewAdaptive()
 	}
 	o := cfg.Observer
 	s.stampFlush = func(seq uint64) { o.Stamp(obs.StageBatchFlush, seq, 0) }
@@ -281,8 +277,8 @@ func (s *Step) flushExpired(now time.Time) {
 // a backlog already waiting for the token, later submissions can join
 // the bundle without adding latency. An idle queue means the bundle
 // would be the next thing sent, so it goes immediately — packing engages
-// under load and stays out of the way at low rate. MaxDelay bounds the
-// hold regardless of backlog.
+// under load and stays out of the way at low rate. pack.DefaultMaxDelay
+// bounds the hold regardless of backlog.
 func (s *Step) maybeFlushPack(now time.Time) {
 	if s.bundle == nil || s.bundle.Empty() {
 		return

@@ -170,11 +170,10 @@ func newStepRing(t testing.TB, n int, edit func(*Config)) (*testRing, []*Step) {
 // the token is handled; an expired bundle goes out on the next input,
 // whatever the backlog; and DataPriority is the machine's.
 func TestStepHostOrder(t *testing.T) {
-	const maxDelay = 5 * time.Millisecond
 	tracer := obs.NewMsgTracer(1, 1<<14)
 	var r *testRing
 	r, steps := newStepRing(t, 2, func(c *Config) {
-		c.Packing = &pack.AdaptiveConfig{MaxDelay: maxDelay}
+		c.Packing = true
 		if c.Self == 1 {
 			c.Observer = &obs.RingObserver{Msg: tracer, Clock: func() time.Time { return r.now }}
 		}
@@ -252,12 +251,12 @@ func TestStepHostOrder(t *testing.T) {
 	if q := a.Status().QueueLen; q != 1 {
 		t.Fatalf("backlogged submit left queue length %d, want 1 (held)", q)
 	}
-	// An input before MaxDelay leaves it held; the first one after flushes
-	// it, backlog or not.
-	r.now = r.now.Add(maxDelay - time.Microsecond)
+	// An input before pack.DefaultMaxDelay leaves it held; the first one
+	// after flushes it, backlog or not.
+	r.now = r.now.Add(pack.DefaultMaxDelay - time.Microsecond)
 	a.Tick(r.now)
 	if q := a.Status().QueueLen; q != 1 {
-		t.Fatalf("bundle left before MaxDelay: queue length %d", q)
+		t.Fatalf("bundle left before pack.DefaultMaxDelay: queue length %d", q)
 	}
 	r.now = r.now.Add(time.Microsecond)
 	a.Tick(r.now)
@@ -294,12 +293,11 @@ func TestStepHostOrder(t *testing.T) {
 
 // TestPackedIdleLatency: with no backlog the bundler must not sit on a
 // lone message — it flushes on the no-backlog check, so on virtual time a
-// quiet ring delivers it everywhere well within MaxDelay.
+// quiet ring delivers it everywhere within pack.DefaultMaxDelay.
 func TestPackedIdleLatency(t *testing.T) {
-	const maxDelay = 5 * time.Millisecond
 	var got [2][]string
 	r, steps := newStepRing(t, 2, func(c *Config) {
-		c.Packing = &pack.AdaptiveConfig{MaxDelay: maxDelay}
+		c.Packing = true
 		i := c.Self - 1
 		c.OnEvent = func(ev evs.Event) {
 			if m, ok := ev.(evs.Message); ok {
@@ -313,8 +311,8 @@ func TestPackedIdleLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.run(t, func() bool { return len(got[0]) > 0 && len(got[1]) > 0 })
-	if lat := r.now.Sub(start); lat >= maxDelay {
-		t.Fatalf("idle-ring packed delivery took %v of virtual time (MaxDelay %v)", lat, maxDelay)
+	if lat := r.now.Sub(start); lat >= pack.DefaultMaxDelay {
+		t.Fatalf("idle-ring packed delivery took %v of virtual time (pack.DefaultMaxDelay %v)", lat, pack.DefaultMaxDelay)
 	}
 	for i, g := range got {
 		if fmt.Sprint(g) != "[lone]" {
@@ -391,7 +389,7 @@ func TestStepAllocParity(t *testing.T) {
 func TestPackedOversizeKeepsSenderOrder(t *testing.T) {
 	var got []string
 	r, steps := newStepRing(t, 2, func(c *Config) {
-		c.Packing = &pack.AdaptiveConfig{Limit: 256}
+		c.Packing = true
 		if c.Self == 2 {
 			c.OnEvent = func(ev evs.Event) {
 				if m, ok := ev.(evs.Message); ok {
@@ -402,7 +400,7 @@ func TestPackedOversizeKeepsSenderOrder(t *testing.T) {
 	})
 	r.form(t)
 	a := steps[0]
-	big := append([]byte("big"), make([]byte, 1000)...)
+	big := append([]byte("big"), make([]byte, pack.DefaultLimit)...)
 	for _, p := range [][]byte{[]byte("first"), []byte("held"), big, []byte("after")} {
 		if err := a.Submit(p, evs.Agreed, r.now); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package simproc
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"accelring/internal/core"
@@ -156,48 +157,64 @@ func TestAcceleratedFasterRounds(t *testing.T) {
 	t.Logf("rounds in 50ms under load: original=%d accelerated=%d", orig, accel)
 }
 
+// TestIngressFilterLossRecovers: under both protocols, a node that loses
+// every third data packet still delivers every message, in the same total
+// order as the others, through retransmissions.
 func TestIngressFilterLossRecovers(t *testing.T) {
-	c, err := NewCluster(gigOpts(4, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 2 loses 30% of data deterministically (every 3rd packet).
-	var seen int
-	c.Net.SetIngressFilter(func(to simnet.NodeID, p *simnet.Packet) bool {
-		if to != 2 || p.Kind == 1 /* token */ {
-			return false
-		}
-		seen++
-		return seen%3 == 0
-	})
-	delivered := make(map[simnet.NodeID]int)
-	c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
-		if _, ok := ev.(evs.Message); ok {
-			delivered[node]++
-		}
-	})
-	const perNode = 20
-	for _, n := range c.Nodes {
-		for i := 0; i < perNode; i++ {
-			n.Submit(make([]byte, 300), evs.Agreed)
-		}
-	}
-	runFor(c, 200*simnet.Millisecond)
-	want := perNode * len(c.Nodes)
-	for id, got := range delivered {
-		if got != want {
-			t.Fatalf("node %d delivered %d, want %d (loss not recovered)", id, got, want)
-		}
-	}
-	if c.Net.Stats().FilterDrops == 0 {
-		t.Fatal("filter dropped nothing; test is vacuous")
-	}
-	var retrans uint64
-	for _, n := range c.Nodes {
-		retrans += n.Engine().Counters().Retransmitted
-	}
-	if retrans == 0 {
-		t.Fatal("loss recovered without retransmissions?")
+	for _, tc := range []struct {
+		name  string
+		accel bool
+	}{{"original", false}, {"accelerated", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(gigOpts(4, tc.accel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Node 2 loses 30% of data deterministically (every 3rd packet).
+			var seen int
+			c.Net.SetIngressFilter(func(to simnet.NodeID, p *simnet.Packet) bool {
+				if to != 2 || p.Kind == 1 /* token */ {
+					return false
+				}
+				seen++
+				return seen%3 == 0
+			})
+			delivered := make(map[simnet.NodeID][]uint64)
+			c.SetDeliverHook(func(node simnet.NodeID, ev evs.Event, at simnet.Time) {
+				if m, ok := ev.(evs.Message); ok {
+					delivered[node] = append(delivered[node], m.Seq)
+				}
+			})
+			const perNode = 20
+			for _, n := range c.Nodes {
+				for i := 0; i < perNode; i++ {
+					n.Submit(make([]byte, 300), evs.Agreed)
+				}
+			}
+			runFor(c, 200*simnet.Millisecond)
+			want := perNode * len(c.Nodes)
+			if len(delivered) != len(c.Nodes) {
+				t.Fatalf("%d of %d nodes delivered anything", len(delivered), len(c.Nodes))
+			}
+			for id, got := range delivered {
+				if len(got) != want {
+					t.Fatalf("node %d delivered %d, want %d (loss not recovered)", id, len(got), want)
+				}
+				if !slices.Equal(got, delivered[0]) {
+					t.Fatalf("node %d delivered %v, node 0 %v", id, got, delivered[0])
+				}
+			}
+			if c.Net.Stats().FilterDrops == 0 {
+				t.Fatal("filter dropped nothing; test is vacuous")
+			}
+			var retrans uint64
+			for _, n := range c.Nodes {
+				retrans += n.Engine().Counters().Retransmitted
+			}
+			if retrans == 0 {
+				t.Fatal("loss recovered without retransmissions?")
+			}
+		})
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 // FaultCounter reports the activity of one fault-injection rule: how many
 // packets it inspected and how many it dropped, duplicated, or delayed.
-// internal/faults produces these; observability tools (cmd/ringtrace, the
-// chaos harness) render them with FormatFaults.
+// internal/faults produces these; the chaos harness renders them with
+// FormatFaults.
 type FaultCounter struct {
 	// Rule is the rule's name (or its index when unnamed).
 	Rule string

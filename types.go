@@ -6,7 +6,6 @@ import (
 	"accelring/internal/groupcore"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
-	"accelring/internal/pack"
 	"accelring/internal/ringconf"
 	"accelring/internal/transport"
 )
@@ -23,10 +22,6 @@ type (
 	Config     = ringconf.Config
 	Protocol   = ringconf.Protocol
 	WireConfig = ringconf.WireConfig
-
-	// PackingConfig tunes adaptive small-message packing (see
-	// WireConfig.Packing). Its zero value takes every default.
-	PackingConfig = pack.AdaptiveConfig
 
 	// ProcID identifies one ring participant (a daemon in the paper's
 	// terms). IDs must be unique and nonzero across the deployment.

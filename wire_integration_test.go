@@ -54,7 +54,7 @@ func TestOpenWithWireUDP(t *testing.T) {
 			WithWire(WireConfig{
 				Listen:  addrs[i],
 				Peers:   peers,
-				Packing: &PackingConfig{},
+				Packing: true,
 			}),
 			WithWindows(10, 100, 7),
 			WithTimeouts(fastTimeouts()),
