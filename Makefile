@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet vet-cross build test race race-full loc bench-e2e bench-e2e-quick bench-pairs bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke examples-smoke
+.PHONY: ci vet vet-cross build test race race-full loc bench-e2e bench-e2e-quick bench-gate bench-pairs bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke examples-smoke
 
 ci: vet build test race
 
@@ -61,6 +61,15 @@ bench-e2e:
 
 bench-e2e-quick:
 	$(GO) run ./benchmark -quick
+
+# The count gate (scripts/bench_gate.sh): a quick traced pass of every
+# workload, checked on rows that do not depend on the box's speed
+# (correctness, one ring install, no token or data retransmission, the
+# ringnode and daemon ladder allocations within 10 % of
+# results/BENCH_quick.json). `scripts/bench_gate.sh record` rewrites that
+# baseline from a passing run.
+bench-gate:
+	./scripts/bench_gate.sh
 
 # Interleaved timing pairs of one workload, a parent commit against the
 # working tree, at the pinned 20 s windows (scripts/bench_pairs.sh):

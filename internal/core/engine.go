@@ -367,6 +367,20 @@ func (e *Engine) QueueLen() int { return len(e.sendQ) }
 // priority over the token. Drivers with both classes pending consult this.
 func (e *Engine) DataPriority() bool { return e.dataPriority }
 
+// Quiet reports whether t, a token of this ring that HandleToken would
+// accept, closes at the leader a rotation in which nothing happened:
+// nothing is queued here, the leader sent and retransmitted nothing last
+// round, the token carries no request and no sequence number beyond the
+// one the leader last forwarded, and every message is received, delivered
+// and stable (aru == seq on the token and on the last two the leader
+// sent). Holding such a token delays no message and no request. Read-only.
+func (e *Engine) Quiet(t *wire.Token) bool {
+	return e.ringIdx == 0 && e.lastSent != nil && len(e.sendQ) == 0 && e.lastRoundSent == 0 &&
+		t.RingID == e.cfg.Ring.ID && int32(t.TokenSeq-e.lastTokenSeq) > 0 &&
+		len(t.Rtr) == 0 && t.Seq == e.lastSent.Seq && t.Aru == t.Seq &&
+		e.delivered == t.Seq && e.aruSentThis == t.Seq && e.aruSentPrev == t.Seq
+}
+
 // DrainSampledSent calls fn for every sampled seq multicast since the
 // previous drain and forgets them. Drivers call it at the end of each
 // send burst and record StageBatchFlush for each, closing the gap between

@@ -119,6 +119,8 @@ func TestMetricsNamesLint(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		"accelring_ring_rounds",
+		"accelring_ring_token_parks",
+		"accelring_ring_token_parked_ns",
 		"accelring_daemon_clients",
 		"accelring_transport_",
 		"accelring_transport_udp_rx_drained_at_token",
@@ -223,6 +225,8 @@ func TestMetricsNamesLintSharded(t *testing.T) {
 		`accelring_merge_frontier{ring="1"}`,
 		`accelring_ring_rounds{ring="0"}`,
 		`accelring_ring_rounds{ring="1"}`,
+		`accelring_ring_token_parks{ring="0"}`,
+		`accelring_ring_token_parked_ns{ring="1"}`,
 		// Latency attribution and SLO families from the aggregators.
 		`accelring_latency_spans_folded{ring="0"}`,
 		`accelring_latency_e2e_ns_count{ring="0"}`,

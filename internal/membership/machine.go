@@ -454,6 +454,21 @@ func (m *Machine) HandleTokenFrame(frame []byte, now time.Time) {
 	}
 }
 
+// QuietToken reports whether frame is a token the operational ring's
+// leader may hold before handling it: one that closes a rotation in which
+// nothing happened (core.Engine.Quiet). It changes no protocol state.
+func (m *Machine) QuietToken(frame []byte) bool {
+	// Only the leader (ring index 0) parks; the others skip the decode.
+	if m.state != StateOperational || m.ring.Members[0] != m.cfg.Self {
+		return false
+	}
+	if t, err := wire.PeekType(frame); err != nil || t != wire.FrameToken {
+		return false
+	}
+	tok := &m.tokScratch
+	return tok.DecodeFrom(frame) == nil && m.eng.Quiet(tok)
+}
+
 func (m *Machine) handleJoin(j *wire.Join, now time.Time) {
 	if j.Sender == m.cfg.Self {
 		return

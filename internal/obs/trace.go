@@ -117,6 +117,7 @@ type RingObserver struct {
 // registry (map) lookups.
 type ringMetrics struct {
 	rounds, sentPre, sentPost, retransmitted, requested *Counter
+	parks, parkedNs                                     *Counter
 	seq, aru, fcc                                       *Gauge
 	hold                                                *Histogram
 }
@@ -207,6 +208,8 @@ func (o *RingObserver) metrics() *ringMetrics {
 			sentPost:      r.Counter(o.MetricName("ring.sent_post_token")),
 			retransmitted: r.Counter(o.MetricName("ring.retransmitted")),
 			requested:     r.Counter(o.MetricName("ring.rtr_requested")),
+			parks:         r.Counter(o.MetricName("ring.token_parks")),
+			parkedNs:      r.Counter(o.MetricName("ring.token_parked_ns")),
 			seq:           r.Gauge(o.MetricName("ring.seq")),
 			aru:           r.Gauge(o.MetricName("ring.aru")),
 			fcc:           r.Gauge(o.MetricName("ring.fcc")),
@@ -234,6 +237,17 @@ func (o *RingObserver) OnRound(tr RoundTrace) {
 	if tr.Hold > 0 {
 		m.hold.ObserveDuration(tr.Hold)
 	}
+}
+
+// OnPark counts one released park of the ring's token at its leader,
+// held for d. No-op on a nil observer.
+func (o *RingObserver) OnPark(d time.Duration) {
+	if o == nil || o.Reg == nil {
+		return
+	}
+	m := o.metrics()
+	m.parks.Inc()
+	m.parkedNs.Add(uint64(d))
 }
 
 // OnDeliver records one application delivery of the given service level

@@ -1,10 +1,11 @@
 // Package ringnode runs one participant of the protocol stack. Step is the
 // protocol itself, passive: a membership.Machine (which owns the ordering
-// engine), the packing bundler and the bundle fan-out, fed frames,
-// submissions and ticks with the host's time. Node is its real-time host:
-// a single goroutine over a transport.Transport implementing the paper's
-// token/data socket priority scheme, the membership timer, and a FIFO
-// submission queue that never blocks. internal/simproc hosts the same Step
+// engine), the packing bundler, the bundle fan-out and the leader's
+// parked token, fed frames, submissions and ticks with the host's time.
+// Node is its real-time host: a single goroutine over a
+// transport.Transport implementing the paper's token/data socket priority
+// scheme, the membership timer, the park timer, and a FIFO submission
+// queue that never blocks. internal/simproc hosts the same Step
 // on the simulator.
 //
 // The priority scheme takes its ordering from the transport.Transport
@@ -196,23 +197,55 @@ func (n *Node) tickInterval() time.Duration {
 
 // run is the protocol loop. Frame classes are prioritized per §III-D/E:
 // the preferred class's channel is polled first; the other is read only
-// when the preferred one is empty.
+// when the preferred one is empty. Every input is followed by settle:
+// the status is published and the park timer follows the step's park
+// deadline.
 func (n *Node) run() {
 	defer close(n.done)
 	defer n.cfg.Transport.Close()
 
 	ticker := time.NewTicker(n.tickInterval())
 	defer ticker.Stop()
+	park := time.NewTimer(time.Hour)
+	park.Stop()
+	defer park.Stop()
+	var parkAt time.Time // the deadline park is armed for (zero: none)
 
 	dataCh := n.cfg.Transport.Data()
 	tokenCh := n.cfg.Transport.Token()
 
+	settle := func() {
+		n.publishStatus()
+		d := n.step.ParkDeadline()
+		if d.Equal(parkAt) {
+			return
+		}
+		if !park.Stop() {
+			// Fired but not received: drop the stale expiry.
+			select {
+			case <-park.C:
+			default:
+			}
+		}
+		if parkAt = d; !d.IsZero() {
+			park.Reset(time.Until(d))
+		}
+	}
+	tick := func() {
+		n.step.Tick(time.Now())
+		settle()
+	}
+	parkFired := func() {
+		parkAt = time.Time{}
+		tick()
+	}
 	handleData := func(f []byte, ok bool) {
 		if !ok {
 			dataCh = nil
 			return
 		}
 		n.handleData(f)
+		settle()
 	}
 	handleToken := func(f []byte, ok bool) {
 		if !ok {
@@ -220,13 +253,17 @@ func (n *Node) run() {
 			return
 		}
 		n.handleToken(f)
+		settle()
+	}
+	drain := func() {
+		n.drain()
+		settle()
 	}
 	// poll handles one frame of ch's class if one is waiting.
 	poll := func(ch <-chan []byte, handle func([]byte, bool)) bool {
 		select {
 		case f, ok := <-ch:
 			handle(f, ok)
-			n.publishStatus()
 			return true
 		default:
 			return false
@@ -242,9 +279,11 @@ func (n *Node) run() {
 		case <-n.stopCh:
 			return
 		case <-n.wake:
-			n.drain()
+			drain()
 		case <-ticker.C:
-			n.step.Tick(time.Now())
+			tick()
+		case <-park.C:
+			parkFired()
 		default:
 		}
 
@@ -264,12 +303,13 @@ func (n *Node) run() {
 		case f, ok := <-tokenCh:
 			handleToken(f, ok)
 		case <-n.wake:
-			n.drain()
+			drain()
 		case <-ticker.C:
-			n.step.Tick(time.Now())
+			tick()
+		case <-park.C:
+			parkFired()
 		case <-n.stopCh:
 			return
 		}
-		n.publishStatus()
 	}
 }

@@ -106,6 +106,11 @@ type Status struct {
 	// QueueLen is the number of submissions not yet sent; callers can use
 	// it for backpressure.
 	QueueLen int
+	// TokenParks counts the quiet tokens this step held as the ring's
+	// leader, and TokenParked the time it held them, both released ones
+	// only.
+	TokenParks  uint64
+	TokenParked time.Duration
 }
 
 // Sender is what a step sends through, borrowing each frame for the call;
@@ -125,12 +130,24 @@ type Step struct {
 	onEvent func(evs.Event)
 	// stampFlush is bound once so draining sampled sends allocates nothing.
 	stampFlush func(seq uint64)
+	obs        *obs.RingObserver
+
+	// The park: as the ring's leader, the step holds a copy of a token
+	// that closed a quiet rotation (membership.Machine.QuietToken) in
+	// parked, from parkedAt until the first submit, frame, or Tick at or
+	// past parkUntil (zero when nothing is parked). fwdAt is when the step
+	// last handed a token to the machine; parks and parkedFor count the
+	// released parks.
+	parked                     []byte
+	parkedAt, parkUntil, fwdAt time.Time
+	parks                      uint64
+	parkedFor                  time.Duration
 }
 
 // NewStep builds cfg's step at time now, sending through out rather than
 // cfg.Transport.
 func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
-	s := &Step{out: out, onEvent: cfg.OnEvent}
+	s := &Step{out: out, onEvent: cfg.OnEvent, obs: cfg.Observer}
 	if cfg.Packing {
 		s.bundle = pack.NewAdaptive()
 	}
@@ -161,9 +178,11 @@ func (s *Step) DataPriority() bool { return s.machine.DataPriority() }
 // Status returns a snapshot of the protocol state.
 func (s *Step) Status() Status {
 	st := Status{
-		State:      s.machine.State(),
-		Ring:       s.machine.Ring(),
-		Membership: s.machine.Counters(),
+		State:       s.machine.State(),
+		Ring:        s.machine.Ring(),
+		Membership:  s.machine.Counters(),
+		TokenParks:  s.parks,
+		TokenParked: s.parkedFor,
 	}
 	if eng := s.machine.Engine(); eng != nil {
 		st.Engine = eng.Counters()
@@ -174,22 +193,57 @@ func (s *Step) Status() Status {
 
 // Data handles one data-class frame and reports whether the step retained
 // it (see membership.Machine.HandleDataFrame): then it must not be
-// recycled.
+// recycled. A parked token is released before the frame is handled.
 func (s *Step) Data(frame []byte, now time.Time) (retained bool) {
 	s.flushExpired(now)
+	s.release(now)
 	retained = s.machine.HandleDataFrame(frame, now)
 	s.wireFlush()
 	return retained
 }
 
-// Token handles one token-class frame; the step never retains it.
+// Token handles one token-class frame; the step never retains it. A
+// token the ring's leader may park is held instead (see ParkDeadline).
 func (s *Step) Token(frame []byte, now time.Time) {
+	s.release(now)
 	// The token triggers this round's sends: anything staged in the
 	// bundler must reach the engine's send queue first or it misses the
 	// round.
 	s.flushPack()
+	if hold := min(now.Sub(s.fwdAt), pack.DefaultMaxDelay); hold > 0 && s.machine.QuietToken(frame) {
+		s.parked = append(s.parked[:0], frame...)
+		s.parkedAt, s.parkUntil = now, now.Add(hold)
+		return
+	}
 	s.machine.HandleTokenFrame(frame, now)
+	s.fwdAt = now
 	s.wireFlush()
+}
+
+// ParkDeadline returns when Tick releases the parked token, or the zero
+// time when none is parked. A host with a parked token arms a timer for
+// it; any submit or frame releases the token earlier.
+//
+// Only the ring's leader parks, and only a token that closed a rotation
+// in which nothing happened, for as long as that rotation took and never
+// longer than pack.DefaultMaxDelay: to the other members a parked token
+// is a slow hop, far inside the membership timers.
+func (s *Step) ParkDeadline() time.Time { return s.parkUntil }
+
+// release hands the parked token, if any, to the machine as if it had
+// just arrived; the caller ends the input with wireFlush.
+func (s *Step) release(now time.Time) {
+	if s.parkUntil.IsZero() {
+		return
+	}
+	held := now.Sub(s.parkedAt)
+	s.parkUntil = time.Time{}
+	s.parks++
+	s.parkedFor += held
+	s.obs.OnPark(held)
+	s.flushPack()
+	s.machine.HandleTokenFrame(s.parked, now)
+	s.fwdAt = now
 }
 
 // Check refuses, from any goroutine, what Submit would on a formed ring: a
@@ -217,7 +271,7 @@ func (s *Step) Submit(payload []byte, service evs.Service, now time.Time) (err e
 	case !s.machine.CanSubmit():
 		return membership.ErrNotOperational
 	case s.bundle == nil:
-		return s.machine.Submit(payload, service)
+		err = s.machine.Submit(payload, service)
 	case s.bundle.Oversize(len(payload)):
 		// Too big to ever share a frame: solo-framed, so every payload on
 		// a packed ring speaks the bundle format, and queued behind the
@@ -233,13 +287,22 @@ func (s *Step) Submit(payload []byte, service evs.Service, now time.Time) (err e
 		s.bundle.Add(payload, uint8(service), now)
 	}
 	s.maybeFlushPack(now)
+	if err == nil && !s.parkUntil.IsZero() {
+		// The message rides the parked token.
+		s.release(now)
+		s.wireFlush()
+	}
 	return err
 }
 
-// Tick drives the membership timers; hosts call it a few times per
-// JoinInterval.
+// Tick drives the membership timers, and releases a parked token at or
+// past ParkDeadline; hosts call it a few times per JoinInterval and when
+// the park deadline passes.
 func (s *Step) Tick(now time.Time) {
 	s.flushExpired(now)
+	if !s.parkUntil.IsZero() && !now.Before(s.parkUntil) {
+		s.release(now)
+	}
 	s.machine.Tick(now)
 	s.wireFlush()
 }

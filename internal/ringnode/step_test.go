@@ -165,7 +165,8 @@ func newStepRing(t testing.TB, n int, edit func(*Config)) (*testRing, []*Step) {
 }
 
 // TestStepHostOrder pins what a host sees of a step, on explicit time: a
-// drain of sampled sends ends every frame and tick;
+// drain of sampled sends ends every frame and tick, and every submit that
+// releases a parked token (no other submit touches the wire);
 // maybeFlushPack follows every submit; the open bundle is flushed before
 // the token is handled; an expired bundle goes out on the next input,
 // whatever the backlog; and DataPriority is the machine's.
@@ -193,6 +194,7 @@ func TestStepHostOrder(t *testing.T) {
 	r.w.log = nil
 	sawSampled := false
 	sawDataPriority := false
+	sawRelease := false
 	checkInput := func() {
 		t.Helper()
 		sent, flushed := stages()
@@ -214,11 +216,15 @@ func TestStepHostOrder(t *testing.T) {
 			a.Tick(r.now)
 			checkInput()
 		case i%7 == 0 && a.Machine().CanSubmit():
+			parked := !a.ParkDeadline().IsZero()
 			if err := a.Submit([]byte(fmt.Sprintf("m%d", i)), evs.Agreed, r.now); err != nil {
 				t.Fatal(err)
 			}
-			if got := r.w.log[mark:]; len(got) != 0 {
-				t.Fatalf("a submit touched the wire: %v", got)
+			if got := r.w.log[mark:]; parked {
+				sawRelease = sawRelease || len(got) > 0
+				checkInput()
+			} else if len(got) != 0 {
+				t.Fatalf("a submit touched the wire without releasing a park: %v", got)
 			}
 		case len(r.w.q) > 0:
 			toA := r.w.q[0].receives(1)
@@ -234,6 +240,9 @@ func TestStepHostOrder(t *testing.T) {
 	}
 	if !sawDataPriority {
 		t.Fatal("data never had priority; the DataPriority check is vacuous")
+	}
+	if !sawRelease {
+		t.Fatal("no submit released a parked token; the release check is vacuous")
 	}
 
 	// maybeFlushPack follows every submit: with no backlog the bundle goes

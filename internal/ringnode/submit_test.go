@@ -197,3 +197,100 @@ func TestConcurrentSubmitRacingStop(t *testing.T) {
 		}
 	}
 }
+
+// gated passes a transport's sends through until closed is set and drops
+// them after.
+type gated struct {
+	transport.Transport
+	closed atomic.Bool
+}
+
+func (g *gated) Multicast(f []byte) error {
+	if g.closed.Load() {
+		return nil
+	}
+	return g.Transport.Multicast(f)
+}
+
+func (g *gated) Unicast(to evs.ProcID, f []byte) error {
+	if g.closed.Load() {
+		return nil
+	}
+	return g.Transport.Unicast(to, f)
+}
+
+// TestStatusAfterDrainedSubmission: a submission the protocol goroutine
+// drains shows in Status().QueueLen at once, with no further frame. The
+// ring is a silent singleton (its token dropped, its timer ticking every
+// 50 ms), so only the input that drained the submission can publish it.
+// Each submission is made from OnEvent while a frame is handled, so the
+// loop drains it in its non-blocking pass.
+func TestStatusAfterDrainedSubmission(t *testing.T) {
+	hub := transport.NewHub()
+	ep, err := hub.Endpoint(1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := hub.Endpoint(2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &gated{Transport: ep}
+	var n *Node
+	kicked := make(chan struct{}, 1)
+	cfg := Accelerated(1, tr, 10, 100, 7)
+	cfg.Timeouts = membership.Timeouts{
+		JoinInterval: 200 * time.Millisecond, Gather: time.Second, Commit: time.Second,
+		TokenLoss: 20 * time.Second, TokenRetransmit: 20 * time.Second,
+	}
+	cfg.OnEvent = func(ev evs.Event) {
+		if m, ok := ev.(evs.Message); ok && string(m.Payload) == "kick" {
+			if err := n.Submit([]byte("queued"), evs.Agreed); err != nil {
+				t.Error(err)
+			}
+			kicked <- struct{}{}
+		}
+	}
+	n, err = Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	if !n.WaitState(membership.StateOperational, 5*time.Second) {
+		t.Fatal("singleton ring did not form")
+	}
+	// Silence the ring: drop its token and wait for rotation to stop.
+	tr.closed.Store(true)
+	for last := n.Status().Engine.Rounds; ; {
+		time.Sleep(20 * time.Millisecond)
+		r := n.Status().Engine.Rounds
+		if r == last {
+			break
+		}
+		last = r
+	}
+	for k := 1; k <= 3; k++ {
+		st := n.Status()
+		d := wire.Data{RingID: st.Ring.ID, Seq: st.Engine.Delivered + 1, Sender: 2, Round: 1, Service: evs.Agreed, Payload: []byte("kick")}
+		if err := peer.Multicast(d.AppendTo(nil)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-kicked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the injected message was not delivered")
+		}
+		for drained := false; !drained; {
+			n.qmu.Lock()
+			drained = len(n.queue) == 0
+			n.qmu.Unlock()
+		}
+		deadline := time.Now().Add(10 * time.Millisecond)
+		for n.Status().QueueLen != k && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if got := n.Status().QueueLen; got != k {
+			t.Fatalf("after %d drained submissions Status().QueueLen = %d", k, got)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package simproc
 
 import (
 	"encoding/binary"
+	"time"
 
 	"accelring/internal/core"
 	"accelring/internal/evs"
@@ -79,6 +80,8 @@ type Node struct {
 
 	busyUntil   simnet.Time
 	wakePending bool
+	// parkAt is the step's park deadline a wake-up is scheduled for.
+	parkAt time.Time
 	// cursor is the core's time within the current step input: sends
 	// leave and deliveries complete at it.
 	cursor simnet.Time
@@ -190,9 +193,26 @@ func (n *Node) run() {
 		return
 	}
 	n.busyUntil = n.cursor
+	n.armPark()
 	if n.hasWork() {
 		n.wake()
 	}
+}
+
+// armPark schedules a tick at the step's park deadline, as the real-time
+// host arms its park timer; a park released earlier leaves it a no-op.
+func (n *Node) armPark() {
+	d := n.step.ParkDeadline()
+	if d.IsZero() || d.Equal(n.parkAt) {
+		return
+	}
+	n.parkAt = d
+	n.c.Sim.At(simnet.Time(d.Sub(epoch)), func() {
+		if !n.dead && n.step.ParkDeadline().Equal(d) {
+			n.tickDue = true
+			n.wake()
+		}
+	})
 }
 
 // sender is the step's Sender: it charges each send syscall to the core,
