@@ -1,6 +1,7 @@
 package accelring
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"slices"
@@ -391,11 +392,12 @@ type nodeSink struct{ n *Node }
 func (k nodeSink) Message(ring int, env *group.Envelope, svc evs.Service, seq uint64, to []ClientID) {
 	k.n.host.RingNode(ring).Observer().Stamp(obs.StageMergeOut, seq, 0)
 	if memberOf(to, k.n.self) {
-		// env.Groups may be shared with other envelopes: the application
-		// gets its own copy.
+		// env.Groups may be shared with other envelopes, and the payload
+		// lives in a ring frame that is reused once the message is
+		// stable: the application gets its own copies.
 		k.n.emit(&Message{
 			Sender: env.Sender, Service: svc,
-			Groups: slices.Clone(env.Groups), Payload: env.Payload,
+			Groups: slices.Clone(env.Groups), Payload: bytes.Clone(env.Payload),
 		})
 	}
 }

@@ -23,6 +23,12 @@
 // Put accepts any byte slice, including slices that did not come from Get:
 // it files the buffer under the largest size class its capacity can serve
 // (buffers smaller than the smallest class are discarded).
+//
+// Built with -tags poison (make poison), Put fills the buffer's whole
+// capacity with a pattern and Get checks the pattern is intact before
+// handing the buffer out, panicking with the class when it is not: a
+// buffer written after Put is caught at its next Get, and one read after
+// Put reads the pattern.
 package bufpool
 
 import (
@@ -38,7 +44,8 @@ import (
 var classSizes = [...]int{256, 1024, 2048, 4096, 16384, 66 * 1024}
 
 // MaxCap is the largest pooled capacity. Get(n) with n > MaxCap falls back
-// to a plain allocation and Put discards such buffers.
+// to a plain allocation; Put files such a buffer under the largest class,
+// like any buffer whose capacity exceeds its class.
 const MaxCap = 66 * 1024
 
 var pools [len(classSizes)]sync.Pool
@@ -53,24 +60,24 @@ var itemPool = sync.Pool{New: func() any { return new(item) }}
 
 // Stats is a point-in-time snapshot of pool activity. Gets = Hits + Misses
 // + Oversize. A healthy steady state shows Hits tracking Gets and Puts
-// tracking Gets for the frame classes that are recycled (token frames);
-// data frames are retained by the ordering engine until stable, so their
-// buffers return through the garbage collector instead of Put.
+// tracking Gets: received frames, token and data alike, come back once
+// the ring is done with them (a data frame when its message is stable),
+// so Misses count the buffers nobody returns, such as the delivery
+// buffers a client hands to its application.
 type Stats struct {
-	// Gets counts Get calls.
+	// Gets counts Get calls (derived: Hits + Misses + Oversize).
 	Gets uint64 `json:"gets"`
 	// Hits counts Gets served from a pool.
 	Hits uint64 `json:"hits"`
 	// Misses counts Gets that had to allocate.
 	Misses uint64 `json:"misses"`
-	// Oversize counts Gets beyond MaxCap (always allocate) and Puts of
-	// buffers no class can serve.
+	// Oversize counts Gets beyond MaxCap, which always allocate.
 	Oversize uint64 `json:"oversize"`
 	// Puts counts buffers returned to a pool.
 	Puts uint64 `json:"puts"`
 }
 
-var gets, hits, misses, oversize, puts atomic.Uint64
+var hits, misses, oversize, puts atomic.Uint64
 
 // classFor returns the index of the smallest class with capacity >= n, or
 // -1 if n exceeds every class.
@@ -97,7 +104,6 @@ func putClassFor(c int) int {
 // Get returns a buffer with len n. Its contents are undefined; the caller
 // owns it until Put (or abandonment).
 func Get(n int) []byte {
-	gets.Add(1)
 	ci := classFor(n)
 	if ci < 0 {
 		oversize.Add(1)
@@ -109,6 +115,7 @@ func Get(n int) []byte {
 		b := it.b
 		it.b = nil
 		itemPool.Put(it)
+		checkPoison(b, ci)
 		return b[:n]
 	}
 	misses.Add(1)
@@ -122,11 +129,9 @@ func Get(n int) []byte {
 func Put(b []byte) {
 	ci := putClassFor(cap(b))
 	if ci < 0 {
-		if cap(b) > 0 {
-			oversize.Add(1)
-		}
 		return
 	}
+	poison(b)
 	puts.Add(1)
 	it := itemPool.Get().(*item)
 	it.b = b[:0]
@@ -135,13 +140,14 @@ func Put(b []byte) {
 
 // Snapshot returns the current pool counters.
 func Snapshot() Stats {
-	return Stats{
-		Gets:     gets.Load(),
+	st := Stats{
 		Hits:     hits.Load(),
 		Misses:   misses.Load(),
 		Oversize: oversize.Load(),
 		Puts:     puts.Load(),
 	}
+	st.Gets = st.Hits + st.Misses + st.Oversize
+	return st
 }
 
 // PublishTo exposes the pool counters in reg under "bufpool": a live

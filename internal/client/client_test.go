@@ -217,15 +217,17 @@ func TestSeqdMessageDecode(t *testing.T) {
 	src := &loopReader{b: wire.Bytes()}
 	c := &Client{}
 	rd := c.codec.NewReader()
-	read := func() *Message {
+	// read returns the event and the pooled buffer its payload lives in,
+	// which goes back to the pool only once the event is checked.
+	read := func() (*Message, []byte) {
 		f, m, seq, buf, err := c.read(rd, src)
 		if err != nil || f != nil || seq != 4 {
 			t.Fatalf("read = %v, %v, seq %d", f, err, seq)
 		}
-		bufpool.Put(buf)
-		return m
+		return m, buf
 	}
-	a, b := read(), read()
+	a, abuf := read()
+	b, bbuf := read()
 	if a.Sender != msg.Sender || a.Service != msg.Service || a.Seq != 11 ||
 		len(a.Groups) != 1 || a.Groups[0] != "g" || string(a.Payload) != "payload" {
 		t.Fatalf("decoded %+v", a)
@@ -233,7 +235,9 @@ func TestSeqdMessageDecode(t *testing.T) {
 	if &a.Groups[0] == &b.Groups[0] {
 		t.Fatal("two delivered events share one Groups slice")
 	}
-	if n := testing.AllocsPerRun(500, func() { read() }); n > 1 {
+	bufpool.Put(abuf)
+	bufpool.Put(bbuf)
+	if n := testing.AllocsPerRun(500, func() { _, buf := read(); bufpool.Put(buf) }); n > 1 {
 		t.Fatalf("a sequenced one-group Message read allocates %.1f times, want at most 1 (the event)", n)
 	}
 }

@@ -163,9 +163,21 @@ type Output interface {
 	// the engine reuses the struct for later sends.
 	Multicast(*wire.Data)
 	// Deliver hands a message to the application in total order. The
-	// Payload slice is handed off (the engine never recycles it), but the
-	// call must not block for long.
+	// Payload slice is borrowed: a message received as a frame goes back
+	// to an Output that is a Releaser once it is stable, so a consumer
+	// that keeps a payload past its release copies it. The call must not
+	// block for long.
 	Deliver(evs.Message)
+}
+
+// Releaser is an Output that takes back received frames. When the engine
+// discards a message it buffered with a wire.Data.Frame — the message is
+// stable and delivered — it passes the message to Release: from then on
+// the engine reads neither d.Frame nor d.Payload. d itself is borrowed
+// for the call. Messages this participant sent, and duplicates HandleData
+// refused, are never released.
+type Releaser interface {
+	Release(d *wire.Data)
 }
 
 // Counters exposes engine activity for tests, stats, and benchmarks.
@@ -272,9 +284,10 @@ type Engine struct {
 	// burst ends. Empty (and never appended to) when
 	// tracing is off.
 	sentSampled []uint64
-	// releaseFn is e.putData bound once (binding per discard would
-	// allocate).
-	releaseFn func(*wire.Data)
+	// rel is out as a Releaser (nil when it is not one); discardFn is
+	// e.discard bound once (binding per discard would allocate).
+	rel       Releaser
+	discardFn func(*wire.Data)
 }
 
 // New creates an engine. The configuration is validated; the ring must
@@ -300,7 +313,8 @@ func New(cfg Config, out Output) (*Engine, error) {
 		safeLine:    cfg.InitialSeq,
 		obs:         cfg.Observer,
 	}
-	e.releaseFn = e.putData
+	e.rel, _ = out.(Releaser)
+	e.discardFn = e.discard
 	return e, nil
 }
 
@@ -320,10 +334,19 @@ func (e *Engine) getData() *wire.Data {
 }
 
 func (e *Engine) putData(m *wire.Data) {
-	*m = wire.Data{} // drop the payload reference; the app may hold it
+	*m = wire.Data{} // drop the payload and frame references
 	if len(e.freeData) < maxFreeData {
 		e.freeData = append(e.freeData, m)
 	}
+}
+
+// discard drops a stable, delivered message: its frame, if it came with
+// one, goes back to the Releaser.
+func (e *Engine) discard(m *wire.Data) {
+	if m.Frame != nil && e.rel != nil {
+		e.rel.Release(m)
+	}
+	e.putData(m)
 }
 
 // NewInitialToken builds the first token of a freshly installed ring. The
@@ -478,8 +501,8 @@ func (e *Engine) TakePending() []PendingSubmission {
 // scratch. The Payload slice is not copied: when HandleData returns true
 // the engine has taken ownership of it (and of any frame it aliases under
 // zero-copy decode) and retains it until the message becomes stable; the
-// caller must not recycle that memory. On false the payload was not
-// retained.
+// caller must not recycle that memory. A frame named in d.Frame then comes
+// back through the Releaser. On false the payload was not retained.
 func (e *Engine) HandleData(d *wire.Data) bool {
 	if d.RingID != e.cfg.Ring.ID {
 		e.counters.DataDropped++
@@ -867,9 +890,9 @@ func (e *Engine) discardStable() {
 		return
 	}
 	// Discard errors cannot occur: upTo <= safeLine <= aru by construction.
-	// Dropped structs go back on the free list; their payloads stay with
-	// whoever received them (the app, via Deliver).
-	_, _ = e.buf.DiscardFunc(upTo, e.releaseFn)
+	// Dropped structs go back on the free list, received frames to the
+	// Releaser.
+	_, _ = e.buf.DiscardFunc(upTo, e.discardFn)
 }
 
 func minU64(a, b uint64) uint64 {

@@ -48,6 +48,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -264,17 +265,25 @@ func (h *harness) boot(i int) *obs.RingObserver {
 }
 
 // deliver is the cluster's delivery hook: it appends to the incarnation's
-// log, numbering each message's position within its bundle.
+// log, numbering each message's position within its bundle. The log keeps
+// a copy of each payload: the delivered one is the ring's frame, which the
+// host poisons once the message is stable.
 func (h *harness) deliver(node simnet.NodeID, ev evs.Event, _ simnet.Time) {
 	log := h.cur[node]
 	pos := 0
-	if m, ok := ev.(evs.Message); ok && h.packed && len(log.events) > 0 {
+	m, isMsg := ev.(evs.Message)
+	if isMsg && h.packed && len(log.events) > 0 {
 		k := len(log.events) - 1
 		if prev, ok := log.events[k].(evs.Message); ok && prev.Config == m.Config && prev.Seq == m.Seq {
 			pos = log.pos[k] + 1
 		}
 	}
-	log.events = append(log.events, ev)
+	logged := ev
+	if isMsg {
+		m.Payload = bytes.Clone(m.Payload)
+		logged = m
+	}
+	log.events = append(log.events, logged)
 	log.pos = append(log.pos, pos)
 	if h.onDeliver != nil {
 		h.onDeliver(log.id, ev)

@@ -10,6 +10,7 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/group"
 	"accelring/internal/groupcore"
+	"accelring/internal/ringnode"
 	"accelring/internal/simnet"
 )
 
@@ -346,6 +347,9 @@ func runXRing(opts XRingOptions) *xrun {
 		r := r
 		h := newHarness(x.sim, rand.New(rand.NewSource(ringSeed(opts.Seed, r))), n, false)
 		h.onDeliver = func(id evs.ProcID, ev evs.Event) { x.nodes[id-1].onRingEvent(r, ev) }
+		// The core's merger reads payloads past the delivery, in the
+		// ring's frames, as the production host's does.
+		h.c.SetHolder(func(node simnet.NodeID) ringnode.Holder { return x.nodes[node].core.Holder(r) })
 		x.hs = append(x.hs, h)
 		res.PerRing = append(res.PerRing, &Result{Seed: ringSeed(opts.Seed, r), Nodes: n, Steps: steps})
 	}

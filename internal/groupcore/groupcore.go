@@ -35,6 +35,7 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/group"
 	"accelring/internal/obs"
+	"accelring/internal/ringnode"
 	"accelring/internal/shard/merge"
 )
 
@@ -138,8 +139,9 @@ func (c *Core) Merger() *merge.Merger { return c.merger }
 // the Sink, whatever the event makes globally ordered. Payloads that are
 // not group envelopes belong to a foreign application on the same ring and
 // are ignored. An envelope decodes onto the stack with its group names
-// interned, and the merger queues it by value, so a message to one group
-// allocates nothing here.
+// interned, and the merger queues it by value with its payload still in
+// the ring's frame, so a message to one group allocates nothing here; the
+// ring's step keeps the frame while Holder(ring) says the merger reads it.
 func (c *Core) OnRingEvent(ring int, ev evs.Event) {
 	switch e := ev.(type) {
 	case evs.Message:
@@ -147,13 +149,25 @@ func (c *Core) OnRingEvent(ring int, ev evs.Event) {
 		if env.Decode(e.Payload, &c.names[ring]) != nil {
 			return
 		}
-		c.merger.PushEnvelopeSeq(ring, &env, e.Service, e.Seq)
+		c.merger.PushEnvelopeAt(ring, &env, e.Service, e.Config.Seq, e.Seq)
 	case evs.ConfigChange:
 		// Transitional changes are slotted too: every daemon must assign
 		// the same virtual slots to a ring's stream.
 		c.merger.PushConfig(ring, e)
 	}
 }
+
+// Holder returns ring's ringnode.Holder: the payloads of ring's messages
+// the merger still reads. A host starts the ring's step with it.
+func (c *Core) Holder(ring int) ringnode.Holder { return ringHold{c.merger, ring} }
+
+// ringHold is one ring's view of the merger's held payloads.
+type ringHold struct {
+	m    *merge.Merger
+	ring int
+}
+
+func (h ringHold) HeldFrom() (cfg, seq uint64, ok bool) { return h.m.HeldFrom(h.ring) }
 
 // Submit encodes an envelope and orders it on ring, without blocking.
 func (c *Core) Submit(ring int, env *group.Envelope, svc evs.Service) error {

@@ -88,7 +88,7 @@ func Start(cfg HostConfig) (*Host, error) {
 			rc = cfg.Ring.ForRing(r)
 		}
 		rc.Transport, rc.OnEvent = tr, func(ev evs.Event) { h.core.OnRingEvent(r, ev) }
-		n, err := ringnode.Start(rc)
+		n, err := ringnode.StartHeld(rc, h.core.Holder(r))
 		if err != nil {
 			tr.Close()
 			h.Stop()

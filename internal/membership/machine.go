@@ -131,8 +131,12 @@ type Config struct {
 //
 // Frame slices are machine-owned encode scratch, valid only for the
 // duration of the call: implementations must transmit or copy them before
-// returning and never retain them. Delivered Message payloads, in
-// contrast, are handed off for keeps.
+// returning and never retain them. A delivered Message payload is valid
+// until Deliver returns when the Output is also a core.Releaser: the
+// machine then hands back, through Release, the received frame of every
+// message its ring discards as stable and delivered, and a consumer that
+// reads a payload later must make sure its frame is not reused first
+// (ringnode.Step's Holder). Without Release, payloads are never reused.
 type Output interface {
 	Multicast(frame []byte)
 	Unicast(to evs.ProcID, frame []byte)
@@ -147,6 +151,9 @@ var ErrNotOperational = errors.New("membership: no ring installed yet")
 type Machine struct {
 	cfg Config
 	out Output
+	// rel is out as a core.Releaser, or nil: then received frames are
+	// never handed to the engine, which keeps their payloads for good.
+	rel core.Releaser
 
 	state State
 	// ring is the installed regular configuration (zero before the first).
@@ -237,6 +244,7 @@ func New(cfg Config, out Output, now time.Time) (*Machine, error) {
 	// a ViewID its previous incarnation already used (the incarnation
 	// minted at most one per JoinInterval, far fewer than one per ms).
 	m := &Machine{cfg: cfg, out: out, ringSeqHigh: uint64(now.UnixMilli())}
+	m.rel, _ = out.(core.Releaser)
 	m.enterGather(now)
 	return m, nil
 }
@@ -382,8 +390,9 @@ func (m *Machine) broadcastJoin(now time.Time) {
 // It reports whether the frame was retained: data frames are decoded
 // zero-copy, so when the engine buffers the message it keeps the frame's
 // payload region alive until delivery and stability. A retained frame must
-// not be recycled (bufpool.Put) or reused by the caller; a non-retained
-// one may be recycled immediately.
+// not be recycled (bufpool.Put) or reused by the caller until it comes
+// back through the Output's Release; a non-retained one may be recycled
+// immediately.
 func (m *Machine) HandleDataFrame(frame []byte, now time.Time) (retained bool) {
 	m.lastNow = now
 	t, err := wire.PeekType(frame)
@@ -404,6 +413,9 @@ func (m *Machine) HandleDataFrame(frame []byte, now time.Time) (retained bool) {
 		d := &m.dataScratch
 		if err := d.DecodeFrom(frame); err != nil {
 			return false
+		}
+		if m.rel != nil {
+			d.Frame = frame
 		}
 		if d.RingID != m.ring.ID {
 			// Foreign traffic: another ring is reachable. Ignore frames

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"bytes"
 	"math"
 	"time"
 
@@ -34,14 +35,17 @@ type recovery struct {
 	low uint64
 	// high is the maximum old-ring sequence any survivor holds.
 	high uint64
-	// recBuf holds flooded old-ring messages this participant lacked.
+	// recBuf holds flooded old-ring messages this participant lacked,
+	// copied out of their carrier messages (wire.DecodeData), whose
+	// frames the new ring releases.
 	recBuf map[uint64]*wire.Data
 	// doneFrom tracks which new-ring members finished flooding.
 	doneFrom map[evs.ProcID]bool
 	// members is the new ring's membership (all must send done).
 	members idSet
 	// holdback defers new-ring application deliveries until recovery
-	// completes, preserving EVS delivery order.
+	// completes, preserving EVS delivery order. Its payloads are copies:
+	// the engine may release their frames before they are delivered.
 	holdback []evs.Event
 }
 
@@ -63,6 +67,10 @@ func (o engineOut) SendToken(t *wire.Token) {
 }
 
 func (o engineOut) Deliver(msg evs.Message) { o.m.onEngineDeliver(msg) }
+
+// Release passes a frame the engine let go of on to the machine's Output;
+// engines only see frames when that Output is a core.Releaser.
+func (o engineOut) Release(d *wire.Data) { o.m.rel.Release(d) }
 
 // install replaces the engine with one for the committed ring and begins
 // recovery.
@@ -192,6 +200,7 @@ func (m *Machine) onEngineDeliver(msg evs.Message) {
 		return
 	}
 	if m.state == StateRecover && m.rec != nil {
+		msg.Payload = bytes.Clone(msg.Payload)
 		m.rec.holdback = append(m.rec.holdback, msg)
 		return
 	}

@@ -1,7 +1,8 @@
 // Package ringnode runs one participant of the protocol stack. Step is the
 // protocol itself, passive: a membership.Machine (which owns the ordering
-// engine), the packing bundler, the bundle fan-out and the leader's
-// parked token, fed frames, submissions and ticks with the host's time.
+// engine), the packing bundler, the bundle fan-out, the leader's parked
+// token and the recycling of the frames its ring is done with, fed
+// frames, submissions and ticks with the host's time.
 // Node is its real-time host: a single goroutine over a
 // transport.Transport implementing the paper's token/data socket priority
 // scheme, the membership timer, the park timer, and a FIFO submission
@@ -26,6 +27,7 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
+	"accelring/internal/transport"
 )
 
 // ErrStopped is returned by Submit after Stop.
@@ -61,16 +63,23 @@ type Node struct {
 
 // Start creates the node and launches its protocol goroutine. The node
 // begins in the gather state and forms (or joins) a ring on its own.
-func Start(cfg Config) (*Node, error) {
+func Start(cfg Config) (*Node, error) { return StartHeld(cfg, nil) }
+
+// StartHeld is Start for an OnEvent consumer that keeps payloads past the
+// callback: h, when not nil, is the step's Holder from the first input on.
+func StartHeld(cfg Config, h Holder) (*Node, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("ringnode: nil transport")
 	}
 	if cfg.Observer != nil && cfg.Observer.Clock == nil {
 		cfg.Observer.Clock = time.Now
 	}
-	step, err := NewStep(cfg, cfg.Transport, time.Now())
+	step, err := NewStep(cfg, pooled{cfg.Transport}, time.Now())
 	if err != nil {
 		return nil, err
+	}
+	if h != nil {
+		step.Hold(h)
 	}
 	n := &Node{cfg: cfg, step: step, stopCh: make(chan struct{}), done: make(chan struct{}), wake: make(chan struct{}, 1)}
 	n.publishStatus()
@@ -171,10 +180,17 @@ func (n *Node) drain() {
 	n.spare = batch[:0]
 }
 
+// pooled is the node's transport as its step's Sender: the frames the
+// step recycles go back to bufpool, where the transport rented them.
+type pooled struct{ transport.Transport }
+
+func (pooled) Recycle(frame []byte) { bufpool.Put(frame) }
+
 // handleData feeds one received data frame to the step. Received frames
 // are rented from bufpool by the transport and owned by the protocol
-// goroutine; a data frame recycles only when the engine did not keep its
-// zero-copy payload alive.
+// goroutine; a frame the step retained comes back through pooled.Recycle
+// once its message is stable and nothing reads its payload, any other
+// recycles at once.
 func (n *Node) handleData(f []byte) {
 	if !n.step.Data(f, time.Now()) {
 		bufpool.Put(f)

@@ -1,6 +1,7 @@
 package ringnode
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -21,13 +22,19 @@ func fastTimeouts() membership.Timeouts {
 	}
 }
 
-// eventLog collects delivery events safely across goroutines.
+// eventLog collects delivery events safely across goroutines. It keeps a
+// copy of each payload: the delivered one is valid only until OnEvent
+// returns.
 type eventLog struct {
 	mu     sync.Mutex
 	events []evs.Event
 }
 
 func (l *eventLog) add(ev evs.Event) {
+	if m, ok := ev.(evs.Message); ok {
+		m.Payload = bytes.Clone(m.Payload)
+		ev = m
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = append(l.events, ev)

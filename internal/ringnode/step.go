@@ -32,6 +32,9 @@ type Config struct {
 	// OnEvent receives the delivery stream (messages and configuration
 	// changes) on the protocol goroutine. It must not block for long and
 	// must not call back into the Node except Submit, which only queues.
+	// A message's Payload is valid until OnEvent returns: once the message
+	// is stable its frame goes back to the host for reuse. A consumer that
+	// keeps payloads longer copies them, or is the step's Holder.
 	OnEvent func(evs.Event)
 	// Observer receives protocol metrics and events. If set and its
 	// Clock is nil, the node installs time.Now so hold times and delivery
@@ -120,6 +123,32 @@ type Sender interface {
 	Unicast(to evs.ProcID, frame []byte) error
 }
 
+// Recycler is a Sender that takes back the data frames Data retained.
+// Recycle gets each one once the ring has discarded its message as stable
+// and delivered and the Holder no longer reads its payload; the step
+// never reads it again. A Sender that is not a Recycler leaves retained
+// frames to the garbage collector.
+type Recycler interface {
+	Recycle(frame []byte)
+}
+
+// Holder is an OnEvent consumer that reads message payloads after the
+// callback has returned and lets go of them in delivery order (groupcore's
+// merge queue). HeldFrom returns the delivery position of the oldest
+// message whose payload it still reads — its configuration's ViewID.Seq
+// and its Seq — with ok false when it reads none. The step recycles no
+// frame at or past that position. Any goroutine may call it.
+type Holder interface {
+	HeldFrom() (cfg, seq uint64, ok bool)
+}
+
+// freedFrame is a retained frame the machine released, at its message's
+// delivery position.
+type freedFrame struct {
+	cfg, seq uint64
+	frame    []byte
+}
+
 // Step is one participant's protocol, passive (see the package comment):
 // its inputs each carry the host's now, and its effects leave through the
 // Sender and Config.OnEvent. Not safe for concurrent use.
@@ -142,12 +171,23 @@ type Step struct {
 	parkedAt, parkUntil, fwdAt time.Time
 	parks                      uint64
 	parkedFor                  time.Duration
+
+	// Frame recycling: the machine releases each retained frame whose
+	// message its ring discarded; freed keeps them, oldest first, until
+	// hold lets go of their payloads, and recycle hands them to the host
+	// (nil when the Sender is not a Recycler).
+	recycle func(frame []byte)
+	hold    Holder
+	freed   []freedFrame
 }
 
 // NewStep builds cfg's step at time now, sending through out rather than
 // cfg.Transport.
 func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
 	s := &Step{out: out, onEvent: cfg.OnEvent, obs: cfg.Observer}
+	if r, ok := out.(Recycler); ok {
+		s.recycle = r.Recycle
+	}
 	if cfg.Packing {
 		s.bundle = pack.NewAdaptive()
 	}
@@ -167,6 +207,10 @@ func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
 	s.machine = m
 	return s, nil
 }
+
+// Hold makes h the step's Holder; the host calls it before the first
+// input.
+func (s *Step) Hold(h Holder) { s.hold = h }
 
 // Machine returns the step's membership machine (read-only use).
 func (s *Step) Machine() *membership.Machine { return s.machine }
@@ -192,8 +236,9 @@ func (s *Step) Status() Status {
 }
 
 // Data handles one data-class frame and reports whether the step retained
-// it (see membership.Machine.HandleDataFrame): then it must not be
-// recycled. A parked token is released before the frame is handled.
+// it (see membership.Machine.HandleDataFrame): then the host must not
+// reuse it until the step recycles it (Recycler). A parked token is
+// released before the frame is handled.
 func (s *Step) Data(frame []byte, now time.Time) (retained bool) {
 	s.flushExpired(now)
 	s.release(now)
@@ -310,8 +355,33 @@ func (s *Step) Tick(now time.Time) {
 // wireFlush ends every frame and tick: every sampled message sent since
 // the last one gets its batch-flush stamp, the instant the burst it rode
 // in is on the wire, so spans separate the send burst from network time.
+// Then the freed frames the holder lets go of go back to the host.
 func (s *Step) wireFlush() {
 	s.machine.DrainSampledSent(s.stampFlush)
+	s.recycleFreed()
+}
+
+// recycleFreed hands the host every freed frame, oldest first, up to the
+// first one whose payload the holder may still read.
+func (s *Step) recycleFreed() {
+	if len(s.freed) == 0 {
+		return
+	}
+	n := len(s.freed)
+	if s.hold != nil {
+		if cfg, seq, ok := s.hold.HeldFrom(); ok {
+			n = 0
+			for n < len(s.freed) && (s.freed[n].cfg < cfg || s.freed[n].cfg == cfg && s.freed[n].seq < seq) {
+				n++
+			}
+		}
+	}
+	for _, f := range s.freed[:n] {
+		s.recycle(f.frame)
+	}
+	kept := copy(s.freed, s.freed[n:])
+	clear(s.freed[kept:])
+	s.freed = s.freed[:kept]
 }
 
 // flushPack submits the open bundle to the machine. CanSubmit was checked
@@ -361,6 +431,13 @@ func (o machineOut) Multicast(frame []byte) { _ = o.s.out.Multicast(frame) }
 
 func (o machineOut) Unicast(to evs.ProcID, frame []byte) { _ = o.s.out.Unicast(to, frame) }
 
+// Release queues a frame the ring let go of for recycleFreed.
+func (o machineOut) Release(d *wire.Data) {
+	if s := o.s; s.recycle != nil {
+		s.freed = append(s.freed, freedFrame{cfg: d.RingID.Seq, seq: d.Seq, frame: d.Frame})
+	}
+}
+
 func (o machineOut) Deliver(ev evs.Event) {
 	s := o.s
 	if s.onEvent == nil {
@@ -369,9 +446,8 @@ func (o machineOut) Deliver(ev evs.Event) {
 	if s.bundle != nil {
 		if m, ok := ev.(evs.Message); ok && pack.IsBundle(m.Payload) {
 			// Fan the bundle out as one event per packed message, in
-			// packing order. Sub-payloads alias the delivered buffer,
-			// which is handed off and never recycled, so aliasing is
-			// safe for as long as the application keeps any of them.
+			// packing order. Sub-payloads alias the delivered payload
+			// and are valid exactly as long as it is.
 			if err := pack.Each(m.Payload, func(msg []byte) {
 				sub := m
 				sub.Payload = msg

@@ -128,15 +128,18 @@ type Config struct {
 
 // item is one slotted entry of a ring's pending queue. The envelope is
 // held by value, so queueing one allocates nothing once the queue's
-// backing array has grown.
+// backing array has grown; its Payload aliases the carrier message's
+// frame, which the ring recycles only past HeldFrom.
 type item struct {
 	slot uint64
 	env  group.Envelope // Kind 0 for a configuration change
 	svc  evs.Service
 	cc   evs.ConfigChange
-	// seq is the envelope's carrier ring sequence number (0 when
-	// unknown), carried through to Out.Deliver for latency attribution.
-	seq uint64
+	// cfg and seq are the carrier message's delivery position on its
+	// ring — its configuration's ViewID.Seq and its sequence number (0
+	// when unknown); seq also goes to Out.Deliver for latency
+	// attribution.
+	cfg, seq uint64
 }
 
 // ringState is the merger's per-ring cursor state.
@@ -189,13 +192,6 @@ func (r *ringState) pop() {
 	}
 }
 
-// buffered is one diverted envelope of an in-flight migration.
-type buffered struct {
-	env group.Envelope
-	svc evs.Service
-	seq uint64
-}
-
 // migration is the per-group state machine between Begin and close.
 type migration struct {
 	group    string
@@ -210,7 +206,8 @@ type migration struct {
 	beginID  group.ClientID
 	required map[evs.ProcID]bool
 	acked    map[evs.ProcID]bool
-	buffered []buffered
+	// buffered holds the diverted target-ring envelopes, in emission order.
+	buffered []item
 }
 
 // Merger merges per-ring ordered streams into one global sequence. Push
@@ -285,6 +282,15 @@ func (m *Merger) PushEnvelope(ring int, env *group.Envelope, svc evs.Service) {
 // number, which travels with the item to Out.Deliver so sampled spans
 // can be stamped with their merge emission.
 func (m *Merger) PushEnvelopeSeq(ring int, env *group.Envelope, svc evs.Service, seq uint64) {
+	m.PushEnvelopeAt(ring, env, svc, 0, seq)
+}
+
+// PushEnvelopeAt is PushEnvelopeSeq for an envelope decoded from the
+// payload of ring's message at delivery position (cfg, seq) — its
+// configuration's ViewID.Seq and its sequence number — without a copy: the
+// merger reads the payload until the envelope has been emitted (or, for a
+// migrating group, replayed), and HeldFrom tells the ring so.
+func (m *Merger) PushEnvelopeAt(ring int, env *group.Envelope, svc evs.Service, cfg, seq uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := &m.rings[ring]
@@ -321,7 +327,7 @@ func (m *Merger) PushEnvelopeSeq(ring int, env *group.Envelope, svc evs.Service,
 	r.front++
 	r.sinceReg++
 	m.frontG[ring].Set(int64(r.front))
-	r.push(item{slot: r.front, env: *env, svc: svc, seq: seq})
+	r.push(item{slot: r.front, env: *env, svc: svc, cfg: cfg, seq: seq})
 	m.drain()
 }
 
@@ -400,7 +406,7 @@ func (m *Merger) drain() {
 		it := &r.queue[r.head]
 		m.emitted.Inc()
 		if it.env.Kind != 0 {
-			m.emitEnvelope(best, &it.env, it.svc, it.seq)
+			m.emitEnvelope(best, it)
 		} else {
 			m.emitConfig(best, it.cc)
 		}
@@ -467,7 +473,8 @@ func (m *Merger) updatePending() { m.pending.Set(int64(m.queued())) }
 // migration state machine runs here, everything else goes to Out.Deliver.
 // Also the replay path for buffered migration traffic, which is why a
 // diverted envelope re-enters this function at close.
-func (m *Merger) emitEnvelope(ring int, env *group.Envelope, svc evs.Service, seq uint64) {
+func (m *Merger) emitEnvelope(ring int, it *item) {
+	env, svc, seq := &it.env, it.svc, it.seq
 	switch env.Kind {
 	case group.OpMigrateAck:
 		g := env.Groups[0]
@@ -487,7 +494,7 @@ func (m *Merger) emitEnvelope(ring int, env *group.Envelope, svc evs.Service, se
 	if len(m.migs) > 0 {
 		for _, g := range env.Groups {
 			if mig := m.migs[g]; mig != nil && mig.to == ring {
-				mig.buffered = append(mig.buffered, buffered{env: *env, svc: svc, seq: seq})
+				mig.buffered = append(mig.buffered, *it)
 				m.bufferedG.Add(1)
 				return
 			}
@@ -606,8 +613,7 @@ func (m *Merger) closeEval(mig *migration) {
 	mig.buffered = nil
 	m.bufferedG.Add(int64(-len(buf)))
 	for i := range buf {
-		b := &buf[i]
-		m.emitEnvelope(mig.to, &b.env, b.svc, b.seq)
+		m.emitEnvelope(mig.to, &buf[i])
 	}
 	for _, ch := range m.notify[g] {
 		close(ch)
@@ -763,6 +769,33 @@ func (m *Merger) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.queued()
+}
+
+// HeldFrom returns the delivery position (cfg, seq) of the oldest message
+// of ring whose payload the merger still reads — the first envelope
+// queued, or buffered by a migration into ring — with ok false when it
+// reads none. A ring's messages are pushed in delivery order and leave the
+// queue in it, so every payload before that position is free (see
+// ringnode.Holder).
+func (m *Merger) HeldFrom(ring int) (cfg, seq uint64, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r := &m.rings[ring]
+	for i := r.head; i < len(r.queue); i++ {
+		if it := &r.queue[i]; it.env.Kind != 0 {
+			cfg, seq, ok = it.cfg, it.seq, true
+			break
+		}
+	}
+	for _, mig := range m.migs {
+		if mig.to != ring || len(mig.buffered) == 0 {
+			continue
+		}
+		if b := &mig.buffered[0]; !ok || b.cfg < cfg || b.cfg == cfg && b.seq < seq {
+			cfg, seq, ok = b.cfg, b.seq, true
+		}
+	}
+	return cfg, seq, ok
 }
 
 // Frontier returns ring's virtual frontier (test introspection).

@@ -629,3 +629,64 @@ func TestQueueKeepsOrderAcrossCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestHeldFrom: HeldFrom names the delivery position of the oldest
+// envelope a ring still has queued — a configuration change in front of
+// it holds no payload — or buffered by a migration into the ring, and
+// reports nothing held once the ring's envelopes have all been emitted.
+func TestHeldFrom(t *testing.T) {
+	m, tbl, _ := newTestMerger(t, 2, 1)
+	held := func(ring int, wantCfg, wantSeq uint64, wantOK bool) {
+		t.Helper()
+		if cfg, seq, ok := m.HeldFrom(ring); cfg != wantCfg || seq != wantSeq || ok != wantOK {
+			t.Fatalf("ring %d: HeldFrom = (%d, %d, %v), want (%d, %d, %v)", ring, cfg, seq, ok, wantCfg, wantSeq, wantOK)
+		}
+	}
+	m.PushConfig(0, cfgChange(1, 2))
+	m.PushConfig(1, cfgChange(1, 2))
+	held(0, 0, 0, false)
+
+	// Ring 1 is idle, so from slot 3 on ring 0's items wait behind its
+	// next slot: a configuration change, then two envelopes.
+	m.PushEnvelopeAt(0, msg(2, []string{"a"}, "a1"), evs.Agreed, 7, 3)
+	held(0, 0, 0, false)
+	m.PushConfig(0, evs.ConfigChange{Transitional: true})
+	m.PushEnvelopeAt(0, msg(2, []string{"a"}, "a2"), evs.Agreed, 7, 4)
+	m.PushEnvelopeAt(0, msg(2, []string{"a"}, "a3"), evs.Agreed, 7, 5)
+	held(0, 7, 4, true)
+	held(1, 0, 0, false)
+	pace(m, 1, 3)
+	held(0, 7, 5, true)
+	pace(m, 1, 100)
+	held(0, 0, 0, false)
+
+	// Traffic for a group migrating into ring 1 is buffered past its
+	// emission, until the migration closes.
+	if err := tbl.For("g-1").Join(group.ClientID{Daemon: 1, Local: 7}, "g-1"); err != nil {
+		t.Fatal(err)
+	}
+	begin, err := m.BeginEnvelope("g-1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.PushEnvelope(0, &begin, evs.Agreed)
+	pace(m, 0, 200)
+	m.PushEnvelopeAt(1, msg(1, []string{"g-1"}, "late"), evs.Agreed, 9, 30)
+	if m.Pending() != 0 {
+		t.Fatalf("%d items still queued", m.Pending())
+	}
+	held(1, 9, 30, true)
+	for _, daemon := range []evs.ProcID{1, 2} {
+		ack := group.Envelope{Kind: group.OpMigrateAck, Sender: group.ClientID{Daemon: daemon}, Target: begin.Sender, Groups: []string{"g-1"}, Arg: 1}
+		m.PushEnvelope(0, &ack, evs.Agreed)
+	}
+	held(1, 9, 30, true)
+	pace(m, 1, 300)
+	if m.Migrating("g-1") {
+		t.Fatal("migration did not close")
+	}
+	held(1, 0, 0, false)
+	if n := testing.AllocsPerRun(100, func() { m.HeldFrom(0) }); n != 0 {
+		t.Fatalf("HeldFrom allocates %.1f times", n)
+	}
+}

@@ -94,6 +94,7 @@ type Cluster struct {
 	opts      Options
 	gens      []int
 	onDeliver DeliverFn
+	holder    func(node simnet.NodeID) ringnode.Holder
 }
 
 // NewCluster boots the cluster on a fresh simulator and runs it until
@@ -156,6 +157,9 @@ func (c *Cluster) boot(i int) error {
 	if err != nil {
 		return fmt.Errorf("simproc: node %d: %w", i, err)
 	}
+	if c.holder != nil {
+		step.Hold(c.holder(n.id))
+	}
 	n.step, n.busyUntil = step, n.cursor // booting sent the first join
 	c.Nodes[i] = n
 
@@ -211,3 +215,16 @@ func (c *Cluster) Converged() bool {
 
 // SetDeliverHook installs fn as every node's delivery observer.
 func (c *Cluster) SetDeliverHook(fn DeliverFn) { c.onDeliver = fn }
+
+// SetHolder makes fn(node) the Holder of node's step (ringnode.Step.Hold),
+// for every running process and every one booted later: the delivery
+// observer keeps payloads the way fn's holders report. Call it before the
+// first message is delivered.
+func (c *Cluster) SetHolder(fn func(node simnet.NodeID) ringnode.Holder) {
+	c.holder = fn
+	for _, n := range c.Nodes {
+		if n != nil {
+			n.step.Hold(fn(n.id))
+		}
+	}
+}

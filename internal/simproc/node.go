@@ -170,12 +170,15 @@ func (n *Node) run() {
 		n.tickDue = false
 		n.step.Tick(now)
 	case len(n.dataQ.items) > 0 && (n.step.DataPriority() || len(n.tokenQ.items) == 0):
-		// Simulated frames are immutable and shared by every receiver, so
-		// one the step retains is never recycled.
+		// A multicast packet is shared by every receiver: the step gets
+		// this receiver's own copy, poisoned once the step is done with
+		// it, at once when it was not retained.
 		p := n.dataQ.pop()
 		n.cursor += prof.recvDataCost(p.Wire)
 		n.traceFrame(p.Frame, "recv-data", "")
-		n.step.Data(p.Frame, now)
+		if f := append([]byte(nil), p.Frame...); !n.step.Data(f, now) {
+			poison(f)
+		}
 	case len(n.tokenQ.items) > 0:
 		p := n.tokenQ.pop()
 		n.cursor += prof.RecvTokenFixed
@@ -230,6 +233,21 @@ func (s sender) Multicast(frame []byte) error {
 func (s sender) Unicast(to evs.ProcID, frame []byte) error {
 	s.n.send(wire.FrameToken, frame, simnet.NodeID(to-1))
 	return nil
+}
+
+// Recycle takes back a data frame the step retained, once the step and
+// its holder are done with it. The simulated host overwrites it, so a
+// payload read after its release — against ringnode.Config.OnEvent's
+// contract — reads the poison pattern, deterministically, on every seed.
+func (s sender) Recycle(frame []byte) { poison(frame) }
+
+// poisonByte fills every frame the simulated host takes back.
+const poisonByte = 0xDB
+
+func poison(frame []byte) {
+	for i := range frame {
+		frame[i] = poisonByte
+	}
 }
 
 func (n *Node) send(kind wire.FrameType, frame []byte, to simnet.NodeID) {

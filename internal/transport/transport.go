@@ -31,9 +31,12 @@ import (
 //     encode scratch buffer for every send.
 //   - Receives hand off: a frame read from Data or Token belongs to the
 //     consumer. The provided implementations rent receive buffers from
-//     internal/bufpool; the consumer should bufpool.Put each frame it
-//     does not retain (recycling is optional — see the bufpool ownership
-//     rules — but keeps the steady state allocation-free).
+//     internal/bufpool; the consumer should bufpool.Put each frame once
+//     nothing reads it any more (recycling is optional — see the bufpool
+//     ownership rules — but keeps the steady state allocation-free).
+//     ringnode.Node Puts every frame it is handed, a data frame whose
+//     message the ring retained once that message is stable and nothing
+//     reads its payload.
 //
 // Ordering: data that reached the participant before a token is queued on
 // Data before the token reaches Token, so a reader polling Data first never

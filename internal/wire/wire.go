@@ -314,6 +314,11 @@ type Data struct {
 	Service evs.Service
 	Flags   uint8
 	Payload []byte
+	// Frame is the received frame Payload aliases, when the receiver
+	// decoded it zero-copy and hands the frame over with the message
+	// (membership.Machine.HandleDataFrame); nil for messages built
+	// locally or copied out. It is never encoded.
+	Frame []byte
 }
 
 // PostToken reports whether the message was sent after the token.
@@ -368,10 +373,14 @@ func DecodeData(b []byte) (*Data, error) {
 //   - b must not be mutated or recycled (bufpool.Put) while d.Payload —
 //     or anything it was handed to — is still referenced. Passing d to
 //     core.Engine.HandleData transfers ownership of the payload (and
-//     hence the frame) to the engine when it reports the message buffered.
+//     hence the frame) to the engine when it reports the message
+//     buffered. With d.Frame set to b, the engine hands the frame back
+//     (core.Releaser) once the message is stable and delivered; from
+//     then on the receiver decides when b is free (ringnode.Step).
 //   - d itself does not retain b beyond Payload; all other fields are
-//     copied out, and d may be reused as a decode scratch for the next
-//     frame once the previous payload's ownership has been handed off.
+//     copied out (Frame is left as it was), and d may be reused as a
+//     decode scratch for the next frame once the previous payload's
+//     ownership has been handed off.
 //
 // On error d is left in an unspecified state.
 func (d *Data) DecodeFrom(b []byte) error {

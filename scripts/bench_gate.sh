@@ -12,8 +12,9 @@
 #   - correct, and 0 failed operations;
 #   - membership.installs = 1 and membership.token_retransmits_per_s = 0;
 #   - core.retrans_per_kmsg < 10;
-#   - ringnode.ordered_msg_allocs and daemon.delivered_msg_allocs at most
-#     10 % above the baseline's line for the same workload.
+#   - ringnode.ordered_msg_allocs, daemon.delivered_msg_allocs and
+#     runtime.alloc_bytes_per_msg at most 10 % above the baseline's line
+#     for the same workload.
 # The baseline holds each workload's final JSON line, one per line.
 set -euo pipefail
 
@@ -64,7 +65,7 @@ for w in $workloads; do
             v = val($0, "membership.installs");                row("membership.installs", v, "= 1", v == 1)
             v = val($0, "membership.token_retransmits_per_s"); row("membership.token_retransmits_per_s", v, "= 0", v == 0)
             v = val($0, "core.retrans_per_kmsg");              row("core.retrans_per_kmsg", v, "< 10", v != "" && v < 10)
-            n = split("ringnode.ordered_msg_allocs daemon.delivered_msg_allocs", ladder, " ")
+            n = split("ringnode.ordered_msg_allocs daemon.delivered_msg_allocs runtime.alloc_bytes_per_msg", ladder, " ")
             for (i = 1; i <= n; i++) {
                 v = val($0, ladder[i])
                 if (mode == "record") { row(ladder[i], v, "recorded", v != ""); continue }
