@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet vet-cross build test race race-full poison loc bench-e2e bench-e2e-quick bench-gate bench-pairs bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke examples-smoke
+.PHONY: ci vet vet-cross build test race race-full poison loc bench-e2e bench-e2e-quick bench-record bench-gate bench-pairs bench-smoke chaos chaos-xring chaos-sweep obs-smoke soak-smoke examples-smoke
 
 ci: vet build test race
 
@@ -31,7 +31,7 @@ test:
 # daemon's client layer (a reader and a writer goroutine per session
 # around one send window), the state the delivery path reuses between
 # messages (the group table's cached delivery sets, each connection
-# reader's interned names and scratch, the client's delivery events) and
+# reader's interned names and scratch, the client's delivery slabs) and
 # the recorder every one of them writes into are the concurrency hot
 # spots; keep them under the race detector even when the full -race run
 # is too slow for the inner loop.
@@ -71,7 +71,15 @@ bench-e2e:
 bench-e2e-quick:
 	$(GO) run ./benchmark -quick
 
-# The count gate (scripts/bench_gate.sh): a quick traced pass of every
+# The committed perf trajectory: the full run (every workload, its
+# untraced and its traced pass) copied from the ignored
+# benchmark/results/latest.json to results/BENCH_e2e.json. A change that
+# moves a row records it in the same commit.
+bench-record:
+	$(GO) run ./benchmark
+	cp benchmark/results/latest.json results/BENCH_e2e.json
+
+# The count gate (scripts/bench_gate.sh): a short traced pass of every
 # workload, checked on rows that do not depend on the box's speed
 # (correctness, one ring install, no token or data retransmission, the
 # ringnode and daemon ladder allocations and the bytes allocated per

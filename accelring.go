@@ -1,10 +1,8 @@
 package accelring
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,13 +12,17 @@ import (
 	"accelring/internal/membership"
 	"accelring/internal/obs"
 	"accelring/internal/ringnode"
+	"accelring/internal/slab"
 )
 
 // Event is a delivery to the application: a *Message, a *GroupView, or a
 // *ViewChange. Events arrive in the ring's total order.
 type Event interface{ isEvent() }
 
-// Message is a totally ordered group message.
+// Message is a totally ordered group message. It is the application's
+// own, but it and its slices are carved from chunks shared with other
+// deliveries, which stay alive while it does: an application that keeps
+// a few messages long-term should copy them.
 type Message struct {
 	// Sender is the node that sent the message.
 	Sender ClientID
@@ -87,6 +89,10 @@ type Node struct {
 	failed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
+
+	// slab is what nodeSink.Message carves delivered Messages from; the
+	// sink runs under the merger's lock, which guards it.
+	slab slab.Set[Message]
 }
 
 // Open starts a node from the given options. The returned node is already
@@ -394,11 +400,12 @@ func (k nodeSink) Message(ring int, env *group.Envelope, svc evs.Service, seq ui
 	if memberOf(to, k.n.self) {
 		// env.Groups may be shared with other envelopes, and the payload
 		// lives in a ring frame that is reused once the message is
-		// stable: the application gets its own copies.
-		k.n.emit(&Message{
-			Sender: env.Sender, Service: svc,
-			Groups: slices.Clone(env.Groups), Payload: bytes.Clone(env.Payload),
-		})
+		// stable: the application gets its own copies, carved from the
+		// node's slabs.
+		s := &k.n.slab
+		m := s.New()
+		*m = Message{Sender: env.Sender, Service: svc, Groups: s.Names(env.Groups), Payload: s.Payload(env.Payload)}
+		k.n.emit(m)
 	}
 }
 

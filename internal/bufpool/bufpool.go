@@ -62,8 +62,9 @@ var itemPool = sync.Pool{New: func() any { return new(item) }}
 // + Oversize. A healthy steady state shows Hits tracking Gets and Puts
 // tracking Gets: received frames, token and data alike, come back once
 // the ring is done with them (a data frame when its message is stable),
-// so Misses count the buffers nobody returns, such as the delivery
-// buffers a client hands to its application.
+// and a client's session reads come back once decoded (what it delivers
+// is copied out). Misses then count the pool's refills after a garbage
+// collection empties it, and buffers a consumer kept.
 type Stats struct {
 	// Gets counts Get calls (derived: Hits + Misses + Oversize).
 	Gets uint64 `json:"gets"`

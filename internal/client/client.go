@@ -16,7 +16,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -26,13 +25,17 @@ import (
 	"accelring/internal/group"
 	"accelring/internal/obs"
 	"accelring/internal/session"
+	"accelring/internal/slab"
 )
 
 // Event is a delivery to the client: a *Message, *View, *Rejection,
 // *Reconnected, *Throttled, or *Detached.
 type Event interface{ isEvent() }
 
-// Message is a totally ordered group message.
+// Message is a totally ordered group message. It is the application's
+// own, but it and its slices are carved from chunks shared with other
+// deliveries, which stay alive while it does: an application that keeps
+// a few messages long-term should copy them.
 type Message struct {
 	// Sender is the originating client.
 	Sender group.ClientID
@@ -49,14 +52,6 @@ type Message struct {
 }
 
 func (*Message) isEvent() {}
-
-// msgEvent is a delivered Message allocated together with room for one
-// group name, so a single-group delivery costs the client one allocation
-// and still owns its Groups slice.
-type msgEvent struct {
-	Message
-	group [1]string
-}
 
 // View is a group's agreed membership after a join, leave, disconnect, or
 // daemon membership change.
@@ -350,113 +345,122 @@ func (c *Client) Err() error {
 // readLoop processes deliveries, surviving connection losses when
 // reconnect is on. Frames are read through one session.Reader, a burst
 // per read syscall; after a reconnect it reads the new connection and
-// drops what the old one left buffered. Frames land in pooled buffers; a
-// buffer whose
-// decoded frame escapes to the application (a Message, whose Payload
-// aliases it zero-copy) is retained — it becomes the application's —
-// while every other frame's buffer recycles immediately.
+// drops what the old one left buffered. Every frame lands in a pooled
+// buffer that goes back to the pool once the frame is dispatched: what
+// the application receives is copied out of it into the inbox's slabs.
 func (c *Client) readLoop(conn net.Conn) {
 	defer close(c.events)
-	rd := c.codec.NewReader()
+	in := inbox{rd: c.codec.NewReader()}
 	for {
-		f, msg, seq, buf, err := c.read(rd, conn)
-		if err != nil {
-			select {
-			case <-c.done:
-				c.shutdown(err)
-				return
-			default:
-			}
-			if c.closingNow() {
-				// Orderly close: the daemon acted on our Bye and closed
-				// its side. Treat the EOF as clean and unblock Close.
-				c.shutdown(net.ErrClosed)
-				return
-			}
-			if !c.cfg.Reconnect {
-				c.shutdown(err)
-				return
-			}
-			next, rerr := c.reconnect(conn, err)
-			if rerr != nil {
-				c.shutdown(rerr)
-				return
-			}
-			conn = next
-			continue
-		}
-		switch v := f.(type) {
-		case nil: // a sequenced Message, already decoded into msg
-			if seq <= c.lastSeq {
-				bufpool.Put(buf)
-				continue // duplicate from a resume replay
-			}
-			c.lastSeq = seq
-			c.deliver(msg)
-			c.counted(conn)
-			if len(msg.Payload) == 0 {
-				bufpool.Put(buf)
-			}
-			continue
-		case session.Seqd:
-			if v.Seq <= c.lastSeq {
-				bufpool.Put(buf)
-				continue // duplicate from a resume replay
-			}
-			c.lastSeq = v.Seq
-			if !c.handleDelivery(v.Frame) {
-				bufpool.Put(buf)
-				return
-			}
-			c.counted(conn)
-		case session.Throttle:
-			c.events <- &Throttled{On: v.On, Queued: int(v.Queued)}
-		case session.Detach:
-			c.events <- &Detached{Reason: v.Reason, CanResume: v.CanResume}
-			// The daemon closes the connection right after; the next
-			// read error runs the normal reconnect path.
-		default:
-			// Unsequenced Message/View/Error (pre-resume daemons).
-			if !c.handleDelivery(f) {
-				bufpool.Put(buf)
-				return
-			}
-		}
-		if !retainsBuf(f) {
+		body, buf, err := in.rd.ReadBody(conn)
+		if err == nil {
+			var open bool
+			open, err = c.dispatch(&in, conn, body)
 			bufpool.Put(buf)
+			if !open {
+				return
+			}
+			if err == nil {
+				continue
+			}
 		}
+		select {
+		case <-c.done:
+			c.shutdown(err)
+			return
+		default:
+		}
+		if c.closingNow() {
+			// Orderly close: the daemon acted on our Bye and closed
+			// its side. Treat the EOF as clean and unblock Close.
+			c.shutdown(net.ErrClosed)
+			return
+		}
+		if !c.cfg.Reconnect {
+			c.shutdown(err)
+			return
+		}
+		next, rerr := c.reconnect(conn, err)
+		if rerr != nil {
+			c.shutdown(rerr)
+			return
+		}
+		conn = next
 	}
 }
 
-// read reads the next frame from conn. The per-delivery frame, a
-// sequenced Message, decodes straight into the event the application
-// receives: it comes back as msg, with its session sequence seq and a nil
-// f. Every other frame comes back decoded in f.
-func (c *Client) read(rd *session.Reader, conn io.Reader) (f session.Frame, msg *Message, seq uint64, buf []byte, err error) {
-	body, buf, err := rd.ReadBody(conn)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
+// dispatch decodes one frame body and acts on it. Nothing it hands the
+// application aliases body. It returns false once the session is over (a
+// fatal daemon error) and a decode error as err, which readLoop treats
+// like a read error.
+func (c *Client) dispatch(in *inbox, conn net.Conn, body []byte) (bool, error) {
 	if session.IsSeqdMessage(body) {
-		msg, seq, err = decodeMessage(rd, body)
-	} else {
-		f, err = rd.Decode(body)
+		// The per-delivery frame, decoded unboxed.
+		seq, err := in.decode(body)
+		if err != nil {
+			return true, err
+		}
+		if seq <= c.lastSeq {
+			return true, nil // duplicate from a resume replay
+		}
+		c.lastSeq = seq
+		c.deliver(in.keep(&in.m))
+		c.counted(conn)
+		return true, nil
 	}
+	f, err := in.rd.Decode(body)
 	if err != nil {
-		bufpool.Put(buf)
-		return nil, nil, 0, nil, err
+		return true, err
 	}
-	return f, msg, seq, buf, nil
+	switch v := f.(type) {
+	case session.Seqd:
+		if v.Seq <= c.lastSeq {
+			return true, nil // duplicate from a resume replay
+		}
+		c.lastSeq = v.Seq
+		if !c.handleDelivery(in, v.Frame) {
+			return false, nil
+		}
+		c.counted(conn)
+	case session.Throttle:
+		c.events <- &Throttled{On: v.On, Queued: int(v.Queued)}
+	case session.Detach:
+		c.events <- &Detached{Reason: v.Reason, CanResume: v.CanResume}
+		// The daemon closes the connection right after; the next
+		// read error runs the normal reconnect path.
+	default:
+		// Unsequenced Message/View/Error (pre-resume daemons).
+		return c.handleDelivery(in, f), nil
+	}
+	return true, nil
 }
 
-// decodeMessage decodes a sequenced Message body into a fresh event: the
-// one allocation a single-group delivery costs.
-func decodeMessage(rd *session.Reader, body []byte) (*Message, uint64, error) {
-	ev := new(msgEvent)
-	ev.Groups = ev.group[:0]
-	// Message and session.Message share one underlying struct type.
-	seq, err := rd.DecodeSeqdMessage(body, (*session.Message)(&ev.Message))
-	return &ev.Message, seq, err
+// inbox is readLoop's decode state: the connection's Reader, a scratch
+// Message that a sequenced delivery decodes into, and the slabs every
+// delivered Message is carved from.
+type inbox struct {
+	rd     *session.Reader
+	m      session.Message
+	groups [group.MaxGroups]string
+	slab   slab.Set[Message]
+}
+
+// decode decodes a sequenced Message body into the scratch message, whose
+// Payload then aliases body.
+func (in *inbox) decode(body []byte) (seq uint64, err error) {
+	in.m.Groups = in.groups[:0]
+	return in.rd.DecodeSeqdMessage(body, &in.m)
+}
+
+// keep copies a decoded message into the slabs: the Message the
+// application receives, which shares nothing with the read buffer and
+// nothing an append could reach with any other delivery.
+func (in *inbox) keep(m *session.Message) *Message {
+	ev := in.slab.New()
+	*ev = Message(*m) // the two share one underlying struct type
+	ev.Groups = in.slab.Names(m.Groups)
+	ev.Payload = in.slab.Payload(m.Payload)
+	return ev
 }
 
 // counted counts one processed sequenced delivery, acknowledging every
@@ -474,25 +478,12 @@ func (c *Client) deliver(m *Message) {
 	c.events <- m
 }
 
-// retainsBuf reports whether the decoded frame's zero-copy fields alias
-// the read buffer after dispatch — true only for delivered Messages,
-// whose Payload is handed to the application without a copy.
-func retainsBuf(f session.Frame) bool {
-	switch v := f.(type) {
-	case session.Seqd:
-		return retainsBuf(v.Frame)
-	case session.Message:
-		return len(v.Payload) > 0
-	}
-	return false
-}
-
 // handleDelivery dispatches one delivered frame; false means the session
 // is over (fatal daemon error).
-func (c *Client) handleDelivery(f session.Frame) bool {
+func (c *Client) handleDelivery(in *inbox, f session.Frame) bool {
 	switch v := f.(type) {
 	case session.Message:
-		c.deliver(&Message{Sender: v.Sender, Service: v.Service, Groups: v.Groups, Payload: v.Payload, Seq: v.Seq})
+		c.deliver(in.keep(&v))
 	case session.View:
 		c.events <- &View{Group: v.Group, Members: v.Members}
 	case session.Error:

@@ -12,13 +12,14 @@ import (
 // deliveredMsgAllocBudget is the ceiling on heap allocations per
 // delivered message across the whole process of
 // TestDeliveredMessageAllocBudget: three daemons, their rings, both
-// clients and the publisher. Runs measure 8.3 to 8.4, so the ceiling is
-// that plus about 10%. Before the ring recycled the data frames it
-// retained (one per receiving daemon per message) runs measured 10.5;
-// before the delivery path stopped allocating per message (cached
+// clients and the publisher. Runs measure 4.4 to 4.6, so the ceiling is
+// that plus about 10%. Before the clients carved deliveries out of slabs
+// (one event and one pool buffer per delivery) runs measured 8.3 to 8.4;
+// before the ring recycled the data frames it retained (one per receiving
+// daemon per message) 10.5; before the delivery path stopped allocating per message (cached
 // delivery sets, interned names, unboxed decodes and status) the same
 // test measured 50 to 55.
-const deliveredMsgAllocBudget = 9.2
+const deliveredMsgAllocBudget = 5.0
 
 // TestDeliveredMessageAllocBudget: on a three-daemon hub stack with two
 // subscribed clients and a publisher keeping 64 messages in flight, a

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"accelring/internal/group"
 	"accelring/internal/membership"
 	"accelring/internal/obs"
 )
@@ -249,5 +250,36 @@ func TestObserverWiring(t *testing.T) {
 	}
 	if len(obs.Rounds(nodes[0].Recorder().Snapshot(0))[""]) == 0 {
 		t.Fatal("recorder holds no token rounds")
+	}
+}
+
+// TestSinkDeliveryAllocs: the facade carves each delivered Message, its
+// group list and its payload out of the node's slabs, so handing a
+// delivery to the application costs a small fraction of an allocation.
+func TestSinkDeliveryAllocs(t *testing.T) {
+	n := openCluster(t, 3)[0]
+	for len(n.events) > 0 {
+		<-n.events // the ring's formation
+	}
+	env := &group.Envelope{Sender: n.self, Groups: []string{"g"}, Payload: make([]byte, 1350)}
+	to := []ClientID{n.self}
+	sink := nodeSink{n}
+	var got *Message
+	// No traffic runs on the ring, so nothing else calls the sink and the
+	// test may stand in for the merger's lock. AllocsPerRun truncates its
+	// average to a whole number, so each run makes 100 deliveries.
+	allocs := testing.AllocsPerRun(50, func() {
+		for range 100 {
+			sink.Message(0, env, Agreed, 1, to)
+			got = (<-n.events).(*Message)
+		}
+	}) / 100
+	t.Logf("allocations per delivery: %.3f", allocs)
+	if allocs > 0.2 {
+		t.Fatalf("%.3f allocations per delivery, want at most 0.2", allocs)
+	}
+	if got.Sender != n.self || len(got.Groups) != 1 || got.Groups[0] != "g" ||
+		len(got.Payload) != 1350 || &got.Payload[0] == &env.Payload[0] {
+		t.Fatalf("delivered %+v", got)
 	}
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench_gate.sh — the count gate: a quick traced pass of every
+# bench_gate.sh — the count gate: a short traced pass of every
 # BENCHMARK.json workload, checked on rows that do not depend on the
 # box's speed.
 #
@@ -7,15 +7,22 @@
 #   scripts/bench_gate.sh record    check, then rewrite that baseline
 #   make bench-gate
 #
-# Each workload runs as `benchmark -workload W -quick -trace 1` from one
-# build of the working tree. Its final JSON line must show:
+# Each workload runs as `benchmark -workload W -seconds 2 -trace 1` (about
+# 10 s) from one build of the working tree: a 2 s window and the full
+# ladder. The ladder's allocation rungs count the whole process's
+# allocations over their messages, and a garbage collection costs a few
+# hundred (the sync.Pools refill); over -quick's 1/20 of a rung that
+# swung daemon.delivered_msg_allocs by up to 20 % between runs of one
+# tree, over the full rung by under 1 %. Its final JSON line must show:
 #   - correct, and 0 failed operations;
 #   - membership.installs = 1 and membership.token_retransmits_per_s = 0;
 #   - core.retrans_per_kmsg < 10;
 #   - ringnode.ordered_msg_allocs, daemon.delivered_msg_allocs and
 #     runtime.alloc_bytes_per_msg at most 10 % above the baseline's line
 #     for the same workload.
-# The baseline holds each workload's final JSON line, one per line.
+# The baseline holds each workload's final JSON line, one per line. When a
+# check fails, every FAIL row is printed again at the end (workload, row,
+# value, bound) and the script exits non-zero.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,26 +44,35 @@ workloads=$(awk '/"workloads"/ { in_w = 1 } in_w && /^ *\]/ { exit }
 status=0
 for w in $workloads; do
     echo "running $w" >&2
-    "$work/benchmark" -workload "$w" -quick -trace 1 >"$work/$w.out"
-    grep '^{' "$work/$w.out" | tail -n 1 >"$work/$w.json"
+    if ! "$work/benchmark" -workload "$w" -seconds 2 -trace 1 >"$work/$w.out"; then
+        echo "$w: the benchmark exited non-zero" | tee -a "$work/fails" >&2
+        status=1
+    fi
+    grep '^{' "$work/$w.out" | tail -n 1 >"$work/$w.json" || true
+    if [[ ! -s $work/$w.json ]]; then
+        echo "$w: no result line" | tee -a "$work/fails" >&2
+        status=1
+        continue
+    fi
     base=""
     if [[ -f $baseline ]]; then
         base=$(awk -v w="\"$w\": " 'index($0, w) == 1 { print substr($0, length(w) + 1) }' "$baseline" | sed 's/,$//')
     fi
     if [[ $mode == check && -z $base ]]; then
-        echo "$w: no baseline line in $baseline" >&2
+        echo "$w: no baseline line in $baseline" | tee -a "$work/fails" >&2
         status=1
         continue
     fi
-    awk -v wl="$w" -v base="$base" -v mode="$mode" '
+    awk -v wl="$w" -v base="$base" -v mode="$mode" -v fails="$work/fails" '
         function val(line, name,   s) {
             if (!match(line, "\"" name "\":\\{\"value\":[^,}]*")) return ""
             s = substr(line, RSTART, RLENGTH); sub(/.*:/, "", s)
             return s + 0
         }
-        function row(name, got, bound, ok) {
-            printf "%-22s %-34s %12s  %-14s %s\n", wl, name, got, bound, ok ? "ok" : "FAIL"
-            if (!ok) bad = 1
+        function row(name, got, bound, ok,   line) {
+            line = sprintf("%-22s %-34s %12s  %-14s %s", wl, name, got, bound, ok ? "ok" : "FAIL")
+            print line
+            if (!ok) { bad = 1; print line >>fails }
         }
         {
             row("correct", ($0 ~ /"correct":true/) ? "true" : "false", "true", $0 ~ /"correct":true/)
@@ -75,6 +91,11 @@ for w in $workloads; do
         }
         END { exit bad }' "$work/$w.json" || status=1
 done
+
+if [[ -s $work/fails ]]; then
+    echo "bench-gate failed:" >&2
+    cat "$work/fails" >&2
+fi
 
 if [[ $mode == record ]]; then
     if ((status != 0)); then
