@@ -82,8 +82,10 @@ bench-record:
 # The count gate (scripts/bench_gate.sh): a short traced pass of every
 # workload, checked on rows that do not depend on the box's speed
 # (correctness, one ring install, no token or data retransmission, the
-# ringnode and daemon ladder allocations and the bytes allocated per
-# delivered message within 10 % of results/BENCH_quick.json).
+# ringnode and daemon ladder allocations, the bytes allocated and the
+# fan-out encodes per delivered message, and on the saturate rows the
+# syscalls per message and the writer flushes per frame, within 10 % of
+# results/BENCH_quick.json).
 # `scripts/bench_gate.sh record` rewrites that baseline from a passing run.
 bench-gate:
 	./scripts/bench_gate.sh

@@ -67,7 +67,7 @@ import (
 // Config configures a daemon.
 type Config struct {
 	// Ring is the protocol configuration (Self, Transport, windows,
-	// timeouts). Its OnEvent field is owned by the daemon. With Shards
+	// timeouts). Its OnEvent and OnMessage fields are owned by the daemon. With Shards
 	// > 1 it is the per-ring template: its Transport is ignored and
 	// NewTransport opens each ring's own binding.
 	Ring ringnode.Config

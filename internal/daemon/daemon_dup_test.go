@@ -85,11 +85,21 @@ func TestDuplicateFramesThroughDaemons(t *testing.T) {
 	if duplicated == 0 {
 		t.Fatal("injector duplicated nothing; test is vacuous")
 	}
+	// The copies trail their originals by up to Spread, so the last
+	// messages can reach every client before an engine has discarded a
+	// duplicate: read the counters until both move or the deadline
+	// passes.
 	var tokDropped, dataDropped uint64
-	for _, d := range daemons {
-		st := d.RingNode(0).Status()
-		tokDropped += st.Engine.TokensDropped
-		dataDropped += st.Engine.DataDropped
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		tokDropped, dataDropped = 0, 0
+		for _, d := range daemons {
+			st := d.RingNode(0).Status()
+			tokDropped += st.Engine.TokensDropped
+			dataDropped += st.Engine.DataDropped
+		}
+		if tokDropped > 0 && dataDropped > 0 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if tokDropped == 0 {
 		t.Error("no duplicate tokens were discarded by the engines")

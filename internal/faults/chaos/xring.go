@@ -145,19 +145,24 @@ func (x *xrun) violate(inv, detail string) {
 }
 
 // onRingEvent hands one ring delivery to the node's core at the instant
-// the step made it, as the production ring goroutine's callback does.
-// Emission happens inline, and so do the control envelopes it submits.
+// the step made it, through the entry point the production ring
+// goroutine's callbacks call (groupcore.Host). Emission happens inline,
+// and so do the control envelopes it submits.
 func (n *xnode) onRingEvent(ring int, ev evs.Event) {
-	// The core ignores foreign payloads; here every payload is ours, so
-	// one that does not decode is a violation.
-	if m, ok := ev.(evs.Message); ok {
-		if _, err := group.DecodeEnvelope(m.Payload); err != nil {
+	switch e := ev.(type) {
+	case evs.Message:
+		// The core ignores foreign payloads; here every payload is ours,
+		// so one that does not decode is a violation.
+		if _, err := group.DecodeEnvelope(e.Payload); err != nil {
 			n.x.violate("decode", fmt.Sprintf("node %d ring %d: %v", n.id, ring, err))
 			return
 		}
+		n.fedAt = append(n.fedAt, n.x.sim.Now())
+		n.core.OnRingMessage(ring, e)
+	case evs.ConfigChange:
+		n.fedAt = append(n.fedAt, n.x.sim.Now())
+		n.core.OnRingConfig(ring, e)
 	}
-	n.fedAt = append(n.fedAt, n.x.sim.Now())
-	n.core.OnRingEvent(ring, ev)
 }
 
 // waitConverged waits until every ring has converged. On failure it

@@ -8,24 +8,25 @@
 // simply the N = 1 merge.
 //
 // The core is passive. It starts no goroutine and reads no clock: its host
-// feeds it ring events (OnRingEvent) and receives the globally ordered
-// result through a Sink, and whatever the merge needs ordered — skip
-// claims for an idle ring included — it submits at the event that made it
-// needed. That is what lets the chaos harness run the production path
-// under virtual time. What does run on real time lives in host.go: Host,
-// which starts the rings around one Core for the facade and the daemon
-// alike, and Migrate, which only calls the passive methods.
+// feeds it each ring's ordered messages (OnRingMessage) and configuration
+// changes (OnRingConfig) and receives the globally ordered result through
+// a Sink, and whatever the merge needs ordered — skip claims for an idle
+// ring included — it submits at the event that made it needed. That is
+// what lets the chaos harness run the production path under virtual time.
+// What does run on real time lives in host.go: Host, which starts the
+// rings around one Core for the facade and the daemon alike, and Migrate,
+// which only calls the passive methods.
 //
 // # Locking
 //
 // Every Sink method runs at a globally ordered emission point with the
 // merger's lock held, on whichever ring goroutine's event completed the
 // emission. A sink therefore must not block, and must not call
-// OnRingEvent, BeginMigrate, Members or GroupsOf (they take that lock). It
-// may call the routing accessors (RingOfGroup, SplitByRing) and Submit: the
-// Submitter never blocks, so the merger itself submits its control
-// envelopes (skip claims, migration acks, frontier announcements) right
-// there.
+// OnRingMessage, OnRingConfig, BeginMigrate, Members or GroupsOf (they
+// take that lock). It may call the routing accessors (RingOfGroup,
+// SplitByRing) and Submit: the Submitter never blocks, so the merger
+// itself submits its control envelopes (skip claims, migration acks,
+// frontier announcements) right there.
 package groupcore
 
 import (
@@ -134,27 +135,28 @@ func New(cfg Config) *Core {
 // open migrations).
 func (c *Core) Merger() *merge.Merger { return c.merger }
 
-// OnRingEvent feeds one event of ring's totally ordered stream. It runs on
-// ring's protocol goroutine (different rings concurrently) and emits, via
-// the Sink, whatever the event makes globally ordered. Payloads that are
-// not group envelopes belong to a foreign application on the same ring and
-// are ignored. An envelope decodes onto the stack with its group names
-// interned, and the merger queues it by value with its payload still in
-// the ring's frame, so a message to one group allocates nothing here; the
-// ring's step keeps the frame while Holder(ring) says the merger reads it.
-func (c *Core) OnRingEvent(ring int, ev evs.Event) {
-	switch e := ev.(type) {
-	case evs.Message:
-		var env group.Envelope
-		if env.Decode(e.Payload, &c.names[ring]) != nil {
-			return
-		}
-		c.merger.PushEnvelopeAt(ring, &env, e.Service, e.Config.Seq, e.Seq)
-	case evs.ConfigChange:
-		// Transitional changes are slotted too: every daemon must assign
-		// the same virtual slots to a ring's stream.
-		c.merger.PushConfig(ring, e)
+// OnRingMessage feeds one message of ring's totally ordered stream. It
+// runs on ring's protocol goroutine (different rings concurrently) and
+// emits, via the Sink, whatever the message makes globally ordered.
+// Payloads that are not group envelopes belong to a foreign application on
+// the same ring and are ignored. An envelope decodes onto the stack with
+// its group names interned, and the merger queues it by value with its
+// payload still in the ring's frame, so a message to one group allocates
+// nothing here; the ring's step keeps the frame while Holder(ring) says
+// the merger reads it.
+func (c *Core) OnRingMessage(ring int, m evs.Message) {
+	var env group.Envelope
+	if env.Decode(m.Payload, &c.names[ring]) != nil {
+		return
 	}
+	c.merger.PushEnvelopeAt(ring, &env, m.Service, m.Config.Seq, m.Seq)
+}
+
+// OnRingConfig feeds one configuration change of ring's stream, as
+// OnRingMessage does a message. Transitional changes are slotted too:
+// every daemon must assign the same virtual slots to a ring's stream.
+func (c *Core) OnRingConfig(ring int, cc evs.ConfigChange) {
+	c.merger.PushConfig(ring, cc)
 }
 
 // Holder returns ring's ringnode.Holder: the payloads of ring's messages

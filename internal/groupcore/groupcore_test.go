@@ -90,6 +90,16 @@ func regular(members ...evs.ProcID) evs.ConfigChange {
 	return evs.ConfigChange{Config: evs.Configuration{Members: members}}
 }
 
+// feed hands one ring event to the core's entry point for its kind.
+func feed(core *Core, ring int, ev evs.Event) {
+	switch e := ev.(type) {
+	case evs.Message:
+		core.OnRingMessage(ring, e)
+	case evs.ConfigChange:
+		core.OnRingConfig(ring, e)
+	}
+}
+
 // TestApply drives one ring's ordered stream through the core and checks
 // the sink sees each operation applied, in order, with tables resolved.
 func TestApply(t *testing.T) {
@@ -168,9 +178,9 @@ func TestApply(t *testing.T) {
 			for i, item := range tt.stream {
 				switch e := item.(type) {
 				case group.Envelope:
-					core.OnRingEvent(0, ordered(t, e, uint64(i+1)))
+					core.OnRingMessage(0, ordered(t, e, uint64(i+1)))
 				case evs.Event:
-					core.OnRingEvent(0, e)
+					feed(core, 0, e)
 				}
 			}
 			if !reflect.DeepEqual(sink.events, tt.want) {
@@ -185,12 +195,12 @@ func TestApply(t *testing.T) {
 // stays silent: no control envelope is ever submitted.
 func TestSingleRingEquivalence(t *testing.T) {
 	core, sink, sub := newTestCore(1)
-	core.OnRingEvent(0, regular(1, 2))
+	core.OnRingConfig(0, regular(1, 2))
 	var want []string
 	want = append(want, "config r0 [1 2] trans=false")
 	for i := 0; i < 50; i++ {
 		p := fmt.Sprintf("m%d", i)
-		core.OnRingEvent(0, ordered(t, group.Envelope{
+		core.OnRingMessage(0, ordered(t, group.Envelope{
 			Kind: group.OpMessage, Sender: cid(2, 7), Groups: []string{"g"}, Payload: []byte(p),
 		}, uint64(i+1)))
 		want = append(want, fmt.Sprintf("msg r0 message %q to=[]", p))
@@ -198,7 +208,7 @@ func TestSingleRingEquivalence(t *testing.T) {
 			t.Fatalf("push %d did not emit immediately: %d events, want %d", i, len(sink.events), len(want))
 		}
 	}
-	core.OnRingEvent(0, regular(1))
+	core.OnRingConfig(0, regular(1))
 	want = append(want, "config r0 [1] trans=false")
 	if !reflect.DeepEqual(sink.events, want) {
 		t.Fatalf("sink saw\n  %q\nwant\n  %q", sink.events, want)
@@ -220,15 +230,15 @@ func (nopSink) Config(int, evs.ConfigChange)                                    
 func (nopSink) Rejected(group.ClientID, group.OpKind, error)                        {}
 func (nopSink) Migrated(string, int, int)                                           {}
 
-// TestOnRingEventAllocFree: once a ring's stream is flowing, an ordered
+// TestOnRingMessageAllocFree: once a ring's stream is flowing, an ordered
 // message to one group — decode, merge queue, delivery set, emission —
 // allocates nothing in the core. A message to several groups allocates
 // only its decoded group list; the union is built in the core's scratch.
-func TestOnRingEventAllocFree(t *testing.T) {
+func TestOnRingMessageAllocFree(t *testing.T) {
 	core := New(Config{Shards: 1, Self: 1, Submit: &recSubmit{}, Sink: nopSink{}})
-	core.OnRingEvent(0, regular(1, 2))
+	core.OnRingConfig(0, regular(1, 2))
 	for i, g := range []string{"g", "h", "g", "h"} {
-		core.OnRingEvent(0, ordered(t, group.Envelope{
+		core.OnRingMessage(0, ordered(t, group.Envelope{
 			Kind: group.OpJoin, Sender: cid(evs.ProcID(1+i%2), uint32(i)), Groups: []string{g},
 		}, uint64(i+1)))
 	}
@@ -236,11 +246,11 @@ func TestOnRingEventAllocFree(t *testing.T) {
 		groups []string
 		want   float64
 	}{{[]string{"g"}, 0}, {[]string{"g", "h"}, 1}} {
-		var ev evs.Event = ordered(t, group.Envelope{
+		m := ordered(t, group.Envelope{
 			Kind: group.OpMessage, Sender: cid(2, 7), Groups: c.groups, Payload: []byte("payload"),
 		}, 9)
-		core.OnRingEvent(0, ev) // warm the interned names and the scratch
-		if n := testing.AllocsPerRun(1000, func() { core.OnRingEvent(0, ev) }); n > c.want {
+		core.OnRingMessage(0, m) // warm the interned names and the scratch
+		if n := testing.AllocsPerRun(1000, func() { core.OnRingMessage(0, m) }); n > c.want {
 			t.Fatalf("an ordered message to %v allocates %.1f times in the core, want %v", c.groups, n, c.want)
 		}
 	}
@@ -255,9 +265,9 @@ type twoRings struct {
 }
 
 func (x *twoRings) push(ring int, ev evs.Event) {
-	x.core.OnRingEvent(ring, ev)
+	feed(x.core, ring, ev)
 	x.skip += 1 << 20
-	x.core.OnRingEvent(1-ring, ordered(x.t, group.Envelope{Kind: group.OpSkip, Sender: cid(1, 0), Arg: x.skip}, 0))
+	x.core.OnRingMessage(1-ring, ordered(x.t, group.Envelope{Kind: group.OpSkip, Sender: cid(1, 0), Arg: x.skip}, 0))
 }
 
 func (x *twoRings) env(ring int, env group.Envelope) { x.push(ring, ordered(x.t, env, 1)) }
@@ -346,18 +356,18 @@ func TestDepartedDaemonsAnnounceOnce(t *testing.T) {
 	}
 	for round := 0; round < 64; round++ {
 		core, sink, _ := newTestCore(1)
-		core.OnRingEvent(0, regular(1, 2, 3, 4))
+		core.OnRingConfig(0, regular(1, 2, 3, 4))
 		seq := uint64(0)
 		for _, g := range []string{"gamma", "alpha", "beta"} {
 			for d := evs.ProcID(1); d <= 4; d++ {
 				seq++
-				core.OnRingEvent(0, ordered(t, group.Envelope{
+				core.OnRingMessage(0, ordered(t, group.Envelope{
 					Kind: group.OpJoin, Sender: cid(d, 1), Groups: []string{g},
 				}, seq))
 			}
 		}
 		sink.events = nil
-		core.OnRingEvent(0, regular(1)) // daemons 2, 3 and 4 leave together
+		core.OnRingConfig(0, regular(1)) // daemons 2, 3 and 4 leave together
 		if !reflect.DeepEqual(sink.events, want) {
 			t.Fatalf("round %d: sink saw\n  %q\nwant\n  %q", round, sink.events, want)
 		}

@@ -50,7 +50,8 @@ type HostConfig struct {
 	Shards int
 	// Ring is the per-ring template (Self, windows, timeouts, an Observer
 	// all rings share). One ring runs it as given, over its Transport when
-	// set; with more, ring r runs Ring.ForRing(r). The host owns OnEvent.
+	// set; with more, ring r runs Ring.ForRing(r). The host owns OnEvent
+	// and OnMessage.
 	Ring ringnode.Config
 	// NewTransport opens ring r's own transport binding: rings are
 	// independent precisely because their frames never mix.
@@ -87,7 +88,10 @@ func Start(cfg HostConfig) (*Host, error) {
 		if cfg.Shards > 1 {
 			rc = cfg.Ring.ForRing(r)
 		}
-		rc.Transport, rc.OnEvent = tr, func(ev evs.Event) { h.core.OnRingEvent(r, ev) }
+		rc.Transport = tr
+		rc.OnMessage = func(m evs.Message) { h.core.OnRingMessage(r, m) }
+		// With OnMessage set, OnEvent carries only configuration changes.
+		rc.OnEvent = func(ev evs.Event) { h.core.OnRingConfig(r, ev.(evs.ConfigChange)) }
 		n, err := ringnode.StartHeld(rc, h.core.Holder(r))
 		if err != nil {
 			tr.Close()

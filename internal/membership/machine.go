@@ -126,8 +126,10 @@ type Config struct {
 }
 
 // Output receives the machine's effects. Multicast frames are data-class;
-// Unicast frames are token-class. Deliver receives the application's event
-// stream: messages and configuration changes in EVS order.
+// Unicast frames are token-class. Deliver and Configure together receive
+// the application's event stream in EVS order: Deliver each message,
+// Configure each configuration change. The two are split so a message
+// reaches its consumer as an evs.Message, never boxed into an evs.Event.
 //
 // Frame slices are machine-owned encode scratch, valid only for the
 // duration of the call: implementations must transmit or copy them before
@@ -140,7 +142,8 @@ type Config struct {
 type Output interface {
 	Multicast(frame []byte)
 	Unicast(to evs.ProcID, frame []byte)
-	Deliver(ev evs.Event)
+	Deliver(msg evs.Message)
+	Configure(cc evs.ConfigChange)
 }
 
 // ErrNotOperational is returned by Submit before a ring is installed.

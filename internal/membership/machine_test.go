@@ -58,7 +58,8 @@ func (o *memOut) Unicast(to evs.ProcID, frame []byte) {
 	o.h.queue = append(o.h.queue, envelope{from: o.id, to: to, token: true, frame: cp})
 }
 
-func (o *memOut) Deliver(ev evs.Event) { o.events = append(o.events, ev) }
+func (o *memOut) Deliver(m evs.Message)         { o.events = append(o.events, m) }
+func (o *memOut) Configure(cc evs.ConfigChange) { o.events = append(o.events, cc) }
 
 func (o *memOut) messages() []evs.Message {
 	var ms []evs.Message

@@ -46,7 +46,7 @@ type recovery struct {
 	// holdback defers new-ring application deliveries until recovery
 	// completes, preserving EVS delivery order. Its payloads are copies:
 	// the engine may release their frames before they are delivered.
-	holdback []evs.Event
+	holdback []evs.Message
 }
 
 // engineOut adapts the ordering engine's effects to the machine. Frames
@@ -292,14 +292,14 @@ func (m *Machine) finalizeRecovery() {
 			ID:      evs.ViewID{Rep: rec.survivors.min(), Seq: m.ring.ID.Seq},
 			Members: rec.survivors,
 		}
-		m.out.Deliver(evs.ConfigChange{Config: transitional, Transitional: true})
+		m.out.Configure(evs.ConfigChange{Config: transitional, Transitional: true})
 		for ; seq <= rec.high; seq++ {
 			emit(seq)
 		}
 	}
-	m.out.Deliver(evs.ConfigChange{Config: m.ring})
-	for _, ev := range rec.holdback {
-		m.out.Deliver(ev)
+	m.out.Configure(evs.ConfigChange{Config: m.ring})
+	for _, msg := range rec.holdback {
+		m.out.Deliver(msg)
 	}
 	m.setState(StateOperational, m.lastNow)
 }

@@ -65,7 +65,7 @@ type Node struct {
 // begins in the gather state and forms (or joins) a ring on its own.
 func Start(cfg Config) (*Node, error) { return StartHeld(cfg, nil) }
 
-// StartHeld is Start for an OnEvent consumer that keeps payloads past the
+// StartHeld is Start for a delivery consumer that keeps payloads past the
 // callback: h, when not nil, is the step's Holder from the first input on.
 func StartHeld(cfg Config, h Holder) (*Node, error) {
 	if cfg.Transport == nil {
@@ -128,10 +128,11 @@ func (n *Node) WaitState(st membership.State, timeout time.Duration) bool {
 }
 
 // Submit multicasts a payload with the given delivery service, in total
-// order. It queues and never blocks, so any goroutine may call it, OnEvent
-// included. The payload must not be mutated after the call. It fails with
-// ErrStopped after Stop, with membership.ErrNotOperational before the first
-// ring forms, and as Step.Check does.
+// order. It queues and never blocks, so any goroutine may call it, the
+// delivery callbacks included. The payload must not be mutated after the
+// call. It fails with ErrStopped after Stop, with
+// membership.ErrNotOperational before the first ring forms, and as
+// Step.Check does.
 func (n *Node) Submit(payload []byte, service evs.Service) error {
 	select {
 	case <-n.stopCh:

@@ -30,12 +30,18 @@ type Config struct {
 	// Timeouts are the membership timing parameters (defaults applied).
 	Timeouts membership.Timeouts
 	// OnEvent receives the delivery stream (messages and configuration
-	// changes) on the protocol goroutine. It must not block for long and
-	// must not call back into the Node except Submit, which only queues.
-	// A message's Payload is valid until OnEvent returns: once the message
-	// is stable its frame goes back to the host for reuse. A consumer that
+	// changes) on the protocol goroutine; when OnMessage is set, only the
+	// configuration changes. It must not block for long and must not call
+	// back into the Node except Submit, which only queues. A message's
+	// Payload is valid until the callback returns: once the message is
+	// stable its frame goes back to the host for reuse. A consumer that
 	// keeps payloads longer copies them, or is the step's Holder.
 	OnEvent func(evs.Event)
+	// OnMessage, when set, receives every ordered message instead of
+	// OnEvent, as the evs.Message it is rather than boxed into an
+	// evs.Event (an allocation per message), and each message of a packed
+	// bundle in its own call. OnEvent's rules hold for it.
+	OnMessage func(evs.Message)
 	// Observer receives protocol metrics and events. If set and its
 	// Clock is nil, the node installs time.Now so hold times and delivery
 	// latencies are measured. Nil disables observation.
@@ -132,12 +138,13 @@ type Recycler interface {
 	Recycle(frame []byte)
 }
 
-// Holder is an OnEvent consumer that reads message payloads after the
-// callback has returned and lets go of them in delivery order (groupcore's
-// merge queue). HeldFrom returns the delivery position of the oldest
-// message whose payload it still reads — its configuration's ViewID.Seq
-// and its Seq — with ok false when it reads none. The step recycles no
-// frame at or past that position. Any goroutine may call it.
+// Holder is a delivery consumer (OnMessage or OnEvent) that reads message
+// payloads after the callback has returned and lets go of them in
+// delivery order (groupcore's merge queue). HeldFrom returns the delivery
+// position of the oldest message whose payload it still reads — its
+// configuration's ViewID.Seq and its Seq — with ok false when it reads
+// none. The step recycles no frame at or past that position. Any
+// goroutine may call it.
 type Holder interface {
 	HeldFrom() (cfg, seq uint64, ok bool)
 }
@@ -151,12 +158,15 @@ type freedFrame struct {
 
 // Step is one participant's protocol, passive (see the package comment):
 // its inputs each carry the host's now, and its effects leave through the
-// Sender and Config.OnEvent. Not safe for concurrent use.
+// Sender and Config.OnMessage/OnEvent. Not safe for concurrent use.
 type Step struct {
 	machine *membership.Machine
 	bundle  *pack.Adaptive // nil when packing is off
 	out     Sender
-	onEvent func(evs.Event)
+	// onMessage receives each message, onEvent each configuration change
+	// (nil: none).
+	onMessage func(evs.Message)
+	onEvent   func(evs.Event)
 	// stampFlush is bound once so draining sampled sends allocates nothing.
 	stampFlush func(seq uint64)
 	obs        *obs.RingObserver
@@ -184,7 +194,14 @@ type Step struct {
 // NewStep builds cfg's step at time now, sending through out rather than
 // cfg.Transport.
 func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
-	s := &Step{out: out, onEvent: cfg.OnEvent, obs: cfg.Observer}
+	s := &Step{out: out, onMessage: cfg.OnMessage, onEvent: cfg.OnEvent, obs: cfg.Observer}
+	if s.onMessage == nil {
+		// Wrapped once here, so delivery has one path and no branch.
+		s.onMessage = func(evs.Message) {}
+		if on := cfg.OnEvent; on != nil {
+			s.onMessage = func(m evs.Message) { on(m) }
+		}
+	}
 	if r, ok := out.(Recycler); ok {
 		s.recycle = r.Recycle
 	}
@@ -438,27 +455,28 @@ func (o machineOut) Release(d *wire.Data) {
 	}
 }
 
-func (o machineOut) Deliver(ev evs.Event) {
+func (o machineOut) Deliver(m evs.Message) {
 	s := o.s
-	if s.onEvent == nil {
-		return
-	}
-	if s.bundle != nil {
-		if m, ok := ev.(evs.Message); ok && pack.IsBundle(m.Payload) {
-			// Fan the bundle out as one event per packed message, in
-			// packing order. Sub-payloads alias the delivered payload
-			// and are valid exactly as long as it is.
-			if err := pack.Each(m.Payload, func(msg []byte) {
-				sub := m
-				sub.Payload = msg
-				s.onEvent(sub)
-			}); err == nil {
-				return
-			}
-			// A corrupt bundle means a peer without packing shares the
-			// ring (a misconfiguration); deliver the raw payload rather
-			// than lose it.
+	if s.bundle != nil && pack.IsBundle(m.Payload) {
+		// Fan the bundle out as one message per packed message, in
+		// packing order. Sub-payloads alias the delivered payload and are
+		// valid exactly as long as it is.
+		if err := pack.Each(m.Payload, func(msg []byte) {
+			sub := m
+			sub.Payload = msg
+			s.onMessage(sub)
+		}); err == nil {
+			return
 		}
+		// A corrupt bundle means a peer without packing shares the ring
+		// (a misconfiguration); deliver the raw payload rather than lose
+		// it.
 	}
-	s.onEvent(ev)
+	s.onMessage(m)
+}
+
+func (o machineOut) Configure(cc evs.ConfigChange) {
+	if o.s.onEvent != nil {
+		o.s.onEvent(cc)
+	}
 }

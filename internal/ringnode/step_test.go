@@ -345,12 +345,13 @@ type bareOut struct{ p *port }
 
 func (o bareOut) Multicast(f []byte)              { o.p.Multicast(f) }
 func (o bareOut) Unicast(to evs.ProcID, f []byte) { o.p.Unicast(to, f) }
-func (o bareOut) Deliver(evs.Event)               {}
+func (o bareOut) Deliver(evs.Message)             {}
+func (o bareOut) Configure(evs.ConfigChange)      {}
 
 // TestStepAllocParity: on an operational ring, one submit plus a token
-// and data round through Step allocates exactly what the same round
-// through the bare membership.Machine does — the split adds no boxing or
-// closure to the hot path.
+// and data round through Step, delivering through OnMessage, allocates
+// exactly what the same round through the bare membership.Machine does —
+// the split adds no boxing or closure to the hot path.
 func TestStepAllocParity(t *testing.T) {
 	newBareRing := func() *testRing {
 		r := &testRing{now: time.Unix(1000, 0)}
@@ -367,7 +368,7 @@ func TestStepAllocParity(t *testing.T) {
 		}
 		return r
 	}
-	stepRing, _ := newStepRing(t, 2, func(c *Config) { c.OnEvent = func(evs.Event) {} })
+	stepRing, _ := newStepRing(t, 2, func(c *Config) { c.OnMessage = func(evs.Message) {} })
 	payload := make([]byte, 64)
 	allocs := func(r *testRing) float64 {
 		r.form(t)
@@ -390,6 +391,48 @@ func TestStepAllocParity(t *testing.T) {
 		t.Fatalf("a round allocates %v through Step, %v through the bare machine", viaStep, viaMachine)
 	}
 	t.Logf("allocations per round: %v", viaStep)
+}
+
+// TestBundleFanOutAllocFree: a delivered bundle of k packed messages
+// reaches OnMessage as k messages, in packing order, without allocating.
+func TestBundleFanOutAllocFree(t *testing.T) {
+	const k = 16
+	var payloads [][]byte
+	var want []string
+	for i := range k {
+		want = append(want, fmt.Sprintf("m%02d", i))
+		payloads = append(payloads, []byte(want[i]))
+	}
+	bundles, err := pack.PackAll(pack.DefaultLimit, payloads)
+	if err != nil || len(bundles) != 1 {
+		t.Fatalf("packing %d messages gave %d bundles (%v)", k, len(bundles), err)
+	}
+	var got []string
+	n := 0
+	cfg := Accelerated(1, nil, 10, 100, 7)
+	cfg.Packing = true
+	cfg.OnMessage = func(m evs.Message) {
+		if n++; len(got) < k {
+			got = append(got, string(m.Payload))
+		}
+	}
+	s, err := NewStep(cfg, &port{w: &fakeWire{}, id: 1}, time.Unix(1000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := evs.Message{Seq: 1, Sender: 2, Service: evs.Agreed, Payload: bundles[0]}
+	out := machineOut{s}
+	out.Deliver(bundle)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("bundle delivered %q, want %q", got, want)
+	}
+	n = 0
+	if a := testing.AllocsPerRun(100, func() { out.Deliver(bundle) }); a != 0 {
+		t.Fatalf("a bundle of %d messages allocates %v times on its way to OnMessage", k, a)
+	}
+	if n != 101*k {
+		t.Fatalf("OnMessage saw %d messages over 101 bundles of %d", n, k)
+	}
 }
 
 // TestPackedOversizeKeepsSenderOrder: an oversize payload submitted while

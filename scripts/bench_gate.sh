@@ -17,9 +17,15 @@
 #   - correct, and 0 failed operations;
 #   - membership.installs = 1 and membership.token_retransmits_per_s = 0;
 #   - core.retrans_per_kmsg < 10;
-#   - ringnode.ordered_msg_allocs, daemon.delivered_msg_allocs and
-#     runtime.alloc_bytes_per_msg at most 10 % above the baseline's line
-#     for the same workload.
+#   - ringnode.ordered_msg_allocs, daemon.delivered_msg_allocs,
+#     runtime.alloc_bytes_per_msg and daemon.fanout_encodes_per_msg at
+#     most 10 % above the baseline's line for the same workload;
+#   - on the saturate_* workloads, transport.tx_syscalls_per_msg,
+#     transport.rx_syscalls_per_msg and daemon.writer_flushes_per_frame
+#     too. A saturated ring's bursts are full, and over 15 runs of one
+#     tree these spread by under 5 %. An open-loop steady row sends, reads
+#     and flushes at whatever burst the moment brings, and the same runs
+#     spread by 14-31 % there.
 # The baseline holds each workload's final JSON line, one per line. When a
 # check fails, every FAIL row is printed again at the end (workload, row,
 # value, bound) and the script exits non-zero.
@@ -81,7 +87,9 @@ for w in $workloads; do
             v = val($0, "membership.installs");                row("membership.installs", v, "= 1", v == 1)
             v = val($0, "membership.token_retransmits_per_s"); row("membership.token_retransmits_per_s", v, "= 0", v == 0)
             v = val($0, "core.retrans_per_kmsg");              row("core.retrans_per_kmsg", v, "< 10", v != "" && v < 10)
-            n = split("ringnode.ordered_msg_allocs daemon.delivered_msg_allocs runtime.alloc_bytes_per_msg", ladder, " ")
+            rows = "ringnode.ordered_msg_allocs daemon.delivered_msg_allocs runtime.alloc_bytes_per_msg daemon.fanout_encodes_per_msg"
+            if (wl ~ /^saturate_/) rows = rows " transport.tx_syscalls_per_msg transport.rx_syscalls_per_msg daemon.writer_flushes_per_frame"
+            n = split(rows, ladder, " ")
             for (i = 1; i <= n; i++) {
                 v = val($0, ladder[i])
                 if (mode == "record") { row(ladder[i], v, "recorded", v != ""); continue }
