@@ -81,7 +81,8 @@ bench-record:
 
 # The count gate (scripts/bench_gate.sh): a short traced pass of every
 # workload, checked on rows that do not depend on the box's speed
-# (correctness, one ring install, no token or data retransmission, the
+# (correctness, one ring install, no token retransmission, no data
+# retransmission, retransmission request or dropped data frame, the
 # ringnode and daemon ladder allocations, the bytes allocated and the
 # fan-out encodes per delivered message, and on the saturate rows the
 # syscalls per message and the writer flushes per frame, within 10 % of

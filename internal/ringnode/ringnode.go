@@ -74,7 +74,7 @@ func StartHeld(cfg Config, h Holder) (*Node, error) {
 	if cfg.Observer != nil && cfg.Observer.Clock == nil {
 		cfg.Observer.Clock = time.Now
 	}
-	step, err := NewStep(cfg, pooled{cfg.Transport}, time.Now())
+	step, err := NewStep(cfg, sender(cfg.Transport), time.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -181,17 +181,35 @@ func (n *Node) drain() {
 	n.spare = batch[:0]
 }
 
-// pooled is the node's transport as its step's Sender: the frames the
-// step recycles go back to bufpool, where the transport rented them.
+// pooled is the node's transport as its step's Sender when it cannot
+// stage (a Hub endpoint): each multicast goes out at once, and the frames
+// the step recycles go back to bufpool, where the transport rented them.
 type pooled struct{ transport.Transport }
 
 func (pooled) Recycle(frame []byte) { bufpool.Put(frame) }
 
+// staged is pooled for a transport.Stager (UDP, keyed or not): the
+// step's multicasts are staged, and leave as runs at the step's flushes
+// (it is a Flusher) or ahead of its next token.
+type staged struct{ transport.Stager }
+
+func (s staged) Multicast(frame []byte) error { return s.Stage(frame) }
+
+func (staged) Recycle(frame []byte) { bufpool.Put(frame) }
+
+// sender returns t as its step's Sender: staged when t can stage.
+func sender(t transport.Transport) Sender {
+	if st, ok := t.(transport.Stager); ok {
+		return staged{st}
+	}
+	return pooled{t}
+}
+
 // handleData feeds one received data frame to the step. Received frames
 // are rented from bufpool by the transport and owned by the protocol
-// goroutine; a frame the step retained comes back through pooled.Recycle
-// once its message is stable and nothing reads its payload, any other
-// recycles at once.
+// goroutine; a frame the step retained comes back through the sender's
+// Recycle once its message is stable and nothing reads its payload, any
+// other recycles at once.
 func (n *Node) handleData(f []byte) {
 	if !n.step.Data(f, time.Now()) {
 		bufpool.Put(f)

@@ -123,10 +123,19 @@ type Status struct {
 }
 
 // Sender is what a step sends through, borrowing each frame for the call;
-// transport.Transport satisfies it.
+// transport.Transport satisfies it. A Sender may hold multicasts back
+// until its next Unicast, if it is a Flusher until its Flush.
 type Sender interface {
 	Multicast(frame []byte) error
 	Unicast(to evs.ProcID, frame []byte) error
+}
+
+// Flusher is a Sender that holds multicasts back (a transport.Stager's
+// run): Flush sends them. The step flushes before each delivery callback
+// and at the end of NewStep and of every input, so no frame stays held
+// once the call that sent it returns, and none waits on the application.
+type Flusher interface {
+	Flush()
 }
 
 // Recycler is a Sender that takes back the data frames Data retained.
@@ -163,6 +172,8 @@ type Step struct {
 	machine *membership.Machine
 	bundle  *pack.Adaptive // nil when packing is off
 	out     Sender
+	// flush sends what out holds back (nil: out is not a Flusher).
+	flush func()
 	// onMessage receives each message, onEvent each configuration change
 	// (nil: none).
 	onMessage func(evs.Message)
@@ -205,6 +216,9 @@ func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
 	if r, ok := out.(Recycler); ok {
 		s.recycle = r.Recycle
 	}
+	if f, ok := out.(Flusher); ok {
+		s.flush = f.Flush
+	}
 	if cfg.Packing {
 		s.bundle = pack.NewAdaptive()
 	}
@@ -222,6 +236,7 @@ func NewStep(cfg Config, out Sender, now time.Time) (*Step, error) {
 		return nil, err
 	}
 	s.machine = m
+	s.flushOut() // the machine's first Join
 	return s, nil
 }
 
@@ -275,6 +290,7 @@ func (s *Step) Token(frame []byte, now time.Time) {
 	if hold := min(now.Sub(s.fwdAt), pack.DefaultMaxDelay); hold > 0 && s.machine.QuietToken(frame) {
 		s.parked = append(s.parked[:0], frame...)
 		s.parkedAt, s.parkUntil = now, now.Add(hold)
+		s.wireFlush() // what a token released above sent
 		return
 	}
 	s.machine.HandleTokenFrame(frame, now)
@@ -369,13 +385,22 @@ func (s *Step) Tick(now time.Time) {
 	s.wireFlush()
 }
 
-// wireFlush ends every frame and tick: every sampled message sent since
-// the last one gets its batch-flush stamp, the instant the burst it rode
-// in is on the wire, so spans separate the send burst from network time.
-// Then the freed frames the holder lets go of go back to the host.
+// wireFlush ends every frame and tick: the Sender's held multicasts go
+// out, every sampled message sent since the last one gets its
+// batch-flush stamp, the instant the burst it rode in is on the wire, so
+// spans separate the send burst from network time. Then the freed frames
+// the holder lets go of go back to the host.
 func (s *Step) wireFlush() {
+	s.flushOut()
 	s.machine.DrainSampledSent(s.stampFlush)
 	s.recycleFreed()
+}
+
+// flushOut sends what the Sender holds back.
+func (s *Step) flushOut() {
+	if s.flush != nil {
+		s.flush()
+	}
 }
 
 // recycleFreed hands the host every freed frame, oldest first, up to the
@@ -457,6 +482,7 @@ func (o machineOut) Release(d *wire.Data) {
 
 func (o machineOut) Deliver(m evs.Message) {
 	s := o.s
+	s.flushOut() // the round's sends leave before the application runs
 	if s.bundle != nil && pack.IsBundle(m.Payload) {
 		// Fan the bundle out as one message per packed message, in
 		// packing order. Sub-payloads alias the delivered payload and are
@@ -476,6 +502,7 @@ func (o machineOut) Deliver(m evs.Message) {
 }
 
 func (o machineOut) Configure(cc evs.ConfigChange) {
+	o.s.flushOut()
 	if o.s.onEvent != nil {
 		o.s.onEvent(cc)
 	}

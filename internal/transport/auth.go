@@ -26,7 +26,8 @@ import (
 // tag is appended into an internal scratch owned by the single sender
 // goroutine) and verified receives still hand off the pooled buffer,
 // trimmed in place, so bufpool recycling by capacity is unaffected. It
-// keeps the ordering contract over an inner transport that does. Its
+// keeps the ordering contract over an inner transport that does, and is
+// a Stager: over a Stager (UDP) each frame is signed into the inner run. Its
 // channels have the inner ones' capacities, and a frame that finds one
 // full is dropped, counted on "transport.auth_rx_dropped".
 func WithAuth(inner Transport, key []byte, reg *obs.Registry, fl *obs.Recorder) Transport {
@@ -34,8 +35,10 @@ func WithAuth(inner Transport, key []byte, reg *obs.Registry, fl *obs.Recorder) 
 	if auth == nil {
 		return inner
 	}
+	st, _ := inner.(Stager)
 	a := &authTransport{
 		inner:   inner,
+		st:      st,
 		auth:    auth,
 		dataCh:  make(chan []byte, cap(inner.Data())),
 		tokenCh: make(chan []byte, cap(inner.Token())),
@@ -51,6 +54,7 @@ func WithAuth(inner Transport, key []byte, reg *obs.Registry, fl *obs.Recorder) 
 
 type authTransport struct {
 	inner   Transport
+	st      Stager // inner's staged path (nil: it has none)
 	auth    *wire.Auth
 	scratch []byte // sender-side signing buffer (one sender goroutine)
 
@@ -65,12 +69,29 @@ type authTransport struct {
 	fl      *obs.Recorder
 }
 
-var _ Transport = (*authTransport)(nil)
+var _ Stager = (*authTransport)(nil)
 
 // Multicast implements Transport, signing the frame first.
 func (a *authTransport) Multicast(frame []byte) error {
 	a.scratch = a.auth.AppendMAC(a.scratch[:0], frame)
 	return a.inner.Multicast(a.scratch)
+}
+
+// Stage implements Stager, signing the frame into the inner transport's
+// run, or multicasting it signed over an inner transport without one.
+func (a *authTransport) Stage(frame []byte) error {
+	a.scratch = a.auth.AppendMAC(a.scratch[:0], frame)
+	if a.st == nil {
+		return a.inner.Multicast(a.scratch)
+	}
+	return a.st.Stage(a.scratch)
+}
+
+// Flush implements Stager.
+func (a *authTransport) Flush() {
+	if a.st != nil {
+		a.st.Flush()
+	}
 }
 
 // Unicast implements Transport, signing the frame first.

@@ -51,9 +51,9 @@ func TestUDPBatchedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUDPBatchAutoFlushOnFull: Multicast puts its frame on the wire
-// before it returns — there is nothing to flush.
-func TestUDPBatchAutoFlushOnFull(t *testing.T) {
+// TestUDPMulticastOnWireAtReturn: Multicast puts its frame on the wire
+// before it returns, one datagram per peer; only Stage holds frames back.
+func TestUDPMulticastOnWireAtReturn(t *testing.T) {
 	a, b := newUDPPair(t)
 	txBefore, _ := a.Syscalls()
 	for i := 0; i < 4; i++ {
@@ -67,9 +67,9 @@ func TestUDPBatchAutoFlushOnFull(t *testing.T) {
 	collectFrames(t, b.Data(), 4)
 }
 
-// TestUDPBatchFlushesBeforeUnicast: data multicast before a token reaches
-// the peer along with the token.
-func TestUDPBatchFlushesBeforeUnicast(t *testing.T) {
+// TestUDPDataBeforeUnicast: data multicast before a token reaches the
+// peer along with the token.
+func TestUDPDataBeforeUnicast(t *testing.T) {
 	a, b := newUDPPair(t)
 	for i := 0; i < 3; i++ {
 		if err := a.Multicast([]byte{byte(i), 0xDD}); err != nil {
@@ -88,26 +88,36 @@ func TestUDPBatchFlushesBeforeUnicast(t *testing.T) {
 // TestUDPRefusedDatagramSkipped: one peer the socket cannot reach (an IPv6
 // address beside an IPv4-bound socket, so the kernel refuses every
 // datagram to it) must cost only its own datagrams; the healthy peer
-// gets every frame.
+// gets every frame, multicast or staged, with segmentation offload and
+// without.
 func TestUDPRefusedDatagramSkipped(t *testing.T) {
-	sender, healthy := newUDPPair(t)
-	if err := sender.AddPeer(3, UDPPeer{Data: "[::1]:9", Token: "[::1]:9"}); err != nil {
-		t.Fatal(err)
-	}
-	const n = 4
-	for i := 0; i < n; i++ {
-		if err := sender.Multicast([]byte{byte(i), 0x6A}); err != nil {
+	forOffload(t, func(t *testing.T, pair func(*testing.T) (*UDP, *UDP)) {
+		sender, healthy := pair(t)
+		if err := sender.AddPeer(3, UDPPeer{Data: "[::1]:9", Token: "[::1]:9"}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	collectFrames(t, healthy.Data(), n)
+		const n = 4
+		for i := 0; i < n; i++ {
+			if err := sender.Multicast([]byte{byte(i), 0x6A}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := n; i < 2*n; i++ {
+			if err := sender.Stage([]byte{byte(i), 0x6A}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sender.Flush()
+		collectFrames(t, healthy.Data(), 2*n)
+	})
 }
 
 // TestUDPBatchedAllocs is the zero-allocation gate for the wire path:
 // sending a burst of data and the token after it, receiving them through
 // the burst readers (the token reader draining whatever data is still on
 // the data socket), and recycling the frames must not allocate in steady
-// state.
+// state — multicast frame by frame, or staged as one run that the token
+// flushes and the receiver reads back coalesced and splits.
 func TestUDPBatchedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the channel hand-off")
@@ -127,9 +137,10 @@ func TestUDPBatchedAllocs(t *testing.T) {
 			t.Fatal("timed out waiting for a frame")
 		}
 	}
+	send := a.Multicast
 	step := func() {
 		for i := 0; i < burst; i++ {
-			if err := a.Multicast(payload); err != nil {
+			if err := send(payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,6 +158,13 @@ func TestUDPBatchedAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, step); n != 0 {
 		t.Fatalf("send+receive allocates %.2f times per burst, want 0", n)
+	}
+	send = a.Stage
+	for i := 0; i < 5; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("staged send+receive allocates %.2f times per burst, want 0", n)
 	}
 }
 

@@ -56,6 +56,16 @@ func (m *netMetrics) tx(token bool, n int) {
 	m.txDataBytes.Add(uint64(n))
 }
 
+// txRun counts a run of n data frames, size bytes in all, sent toward
+// one destination.
+func (m *netMetrics) txRun(n, size int) {
+	if m == nil {
+		return
+	}
+	m.txDataFrames.Add(uint64(n))
+	m.txDataBytes.Add(uint64(size))
+}
+
 // rx counts one frame accepted into a receive channel.
 func (m *netMetrics) rx(token bool, n int) {
 	if m == nil {
@@ -70,7 +80,8 @@ func (m *netMetrics) rx(token bool, n int) {
 	m.rxDataBytes.Add(uint64(n))
 }
 
-// txSys counts kernel crossings on the send path: one per datagram.
+// txSys counts kernel crossings on the send path: one per send call, a
+// datagram or a segmented run.
 func (m *netMetrics) txSys(n int) {
 	if m == nil || n == 0 {
 		return

@@ -44,6 +44,10 @@ type mmsgReader struct {
 	size int
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
+	// ctl holds each slot's control space once readSegments is on (nil
+	// before): the kernel reports there the segment size of a datagram
+	// it coalesced.
+	ctl []byte
 
 	// mu owns the slots from a recvmmsg until its burst is visited. Only
 	// the data reader is drained; the token reader's lock is uncontended.
@@ -100,8 +104,36 @@ func newMMsgReader(conn packetConn, slots, size int) (*mmsgReader, error) {
 	return r, nil
 }
 
+// readSegments gives every slot a control buffer for the socket's
+// UDP_GRO reports (see segSize). Call it before the first read.
+func (r *mmsgReader) readSegments() {
+	r.ctl = make([]byte, len(r.hdrs)*groCtlSpace)
+	for i := range r.hdrs {
+		r.hdrs[i].Hdr.Control = &r.ctl[i*groCtlSpace]
+	}
+}
+
+// segSize returns the segment size of the datagram in slot i when the
+// kernel coalesced it from several (UDP_GRO), or 0.
+func (r *mmsgReader) segSize(i int) int {
+	if r.ctl == nil || r.hdrs[i].Hdr.Controllen < uint64(syscall.CmsgLen(4)) {
+		return 0
+	}
+	c := r.ctl[i*groCtlSpace:]
+	if cm := (*syscall.Cmsghdr)(unsafe.Pointer(&c[0])); cm.Level != solUDP || cm.Type != udpGRO {
+		return 0
+	}
+	return int(*(*int32)(unsafe.Pointer(&c[syscall.CmsgLen(0)])))
+}
+
 // recv is one non-blocking recvmmsg into every slot. The caller holds mu.
 func (r *mmsgReader) recv(fd uintptr) (uintptr, syscall.Errno) {
+	if r.ctl != nil {
+		// The kernel shrinks each slot's control length to what it wrote.
+		for i := range r.hdrs {
+			r.hdrs[i].Hdr.SetControllen(groCtlSpace)
+		}
+	}
 	n, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
 		uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
 		uintptr(syscall.MSG_DONTWAIT), 0, 0)
@@ -157,7 +189,7 @@ func (r *mmsgReader) release() {
 	defer r.mu.Unlock()
 	// Drop every pointer into the mapping first: the collector must not
 	// find one once the address range can be reused.
-	r.hdrs, r.iovs = nil, nil
+	r.hdrs, r.iovs, r.ctl = nil, nil, nil
 	_ = syscall.Munmap(r.slab) // fails only for a slice Mmap did not return
 	r.slab = nil
 }

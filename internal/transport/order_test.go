@@ -11,15 +11,26 @@ import (
 
 // TestDataQueuedBeforeToken pins the Transport ordering contract on every
 // implementation that keeps it: k data frames sent before a token are all
-// queued on Data by the time the token is read from Token.
+// queued on Data by the time the token is read from Token — multicast one
+// by one, or staged as one run that the token flushes and the receiver
+// reads back coalesced, with segmentation offload and without.
 func TestDataQueuedBeforeToken(t *testing.T) {
 	key := []byte("ring-key")
+	keyed := func(pair func(*testing.T) (*UDP, *UDP)) func(t *testing.T) (Transport, Transport) {
+		return func(t *testing.T) (Transport, Transport) {
+			a, b := pair(t)
+			ka, kb := WithAuth(a, key, nil, nil), WithAuth(b, key, nil, nil)
+			t.Cleanup(func() { ka.Close(); kb.Close() })
+			return ka, kb
+		}
+	}
 	cases := []struct {
-		name string
-		udp  bool
-		pair func(t *testing.T) (Transport, Transport)
+		name  string
+		udp   bool
+		stage bool
+		pair  func(t *testing.T) (Transport, Transport)
 	}{
-		{"Hub", false, func(t *testing.T) (Transport, Transport) {
+		{"Hub", false, false, func(t *testing.T) (Transport, Transport) {
 			hub := NewHub()
 			a, err := hub.Endpoint(1, 0, 0)
 			if err != nil {
@@ -32,15 +43,18 @@ func TestDataQueuedBeforeToken(t *testing.T) {
 			t.Cleanup(func() { a.Close(); b.Close(); hub.Close() })
 			return a, b
 		}},
-		{"UDP", true, func(t *testing.T) (Transport, Transport) {
+		{"UDP", true, false, func(t *testing.T) (Transport, Transport) {
 			return newUDPPair(t)
 		}},
-		{"WithAuth(UDP)", true, func(t *testing.T) (Transport, Transport) {
-			a, b := newUDPPair(t)
-			ka, kb := WithAuth(a, key, nil, nil), WithAuth(b, key, nil, nil)
-			t.Cleanup(func() { ka.Close(); kb.Close() })
-			return ka, kb
+		{"WithAuth(UDP)", true, false, keyed(newUDPPair)},
+		{"UDP_staged", true, true, func(t *testing.T) (Transport, Transport) {
+			return newUDPPair(t)
 		}},
+		{"WithAuth(UDP)_staged", true, true, keyed(newUDPPair)},
+		{"UDP_staged_no_offload", true, true, func(t *testing.T) (Transport, Transport) {
+			return newUDPPairNoOffload(t)
+		}},
+		{"WithAuth(UDP)_staged_no_offload", true, true, keyed(newUDPPairNoOffload)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,13 +62,17 @@ func TestDataQueuedBeforeToken(t *testing.T) {
 				t.Skip("the portable UDP reader does not keep the ordering contract")
 			}
 			a, b := tc.pair(t)
+			send := a.Multicast
+			if tc.stage {
+				send = a.(Stager).Stage
+			}
 			const k, iterations = 50, 200
 			frame := make([]byte, 200)
 			for it := 0; it < iterations; it++ {
 				frame[0] = byte(it)
 				for j := 0; j < k; j++ {
 					frame[1] = byte(j)
-					if err := a.Multicast(frame); err != nil {
+					if err := send(frame); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -10,7 +10,10 @@
 // Two implementations are provided: an in-process Hub for tests, examples,
 // and single-process deployments, and a UDP transport for real networks
 // (IP unicast fan-out standing in for IP-multicast, which the paper notes
-// Spread also supports as a fallback).
+// Spread also supports as a fallback). UDP is also a Stager: a sender
+// that stages its multicasts has each run of equal-size frames leave as
+// one segmented send per peer (UDP_SEGMENT) and read back as one
+// coalesced datagram (UDP_GRO), where the kernel offers both.
 package transport
 
 import (
@@ -58,6 +61,19 @@ type Transport interface {
 	// channels are closed is implementation-defined; drivers must also
 	// have their own stop signal.
 	Close() error
+}
+
+// Stager is a Transport that can hold multicasts back and send them
+// together. Stage queues a frame for every other participant's data
+// channel, borrowing it as Multicast does; Flush sends whatever is
+// staged. Multicast and Unicast send what is staged ahead of their own
+// frame, so the send order is the order of the calls and data staged
+// before a token leaves ahead of it. A staged frame is on the wire once
+// one of the three returns; the sender calls Flush before it waits.
+type Stager interface {
+	Transport
+	Stage(frame []byte) error
+	Flush()
 }
 
 // ErrClosed is returned by sends on a closed transport.

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -77,14 +78,28 @@ const (
 
 // dataSlots and tokenSlots size each socket's receive burst: the most
 // datagrams one recvmmsg drains. A token round's burst of data frames
-// fits the data slots; tokens arrive one per round.
+// fits the data slots; tokens arrive one per round. With UDP_GRO on, a
+// datagram may hold a whole run of frames, so the data socket reads
+// groSlots at a time. A slot's pages are backed only once a datagram
+// reaches them: groSlots runs of a default personal window (20 frames of
+// ~1.4 KB) back about 56 pages, fewer than the ~80 that dataSlots single
+// frames do.
 const (
 	dataSlots  = 64
+	groSlots   = 8
 	tokenSlots = 4
 )
 
-// slotSize holds the largest datagram a peer sends.
+// slotSize holds the largest datagram a peer sends, a coalesced run
+// included.
 const slotSize = wire.MaxPayload + 1024
+
+// maxRunSegs and maxRunBytes bound a staged run: the kernel's segment
+// limit per UDP_SEGMENT send, and the largest UDP payload IPv4 carries.
+const (
+	maxRunSegs  = 64
+	maxRunBytes = 65507
+)
 
 // packetConn is the datagram socket an mmsgReader drains: a
 // *net.UDPConn here.
@@ -95,10 +110,15 @@ type packetConn interface {
 
 // UDP is the real-network transport: one socket per frame class, exactly
 // as the paper's implementations separate token and data traffic. Data
-// frames reach the ring by unicast fan-out, one datagram per peer — the
-// fallback the paper notes Spread provides where IP multicast is
-// unavailable. Each socket is read a burst at a time: one recvmmsg
-// drains every datagram queued on it.
+// frames reach the ring by unicast fan-out — the fallback the paper
+// notes Spread provides where IP multicast is unavailable. Multicast
+// sends one datagram per peer; Stage (the Stager path) collects a run of
+// equal-size frames that Flush sends to each peer as one segmented
+// datagram (UDP_SEGMENT), which the kernel cuts back into one datagram
+// per frame. Each socket is read a burst at a time: one recvmmsg drains
+// every datagram queued on it, and the data socket reads a peer's run
+// back whole (UDP_GRO) and splits it into its frames. Where the kernel
+// has neither option, every frame is its own datagram.
 type UDP struct {
 	self     evs.ProcID
 	dataConn *net.UDPConn
@@ -114,6 +134,16 @@ type UDP struct {
 	dataCh  chan []byte
 	tokenCh chan []byte
 
+	// gso is the UDP_SEGMENT control message a run is sent with (nil:
+	// the kernel has none, so Stage multicasts); run is the sender's
+	// staged run.
+	gso []byte
+	run struct {
+		buf []byte // the run's frames, back to back
+		seg int    // each frame's length
+		n   int    // frames in buf
+	}
+
 	closed  atomic.Bool
 	txSysN  atomic.Uint64
 	rxSysN  atomic.Uint64
@@ -125,9 +155,11 @@ type UDP struct {
 
 type udpPeerAddrs struct {
 	data, token *net.UDPAddr
+	// runTo is data for the segmented sends, which take it unboxed.
+	runTo netip.AddrPort
 }
 
-var _ Transport = (*UDP)(nil)
+var _ Stager = (*UDP)(nil)
 
 // NewUDP opens the sockets and starts the reader goroutines.
 func NewUDP(cfg UDPConfig) (*UDP, error) {
@@ -158,7 +190,13 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		drained:  cfg.Obs.Counter("transport.udp.rx_drained_at_token"),
 		fl:       cfg.Flight,
 	}
-	dataRd, err := newMMsgReader(dataConn, dataSlots, slotSize)
+	var gro bool
+	u.gso, gro = openOffload(dataConn)
+	slots := dataSlots
+	if gro {
+		slots = groSlots
+	}
+	dataRd, err := newMMsgReader(dataConn, slots, slotSize)
 	if err != nil {
 		dataConn.Close()
 		tokConn.Close()
@@ -171,12 +209,24 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		tokConn.Close()
 		return nil, fmt.Errorf("transport: token reader: %w", err)
 	}
+	if gro {
+		dataRd.readSegments()
+	}
 	empty := make(map[evs.ProcID]*udpPeerAddrs)
 	u.peers.Store(&empty)
 	// The readers start first: Close, on a bad peer below, waits for them
 	// to close the receive channels. The visits are hoisted so a burst
 	// allocates no closure (the zero-alloc receive gate measures this).
-	dataVisit := func(i, n int) { u.deliverFrame(dataRd.slot(i)[:n], u.dataCh, false) }
+	// A coalesced datagram is split into its frames, the last of which may
+	// be shorter.
+	dataVisit := func(i, n int) {
+		raw, seg := dataRd.slot(i)[:n], dataRd.segSize(i)
+		for seg > 0 && len(raw) > seg {
+			u.deliverFrame(raw[:seg], u.dataCh, false)
+			raw = raw[seg:]
+		}
+		u.deliverFrame(raw, u.dataCh, false)
+	}
 	tokVisit := func(i, n int) {
 		if i == 0 { // the data already on the socket goes first
 			got, sys := dataRd.drain(dataVisit)
@@ -226,7 +276,8 @@ func (u *UDP) AddPeer(id evs.ProcID, p UDPPeer) error {
 	if err != nil {
 		return fmt.Errorf("transport: peer %d token addr: %w", id, err)
 	}
-	pa := &udpPeerAddrs{data: da, token: ta}
+	dap := da.AddrPort()
+	pa := &udpPeerAddrs{data: da, token: ta, runTo: netip.AddrPortFrom(dap.Addr().Unmap(), dap.Port())}
 	u.peerMu.Lock()
 	old := *u.peers.Load()
 	next := make(map[evs.ProcID]*udpPeerAddrs, len(old)+1)
@@ -248,9 +299,10 @@ func (u *UDP) LocalAddrs() UDPPeer {
 }
 
 // Syscalls returns cumulative send/receive kernel crossings on the wire.
-// Divide by the frame counters for syscalls per frame: one per datagram
-// sent, and one per receive call (a burst, the empty poll before the
-// reader parks, or a drain of the data socket ahead of a token).
+// Divide by the frame counters for syscalls per frame: one per send call
+// (a datagram, or a whole segmented run to one peer), and one per
+// receive call (a burst, the empty poll before the reader parks, or a
+// drain of the data socket ahead of a token).
 func (u *UDP) Syscalls() (tx, rx uint64) {
 	return u.txSysN.Load(), u.rxSysN.Load()
 }
@@ -324,14 +376,16 @@ func (u *UDP) recordDrop(token bool) {
 }
 
 // Multicast implements Transport: the frame is fanned out by unicast to
-// every peer's data address, never to ourselves (the protocol
-// self-receives its own messages at send time), and is on the wire when
-// Multicast returns. Send errors are ignored, as UDP loss would be; the
-// protocol's retransmission machinery recovers.
+// every peer's data address, one datagram each, never to ourselves (the
+// protocol self-receives its own messages at send time), and is on the
+// wire when Multicast returns, behind any staged run. Send errors are
+// ignored, as UDP loss would be; the protocol's retransmission machinery
+// recovers.
 func (u *UDP) Multicast(frame []byte) error {
 	if u.closed.Load() {
 		return ErrClosed
 	}
+	u.Flush()
 	for id, p := range *u.peers.Load() {
 		if id == u.self {
 			continue
@@ -343,12 +397,14 @@ func (u *UDP) Multicast(frame []byte) error {
 	return nil
 }
 
-// Unicast implements Transport: send to the peer's token address. Like
-// Multicast, it runs lock-free over the peer snapshot.
+// Unicast implements Transport: send to the peer's token address, behind
+// any staged run, so the data staged before a token leaves ahead of it.
+// Like Multicast, it runs lock-free over the peer snapshot.
 func (u *UDP) Unicast(to evs.ProcID, frame []byte) error {
 	if u.closed.Load() {
 		return ErrClosed
 	}
+	u.Flush()
 	p := (*u.peers.Load())[to]
 	if p == nil {
 		// Unknown peer: drop, like the network would for a dead host.
@@ -358,6 +414,61 @@ func (u *UDP) Unicast(to evs.ProcID, frame []byte) error {
 	_, _ = u.tokConn.WriteToUDP(frame, p.token)
 	u.countTxSys(1)
 	return nil
+}
+
+// Stage implements Stager: frame joins the staged run, which is flushed
+// first when frame's length differs from the run's or the run is full
+// (maxRunSegs frames, maxRunBytes bytes). Without UDP_SEGMENT it is
+// Multicast.
+func (u *UDP) Stage(frame []byte) error {
+	if u.gso == nil {
+		return u.Multicast(frame)
+	}
+	if u.closed.Load() {
+		return ErrClosed
+	}
+	r := &u.run
+	if r.n > 0 && (len(frame) != r.seg || r.n == maxRunSegs || len(r.buf)+len(frame) > maxRunBytes) {
+		u.Flush()
+	}
+	if r.buf == nil {
+		r.buf = make([]byte, 0, maxRunBytes)
+	}
+	r.buf = append(r.buf, frame...)
+	r.seg = len(frame)
+	r.n++
+	return nil
+}
+
+// Flush implements Stager: the staged run goes to every peer's data
+// address as one sendmsg each, which the kernel cuts into one datagram
+// per frame. A peer the segmented send fails for (one the socket's
+// family cannot reach, or a route the kernel cannot segment on) gets
+// each frame on its own.
+func (u *UDP) Flush() {
+	r := &u.run
+	if r.n == 0 {
+		return
+	}
+	var ctl []byte // a run of one is a plain datagram
+	if r.n > 1 {
+		ctl = u.gso
+		setSegment(ctl, r.seg)
+	}
+	for id, p := range *u.peers.Load() {
+		if id == u.self {
+			continue
+		}
+		u.nm.txRun(r.n, len(r.buf))
+		_, _, err := u.dataConn.WriteMsgUDPAddrPort(r.buf, ctl, p.runTo)
+		sys := 1
+		for b := r.buf; err != nil && ctl != nil && len(b) > 0; b = b[r.seg:] {
+			_, _ = u.dataConn.WriteToUDP(b[:r.seg], p.data)
+			sys++
+		}
+		u.countTxSys(sys)
+	}
+	r.buf, r.n = r.buf[:0], 0
 }
 
 // Data implements Transport.

@@ -16,7 +16,11 @@
 # tree, over the full rung by under 1 %. Its final JSON line must show:
 #   - correct, and 0 failed operations;
 #   - membership.installs = 1 and membership.token_retransmits_per_s = 0;
-#   - core.retrans_per_kmsg < 10;
+#   - core.retrans_per_kmsg < 10, core.rtr_requested_per_kmsg < 10 and
+#     core.data_dropped_per_kmsg = 0: the loss signals. A lost datagram
+#     shows as requests and retransmissions; with data leaving as
+#     segmented runs one lost datagram is a whole run, and a duplicate or
+#     foreign frame shows as dropped data;
 #   - ringnode.ordered_msg_allocs, daemon.delivered_msg_allocs,
 #     runtime.alloc_bytes_per_msg and daemon.fanout_encodes_per_msg at
 #     most 10 % above the baseline's line for the same workload;
@@ -87,6 +91,8 @@ for w in $workloads; do
             v = val($0, "membership.installs");                row("membership.installs", v, "= 1", v == 1)
             v = val($0, "membership.token_retransmits_per_s"); row("membership.token_retransmits_per_s", v, "= 0", v == 0)
             v = val($0, "core.retrans_per_kmsg");              row("core.retrans_per_kmsg", v, "< 10", v != "" && v < 10)
+            v = val($0, "core.rtr_requested_per_kmsg");        row("core.rtr_requested_per_kmsg", v, "< 10", v != "" && v < 10)
+            v = val($0, "core.data_dropped_per_kmsg");         row("core.data_dropped_per_kmsg", v, "= 0", v != "" && v == 0)
             rows = "ringnode.ordered_msg_allocs daemon.delivered_msg_allocs runtime.alloc_bytes_per_msg daemon.fanout_encodes_per_msg"
             if (wl ~ /^saturate_/) rows = rows " transport.tx_syscalls_per_msg transport.rx_syscalls_per_msg daemon.writer_flushes_per_frame"
             n = split(rows, ladder, " ")
