@@ -11,10 +11,13 @@ vet:
 	  echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # go vet on two targets that build the portable files (the recvmmsg
-# reader is linux/amd64 and linux/arm64 only), so they keep compiling.
+# reader is linux/amd64 and linux/arm64 only), so they keep compiling,
+# and the transport's tests on linux/386 (an amd64 kernel runs them), so
+# the portable reader keeps the Transport ordering contract too.
 vet-cross:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 	GOOS=linux GOARCH=386 $(GO) vet ./...
+	GOOS=linux GOARCH=386 $(GO) test ./internal/transport/
 
 build:
 	$(GO) build ./...

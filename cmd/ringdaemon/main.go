@@ -4,23 +4,24 @@
 //
 // Example three-daemon deployment on one machine:
 //
-//	ringdaemon -id 1 -data 127.0.0.1:5001 -token 127.0.0.1:6001 -client 127.0.0.1:4801 \
-//	  -peers "2=127.0.0.1:5002/127.0.0.1:6002,3=127.0.0.1:5003/127.0.0.1:6003"
-//	ringdaemon -id 2 -data 127.0.0.1:5002 -token 127.0.0.1:6002 -client 127.0.0.1:4802 \
-//	  -peers "1=127.0.0.1:5001/127.0.0.1:6001,3=127.0.0.1:5003/127.0.0.1:6003"
-//	ringdaemon -id 3 -data 127.0.0.1:5003 -token 127.0.0.1:6003 -client 127.0.0.1:4803 \
-//	  -peers "1=127.0.0.1:5001/127.0.0.1:6001,2=127.0.0.1:5002/127.0.0.1:6002"
+//	ringdaemon -id 1 -data 127.0.0.1:5001 -client 127.0.0.1:4801 \
+//	  -peers "2=127.0.0.1:5002,3=127.0.0.1:5003"
+//	ringdaemon -id 2 -data 127.0.0.1:5002 -client 127.0.0.1:4802 \
+//	  -peers "1=127.0.0.1:5001,3=127.0.0.1:5003"
+//	ringdaemon -id 3 -data 127.0.0.1:5003 -client 127.0.0.1:4803 \
+//	  -peers "1=127.0.0.1:5001,2=127.0.0.1:5002"
 //
 // The daemons find each other through the membership algorithm; clients
 // connect with the client library (see examples/chat).
 //
 // With -shards N every daemon runs N independent rings and routes each
 // group to one of them by a stable hash of the group name (see README
-// § "Multi-ring sharding"). Ring r listens on every base port +
-// stride*r (-shard-stride, default 2), so all daemons must use the same
-// -shards value and numeric ports with a gap of stride*N free above
-// each base port.
+// § "Multi-ring sharding"). Ring r listens on the base port + stride*r
+// (-shard-stride, default 1), so all daemons must use the same -shards
+// value and numeric ports with a gap of stride*N free above each base
+// port.
 //
+// Each ring has one UDP socket, which receives data and tokens alike.
 // Data frames reach the other daemons by unicast fan-out, one datagram
 // per peer; the token is unicast to the next daemon on the ring.
 // Wire-path tuning (see README § "Wire modes"): -pack bundles small
@@ -74,10 +75,9 @@ func flags(cfg *ringconf.Config, o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("ringdaemon", flag.ContinueOnError)
 	w := &cfg.Wire
 	fs.UintVar(&o.id, "id", 0, "participant ID (non-zero, unique per daemon)")
-	fs.StringVar(&w.Listen.Data, "data", "127.0.0.1:5001", "UDP listen address for data messages")
-	fs.StringVar(&w.Listen.Token, "token", "127.0.0.1:6001", "UDP listen address for the token")
+	fs.StringVar(&w.Listen.Data, "data", "127.0.0.1:5001", "UDP listen address of the ring (data and token)")
 	fs.StringVar(&o.client, "client", "127.0.0.1:4801", "TCP listen address for clients (or unix:PATH)")
-	fs.StringVar(&o.peers, "peers", "", "comma-separated peers: id=dataAddr/tokenAddr")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated peers: id=addr")
 	fs.BoolVar(&o.original, "original", false, "run the original Ring protocol instead of the Accelerated Ring")
 	fs.IntVar(&cfg.PersonalWindow, "personal", ringconf.DefaultPersonalWindow, "personal window (messages per participant per round)")
 	fs.IntVar(&cfg.GlobalWindow, "global", ringconf.DefaultGlobalWindow, "global window (messages per round, ring-wide)")
@@ -87,7 +87,7 @@ func flags(cfg *ringconf.Config, o *options) *flag.FlagSet {
 	fs.DurationVar(&o.sloP99, "slo-p99", 0, "p99 end-to-end latency target per ring; burn rate past -slo-burn flips the health slo_burn flag (0 disables; needs -obs and -trace-sample)")
 	fs.DurationVar(&o.sloP999, "slo-p999", 0, "p999 end-to-end latency target per ring (0 disables; needs -obs and -trace-sample)")
 	fs.Float64Var(&o.sloBurn, "slo-burn", 0, "burn-rate factor at or above which an SLO scope is breaching (0 = default 1.0)")
-	fs.IntVar(&cfg.Shards, "shards", 1, "independent rings per daemon; ring r uses every base port + stride*r (numeric ports required)")
+	fs.IntVar(&cfg.Shards, "shards", 1, "independent rings per daemon; ring r uses the base port + stride*r (numeric ports required)")
 	fs.IntVar(&w.ShardStride, "shard-stride", ringconf.DefaultShardStride, "port gap between consecutive rings of a sharded daemon (all daemons must agree)")
 	fs.BoolVar(&w.Packing, "pack", false, "bundle small messages into shared frames under load (all daemons must agree)")
 	fs.StringVar(&o.ringKey, "ring-key", "", "shared secret authenticating ring wire frames and client sessions with HMAC-SHA256 (all daemons and clients must agree; empty disables)")
@@ -196,8 +196,8 @@ func run(args []string) error {
 		defer health.Close()
 		srv.SetHealth(health)
 	}
-	log.Printf("daemon %d up: protocol=%v shards=%d data=%s token=%s pack=%v clients=%s peers=%d",
-		cfg.Self, cfg.Protocol, d.Shards(), w.Listen.Data, w.Listen.Token,
+	log.Printf("daemon %d up: protocol=%v shards=%d data=%s pack=%v clients=%s peers=%d",
+		cfg.Self, cfg.Protocol, d.Shards(), w.Listen.Data,
 		w.Packing, ln.Addr(), len(w.Peers))
 
 	go func() {
@@ -257,22 +257,21 @@ func parsePeers(spec string) (map[evs.ProcID]transport.UDPPeer, error) {
 		return peers, nil
 	}
 	for _, entry := range strings.Split(spec, ",") {
-		idPart, addrs, ok := strings.Cut(strings.TrimSpace(entry), "=")
+		idPart, addr, ok := strings.Cut(strings.TrimSpace(entry), "=")
 		if !ok {
-			return nil, fmt.Errorf("bad peer %q (want id=dataAddr/tokenAddr)", entry)
+			return nil, fmt.Errorf("bad peer %q (want id=addr)", entry)
 		}
 		pid, err := strconv.ParseUint(idPart, 10, 32)
 		if err != nil || pid == 0 {
 			return nil, fmt.Errorf("bad peer id %q", idPart)
 		}
-		data, token, ok := strings.Cut(addrs, "/")
-		if !ok {
-			return nil, fmt.Errorf("bad peer addresses %q (want dataAddr/tokenAddr)", addrs)
+		if addr == "" || strings.Contains(addr, "/") {
+			return nil, fmt.Errorf("bad peer address %q (want one host:port per peer)", addr)
 		}
 		if _, dup := peers[evs.ProcID(pid)]; dup {
 			return nil, fmt.Errorf("peer id %d given twice", pid)
 		}
-		peers[evs.ProcID(pid)] = transport.UDPPeer{Data: data, Token: token}
+		peers[evs.ProcID(pid)] = transport.UDPPeer{Data: addr}
 	}
 	return peers, nil
 }

@@ -12,20 +12,21 @@ import (
 	"testing"
 
 	"accelring/internal/ringconf"
+	"accelring/internal/transport"
 )
 
 func TestParsePeers(t *testing.T) {
-	peers, err := parsePeers("2=127.0.0.1:5002/127.0.0.1:6002, 3=host:5003/host:6003")
+	peers, err := parsePeers("2=127.0.0.1:5002, 3=host:5003")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(peers) != 2 {
 		t.Fatalf("peers = %v", peers)
 	}
-	if p := peers[2]; p.Data != "127.0.0.1:5002" || p.Token != "127.0.0.1:6002" {
+	if p := peers[2]; p != (transport.UDPPeer{Data: "127.0.0.1:5002"}) {
 		t.Fatalf("peer 2 = %+v", p)
 	}
-	if p := peers[3]; p.Data != "host:5003" || p.Token != "host:6003" {
+	if p := peers[3]; p != (transport.UDPPeer{Data: "host:5003"}) {
 		t.Fatalf("peer 3 = %+v", p)
 	}
 	// Empty spec is fine (singleton daemon).
@@ -37,10 +38,11 @@ func TestParsePeers(t *testing.T) {
 func TestParsePeersErrors(t *testing.T) {
 	for _, spec := range []string{
 		"nope",
-		"x=1.2.3.4:1/1.2.3.4:2",
-		"0=1.2.3.4:1/1.2.3.4:2",
-		"2=1.2.3.4:1",
-		"2=1.2.3.4:1/1.2.3.4:2,2=1.2.3.4:3/1.2.3.4:4",
+		"x=1.2.3.4:1",
+		"0=1.2.3.4:1",
+		"2=",
+		"2=1.2.3.4:1/1.2.3.4:2", // the old id=dataAddr/tokenAddr form
+		"2=1.2.3.4:1,2=1.2.3.4:3",
 	} {
 		if _, err := parsePeers(spec); err == nil {
 			t.Errorf("parsePeers(%q) accepted", spec)
@@ -119,7 +121,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-id 1 -accelerated 25 -obs 127.0.0.1:0", ringconf.ErrBadWindow, ""},
 		{"-id 1 -global 5", ringconf.ErrBadWindow, ""},
 		{"-id 1 -obs 127.0.0.1:0 -trace-sample -1", ringconf.ErrBadBufferSize, ""},
-		{"-id 1 -data 127.0.0.1:0 -token 127.0.0.1:0 -shards 2", ringconf.ErrShardPorts, ""},
+		{"-id 1 -data 127.0.0.1:0 -shards 2", ringconf.ErrShardPorts, ""},
+		{"-id 1 -token 127.0.0.1:6001", nil, "-token"},
+		{"-id 1 -peers 2=127.0.0.1:5002/127.0.0.1:6002", nil, "bad peer address"},
 		{"-id 1 -trace-sample 64", nil, "without -obs"},
 		{"-id 1 -slo-p99 5ms", nil, "without -obs"},
 		{"-id 1 -slo-p999 9ms", nil, "without -obs"},

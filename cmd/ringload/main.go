@@ -78,7 +78,7 @@ func selfContained(n int) ([]string, func(), error) {
 	for i := range transports {
 		u, err := transport.NewUDP(transport.UDPConfig{
 			Self:   evs.ProcID(i + 1),
-			Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+			Listen: transport.UDPPeer{Data: "127.0.0.1:0"},
 		})
 		if err != nil {
 			return nil, nil, err

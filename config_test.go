@@ -12,9 +12,9 @@ func validUDPConfig() Config {
 	return Config{
 		Self: 1,
 		Wire: WireConfig{
-			Listen: UDPAddrs{Data: "127.0.0.1:7400", Token: "127.0.0.1:7401"},
+			Listen: UDPAddrs{Data: "127.0.0.1:7400"},
 			Peers: map[ProcID]UDPAddrs{
-				2: {Data: "127.0.0.1:7410", Token: "127.0.0.1:7411"},
+				2: {Data: "127.0.0.1:7410"},
 			},
 		},
 	}
@@ -59,9 +59,15 @@ func TestConfigValidate(t *testing.T) {
 		{"hub mode without transport", func(c *Config) {
 			c.Wire = WireConfig{Transports: []Transport{}} // an empty list is no transport
 		}, ErrNoTransport, nil},
-		{"missing token address", func(c *Config) {
-			c.Wire.Listen.Token = ""
+		{"missing listen address", func(c *Config) {
+			c.Wire.Listen.Data = ""
 		}, ErrNoTransport, nil},
+		{"listen token address", func(c *Config) {
+			c.Wire.Listen.Token = "127.0.0.1:7401"
+		}, ErrBadWire, nil},
+		{"peer token address", func(c *Config) {
+			c.Wire.Peers[2] = UDPAddrs{Data: "127.0.0.1:7410", Token: "127.0.0.1:7411"}
+		}, ErrBadWire, nil},
 		{"accelerated exceeds personal", func(c *Config) {
 			c.PersonalWindow, c.GlobalWindow, c.AcceleratedWindow = 10, 100, 11
 		}, ErrBadWindow, nil},
@@ -81,16 +87,16 @@ func TestConfigValidate(t *testing.T) {
 			c.Wire.Listen.Data = "not a udp address:::"
 		}, ErrBadAddress, nil},
 		{"bad peer address", func(c *Config) {
-			c.Wire.Peers[2] = UDPAddrs{Data: "127.0.0.1:7410", Token: "host:notaport"}
+			c.Wire.Peers[2] = UDPAddrs{Data: "host:notaport"}
 		}, ErrBadAddress, nil},
 		{"peer with zero id", func(c *Config) {
-			c.Wire.Peers[0] = UDPAddrs{Data: "127.0.0.1:1", Token: "127.0.0.1:2"}
+			c.Wire.Peers[0] = UDPAddrs{Data: "127.0.0.1:1"}
 		}, ErrBadAddress, nil},
 
 		// Transport inference: Listen means UDP (an unsharded node binds
 		// ephemeral ports as given), Transport means that transport.
 		{"wire unicast auto", func(c *Config) {
-			c.Wire = WireConfig{Listen: UDPAddrs{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}}
+			c.Wire = WireConfig{Listen: UDPAddrs{Data: "127.0.0.1:0"}}
 		}, nil, func(t *testing.T, c *Config) {
 			tr := openRing0(t, c)
 			if _, ok := tr.(*transport.UDP); !ok {
@@ -141,30 +147,30 @@ func TestConfigValidate(t *testing.T) {
 		{"stride collision", func(c *Config) {
 			c.Shards = 2
 			w := udpWire()
-			// Token base is data base + stride: ring 1's data port lands
-			// exactly on ring 0's token port.
-			w.Listen = UDPAddrs{Data: "127.0.0.1:7400", Token: "127.0.0.1:7402"}
-			w.Peers = map[ProcID]UDPAddrs{2: {Data: "127.0.0.1:7500", Token: "127.0.0.1:7501"}}
+			// Peer 2's base is the listen base + stride on the same host:
+			// ring 1's listen port lands exactly on peer 2's ring 0 port.
+			w.Listen = UDPAddrs{Data: "127.0.0.1:7400"}
+			w.Peers = map[ProcID]UDPAddrs{2: {Data: "127.0.0.1:7401"}}
 			c.Wire = w
 		}, ErrShardPorts, nil},
 		{"stride overflow", func(c *Config) {
 			c.Shards = 2
 			w := udpWire()
-			w.Listen = UDPAddrs{Data: "127.0.0.1:65535", Token: "127.0.0.1:7401"}
-			w.Peers = map[ProcID]UDPAddrs{2: {Data: "127.0.0.1:7410", Token: "127.0.0.1:7411"}}
+			w.Listen = UDPAddrs{Data: "127.0.0.1:65535"}
+			w.Peers = map[ProcID]UDPAddrs{2: {Data: "127.0.0.1:7410"}}
 			c.Wire = w
 		}, ErrShardPorts, nil},
 		{"wide stride ok", func(c *Config) {
 			c.Shards = 4
 			w := udpWire()
 			w.ShardStride = 10
-			w.Listen = UDPAddrs{Data: "127.0.0.1:7400", Token: "127.0.0.1:7401"}
-			w.Peers = map[ProcID]UDPAddrs{2: {Data: "127.0.0.1:7500", Token: "127.0.0.1:7501"}}
+			w.Listen = UDPAddrs{Data: "127.0.0.1:7400"}
+			w.Peers = map[ProcID]UDPAddrs{2: {Data: "127.0.0.1:7401"}}
 			c.Wire = w
 		}, nil, nil},
 		{"sharded ephemeral port", func(c *Config) {
 			c.Shards = 2
-			c.Wire = WireConfig{Listen: UDPAddrs{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}}
+			c.Wire = WireConfig{Listen: UDPAddrs{Data: "127.0.0.1:0"}}
 		}, ErrShardPorts, nil},
 	}
 	for _, tt := range tests {

@@ -54,7 +54,7 @@ func main() {
 	for i := range transports {
 		u, err := transport.NewUDP(transport.UDPConfig{
 			Self:   evs.ProcID(i + 1),
-			Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+			Listen: transport.UDPPeer{Data: "127.0.0.1:0"},
 			Obs:    reg,
 		})
 		if err != nil {

@@ -58,9 +58,9 @@ func TestMetricsNamesLint(t *testing.T) {
 	// daemon's registry (a real deployment has one UDP socket per node).
 	hub.SetObserver(regs[0])
 	// A ringdaemon over real sockets registers the UDP transport's series
-	// as well, the token-time drain counter among them.
+	// as well.
 	u, err := transport.NewUDP(transport.UDPConfig{Self: 9,
-		Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}, Obs: regs[0]})
+		Listen: transport.UDPPeer{Data: "127.0.0.1:0"}, Obs: regs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestMetricsNamesLint(t *testing.T) {
 		"accelring_ring_token_parked_ns",
 		"accelring_daemon_clients",
 		"accelring_transport_",
-		"accelring_transport_udp_rx_drained_at_token",
+		"accelring_transport_udp_rx_syscalls",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("live registry missing family %q", want)

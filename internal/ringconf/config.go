@@ -83,7 +83,7 @@ type Config struct {
 	// per-group total order is unchanged and aggregate throughput
 	// multiplies, but cross-group delivery order is only guaranteed for
 	// groups owned by the same ring (see RingOf). A sharded UDP node
-	// derives ring r's ports by offsetting every base port by
+	// derives ring r's port by offsetting the base port by
 	// Wire.ShardStride*r.
 	Shards int
 
@@ -208,10 +208,8 @@ func (c *Config) Validate() error {
 }
 
 func checkUDPAddrs(who string, p transport.UDPPeer) error {
-	for _, a := range []string{p.Data, p.Token} {
-		if _, err := net.ResolveUDPAddr("udp", a); err != nil {
-			return fmt.Errorf("%w: %s %q: %v", ErrBadAddress, who, a, err)
-		}
+	if _, err := net.ResolveUDPAddr("udp", p.Data); err != nil {
+		return fmt.Errorf("%w: %s %q: %v", ErrBadAddress, who, p.Data, err)
 	}
 	return nil
 }
@@ -257,8 +255,8 @@ func (c *Config) Stack() (ringnode.Config, func(ring int) (transport.Transport, 
 }
 
 // udpConfig derives ring's UDP binding: the base addresses for a single
-// ring (ephemeral ports included); on a sharded node every port shifted
-// by ShardStride*ring.
+// ring (ephemeral ports included); on a sharded node every address's
+// port shifted by ShardStride*ring.
 func (c *Config) udpConfig(ring int) (transport.UDPConfig, error) {
 	w := &c.Wire
 	u := transport.UDPConfig{Self: c.Self, Listen: w.Listen, Peers: w.Peers, Obs: c.Observer}

@@ -14,7 +14,7 @@ import (
 // included), a sharded one derives ring r's ports and subkey.
 func TestStackOpener(t *testing.T) {
 	single := Config{Self: 1, Wire: WireConfig{
-		Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+		Listen: transport.UDPPeer{Data: "127.0.0.1:0"},
 	}}
 	if err := single.Validate(); err != nil {
 		t.Fatalf("unsharded ephemeral listen: %v", err)
@@ -33,8 +33,8 @@ func TestStackOpener(t *testing.T) {
 	}
 
 	cfg := Config{Self: 1, Shards: 2, RingKey: []byte("secret"), Wire: WireConfig{
-		Listen: transport.UDPPeer{Data: "127.0.0.1:7400", Token: "127.0.0.1:7401"},
-		Peers:  map[evs.ProcID]transport.UDPPeer{2: {Data: "127.0.0.1:7500", Token: "127.0.0.1:7501"}},
+		Listen: transport.UDPPeer{Data: "127.0.0.1:7400"},
+		Peers:  map[evs.ProcID]transport.UDPPeer{2: {Data: "127.0.0.1:7500"}},
 	}}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -43,10 +43,10 @@ func TestStackOpener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (transport.UDPPeer{Data: "127.0.0.1:7402", Token: "127.0.0.1:7403"}); u.Listen != want {
+	if want := (transport.UDPPeer{Data: "127.0.0.1:7401"}); u.Listen != want {
 		t.Errorf("ring 1 listen = %+v, want %+v", u.Listen, want)
 	}
-	if want := (transport.UDPPeer{Data: "127.0.0.1:7502", Token: "127.0.0.1:7503"}); u.Peers[2] != want {
+	if want := (transport.UDPPeer{Data: "127.0.0.1:7501"}); u.Peers[2] != want {
 		t.Errorf("ring 1 peer 2 = %+v, want %+v", u.Peers[2], want)
 	}
 	k0, k1 := cfg.subkey(0), cfg.subkey(1)

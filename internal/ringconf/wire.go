@@ -11,10 +11,9 @@ import (
 )
 
 // DefaultShardStride is the port offset between consecutive rings of a
-// sharded UDP node: ring r listens (and expects every peer) on each base
-// port + stride*r. Two ports per ring (data and token) is why the
-// default is 2.
-const DefaultShardStride = 2
+// sharded UDP node: ring r listens (and expects every peer) on the base
+// port + stride*r.
+const DefaultShardStride = 1
 
 // WireConfig is the unified transport configuration: one place for the
 // transport (in-process or UDP), the addressing, the per-shard port
@@ -31,7 +30,8 @@ type WireConfig struct {
 	Transport  transport.Transport
 	Transports []transport.Transport
 
-	// Listen holds this node's data/token UDP listen addresses; Peers the
+	// Listen holds this node's UDP listen address (Data; one socket per
+	// ring carries every frame class, and Token must be empty); Peers the
 	// other participants'. Data frames reach the peers by unicast
 	// fan-out, one datagram each. With Shards > 1 every port must be
 	// numeric and nonzero so per-ring ports can be derived (see
@@ -40,7 +40,7 @@ type WireConfig struct {
 	Peers  map[evs.ProcID]transport.UDPPeer
 
 	// ShardStride is the port offset between consecutive rings of a
-	// sharded UDP node: ring r uses every base port + ShardStride*r
+	// sharded UDP node: ring r uses the base port + ShardStride*r
 	// (default DefaultShardStride). Validate rejects strides whose
 	// derived ports collide or exceed 65535.
 	ShardStride int
@@ -63,7 +63,8 @@ var (
 	// ErrShardPorts reports a sharded UDP port derivation problem:
 	// derived ports collide or exceed 65535.
 	ErrShardPorts = errors.New("accelring: bad sharded port derivation")
-	// ErrBadWire reports an invalid wire knob.
+	// ErrBadWire reports an invalid wire knob, or a UDP Token address
+	// (a ring has one socket, at Data).
 	ErrBadWire = errors.New("accelring: invalid wire configuration")
 )
 
@@ -71,9 +72,17 @@ var (
 // defaults, and validates the result.
 func (c *Config) resolveWire() error {
 	w := &c.Wire
+	if w.Listen.Token != "" {
+		return fmt.Errorf("%w: listen Token %q: a ring has one socket, at Data", ErrBadWire, w.Listen.Token)
+	}
+	for id, p := range w.Peers {
+		if p.Token != "" {
+			return fmt.Errorf("%w: peer %d Token %q: a ring has one socket, at Data", ErrBadWire, id, p.Token)
+		}
+	}
 	established := w.Transport != nil || len(w.Transports) > 0
 	if established {
-		if w.Listen.Data != "" || w.Listen.Token != "" || len(w.Peers) > 0 {
+		if w.Listen.Data != "" || len(w.Peers) > 0 {
 			return fmt.Errorf("%w: an established Transport excludes UDP addresses", ErrWireConflict)
 		}
 		if w.Transport != nil && len(w.Transports) > 0 {
@@ -91,7 +100,7 @@ func (c *Config) resolveWire() error {
 			return fmt.Errorf("%w: a sharded node needs one transport per ring: use Transports, not Transport", ErrBadShards)
 		}
 	} else {
-		if w.Listen.Data == "" || w.Listen.Token == "" {
+		if w.Listen.Data == "" {
 			return ErrNoTransport
 		}
 		if err := checkUDPAddrs("listen", w.Listen); err != nil {
@@ -131,17 +140,12 @@ func (c *Config) checkShardPorts() error {
 		who  string
 		addr string
 	}
-	bases := []base{
-		{"listen data", w.Listen.Data},
-		{"listen token", w.Listen.Token},
-	}
+	bases := []base{{"listen", w.Listen.Data}}
 	for id, p := range w.Peers {
 		if id == c.Self {
 			continue
 		}
-		bases = append(bases,
-			base{fmt.Sprintf("peer %d data", id), p.Data},
-			base{fmt.Sprintf("peer %d token", id), p.Token})
+		bases = append(bases, base{fmt.Sprintf("peer %d", id), p.Data})
 	}
 	used := make(map[string]string, len(bases)*c.Shards)
 	for _, b := range bases {

@@ -309,7 +309,7 @@ func TestIdleUDPRingParksUnnoticed(t *testing.T) {
 	for i := range uds {
 		u, err := transport.NewUDP(transport.UDPConfig{
 			Self:   evs.ProcID(i + 1),
-			Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+			Listen: transport.UDPPeer{Data: "127.0.0.1:0"},
 		})
 		if err != nil {
 			t.Fatal(err)

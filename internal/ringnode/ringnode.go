@@ -4,10 +4,10 @@
 // token and the recycling of the frames its ring is done with, fed
 // frames, submissions and ticks with the host's time.
 // Node is its real-time host: a single goroutine over a
-// transport.Transport implementing the paper's token/data socket priority
-// scheme, the membership timer, the park timer, and a FIFO submission
-// queue that never blocks. internal/simproc hosts the same Step
-// on the simulator.
+// transport.Transport implementing the paper's token/data priority scheme
+// over its two receive channels, the membership timer, the park timer,
+// and a FIFO submission queue that never blocks. internal/simproc hosts
+// the same Step on the simulator.
 //
 // The priority scheme takes its ordering from the transport.Transport
 // contract: a token never reaches Node ahead of the data that preceded it.

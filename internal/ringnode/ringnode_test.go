@@ -267,7 +267,7 @@ func TestUDPRingEndToEnd(t *testing.T) {
 	for i := 0; i < n; i++ {
 		u, err := transport.NewUDP(transport.UDPConfig{
 			Self:   evs.ProcID(i + 1),
-			Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+			Listen: transport.UDPPeer{Data: "127.0.0.1:0"},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -123,7 +123,7 @@ func TestUDPRingFloodLosesNothing(t *testing.T) {
 		regs[i] = obs.NewRegistry()
 		u, err := transport.NewUDP(transport.UDPConfig{
 			Self:   evs.ProcID(i + 1),
-			Listen: transport.UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+			Listen: transport.UDPPeer{Data: "127.0.0.1:0"},
 			Obs:    regs[i],
 		})
 		if err != nil {

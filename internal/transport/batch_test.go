@@ -76,12 +76,13 @@ func TestUDPDataBeforeUnicast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Unicast(2, []byte("token")); err != nil {
+	token := tokenFrame(1)
+	if err := a.Unicast(2, token); err != nil {
 		t.Fatal(err)
 	}
 	collectFrames(t, b.Data(), 3)
-	if got := recvFrame(t, b.Token()); string(got) != "token" {
-		t.Fatalf("token corrupted: %q", got)
+	if got := recvFrame(t, b.Token()); !bytes.Equal(got, token) {
+		t.Fatalf("token corrupted: %x", got)
 	}
 }
 
@@ -93,7 +94,7 @@ func TestUDPDataBeforeUnicast(t *testing.T) {
 func TestUDPRefusedDatagramSkipped(t *testing.T) {
 	forOffload(t, func(t *testing.T, pair func(*testing.T) (*UDP, *UDP)) {
 		sender, healthy := pair(t)
-		if err := sender.AddPeer(3, UDPPeer{Data: "[::1]:9", Token: "[::1]:9"}); err != nil {
+		if err := sender.AddPeer(3, UDPPeer{Data: "[::1]:9"}); err != nil {
 			t.Fatal(err)
 		}
 		const n = 4
@@ -114,10 +115,10 @@ func TestUDPRefusedDatagramSkipped(t *testing.T) {
 
 // TestUDPBatchedAllocs is the zero-allocation gate for the wire path:
 // sending a burst of data and the token after it, receiving them through
-// the burst readers (the token reader draining whatever data is still on
-// the data socket), and recycling the frames must not allocate in steady
-// state — multicast frame by frame, or staged as one run that the token
-// flushes and the receiver reads back coalesced and splits.
+// the burst reader, which queues each frame by its type, and recycling
+// the frames must not allocate in steady state — multicast frame by
+// frame, or staged as one run that the token flushes and the receiver
+// reads back coalesced and splits.
 func TestUDPBatchedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the channel hand-off")
@@ -125,7 +126,7 @@ func TestUDPBatchedAllocs(t *testing.T) {
 	const burst = 8
 	a, b := newUDPPair(t)
 	payload := bytes.Repeat([]byte{0x5A}, 1200)
-	token := payload[:64]
+	token := tokenFrame(1)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	recv := func(ch <-chan []byte) {

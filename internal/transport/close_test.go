@@ -88,11 +88,11 @@ func TestHubCloseRecyclesQueuedFrames(t *testing.T) {
 func TestUDPCloseRecyclesQueuedFrames(t *testing.T) {
 	before := bufpool.Snapshot()
 
-	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
+	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u2, err := NewUDP(UDPConfig{Self: 2, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
+	u2, err := NewUDP(UDPConfig{Self: 2, Listen: UDPPeer{Data: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestHubCloseUnderLoad(t *testing.T) {
 // the pool balance pin this), and later sends fail fast.
 func TestUDPCloseUnderLoadWithDelays(t *testing.T) {
 	before := bufpool.Snapshot()
-	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
+	u1, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u2, err := NewUDP(UDPConfig{Self: 2, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
+	u2, err := NewUDP(UDPConfig{Self: 2, Listen: UDPPeer{Data: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}

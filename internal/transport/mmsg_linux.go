@@ -15,14 +15,9 @@ package transport
 
 import (
 	"fmt"
-	"sync"
 	"syscall"
 	"unsafe"
 )
-
-// mmsgAvailable reports whether one receive call drains a burst. The
-// portable reader keeps the API but pays one syscall per datagram.
-const mmsgAvailable = true
 
 // mmsghdr mirrors the kernel's struct mmsghdr. On 64-bit targets
 // syscall.Msghdr is 8-aligned, so the trailing pad the kernel applies
@@ -49,21 +44,14 @@ type mmsgReader struct {
 	// it coalesced.
 	ctl []byte
 
-	// mu owns the slots from a recvmmsg until its burst is visited. Only
-	// the data reader is drained; the token reader's lock is uncontended.
-	mu sync.Mutex
-
-	// recvFn and drainFn are the closures passed to RawConn.Read and
-	// RawConn.Control, built once at construction so the per-burst hot
-	// path does not allocate a new closure (and escape its captures) on
-	// every syscall. Each communicates through its own result fields.
-	recvFn     func(fd uintptr) bool
-	n          uintptr
-	errno      syscall.Errno
-	syscalls   int
-	drainFn    func(fd uintptr)
-	drainN     uintptr
-	drainErrno syscall.Errno
+	// recvFn is the closure passed to RawConn.Read, built once at
+	// construction so the per-burst hot path does not allocate a new
+	// closure (and escape its captures) on every syscall. It communicates
+	// through the result fields after it.
+	recvFn   func(fd uintptr) bool
+	n        uintptr
+	errno    syscall.Errno
+	syscalls int
 }
 
 // newMMsgReader maps slots receive slots of size bytes each on conn.
@@ -92,15 +80,10 @@ func newMMsgReader(conn packetConn, slots, size int) (*mmsgReader, error) {
 		h.Iovlen = 1
 	}
 	r.recvFn = func(fd uintptr) bool {
-		r.mu.Lock() // readBatch unlocks once the burst is visited
 		r.n, r.errno = r.recv(fd)
 		r.syscalls++
-		if r.errno != 0 {
-			r.mu.Unlock() // never park in the netpoller holding the slots
-		}
 		return r.errno != syscall.EAGAIN
 	}
-	r.drainFn = func(fd uintptr) { r.drainN, r.drainErrno = r.recv(fd) }
 	return r, nil
 }
 
@@ -126,7 +109,7 @@ func (r *mmsgReader) segSize(i int) int {
 	return int(*(*int32)(unsafe.Pointer(&c[syscall.CmsgLen(0)])))
 }
 
-// recv is one non-blocking recvmmsg into every slot. The caller holds mu.
+// recv is one non-blocking recvmmsg into every slot.
 func (r *mmsgReader) recv(fd uintptr) (uintptr, syscall.Errno) {
 	if r.ctl != nil {
 		// The kernel shrinks each slot's control length to what it wrote.
@@ -149,44 +132,18 @@ func (r *mmsgReader) readBatch(visit func(i, n int)) (got, syscalls int, ok bool
 	if err := r.rc.Read(r.recvFn); err != nil || r.errno != 0 {
 		return 0, r.syscalls, false
 	}
-	defer r.mu.Unlock()
 	for i := 0; i < int(r.n); i++ {
 		visit(i, int(r.hdrs[i].Len))
 	}
 	return int(r.n), r.syscalls, true
 }
 
-// drain visits, as readBatch does, every datagram queued on the socket
-// without blocking; any goroutine may call it. It reads nothing once the
-// reader is released or the socket closed.
-func (r *mmsgReader) drain(visit func(i, n int)) (got, syscalls int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.slab != nil && r.rc.Control(r.drainFn) == nil {
-		syscalls++
-		if r.drainErrno != 0 {
-			break
-		}
-		n := int(r.drainN)
-		for i := 0; i < n; i++ {
-			visit(i, int(r.hdrs[i].Len))
-		}
-		got += n
-		if n < len(r.hdrs) {
-			break
-		}
-	}
-	return got, syscalls
-}
-
-// slot returns slot i, valid until the next readBatch or drain.
+// slot returns slot i, valid until the next readBatch.
 func (r *mmsgReader) slot(i int) []byte { return r.slab[i*r.size : (i+1)*r.size] }
 
 // release unmaps the slots. Only the goroutine that reads may call it,
-// once it has stopped reading; a drain in progress finishes first.
+// once it has stopped reading.
 func (r *mmsgReader) release() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	// Drop every pointer into the mapping first: the collector must not
 	// find one once the address range can be reused.
 	r.hdrs, r.iovs, r.ctl = nil, nil, nil

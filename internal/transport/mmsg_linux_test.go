@@ -99,43 +99,3 @@ func TestUDPSmallBatchRoundTrip(t *testing.T) {
 		t.Fatalf("datagrams arrived as %v, want 0..4 in order", got)
 	}
 }
-
-// TestMMsgDrain: drain takes every queued datagram without blocking, in
-// order, a slot-full per syscall plus the empty one that ends it, with no
-// allocation; on an empty socket it costs one syscall and reads nothing,
-// and after release it reads nothing at all.
-func TestMMsgDrain(t *testing.T) {
-	r, send := newQueuedReader(t, 3)
-	var got []byte
-	visit := func(i, n int) { got = append(got, r.slot(i)[:n]...) }
-	for i := 0; i < 5; i++ {
-		send([]byte{byte(i)})
-	}
-	if n, sys := r.drain(visit); n != 5 || sys != 2 || !bytes.Equal(got, []byte{0, 1, 2, 3, 4}) {
-		t.Fatalf("drain of 5 queued datagrams over 3 slots = %d (%v) in %d syscalls, want 0..4 in 2", n, got, sys)
-	}
-	for i := 0; i < 6; i++ {
-		send([]byte{byte(i)})
-	}
-	if n, sys := r.drain(visit); n != 6 || sys != 3 {
-		t.Fatalf("drain of 6 queued datagrams over 3 slots = %d in %d syscalls, want 6 in 3", n, sys)
-	}
-	if n, sys := r.drain(visit); n != 0 || sys != 1 {
-		t.Fatalf("drain of an empty socket = %d in %d syscalls, want 0 in 1", n, sys)
-	}
-	got = got[:0]
-	one, two := []byte{1}, []byte{2}
-	if n := testing.AllocsPerRun(50, func() {
-		send(one)
-		send(two)
-		r.drain(visit)
-		got = got[:0]
-	}); n != 0 {
-		t.Fatalf("a drain allocates %.1f times, want 0", n)
-	}
-	r.release()
-	send([]byte{9})
-	if n, sys := r.drain(visit); n != 0 || sys != 0 {
-		t.Fatalf("drain after release = %d in %d syscalls, want nothing", n, sys)
-	}
-}

@@ -9,8 +9,6 @@ package transport
 
 import "net"
 
-const mmsgAvailable = false
-
 // mmsgReader reads one datagram per syscall into its single slot.
 type mmsgReader struct {
 	conn packetConn
@@ -29,9 +27,6 @@ func (r *mmsgReader) readBatch(visit func(i, n int)) (got, syscalls int, ok bool
 	visit(0, n)
 	return 1, 1, true
 }
-
-// drain reads nothing: there is no non-blocking read here.
-func (r *mmsgReader) drain(visit func(i, n int)) (got, syscalls int) { return 0, 0 }
 
 func (r *mmsgReader) slot(i int) []byte { return r.buf }
 

@@ -2,18 +2,20 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"accelring/internal/bufpool"
-	"accelring/internal/obs"
 )
 
 // TestDataQueuedBeforeToken pins the Transport ordering contract on every
 // implementation that keeps it: k data frames sent before a token are all
 // queued on Data by the time the token is read from Token — multicast one
 // by one, or staged as one run that the token flushes and the receiver
-// reads back coalesced, with segmentation offload and without.
+// reads back coalesced, with segmentation offload and without. UDP keeps
+// it on every platform: one reader queues the frames of its one socket in
+// the order they arrived.
 func TestDataQueuedBeforeToken(t *testing.T) {
 	key := []byte("ring-key")
 	keyed := func(pair func(*testing.T) (*UDP, *UDP)) func(t *testing.T) (Transport, Transport) {
@@ -26,11 +28,10 @@ func TestDataQueuedBeforeToken(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		udp   bool
 		stage bool
 		pair  func(t *testing.T) (Transport, Transport)
 	}{
-		{"Hub", false, false, func(t *testing.T) (Transport, Transport) {
+		{"Hub", false, func(t *testing.T) (Transport, Transport) {
 			hub := NewHub()
 			a, err := hub.Endpoint(1, 0, 0)
 			if err != nil {
@@ -43,31 +44,28 @@ func TestDataQueuedBeforeToken(t *testing.T) {
 			t.Cleanup(func() { a.Close(); b.Close(); hub.Close() })
 			return a, b
 		}},
-		{"UDP", true, false, func(t *testing.T) (Transport, Transport) {
+		{"UDP", false, func(t *testing.T) (Transport, Transport) {
 			return newUDPPair(t)
 		}},
-		{"WithAuth(UDP)", true, false, keyed(newUDPPair)},
-		{"UDP_staged", true, true, func(t *testing.T) (Transport, Transport) {
+		{"WithAuth(UDP)", false, keyed(newUDPPair)},
+		{"UDP_staged", true, func(t *testing.T) (Transport, Transport) {
 			return newUDPPair(t)
 		}},
-		{"WithAuth(UDP)_staged", true, true, keyed(newUDPPair)},
-		{"UDP_staged_no_offload", true, true, func(t *testing.T) (Transport, Transport) {
+		{"WithAuth(UDP)_staged", true, keyed(newUDPPair)},
+		{"UDP_staged_no_offload", true, func(t *testing.T) (Transport, Transport) {
 			return newUDPPairNoOffload(t)
 		}},
-		{"WithAuth(UDP)_staged_no_offload", true, true, keyed(newUDPPairNoOffload)},
+		{"WithAuth(UDP)_staged_no_offload", true, keyed(newUDPPairNoOffload)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.udp && !mmsgAvailable {
-				t.Skip("the portable UDP reader does not keep the ordering contract")
-			}
 			a, b := tc.pair(t)
 			send := a.Multicast
 			if tc.stage {
 				send = a.(Stager).Stage
 			}
 			const k, iterations = 50, 200
-			frame := make([]byte, 200)
+			frame, token := make([]byte, 200), tokenFrame(1)
 			for it := 0; it < iterations; it++ {
 				frame[0] = byte(it)
 				for j := 0; j < k; j++ {
@@ -76,7 +74,7 @@ func TestDataQueuedBeforeToken(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := a.Unicast(2, []byte("token")); err != nil {
+				if err := a.Unicast(2, token); err != nil {
 					t.Fatal(err)
 				}
 				bufpool.Put(recvFrame(t, b.Token()))
@@ -95,23 +93,19 @@ func TestDataQueuedBeforeToken(t *testing.T) {
 	}
 }
 
-// TestUDPCloseWhileDraining closes a receiver while a peer floods it with
-// data and tokens, so that the token reader is draining the data socket
-// when the sockets die. Under -race (make race) this pins that a drain
-// never touches released slots or sends on the closed data channel, and
-// that Close strands no rented frame.
-func TestUDPCloseWhileDraining(t *testing.T) {
-	if !mmsgAvailable {
-		t.Skip("the portable UDP reader does not drain")
-	}
+// TestUDPCloseUnderFlood closes a receiver while a peer floods it with
+// data and tokens and a consumer reads its tokens, so that the reader is
+// queueing frames on both channels when the socket dies. Under -race
+// (make race) this pins that the reader's exit races with no delivery,
+// and that Close strands no rented frame.
+func TestUDPCloseUnderFlood(t *testing.T) {
 	before := bufpool.Snapshot()
 	for round := 0; round < 10; round++ {
-		reg := obs.NewRegistry()
-		send, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}})
+		send, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		recv, err := NewUDP(UDPConfig{Self: 2, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}, Obs: reg})
+		recv, err := NewUDP(UDPConfig{Self: 2, Listen: UDPPeer{Data: "127.0.0.1:0"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +117,7 @@ func TestUDPCloseWhileDraining(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			payload := make([]byte, 300)
+			payload, token := make([]byte, 300), tokenFrame(1)
 			for {
 				select {
 				case <-stop:
@@ -133,23 +127,24 @@ func TestUDPCloseWhileDraining(t *testing.T) {
 				for i := 0; i < 16; i++ {
 					_ = send.Multicast(payload)
 				}
-				_ = send.Unicast(2, payload)
+				_ = send.Unicast(2, token)
 			}
 		}()
-		// Consume tokens so the token reader keeps reading (and draining)
-		// until Close; leave the data queued.
+		// Consume tokens until Close closes the channel; leave the data
+		// queued.
+		var tokens atomic.Int64
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for f := range recv.Token() {
+				tokens.Add(1)
 				bufpool.Put(f)
 			}
 		}()
-		drained := reg.Counter("transport.udp.rx_drained_at_token")
 		deadline := time.Now().Add(5 * time.Second)
-		for drained.Value() == 0 {
+		for tokens.Load() < 10 {
 			if time.Now().After(deadline) {
-				t.Fatal("the token reader never drained the data socket under a flood")
+				t.Fatalf("round %d: %d tokens read under a flood, want 10", round, tokens.Load())
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -5,6 +5,10 @@ import (
 	"net"
 	"net/netip"
 	"testing"
+
+	"accelring/internal/bufpool"
+	"accelring/internal/evs"
+	"accelring/internal/wire"
 )
 
 // forOffload runs f as two subtests: over UDP pairs that use segmentation
@@ -119,5 +123,63 @@ func TestUDPGROSplitsRun(t *testing.T) {
 	}
 	if _, rx := b.Syscalls(); b.gso != nil && rx-rx0 > 2 {
 		t.Errorf("one coalesced run took %d receive calls, want the burst and at most one empty poll", rx-rx0)
+	}
+}
+
+// TestUDPRunRoutedPerFrame: a coalesced datagram of k data segments whose
+// last, shorter segment is a token — UDP_GRO on a real NIC may append a
+// sender's token to its run; loopback never does — is queued as k frames
+// on Data ahead of one on Token. Single datagrams route by type too:
+// a commit token to Token, a join and bytes that are no frame to Data.
+func TestUDPRunRoutedPerFrame(t *testing.T) {
+	u := &UDP{dataCh: make(chan []byte, dataChanCap), tokenCh: make(chan []byte, tokenChanCap)}
+	const k, seg = 11, 1350
+	d := wire.Data{RingID: evs.ViewID{Rep: 1, Seq: 1}, Sender: 1, Service: evs.Agreed}
+	d.Payload = make([]byte, seg-len(d.AppendTo(nil)))
+	var run []byte
+	for i := 1; i <= k; i++ {
+		d.Seq = uint64(i)
+		run = d.AppendTo(run)
+	}
+	token := tokenFrame(9)
+	run = append(run, token...)
+	u.deliverRun(run, seg)
+	if len(u.dataCh) != k || len(u.tokenCh) != 1 {
+		t.Fatalf("a run of %d data segments and a token queued %d on Data and %d on Token, want %d and 1",
+			k, len(u.dataCh), len(u.tokenCh), k)
+	}
+	for i := 0; i < k; i++ {
+		f := <-u.dataCh
+		if !bytes.Equal(f, run[i*seg:(i+1)*seg]) {
+			t.Fatalf("data frame %d arrived as %d bytes, not segment %d", i, len(f), i)
+		}
+		bufpool.Put(f)
+	}
+	if f := <-u.tokenCh; !bytes.Equal(f, token) {
+		t.Fatalf("token arrived as %x, want %x", f, token)
+	} else {
+		bufpool.Put(f)
+	}
+
+	commit := wire.Commit{NewRing: evs.Configuration{ID: evs.ViewID{Rep: 1, Seq: 2}, Members: []evs.ProcID{1, 2}}, Seq: 1, Rotation: 1}
+	join := wire.Join{Sender: 1, Alive: []evs.ProcID{1, 2}}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		token bool
+	}{
+		{"commit", commit.AppendTo(nil), true},
+		{"join", join.AppendTo(nil), false},
+		{"no frame", []byte("token"), false},
+	} {
+		u.deliverRun(tc.frame, 0)
+		want, other := u.dataCh, u.tokenCh
+		if tc.token {
+			want, other = u.tokenCh, u.dataCh
+		}
+		if len(want) != 1 || len(other) != 0 {
+			t.Fatalf("%s: queued on the wrong channel (token %v)", tc.name, tc.token)
+		}
+		bufpool.Put(<-want)
 	}
 }

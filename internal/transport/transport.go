@@ -1,19 +1,21 @@
 // Package transport moves encoded protocol frames between participants.
 //
-// The ring protocol uses two logical channels per participant, exactly as
-// the paper's implementations do (§III-E): data messages (and membership
+// The ring protocol hands the driver two logical channels per participant,
+// as the paper's implementations do (§III-E): data messages (and membership
 // join messages) arrive on the data channel, tokens (and membership commit
-// tokens) on the token channel. Keeping them separate lets the driver
-// implement the token/data priority scheme and makes token loss rare — a
-// participant needs to buffer only one token at a time.
+// tokens) on the token channel. Holding the two classes apart lets the
+// driver implement the token/data priority scheme.
 //
 // Two implementations are provided: an in-process Hub for tests, examples,
 // and single-process deployments, and a UDP transport for real networks
 // (IP unicast fan-out standing in for IP-multicast, which the paper notes
-// Spread also supports as a fallback). UDP is also a Stager: a sender
-// that stages its multicasts has each run of equal-size frames leave as
-// one segmented send per peer (UDP_SEGMENT) and read back as one
-// coalesced datagram (UDP_GRO), where the kernel offers both.
+// Spread also supports as a fallback). Unlike the paper's prototypes, UDP
+// receives both classes on one socket per ring and routes each frame by
+// its wire type, so the kernel's receive queue is the arrival order. UDP
+// is also a Stager: a sender that stages its multicasts has each run of
+// equal-size frames leave as one segmented send per peer (UDP_SEGMENT)
+// and read back as one coalesced datagram (UDP_GRO), where the kernel
+// offers both.
 package transport
 
 import (
@@ -44,14 +46,15 @@ import (
 // Ordering: data that reached the participant before a token is queued on
 // Data before the token reaches Token, so a reader polling Data first never
 // requests a frame it already holds (§III-D/E). Hub (without an injected
-// delay), UDP on linux/amd64 and linux/arm64 (elsewhere its reader cannot
-// drain the data socket, so a token may overtake data) and WithAuth over
-// either keep it. Every implementation drops a frame that finds its channel full rather
-// than wait for the consumer, so a token never waits behind unread data.
+// delay), UDP (one reader queues its socket's frames in arrival order,
+// routing each by wire type) and WithAuth over either keep it. Every
+// implementation drops a frame that finds its channel full rather than
+// wait for the consumer, so a token never waits behind unread data.
 type Transport interface {
 	// Multicast sends a frame to every other participant's data channel.
 	Multicast(frame []byte) error
-	// Unicast sends a frame to one participant's token channel.
+	// Unicast sends a frame to one participant. A Hub queues it on the
+	// token channel; UDP queues every frame by its wire type.
 	Unicast(to evs.ProcID, frame []byte) error
 	// Data returns the channel of received data-class frames.
 	Data() <-chan []byte

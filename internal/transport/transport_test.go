@@ -9,7 +9,15 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/faults"
 	"accelring/internal/obs"
+	"accelring/internal/wire"
 )
+
+// tokenFrame returns an encoded token: UDP queues a frame on Token by its
+// wire type, not by the call that sent it.
+func tokenFrame(seq uint32) []byte {
+	t := wire.Token{RingID: evs.ViewID{Rep: 1, Seq: 1}, TokenSeq: seq}
+	return t.AppendTo(nil)
+}
 
 func recvFrame(t *testing.T, ch <-chan []byte) []byte {
 	t.Helper()
@@ -137,18 +145,12 @@ func TestHubClose(t *testing.T) {
 
 func newUDPPair(t *testing.T) (*UDP, *UDP) {
 	t.Helper()
-	a, err := NewUDP(UDPConfig{
-		Self:   1,
-		Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-	})
+	a, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
-	b, err := NewUDP(UDPConfig{
-		Self:   2,
-		Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-	})
+	b, err := NewUDP(UDPConfig{Self: 2, Listen: UDPPeer{Data: "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +173,12 @@ func TestUDPRoundTrip(t *testing.T) {
 	if got := recvFrame(t, b.Data()); !bytes.Equal(got, payload) {
 		t.Fatalf("data frame corrupted: %d bytes", len(got))
 	}
-	if err := b.Unicast(1, []byte("token")); err != nil {
+	token := tokenFrame(7)
+	if err := b.Unicast(1, token); err != nil {
 		t.Fatal(err)
 	}
-	if got := recvFrame(t, a.Token()); string(got) != "token" {
-		t.Fatalf("got %q", got)
+	if got := recvFrame(t, a.Token()); !bytes.Equal(got, token) {
+		t.Fatalf("got %x, want %x", got, token)
 	}
 }
 
@@ -213,16 +216,16 @@ func TestUDPUnknownPeer(t *testing.T) {
 }
 
 func TestUDPConfigValidation(t *testing.T) {
-	if _, err := NewUDP(UDPConfig{Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"}}); err == nil {
+	if _, err := NewUDP(UDPConfig{Listen: UDPPeer{Data: "127.0.0.1:0"}}); err == nil {
 		t.Fatal("zero Self accepted")
 	}
-	if _, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "bogus::addr::", Token: "127.0.0.1:0"}}); err == nil {
+	if _, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "bogus::addr::"}}); err == nil {
 		t.Fatal("bad listen address accepted")
 	}
 	// A peer that does not resolve fails NewUDP instead of hanging its
-	// cleanup on reader goroutines that never started.
-	if _, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
-		Peers: map[evs.ProcID]UDPPeer{2: {Data: "bogus::addr::", Token: "127.0.0.1:1"}}}); err == nil {
+	// cleanup on a reader goroutine that never started.
+	if _, err := NewUDP(UDPConfig{Self: 1, Listen: UDPPeer{Data: "127.0.0.1:0"},
+		Peers: map[evs.ProcID]UDPPeer{2: {Data: "bogus::addr::"}}}); err == nil {
 		t.Fatal("bad peer address accepted")
 	}
 }
@@ -251,9 +254,9 @@ func TestUDPManyFrames(t *testing.T) {
 // TestShiftPort covers the one port-offset rule the facade and ringdaemon
 // share for deriving ring r's addresses: numeric nonzero ports only, and
 // the shifted port must still fit in 16 bits — for a single address and
-// for either half of a UDPPeer.
+// for a UDPPeer, whose ignored Token the shift drops.
 func TestShiftPort(t *testing.T) {
-	const good, goodPlus2 = "127.0.0.1:7000", "127.0.0.1:7002"
+	const good = "127.0.0.1:7000"
 	for _, tc := range []struct {
 		addr string
 		by   int
@@ -272,22 +275,10 @@ func TestShiftPort(t *testing.T) {
 		if (tc.want == "") != (err != nil) || got != tc.want {
 			t.Errorf("ShiftPort(%q, %d) = %q, %v; want %q", tc.addr, tc.by, got, err, tc.want)
 		}
-		if tc.by != 2 {
-			continue
-		}
-		// The same address as either half of a pair decides the pair.
-		for _, pair := range [][2]UDPPeer{
-			{{Data: tc.addr, Token: good}, {Data: tc.want, Token: goodPlus2}},
-			{{Data: good, Token: tc.addr}, {Data: goodPlus2, Token: tc.want}},
-		} {
-			want := pair[1]
-			if tc.want == "" {
-				want = UDPPeer{}
-			}
-			got, err := pair[0].Shift(2)
-			if (tc.want == "") != (err != nil) || got != want {
-				t.Errorf("%+v.Shift(2) = %+v, %v; want %+v", pair[0], got, err, want)
-			}
+		p := UDPPeer{Data: tc.addr, Token: good}
+		shifted, err := p.Shift(tc.by)
+		if want := (UDPPeer{Data: tc.want}); (tc.want == "") != (err != nil) || shifted != want {
+			t.Errorf("%+v.Shift(%d) = %+v, %v; want %+v", p, tc.by, shifted, err, want)
 		}
 	}
 }

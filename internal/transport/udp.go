@@ -15,11 +15,14 @@ import (
 	"accelring/internal/wire"
 )
 
-// UDPPeer holds a participant's two receive addresses.
+// UDPPeer holds a participant's receive address.
 type UDPPeer struct {
-	// Data is the host:port receiving data-class frames.
+	// Data is the host:port of the participant's ring socket, which
+	// receives every frame class.
 	Data string
-	// Token is the host:port receiving token-class frames.
+	// Token is ignored: a ring has one socket, at Data. The benchmark
+	// harness still sets it, and the field goes with the next change to
+	// that harness's contract.
 	Token string
 }
 
@@ -42,23 +45,20 @@ func ShiftPort(addr string, by int) (string, error) {
 	return net.JoinHostPort(host, strconv.Itoa(p+by)), nil
 }
 
-// Shift offsets both of p's ports by `by` (see ShiftPort).
+// Shift offsets p's port by `by` (see ShiftPort).
 func (p UDPPeer) Shift(by int) (UDPPeer, error) {
-	var err error
-	if p.Data, err = ShiftPort(p.Data, by); err != nil {
+	data, err := ShiftPort(p.Data, by)
+	if err != nil {
 		return UDPPeer{}, err
 	}
-	if p.Token, err = ShiftPort(p.Token, by); err != nil {
-		return UDPPeer{}, err
-	}
-	return p, nil
+	return UDPPeer{Data: data}, nil
 }
 
 // UDPConfig configures a UDP transport.
 type UDPConfig struct {
 	// Self is the local participant.
 	Self evs.ProcID
-	// Listen holds the local listen addresses.
+	// Listen holds the local listen address.
 	Listen UDPPeer
 	// Peers maps every other participant to its addresses. Self may be
 	// present and is ignored.
@@ -76,18 +76,16 @@ const (
 	tokenChanCap = 16
 )
 
-// dataSlots and tokenSlots size each socket's receive burst: the most
-// datagrams one recvmmsg drains. A token round's burst of data frames
-// fits the data slots; tokens arrive one per round. With UDP_GRO on, a
-// datagram may hold a whole run of frames, so the data socket reads
-// groSlots at a time. A slot's pages are backed only once a datagram
-// reaches them: groSlots runs of a default personal window (20 frames of
-// ~1.4 KB) back about 56 pages, fewer than the ~80 that dataSlots single
-// frames do.
+// dataSlots sizes the socket's receive burst: the most datagrams one
+// recvmmsg drains. A token round's burst of data frames and its token
+// fit. With UDP_GRO on, a datagram may hold a whole run of frames, so the
+// socket reads groSlots at a time. A slot's pages are backed only once a
+// datagram reaches them: groSlots runs of a default personal window (20
+// frames of ~1.4 KB) back about 56 pages, fewer than the ~80 that
+// dataSlots single frames do.
 const (
-	dataSlots  = 64
-	groSlots   = 8
-	tokenSlots = 4
+	dataSlots = 64
+	groSlots  = 8
 )
 
 // slotSize holds the largest datagram a peer sends, a coalesced run
@@ -108,28 +106,30 @@ type packetConn interface {
 	Read(b []byte) (int, error)
 }
 
-// UDP is the real-network transport: one socket per frame class, exactly
-// as the paper's implementations separate token and data traffic. Data
-// frames reach the ring by unicast fan-out — the fallback the paper
-// notes Spread provides where IP multicast is unavailable. Multicast
-// sends one datagram per peer; Stage (the Stager path) collects a run of
-// equal-size frames that Flush sends to each peer as one segmented
-// datagram (UDP_SEGMENT), which the kernel cuts back into one datagram
-// per frame. Each socket is read a burst at a time: one recvmmsg drains
-// every datagram queued on it, and the data socket reads a peer's run
-// back whole (UDP_GRO) and splits it into its frames. Where the kernel
-// has neither option, every frame is its own datagram.
+// UDP is the real-network transport: one socket per ring, which every
+// frame class shares, read by one goroutine that queues each frame on
+// Data or Token by its wire type, in the order the kernel received them.
+// So data that arrived before a token is on Data before the token is on
+// Token. Data frames reach the ring by unicast fan-out — the fallback the
+// paper notes Spread provides where IP multicast is unavailable.
+// Multicast sends one datagram per peer; Stage (the Stager path) collects
+// a run of equal-size frames that Flush sends to each peer as one
+// segmented datagram (UDP_SEGMENT), which the kernel cuts back into one
+// datagram per frame. The socket is read a burst at a time: one recvmmsg
+// drains every datagram queued on it, a peer's run read back whole
+// (UDP_GRO) and split into its frames. Where the kernel has neither
+// option, every frame is its own datagram.
 type UDP struct {
-	self     evs.ProcID
-	dataConn *net.UDPConn
-	tokConn  *net.UDPConn
+	self evs.ProcID
+	conn *net.UDPConn
 
 	// peers is an atomically swapped copy-on-write snapshot: senders load
 	// it and fan out without holding any lock across socket writes, so a
 	// concurrent AddPeer (membership change) never stalls the hot path.
-	// peerMu serializes the writers only.
+	// peerMu serializes the writers only. Each address is unmapped, as
+	// the socket's sends take it.
 	peerMu sync.Mutex
-	peers  atomic.Pointer[map[evs.ProcID]*udpPeerAddrs]
+	peers  atomic.Pointer[map[evs.ProcID]netip.AddrPort]
 
 	dataCh  chan []byte
 	tokenCh chan []byte
@@ -144,100 +144,57 @@ type UDP struct {
 		n   int    // frames in buf
 	}
 
-	closed  atomic.Bool
-	txSysN  atomic.Uint64
-	rxSysN  atomic.Uint64
-	wg      sync.WaitGroup
-	nm      *netMetrics
-	drained *obs.Counter // data frames queued by the token reader's drain
-	fl      *obs.Recorder
-}
-
-type udpPeerAddrs struct {
-	data, token *net.UDPAddr
-	// runTo is data for the segmented sends, which take it unboxed.
-	runTo netip.AddrPort
+	closed atomic.Bool
+	txSysN atomic.Uint64
+	rxSysN atomic.Uint64
+	wg     sync.WaitGroup
+	nm     *netMetrics
+	fl     *obs.Recorder
 }
 
 var _ Stager = (*UDP)(nil)
 
-// NewUDP opens the sockets and starts the reader goroutines.
+// NewUDP opens the socket and starts its reader goroutine.
 func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if cfg.Self == 0 {
 		return nil, fmt.Errorf("transport: udp requires Self")
 	}
-	dataConn, err := listenUDP(cfg.Listen.Data)
+	conn, err := listenUDP(cfg.Listen.Data)
 	if err != nil {
-		return nil, fmt.Errorf("transport: data socket: %w", err)
+		return nil, fmt.Errorf("transport: socket: %w", err)
 	}
-	tokConn, err := listenUDP(cfg.Listen.Token)
-	if err != nil {
-		dataConn.Close()
-		return nil, fmt.Errorf("transport: token socket: %w", err)
-	}
-	// Large receive buffers, as production Spread configures. Errors are
-	// non-fatal: the OS may clamp.
-	_ = dataConn.SetReadBuffer(4 << 20)
-	_ = tokConn.SetReadBuffer(256 << 10)
+	// A large receive buffer, as production Spread configures. An error
+	// is non-fatal: the OS may clamp.
+	_ = conn.SetReadBuffer(4 << 20)
 
 	u := &UDP{
-		self:     cfg.Self,
-		dataConn: dataConn,
-		tokConn:  tokConn,
-		dataCh:   make(chan []byte, dataChanCap),
-		tokenCh:  make(chan []byte, tokenChanCap),
-		nm:       newNetMetrics(cfg.Obs, "transport.udp."),
-		drained:  cfg.Obs.Counter("transport.udp.rx_drained_at_token"),
-		fl:       cfg.Flight,
+		self:    cfg.Self,
+		conn:    conn,
+		dataCh:  make(chan []byte, dataChanCap),
+		tokenCh: make(chan []byte, tokenChanCap),
+		nm:      newNetMetrics(cfg.Obs, "transport.udp."),
+		fl:      cfg.Flight,
 	}
 	var gro bool
-	u.gso, gro = openOffload(dataConn)
+	u.gso, gro = openOffload(conn)
 	slots := dataSlots
 	if gro {
 		slots = groSlots
 	}
-	dataRd, err := newMMsgReader(dataConn, slots, slotSize)
+	rd, err := newMMsgReader(conn, slots, slotSize)
 	if err != nil {
-		dataConn.Close()
-		tokConn.Close()
-		return nil, fmt.Errorf("transport: data reader: %w", err)
-	}
-	tokRd, err := newMMsgReader(tokConn, tokenSlots, slotSize)
-	if err != nil {
-		dataRd.release()
-		dataConn.Close()
-		tokConn.Close()
-		return nil, fmt.Errorf("transport: token reader: %w", err)
+		conn.Close()
+		return nil, fmt.Errorf("transport: reader: %w", err)
 	}
 	if gro {
-		dataRd.readSegments()
+		rd.readSegments()
 	}
-	empty := make(map[evs.ProcID]*udpPeerAddrs)
+	empty := make(map[evs.ProcID]netip.AddrPort)
 	u.peers.Store(&empty)
-	// The readers start first: Close, on a bad peer below, waits for them
-	// to close the receive channels. The visits are hoisted so a burst
-	// allocates no closure (the zero-alloc receive gate measures this).
-	// A coalesced datagram is split into its frames, the last of which may
-	// be shorter.
-	dataVisit := func(i, n int) {
-		raw, seg := dataRd.slot(i)[:n], dataRd.segSize(i)
-		for seg > 0 && len(raw) > seg {
-			u.deliverFrame(raw[:seg], u.dataCh, false)
-			raw = raw[seg:]
-		}
-		u.deliverFrame(raw, u.dataCh, false)
-	}
-	tokVisit := func(i, n int) {
-		if i == 0 { // the data already on the socket goes first
-			got, sys := dataRd.drain(dataVisit)
-			u.countRxSys(sys)
-			u.drained.Add(uint64(got))
-		}
-		u.deliverFrame(tokRd.slot(i)[:n], u.tokenCh, true)
-	}
-	u.wg.Add(2)
-	go u.readLoop(dataRd, dataVisit, u.dataCh)
-	go u.readLoop(tokRd, tokVisit, u.tokenCh)
+	// The reader starts first: Close, on a bad peer below, waits for it
+	// to close the receive channels.
+	u.wg.Add(1)
+	go u.readLoop(rd)
 	// Register ourselves: the membership representative starts a new ring
 	// by unicasting the initial token to itself.
 	if err := u.AddPeer(cfg.Self, u.LocalAddrs()); err != nil {
@@ -264,45 +221,36 @@ func listenUDP(addr string) (*net.UDPConn, error) {
 	return net.ListenUDP("udp", ua)
 }
 
-// AddPeer registers (or updates) a peer's addresses. Membership changes
+// AddPeer registers (or updates) a peer's address. Membership changes
 // may add peers at runtime: the peer table is replaced copy-on-write, so
 // in-flight sends keep fanning out over their snapshot.
 func (u *UDP) AddPeer(id evs.ProcID, p UDPPeer) error {
-	da, err := net.ResolveUDPAddr("udp", p.Data)
+	a, err := net.ResolveUDPAddr("udp", p.Data)
 	if err != nil {
-		return fmt.Errorf("transport: peer %d data addr: %w", id, err)
+		return fmt.Errorf("transport: peer %d addr: %w", id, err)
 	}
-	ta, err := net.ResolveUDPAddr("udp", p.Token)
-	if err != nil {
-		return fmt.Errorf("transport: peer %d token addr: %w", id, err)
-	}
-	dap := da.AddrPort()
-	pa := &udpPeerAddrs{data: da, token: ta, runTo: netip.AddrPortFrom(dap.Addr().Unmap(), dap.Port())}
+	ap := a.AddrPort()
 	u.peerMu.Lock()
 	old := *u.peers.Load()
-	next := make(map[evs.ProcID]*udpPeerAddrs, len(old)+1)
+	next := make(map[evs.ProcID]netip.AddrPort, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
-	next[id] = pa
+	next[id] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	u.peers.Store(&next)
 	u.peerMu.Unlock()
 	return nil
 }
 
-// LocalAddrs returns the bound listen addresses (useful with :0 ports).
+// LocalAddrs returns the bound listen address (useful with :0 ports).
 func (u *UDP) LocalAddrs() UDPPeer {
-	return UDPPeer{
-		Data:  u.dataConn.LocalAddr().String(),
-		Token: u.tokConn.LocalAddr().String(),
-	}
+	return UDPPeer{Data: u.conn.LocalAddr().String()}
 }
 
 // Syscalls returns cumulative send/receive kernel crossings on the wire.
 // Divide by the frame counters for syscalls per frame: one per send call
 // (a datagram, or a whole segmented run to one peer), and one per
-// receive call (a burst, the empty poll before the reader parks, or a
-// drain of the data socket ahead of a token).
+// receive call (a burst, or the empty poll before the reader parks).
 func (u *UDP) Syscalls() (tx, rx uint64) {
 	return u.txSysN.Load(), u.rxSysN.Load()
 }
@@ -323,29 +271,52 @@ func (u *UDP) countRxSys(n int) {
 	u.nm.rxSys(n)
 }
 
-// readLoop drains one socket into its receive channel ch a burst at a
-// time. visit hands each datagram to deliverFrame, which copies it out of
-// the reader's slot into a rented frame, so the slots are reused across
-// reads. When the socket dies (Close) the slots are released, which waits
-// out a drain, and only then is ch closed.
-func (u *UDP) readLoop(r *mmsgReader, visit func(i, n int), ch chan []byte) {
+// readLoop drains the socket into the receive channels a burst at a
+// time. visit hands each datagram to deliverRun, which copies its frames
+// out of the reader's slot into rented frames, so the slots are reused
+// across reads. When the socket dies (Close) the slots are released and
+// both channels closed.
+func (u *UDP) readLoop(r *mmsgReader) {
 	defer u.wg.Done()
+	// Built once, so a burst allocates no closure (the zero-alloc receive
+	// gate measures this).
+	visit := func(i, n int) { u.deliverRun(r.slot(i)[:n], r.segSize(i)) }
 	for {
 		_, sys, ok := r.readBatch(visit)
 		u.countRxSys(sys)
 		if !ok {
 			r.release()
-			close(ch)
+			close(u.dataCh)
+			close(u.tokenCh)
 			return
 		}
 	}
 }
 
-// deliverFrame copies one received datagram into a rented buffer and
-// pushes it to the channel; the consumer (the protocol driver) owns it
-// from there. When the channel is already full the datagram is dropped
-// before renting or copying anything.
-func (u *UDP) deliverFrame(raw []byte, ch chan []byte, token bool) {
+// deliverRun queues the frames of one received datagram in order: a
+// datagram the kernel coalesced from a run (seg > 0) holds frames of seg
+// bytes, the last of which may be shorter. A short last segment may be a
+// token the same sender sent after the run, so each frame is routed on
+// its own.
+func (u *UDP) deliverRun(raw []byte, seg int) {
+	for seg > 0 && len(raw) > seg {
+		u.deliverFrame(raw[:seg])
+		raw = raw[seg:]
+	}
+	u.deliverFrame(raw)
+}
+
+// deliverFrame copies one received frame into a rented buffer and pushes
+// it to the channel of its class: tokens and commit tokens to Token,
+// everything else to Data. The consumer (the protocol driver) owns it
+// from there. When the channel is full the frame is dropped before
+// renting or copying anything; otherwise the send cannot block, since
+// the reader is each channel's only sender.
+func (u *UDP) deliverFrame(raw []byte) {
+	ch, token := u.dataCh, false
+	if t, _ := wire.PeekType(raw); t == wire.FrameToken || t == wire.FrameCommit {
+		ch, token = u.tokenCh, true
+	}
 	if len(ch) == cap(ch) {
 		u.nm.rxDrop()
 		u.recordDrop(token)
@@ -353,14 +324,8 @@ func (u *UDP) deliverFrame(raw []byte, ch chan []byte, token bool) {
 	}
 	frame := bufpool.Get(len(raw))
 	copy(frame, raw)
-	select {
-	case ch <- frame:
-		u.nm.rx(token, len(raw))
-	default:
-		bufpool.Put(frame)
-		u.nm.rxDrop()
-		u.recordDrop(token)
-	}
+	ch <- frame
+	u.nm.rx(token, len(raw))
 }
 
 // recordDrop notes a receiver-overflow drop in the flight recorder.
@@ -376,42 +341,42 @@ func (u *UDP) recordDrop(token bool) {
 }
 
 // Multicast implements Transport: the frame is fanned out by unicast to
-// every peer's data address, one datagram each, never to ourselves (the
-// protocol self-receives its own messages at send time), and is on the
-// wire when Multicast returns, behind any staged run. Send errors are
-// ignored, as UDP loss would be; the protocol's retransmission machinery
-// recovers.
+// every peer, one datagram each, never to ourselves (the protocol
+// self-receives its own messages at send time), and is on the wire when
+// Multicast returns, behind any staged run. Send errors are ignored, as
+// UDP loss would be; the protocol's retransmission machinery recovers.
 func (u *UDP) Multicast(frame []byte) error {
 	if u.closed.Load() {
 		return ErrClosed
 	}
 	u.Flush()
-	for id, p := range *u.peers.Load() {
+	for id, to := range *u.peers.Load() {
 		if id == u.self {
 			continue
 		}
 		u.nm.tx(false, len(frame))
-		_, _ = u.dataConn.WriteToUDP(frame, p.data)
+		_, _ = u.conn.WriteToUDPAddrPort(frame, to)
 		u.countTxSys(1)
 	}
 	return nil
 }
 
-// Unicast implements Transport: send to the peer's token address, behind
-// any staged run, so the data staged before a token leaves ahead of it.
-// Like Multicast, it runs lock-free over the peer snapshot.
+// Unicast implements Transport: send to the peer, behind any staged run,
+// so the data staged before a token leaves ahead of it and reaches the
+// peer's socket first. Like Multicast, it runs lock-free over the peer
+// snapshot.
 func (u *UDP) Unicast(to evs.ProcID, frame []byte) error {
 	if u.closed.Load() {
 		return ErrClosed
 	}
 	u.Flush()
-	p := (*u.peers.Load())[to]
-	if p == nil {
+	addr, ok := (*u.peers.Load())[to]
+	if !ok {
 		// Unknown peer: drop, like the network would for a dead host.
 		return nil
 	}
 	u.nm.tx(true, len(frame))
-	_, _ = u.tokConn.WriteToUDP(frame, p.token)
+	_, _ = u.conn.WriteToUDPAddrPort(frame, addr)
 	u.countTxSys(1)
 	return nil
 }
@@ -440,8 +405,8 @@ func (u *UDP) Stage(frame []byte) error {
 	return nil
 }
 
-// Flush implements Stager: the staged run goes to every peer's data
-// address as one sendmsg each, which the kernel cuts into one datagram
+// Flush implements Stager: the staged run goes to every peer as one
+// sendmsg each, which the kernel cuts into one datagram
 // per frame. A peer the segmented send fails for (one the socket's
 // family cannot reach, or a route the kernel cannot segment on) gets
 // each frame on its own.
@@ -455,15 +420,15 @@ func (u *UDP) Flush() {
 		ctl = u.gso
 		setSegment(ctl, r.seg)
 	}
-	for id, p := range *u.peers.Load() {
+	for id, to := range *u.peers.Load() {
 		if id == u.self {
 			continue
 		}
 		u.nm.txRun(r.n, len(r.buf))
-		_, _, err := u.dataConn.WriteMsgUDPAddrPort(r.buf, ctl, p.runTo)
+		_, _, err := u.conn.WriteMsgUDPAddrPort(r.buf, ctl, to)
 		sys := 1
 		for b := r.buf; err != nil && ctl != nil && len(b) > 0; b = b[r.seg:] {
-			_, _ = u.dataConn.WriteToUDP(b[:r.seg], p.data)
+			_, _ = u.conn.WriteToUDPAddrPort(b[:r.seg], to)
 			sys++
 		}
 		u.countTxSys(sys)
@@ -477,17 +442,16 @@ func (u *UDP) Data() <-chan []byte { return u.dataCh }
 // Token implements Transport.
 func (u *UDP) Token() <-chan []byte { return u.tokenCh }
 
-// Close shuts both sockets down and waits for the readers to exit. The
+// Close shuts the socket down and waits for the reader to exit. The
 // receive channels are closed, and every received-but-unconsumed frame
 // is recycled to bufpool — nothing the transport rented stays stranded.
 func (u *UDP) Close() error {
 	if u.closed.Swap(true) {
 		return nil
 	}
-	err1 := u.dataConn.Close()
-	err2 := u.tokConn.Close()
+	err := u.conn.Close()
 	u.wg.Wait()
-	// The readLoops have closed both channels; recycle frames that were
+	// The readLoop has closed both channels; recycle frames that were
 	// received but never consumed. A consumer draining concurrently is
 	// fine — each frame is read exactly once, by it or by us.
 	for f := range u.dataCh {
@@ -496,8 +460,5 @@ func (u *UDP) Close() error {
 	for f := range u.tokenCh {
 		bufpool.Put(f)
 	}
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return err
 }

@@ -19,7 +19,7 @@ func BenchmarkWireUnicast(b *testing.B) {
 	mk := func(self evs.ProcID) *UDP {
 		u, err := NewUDP(UDPConfig{
 			Self:   self,
-			Listen: UDPPeer{Data: "127.0.0.1:0", Token: "127.0.0.1:0"},
+			Listen: UDPPeer{Data: "127.0.0.1:0"},
 		})
 		if err != nil {
 			b.Fatal(err)

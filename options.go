@@ -33,7 +33,7 @@ func WithWindows(personal, global, accelerated int) Option {
 // throughput multiplies; cross-group delivery order is only guaranteed
 // for groups owned by the same ring. Supply one transport per ring via
 // WithWire (WireConfig.Transports), or UDP addresses whose numeric ports
-// leave a stride of free ports per ring (ring r uses every base port +
+// leave a stride of free ports per ring (ring r uses the base port +
 // WireConfig.ShardStride*r, default DefaultShardStride).
 func WithShards(n int) Option {
 	return func(c *Config) { c.Shards = n }

@@ -36,14 +36,14 @@ go build -o "$workdir/ringdaemon" ./cmd/ringdaemon
 go build -o "$workdir/ringload" ./cmd/ringload
 go build -o "$workdir/ringtop" ./cmd/ringtop
 
-peers="1=127.0.0.1:5101/127.0.0.1:6101,2=127.0.0.1:5102/127.0.0.1:6102,3=127.0.0.1:5103/127.0.0.1:6103"
+peers="1=127.0.0.1:5101,2=127.0.0.1:5102,3=127.0.0.1:5103"
 obs_ports=(6871 6872 6873)
 
 echo "== starting 3 daemons"
 for i in 1 2 3; do
     "$workdir/ringdaemon" \
         -id "$i" \
-        -data "127.0.0.1:510$i" -token "127.0.0.1:610$i" \
+        -data "127.0.0.1:510$i" \
         -client "127.0.0.1:480$i" \
         -peers "$peers" \
         -obs "127.0.0.1:${obs_ports[$((i-1))]}" \
@@ -146,11 +146,11 @@ esac
 
 echo "== phase 2: 2-node x 2-shard cluster with latency attribution + SLO"
 shard_obs=(6874 6875)
-shard_peers="1=127.0.0.1:5211/127.0.0.1:6211,2=127.0.0.1:5212/127.0.0.1:6212"
+shard_peers="1=127.0.0.1:5211,2=127.0.0.1:5212"
 for i in 1 2; do
     "$workdir/ringdaemon" \
         -id "$i" \
-        -data "127.0.0.1:521$i" -token "127.0.0.1:621$i" \
+        -data "127.0.0.1:521$i" \
         -client "127.0.0.1:481$i" \
         -peers "$shard_peers" \
         -shards 2 -shard-stride 10 \

@@ -59,12 +59,12 @@ echo "   $cycled sessions cycled under steady ordered load"
 # isolated (covered by unit tests); here we check the operational path:
 # a keyed ring forms, and SIGTERM drains before stopping.
 echo "== keyed drain: 2 daemons with -ring-key, SIGTERM after token rotates"
-peers="1=127.0.0.1:5201/127.0.0.1:6201,2=127.0.0.1:5202/127.0.0.1:6202"
+peers="1=127.0.0.1:5201,2=127.0.0.1:5202"
 obs_ports=(6881 6882)
 for i in 1 2; do
     "$workdir/ringdaemon" \
         -id "$i" \
-        -data "127.0.0.1:520$i" -token "127.0.0.1:620$i" \
+        -data "127.0.0.1:520$i" \
         -client "127.0.0.1:490$i" \
         -peers "$peers" \
         -ring-key soak-secret \

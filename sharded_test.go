@@ -83,7 +83,7 @@ func TestShardsValidation(t *testing.T) {
 		}, ErrShardPorts},
 		{"sharded UDP with service-name port", func(c *Config) {
 			c.Shards = 2
-			c.Wire.Peers[2] = UDPAddrs{Data: "127.0.0.1:domain", Token: "127.0.0.1:7411"}
+			c.Wire.Peers[2] = UDPAddrs{Data: "127.0.0.1:domain"}
 		}, ErrShardPorts},
 	}
 	for _, tc := range cases {

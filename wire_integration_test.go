@@ -33,10 +33,10 @@ func freeUDPPorts(t *testing.T, n int) []int {
 // WithWire option — unicast mode with adaptive packing on — and checks ordered delivery end to end over real UDP
 // sockets.
 func TestOpenWithWireUDP(t *testing.T) {
-	ports := freeUDPPorts(t, 4)
+	ports := freeUDPPorts(t, 2)
 	addrs := []UDPAddrs{
-		{Data: fmt.Sprintf("127.0.0.1:%d", ports[0]), Token: fmt.Sprintf("127.0.0.1:%d", ports[1])},
-		{Data: fmt.Sprintf("127.0.0.1:%d", ports[2]), Token: fmt.Sprintf("127.0.0.1:%d", ports[3])},
+		{Data: fmt.Sprintf("127.0.0.1:%d", ports[0])},
+		{Data: fmt.Sprintf("127.0.0.1:%d", ports[1])},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
