@@ -20,6 +20,10 @@
 //   - Put is always optional. Dropping a buffer on the floor only costs a
 //     future pool miss; a wrong Put corrupts frames. When in doubt, don't.
 //
+// The owners here: a transport rents each received frame and
+// groupcore.Core.Submit each envelope it encodes; the ring node Puts both
+// back once its ring is done with them. The session package Puts its own.
+//
 // Put accepts any byte slice, including slices that did not come from Get:
 // it files the buffer under the largest size class its capacity can serve
 // (buffers smaller than the smallest class are discarded).
@@ -60,11 +64,12 @@ var itemPool = sync.Pool{New: func() any { return new(item) }}
 
 // Stats is a point-in-time snapshot of pool activity. Gets = Hits + Misses
 // + Oversize. A healthy steady state shows Hits tracking Gets and Puts
-// tracking Gets: received frames, token and data alike, come back once
-// the ring is done with them (a data frame when its message is stable),
-// and a client's session reads come back once decoded (what it delivers
-// is copied out). Misses then count the pool's refills after a garbage
-// collection empties it, and buffers a consumer kept.
+// tracking Gets: received frames, token and data alike, and submitted
+// envelopes come back once the ring is done with them (a data frame or an
+// envelope when its message is stable), and a client's session reads come
+// back once decoded (what it delivers is copied out). Misses then count
+// the pool's refills after a garbage collection empties it, and buffers a
+// consumer kept.
 type Stats struct {
 	// Gets counts Get calls (derived: Hits + Misses + Oversize).
 	Gets uint64 `json:"gets"`

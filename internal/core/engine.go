@@ -170,12 +170,12 @@ type Output interface {
 	Deliver(evs.Message)
 }
 
-// Releaser is an Output that takes back received frames. When the engine
-// discards a message it buffered with a wire.Data.Frame — the message is
-// stable and delivered — it passes the message to Release: from then on
-// the engine reads neither d.Frame nor d.Payload. d itself is borrowed
-// for the call. Messages this participant sent, and duplicates HandleData
-// refused, are never released.
+// Releaser is an Output that takes back frames. When the engine discards
+// a message it buffered with a wire.Data.Frame (a received frame, or a
+// payload submitted owned) — the message is stable and delivered — it
+// passes the message to Release: from then on the engine reads neither
+// d.Frame nor d.Payload. d itself is borrowed for the call. Messages sent
+// without ownership, and duplicates HandleData refused, are never released.
 type Releaser interface {
 	Release(d *wire.Data)
 }
@@ -209,7 +209,8 @@ type pending struct {
 	at time.Time
 	// held is when the payload first entered a packing bundle (zero when
 	// it was never held); it backdates the sampled span's pack stage.
-	held time.Time
+	held  time.Time
+	owned bool // payload is released as its message's Frame (SubmitHeld)
 }
 
 // Engine runs the ordering protocol for one participant on one ring.
@@ -437,21 +438,23 @@ var ErrPayloadTooLarge = fmt.Errorf("core: payload exceeds %d bytes", wire.MaxPa
 // mutate it afterwards. Messages are sent when the token next arrives,
 // subject to flow control.
 func (e *Engine) Submit(payload []byte, service evs.Service) error {
-	return e.SubmitHeld(payload, service, time.Time{})
+	return e.SubmitHeld(payload, service, time.Time{}, false)
 }
 
 // SubmitHeld is Submit for payloads that waited in a packing bundle:
 // held is when the bundle opened (zero means no hold). Sampled spans of
 // the resulting message get a backdated pack stage, so latency
-// attribution can separate the pack hold from token wait.
-func (e *Engine) SubmitHeld(payload []byte, service evs.Service, held time.Time) error {
+// attribution can separate the pack hold from token wait. With owned it
+// takes payload over, refused or not, and releases it as the message's
+// Frame (Releaser).
+func (e *Engine) SubmitHeld(payload []byte, service evs.Service, held time.Time, owned bool) error {
 	if len(payload) > wire.MaxPayload {
 		return ErrPayloadTooLarge
 	}
 	if !service.Valid() {
 		return fmt.Errorf("core: invalid service %d", service)
 	}
-	e.sendQ = append(e.sendQ, pending{payload: payload, service: service, at: e.obs.Now(), held: held})
+	e.sendQ = append(e.sendQ, pending{payload: payload, service: service, at: e.obs.Now(), held: held, owned: owned})
 	return nil
 }
 
@@ -473,6 +476,7 @@ type PendingSubmission struct {
 	Payload []byte
 	Service evs.Service
 	Control bool
+	Owned   bool // the engine owned Payload (SubmitHeld); the taker does now
 }
 
 // TakePending drains and returns the unsent submission queue (nil when
@@ -487,6 +491,7 @@ func (e *Engine) TakePending() []PendingSubmission {
 			Payload: p.payload,
 			Service: p.service,
 			Control: p.flags&wire.FlagControl != 0,
+			Owned:   p.owned,
 		}
 	}
 	e.sendQ = nil
@@ -754,6 +759,9 @@ func (e *Engine) takeMessages(n int, afterSeq uint64) []*wire.Data {
 			Service: p.service,
 			Flags:   p.flags,
 			Payload: p.payload,
+		}
+		if p.owned {
+			m.Frame = p.payload
 		}
 		msgs = append(msgs, m)
 	}

@@ -602,16 +602,15 @@ func (d *Daemon) pushError(c *clientConn, e session.Error) {
 	sh.Unref() // creator's reference; the outbox holds its own
 }
 
+// submitEnvelope orders a client's envelope or tells the client why not.
 func (d *Daemon) submitEnvelope(c *clientConn, ring int, env group.Envelope, svc evs.Service) {
-	enc, err := env.Encode()
-	if err != nil {
-		d.pushError(c, session.Error{Code: session.CodeBadRequest, Msg: err.Error()})
-		return
-	}
-	if err := d.host.Submit(ring, enc, svc); err != nil {
+	if err := d.core.Submit(ring, &env, svc); err != nil {
 		code := session.CodeGeneric
-		if errors.Is(err, membership.ErrNotOperational) {
+		switch {
+		case errors.Is(err, membership.ErrNotOperational):
 			code = session.CodeNotReady
+		case env.Validate() != nil:
+			code = session.CodeBadRequest
 		}
 		d.pushError(c, session.Error{Code: code, Msg: err.Error()})
 		return

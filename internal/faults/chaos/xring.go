@@ -103,7 +103,8 @@ type xnode struct {
 var errNoProcess = errors.New("chaos: node has no process on that ring")
 
 // Submit implements groupcore.Submitter through the node's process on the
-// ring, which queues the payload until its step can take it.
+// ring, which queues the payload until its step can take it, and poisons
+// it once the ring is done with it where the real host recycles it.
 func (n *xnode) Submit(ring int, payload []byte, svc evs.Service) error {
 	p := n.x.hs[ring].node(n.id)
 	if p == nil {

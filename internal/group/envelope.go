@@ -167,17 +167,29 @@ func (e *Envelope) Validate() error {
 	return nil
 }
 
-// Encode serializes the envelope.
+// Encode serializes the envelope into a new buffer.
 func (e *Envelope) Encode() ([]byte, error) {
-	if err := e.Validate(); err != nil {
-		return nil, err
+	return e.AppendEncode(make([]byte, 0, e.EncodedLen()))
+}
+
+// EncodedLen returns the size of the envelope's encoding.
+func (e *Envelope) EncodedLen() int {
+	n := 1 + 8 + 8 + 1 + 4 + len(e.Payload)
+	if e.Kind.hasArg() {
+		n += 8
 	}
-	n := 1 + 4 + 4 + 1
 	for _, g := range e.Groups {
 		n += 1 + len(g)
 	}
-	n += 4 + len(e.Payload)
-	b := make([]byte, 0, n+16)
+	return n
+}
+
+// AppendEncode appends the serialized envelope to b and returns the
+// result; an invalid envelope leaves b as it was.
+func (e *Envelope) AppendEncode(b []byte) ([]byte, error) {
+	if err := e.Validate(); err != nil {
+		return b, err
+	}
 	b = append(b, byte(e.Kind))
 	b = binary.BigEndian.AppendUint32(b, uint32(e.Sender.Daemon))
 	b = binary.BigEndian.AppendUint32(b, e.Sender.Local)

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzDecodeEnvelope: the envelope codec must never panic; decoded
-// envelopes re-encode identically.
+// envelopes re-encode identically, to EncodedLen bytes.
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, e := range []Envelope{
 		{Kind: OpJoin, Sender: ClientID{Daemon: 1, Local: 2}, Groups: []string{"g"}},
@@ -36,6 +36,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		if !bytes.Equal(enc, b) {
 			t.Fatalf("envelope encoding not canonical:\n in %x\nout %x", b, enc)
+		}
+		if n := e.EncodedLen(); n != len(enc) {
+			t.Fatalf("EncodedLen %d, encoding %d bytes", n, len(enc))
 		}
 	})
 }

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"sort"
 
+	"accelring/internal/bufpool"
 	"accelring/internal/evs"
 	"accelring/internal/group"
 	"accelring/internal/obs"
@@ -41,7 +42,9 @@ import (
 )
 
 // Submitter orders a payload on one ring. It must not block, since the
-// merger calls it at emission points. Host is the production
+// merger calls it at emission points. It takes payload, a bufpool buffer,
+// over whether or not it succeeds: the ring recycles it once its message
+// is stable and delivered and nothing reads it. Host is the production
 // implementation; the chaos harness submits to its virtual-time machines.
 type Submitter interface {
 	Submit(ring int, payload []byte, svc evs.Service) error
@@ -171,9 +174,10 @@ type ringHold struct {
 
 func (h ringHold) HeldFrom() (cfg, seq uint64, ok bool) { return h.m.HeldFrom(h.ring) }
 
-// Submit encodes an envelope and orders it on ring, without blocking.
+// Submit encodes an envelope into a bufpool buffer, which the Submitter
+// takes over, and orders it on ring, without blocking.
 func (c *Core) Submit(ring int, env *group.Envelope, svc evs.Service) error {
-	enc, err := env.Encode()
+	enc, err := env.AppendEncode(bufpool.Get(env.EncodedLen())[:0])
 	if err != nil {
 		return err
 	}

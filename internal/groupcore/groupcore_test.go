@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"accelring/internal/bufpool"
 	"accelring/internal/evs"
 	"accelring/internal/group"
 )
@@ -253,6 +254,34 @@ func TestOnRingMessageAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() { core.OnRingMessage(0, m) }); n > c.want {
 			t.Fatalf("an ordered message to %v allocates %.1f times in the core, want %v", c.groups, n, c.want)
 		}
+	}
+}
+
+// recycleSubmit is a Submitter whose ring is done with each payload at
+// once: it puts it straight back to bufpool.
+type recycleSubmit struct{}
+
+func (recycleSubmit) Submit(_ int, payload []byte, _ evs.Service) error {
+	bufpool.Put(payload)
+	return nil
+}
+
+// TestSubmitAllocFree: submitting a 1350-byte message encodes it into a
+// pooled buffer that the Submitter owns, so once the ring hands the
+// buffers back the submit path allocates nothing.
+func TestSubmitAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	core := New(Config{Shards: 1, Self: 1, Submit: recycleSubmit{}, Sink: nopSink{}})
+	env := group.Envelope{Kind: group.OpMessage, Sender: cid(1, 7), Groups: []string{"g"}, Payload: make([]byte, 1350)}
+	for range 8 {
+		if err := core.Submit(0, &env, evs.Agreed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = core.Submit(0, &env, evs.Agreed) }); n != 0 {
+		t.Fatalf("Core.Submit of a 1350-byte message allocates %.2f times, want 0", n)
 	}
 }
 

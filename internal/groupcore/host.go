@@ -110,14 +110,15 @@ func (h *Host) Core() *Core { return h.core }
 func (h *Host) RingNode(r int) *ringnode.Node { return h.nodes[r].Load() }
 
 // Submit orders a payload on ring r in that ring's total order: the core's
-// Submitter. It never blocks, so any goroutine may call it. A ring Start
-// has not started yet has formed no ring either: ErrNotOperational.
+// Submitter, taking ownership of payload (ringnode.Node.SubmitOwned). It
+// never blocks, so any goroutine may call it. A ring Start has not
+// started yet has formed no ring either: ErrNotOperational.
 func (h *Host) Submit(r int, payload []byte, svc evs.Service) error {
 	n := h.nodes[r].Load()
 	if n == nil {
 		return membership.ErrNotOperational
 	}
-	return n.Submit(payload, svc)
+	return n.SubmitOwned(payload, svc)
 }
 
 // Backlog returns the deepest ring's count of unsent submissions.

@@ -135,10 +135,11 @@ type Config struct {
 // duration of the call: implementations must transmit or copy them before
 // returning and never retain them. A delivered Message payload is valid
 // until Deliver returns when the Output is also a core.Releaser: the
-// machine then hands back, through Release, the received frame of every
-// message its ring discards as stable and delivered, and a consumer that
-// reads a payload later must make sure its frame is not reused first
-// (ringnode.Step's Holder). Without Release, payloads are never reused.
+// machine then hands back, through Release, the received frame, or the
+// payload submitted owned (SubmitHeld), of every message its ring
+// discards as stable and delivered, and a consumer that reads a payload
+// later must make sure its frame is not reused first (ringnode.Step's
+// Holder). Without Release, payloads are never reused.
 type Output interface {
 	Multicast(frame []byte)
 	Unicast(to evs.ProcID, frame []byte)
@@ -283,12 +284,13 @@ func (m *Machine) Submit(payload []byte, service evs.Service) error {
 }
 
 // SubmitHeld is Submit for payloads that waited in a packing bundle
-// since held (zero means no hold); see core.Engine.SubmitHeld.
-func (m *Machine) SubmitHeld(payload []byte, service evs.Service, held time.Time) error {
+// since held (zero means no hold), and with owned hands payload over
+// (core.Engine.SubmitHeld); an Output without Release leaves it to the GC.
+func (m *Machine) SubmitHeld(payload []byte, service evs.Service, held time.Time, owned bool) error {
 	if m.eng == nil {
 		return ErrNotOperational
 	}
-	return m.eng.SubmitHeld(payload, service, held)
+	return m.eng.SubmitHeld(payload, service, held, owned && m.rel != nil)
 }
 
 // DrainSampledSent forwards core.Engine.DrainSampledSent for the

@@ -187,7 +187,7 @@ func (m *Machine) install(c *wire.Commit, now time.Time) {
 		if p.Control {
 			continue // stale recovery traffic from an aborted change
 		}
-		_ = m.eng.Submit(p.Payload, p.Service)
+		_ = m.eng.SubmitHeld(p.Payload, p.Service, time.Time{}, p.Owned)
 	}
 }
 

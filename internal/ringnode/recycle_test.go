@@ -1,21 +1,24 @@
 package ringnode
 
 import (
+	"bytes"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"accelring/internal/bufpool"
 	"accelring/internal/evs"
+	"accelring/internal/pack"
 	"accelring/internal/transport"
 	"accelring/internal/wire"
 )
 
-// recycler is a port whose step recycles the data frames it retained. It
-// checks that each one is stable and delivered at its step when it comes
-// back, that it comes back once, and that the step's holder has let go of
-// it, and counts them.
+// recycler is a port whose step recycles the data frames it retained and
+// the payloads it was handed with SubmitOwned. It checks that each one is
+// stable and delivered at its step when it comes back, that it comes back
+// once, and that the step's holder has let go of it, and counts them.
 type recycler struct {
 	port
 	t    testing.TB
@@ -23,11 +26,27 @@ type recycler struct {
 	hold *fixedHold
 	seen map[*byte]bool
 	n    int
+	// owned maps each payload submitted owned to its delivery position at
+	// the step (zero until delivered), and ownedBack counts their returns;
+	// with packed set one may come back undelivered, copied into a bundle.
+	owned     map[*byte]*wire.Data
+	ownedBack int
+	packed    bool
+	// got collects the payloads the step delivered, copied.
+	got []string
 }
 
 func (r *recycler) Recycle(frame []byte) {
 	var d wire.Data
-	if err := d.DecodeFrom(frame); err != nil {
+	if pos, ok := r.owned[&frame[0]]; ok {
+		r.ownedBack++
+		if pos.Seq == 0 && r.packed {
+			return
+		}
+		if d = *pos; d.Seq == 0 {
+			r.t.Fatalf("an owned payload came back before its delivery")
+		}
+	} else if err := d.DecodeFrom(frame); err != nil {
 		r.t.Fatalf("recycled frame does not decode: %v", err)
 	}
 	if eng := r.step.Machine().Engine(); d.Seq > eng.Delivered() || d.Seq > eng.SafeLine() {
@@ -52,14 +71,23 @@ type fixedHold struct {
 func (h *fixedHold) HeldFrom() (uint64, uint64, bool) { return h.cfg, h.seq, h.ok }
 
 // newRecyclingRing is newStepRing with every step's port a recycler.
-func newRecyclingRing(t *testing.T, n int) (*testRing, []*Step, []*recycler) {
+func newRecyclingRing(t *testing.T, n int, edit func(*Config)) (*testRing, []*Step, []*recycler) {
 	r := &testRing{now: time.Unix(1000, 0)}
 	var steps []*Step
 	var recs []*recycler
 	for i := 0; i < n; i++ {
 		cfg := Accelerated(evs.ProcID(i+1), nil, 10, 100, 7)
 		cfg.Timeouts = fastTimeouts()
-		rec := &recycler{port: port{w: &r.w, id: cfg.Self}, t: t, seen: map[*byte]bool{}}
+		if edit != nil {
+			edit(&cfg)
+		}
+		rec := &recycler{port: port{w: &r.w, id: cfg.Self}, t: t, seen: map[*byte]bool{}, owned: map[*byte]*wire.Data{}}
+		cfg.OnMessage = func(m evs.Message) {
+			rec.got = append(rec.got, string(m.Payload))
+			if pos := rec.owned[&m.Payload[0]]; pos != nil {
+				pos.RingID, pos.Seq = m.Config, m.Seq
+			}
+		}
 		s, err := NewStep(cfg, rec, r.now)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +106,7 @@ func newRecyclingRing(t *testing.T, n int) (*testRing, []*Step, []*recycler) {
 // ordered when the ring was installed.
 func TestStepRecyclesStableFrames(t *testing.T) {
 	const msgs, markers = 50, 2
-	r, steps, recs := newRecyclingRing(t, 3)
+	r, steps, recs := newRecyclingRing(t, 3, nil)
 	r.form(t)
 	for i := 0; i < msgs; i++ {
 		if err := steps[0].Submit([]byte{byte(i)}, evs.Agreed, r.now); err != nil {
@@ -102,7 +130,7 @@ func TestStepRecyclesStableFrames(t *testing.T) {
 // once the holder lets go.
 func TestStepHolderKeepsFrames(t *testing.T) {
 	const msgs, markers, heldFrom = 50, 2, 20
-	r, steps, recs := newRecyclingRing(t, 3)
+	r, steps, recs := newRecyclingRing(t, 3, nil)
 	r.form(t)
 	hold := &fixedHold{cfg: steps[1].Machine().Ring().ID.Seq, seq: heldFrom, ok: true}
 	steps[1].Hold(hold)
@@ -120,6 +148,86 @@ func TestStepHolderKeepsFrames(t *testing.T) {
 	}
 	hold.ok = false
 	r.run(t, func() bool { return recs[1].n == msgs+markers })
+}
+
+// submitOwned hands step s of r the payloads ps with SubmitOwned,
+// registering each with rec.
+func submitOwned(t *testing.T, r *testRing, s *Step, rec *recycler, ps ...[]byte) {
+	t.Helper()
+	for _, p := range ps {
+		rec.owned[&p[0]] = new(wire.Data)
+		if err := s.SubmitOwned(p, evs.Agreed, r.now); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStepHolderKeepsOwnedPayloads: the payloads a step was handed with
+// SubmitOwned come back to its host exactly once, each after its message
+// is stable and delivered there, none at or past the position the
+// holder still reads, and the rest at its next input once the holder
+// lets go. Payloads submitted plainly never come back.
+func TestStepHolderKeepsOwnedPayloads(t *testing.T) {
+	const msgs, heldFrom = 50, 20
+	r, steps, recs := newRecyclingRing(t, 3, nil)
+	r.form(t)
+	hold := &fixedHold{cfg: steps[0].Machine().Ring().ID.Seq, seq: heldFrom, ok: true}
+	steps[0].Hold(hold)
+	recs[0].hold = hold
+	for i := 0; i < msgs; i++ {
+		submitOwned(t, r, steps[0], recs[0], []byte{byte(i)})
+		if err := steps[0].Submit([]byte{byte(i)}, evs.Agreed, r.now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := steps[0].Machine().Engine()
+	last := uint64(2*msgs + 3) // after the three markers
+	r.run(t, func() bool { return eng.Delivered() >= last && eng.SafeLine() >= last })
+	below := 0
+	for _, pos := range recs[0].owned {
+		if pos.Seq < heldFrom {
+			below++
+		}
+	}
+	if below == 0 || recs[0].ownedBack != below {
+		t.Fatalf("holder reading from seq %d: %d owned payloads back, want the %d below it", heldFrom, recs[0].ownedBack, below)
+	}
+	hold.ok = false
+	r.run(t, func() bool { return recs[0].ownedBack == msgs })
+	r.run(t, func() bool { return len(r.w.q) == 0 })
+	if recs[0].ownedBack != msgs {
+		t.Fatalf("%d owned payloads back, want %d", recs[0].ownedBack, msgs)
+	}
+}
+
+// TestPackedOwnedPayloadBackAtCopy: with packing on, a payload handed over
+// with SubmitOwned goes back to the host as soon as the bundle, or for one
+// too big to share a frame the solo framing, has copied it, and a host
+// that reuses it at once changes nothing any member delivers.
+func TestPackedOwnedPayloadBackAtCopy(t *testing.T) {
+	r, steps, recs := newRecyclingRing(t, 3, func(c *Config) { c.Packing = true })
+	r.form(t)
+	recs[0].packed = true
+	var want []string
+	for i, n := range []int{8, pack.DefaultLimit} {
+		p := bytes.Repeat([]byte{'a' + byte(i)}, n)
+		want = append(want, string(p))
+		submitOwned(t, r, steps[0], recs[0], p)
+		if recs[0].ownedBack != i+1 {
+			t.Fatalf("%d-byte payload: %d owned payloads back after the submit, want %d", n, recs[0].ownedBack, i+1)
+		}
+		clear(p) // the host reuses it
+	}
+	r.run(t, func() bool { return len(recs[1].got) == len(want) && len(recs[2].got) == len(want) })
+	r.run(t, func() bool { return len(r.w.q) == 0 })
+	for i, rec := range recs {
+		if !slices.Equal(rec.got, want) {
+			t.Fatalf("step %d delivered %d payloads, not the %d submitted intact", i+1, len(rec.got), len(want))
+		}
+	}
+	if recs[0].ownedBack != len(want) {
+		t.Fatalf("%d owned payloads back, want %d, once each", recs[0].ownedBack, len(want))
+	}
 }
 
 // TestHubRingRecyclesDataFrames: on a warmed-up three-node hub ring, the

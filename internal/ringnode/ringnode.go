@@ -36,6 +36,7 @@ var ErrStopped = errors.New("ringnode: node stopped")
 type submission struct {
 	payload []byte
 	service evs.Service
+	owned   bool
 }
 
 // Node runs the protocol for one participant.
@@ -129,11 +130,21 @@ func (n *Node) WaitState(st membership.State, timeout time.Duration) bool {
 
 // Submit multicasts a payload with the given delivery service, in total
 // order. It queues and never blocks, so any goroutine may call it, the
-// delivery callbacks included. The payload must not be mutated after the
-// call. It fails with ErrStopped after Stop, with
-// membership.ErrNotOperational before the first ring forms, and as
-// Step.Check does.
+// delivery callbacks included. The payload stays the caller's, never
+// recycled, and must not be mutated after the call. It fails with
+// ErrStopped after Stop, with membership.ErrNotOperational before the
+// first ring forms, and as Step.Check does.
 func (n *Node) Submit(payload []byte, service evs.Service) error {
+	return n.submit(submission{payload, service, false})
+}
+
+// SubmitOwned is Submit taking payload over, refused or not: the node puts
+// it back to bufpool once the ring is done with it (Step.SubmitOwned).
+func (n *Node) SubmitOwned(payload []byte, service evs.Service) error {
+	return n.submit(submission{payload, service, true})
+}
+
+func (n *Node) submit(sub submission) error {
 	select {
 	case <-n.stopCh:
 		return ErrStopped
@@ -142,11 +153,11 @@ func (n *Node) Submit(payload []byte, service evs.Service) error {
 	if !n.installed.Load() {
 		return membership.ErrNotOperational
 	}
-	if err := n.step.Check(len(payload), service); err != nil {
+	if err := n.step.Check(len(sub.payload), sub.service); err != nil {
 		return err
 	}
 	n.qmu.Lock()
-	n.queue = append(n.queue, submission{payload, service})
+	n.queue = append(n.queue, sub)
 	n.qmu.Unlock()
 	select {
 	case n.wake <- struct{}{}:
@@ -175,7 +186,7 @@ func (n *Node) drain() {
 	n.qmu.Unlock()
 	now := time.Now()
 	for _, s := range batch {
-		_ = n.step.Submit(s.payload, s.service, now)
+		_ = n.step.submit(s.payload, s.service, s.owned, now)
 	}
 	clear(batch)
 	n.spare = batch[:0]
@@ -183,7 +194,7 @@ func (n *Node) drain() {
 
 // pooled is the node's transport as its step's Sender when it cannot
 // stage (a Hub endpoint): each multicast goes out at once, and the frames
-// the step recycles go back to bufpool, where the transport rented them.
+// and payloads the step recycles go back to bufpool, where they were rented.
 type pooled struct{ transport.Transport }
 
 func (pooled) Recycle(frame []byte) { bufpool.Put(frame) }

@@ -138,11 +138,11 @@ type Flusher interface {
 	Flush()
 }
 
-// Recycler is a Sender that takes back the data frames Data retained.
-// Recycle gets each one once the ring has discarded its message as stable
-// and delivered and the Holder no longer reads its payload; the step
-// never reads it again. A Sender that is not a Recycler leaves retained
-// frames to the garbage collector.
+// Recycler is a Sender that takes back the data frames Data retained and
+// the payloads SubmitOwned took. Recycle gets each one once the ring has
+// discarded its message as stable and delivered and the Holder no longer
+// reads its payload (a payload packing copied, at once); the step never
+// reads it again. Without a Recycler they go to the garbage collector.
 type Recycler interface {
 	Recycle(frame []byte)
 }
@@ -340,7 +340,18 @@ func (s *Step) Check(n int, service evs.Service) error {
 // service — through the bundler when packing is enabled. The payload must
 // not be mutated afterwards. It fails with membership.ErrNotOperational
 // before the first ring forms, and as Check does.
-func (s *Step) Submit(payload []byte, service evs.Service, now time.Time) (err error) {
+func (s *Step) Submit(payload []byte, service evs.Service, now time.Time) error {
+	return s.submit(payload, service, false, now)
+}
+
+// SubmitOwned is Submit handing payload over, refused or not: the step
+// gives it to the Recycler once, as Recycler says, and otherwise leaves it
+// to the collector.
+func (s *Step) SubmitOwned(payload []byte, service evs.Service, now time.Time) error {
+	return s.submit(payload, service, true, now)
+}
+
+func (s *Step) submit(payload []byte, service evs.Service, owned bool, now time.Time) (err error) {
 	s.flushExpired(now)
 	if err = s.Check(len(payload), service); err != nil {
 		return err
@@ -349,7 +360,7 @@ func (s *Step) Submit(payload []byte, service evs.Service, now time.Time) (err e
 	case !s.machine.CanSubmit():
 		return membership.ErrNotOperational
 	case s.bundle == nil:
-		err = s.machine.Submit(payload, service)
+		err = s.machine.SubmitHeld(payload, service, time.Time{}, owned)
 	case s.bundle.Oversize(len(payload)):
 		// Too big to ever share a frame: solo-framed, so every payload on
 		// a packed ring speaks the bundle format, and queued behind the
@@ -363,6 +374,9 @@ func (s *Step) Submit(payload []byte, service evs.Service, now time.Time) (err e
 		// cannot fail.
 		s.flushPack()
 		s.bundle.Add(payload, uint8(service), now)
+	}
+	if owned && s.bundle != nil && s.recycle != nil {
+		s.recycle(payload) // copied into the bundle or the solo frame
 	}
 	s.maybeFlushPack(now)
 	if err == nil && !s.parkUntil.IsZero() {
@@ -436,7 +450,7 @@ func (s *Step) flushPack() {
 	svc := evs.Service(s.bundle.Service())
 	held := s.bundle.Since()
 	if b := s.bundle.Flush(); b != nil {
-		_ = s.machine.SubmitHeld(b, svc, held)
+		_ = s.machine.SubmitHeld(b, svc, held, false)
 	}
 }
 

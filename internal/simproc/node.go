@@ -107,6 +107,7 @@ func (n *Node) SetTrace(fn func(TraceEvent)) { n.trace = fn }
 // payload should carry a timestamp (see StampPayload) if latency is being
 // measured. The client IPC hop is charged before the daemon sees it, and
 // the message waits in the client queue until the step can accept it.
+// The step takes it over (Step.SubmitOwned), and Recycle poisons it.
 func (n *Node) Submit(payload []byte, service evs.Service) {
 	n.c.Sim.After(n.c.opts.Profile.ClientHop, func() {
 		n.clientQ = append(n.clientQ, submission{payload: payload, service: service})
@@ -189,7 +190,7 @@ func (n *Node) run() {
 		n.clientQ[0] = submission{}
 		n.clientQ = n.clientQ[1:]
 		n.cursor += prof.submitCost(len(sub.payload))
-		if n.step.Submit(sub.payload, sub.service, now) == nil {
+		if n.step.SubmitOwned(sub.payload, sub.service, now) == nil {
 			n.submitted++
 		}
 	default:
@@ -235,10 +236,11 @@ func (s sender) Unicast(to evs.ProcID, frame []byte) error {
 	return nil
 }
 
-// Recycle takes back a data frame the step retained, once the step and
-// its holder are done with it. The simulated host overwrites it, so a
-// payload read after its release — against ringnode.Config.OnEvent's
-// contract — reads the poison pattern, deterministically, on every seed.
+// Recycle takes back a data frame the step retained, or a payload, once
+// the step and its holder are done with it. The simulated host overwrites
+// it, so a payload read after its release — against
+// ringnode.Config.OnEvent's contract — reads the poison pattern,
+// deterministically, on every seed.
 func (s sender) Recycle(frame []byte) { poison(frame) }
 
 // poisonByte fills every frame the simulated host takes back.

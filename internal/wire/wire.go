@@ -316,8 +316,9 @@ type Data struct {
 	Payload []byte
 	// Frame is the received frame Payload aliases, when the receiver
 	// decoded it zero-copy and hands the frame over with the message
-	// (membership.Machine.HandleDataFrame); nil for messages built
-	// locally or copied out. It is never encoded.
+	// (membership.Machine.HandleDataFrame), or the payload of a message
+	// its sender submitted owned (core.Engine.SubmitHeld); nil otherwise.
+	// It is never encoded.
 	Frame []byte
 }
 
